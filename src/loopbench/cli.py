@@ -367,18 +367,12 @@ def cmd_compare(args) -> int:
     labels = [p.stem for p in paths]
     if len(set(labels)) != len(labels):
         labels = [str(p) for p in paths]
-    series = [read_timeseries(p) for p in paths]
-
+    entries = list(zip(labels, (read_timeseries(p) for p in paths)))
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            metrics = list(pool.map(lambda s: compute_step_metrics(s, band=args.band), series))
-        for label, s in zip(labels[1:], series[1:]):
-            if not (np.array_equal(series[0].w, s.w) and np.array_equal(series[0].d, s.d)):
-                raise ConfigError(f"{label} has a different reference or disturbance", "compare")
-        rows = sorted(zip(labels, metrics), key=lambda r: (r[1].iae, r[0]))
-        table = ComparisonTable(rows)
+            table = compare(entries, band=args.band, map_fn=pool.map)
     else:
-        table = compare(list(zip(labels, series)), band=args.band)
+        table = compare(entries, band=args.band)
 
     out = _out_dir(args)
     table.to_csv(out / "comparison.csv")

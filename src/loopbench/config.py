@@ -151,15 +151,19 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise ConfigError(message, path)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check(cfg: dict) -> None:
     sim = cfg["sim"]
     _require(isinstance(sim["seed"], int) and sim["seed"] >= 0, "seed must be a non-negative integer", "sim.seed")
-    _require(sim["dt"] > 0, "dt must be > 0", "sim.dt")
-    _require(sim["horizon"] > 0, "horizon must be > 0", "sim.horizon")
+    _require(_is_number(sim["dt"]) and sim["dt"] > 0, "dt must be a number > 0", "sim.dt")
+    _require(_is_number(sim["horizon"]) and sim["horizon"] > 0, "horizon must be a number > 0", "sim.horizon")
     _require(cfg["plant"]["variant"] in _PLANT_VARIANTS,
              f"variant must be one of {_PLANT_VARIANTS}", "plant.variant")
     lim = cfg["plant"]["limits"]
-    _require(isinstance(lim, list) and len(lim) == 2 and lim[0] < lim[1],
+    _require(isinstance(lim, list) and len(lim) == 2 and all(map(_is_number, lim)) and lim[0] < lim[1],
              "limits must be [lo, hi] with lo < hi", "plant.limits")
     _require(cfg["controller"]["kind"] in _CONTROLLER_KINDS,
              f"kind must be one of {_CONTROLLER_KINDS}", "controller.kind")
@@ -172,7 +176,8 @@ def _check(cfg: dict) -> None:
              "mode must be imitation or bptt", "training.mode")
     _require(cfg["training"]["target"] in ("controller", "scheduler"),
              "target must be controller or scheduler", "training.target")
-    _require(0.0 <= cfg["training"]["lambda"] <= 1.0, "lambda must be in [0, 1]", "training.lambda")
+    lam = cfg["training"]["lambda"]
+    _require(_is_number(lam) and 0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
     _require(cfg["reference"]["variant"] in ("step", "profile"),
              "variant must be step or profile", "reference.variant")
 

@@ -140,11 +140,13 @@ class ComparisonTable:
                          for row in rows)
 
 
-def compare(entries, band: float = 0.02) -> ComparisonTable:
+def compare(entries, band: float = 0.02, map_fn=map) -> ComparisonTable:
     """StepMetrics per labeled trajectory, sorted by IAE.
 
     Entries sharing a run must share the reference and disturbance arrays
-    exactly; anything else is not a like-for-like comparison.
+    exactly; anything else is not a like-for-like comparison. `map_fn`
+    computes the per-trajectory metrics (an executor's `map` to spread them
+    over workers); the result does not depend on it.
     """
     items = list(entries.items()) if isinstance(entries, dict) else list(entries)
     if not items:
@@ -153,7 +155,8 @@ def compare(entries, band: float = 0.02) -> ComparisonTable:
     for label, traj in items[1:]:
         if not (np.array_equal(first.w, traj.w) and np.array_equal(first.d, traj.d)):
             raise IncomparableError(f"entry {label!r} has a different reference or disturbance")
-    rows = [(label, compute_step_metrics(traj, band)) for label, traj in items]
+    metrics = map_fn(lambda traj: compute_step_metrics(traj, band), [traj for _, traj in items])
+    rows = [(label, m) for (label, _), m in zip(items, metrics)]
     rows.sort(key=lambda r: (r[1].iae, r[0]))
     return ComparisonTable(rows)
 

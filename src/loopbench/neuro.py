@@ -129,7 +129,9 @@ class NeuralControlLoop:
         self.hist.reset()
 
     def step(self, w: float, y, dt: float) -> float:
-        return controller_step(self.nc, w, float(np.atleast_1d(y)[0]), self.hist)
+        # y is a float, or the measurement vector of a multi-output plant
+        y0 = float(y if isinstance(y, float) else y[0] if hasattr(y, "__len__") else y)
+        return controller_step(self.nc, w, y0, self.hist)
 
 
 @dataclass
@@ -204,7 +206,7 @@ class ScheduledPidController:
         self.gain_trace.clear()
 
     def step(self, w: float, y, dt: float) -> float:
-        y0 = float(np.atleast_1d(y)[0])
+        y0 = float(y if isinstance(y, float) else y[0] if hasattr(y, "__len__") else y)
         e = w - y0
         self.e_win = [e] + self.e_win[:-1]
         self.y_win = [y0] + self.y_win[:-1]
@@ -814,16 +816,10 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
 # Serialization: nnet weight file plus a JSON metadata sidecar
 # ---------------------------------------------------------------------------
 
-def _meta_path(path) -> str:
-    return str(path) + ".meta.json"
-
-
 def save_controller(nc: NeuralController, path, extras: dict | None = None) -> None:
     """Weights file plus metadata sidecar; `extras` records training context
     such as the dataset mix ratio and disturbance-head weight."""
-    import json
-
-    from .nnet import save_weights
+    from .nnet import save_sidecar, save_weights
 
     save_weights(nc.mlp, path)
     meta = {
@@ -839,36 +835,31 @@ def save_controller(nc: NeuralController, path, extras: dict | None = None) -> N
         meta["aux_b"] = [float(v) for v in nc.aux.b]
     if extras:
         meta["training"] = dict(sorted(extras.items()))
-    with open(_meta_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_sidecar(path, meta)
+
+
+def _aux_from(meta: dict) -> LinearHead | None:
+    if "aux_w" not in meta:
+        return None
+    aux = LinearHead(len(meta["aux_w"][0]), len(meta["aux_w"]))
+    aux.w = np.array(meta["aux_w"])
+    aux.b = np.array(meta["aux_b"])
+    return aux
 
 
 def load_controller(path) -> NeuralController:
-    import json
-
-    from .nnet import load_weights
+    from .nnet import load_sidecar, load_weights
 
     mlp = load_weights(path)
-    with open(_meta_path(path), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "neural-controller":
-        raise ValueError(f"{path} is not a neural-controller model")
-    aux = None
-    if "aux_w" in meta:
-        aux = LinearHead(len(meta["aux_w"][0]), len(meta["aux_w"]))
-        aux.w = np.array(meta["aux_w"])
-        aux.b = np.array(meta["aux_b"])
+    meta = load_sidecar(path, "neural-controller", ("memory", "u_min", "u_max", "feat_mean", "feat_std"))
     return NeuralController(
         mlp, meta["u_min"], meta["u_max"], meta["memory"],
-        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), aux,
+        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), _aux_from(meta),
     )
 
 
 def save_scheduler(gs: GainScheduler, path, extras: dict | None = None) -> None:
-    import json
-
-    from .nnet import save_weights
+    from .nnet import save_sidecar, save_weights
 
     save_weights(gs.mlp, path)
     meta = {
@@ -883,27 +874,15 @@ def save_scheduler(gs: GainScheduler, path, extras: dict | None = None) -> None:
         meta["aux_b"] = [float(v) for v in gs.aux.b]
     if extras:
         meta["training"] = dict(sorted(extras.items()))
-    with open(_meta_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_sidecar(path, meta)
 
 
 def load_scheduler(path) -> GainScheduler:
-    import json
-
-    from .nnet import load_weights
+    from .nnet import load_sidecar, load_weights
 
     mlp = load_weights(path)
-    with open(_meta_path(path), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "gain-scheduler":
-        raise ValueError(f"{path} is not a gain-scheduler model")
-    aux = None
-    if "aux_w" in meta:
-        aux = LinearHead(len(meta["aux_w"][0]), len(meta["aux_w"]))
-        aux.w = np.array(meta["aux_w"])
-        aux.b = np.array(meta["aux_b"])
+    meta = load_sidecar(path, "gain-scheduler", ("memory", "bounds", "feat_mean", "feat_std"))
     return GainScheduler(
         mlp, np.array(meta["bounds"]), meta["memory"],
-        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), aux,
+        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), _aux_from(meta),
     )

@@ -8,12 +8,13 @@ training is bit-reproducible.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import TrainingDiverged
+from .errors import ParseError, TrainingDiverged
 
 STD_FLOOR = 1e-12
 
@@ -321,24 +322,68 @@ def save_weights(net: Mlp, path) -> None:
 
 
 def load_weights(path) -> Mlp:
+    """Inverse of `save_weights`. Malformed or truncated content raises
+    ParseError with the 1-based line number."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != WEIGHTS_MAGIC:
-        raise ValueError(f"not a {WEIGHTS_MAGIC!r} file: {path}")
-    if not lines[1].startswith("layers "):
-        raise ValueError("missing layer header")
-    sizes = [int(s) for s in lines[1].split()[1:]]
-    net = Mlp(sizes, init=False)
+
+    def line(pos: int) -> str:
+        if pos >= len(lines):
+            raise ParseError(f"{path}: file ends early", line=pos + 1)
+        return lines[pos]
+
+    def numbers(pos: int, count: int) -> np.ndarray:
+        try:
+            values = [float(v) for v in line(pos).split()]
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric value", line=pos + 1) from None
+        if len(values) != count:
+            raise ParseError(f"{path}: expected {count} values, got {len(values)}", line=pos + 1)
+        return np.array(values)
+
+    if line(0) != WEIGHTS_MAGIC:
+        raise ParseError(f"{path}: not a {WEIGHTS_MAGIC!r} file", line=1)
+    header = line(1).split()
+    if header[:1] != ["layers"]:
+        raise ParseError(f"{path}: missing layer header", line=2)
+    try:
+        net = Mlp(header[1:], init=False)
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad layer sizes: {exc}", line=2) from None
     pos = 2
-    for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        if lines[pos] != f"W{l}":
-            raise ValueError(f"expected W{l} marker at line {pos + 1}")
-        pos += 1
-        rows = [np.array([float(v) for v in lines[pos + r].split()]) for r in range(n_out)]
-        net.weights[l] = np.vstack(rows)
-        pos += n_out
-        if lines[pos] != f"b{l}":
-            raise ValueError(f"expected b{l} marker at line {pos + 1}")
-        pos += 1
-        net.biases[l] = np.array([float(v) for v in lines[pos].split()])
-        pos += 1
+    for l, (n_in, n_out) in enumerate(zip(net.layer_sizes[:-1], net.layer_sizes[1:])):
+        if line(pos) != f"W{l}":
+            raise ParseError(f"{path}: expected W{l} marker", line=pos + 1)
+        net.weights[l] = np.vstack([numbers(pos + 1 + r, n_in) for r in range(n_out)])
+        pos += 1 + n_out
+        if line(pos) != f"b{l}":
+            raise ParseError(f"{path}: expected b{l} marker", line=pos + 1)
+        net.biases[l] = numbers(pos + 1, n_out)
+        pos += 2
     return net
+
+
+# ---------------------------------------------------------------------------
+# JSON metadata sidecar written next to each model's weights file
+# ---------------------------------------------------------------------------
+
+def save_sidecar(path, meta: dict) -> None:
+    with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_sidecar(path, kind: str, keys) -> dict:
+    """The sidecar of the weights file at `path`, checked for its `kind` and
+    required `keys`; a malformed sidecar raises ParseError."""
+    meta_path = str(path) + ".meta.json"
+    text = Path(meta_path).read_text(encoding="utf-8")
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{meta_path}: invalid JSON: {exc.msg}", line=exc.lineno) from None
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
+        raise ParseError(f"{meta_path}: not a {kind} model", line=1)
+    missing = [k for k in keys if k not in meta]
+    if missing:
+        raise ParseError(f"{meta_path}: missing {', '.join(missing)}", line=1)
+    return meta

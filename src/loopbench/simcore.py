@@ -119,6 +119,12 @@ class TankNonlinear:
 
 PlantVariant = Union[LinearStateSpace, Fopdt, SecondOrder, TankNonlinear]
 
+# Integrator state: a float for Fopdt and TankNonlinear, a 2-tuple of floats
+# for SecondOrder, a numpy vector for LinearStateSpace. Python floats and
+# numpy float64 elements round identically, so the scalar plants integrate to
+# the same bits as the vector form at a fraction of the per-call overhead.
+PlantState = Union[float, tuple, np.ndarray]
+
 
 @dataclass(frozen=True)
 class PlantModel:
@@ -156,29 +162,34 @@ class PlantModel:
     def dead_time(self) -> float:
         return self.variant.dead_time if isinstance(self.variant, Fopdt) else 0.0
 
-    def initial_state(self) -> np.ndarray:
-        if self.x0 is not None:
-            return self.x0.copy()
-        return np.zeros(self.state_dim)
+    def initial_state(self) -> PlantState:
+        """A numpy vector for LinearStateSpace, a 2-tuple of floats for
+        SecondOrder, a float for Fopdt and TankNonlinear."""
+        if isinstance(self.variant, LinearStateSpace):
+            return self.x0.copy() if self.x0 is not None else np.zeros(self.state_dim)
+        x0 = self.x0.tolist() if self.x0 is not None else [0.0] * self.state_dim
+        return tuple(x0) if isinstance(self.variant, SecondOrder) else x0[0]
 
-    def derivative(self, x: np.ndarray, u: float) -> np.ndarray:
+    def derivative(self, x: PlantState, u: float) -> PlantState:
         v = self.variant
-        if isinstance(v, LinearStateSpace):
-            return v.a @ x + v.b * u
         if isinstance(v, Fopdt):
-            return np.array([(v.gain * u - x[0]) / v.tau])
+            return (v.gain * u - x) / v.tau
+        if isinstance(v, TankNonlinear):
+            # level cannot drain below zero
+            h = max(x, 0.0)
+            return (u - v.outflow_coeff * math.sqrt(h)) / v.area
         if isinstance(v, SecondOrder):
             wn = v.omega_n
-            return np.array([x[1], v.gain * wn * wn * u - 2.0 * v.zeta * wn * x[1] - wn * wn * x[0]])
-        # tank: level cannot drain below zero
-        h = max(x[0], 0.0)
-        return np.array([(u - v.outflow_coeff * math.sqrt(h)) / v.area])
+            return (x[1], v.gain * wn * wn * u - 2.0 * v.zeta * wn * x[1] - wn * wn * x[0])
+        return v.a @ x + v.b * u
 
-    def output(self, x: np.ndarray) -> np.ndarray:
+    def output(self, x: PlantState):
+        """Float for a single-output plant, numpy vector for a multi-output one."""
         v = self.variant
         if isinstance(v, LinearStateSpace):
-            return v.c @ x
-        return x[:1]
+            y = v.c @ x
+            return float(y[0]) if y.shape[0] == 1 else y
+        return x if isinstance(x, float) else x[0]
 
     def clamp(self, u: float) -> float:
         return min(max(u, self.u_min), self.u_max)
@@ -261,7 +272,12 @@ def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
 
 
 class _SensorSampler:
-    """Stateful wrapper: fresh reading every m-th step, held value in between."""
+    """Stateful wrapper: fresh reading every m-th step, held value in between.
+
+    A float output takes the scalar path, which draws the same noise sample
+    from the same generator stream as `apply_sensor` and rounds with the
+    same `np.round`, so the reading is bit-identical.
+    """
 
     def __init__(self, sensor: SensorSpec, dt: float, rng: np.random.Generator):
         self.sensor = sensor
@@ -271,8 +287,16 @@ class _SensorSampler:
 
     def sample(self, y, k: int):
         if self.held is None or k % self.every == 0:
-            self.held = apply_sensor(y, self.sensor, self.rng)
+            self.held = self.read(y) if isinstance(y, float) else apply_sensor(y, self.sensor, self.rng)
         return self.held
+
+    def read(self, y: float) -> float:
+        sensor = self.sensor
+        if sensor.noise_std > 0.0:
+            y = y + self.rng.normal(0.0, sensor.noise_std)
+        if sensor.quantization > 0.0:
+            y = np.round(y / sensor.quantization) * sensor.quantization
+        return float(y)
 
 
 class DelayLine:
@@ -282,38 +306,56 @@ class DelayLine:
         if dead_time < 0.0 or dt <= 0.0:
             raise ValueError("require dead_time >= 0 and dt > 0")
         self.n_samples = _round_half_away(dead_time / dt)
-        self._buf = np.zeros(max(self.n_samples, 1))
+        self._buf = [0.0] * max(self.n_samples, 1)
         self._idx = 0
 
     def push_pop(self, x: float) -> float:
         if self.n_samples == 0:
             return x
         out = self._buf[self._idx]
-        self._buf[self._idx] = x
+        self._buf[self._idx] = float(x)
         self._idx = (self._idx + 1) % self.n_samples
-        return float(out)
-
-
-def delay_push_pop(delay: DelayLine, x: float) -> float:
-    """Feed one sample in, read the sample from round(L/dt) steps ago (zeros before warm-up)."""
-    return delay.push_pop(x)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Integrator
 # ---------------------------------------------------------------------------
 
-def rk4_step(state: np.ndarray, u, dt: float, dynamics: Callable) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta update with input held over the step."""
+def rk4_step(state: PlantState, u, dt: float, dynamics: Callable) -> PlantState:
+    """Classical 4th-order Runge-Kutta update with input held over the step.
+
+    A float or tuple state (the scalar plants) is integrated element by
+    element with the same operations in the same order as the array form.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    x = np.asarray(state, dtype=float)
-    k1 = np.asarray(dynamics(x, u), dtype=float)
-    k2 = np.asarray(dynamics(x + 0.5 * dt * k1, u), dtype=float)
-    k3 = np.asarray(dynamics(x + 0.5 * dt * k2, u), dtype=float)
-    k4 = np.asarray(dynamics(x + dt * k3, u), dtype=float)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if isinstance(state, float):
+        k1 = dynamics(state, u)
+        k2 = dynamics(state + 0.5 * dt * k1, u)
+        k3 = dynamics(state + 0.5 * dt * k2, u)
+        k4 = dynamics(state + dt * k3, u)
+        out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        finite = math.isfinite(out)
+    elif isinstance(state, tuple):
+        h = 0.5 * dt
+        k1 = dynamics(state, u)
+        k2 = dynamics(tuple([x + h * k for x, k in zip(state, k1)]), u)
+        k3 = dynamics(tuple([x + h * k for x, k in zip(state, k2)]), u)
+        k4 = dynamics(tuple([x + dt * k for x, k in zip(state, k3)]), u)
+        c = dt / 6.0
+        out = tuple([x + c * (a + 2.0 * b + 2.0 * e + f)
+                     for x, a, b, e, f in zip(state, k1, k2, k3, k4)])
+        finite = all(map(math.isfinite, out))
+    else:
+        x = np.asarray(state, dtype=float)
+        k1 = np.asarray(dynamics(x, u), dtype=float)
+        k2 = np.asarray(dynamics(x + 0.5 * dt * k1, u), dtype=float)
+        k3 = np.asarray(dynamics(x + 0.5 * dt * k2, u), dtype=float)
+        k4 = np.asarray(dynamics(x + dt * k3, u), dtype=float)
+        out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        finite = np.all(np.isfinite(out))
+    if not finite:
         raise SimulationDiverged("non-finite state after RK4 stage", step=-1)
     return out
 
@@ -448,34 +490,41 @@ def simulate(
     x = plant.initial_state()
     controller.reset()
     input_additive = disturbance.injection == "input"
+    # plain floats in the loop: one conversion here instead of a numpy
+    # scalar per element access
+    w_k, d_k, t_k = w.tolist(), d.tolist(), t.tolist()
 
     for k in range(n):
-        y_vec = plant.output(x)
+        y = plant.output(x)  # float, or a vector on a multi-output plant
         if not input_additive:
-            y_vec = y_vec + d[k]
-        if not np.all(np.isfinite(y_vec)) or np.max(np.abs(y_vec)) > guard:
+            y = y + d_k[k]
+        if multi:
+            bounded = np.all(np.isfinite(y)) and np.max(np.abs(y)) <= guard
+        else:
+            bounded = math.isfinite(y) and abs(y) <= guard
+        if not bounded:
             raise SimulationDiverged("plant output exceeded the divergence guard", step=k)
 
-        y_m = sampler.sample(y_vec, k)
-        u_cmd = controller.step(w[k], y_m if multi else float(np.atleast_1d(y_m)[0]), cfg.dt)
+        y_m = sampler.sample(y, k)
+        if multi:
+            y_rec[k], y_meas_rec[k], y_extra[k] = y[0], y_m[0], y[1:]
+        else:
+            y_rec[k], y_meas_rec[k] = y, y_m
+
+        u_cmd = controller.step(w_k[k], y_m, cfg.dt)
         if not math.isfinite(u_cmd):
             raise ControllerFault(f"controller emitted a non-finite command at step {k}")
         u_k = plant.clamp(float(u_cmd))
+        u_rec[k] = u_k
 
-        u_plant = u_k + d[k] if input_additive else u_k
+        u_plant = u_k + d_k[k] if input_additive else u_k
         if gain_schedule is not None:
-            u_plant = u_plant * float(gain_schedule(t[k]))
+            u_plant = u_plant * float(gain_schedule(t_k[k]))
         u_eff = delay.push_pop(u_plant) if delay is not None else u_plant
         try:
             x = rk4_step(x, u_eff, cfg.dt, plant.derivative)
         except SimulationDiverged as exc:
             raise SimulationDiverged("non-finite state during integration", step=k) from exc
-
-        y_rec[k] = y_vec[0]
-        y_meas_rec[k] = float(np.atleast_1d(y_m)[0])
-        u_rec[k] = u_k
-        if multi:
-            y_extra[k] = y_vec[1:]
 
     return Trajectory(
         t=t, w=w, y=y_rec, y_meas=y_meas_rec, u=u_rec, d=d, dt=cfg.dt,

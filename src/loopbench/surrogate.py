@@ -263,9 +263,7 @@ def fit_hybrid(traj, physics: Callable[[np.ndarray, np.ndarray], float],
 # ---------------------------------------------------------------------------
 
 def save_narx(model: NarxModel, path) -> None:
-    import json
-
-    from .nnet import save_weights
+    from .nnet import save_sidecar, save_weights
 
     save_weights(model.mlp, path)
     meta = {
@@ -278,21 +276,14 @@ def save_narx(model: NarxModel, path) -> None:
         "y_mean": [float(v) for v in model.y_mean],
         "y_std": [float(v) for v in model.y_std],
     }
-    with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_sidecar(path, meta)
 
 
 def load_narx(path) -> NarxModel:
-    import json
-
-    from .nnet import load_weights
+    from .nnet import load_sidecar, load_weights
 
     mlp = load_weights(path)
-    with open(str(path) + ".meta.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "narx-surrogate":
-        raise ValueError(f"{path} is not a NARX surrogate model")
+    meta = load_sidecar(path, "narx-surrogate", ("p", "q", "dt", "x_mean", "x_std", "y_mean", "y_std"))
     return NarxModel(
         mlp, meta["p"], meta["q"], meta["dt"],
         np.array(meta["x_mean"]), np.array(meta["x_std"]),

@@ -6,7 +6,9 @@ import pytest
 
 from loopbench.cli import main
 from loopbench.config import DEFAULTS, resolve_config
-from loopbench.errors import ConfigError
+from loopbench.errors import ConfigError, ParseError
+from loopbench.neuro import NeuralController, load_controller, save_controller
+from loopbench.nnet import Mlp
 
 
 def _write(tmp_path, name, cfg):
@@ -58,6 +60,20 @@ def test_resolved_config_revalidates():
     cfg = resolve_config({"sim": {"dt": 0.1, "horizon": 5.0, "seed": 3}})
     again = resolve_config(cfg)
     assert again == cfg
+
+
+@pytest.mark.parametrize("section, key", [("sim", "dt"), ("sim", "horizon"),
+                                          ("training", "lambda")])
+def test_non_numeric_config_value_exits_2_with_key_path(tmp_path, capsys, section, key):
+    cfg_path = _write(tmp_path, "c.json", {**_record_cfg(), section: {key: "x"}})
+    assert main(["record", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_non_numeric_actuator_limit_is_validation_error():
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"plant": {"limits": [0.0, "1"]}})
+    assert err.value.path == "plant.limits"
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +399,74 @@ def test_bptt_scheduler_train_then_simulate(tmp_path):
     rows = _read_rows(tmp_path / "schedout" / "trajectory.csv")
     y_final = float(rows[-1].split(",")[2])
     assert abs(y_final - 1.0) < 0.1  # scheduled loop tracks the step
+
+
+def test_compare_incomparable_runs_same_exit_code_and_message_with_jobs(tmp_path, capsys):
+    a, _ = _two_sim_runs(tmp_path)
+    other = {"sim": {"dt": 0.01, "horizon": 15.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+             "reference": {"variant": "step", "level": 0.5}, "controller": {"kind": "pid"}}
+    assert main(["simulate", "--config", _write(tmp_path, "c.json", other),
+                 "--out", str(tmp_path / "rc")]) == 0
+    c = tmp_path / "rc" / "trajectory.csv"
+    capsys.readouterr()
+    serial = main(["compare", str(a), str(c), "--out", str(tmp_path / "c1")])
+    serial_err = capsys.readouterr().err
+    parallel = main(["compare", str(a), str(c), "--jobs", "2", "--out", str(tmp_path / "c2")])
+    assert (serial, serial_err) == (parallel, capsys.readouterr().err)
+    assert serial == 3 and "different reference or disturbance" in serial_err
+
+
+# ---------------------------------------------------------------------------
+# model files
+# ---------------------------------------------------------------------------
+
+def _saved_controller(tmp_path):
+    path = tmp_path / "ctl.weights"
+    save_controller(NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0), path)
+    return path
+
+
+def _simulate_with_model(tmp_path, path):
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+           "controller": {"kind": "neural", "model_path": str(path)}}
+    return main(["simulate", "--config", _write(tmp_path, "sim.json", cfg),
+                 "--out", str(tmp_path / "o")])
+
+
+def test_truncated_weights_file_is_parse_error_with_line(tmp_path, capsys):
+    path = _saved_controller(tmp_path)
+    lines = path.read_text().splitlines()
+    # cut right after the W1 marker on line 10
+    path.write_text("\n".join(lines[:10]) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_controller(path)
+    assert err.value.line == 11
+    capsys.readouterr()
+    assert _simulate_with_model(tmp_path, path) == 4
+    assert "line 11" in capsys.readouterr().err
+
+
+def test_short_weights_row_is_parse_error_with_line(tmp_path):
+    path = _saved_controller(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[3] = " ".join(lines[3].split()[:-1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_controller(path)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("sidecar, line", [
+    ('{"kind": "neural-controller",\n "memory": 4,,\n}', 2),  # invalid JSON
+    ('{"kind": "narx-surrogate"}', 1),  # another model's sidecar
+    ('{"kind": "neural-controller", "memory": 4}', 1),  # missing keys
+])
+def test_malformed_sidecar_is_parse_error(tmp_path, capsys, sidecar, line):
+    path = _saved_controller(tmp_path)
+    (tmp_path / "ctl.weights.meta.json").write_text(sidecar)
+    with pytest.raises(ParseError) as err:
+        load_controller(path)
+    assert err.value.line == line
+    capsys.readouterr()
+    assert _simulate_with_model(tmp_path, path) == 4
+    assert "meta.json" in capsys.readouterr().err

@@ -6,8 +6,8 @@ import pytest
 from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.simcore import (
     ConstantController, DelayLine, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel,
-    SecondOrder, SensorSpec, SignalController, SimConfig, apply_sensor, rk4_step,
-    simulate, step_reference,
+    SecondOrder, SensorSpec, SignalController, SimConfig, TankNonlinear, _SensorSampler,
+    apply_sensor, rk4_step, simulate, step_reference,
 )
 from loopbench.pid import PidController, PidGains
 
@@ -68,11 +68,9 @@ def test_delay_line_half_away_from_zero_rounding():
     assert d.n_samples == 3
 
 
-def test_delay_push_pop_function_form():
-    from loopbench.simcore import delay_push_pop
-
+def test_delay_line_two_sample_push_pop():
     d = DelayLine(dead_time=0.2, dt=0.1)
-    assert [delay_push_pop(d, x) for x in (1.0, 2.0, 3.0)] == [0.0, 0.0, 1.0]
+    assert [d.push_pop(x) for x in (1.0, 2.0, 3.0)] == [0.0, 0.0, 1.0]
 
 
 def test_simulate_p_controller_on_integrator():
@@ -233,3 +231,70 @@ def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, horizon=-1.0)
     assert SimConfig(dt=0.1, horizon=1.0).n_steps == 10
+
+
+# ---------------------------------------------------------------------------
+# Float-state fast path: bit-for-bit against the array reference
+# ---------------------------------------------------------------------------
+
+def _array_dynamics(v):
+    """The vector-state derivatives the scalar plants are checked against."""
+    if isinstance(v, Fopdt):
+        return lambda x, u: np.array([(v.gain * u - x[0]) / v.tau])
+    if isinstance(v, SecondOrder):
+        wn = v.omega_n
+        return lambda x, u: np.array([x[1], v.gain * wn * wn * u - 2.0 * v.zeta * wn * x[1]
+                                      - wn * wn * x[0]])
+    return lambda x, u: np.array([(u - v.outflow_coeff * math.sqrt(max(x[0], 0.0))) / v.area])
+
+
+def _rk4_or_diverged(state, u, dt, dynamics):
+    try:
+        return rk4_step(state, u, dt, dynamics)
+    except SimulationDiverged:
+        return "diverged"
+
+
+@pytest.mark.parametrize("variant", [
+    Fopdt(gain=1.7, tau=0.35),
+    TankNonlinear(area=0.8, outflow_coeff=1.3),
+    SecondOrder(gain=2.5, omega_n=3.0, zeta=0.15),
+])
+def test_float_state_rk4_matches_array_branch_bitwise(variant):
+    plant = PlantModel(variant)
+    ref = _array_dynamics(variant)
+    rng = np.random.default_rng(2024)
+    n = 10_000
+    # states and inputs over many decades and both signs: negative tank
+    # levels exercise the drain clamp; the tail overflows to non-finite
+    states = rng.normal(0.0, 1.0, size=(n, plant.state_dim)) * 10.0 ** rng.integers(-6, 7, size=(n, 1))
+    states[-20:] *= 1e300
+    inputs = rng.normal(0.0, 1.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+    steps = 10.0 ** rng.uniform(-4.0, 0.0, size=n)
+    for x, u, dt in zip(states, inputs.tolist(), steps.tolist()):
+        fast_x = tuple(x.tolist()) if plant.state_dim == 2 else float(x[0])
+        fast = _rk4_or_diverged(fast_x, u, dt, plant.derivative)
+        slow = _rk4_or_diverged(x, u, dt, ref)
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            assert np.atleast_1d(fast).tolist() == slow.tolist()
+
+
+@pytest.mark.parametrize("sensor", [
+    SensorSpec(noise_std=0.03),
+    SensorSpec(quantization=0.01),
+    SensorSpec(quantization=0.25),
+    SensorSpec(noise_std=0.2, quantization=0.05),
+])
+def test_float_sensor_reading_matches_apply_sensor_bitwise(sensor):
+    # random readings plus exact multiples of 1/8, which sit on the
+    # round-half-to-even ties of the 0.25 quantizer
+    ys = np.random.default_rng(5).normal(0.0, 3.0, size=10_000).tolist()
+    ys += (np.arange(-40, 41) * 0.125).tolist()
+    fast = _SensorSampler(sensor, 0.01, np.random.default_rng(11))
+    slow = np.random.default_rng(11)
+    for y in ys:
+        assert fast.read(y) == apply_sensor(np.array([y]), sensor, slow)
+    # both generators end in the same state: the stream did not shift
+    assert fast.rng.random() == slow.random()
