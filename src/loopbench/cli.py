@@ -29,9 +29,9 @@ from .metrics import ComparisonTable, compare, compute_step_metrics
 from .neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
     imitation_data_from_run, save_controller, save_scheduler, train_bptt,
-    train_imitation, train_imitation_multitask, tune_static_ai,
+    train_imitation, tune_static_ai,
 )
-from .nnet import LinearHead, Mlp
+from .nnet import Mlp
 from .pid import PidController
 from .safety import BlendedController, BoundedBlender, SupervisedController, SwitchSupervisor, \
     write_transition_log
@@ -240,11 +240,10 @@ def cmd_train_controller(args) -> int:
         mix = DualDatasetMix(_stack_datasets(runs_a, memory, with_d),
                              _stack_datasets(runs_b, memory, with_d),
                              lam=float(tr["lambda"]))
-        aux = LinearHead(hidden[-1], 1, seed=tc.seed + 1000) if with_d else None
+        aux = Mlp([hidden[-1], 1], seed=tc.seed + 1000) if with_d else None
         nc = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
                               u_min=limits[0], u_max=limits[1], memory=memory, aux=aux)
-        result = (train_imitation_multitask(nc, mix, tc, aux_weight=beta) if with_d
-                  else train_imitation(nc, mix, tc))
+        result = train_imitation(nc, mix, tc, aux_weight=beta)
         save_controller(result.controller, out / "controller.weights",
                         extras={"mode": "imitation", "lambda": float(tr["lambda"]),
                                 "beta": beta})

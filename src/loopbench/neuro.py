@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import ControllerFault, FeatureUnavailable, SimulationDiverged, TooShort, \
     TrainingUnstable, TuningFailed
-from .nnet import Adam, LinearHead, Mlp, SupervisedDataset, TrainConfig, flatten_grads, \
-    normalize, accumulate_grads, zero_grads_like
+from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize
 from .pid import PidGains, PidState, pid_step
+from .simcore import primary_output
 from .surrogate import NarxModel
 
 
@@ -70,7 +70,7 @@ class NeuralController:
     memory: int = 4
     feat_mean: np.ndarray = None
     feat_std: np.ndarray = None
-    aux: LinearHead | None = None
+    aux: Mlp | None = None  # one-layer head on the last hidden activation
 
     def __post_init__(self):
         want = 1 + 2 * self.memory
@@ -111,13 +111,6 @@ class NeuralController:
                                 self.aux.copy() if self.aux else None)
 
 
-def controller_step(nc: NeuralController, w: float, y: float, hist: ControlHistory) -> float:
-    """Assemble features, run the net, squash, and update the history."""
-    u = nc.output(nc.features(w, float(y), hist))
-    hist.push(float(y), u)
-    return u
-
-
 class NeuralControlLoop:
     """Controller-protocol adapter owning the history buffers."""
 
@@ -129,9 +122,11 @@ class NeuralControlLoop:
         self.hist.reset()
 
     def step(self, w: float, y, dt: float) -> float:
-        # y is a float, or the measurement vector of a multi-output plant
-        y0 = float(y if isinstance(y, float) else y[0] if hasattr(y, "__len__") else y)
-        return controller_step(self.nc, w, y0, self.hist)
+        """Assemble features, run the net, squash, and update the history."""
+        y0 = primary_output(y)
+        u = self.nc.output(self.nc.features(w, y0, self.hist))
+        self.hist.push(y0, u)
+        return u
 
 
 @dataclass
@@ -148,7 +143,7 @@ class GainScheduler:
     memory: int = 4
     feat_mean: np.ndarray = None
     feat_std: np.ndarray = None
-    aux: LinearHead | None = None
+    aux: Mlp | None = None  # one-layer head on the last hidden activation
 
     def __post_init__(self):
         self.bounds = np.asarray(self.bounds, dtype=float).reshape(3, 2)
@@ -183,11 +178,6 @@ class GainScheduler:
                              self.aux.copy() if self.aux else None)
 
 
-def scheduler_step(gs: GainScheduler, feat_raw: np.ndarray) -> tuple[float, float, float]:
-    """Bounded gains for one control step."""
-    return gs.gains_from(feat_raw)
-
-
 class ScheduledPidController:
     """PID whose gains are rewritten by the scheduler before every step."""
 
@@ -206,21 +196,16 @@ class ScheduledPidController:
         self.gain_trace.clear()
 
     def step(self, w: float, y, dt: float) -> float:
-        y0 = float(y if isinstance(y, float) else y[0] if hasattr(y, "__len__") else y)
+        y0 = primary_output(y)
         e = w - y0
         self.e_win = [e] + self.e_win[:-1]
         self.y_win = [y0] + self.y_win[:-1]
-        kp, ki, kd = scheduler_step(self.gs, self.gs.features(self.e_win, self.y_win))
+        kp, ki, kd = self.gs.gains_from(self.gs.features(self.e_win, self.y_win))
         self.gain_trace.append((kp, ki, kd))
         gains = PidGains(kp=kp, ki=ki, kd=kd, structure=self.template.structure,
                          u_min=self.template.u_min, u_max=self.template.u_max,
                          deriv_filter_n=self.template.deriv_filter_n)
         return pid_step(gains, self.state, w, y0, dt)
-
-
-def predict_disturbance(model, feat_raw: np.ndarray) -> float:
-    """Next-step disturbance estimate from the auxiliary head (logging only)."""
-    return model.aux_output(np.asarray(feat_raw, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +265,16 @@ def _contiguous_split(ds: SupervisedDataset, fraction: float = 0.75):
             SupervisedDataset(ds.x[k:], ds.y[k:]))
 
 
-def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig) -> ImitationResult:
+def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
+                    aux_weight: float = 0.0) -> ImitationResult:
     """Clone a teacher control law by lam-mixed supervised regression.
 
     Targets are teacher controls in actuator units; the loss is taken after
     the tanh squash so the trained network is exactly what deploys. When the
     controller has an auxiliary head and the datasets carry a second target
-    column, the multitask loss adds beta * MSE(d_hat, d) with beta stored on
-    the config-free call via `aux_weight` (see train_imitation_multitask).
+    column, the multitask loss L_main + aux_weight * MSE(d_hat, d) trains
+    trunk and head together, one Adam update per batch.
     """
-    return _train_imitation_impl(nc, mix, cfg, aux_weight=0.0)
-
-
-def train_imitation_multitask(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
-                              aux_weight: float) -> ImitationResult:
-    """Imitation plus the disturbance-prediction head, L = L_main + beta * L_aux."""
-    return _train_imitation_impl(nc, mix, cfg, aux_weight=aux_weight)
-
-
-def _train_imitation_impl(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
-                          aux_weight: float) -> ImitationResult:
     a_train, a_val = _contiguous_split(mix.a)
     b_train, b_val = _contiguous_split(mix.b)
 
@@ -309,8 +284,13 @@ def _train_imitation_impl(nc: NeuralController, mix: DualDatasetMix, cfg: TrainC
     work.feat_std = np.maximum(all_x.std(axis=0), 1e-12)
 
     has_aux = work.aux is not None and a_train.y.shape[1] > 1
-    n_aux = (work.aux.w.size + work.aux.b.size) if has_aux else 0
-    adam = Adam(work.mlp.n_params + n_aux, cfg.learning_rate, cfg.beta1, cfg.beta2)
+    params = work.mlp.params
+    if has_aux:
+        # trunk and head parameters side by side in one optimizer vector
+        params = np.empty(work.mlp.n_params + work.aux.n_params)
+        work.mlp.bind(params[:work.mlp.n_params])
+        work.aux.bind(params[work.mlp.n_params:])
+    adam = Adam(params.size, cfg.learning_rate, cfg.beta1, cfg.beta2)
     rng = np.random.default_rng(cfg.seed)
 
     def _batch_arrays(idx_a, idx_b):
@@ -327,27 +307,15 @@ def _train_imitation_impl(nc: NeuralController, mix: DualDatasetMix, cfg: TrainC
         loss = float(np.mean(diff ** 2))
         gz = (2.0 * diff / diff.size) * work.half_span * (1.0 - th ** 2)
         extra = None
-        aux_grads = None
         if has_aux:
-            d_hat = work.aux.forward(acts[-1])
+            d_hat, acts_aux = work.aux.forward_cached(acts[-1])
             d_diff = d_hat - ys[:, 1:2]
             loss += aux_weight * float(np.mean(d_diff ** 2))
-            g_aux = aux_weight * 2.0 * d_diff / d_diff.size
-            dw_aux, db_aux, extra = work.aux.backward(acts[-1], g_aux)
-            aux_grads = np.concatenate([dw_aux.ravel(), db_aux])
+            grads_aux, extra = work.aux.backward(acts_aux, aux_weight * 2.0 * d_diff / d_diff.size)
         grads, _ = work.mlp.backward(acts, gz, extra_last_hidden_grad=extra)
-        flat = flatten_grads(grads)
         if has_aux:
-            flat = np.concatenate([flat, aux_grads])
-        params = work.mlp.get_flat()
-        if has_aux:
-            params = np.concatenate([params, work.aux.w.ravel(), work.aux.b])
-        new = adam.step(params, flat)
-        work.mlp.set_flat(new[: work.mlp.n_params])
-        if has_aux:
-            tail = new[work.mlp.n_params:]
-            work.aux.w = tail[: work.aux.w.size].reshape(work.aux.w.shape)
-            work.aux.b = tail[work.aux.w.size:]
+            grads = np.concatenate([grads, grads_aux])
+        adam.step(params, grads)
         return loss
 
     def _val_rmse(ds):
@@ -451,7 +419,7 @@ def _controller_rollout(nc: NeuralController, narx: NarxModel, w_seq: np.ndarray
 
     ybar = np.zeros_like(ys)
     ubar = np.zeros_like(us)
-    pgrads = zero_grads_like(nc.mlp)
+    pgrads = np.zeros(nc.mlp.n_params)
     for k in range(horizon - 1, -1, -1):
         iy = pad_y - 1 + k
         ybar[pad_y + k] += 2.0 * (ys[pad_y + k] - w_seq[k + 1]) / horizon
@@ -467,7 +435,7 @@ def _controller_rollout(nc: NeuralController, narx: NarxModel, w_seq: np.ndarray
 
         dz = float(ubar[pad_u + k]) * nc.half_span * (1.0 - math.tanh(zs[k]) ** 2)
         g_c, gf = nc.mlp.backward(caches_c[k], np.array([[dz]]))
-        accumulate_grads(pgrads, g_c)
+        pgrads += g_c
         df = gf[0] / nc.feat_std
         ybar[iy] += df[1]
         for j in range(1, m):
@@ -475,7 +443,7 @@ def _controller_rollout(nc: NeuralController, narx: NarxModel, w_seq: np.ndarray
         for j in range(m):
             ubar[pad_u - 1 + k - j] += df[1 + m + j]
 
-    return loss, flatten_grads(pgrads)
+    return loss, pgrads
 
 
 def _scheduler_rollout(gs: GainScheduler, narx: NarxModel, w_seq: np.ndarray,
@@ -550,7 +518,7 @@ def _scheduler_rollout(gs: GainScheduler, narx: NarxModel, w_seq: np.ndarray,
     ubar = np.zeros_like(us)
     ebar = np.zeros_like(es)
     sbar = 0.0  # adjoint of the integrator entering step k+1
-    pgrads = zero_grads_like(gs.mlp)
+    pgrads = np.zeros(gs.mlp.n_params)
     for k in range(horizon - 1, -1, -1):
         iy = pad_y - 1 + k
         ybar[pad_y + k] += 2.0 * (ys[pad_y + k] - w_seq[k + 1]) / horizon
@@ -581,7 +549,7 @@ def _scheduler_rollout(gs: GainScheduler, narx: NarxModel, w_seq: np.ndarray,
         sig = _sigmoid(z)
         dz = np.array([dkp, dki, 0.0]) * sig * (1.0 - sig) * (hi - lo)
         g_g, gf = gs.mlp.backward(caches_g[k], dz.reshape(1, 3))
-        accumulate_grads(pgrads, g_g)
+        pgrads += g_g
         df = gf[0] / gs.feat_std
         for j in range(m):
             ebar[m + k - j] += df[j]
@@ -592,7 +560,7 @@ def _scheduler_rollout(gs: GainScheduler, narx: NarxModel, w_seq: np.ndarray,
         # before iteration k-1 consumes ybar for y_k.
         ybar[iy] -= ebar[m + k]
 
-    return loss, flatten_grads(pgrads)
+    return loss, pgrads
 
 
 def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float = 0.01,
@@ -654,7 +622,7 @@ def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConf
             norm = float(np.linalg.norm(flat))
             if norm > clip_norm:
                 flat = flat * (clip_norm / norm)
-            work.mlp.set_flat(adam.step(work.mlp.get_flat(), flat))
+            adam.step(work.mlp.params, flat)
             losses.append(loss)
         if skipped > 0.5 * len(refs):
             raise TrainingUnstable(f"{skipped}/{len(refs)} rollouts diverged in one epoch")
@@ -831,19 +799,19 @@ def save_controller(nc: NeuralController, path, extras: dict | None = None) -> N
         "feat_std": [float(v) for v in nc.feat_std],
     }
     if nc.aux is not None:
-        meta["aux_w"] = [[float(v) for v in row] for row in nc.aux.w]
-        meta["aux_b"] = [float(v) for v in nc.aux.b]
+        meta["aux_w"] = [[float(v) for v in row] for row in nc.aux.weights[0]]
+        meta["aux_b"] = [float(v) for v in nc.aux.biases[0]]
     if extras:
         meta["training"] = dict(sorted(extras.items()))
     save_sidecar(path, meta)
 
 
-def _aux_from(meta: dict) -> LinearHead | None:
+def _aux_from(meta: dict) -> Mlp | None:
     if "aux_w" not in meta:
         return None
-    aux = LinearHead(len(meta["aux_w"][0]), len(meta["aux_w"]))
-    aux.w = np.array(meta["aux_w"])
-    aux.b = np.array(meta["aux_b"])
+    aux = Mlp([len(meta["aux_w"][0]), len(meta["aux_w"])], init=False)
+    aux.weights[0][...] = meta["aux_w"]
+    aux.biases[0][...] = meta["aux_b"]
     return aux
 
 
@@ -870,8 +838,8 @@ def save_scheduler(gs: GainScheduler, path, extras: dict | None = None) -> None:
         "feat_std": [float(v) for v in gs.feat_std],
     }
     if gs.aux is not None:
-        meta["aux_w"] = [[float(v) for v in row] for row in gs.aux.w]
-        meta["aux_b"] = [float(v) for v in gs.aux.b]
+        meta["aux_w"] = [[float(v) for v in row] for row in gs.aux.weights[0]]
+        meta["aux_b"] = [float(v) for v in gs.aux.biases[0]]
     if extras:
         meta["training"] = dict(sorted(extras.items()))
     save_sidecar(path, meta)

@@ -76,21 +76,42 @@ class SupervisedDataset:
 
 
 class Mlp:
-    """tanh hidden layers, identity output, Glorot-uniform init."""
+    """tanh hidden layers, identity output, Glorot-uniform init.
+
+    All parameters live in one float64 vector `params`, laid out layer by
+    layer as the row-major weight matrix followed by the bias; `weights[l]`
+    and `biases[l]` are views into it, so writing either updates the other.
+    """
 
     def __init__(self, layer_sizes, seed: int = 0, init: bool = True):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError("need at least input and output sizes, all >= 1")
         self.layer_sizes = sizes
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        rng = np.random.default_rng(seed)
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            lim = np.sqrt(6.0 / (n_in + n_out))
-            w = rng.uniform(-lim, lim, size=(n_out, n_in)) if init else np.zeros((n_out, n_in))
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out))
+        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:])))
+        self.weights, self.biases = self._views(self.params)
+        if init:
+            rng = np.random.default_rng(seed)
+            for w in self.weights:
+                lim = np.sqrt(6.0 / sum(w.shape))
+                w[...] = rng.uniform(-lim, lim, size=w.shape)
+
+    def _views(self, vec: np.ndarray):
+        """Per-layer weight and bias views into a vector laid out like `params`."""
+        weights, biases, pos = [], [], 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(vec[pos:pos + n_in * n_out].reshape(n_out, n_in))
+            pos += n_in * n_out
+            biases.append(vec[pos:pos + n_out])
+            pos += n_out
+        return weights, biases
+
+    def bind(self, vec: np.ndarray) -> None:
+        """Move the parameters into `vec` (same length) and view them there,
+        so that several networks can share one optimizer vector."""
+        vec[...] = self.params
+        self.params = vec
+        self.weights, self.biases = self._views(vec)
 
     @property
     def n_layers(self) -> int:
@@ -98,12 +119,11 @@ class Mlp:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self) -> "Mlp":
         out = Mlp(self.layer_sizes, init=False)
-        out.weights = [w.copy() for w in self.weights]
-        out.biases = [b.copy() for b in self.biases]
+        out.params[...] = self.params
         return out
 
     # -- forward / backward -------------------------------------------------
@@ -129,77 +149,22 @@ class Mlp:
         return out, acts
 
     def backward(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
-        """Reverse pass: (per-layer (dW, db) list, gradient w.r.t. the input).
+        """Reverse pass: (parameter gradient laid out like `params`, gradient
+        w.r.t. the input).
 
         `extra_last_hidden_grad` injects an adjoint at the last hidden
         activation (used by auxiliary output heads that branch off there).
         """
         g = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grads = [None] * self.n_layers
-        grads[-1] = (g.T @ acts[-1], g.sum(axis=0))
+        parts = [g.sum(axis=0), (g.T @ acts[-1]).ravel()]  # last layer first, bias before weights
         ga = g @ self.weights[-1]
         if extra_last_hidden_grad is not None:
             ga = ga + np.atleast_2d(extra_last_hidden_grad)
         for l in range(self.n_layers - 2, -1, -1):
             gz = ga * (1.0 - acts[l + 1] ** 2)
-            grads[l] = (gz.T @ acts[l], gz.sum(axis=0))
+            parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
             ga = gz @ self.weights[l]
-        return grads, ga
-
-    # -- flat parameter vector ----------------------------------------------
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != self.n_params:
-            raise ValueError("flat parameter vector has the wrong length")
-        pos = 0
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[l] = flat[pos:pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            self.biases[l] = flat[pos:pos + b.size].copy()
-            pos += b.size
-
-
-def flatten_grads(grads) -> np.ndarray:
-    return np.concatenate([np.concatenate([dw.ravel(), db]) for dw, db in grads])
-
-
-def zero_grads_like(net: Mlp):
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-
-
-def accumulate_grads(total, grads, scale: float = 1.0):
-    for (tw, tb), (dw, db) in zip(total, grads):
-        tw += scale * dw
-        tb += scale * db
-    return total
-
-
-class LinearHead:
-    """Single linear layer reading an activation vector; used for auxiliary outputs."""
-
-    def __init__(self, n_in: int, n_out: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        lim = np.sqrt(6.0 / (n_in + n_out))
-        self.w = rng.uniform(-lim, lim, size=(n_out, n_in))
-        self.b = np.zeros(n_out)
-
-    def forward(self, h: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(h) @ self.w.T + self.b
-
-    def backward(self, h: np.ndarray, grad_out: np.ndarray):
-        g = np.atleast_2d(grad_out)
-        h = np.atleast_2d(h)
-        return g.T @ h, g.sum(axis=0), g @ self.w
-
-    def copy(self) -> "LinearHead":
-        out = LinearHead(self.w.shape[1], self.w.shape[0])
-        out.w = self.w.copy()
-        out.b = self.b.copy()
-        return out
+        return np.concatenate(parts[::-1]), ga
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +177,8 @@ def mse(net: Mlp, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def grad(net: Mlp, x: np.ndarray, y: np.ndarray):
-    """Gradients of the mean squared error over the batch; returns (grads, loss)."""
+    """Gradient of the mean squared error over the batch, laid out like
+    `net.params`; returns (grads, loss)."""
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     yb = np.atleast_2d(np.asarray(y, dtype=float))
     if xb.shape[0] == 0:
@@ -225,7 +191,7 @@ def grad(net: Mlp, x: np.ndarray, y: np.ndarray):
 
 
 class Adam:
-    """Adaptive-moment update rule on a flat parameter vector."""
+    """Adaptive-moment update rule on a flat parameter vector, in place."""
 
     def __init__(self, n_params: int, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -234,13 +200,17 @@ class Adam:
         self.v = np.zeros(n_params)
         self.t = 0
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One update of `params` (and the moments) in place; elementwise,
+        so each entry rounds exactly as the out-of-place formula would."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads ** 2
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grads ** 2
         m_hat = self.m / (1.0 - self.beta1 ** self.t)
         v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -288,7 +258,7 @@ def train(net: Mlp, data: SupervisedDataset, val: SupervisedDataset, cfg: TrainC
             idx = perm[start:start + cfg.batch_size]
             grads, loss = grad(work, data.x[idx], data.y[idx])
             batch_losses.append(loss)
-            work.set_flat(adam.step(work.get_flat(), flatten_grads(grads)))
+            adam.step(work.params, grads)
         train_loss = float(np.mean(batch_losses))
         val_loss = mse(work, val.x, val.y)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
@@ -353,11 +323,12 @@ def load_weights(path) -> Mlp:
     for l, (n_in, n_out) in enumerate(zip(net.layer_sizes[:-1], net.layer_sizes[1:])):
         if line(pos) != f"W{l}":
             raise ParseError(f"{path}: expected W{l} marker", line=pos + 1)
-        net.weights[l] = np.vstack([numbers(pos + 1 + r, n_in) for r in range(n_out)])
+        for r in range(n_out):
+            net.weights[l][r] = numbers(pos + 1 + r, n_in)
         pos += 1 + n_out
         if line(pos) != f"b{l}":
             raise ParseError(f"{path}: expected b{l} marker", line=pos + 1)
-        net.biases[l] = numbers(pos + 1, n_out)
+        net.biases[l][...] = numbers(pos + 1, n_out)
         pos += 2
     return net
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ControllerFault, SyncImpossible
+from .simcore import primary_output
 
 STRUCTURES = ("pid", "pi-d", "pid-p", "pi-pd")
 
@@ -200,7 +201,7 @@ class PidController:
         self.state.reset()
 
     def step(self, w: float, y, dt: float) -> float:
-        return pid_step(self.gains, self.state, w, float(y), dt)
+        return pid_step(self.gains, self.state, w, primary_output(y), dt)
 
     def sync_to(self, target_output: float, w: float, y: float) -> None:
         self.state = pid_sync(self.state, target_output, self.gains, w, y)

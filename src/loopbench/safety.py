@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ControllerFault, SyncImpossible, UnrecoverableFault
+from .simcore import primary_output
 
 MODE_AI = "AI"
 MODE_FALLBACK = "FALLBACK"
@@ -176,11 +177,6 @@ class BoundedBlender:
         return u
 
 
-def blend_step(blender: BoundedBlender, u_conv: float, u_ai_correction: float,
-               limits: tuple[float, float] | None = None) -> float:
-    return blender.blend_step(u_conv, u_ai_correction, limits)
-
-
 # ---------------------------------------------------------------------------
 # Simulation-loop adapters
 # ---------------------------------------------------------------------------
@@ -211,7 +207,7 @@ class SupervisedController:
         self._t = 0.0
 
     def step(self, w: float, y, dt: float) -> float:
-        y0 = float(y if isinstance(y, float) else y[0] if hasattr(y, "__len__") else y)
+        y0 = primary_output(y)
         try:
             u_ai = float(self.ai.step(w, y, dt))
         except ControllerFault:

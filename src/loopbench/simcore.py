@@ -258,6 +258,13 @@ class SensorSpec:
 IDEAL_SENSOR = SensorSpec()
 
 
+def primary_output(y) -> float:
+    """Output 0 of a measurement: the float of a single-output plant or the
+    first element of a multi-output plant's vector. Single-loop controllers
+    regulate this output."""
+    return float(y if isinstance(y, float) else y[0] if hasattr(y, "__len__") else y)
+
+
 def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
     """One fresh sensor reading: additive noise, then optional quantization.
 
@@ -267,7 +274,7 @@ def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
     y = np.asarray(y, dtype=float)
     meas = y + rng.normal(0.0, sensor.noise_std, size=y.shape) if sensor.noise_std > 0.0 else y.copy()
     if sensor.quantization > 0.0:
-        meas = np.round(meas / sensor.quantization) * sensor.quantization
+        meas = np.rint(meas / sensor.quantization) * sensor.quantization
     return float(meas[0]) if meas.shape == (1,) else meas
 
 
@@ -276,7 +283,7 @@ class _SensorSampler:
 
     A float output takes the scalar path, which draws the same noise sample
     from the same generator stream as `apply_sensor` and rounds with the
-    same `np.round`, so the reading is bit-identical.
+    same `np.rint`, so the reading is bit-identical.
     """
 
     def __init__(self, sensor: SensorSpec, dt: float, rng: np.random.Generator):
@@ -295,7 +302,7 @@ class _SensorSampler:
         if sensor.noise_std > 0.0:
             y = y + self.rng.normal(0.0, sensor.noise_std)
         if sensor.quantization > 0.0:
-            y = np.round(y / sensor.quantization) * sensor.quantization
+            y = np.rint(y / sensor.quantization) * sensor.quantization
         return float(y)
 
 

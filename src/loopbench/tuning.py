@@ -252,9 +252,3 @@ def tune_kappa_tau(model: FopdtModel, **gain_kw) -> PidGains:
     td = 0.5 * L * tau / (0.3 * L + tau)
     return PidGains.from_time_constants(kp, ti=ti, td=td, **gain_kw)
 
-
-RULES = {
-    "ziegler-nichols": tune_ziegler_nichols,
-    "cohen-coon": tune_cohen_coon,
-    "kappa-tau": tune_kappa_tau,
-}

@@ -20,7 +20,7 @@ from loopbench.neuro import (
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run, train_bptt,
     train_imitation, tune_static_ai,
 )
-from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig, flatten_grads, grad, mse
+from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig, grad, mse
 from loopbench.pid import PidController, PidGains, PidState, pid_step, pid_sync
 from loopbench.safety import BoundedBlender, SupervisedController, SwitchSupervisor
 from loopbench.simcore import (
@@ -140,20 +140,16 @@ def test_ac4_gradient_oracle():
                 net = Mlp(arch, seed=seed)
                 x = rng.normal(size=(6, arch[0]))
                 y = rng.normal(size=(6, arch[-1]))
-                grads, _ = grad(net, x, y)
-                flat = flatten_grads(grads)
+                flat, _ = grad(net, x, y)
                 fd = np.zeros_like(flat)
-                base = net.get_flat()
+                base = net.params.copy()
                 for i in range(base.size):
-                    p = base.copy()
-                    p[i] = base[i] + 1e-5
-                    net.set_flat(p)
+                    net.params[i] = base[i] + 1e-5
                     hi = mse(net, x, y)
-                    p[i] = base[i] - 1e-5
-                    net.set_flat(p)
+                    net.params[i] = base[i] - 1e-5
                     lo = mse(net, x, y)
+                    net.params[i] = base[i]
                     fd[i] = (hi - lo) / 2e-5
-                net.set_flat(base)
                 worst_nnet = max(worst_nnet, _max_rel(flat, fd))
         assert worst_nnet < 1e-4
 
@@ -162,18 +158,16 @@ def test_ac4_gradient_oracle():
                          y_mean=np.array([0.05]), y_std=np.array([1.3]))
 
         def fd_bptt(target, w_seq, limits):
-            base = target.mlp.get_flat()
+            params = target.mlp.params
+            base = params.copy()
             g = np.zeros_like(base)
             for i in range(base.size):
-                p = base.copy()
-                p[i] = base[i] + 1e-5
-                target.mlp.set_flat(p)
+                params[i] = base[i] + 1e-5
                 hi, _ = bptt_loss_and_grad(target, narx, w_seq, 3, 0.01, limits, want_grads=False)
-                p[i] = base[i] - 1e-5
-                target.mlp.set_flat(p)
+                params[i] = base[i] - 1e-5
                 lo, _ = bptt_loss_and_grad(target, narx, w_seq, 3, 0.01, limits, want_grads=False)
+                params[i] = base[i]
                 g[i] = (hi - lo) / 2e-5
-            target.mlp.set_flat(base)
             return g
 
         worst_bptt = 0.0
@@ -390,75 +384,83 @@ def test_ac11_inference_latency():
              f"{rep.median_ms * 1000:.0f}us (< 3.9ms), p95 {rep.p95_ms * 1000:.0f}us")
 
 
+AC12_CONFIG = {
+    "sim": {"dt": 0.5, "horizon": 300.0, "seed": 11},
+    "plant": {"variant": "fopdt", "gain": 1.0, "tau": 1.0, "dead_time": 0.5,
+              "limits": [-4.0, 4.0]},
+    "excitation": {"variant": "prbs", "order": 8, "amplitude": 1.0,
+                   "bit_period": 1.0, "seed": 2},
+    "surrogate": {"p": 2, "q": 2, "hidden": [16], "epochs": 120, "patience": 120},
+    "reference": {"variant": "step", "level": 1.0},
+}
+
+# the pipeline's nine output files, relative to its output directory
+AC12_FILES = ("rec/record.csv", "sur/surrogate.weights", "sur/surrogate_report.csv",
+              "tuned/gains.json", "trained/controller.weights",
+              "trained/training_curve.csv", "simout/trajectory.csv",
+              "simout/metrics.csv", "simout/plot.csv")
+
+
+def ac12_pipeline(tmp_path, out_root):
+    """record -> fit-surrogate -> tune -> train-controller -> simulate under
+    `tmp_path / out_root`; returns that output directory."""
+    config = AC12_CONFIG
+    tune_config = {
+        "sim": {"dt": 0.005, "horizon": 30.0, "seed": 11},
+        "plant": config["plant"],
+        "tuning": {"mode": "rule", "rule": "ziegler-nichols", "kind": "pid"},
+    }
+    out = tmp_path / out_root
+    cfg_path = tmp_path / f"{out_root}_cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    tune_path = tmp_path / f"{out_root}_tune.json"
+    tune_path.write_text(json.dumps(tune_config), encoding="utf-8")
+
+    assert cli_main(["record", "--config", str(cfg_path),
+                     "--out", str(out / "rec")]) == 0
+    assert cli_main(["fit-surrogate", "--config", str(cfg_path),
+                     "--data", str(out / "rec" / "record.csv"),
+                     "--out", str(out / "sur")]) == 0
+    assert cli_main(["tune", "--config", str(tune_path),
+                     "--out", str(out / "tuned")]) == 0
+
+    train_config = {
+        "sim": {"dt": 0.05, "horizon": 30.0, "seed": 11},
+        "plant": config["plant"],
+        "training": {
+            "mode": "imitation",
+            "teacher": {"gains_path": str(out / "tuned" / "gains.json")},
+            "memory": 4, "hidden": [12], "lambda": 0.5,
+            "learning_rate": 0.005, "batch_size": 64, "epochs": 80,
+            "patience": 80, "seed": 7, "episodes": {"count": 2, "level": 1.0},
+        },
+    }
+    tc_path = tmp_path / f"{out_root}_train.json"
+    tc_path.write_text(json.dumps(train_config), encoding="utf-8")
+    assert cli_main(["train-controller", "--config", str(tc_path),
+                     "--out", str(out / "trained")]) == 0
+
+    sim_config = {
+        "sim": {"dt": 0.05, "horizon": 20.0, "seed": 11},
+        "plant": config["plant"],
+        "controller": {"kind": "neural",
+                       "model_path": str(out / "trained" / "controller.weights")},
+        "reference": {"variant": "step", "level": 1.0},
+    }
+    sc_path = tmp_path / f"{out_root}_sim.json"
+    sc_path.write_text(json.dumps(sim_config), encoding="utf-8")
+    assert cli_main(["simulate", "--config", str(sc_path),
+                     "--out", str(out / "simout")]) == 0
+    return out
+
+
 def test_ac12_end_to_end_determinism(tmp_path):
     with Budget("AC-12", 300.0) as b:
-        config = {
-            "sim": {"dt": 0.5, "horizon": 300.0, "seed": 11},
-            "plant": {"variant": "fopdt", "gain": 1.0, "tau": 1.0, "dead_time": 0.5,
-                      "limits": [-4.0, 4.0]},
-            "excitation": {"variant": "prbs", "order": 8, "amplitude": 1.0,
-                           "bit_period": 1.0, "seed": 2},
-            "surrogate": {"p": 2, "q": 2, "hidden": [16], "epochs": 120, "patience": 120},
-            "reference": {"variant": "step", "level": 1.0},
-        }
-        tune_config = {
-            "sim": {"dt": 0.005, "horizon": 30.0, "seed": 11},
-            "plant": config["plant"],
-            "tuning": {"mode": "rule", "rule": "ziegler-nichols", "kind": "pid"},
-        }
-
-        def pipeline(out_root):
-            out = tmp_path / out_root
-            cfg_path = tmp_path / f"{out_root}_cfg.json"
-            cfg_path.write_text(json.dumps(config), encoding="utf-8")
-            tune_path = tmp_path / f"{out_root}_tune.json"
-            tune_path.write_text(json.dumps(tune_config), encoding="utf-8")
-
-            assert cli_main(["record", "--config", str(cfg_path),
-                             "--out", str(out / "rec")]) == 0
-            assert cli_main(["fit-surrogate", "--config", str(cfg_path),
-                             "--data", str(out / "rec" / "record.csv"),
-                             "--out", str(out / "sur")]) == 0
-            assert cli_main(["tune", "--config", str(tune_path),
-                             "--out", str(out / "tuned")]) == 0
-
-            train_config = {
-                "sim": {"dt": 0.05, "horizon": 30.0, "seed": 11},
-                "plant": config["plant"],
-                "training": {
-                    "mode": "imitation",
-                    "teacher": {"gains_path": str(out / "tuned" / "gains.json")},
-                    "memory": 4, "hidden": [12], "lambda": 0.5,
-                    "learning_rate": 0.005, "batch_size": 64, "epochs": 80,
-                    "patience": 80, "seed": 7, "episodes": {"count": 2, "level": 1.0},
-                },
-            }
-            tc_path = tmp_path / f"{out_root}_train.json"
-            tc_path.write_text(json.dumps(train_config), encoding="utf-8")
-            assert cli_main(["train-controller", "--config", str(tc_path),
-                             "--out", str(out / "trained")]) == 0
-
-            sim_config = {
-                "sim": {"dt": 0.05, "horizon": 20.0, "seed": 11},
-                "plant": config["plant"],
-                "controller": {"kind": "neural",
-                               "model_path": str(out / "trained" / "controller.weights")},
-                "reference": {"variant": "step", "level": 1.0},
-            }
-            sc_path = tmp_path / f"{out_root}_sim.json"
-            sc_path.write_text(json.dumps(sim_config), encoding="utf-8")
-            assert cli_main(["simulate", "--config", str(sc_path),
-                             "--out", str(out / "simout")]) == 0
-            return out
-
-        out_a = pipeline("a")
-        out_b = pipeline("b")
+        out_a = ac12_pipeline(tmp_path, "a")
+        out_b = ac12_pipeline(tmp_path, "b")
 
         compared = 0
-        for rel in ("rec/record.csv", "sur/surrogate.weights", "sur/surrogate_report.csv",
-                    "tuned/gains.json", "trained/controller.weights",
-                    "trained/training_curve.csv", "simout/trajectory.csv",
-                    "simout/metrics.csv", "simout/plot.csv"):
+        for rel in AC12_FILES:
             ba = (out_a / rel).read_bytes()
             bb = (out_b / rel).read_bytes()
             assert ba == bb, f"{rel} differs between identical pipeline runs"

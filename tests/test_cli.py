@@ -308,6 +308,27 @@ def test_simulate_without_safety_writes_no_safety_files(tmp_path):
     assert _read_rows(tmp_path / "o" / "plot.csv")[0] == "t,w,y,u"
 
 
+@pytest.mark.parametrize("safety", [
+    {"kind": "none"},
+    {"kind": "blend", "delta": 0.1, "correction": {"kind": "constant", "value": 0.05}},
+])
+def test_simulate_pid_on_multi_output_plant_regulates_output_0(tmp_path, safety):
+    # a PID (alone, or as the conventional side of a blend) on a 2-output
+    # plant regulates output 0 like every other single-loop controller kind
+    cfg = {
+        "sim": {"dt": 0.01, "horizon": 20.0, "seed": 0},
+        "plant": {"variant": "linear", "a": [[-0.5, 0.5], [0.0, -3.0]], "b": [0.0, 3.0],
+                  "c": [[1.0, 0.0], [0.0, 1.0]], "limits": [-5.0, 5.0]},
+        "controller": {"kind": "pid", "gains": {"kp": 1.0, "ki": 1.0, "kd": 0.0}},
+        "safety": safety,
+        "reference": {"variant": "step", "level": 1.0},
+    }
+    cfg_path = _write(tmp_path, "s.json", cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    rows = np.genfromtxt(tmp_path / "o" / "plot.csv", delimiter=",", names=True)
+    assert rows["y"][-1] == pytest.approx(1.0, abs=0.05)
+
+
 def test_simulate_diverged_exit_code(tmp_path, capsys):
     cfg = {
         "sim": {"dt": 0.1, "horizon": 50.0, "seed": 0},

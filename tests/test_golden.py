@@ -1,10 +1,14 @@
-"""Golden digests of closed-loop runs: the referee for byte-identical refactors.
+"""Golden digests of closed-loop, training and pipeline runs: the referee
+for byte-identical refactors.
 
 Each case runs `simulate` (or a command built on it) from fixed seeds and
-reduces the result to a sha256 of its float64 bytes. The digests in
-`tests/golden/digests.json` were captured before the float-state fast path
-landed; a change that moves any output bit fails here and must be declared
-as a behaviour change. Regenerate with
+reduces the result to a sha256 of its float64 bytes. The training cases
+digest trained weights and the files the training commands write, and
+`pipeline/ac12` the nine files of the AC-12 pipeline. The closed-loop digests
+in `tests/golden/digests.json` were captured before the float-state fast
+path landed, the training and pipeline digests before the networks moved
+onto one parameter vector; a change that moves any output bit fails here
+and must be declared as a behaviour change. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -24,14 +28,16 @@ import pytest
 from loopbench.cli import main as cli_main
 from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.neuro import GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController
-from loopbench.nnet import Mlp
+from loopbench.nnet import Mlp, TrainConfig
 from loopbench.pid import CascadeController, CascadeSpec, PidController, PidGains
 from loopbench.safety import BlendedController, BoundedBlender, SupervisedController, SwitchSupervisor
 from loopbench.simcore import (
     ConstantController, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder,
-    SensorSpec, SimConfig, TankNonlinear, simulate, step_reference,
+    SensorSpec, SignalController, SimConfig, TankNonlinear, simulate, step_reference,
 )
+from loopbench.surrogate import fit_hybrid
 from loopbench.tuning import identify_fopdt_step, relay_experiment, run_step_test
+from test_acceptance import AC12_FILES, ac12_pipeline
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -174,6 +180,95 @@ def _step_test(variant):
     return run
 
 
+# --- training: small configs through the CLI, digests of the files written ---
+
+TRAIN_PLANT = {"variant": "fopdt", "gain": 1.0, "tau": 1.0, "dead_time": 0.5, "limits": [-3.0, 3.0]}
+
+
+def _cli(tmp, name, command, cfg, *extra):
+    path = Path(tmp) / f"{name}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = Path(tmp) / name
+    assert cli_main([command, "--config", str(path), "--out", str(out), *extra]) == 0
+    return out
+
+
+def _files_digest(out, *names):
+    return _digest(*[part for name in names for part in (name, (Path(out) / name).read_bytes())])
+
+
+def _surrogate(tmp):
+    """A small NARX surrogate fitted on a PRBS record; returns its output dir."""
+    cfg = {"sim": {"dt": 0.5, "horizon": 100.0, "seed": 11}, "plant": TRAIN_PLANT,
+           "excitation": {"variant": "prbs", "order": 6, "amplitude": 1.0, "bit_period": 1.0,
+                          "seed": 2},
+           "surrogate": {"p": 2, "q": 2, "hidden": [8, 6], "epochs": 25, "patience": 25,
+                         "batch_size": 16}}
+    rec = _cli(tmp, "rec", "record", cfg)
+    return _cli(tmp, "sur", "fit-surrogate", cfg, "--data", str(rec / "record.csv"))
+
+
+def _fit_surrogate(tmp):
+    return _files_digest(_surrogate(tmp), "surrogate.weights", "surrogate.weights.meta.json",
+                         "surrogate_report.csv")
+
+
+def _hybrid(tmp):
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=-3.0, u_max=3.0)
+    cfg = SimConfig(dt=0.5, horizon=60.0, seed=3)
+    u = np.sign(np.sin(0.37 * np.arange(cfg.n_steps) + 0.2))
+    traj = simulate(plant, SignalController(u), 0.0, cfg=cfg)
+    model = fit_hybrid(traj, lambda yw, uw: 0.6 * yw[-1] + 0.4 * uw[-1], 2, 2,
+                       TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=30, seed=4),
+                       hidden=(6,))
+    net = model.residual
+    return _digest(*net.weights, *net.biases, model.x_mean, model.x_std)
+
+
+def _imitation(hidden, beta):
+    def run(tmp):
+        cfg = {"sim": {"dt": 0.05, "horizon": 8.0, "seed": 11}, "plant": TRAIN_PLANT,
+               "disturbance": {"variant": "step", "injection": "input", "time": 4.0,
+                               "magnitude": 0.3},
+               "training": {"mode": "imitation", "teacher": {"gains": {"kp": 1.5, "ki": 1.0}},
+                            "memory": 3, "hidden": hidden, "lambda": 0.5, "beta": beta,
+                            "learning_rate": 0.01, "batch_size": 32, "epochs": 6,
+                            "patience": 6, "seed": 7, "episodes": {"count": 2, "level": 1.0}}}
+        out = _cli(tmp, "im", "train-controller", cfg)
+        meta = json.loads((out / "controller.weights.meta.json").read_text(encoding="utf-8"))
+        assert ("aux_w" in meta) == (beta > 0.0)
+        return _files_digest(out, "controller.weights", "controller.weights.meta.json",
+                             "training_curve.csv")
+    return run
+
+
+def _bptt(target):
+    def run(tmp):
+        sur = _surrogate(tmp)
+        cfg = {"sim": {"dt": 0.5, "horizon": 10.0, "seed": 11}, "plant": TRAIN_PLANT,
+               "training": {"mode": "bptt", "target": target, "memory": 3, "hidden": [6, 5],
+                            "horizon": 15, "rho": 0.01, "learning_rate": 0.01, "epochs": 3,
+                            "seed": 7, "episodes": {"count": 3, "level": 1.0}}}
+        out = _cli(tmp, "bptt", "train-controller", cfg,
+                   "--surrogate", str(sur / "surrogate.weights"))
+        name = "controller.weights" if target == "controller" else "scheduler.weights"
+        return _files_digest(out, name, name + ".meta.json", "training_curve.csv")
+    return run
+
+
+def _tune_ai(tmp):
+    sur = _surrogate(tmp)
+    cfg = {"sim": {"dt": 0.5, "horizon": 15.0, "seed": 11}, "plant": TRAIN_PLANT,
+           "tuning": {"mode": "ai", "budget": 40, "restarts": 2,
+                      "episodes": {"count": 2, "level": 1.0}}}
+    out = _cli(tmp, "tuned", "tune", cfg, "--surrogate", str(sur / "surrogate.weights"))
+    return _files_digest(out, "gains.json", "tune_trace.csv")
+
+
+def _pipeline_ac12(tmp):
+    return _files_digest(ac12_pipeline(Path(tmp), "ac12"), *AC12_FILES)
+
+
 CASES = {f"{p}/{k}": _loop_case(p, build)
          for p in PLANTS for k, build in (KINDS_MULTI if p == "linear2" else KINDS).items()}
 CASES.update({
@@ -190,6 +285,14 @@ CASES.update({
                                            ConstantController(math.nan)),
     "fail/linear-unstable": _failure_case(PlantModel(LinearStateSpace(a=[[40.0]], b=[1.0], c=[[1.0]])),
                                           ConstantController(1.0)),
+    "train/fit-surrogate": _fit_surrogate,
+    "train/hybrid": _hybrid,
+    "train/imitation": _imitation([8], 0.0),
+    "train/imitation-aux": _imitation([8, 6], 0.5),
+    "train/bptt-controller": _bptt("controller"),
+    "train/bptt-scheduler": _bptt("scheduler"),
+    "tune/ai": _tune_ai,
+    "pipeline/ac12": _pipeline_ac12,
 })
 
 
@@ -209,8 +312,10 @@ def test_golden_digest(name, tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: CASES[name](tmp) for name in sorted(CASES)}
+    digests = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[name] = CASES[name](tmp)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}")

@@ -5,13 +5,12 @@ import pytest
 
 from loopbench.errors import ControllerFault, FeatureUnavailable, TrainingUnstable
 from loopbench.neuro import (
-    ControlHistory, DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
-    ScheduledPidController, bptt_loss_and_grad, controller_step, imitation_data_from_run,
-    load_controller, load_scheduler, nelder_mead_bounded, predict_disturbance,
-    save_controller, save_scheduler, scheduler_step, train_bptt, train_imitation,
-    train_imitation_multitask, tune_static_ai,
+    DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
+    ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run,
+    load_controller, load_scheduler, nelder_mead_bounded, save_controller, save_scheduler,
+    train_bptt, train_imitation, tune_static_ai,
 )
-from loopbench.nnet import LinearHead, Mlp, TrainConfig
+from loopbench.nnet import Mlp, TrainConfig
 from loopbench.pid import PidController, PidGains
 from loopbench.simcore import DisturbanceSpec, Fopdt, PlantModel, SimConfig, simulate, step_reference
 from loopbench.surrogate import NarxModel
@@ -32,18 +31,16 @@ def _random_narx(seed=3):
 
 
 def _fd_bptt(target, narx, w_seq, horizon, rho, limits, h=1e-5):
-    base = target.mlp.get_flat()
+    params = target.mlp.params
+    base = params.copy()
     g = np.zeros_like(base)
     for i in range(base.size):
-        p = base.copy()
-        p[i] = base[i] + h
-        target.mlp.set_flat(p)
+        params[i] = base[i] + h
         hi, _ = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits, want_grads=False)
-        p[i] = base[i] - h
-        target.mlp.set_flat(p)
+        params[i] = base[i] - h
         lo, _ = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits, want_grads=False)
+        params[i] = base[i]
         g[i] = (hi - lo) / (2.0 * h)
-    target.mlp.set_flat(base)
     return g
 
 
@@ -58,7 +55,7 @@ def _max_rel(a, b):
 
 def test_zero_weight_controller_outputs_range_center():
     nc = NeuralController(Mlp([9, 4, 1], init=False), u_min=-1.0, u_max=1.0, memory=4)
-    u = controller_step(nc, w=0.7, y=0.3, hist=ControlHistory(4))
+    u = NeuralControlLoop(nc).step(0.7, 0.3, 0.01)
     assert u == 0.0
 
 
@@ -66,7 +63,7 @@ def test_pre_squash_saturation_hits_limit():
     net = Mlp([9, 4, 1], init=False)
     net.biases[-1][:] = 100.0
     nc = NeuralController(net, u_min=-1.0, u_max=1.0, memory=4)
-    u = controller_step(nc, w=0.0, y=0.0, hist=ControlHistory(4))
+    u = NeuralControlLoop(nc).step(0.0, 0.0, 0.01)
     assert abs(u - 1.0) < 1e-6
 
 
@@ -85,12 +82,12 @@ def test_nonfinite_network_output_is_controller_fault():
     net.biases[-1][:] = math.nan
     nc = NeuralController(net, u_min=-1.0, u_max=1.0, memory=4)
     with pytest.raises(ControllerFault):
-        controller_step(nc, 0.0, 0.0, ControlHistory(4))
+        NeuralControlLoop(nc).step(0.0, 0.0, 0.01)
 
 
 def test_zero_weight_scheduler_emits_bound_midpoints():
     gs = GainScheduler(Mlp([8, 4, 3], init=False), bounds=[[0.1, 10.0]] * 3, memory=4)
-    kp, ki, kd = scheduler_step(gs, np.zeros(8))
+    kp, ki, kd = gs.gains_from(np.zeros(8))
     assert kp == pytest.approx(5.05)
     assert ki == pytest.approx(5.05)
     assert kd == pytest.approx(5.05)
@@ -154,10 +151,10 @@ def test_bptt_identity_surrogate_learns_constant_reference():
     res = train_bptt(nc, _identity_narx(), [np.full(40, 0.5)], horizon=30,
                      cfg=TrainConfig(learning_rate=0.05, max_epochs=300, seed=0), rho=0.001)
     assert res.history[-1] < 1e-4
-    hist = ControlHistory(4)
+    loop = NeuralControlLoop(res.trained)
     u = 0.0
     for _ in range(30):
-        u = controller_step(res.trained, 0.5, u, hist)
+        u = loop.step(0.5, u, 0.1)
     assert u == pytest.approx(0.5, abs=0.01)
 
 
@@ -166,7 +163,7 @@ def test_bptt_zero_horizon_is_noop():
     res = train_bptt(nc, _identity_narx(), [np.full(5, 0.5)], horizon=0,
                      cfg=TrainConfig(max_epochs=50, seed=0))
     assert res.history == [0.0]
-    assert np.array_equal(res.trained.mlp.get_flat(), nc.mlp.get_flat())
+    assert np.array_equal(res.trained.mlp.params, nc.mlp.params)
 
 
 def test_bptt_deterministic_weights():
@@ -174,7 +171,7 @@ def test_bptt_deterministic_weights():
         nc = NeuralController(Mlp([9, 6, 1], seed=2), u_min=-1.0, u_max=1.0, memory=4)
         res = train_bptt(nc, _identity_narx(), [np.full(20, 0.3), np.full(20, -0.2)],
                          horizon=15, cfg=TrainConfig(learning_rate=0.02, max_epochs=40, seed=9))
-        return res.trained.mlp.get_flat()
+        return res.trained.mlp.params
 
     assert np.array_equal(run(), run())
 
@@ -303,7 +300,7 @@ def test_imitation_deterministic_weights():
         res = train_imitation(nc, _p_teacher_mix(0.5),
                               TrainConfig(learning_rate=1e-2, batch_size=64,
                                           max_epochs=15, seed=21))
-        return res.controller.mlp.get_flat()
+        return res.controller.mlp.params
 
     assert np.array_equal(run(), run())
 
@@ -327,16 +324,16 @@ def _disturbance_runs(m=8):
 def test_aux_head_predicts_sinusoid_disturbance():
     m = 8
     nc = NeuralController(Mlp([1 + 2 * m, 24, 1], seed=0), u_min=-4.0, u_max=4.0, memory=m,
-                          aux=LinearHead(24, 1, seed=100))
+                          aux=Mlp([24, 1], seed=100))
     mix = _disturbance_runs(m)
-    res = train_imitation_multitask(nc, mix,
-                                    TrainConfig(learning_rate=5e-3, batch_size=64,
-                                                max_epochs=500, patience=500, seed=0),
-                                    aux_weight=0.1)
+    res = train_imitation(nc, mix,
+                          TrainConfig(learning_rate=5e-3, batch_size=64,
+                                      max_epochs=500, patience=500, seed=0),
+                          aux_weight=0.1)
     model = res.controller
     nb = len(mix.b)
     k = int(nb * 0.75)
-    preds = np.array([predict_disturbance(model, mix.b.x[i]) for i in range(k, nb)])
+    preds = np.array([model.aux_output(mix.b.x[i]) for i in range(k, nb)])
     rmse = float(np.sqrt(np.mean((preds - mix.b.y[k:, 1]) ** 2)))
     assert rmse < 0.2 * 0.3  # 20% of the disturbance amplitude
 
@@ -351,20 +348,20 @@ def test_zero_aux_weight_leaves_main_task_unchanged():
     cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=20, seed=4)
 
     with_head = NeuralController(Mlp([9, 8, 1], seed=6), u_min=-6.0, u_max=6.0, memory=m,
-                                 aux=LinearHead(8, 1, seed=50))
-    res_head = train_imitation_multitask(with_head, mix, cfg, aux_weight=0.0)
+                                 aux=Mlp([8, 1], seed=50))
+    res_head = train_imitation(with_head, mix, cfg, aux_weight=0.0)
 
     without = NeuralController(Mlp([9, 8, 1], seed=6), u_min=-6.0, u_max=6.0, memory=m)
     res_plain = train_imitation(without, mix, cfg)
 
-    diff = np.abs(res_head.controller.mlp.get_flat() - res_plain.controller.mlp.get_flat())
+    diff = np.abs(res_head.controller.mlp.params - res_plain.controller.mlp.params)
     assert float(np.max(diff)) < 1e-9
 
 
 def test_disturbance_head_unavailable_raises():
     nc = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
     with pytest.raises(FeatureUnavailable):
-        predict_disturbance(nc, np.zeros(9))
+        nc.aux_output(np.zeros(9))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +370,7 @@ def test_disturbance_head_unavailable_raises():
 
 def test_controller_save_load_round_trip(tmp_path):
     nc = NeuralController(Mlp([9, 6, 1], seed=8), u_min=-2.0, u_max=2.0, memory=4,
-                          aux=LinearHead(6, 1, seed=9))
+                          aux=Mlp([6, 1], seed=9))
     save_controller(nc, tmp_path / "ctl.weights")
     back = load_controller(tmp_path / "ctl.weights")
     f = np.linspace(-1, 1, 9)

@@ -5,25 +5,22 @@ import pytest
 
 from loopbench.errors import TrainingDiverged
 from loopbench.nnet import (
-    Adam, Mlp, SupervisedDataset, TrainConfig, denormalize, flatten_grads, grad,
+    Adam, Mlp, SupervisedDataset, TrainConfig, denormalize, grad,
     load_weights, mse, normalize, save_weights, train,
 )
 
 
 def fd_gradient(net, x, y, h=1e-5):
     """Central-difference oracle for the mean-squared-error gradient."""
-    base = net.get_flat()
+    base = net.params.copy()
     out = np.zeros_like(base)
     for i in range(base.size):
-        p = base.copy()
-        p[i] = base[i] + h
-        net.set_flat(p)
+        net.params[i] = base[i] + h
         hi = mse(net, x, y)
-        p[i] = base[i] - h
-        net.set_flat(p)
+        net.params[i] = base[i] - h
         lo = mse(net, x, y)
+        net.params[i] = base[i]
         out[i] = (hi - lo) / (2.0 * h)
-    net.set_flat(base)
     return out
 
 
@@ -34,7 +31,7 @@ def max_rel_err(a, b):
 
 def test_zero_network_outputs_bias():
     net = Mlp([2, 3, 2], init=False)
-    net.biases[-1] = np.array([0.5, -1.25])
+    net.biases[-1][...] = [0.5, -1.25]
     assert np.allclose(net.forward(np.array([3.0, -7.0])), [0.5, -1.25])
 
 
@@ -65,7 +62,7 @@ def test_grad_zero_at_stationary_zero():
     net = Mlp([2, 4, 1], init=False)
     grads, loss = grad(net, np.zeros((5, 2)), np.zeros((5, 1)))
     assert loss == 0.0
-    assert np.all(flatten_grads(grads) == 0.0)
+    assert np.all(grads == 0.0)
 
 
 def test_grad_matches_finite_differences():
@@ -75,7 +72,7 @@ def test_grad_matches_finite_differences():
         x = rng.normal(size=(6, sizes[0]))
         y = rng.normal(size=(6, sizes[-1]))
         grads, _ = grad(net, x, y)
-        assert max_rel_err(flatten_grads(grads), fd_gradient(net, x, y)) < 1e-4
+        assert max_rel_err(grads, fd_gradient(net, x, y)) < 1e-4
 
 
 def test_grad_invariant_under_sample_duplication():
@@ -83,8 +80,8 @@ def test_grad_invariant_under_sample_duplication():
     net = Mlp([2, 6, 1], seed=4)
     x = rng.normal(size=(4, 2))
     y = rng.normal(size=(4, 1))
-    g1 = flatten_grads(grad(net, x, y)[0])
-    g2 = flatten_grads(grad(net, np.vstack([x, x]), np.vstack([y, y]))[0])
+    g1 = grad(net, x, y)[0]
+    g2 = grad(net, np.vstack([x, x]), np.vstack([y, y]))[0]
     assert np.allclose(g1, g2, atol=1e-14)
 
 
@@ -105,7 +102,7 @@ def test_train_zero_epochs_returns_initialization():
     net = Mlp([1, 4, 1], seed=7)
     data = SupervisedDataset(np.zeros((4, 1)), np.zeros((4, 1)))
     res = train(net, data, data, TrainConfig(max_epochs=0))
-    assert np.array_equal(res.net.get_flat(), net.get_flat())
+    assert np.array_equal(res.net.params, net.params)
 
 
 def test_train_deterministic_history():
@@ -140,7 +137,7 @@ def test_train_loss_monotone_first_steps_on_convex_problem():
     for _ in range(11):
         grads, loss = grad(net, x, y)
         losses.append(loss)
-        net.set_flat(adam.step(net.get_flat(), flatten_grads(grads)))
+        adam.step(net.params, grads)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -169,7 +166,85 @@ def test_weights_file_round_trip(tmp_path):
     save_weights(net, path)
     loaded = load_weights(path)
     assert loaded.layer_sizes == net.layer_sizes
-    assert np.array_equal(loaded.get_flat(), net.get_flat())
+    assert np.array_equal(loaded.params, net.params)
     # byte-identical re-save
     save_weights(loaded, tmp_path / "net2.weights")
     assert (tmp_path / "net.weights").read_bytes() == (tmp_path / "net2.weights").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# one parameter vector: weights and biases are views into `params`
+# ---------------------------------------------------------------------------
+
+def _assert_views_of_params(net):
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(net.params, w)
+        assert np.shares_memory(net.params, b)
+    marker = np.arange(net.n_params, dtype=float)
+    net.params[...] = marker
+    flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(net.weights, net.biases)])
+    assert np.array_equal(flat, marker)
+
+
+def test_params_views_after_init_copy_and_load(tmp_path):
+    net = Mlp([3, 5, 4, 2], seed=1)
+    save_weights(net, tmp_path / "net.weights")
+    loaded = load_weights(tmp_path / "net.weights")
+    assert np.array_equal(loaded.params, net.params)
+    for each in (net, net.copy(), loaded):
+        _assert_views_of_params(each)
+
+
+def test_copy_shares_no_memory_with_source():
+    net = Mlp([2, 4, 1], seed=3)
+    dup = net.copy()
+    for a in [dup.params, *dup.weights, *dup.biases]:
+        for b in [net.params, *net.weights, *net.biases]:
+            assert not np.shares_memory(a, b)
+    dup.params += 1.0
+    assert np.array_equal(net.params, Mlp([2, 4, 1], seed=3).params)
+
+
+def test_backward_gradient_is_laid_out_like_params():
+    rng = np.random.default_rng(6)
+    net = Mlp([3, 4, 2], seed=2)
+    x = rng.normal(size=(5, 3))
+    g = rng.normal(size=(5, 2))
+    out, acts = net.forward_cached(x)
+    grads, _ = net.backward(acts, g)
+    gz = (g @ net.weights[1]) * (1.0 - acts[1] ** 2)
+    # layer 0: W (4x3) then b (4); layer 1: W (2x4) then b (2)
+    assert grads.shape == net.params.shape
+    assert np.array_equal(grads[:12].reshape(4, 3), gz.T @ x)
+    assert np.array_equal(grads[12:16], gz.sum(axis=0))
+    assert np.array_equal(grads[16:24].reshape(2, 4), g.T @ acts[1])
+    assert np.array_equal(grads[24:], g.sum(axis=0))
+
+
+def _adam_reference(params, grad_seq, lr, beta1, beta2, eps):
+    """Out-of-place Adam (Kingma & Ba, Alg. 1) in the operation order of the
+    update rule; the in-place step must reproduce it bit for bit."""
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    for t, g in enumerate(grad_seq, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g ** 2
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+def test_adam_in_place_step_equals_reference_bit_for_bit():
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        scale = 10.0 ** rng.uniform(-6, 3)
+        start = rng.normal(size=n)
+        grad_seq = [rng.normal(size=n) * scale for _ in range(int(rng.integers(1, 30)))]
+        lr, beta1, beta2 = 10.0 ** rng.uniform(-4, -1), rng.uniform(0.5, 0.99), rng.uniform(0.9, 0.9999)
+        params = start.copy()
+        adam = Adam(n, lr, beta1, beta2)
+        for g in grad_seq:
+            assert adam.step(params, g) is None
+        assert np.array_equal(params, _adam_reference(start, grad_seq, lr, beta1, beta2, 1e-8))

@@ -8,7 +8,7 @@ from loopbench.metrics import compute_step_metrics
 from loopbench.pid import PidController, PidGains
 from loopbench.safety import (
     MODE_AI, MODE_FALLBACK, BlendedController, BoundedBlender, SupervisedController,
-    SwitchSupervisor, blend_step, write_transition_log,
+    SwitchSupervisor, write_transition_log,
 )
 from loopbench.simcore import ConstantController, Fopdt, PlantModel, SimConfig, simulate
 from loopbench.tuning import FopdtModel, tune_ziegler_nichols, ultimate_from_fopdt
@@ -108,17 +108,17 @@ def test_transition_log_csv(tmp_path):
 
 def test_blend_clamps_upper():
     b = BoundedBlender(delta=0.2)
-    assert blend_step(b, 1.0, 0.5) == pytest.approx(1.2)
+    assert b.blend_step(1.0, 0.5) == pytest.approx(1.2)
 
 
 def test_blend_passthrough_inside_bound():
     b = BoundedBlender(delta=0.2)
-    assert blend_step(b, 1.0, -0.05) == pytest.approx(0.95)
+    assert b.blend_step(1.0, -0.05) == pytest.approx(0.95)
 
 
 def test_blend_absorbs_nonfinite_and_logs():
     b = BoundedBlender(delta=0.2)
-    assert blend_step(b, 1.0, math.nan) == pytest.approx(1.0)
+    assert b.blend_step(1.0, math.nan) == pytest.approx(1.0)
     assert len(b.absorb_log) == 1
     assert b.absorb_log[0].cause == "nonfinite-correction"
 
