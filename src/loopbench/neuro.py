@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ControllerFault, FeatureUnavailable, SimulationDiverged, TooShort, \
-    TrainingUnstable, TuningFailed
+from .errors import ControllerFault, FeatureUnavailable, ParseError, SimulationDiverged, \
+    TooShort, TrainingUnstable, TuningFailed
 from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize
 from .pid import PidGains, PidState, pid_step
 from .simcore import primary_output
@@ -178,12 +178,25 @@ class GainScheduler:
                              self.aux.copy() if self.aux else None)
 
 
+class _ScheduledGains:
+    """The gain set `pid_step` reads: wiring, limits and filter ratio copied
+    once from a validated template, kp/ki/kd overwritten every step. The
+    scheduler's sigmoid bounds already hold what `PidGains` would re-check."""
+
+    __slots__ = ("kp", "ki", "kd", "setpoint_weight", "u_min", "u_max", "deriv_filter_n")
+
+    def __init__(self, template: PidGains):
+        for name in self.__slots__:
+            setattr(self, name, getattr(template, name))
+
+
 class ScheduledPidController:
     """PID whose gains are rewritten by the scheduler before every step."""
 
     def __init__(self, gs: GainScheduler, template: PidGains):
         self.gs = gs
         self.template = template
+        self.gains = _ScheduledGains(template)
         self.state = PidState()
         self.e_win = [0.0] * gs.memory
         self.y_win = [0.0] * gs.memory
@@ -202,10 +215,8 @@ class ScheduledPidController:
         self.y_win = [y0] + self.y_win[:-1]
         kp, ki, kd = self.gs.gains_from(self.gs.features(self.e_win, self.y_win))
         self.gain_trace.append((kp, ki, kd))
-        gains = PidGains(kp=kp, ki=ki, kd=kd, structure=self.template.structure,
-                         u_min=self.template.u_min, u_max=self.template.u_max,
-                         deriv_filter_n=self.template.deriv_filter_n)
-        return pid_step(gains, self.state, w, y0, dt)
+        self.gains.kp, self.gains.ki, self.gains.kd = kp, ki, kd
+        return pid_step(self.gains, self.state, w, y0, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -722,27 +733,28 @@ def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.n
                                rho: float) -> float:
     """IAE + rho * integral(|u|) of a PID loop closed over the surrogate."""
     state = PidState()
-    p, q = narx.p, narx.q
-    y_hist = [0.0] * p
-    u_hist = [0.0] * max(q - 1, 0)
+    dt = narx.dt
+    w = np.asarray(reference, dtype=float).tolist()
+    y_hist = [0.0] * narx.p  # chronological lag windows: p outputs, q-1 inputs between steps
+    u_hist = [0.0] * (narx.q - 1)
     scale = max(1.0, float(np.max(np.abs(reference))))
     iae = 0.0
     effort = 0.0
     y_now = 0.0
-    for k in range(len(reference) - 1):
+    for k in range(len(w) - 1):
         try:
-            u = pid_step(gains, state, float(reference[k]), y_now, narx.dt)
+            u = pid_step(gains, state, w[k], y_now, dt)
         except ControllerFault:
             return math.inf
         u_hist.append(u)
-        y_now = narx.predict_one(np.array(y_hist), np.array(u_hist))
+        y_now = narx.predict_one(y_hist, u_hist)
         if not math.isfinite(y_now) or abs(y_now) > 1e6 * scale:
             return math.inf
         y_hist.append(y_now)
-        y_hist = y_hist[-p:]
-        u_hist = u_hist[-q:] if q > 1 else []
-        iae += abs(float(reference[k + 1]) - y_now) * narx.dt
-        effort += abs(u) * narx.dt
+        del y_hist[0]
+        del u_hist[0]
+        iae += abs(w[k + 1] - y_now) * dt
+        effort += abs(u) * dt
     return iae + rho * effort
 
 
@@ -806,12 +818,27 @@ def save_controller(nc: NeuralController, path, extras: dict | None = None) -> N
     save_sidecar(path, meta)
 
 
-def _aux_from(meta: dict) -> Mlp | None:
+def _aux_from(meta: dict, trunk: Mlp, path) -> Mlp | None:
+    """The sidecar's disturbance head, checked against the trunk it branches
+    off; a malformed head raises ParseError naming the sidecar."""
     if "aux_w" not in meta:
         return None
-    aux = Mlp([len(meta["aux_w"][0]), len(meta["aux_w"])], init=False)
-    aux.weights[0][...] = meta["aux_w"]
-    aux.biases[0][...] = meta["aux_b"]
+    where = f"{path}.meta.json"
+    try:
+        w = np.array(meta["aux_w"], dtype=float)
+        b = np.array(meta.get("aux_b"), dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: aux_w and aux_b must be numeric arrays", line=1) from None
+    width = trunk.layer_sizes[-2]
+    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != width:
+        raise ParseError(f"{where}: aux_w must be a non-empty matrix of rows of {width} values "
+                         f"(the last hidden layer), got shape {w.shape}", line=1)
+    if b.shape != (w.shape[0],):
+        raise ParseError(f"{where}: aux_b must hold {w.shape[0]} values, got shape {b.shape}",
+                         line=1)
+    aux = Mlp([width, w.shape[0]], init=False)
+    aux.weights[0][...] = w
+    aux.biases[0][...] = b
     return aux
 
 
@@ -822,7 +849,7 @@ def load_controller(path) -> NeuralController:
     meta = load_sidecar(path, "neural-controller", ("memory", "u_min", "u_max", "feat_mean", "feat_std"))
     return NeuralController(
         mlp, meta["u_min"], meta["u_max"], meta["memory"],
-        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), _aux_from(meta),
+        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), _aux_from(meta, mlp, path),
     )
 
 
@@ -852,5 +879,5 @@ def load_scheduler(path) -> GainScheduler:
     meta = load_sidecar(path, "gain-scheduler", ("memory", "bounds", "feat_mean", "feat_std"))
     return GainScheduler(
         mlp, np.array(meta["bounds"]), meta["memory"],
-        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), _aux_from(meta),
+        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), _aux_from(meta, mlp, path),
     )

@@ -129,8 +129,10 @@ class Mlp:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        single = np.asarray(x).ndim == 1
-        a = np.atleast_2d(np.asarray(x, dtype=float))
+        a = np.asarray(x, dtype=float)
+        single = a.ndim == 1
+        if a.ndim < 2:
+            a = a.reshape(1, -1)
         if a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"input dim {a.shape[1]} != first layer size {self.layer_sizes[0]}")
         for l in range(self.n_layers - 1):
@@ -148,22 +150,31 @@ class Mlp:
         out = a @ self.weights[-1].T + self.biases[-1]
         return out, acts
 
-    def backward(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
-        """Reverse pass: (parameter gradient laid out like `params`, gradient
-        w.r.t. the input).
+    def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
+        """Reverse pass through the activations only: (adjoint of each layer's
+        pre-activation, last layer first; adjoint of the input).
 
         `extra_last_hidden_grad` injects an adjoint at the last hidden
         activation (used by auxiliary output heads that branch off there).
         """
         g = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        parts = [g.sum(axis=0), (g.T @ acts[-1]).ravel()]  # last layer first, bias before weights
+        gzs = [g]
         ga = g @ self.weights[-1]
         if extra_last_hidden_grad is not None:
             ga = ga + np.atleast_2d(extra_last_hidden_grad)
         for l in range(self.n_layers - 2, -1, -1):
             gz = ga * (1.0 - acts[l + 1] ** 2)
-            parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
+            gzs.append(gz)
             ga = gz @ self.weights[l]
+        return gzs, ga
+
+    def backward(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
+        """Reverse pass: (parameter gradient laid out like `params`, gradient
+        w.r.t. the input); `adjoints` documents the arguments."""
+        gzs, ga = self.adjoints(acts, grad_out, extra_last_hidden_grad)
+        parts = []  # last layer first, bias before weights
+        for l, gz in zip(range(self.n_layers - 1, -1, -1), gzs):
+            parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
         return np.concatenate(parts[::-1]), ga
 
 

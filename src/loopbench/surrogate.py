@@ -9,6 +9,7 @@ physics covers the border cases the data never visits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,7 +57,13 @@ def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
 
 @dataclass
 class NarxModel:
-    """Trained one-step predictor plus everything needed to reapply it."""
+    """Trained one-step predictor plus everything needed to reapply it.
+
+    Per-step prediction runs on Python floats around one single-row
+    `Mlp.forward`: float arithmetic rounds exactly as numpy's elementwise
+    ops, so the result is bit-equal to normalizing and denormalizing arrays.
+    The float copies of the normalization stats are taken at construction.
+    """
 
     mlp: Mlp
     p: int
@@ -67,15 +74,21 @@ class NarxModel:
     y_mean: np.ndarray
     y_std: np.ndarray
 
-    def predict_feat(self, feat_raw: np.ndarray) -> float:
-        z = self.mlp.forward(normalize(feat_raw, self.x_mean, self.x_std))
-        return float(denormalize(z, self.y_mean, self.y_std)[0])
+    def __post_init__(self):
+        self._x_stats = list(zip(np.asarray(self.x_mean, dtype=float).tolist(),
+                                 np.asarray(self.x_std, dtype=float).tolist()))
+        self._y_mean = float(self.y_mean[0])
+        self._y_std = float(self.y_std[0])
 
-    def predict_one(self, y_window: np.ndarray, u_window: np.ndarray) -> float:
+    def predict_feat(self, feat_raw) -> float:
+        """Next output from a raw newest-first feature row (any float sequence)."""
+        xn = [(f - m) / s for f, (m, s) in zip(feat_raw, self._x_stats)]
+        z = float(self.mlp.forward(np.array([xn]))[0, 0])
+        return z * self._y_std + self._y_mean
+
+    def predict_one(self, y_window, u_window) -> float:
         """Next output from chronological windows (newest sample last)."""
-        feat = np.concatenate([np.asarray(y_window, dtype=float)[-self.p:][::-1],
-                               np.asarray(u_window, dtype=float)[-self.q:][::-1]])
-        return self.predict_feat(feat)
+        return self.predict_feat([*y_window[-self.p:][::-1], *u_window[-self.q:][::-1]])
 
     # -- differentiable pieces used by closed-loop training ------------------
 
@@ -87,9 +100,8 @@ class NarxModel:
 
     def backward_to_features(self, acts, upstream: float) -> np.ndarray:
         """Adjoint of the raw feature vector given d(loss)/d(prediction)."""
-        g = np.array([[upstream * float(self.y_std[0])]])
-        _, gx = self.mlp.backward(acts, g)
-        return (gx[0] / self.x_std).copy()
+        _, gx = self.mlp.adjoints(acts, np.array([[upstream * self._y_std]]))
+        return gx[0] / self.x_std
 
 
 @dataclass
@@ -176,24 +188,28 @@ def narx_rollout(model: NarxModel, y_init, u_seq, u_init=None) -> np.ndarray:
     rollout admits exact reverse-mode gradients w.r.t. inputs and weights
     (see `neuro.train_bptt`).
     """
-    y_hist = list(np.asarray(y_init, dtype=float))
-    if len(y_hist) < model.p:
-        raise ValueError(f"initial output window must hold at least p = {model.p} samples")
-    u_hist = list(np.asarray(u_init, dtype=float)) if u_init is not None else [0.0] * (model.q - 1)
-    if len(u_hist) < model.q - 1:
-        raise ValueError(f"initial input window must hold at least q-1 = {model.q - 1} samples")
+    p, q = model.p, model.q
+    y_hist = np.asarray(y_init, dtype=float).tolist()
+    if len(y_hist) < p:
+        raise ValueError(f"initial output window must hold at least p = {p} samples")
+    u_hist = np.asarray(u_init, dtype=float).tolist() if u_init is not None else [0.0] * (q - 1)
+    if len(u_hist) < q - 1:
+        raise ValueError(f"initial input window must hold at least q-1 = {q - 1} samples")
+    # the windows hold exactly p outputs and q-1 inputs between steps
+    del y_hist[:-p]
+    del u_hist[:len(u_hist) - (q - 1)]
 
-    out = np.empty(len(u_seq))
-    for i, u_now in enumerate(np.asarray(u_seq, dtype=float)):
-        u_hist.append(float(u_now))
-        y_next = model.predict_one(np.array(y_hist), np.array(u_hist))
-        if not np.isfinite(y_next):
+    out = []
+    for i, u_now in enumerate(np.asarray(u_seq, dtype=float).tolist()):
+        u_hist.append(u_now)
+        y_next = model.predict_one(y_hist, u_hist)
+        if not math.isfinite(y_next):
             raise RolloutDiverged("non-finite prediction", step=i)
-        out[i] = y_next
+        out.append(y_next)
         y_hist.append(y_next)
-        y_hist = y_hist[-model.p:]
-        u_hist = u_hist[-model.q:]
-    return out
+        del y_hist[0]
+        del u_hist[0]
+    return np.array(out, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ import pytest
 from loopbench.cli import main
 from loopbench.config import DEFAULTS, resolve_config
 from loopbench.errors import ConfigError, ParseError
-from loopbench.neuro import NeuralController, load_controller, save_controller
+from loopbench.neuro import (
+    GainScheduler, NeuralController, load_controller, load_scheduler, save_controller,
+    save_scheduler,
+)
 from loopbench.nnet import Mlp
 
 
@@ -447,9 +450,9 @@ def _saved_controller(tmp_path):
     return path
 
 
-def _simulate_with_model(tmp_path, path):
+def _simulate_with_model(tmp_path, path, kind="neural"):
     cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
-           "controller": {"kind": "neural", "model_path": str(path)}}
+           "controller": {"kind": kind, "model_path": str(path)}}
     return main(["simulate", "--config", _write(tmp_path, "sim.json", cfg),
                  "--out", str(tmp_path / "o")])
 
@@ -491,3 +494,54 @@ def test_malformed_sidecar_is_parse_error(tmp_path, capsys, sidecar, line):
     capsys.readouterr()
     assert _simulate_with_model(tmp_path, path) == 4
     assert "meta.json" in capsys.readouterr().err
+
+
+# a saved model with a disturbance head on its 4-wide last hidden layer, per
+# model kind: (save, load, simulate controller kind)
+_AUX_MODELS = {
+    "controller": (lambda path: save_controller(
+        NeuralController(Mlp([9, 5, 4, 1], seed=1), u_min=-3.0, u_max=3.0,
+                         aux=Mlp([4, 1], seed=2)), path), load_controller, "neural"),
+    "scheduler": (lambda path: save_scheduler(
+        GainScheduler(Mlp([8, 5, 4, 3], seed=1), bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]],
+                      aux=Mlp([4, 1], seed=2)), path), load_scheduler, "pid+scheduler"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_AUX_MODELS))
+@pytest.mark.parametrize("aux", [
+    {"aux_w": [[0.1, 0.2, 0.3, 0.4], [0.5]], "aux_b": [0.0, 0.0]},  # ragged
+    {"aux_w": [], "aux_b": []},  # empty
+    {"aux_w": [[0.1, 0.2, 0.3]], "aux_b": [0.0]},  # narrower than the last hidden layer
+    {"aux_w": [[0.1, 0.2, 0.3, 0.4, 0.5]], "aux_b": [0.0]},  # wider
+    {"aux_w": [[0.1, 0.2, 0.3, 0.4]], "aux_b": [0.0, 1.0]},  # bias of the wrong length
+    {"aux_w": [[0.1, 0.2, 0.3, 0.4]], "aux_b": 0.0},  # bias not a list
+    {"aux_w": [[0.1, 0.2, 0.3, 0.4]]},  # bias missing
+    {"aux_w": [[0.1, "x", 0.3, 0.4]], "aux_b": [0.0]},  # non-numeric
+], ids=["ragged", "empty", "narrow", "wide", "bias-length", "bias-scalar", "bias-missing",
+        "non-numeric"])
+def test_malformed_aux_head_is_parse_error(tmp_path, capsys, model, aux):
+    save, load, kind = _AUX_MODELS[model]
+    path = tmp_path / "model.weights"
+    save(path)
+    meta_path = tmp_path / "model.weights.meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert len(meta["aux_w"][0]) == 4
+    meta.pop("aux_b")
+    meta.update(aux)
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(meta_path) in str(err.value)
+    capsys.readouterr()
+    assert _simulate_with_model(tmp_path, path, kind) == 4
+    assert "model.weights.meta.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", sorted(_AUX_MODELS))
+def test_well_formed_aux_head_still_loads(tmp_path, model):
+    save, load, kind = _AUX_MODELS[model]
+    path = tmp_path / "model.weights"
+    save(path)
+    assert load(path).aux.layer_sizes == [4, 1]
+    assert _simulate_with_model(tmp_path, path, kind) == 0

@@ -7,8 +7,9 @@ digest trained weights and the files the training commands write, and
 `pipeline/ac12` the nine files of the AC-12 pipeline. The closed-loop digests
 in `tests/golden/digests.json` were captured before the float-state fast
 path landed, the training and pipeline digests before the networks moved
-onto one parameter vector; a change that moves any output bit fails here
-and must be declared as a behaviour change. Regenerate with
+onto one parameter vector, and `tune/ai-q1` before per-step surrogate
+prediction moved onto Python-float lag windows; a change that moves any
+output bit fails here and must be declared as a behaviour change. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -197,12 +198,12 @@ def _files_digest(out, *names):
     return _digest(*[part for name in names for part in (name, (Path(out) / name).read_bytes())])
 
 
-def _surrogate(tmp):
+def _surrogate(tmp, q=2):
     """A small NARX surrogate fitted on a PRBS record; returns its output dir."""
     cfg = {"sim": {"dt": 0.5, "horizon": 100.0, "seed": 11}, "plant": TRAIN_PLANT,
            "excitation": {"variant": "prbs", "order": 6, "amplitude": 1.0, "bit_period": 1.0,
                           "seed": 2},
-           "surrogate": {"p": 2, "q": 2, "hidden": [8, 6], "epochs": 25, "patience": 25,
+           "surrogate": {"p": 2, "q": q, "hidden": [8, 6], "epochs": 25, "patience": 25,
                          "batch_size": 16}}
     rec = _cli(tmp, "rec", "record", cfg)
     return _cli(tmp, "sur", "fit-surrogate", cfg, "--data", str(rec / "record.csv"))
@@ -256,13 +257,16 @@ def _bptt(target):
     return run
 
 
-def _tune_ai(tmp):
-    sur = _surrogate(tmp)
-    cfg = {"sim": {"dt": 0.5, "horizon": 15.0, "seed": 11}, "plant": TRAIN_PLANT,
-           "tuning": {"mode": "ai", "budget": 40, "restarts": 2,
-                      "episodes": {"count": 2, "level": 1.0}}}
-    out = _cli(tmp, "tuned", "tune", cfg, "--surrogate", str(sur / "surrogate.weights"))
-    return _files_digest(out, "gains.json", "tune_trace.csv")
+def _tune_ai(q):
+    """AI tuning over a p = 2 surrogate; q = 1 leaves the older-input window empty."""
+    def run(tmp):
+        sur = _surrogate(tmp, q)
+        cfg = {"sim": {"dt": 0.5, "horizon": 15.0, "seed": 11}, "plant": TRAIN_PLANT,
+               "tuning": {"mode": "ai", "budget": 40, "restarts": 2,
+                          "episodes": {"count": 2, "level": 1.0}}}
+        out = _cli(tmp, "tuned", "tune", cfg, "--surrogate", str(sur / "surrogate.weights"))
+        return _files_digest(out, "gains.json", "tune_trace.csv")
+    return run
 
 
 def _pipeline_ac12(tmp):
@@ -291,7 +295,8 @@ CASES.update({
     "train/imitation-aux": _imitation([8, 6], 0.5),
     "train/bptt-controller": _bptt("controller"),
     "train/bptt-scheduler": _bptt("scheduler"),
-    "tune/ai": _tune_ai,
+    "tune/ai": _tune_ai(2),
+    "tune/ai-q1": _tune_ai(1),
     "pipeline/ac12": _pipeline_ac12,
 })
 

@@ -7,13 +7,14 @@ from loopbench.errors import ControllerFault, FeatureUnavailable, TrainingUnstab
 from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run,
-    load_controller, load_scheduler, nelder_mead_bounded, save_controller, save_scheduler,
-    train_bptt, train_imitation, tune_static_ai,
+    _episode_cost_on_surrogate, load_controller, load_scheduler, nelder_mead_bounded,
+    save_controller, save_scheduler, train_bptt, train_imitation, tune_static_ai,
 )
 from loopbench.nnet import Mlp, TrainConfig
-from loopbench.pid import PidController, PidGains
+from loopbench.pid import PidController, PidGains, PidState, pid_step
 from loopbench.simcore import DisturbanceSpec, Fopdt, PlantModel, SimConfig, simulate, step_reference
 from loopbench.surrogate import NarxModel
+from test_surrogate import NARX_SHAPES, array_predict_one, random_narx
 
 
 def _identity_narx():
@@ -114,6 +115,54 @@ def test_scheduled_pid_controller_runs_and_traces_gains():
     assert len(ctl.gain_trace) == len(traj)
     for kp, ki, kd in ctl.gain_trace:
         assert 0.2 <= kp <= 2.0 and 0.1 <= ki <= 1.0 and 0.0 <= kd <= 0.1
+
+
+class _RebuiltGainsController(ScheduledPidController):
+    """Scheduled PID that builds and validates a fresh PidGains every step."""
+
+    def step(self, w, y, dt):
+        y0 = float(y)
+        e = w - y0
+        self.e_win = [e] + self.e_win[:-1]
+        self.y_win = [y0] + self.y_win[:-1]
+        kp, ki, kd = self.gs.gains_from(self.gs.features(self.e_win, self.y_win))
+        self.gain_trace.append((kp, ki, kd))
+        gains = PidGains(kp=kp, ki=ki, kd=kd, structure=self.template.structure,
+                         u_min=self.template.u_min, u_max=self.template.u_max,
+                         deriv_filter_n=self.template.deriv_filter_n)
+        return pid_step(gains, self.state, w, y0, dt)
+
+
+@pytest.mark.parametrize("structure", ["pid", "pi-d", "pid-p", "pi-pd"])
+def test_scheduled_pid_bit_equal_to_rebuilt_gains(structure):
+    rng = np.random.default_rng(len(structure))
+    gs = GainScheduler(Mlp([8, 6, 3], seed=4), bounds=[[0.2, 2.0], [0.1, 1.0], [0.0, 0.2]],
+                       memory=4)
+    template = PidGains(kp=1.0, structure=structure, u_min=-2.0, u_max=2.5, deriv_filter_n=7.0)
+    new, ref = ScheduledPidController(gs, template), _RebuiltGainsController(gs, template)
+    for _ in range(300):
+        w, y, dt = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.005, 0.1)
+        assert new.step(w, y, dt) == ref.step(w, y, dt)
+    assert new.gain_trace == ref.gain_trace
+    assert vars(new.state) == vars(ref.state)
+
+
+def test_scheduled_pid_nonfinite_gains_fault_at_the_same_step():
+    gs = GainScheduler(Mlp([8, 6, 3], seed=4), bounds=[[0.2, 2.0], [0.1, 1.0], [0.0, 0.2]],
+                       memory=4)
+    template = PidGains(kp=1.0, u_min=-3.0, u_max=3.0)
+    outcomes = []
+    for ctl in (ScheduledPidController(gs.copy(), template),
+                _RebuiltGainsController(gs.copy(), template)):
+        for k in range(20):
+            if k == 12:
+                ctl.gs.mlp.params[0] = math.nan  # the scheduler emits NaN gains from here on
+            try:
+                ctl.step(1.0, 0.1 * k, 0.05)
+            except ControllerFault as exc:
+                outcomes.append((k, str(exc)))
+                break
+    assert outcomes[0] == outcomes[1] == (12, "non-finite controller output")
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +276,67 @@ def test_tune_static_ai_against_surrogate_episode():
                          budget=300, seed=0, gain_kw={"u_min": -3.0, "u_max": 3.0})
     assert math.isfinite(res.cost)
     assert res.cost < 1.0  # a stable tracking loop; diverging candidates cost inf
+
+
+def _array_episode_cost(narx, gains, reference, rho):
+    """`_episode_cost_on_surrogate` with its lag windows rebuilt as arrays on
+    every step and the reference indexed as an array."""
+    state = PidState()
+    p, q = narx.p, narx.q
+    y_hist = [0.0] * p
+    u_hist = [0.0] * max(q - 1, 0)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    iae = 0.0
+    effort = 0.0
+    y_now = 0.0
+    for k in range(len(reference) - 1):
+        try:
+            u = pid_step(gains, state, float(reference[k]), y_now, narx.dt)
+        except ControllerFault:
+            return math.inf
+        u_hist.append(u)
+        y_now = array_predict_one(narx, np.array(y_hist), np.array(u_hist))
+        if not math.isfinite(y_now) or abs(y_now) > 1e6 * scale:
+            return math.inf
+        y_hist.append(y_now)
+        y_hist = y_hist[-p:]
+        u_hist = u_hist[-q:] if q > 1 else []
+        iae += abs(float(reference[k + 1]) - y_now) * narx.dt
+        effort += abs(u) * narx.dt
+    return iae + rho * effort
+
+
+@pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
+def test_episode_cost_bit_equal_to_array_form(p, q, hidden):
+    rng = np.random.default_rng(11 * p + q)
+    for seed in range(4):
+        narx = random_narx(p, q, hidden, seed)
+        for _ in range(6):
+            gains = PidGains(kp=rng.uniform(0.0, 3.0), ki=rng.uniform(0.0, 2.0),
+                             kd=rng.uniform(0.0, 0.3), u_min=-3.0, u_max=3.0)
+            ref = np.concatenate([np.zeros(3), np.full(40, rng.uniform(-2.0, 2.0))])
+            rho = rng.uniform(0.0, 0.1)
+            want = _array_episode_cost(narx, gains, ref, rho)
+            assert math.isfinite(want)
+            assert _episode_cost_on_surrogate(narx, gains, ref, rho) == want
+            assert _episode_cost_on_surrogate(narx, gains, ref.tolist(), rho) == want
+
+
+@pytest.mark.parametrize("case", ["bound", "fault-output", "fault-reference"])
+def test_episode_cost_inf_paths_match_array_form(case):
+    narx = random_narx(2, 1, (5, 4), seed=2)
+    gains = PidGains(kp=1.0, ki=0.5)
+    ref = np.concatenate([np.zeros(3), np.ones(30)])
+    if case == "bound":
+        # predictions of order 1e9 break the 1e6 * scale divergence bound
+        narx = random_narx(2, 1, (5, 4), seed=2, y_std=1e9)
+    elif case == "fault-output":
+        ref[:] = 5.0
+        gains = PidGains(kp=1e308, ki=0.5)  # kp * error overflows: ControllerFault
+    else:
+        ref[10] = math.nan  # pid_step rejects the reference: ControllerFault
+    assert _array_episode_cost(narx, gains, ref, 0.01) == math.inf
+    assert _episode_cost_on_surrogate(narx, gains, ref, 0.01) == math.inf
 
 
 def test_nelder_mead_respects_bounds():

@@ -248,3 +248,36 @@ def test_adam_in_place_step_equals_reference_bit_for_bit():
         for g in grad_seq:
             assert adam.step(params, g) is None
         assert np.array_equal(params, _adam_reference(start, grad_seq, lr, beta1, beta2, 1e-8))
+
+
+def _interleaved_backward(net, acts, grad_out, extra=None):
+    """Reverse pass with parameter gradients and adjoints interleaved layer by
+    layer; splitting the adjoint chain out must not move a bit."""
+    g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+    parts = [g.sum(axis=0), (g.T @ acts[-1]).ravel()]
+    ga = g @ net.weights[-1]
+    if extra is not None:
+        ga = ga + np.atleast_2d(extra)
+    for l in range(net.n_layers - 2, -1, -1):
+        gz = ga * (1.0 - acts[l + 1] ** 2)
+        parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
+        ga = gz @ net.weights[l]
+    return np.concatenate(parts[::-1]), ga
+
+
+@pytest.mark.parametrize("sizes", [[3, 1], [4, 6, 1], [5, 7, 4, 3]])
+def test_backward_and_adjoints_bit_equal_to_interleaved_pass(sizes):
+    rng = np.random.default_rng(len(sizes))
+    for seed in range(10):
+        net = Mlp(sizes, seed=seed)
+        rows = int(rng.integers(1, 6))
+        _, acts = net.forward_cached(rng.normal(size=(rows, sizes[0])) * 3.0)
+        g = rng.normal(size=(rows, sizes[-1]))
+        extra = rng.normal(size=(rows, sizes[-2])) if seed % 2 and len(sizes) > 2 else None
+        want_grads, want_ga = _interleaved_backward(net, acts, g, extra)
+        grads, ga = net.backward(acts, g, extra_last_hidden_grad=extra)
+        gzs, ga_only = net.adjoints(acts, g, extra_last_hidden_grad=extra)
+        assert grads.tobytes() == want_grads.tobytes()
+        assert ga.tobytes() == want_ga.tobytes() == ga_only.tobytes()
+        assert len(gzs) == net.n_layers
+

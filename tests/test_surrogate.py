@@ -3,7 +3,7 @@ import pytest
 
 from loopbench.dataio import ExcitationSpec, generate_excitation
 from loopbench.errors import MustResample, RolloutDiverged, TooShort
-from loopbench.nnet import Mlp, TrainConfig, train
+from loopbench.nnet import Mlp, TrainConfig, denormalize, normalize, train
 from loopbench.simcore import Fopdt, PlantModel, SignalController, SimConfig, simulate
 from loopbench.surrogate import (
     HybridModel, NarxModel, fit_hybrid, fit_surrogate, hybrid_predict, lag_features,
@@ -221,3 +221,103 @@ def test_narx_save_load_round_trip(tmp_path):
     y_win, u_win = np.array([0.1, 0.2]), np.array([0.3, -0.4])
     assert back.predict_one(y_win, u_win) == model.predict_one(y_win, u_win)
     assert back.dt == model.dt and back.p == model.p and back.q == model.q
+
+
+# ---------------------------------------------------------------------------
+# float lag windows: bit-for-bit against the all-array form
+# ---------------------------------------------------------------------------
+
+def array_predict_one(model, y_window, u_window):
+    """One-step prediction on numpy arrays: feature row, normalization,
+    single-row forward and denormalization as whole-array operations."""
+    feat = np.concatenate([np.asarray(y_window, dtype=float)[-model.p:][::-1],
+                           np.asarray(u_window, dtype=float)[-model.q:][::-1]])
+    a = np.atleast_2d(np.asarray(normalize(feat, model.x_mean, model.x_std), dtype=float))
+    net = model.mlp
+    for l in range(net.n_layers - 1):
+        a = np.tanh(a @ net.weights[l].T + net.biases[l])
+    z = (a @ net.weights[-1].T + net.biases[-1])[0]
+    return float(denormalize(z, model.y_mean, model.y_std)[0])
+
+
+def array_rollout(model, y_init, u_seq, u_init=None):
+    """`narx_rollout` with its lag windows rebuilt as arrays on every step."""
+    y_hist = list(np.asarray(y_init, dtype=float))
+    u_hist = list(np.asarray(u_init, dtype=float)) if u_init is not None else [0.0] * (model.q - 1)
+    out = np.empty(len(u_seq))
+    for i, u_now in enumerate(np.asarray(u_seq, dtype=float)):
+        u_hist.append(float(u_now))
+        y_next = array_predict_one(model, np.array(y_hist), np.array(u_hist))
+        if not np.isfinite(y_next):
+            raise RolloutDiverged("non-finite prediction", step=i)
+        out[i] = y_next
+        y_hist.append(y_next)
+        y_hist = y_hist[-model.p:]
+        u_hist = u_hist[-model.q:]
+    return out
+
+
+# (p, q, hidden): q = 1 leaves the older-input window empty; p > q, p < q and
+# one or two hidden layers
+NARX_SHAPES = [(1, 1, (6,)), (2, 1, (5, 4)), (3, 2, (7,)), (3, 1, (4, 6)), (2, 3, (5, 5)),
+               (2, 2, (8,))]
+
+
+def random_narx(p, q, hidden, seed, y_std=None):
+    """A seeded untrained surrogate with non-trivial normalization stats."""
+    rng = np.random.default_rng(seed)
+    n = p + q
+    return NarxModel(Mlp([n, *hidden, 1], seed=seed), p, q, 0.1,
+                     x_mean=rng.normal(size=n) * 0.3, x_std=rng.uniform(0.05, 3.0, size=n),
+                     y_mean=rng.normal(size=1),
+                     y_std=np.array([rng.uniform(0.1, 5.0) if y_std is None else y_std]))
+
+
+@pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
+def test_predict_one_bit_equal_to_array_form(p, q, hidden):
+    rng = np.random.default_rng(100 * p + 10 * q + len(hidden))
+    for seed in range(5):
+        model = random_narx(p, q, hidden, seed)
+        for _ in range(200):
+            # windows longer than the lag orders: only the newest samples count
+            y_win = (rng.normal(size=p + 2) * rng.choice([1e-3, 1.0, 50.0])).tolist()
+            u_win = (rng.normal(size=q + 1) * rng.choice([1e-3, 1.0, 50.0])).tolist()
+            want = array_predict_one(model, y_win, u_win)
+            assert model.predict_one(y_win, u_win) == want
+            assert model.predict_one(np.array(y_win), np.array(u_win)) == want
+
+
+@pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
+def test_narx_rollout_bit_equal_to_array_form(p, q, hidden):
+    rng = np.random.default_rng(7 * p + q)
+    for seed in range(4):
+        model = random_narx(p, q, hidden, seed)
+        y_init = rng.normal(size=p + seed)
+        u_seq = rng.uniform(-2.0, 2.0, size=60)
+        u_init = rng.normal(size=q - 1 + seed % 2) if seed % 3 else None
+        got = narx_rollout(model, y_init, u_seq, u_init=u_init)
+        want = array_rollout(model, y_init, u_seq, u_init=u_init)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_narx_rollout_diverges_at_the_array_form_step():
+    # features at their means give a zero hidden layer and the output y_mean;
+    # once that feeds back, the 1e3-scaled output overflows
+    model = random_narx(2, 1, (5,), seed=1, y_std=1e306)
+    model.mlp.weights[-1][...] = 1e3
+    y_init = [model.x_mean[1], model.x_mean[0]]  # chronological, features newest first
+    u_seq = np.full(20, model.x_mean[2])
+    with np.errstate(all="ignore"):
+        with pytest.raises(RolloutDiverged) as want:
+            array_rollout(model, y_init, u_seq)
+        with pytest.raises(RolloutDiverged) as got:
+            narx_rollout(model, y_init, u_seq)
+    assert got.value.step == want.value.step > 0
+    assert str(got.value) == str(want.value)
+
+
+def test_narx_rollout_empty_input_sequence():
+    model = random_narx(2, 2, (4,), seed=0)
+    out = narx_rollout(model, [0.0, 0.0], [])
+    assert out.shape == (0,) and out.dtype == np.float64
