@@ -28,15 +28,14 @@ from .errors import (
 from .metrics import ComparisonTable, compare, compute_step_metrics
 from .neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
-    imitation_data_from_run, save_controller, save_scheduler, train_bptt,
-    train_imitation, tune_static_ai,
+    imitation_data_from_run, train_bptt, train_imitation, tune_static_ai,
 )
-from .nnet import Mlp
+from .nnet import Mlp, load_model, save_model
 from .pid import PidController
 from .safety import BlendedController, BoundedBlender, SupervisedController, SwitchSupervisor, \
     write_transition_log
 from .simcore import ConstantController, SignalController, simulate
-from .surrogate import fit_surrogate, load_narx, save_narx
+from .surrogate import NarxModel, fit_surrogate
 from .tuning import (
     FopdtModel, identify_fopdt_step, relay_experiment, run_step_test, tune_cohen_coon,
     tune_kappa_tau, tune_ziegler_nichols, ultimate_from_fopdt,
@@ -104,7 +103,7 @@ def cmd_fit_surrogate(args) -> int:
         resampled=resampled,
     )
     out = _out_dir(args)
-    save_narx(model, out / "surrogate.weights")
+    save_model(model, out / "surrogate.weights")
     _write_kv_csv(out / "surrogate_report.csv", sorted(report.as_dict().items()))
     _echo(cfg, out, "fit-surrogate")
     for key, value in sorted(report.as_dict().items()):
@@ -154,7 +153,7 @@ def cmd_tune(args) -> int:
             raise ConfigError("AI tuning needs a positive evaluation budget", "tuning.budget")
         if not args.surrogate:
             raise ConfigError("AI tuning needs --surrogate <model>", "tuning.mode")
-        narx = load_narx(args.surrogate)
+        narx = load_model(args.surrogate, NarxModel)
         count = int(t["episodes"]["count"])
         level = float(t["episodes"]["level"])
         n_steps = max(int(round(sim.horizon / narx.dt)), 2)
@@ -244,9 +243,8 @@ def cmd_train_controller(args) -> int:
         nc = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
                               u_min=limits[0], u_max=limits[1], memory=memory, aux=aux)
         result = train_imitation(nc, mix, tc, aux_weight=beta)
-        save_controller(result.controller, out / "controller.weights",
-                        extras={"mode": "imitation", "lambda": float(tr["lambda"]),
-                                "beta": beta})
+        save_model(result.controller, out / "controller.weights",
+                   extras={"mode": "imitation", "lambda": float(tr["lambda"]), "beta": beta})
         lines = ["epoch,train_loss,val_rmse_a,val_rmse_b"]
         for i, (loss, va, vb) in enumerate(result.history):
             lines.append(f"{i},{repr(loss)},{repr(va)},{repr(vb)}")
@@ -257,7 +255,7 @@ def cmd_train_controller(args) -> int:
     else:
         if not args.surrogate:
             raise ConfigError("bptt training needs --surrogate <model>", "training.mode")
-        narx = load_narx(args.surrogate)
+        narx = load_model(args.surrogate, NarxModel)
         horizon = int(tr["horizon"])
         count = int(tr["episodes"]["count"])
         level = float(tr["episodes"]["level"])
@@ -272,11 +270,8 @@ def cmd_train_controller(args) -> int:
         result = train_bptt(target, narx, refs, horizon, tc, rho=float(tr["rho"]),
                             limits=limits)
         name = "controller.weights" if tr["target"] == "controller" else "scheduler.weights"
-        extras = {"mode": "bptt", "horizon": horizon, "rho": float(tr["rho"])}
-        if tr["target"] == "controller":
-            save_controller(result.trained, out / name, extras=extras)
-        else:
-            save_scheduler(result.trained, out / name, extras=extras)
+        save_model(result.trained, out / name,
+                   extras={"mode": "bptt", "horizon": horizon, "rho": float(tr["rho"])})
         lines = ["epoch,loss,skipped"]
         for i, (loss, sk) in enumerate(zip(result.history, result.skipped)):
             lines.append(f"{i},{repr(loss)},{sk}")
@@ -295,11 +290,9 @@ def _correction_source(block: dict, limits):
     if block["kind"] == "constant":
         return ConstantController(float(block["value"]))
     if block["kind"] == "neural":
-        from .neuro import load_controller
-
         if not block["model_path"]:
             raise ConfigError("neural correction needs model_path", "safety.correction.model_path")
-        return NeuralControlLoop(load_controller(block["model_path"]))
+        return NeuralControlLoop(load_model(block["model_path"], NeuralController))
     raise ConfigError("correction kind must be constant or neural", "safety.correction.kind")
 
 

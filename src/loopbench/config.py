@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import ExcitationSpec
 from .errors import ConfigError
-from .nnet import TrainConfig
+from .nnet import TrainConfig, load_model
 from .pid import CascadeSpec, PidGains
 from .simcore import (
     DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder, SensorSpec,
@@ -321,7 +321,7 @@ def bounds_from(block: dict, path: str) -> np.ndarray:
 
 def controller_from(cfg: dict, limits: tuple[float, float]):
     """Instantiate the configured primary controller (no safety wrapper)."""
-    from .neuro import NeuralControlLoop, ScheduledPidController, load_controller, load_scheduler
+    from .neuro import GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController
     from .pid import CascadeController, PidController
     from .simcore import ConstantController
 
@@ -340,7 +340,7 @@ def controller_from(cfg: dict, limits: tuple[float, float]):
     if not c["model_path"]:
         raise ConfigError(f"{kind} controller needs model_path", "controller.model_path")
     if kind == "neural":
-        return NeuralControlLoop(load_controller(c["model_path"]))
-    gs = load_scheduler(c["model_path"])
+        return NeuralControlLoop(load_model(c["model_path"], NeuralController))
+    gs = load_model(c["model_path"], GainScheduler)
     template = PidGains(kp=1.0, u_min=limits[0], u_max=limits[1])
     return ScheduledPidController(gs, template)

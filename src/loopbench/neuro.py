@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ControllerFault, FeatureUnavailable, ParseError, SimulationDiverged, \
-    TooShort, TrainingUnstable, TuningFailed
-from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize
+from .errors import ControllerFault, FeatureUnavailable, SimulationDiverged, TooShort, \
+    TrainingUnstable, TuningFailed
+from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, check_int, check_number, \
+    float_vector, normalize
 from .pid import PidGains, PidState, pid_step
 from .simcore import primary_output
 from .surrogate import NarxModel
@@ -55,6 +56,13 @@ class ControlHistory:
         self.u = [0.0] * self.m
 
 
+def _feature_stats(mean, std, size: int):
+    """Feature normalization stats checked to `size` entries; zero mean and
+    unit std where not given."""
+    return (np.zeros(size) if mean is None else float_vector(mean, size, "feat_mean"),
+            np.ones(size) if std is None else float_vector(std, size, "feat_std", positive=True))
+
+
 @dataclass
 class NeuralController:
     """Direct neural control law squashed into the actuator range.
@@ -63,6 +71,8 @@ class NeuralController:
     including the current one), and the last m controls. The tanh output
     squash makes saturation structural for arbitrary network weights.
     """
+
+    KIND = "neural-controller"
 
     mlp: Mlp
     u_min: float
@@ -73,13 +83,15 @@ class NeuralController:
     aux: Mlp | None = None  # one-layer head on the last hidden activation
 
     def __post_init__(self):
+        check_number(self.u_min, "u_min")
+        check_number(self.u_max, "u_max")
+        if not self.u_min < self.u_max:
+            raise ValueError(f"need u_min < u_max, got {self.u_min} and {self.u_max}")
+        check_int(self.memory, "memory")
         want = 1 + 2 * self.memory
         if self.mlp.layer_sizes[0] != want or self.mlp.layer_sizes[-1] != 1:
             raise ValueError(f"controller net must map {want} features to 1 output")
-        if self.feat_mean is None:
-            self.feat_mean = np.zeros(want)
-        if self.feat_std is None:
-            self.feat_std = np.ones(want)
+        self.feat_mean, self.feat_std = _feature_stats(self.feat_mean, self.feat_std, want)
 
     @property
     def center(self) -> float:
@@ -138,6 +150,8 @@ class GainScheduler:
     midpoints.
     """
 
+    KIND = "gain-scheduler"
+
     mlp: Mlp
     bounds: np.ndarray  # (3, 2) rows (lo, hi) for kp, ki, kd
     memory: int = 4
@@ -146,16 +160,15 @@ class GainScheduler:
     aux: Mlp | None = None  # one-layer head on the last hidden activation
 
     def __post_init__(self):
-        self.bounds = np.asarray(self.bounds, dtype=float).reshape(3, 2)
-        if np.any(self.bounds[:, 0] > self.bounds[:, 1]) or np.any(self.bounds[:, 0] < 0.0):
+        self.bounds = float_vector(np.ravel(self.bounds), 6, "bounds").reshape(3, 2)
+        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+        if not np.all((0.0 <= lo) & (lo <= hi)):
             raise ValueError("gain bounds must satisfy 0 <= lo <= hi")
+        check_int(self.memory, "memory")
         want = 2 * self.memory
         if self.mlp.layer_sizes[0] != want or self.mlp.layer_sizes[-1] != 3:
             raise ValueError(f"scheduler net must map {want} features to 3 gains")
-        if self.feat_mean is None:
-            self.feat_mean = np.zeros(want)
-        if self.feat_std is None:
-            self.feat_std = np.ones(want)
+        self.feat_mean, self.feat_std = _feature_stats(self.feat_mean, self.feat_std, want)
 
     def features(self, e_window, y_window) -> np.ndarray:
         return np.concatenate([e_window, y_window])
@@ -293,6 +306,12 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
     all_x = np.vstack([a_train.x, b_train.x])
     work.feat_mean = all_x.mean(axis=0)
     work.feat_std = np.maximum(all_x.std(axis=0), 1e-12)
+    # normalization is elementwise, so normalizing every row once and then
+    # gathering a batch rounds exactly as normalizing the gathered batch
+    train_xn = normalize(all_x, work.feat_mean, work.feat_std)
+    train_y = np.vstack([a_train.y, b_train.y])
+    val_a, val_b = ((normalize(ds.x, work.feat_mean, work.feat_std), ds.y[:, :1])
+                    for ds in (a_val, b_val))
 
     has_aux = work.aux is not None and a_train.y.shape[1] > 1
     params = work.mlp.params
@@ -304,14 +323,9 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
     adam = Adam(params.size, cfg.learning_rate, cfg.beta1, cfg.beta2)
     rng = np.random.default_rng(cfg.seed)
 
-    def _batch_arrays(idx_a, idx_b):
-        xs = np.vstack([a_train.x[idx_a], b_train.x[idx_b]])
-        ys = np.vstack([a_train.y[idx_a], b_train.y[idx_b]])
-        return xs, ys
-
-    def _loss_and_step(xs, ys):
-        fn = normalize(xs, work.feat_mean, work.feat_std)
-        z, acts = work.mlp.forward_cached(fn)
+    def _loss_and_step(rows):
+        ys = train_y[rows]
+        z, acts = work.mlp.forward_cached(train_xn[rows])
         th = np.tanh(z[:, :1])
         u_hat = work.center + work.half_span * th
         diff = u_hat - ys[:, :1]
@@ -329,10 +343,10 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
         adam.step(params, grads)
         return loss
 
-    def _val_rmse(ds):
-        fn = normalize(ds.x, work.feat_mean, work.feat_std)
-        u_hat = work.center + work.half_span * np.tanh(work.mlp.forward(fn)[:, :1])
-        return float(np.sqrt(np.mean((u_hat - ds.y[:, :1]) ** 2)))
+    def _val_rmse(split):
+        xn, u_teacher = split
+        u_hat = work.center + work.half_span * np.tanh(work.mlp.forward(xn)[:, :1])
+        return float(np.sqrt(np.mean((u_hat - u_teacher) ** 2)))
 
     n_total = len(a_train) + len(b_train)
     n_batches = max(n_total // cfg.batch_size, 1)
@@ -350,8 +364,8 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
             a_draws += na
             idx_a = rng.integers(0, len(a_train), size=na)
             idx_b = rng.integers(0, len(b_train), size=cfg.batch_size - na)
-            losses.append(_loss_and_step(*_batch_arrays(idx_a, idx_b)))
-        va, vb = _val_rmse(a_val), _val_rmse(b_val)
+            losses.append(_loss_and_step(np.concatenate([idx_a, len(a_train) + idx_b])))
+        va, vb = _val_rmse(val_a), _val_rmse(val_b)
         result.history.append((float(np.mean(losses)), va, vb))
         result.a_fraction.append(a_draws / (n_batches * cfg.batch_size))
         score = 0.5 * (va * va + vb * vb)
@@ -366,8 +380,8 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
 
     result.controller = best_snapshot if best_snapshot is not None else work
     work = result.controller  # report the snapshot that is actually returned
-    result.val_rmse_a = _val_rmse(a_val)
-    result.val_rmse_b = _val_rmse(b_val)
+    result.val_rmse_a = _val_rmse(val_a)
+    result.val_rmse_b = _val_rmse(val_b)
     return result
 
 
@@ -790,94 +804,3 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
         raise TuningFailed("every candidate evaluation diverged")
     gains = PidGains(kp=float(best_x[0]), ki=float(best_x[1]), kd=float(best_x[2]), **gain_kw)
     return StaticTuneResult(gains=gains, cost=best_f, trace=trace, n_evals=len(trace))
-
-
-# ---------------------------------------------------------------------------
-# Serialization: nnet weight file plus a JSON metadata sidecar
-# ---------------------------------------------------------------------------
-
-def save_controller(nc: NeuralController, path, extras: dict | None = None) -> None:
-    """Weights file plus metadata sidecar; `extras` records training context
-    such as the dataset mix ratio and disturbance-head weight."""
-    from .nnet import save_sidecar, save_weights
-
-    save_weights(nc.mlp, path)
-    meta = {
-        "kind": "neural-controller",
-        "memory": nc.memory,
-        "u_min": nc.u_min,
-        "u_max": nc.u_max,
-        "feat_mean": [float(v) for v in nc.feat_mean],
-        "feat_std": [float(v) for v in nc.feat_std],
-    }
-    if nc.aux is not None:
-        meta["aux_w"] = [[float(v) for v in row] for row in nc.aux.weights[0]]
-        meta["aux_b"] = [float(v) for v in nc.aux.biases[0]]
-    if extras:
-        meta["training"] = dict(sorted(extras.items()))
-    save_sidecar(path, meta)
-
-
-def _aux_from(meta: dict, trunk: Mlp, path) -> Mlp | None:
-    """The sidecar's disturbance head, checked against the trunk it branches
-    off; a malformed head raises ParseError naming the sidecar."""
-    if "aux_w" not in meta:
-        return None
-    where = f"{path}.meta.json"
-    try:
-        w = np.array(meta["aux_w"], dtype=float)
-        b = np.array(meta.get("aux_b"), dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: aux_w and aux_b must be numeric arrays", line=1) from None
-    width = trunk.layer_sizes[-2]
-    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != width:
-        raise ParseError(f"{where}: aux_w must be a non-empty matrix of rows of {width} values "
-                         f"(the last hidden layer), got shape {w.shape}", line=1)
-    if b.shape != (w.shape[0],):
-        raise ParseError(f"{where}: aux_b must hold {w.shape[0]} values, got shape {b.shape}",
-                         line=1)
-    aux = Mlp([width, w.shape[0]], init=False)
-    aux.weights[0][...] = w
-    aux.biases[0][...] = b
-    return aux
-
-
-def load_controller(path) -> NeuralController:
-    from .nnet import load_sidecar, load_weights
-
-    mlp = load_weights(path)
-    meta = load_sidecar(path, "neural-controller", ("memory", "u_min", "u_max", "feat_mean", "feat_std"))
-    return NeuralController(
-        mlp, meta["u_min"], meta["u_max"], meta["memory"],
-        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), _aux_from(meta, mlp, path),
-    )
-
-
-def save_scheduler(gs: GainScheduler, path, extras: dict | None = None) -> None:
-    from .nnet import save_sidecar, save_weights
-
-    save_weights(gs.mlp, path)
-    meta = {
-        "kind": "gain-scheduler",
-        "memory": gs.memory,
-        "bounds": [[float(lo), float(hi)] for lo, hi in gs.bounds],
-        "feat_mean": [float(v) for v in gs.feat_mean],
-        "feat_std": [float(v) for v in gs.feat_std],
-    }
-    if gs.aux is not None:
-        meta["aux_w"] = [[float(v) for v in row] for row in gs.aux.weights[0]]
-        meta["aux_b"] = [float(v) for v in gs.aux.biases[0]]
-    if extras:
-        meta["training"] = dict(sorted(extras.items()))
-    save_sidecar(path, meta)
-
-
-def load_scheduler(path) -> GainScheduler:
-    from .nnet import load_sidecar, load_weights
-
-    mlp = load_weights(path)
-    meta = load_sidecar(path, "gain-scheduler", ("memory", "bounds", "feat_mean", "feat_std"))
-    return GainScheduler(
-        mlp, np.array(meta["bounds"]), meta["memory"],
-        np.array(meta["feat_mean"]), np.array(meta["feat_std"]), _aux_from(meta, mlp, path),
-    )

@@ -8,7 +8,9 @@ training is bit-reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -345,27 +347,104 @@ def load_weights(path) -> Mlp:
 
 
 # ---------------------------------------------------------------------------
-# JSON metadata sidecar written next to each model's weights file
+# Model files: the weights file plus a JSON sidecar with every other field
 # ---------------------------------------------------------------------------
 
-def save_sidecar(path, meta: dict) -> None:
+def check_int(value, name: str) -> None:
+    """TypeError unless `value` is an integer, ValueError unless it is >= 1."""
+    if not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_number(value, name: str) -> None:
+    """TypeError unless `value` is a real number."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
+
+
+def float_vector(value, size: int, name: str, positive: bool = False) -> np.ndarray:
+    """`value` as a float64 vector of `size` entries (all > 0 if `positive`):
+    TypeError for non-numeric entries, ValueError for any other shape."""
+    vec = np.asarray(value)
+    if vec.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must hold numbers, got {vec.dtype}")
+    if vec.shape != (size,):
+        raise ValueError(f"{name} must hold {size} values, got shape {vec.shape}")
+    if positive and not np.all(vec > 0.0):
+        raise ValueError(f"{name} must be positive")
+    return vec.astype(float, copy=False)
+
+
+def _sidecar_fields(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls) if f.name not in ("mlp", "aux")]
+
+
+def save_model(model, path, extras: dict | None = None) -> None:
+    """Weights file at `path` plus the `.meta.json` sidecar: the model's
+    `KIND`, every dataclass field but the networks, the disturbance head as
+    `aux_w`/`aux_b`, and `extras` (training context) as `training`."""
+    save_weights(model.mlp, path)
+    meta = {"kind": model.KIND}
+    for name in _sidecar_fields(model):
+        value = getattr(model, name)
+        meta[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    if getattr(model, "aux", None) is not None:
+        meta["aux_w"] = model.aux.weights[0].tolist()
+        meta["aux_b"] = model.aux.biases[0].tolist()
+    if extras:
+        meta["training"] = extras
     with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_sidecar(path, kind: str, keys) -> dict:
-    """The sidecar of the weights file at `path`, checked for its `kind` and
-    required `keys`; a malformed sidecar raises ParseError."""
-    meta_path = str(path) + ".meta.json"
-    text = Path(meta_path).read_text(encoding="utf-8")
+def _aux_from(meta: dict, trunk: Mlp, path) -> Mlp | None:
+    """The sidecar's disturbance head, checked against the trunk it branches
+    off; a malformed head raises ParseError naming the sidecar."""
+    if "aux_w" not in meta:
+        return None
+    where = f"{path}.meta.json"
+    try:
+        w = np.array(meta["aux_w"], dtype=float)
+        b = np.array(meta.get("aux_b"), dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: aux_w and aux_b must be numeric arrays", line=1) from None
+    width = trunk.layer_sizes[-2]
+    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != width:
+        raise ParseError(f"{where}: aux_w must be a non-empty matrix of rows of {width} values "
+                         f"(the last hidden layer), got shape {w.shape}", line=1)
+    if b.shape != (w.shape[0],):
+        raise ParseError(f"{where}: aux_b must hold {w.shape[0]} values, got shape {b.shape}",
+                         line=1)
+    aux = Mlp([width, w.shape[0]], init=False)
+    aux.weights[0][...] = w
+    aux.biases[0][...] = b
+    return aux
+
+
+def load_model(path, cls):
+    """Inverse of `save_model` for the model class `cls`. A sidecar that is
+    not JSON, is of another kind, lacks a field or holds one that `cls`
+    rejects raises ParseError naming the sidecar."""
+    mlp = load_weights(path)
+    where = str(path) + ".meta.json"
+    text = Path(where).read_text(encoding="utf-8")
     try:
         meta = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{meta_path}: invalid JSON: {exc.msg}", line=exc.lineno) from None
-    if not isinstance(meta, dict) or meta.get("kind") != kind:
-        raise ParseError(f"{meta_path}: not a {kind} model", line=1)
-    missing = [k for k in keys if k not in meta]
+        raise ParseError(f"{where}: invalid JSON: {exc.msg}", line=exc.lineno) from None
+    if not isinstance(meta, dict) or meta.get("kind") != cls.KIND:
+        raise ParseError(f"{where}: not a {cls.KIND} model", line=1)
+    names = _sidecar_fields(cls)
+    missing = [k for k in names if k not in meta]
     if missing:
-        raise ParseError(f"{meta_path}: missing {', '.join(missing)}", line=1)
-    return meta
+        raise ParseError(f"{where}: missing {', '.join(missing)}", line=1)
+    try:
+        fields = {k: np.array(meta[k]) if isinstance(meta[k], list) else meta[k] for k in names}
+        if any(f.name == "aux" for f in dataclasses.fields(cls)):
+            fields["aux"] = _aux_from(meta, mlp, path)
+        return cls(mlp, **fields)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}", line=1) from None

@@ -102,24 +102,6 @@ class SwitchSupervisor:
                 self._lo_count = 0
         return handover
 
-    def supervise_step(self, u_ai: float, u_fb: float, e: float,
-                       limits: tuple[float, float], t: float = math.nan) -> tuple[float, str]:
-        """One selection step given both hot controller outputs.
-
-        The loop adapter below additionally syncs the fallback integrator on
-        handover, which this pure selection cannot do (it does not own the
-        fallback state).
-        """
-        if not math.isfinite(u_fb):
-            raise UnrecoverableFault("fallback command is non-finite", step=self.step_count)
-        valid, cause = _ai_validity(u_ai, limits)
-        agrees = valid and abs(u_ai - u_fb) <= self._agreement(limits)
-        self.decide(valid, cause, e, t, ai_agrees=agrees)
-        u = u_ai if self.mode == MODE_AI else u_fb
-        self.last_u = u
-        self.step_count += 1
-        return u, self.mode
-
 
 def _ai_validity(u_ai: float, limits: tuple[float, float]) -> tuple[bool, str]:
     if not math.isfinite(u_ai):

@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import MustResample, RolloutDiverged, TooShort
-from .nnet import Mlp, SupervisedDataset, TrainConfig, denormalize, normalize, train
+from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, denormalize, \
+    float_vector, normalize, train
 
 
 def _series_dt(t: np.ndarray) -> float:
@@ -65,6 +66,8 @@ class NarxModel:
     The float copies of the normalization stats are taken at construction.
     """
 
+    KIND = "narx-surrogate"
+
     mlp: Mlp
     p: int
     q: int
@@ -75,8 +78,19 @@ class NarxModel:
     y_std: np.ndarray
 
     def __post_init__(self):
-        self._x_stats = list(zip(np.asarray(self.x_mean, dtype=float).tolist(),
-                                 np.asarray(self.x_std, dtype=float).tolist()))
+        check_int(self.p, "p")
+        check_int(self.q, "q")
+        check_number(self.dt, "dt")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        n = self.p + self.q
+        if self.mlp.layer_sizes[0] != n or self.mlp.layer_sizes[-1] != 1:
+            raise ValueError(f"surrogate net must map p + q = {n} features to 1 output")
+        self.x_mean = float_vector(self.x_mean, n, "x_mean")
+        self.x_std = float_vector(self.x_std, n, "x_std", positive=True)
+        self.y_mean = float_vector(self.y_mean, 1, "y_mean")
+        self.y_std = float_vector(self.y_std, 1, "y_std", positive=True)
+        self._x_stats = list(zip(self.x_mean.tolist(), self.x_std.tolist()))
         self._y_mean = float(self.y_mean[0])
         self._y_std = float(self.y_std[0])
 
@@ -272,36 +286,3 @@ def fit_hybrid(traj, physics: Callable[[np.ndarray, np.ndarray], float],
     result = train(net, train_ds, val_ds, cfg)
     return HybridModel(physics=physics, residual=result.net, p=p, q=q,
                        x_mean=ds.x_mean, x_std=ds.x_std)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: nnet weight file plus a JSON metadata sidecar
-# ---------------------------------------------------------------------------
-
-def save_narx(model: NarxModel, path) -> None:
-    from .nnet import save_sidecar, save_weights
-
-    save_weights(model.mlp, path)
-    meta = {
-        "kind": "narx-surrogate",
-        "p": model.p,
-        "q": model.q,
-        "dt": model.dt,
-        "x_mean": [float(v) for v in model.x_mean],
-        "x_std": [float(v) for v in model.x_std],
-        "y_mean": [float(v) for v in model.y_mean],
-        "y_std": [float(v) for v in model.y_std],
-    }
-    save_sidecar(path, meta)
-
-
-def load_narx(path) -> NarxModel:
-    from .nnet import load_sidecar, load_weights
-
-    mlp = load_weights(path)
-    meta = load_sidecar(path, "narx-surrogate", ("p", "q", "dt", "x_mean", "x_std", "y_mean", "y_std"))
-    return NarxModel(
-        mlp, meta["p"], meta["q"], meta["dt"],
-        np.array(meta["x_mean"]), np.array(meta["x_std"]),
-        np.array(meta["y_mean"]), np.array(meta["y_std"]),
-    )

@@ -7,11 +7,9 @@ import pytest
 from loopbench.cli import main
 from loopbench.config import DEFAULTS, resolve_config
 from loopbench.errors import ConfigError, ParseError
-from loopbench.neuro import (
-    GainScheduler, NeuralController, load_controller, load_scheduler, save_controller,
-    save_scheduler,
-)
-from loopbench.nnet import Mlp
+from loopbench.neuro import GainScheduler, NeuralController
+from loopbench.nnet import Mlp, load_model, save_model
+from loopbench.surrogate import NarxModel
 
 
 def _write(tmp_path, name, cfg):
@@ -446,7 +444,7 @@ def test_compare_incomparable_runs_same_exit_code_and_message_with_jobs(tmp_path
 
 def _saved_controller(tmp_path):
     path = tmp_path / "ctl.weights"
-    save_controller(NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0), path)
+    save_model(NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0), path)
     return path
 
 
@@ -463,7 +461,7 @@ def test_truncated_weights_file_is_parse_error_with_line(tmp_path, capsys):
     # cut right after the W1 marker on line 10
     path.write_text("\n".join(lines[:10]) + "\n")
     with pytest.raises(ParseError) as err:
-        load_controller(path)
+        load_model(path, NeuralController)
     assert err.value.line == 11
     capsys.readouterr()
     assert _simulate_with_model(tmp_path, path) == 4
@@ -476,7 +474,7 @@ def test_short_weights_row_is_parse_error_with_line(tmp_path):
     lines[3] = " ".join(lines[3].split()[:-1])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
-        load_controller(path)
+        load_model(path, NeuralController)
     assert err.value.line == 4
 
 
@@ -489,7 +487,7 @@ def test_malformed_sidecar_is_parse_error(tmp_path, capsys, sidecar, line):
     path = _saved_controller(tmp_path)
     (tmp_path / "ctl.weights.meta.json").write_text(sidecar)
     with pytest.raises(ParseError) as err:
-        load_controller(path)
+        load_model(path, NeuralController)
     assert err.value.line == line
     capsys.readouterr()
     assert _simulate_with_model(tmp_path, path) == 4
@@ -499,12 +497,14 @@ def test_malformed_sidecar_is_parse_error(tmp_path, capsys, sidecar, line):
 # a saved model with a disturbance head on its 4-wide last hidden layer, per
 # model kind: (save, load, simulate controller kind)
 _AUX_MODELS = {
-    "controller": (lambda path: save_controller(
+    "controller": (lambda path: save_model(
         NeuralController(Mlp([9, 5, 4, 1], seed=1), u_min=-3.0, u_max=3.0,
-                         aux=Mlp([4, 1], seed=2)), path), load_controller, "neural"),
-    "scheduler": (lambda path: save_scheduler(
+                         aux=Mlp([4, 1], seed=2)), path),
+                   lambda path: load_model(path, NeuralController), "neural"),
+    "scheduler": (lambda path: save_model(
         GainScheduler(Mlp([8, 5, 4, 3], seed=1), bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]],
-                      aux=Mlp([4, 1], seed=2)), path), load_scheduler, "pid+scheduler"),
+                      aux=Mlp([4, 1], seed=2)), path),
+                  lambda path: load_model(path, GainScheduler), "pid+scheduler"),
 }
 
 
@@ -545,3 +545,69 @@ def test_well_formed_aux_head_still_loads(tmp_path, model):
     save(path)
     assert load(path).aux.layer_sizes == [4, 1]
     assert _simulate_with_model(tmp_path, path, kind) == 0
+
+
+def _saved_scheduler(tmp_path):
+    path = tmp_path / "sched.weights"
+    save_model(GainScheduler(Mlp([8, 4, 3], seed=1),
+                             bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]]), path)
+    return path
+
+
+def _saved_surrogate(tmp_path):
+    path = tmp_path / "sur.weights"
+    save_model(NarxModel(Mlp([4, 6, 1], seed=3), 2, 2, 0.1,
+                         np.zeros(4), np.ones(4), np.zeros(1), np.ones(1)), path)
+    return path
+
+
+def _tune_with_surrogate(tmp_path, path):
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+           "tuning": {"mode": "ai", "budget": 5}}
+    return main(["tune", "--config", _write(tmp_path, "tune.json", cfg),
+                 "--surrogate", str(path), "--out", str(tmp_path / "o")])
+
+
+# per model kind: (save a valid model file, run the command that loads it)
+_MODEL_RUNS = {
+    "controller": (_saved_controller, _simulate_with_model),
+    "scheduler": (_saved_scheduler,
+                  lambda tmp_path, path: _simulate_with_model(tmp_path, path, "pid+scheduler")),
+    "surrogate": (_saved_surrogate, _tune_with_surrogate),
+}
+
+
+@pytest.mark.parametrize("model, key, value", [
+    ("controller", "memory", 3),  # a 7-feature window on a 9-input net
+    ("controller", "memory", "4"),
+    ("controller", "feat_mean", [0.0] * 5),
+    ("controller", "feat_std", ["x"] * 9),
+    ("controller", "u_min", "x"),
+    ("controller", "u_min", 5.0),  # above u_max
+    ("scheduler", "bounds", [[0.1, 2.0]]),
+    ("scheduler", "bounds", [["0.1", "2"], ["0", "1"], ["0", "0.3"]]),
+    ("scheduler", "bounds", [[2.0, 0.1], [1.0, 0.0], [0.3, 0.0]]),  # inverted
+    ("scheduler", "memory", None),
+    ("surrogate", "p", "2"),
+    ("surrogate", "x_mean", [0.0]),
+    ("surrogate", "y_std", []),
+    ("surrogate", "dt", "0.1"),
+    ("surrogate", "p", 3),  # p + q = 5 lags on a 4-input net
+    ("surrogate", "x_std", [0.0, 1.0, 1.0, 1.0]),
+], ids=["memory-size", "memory-str", "feat_mean-size", "feat_std-str", "u_min-str",
+        "u_min-above-u_max", "bounds-shape", "bounds-str", "bounds-inverted", "memory-null", "p-str", "x_mean-size",
+        "y_std-empty", "dt-str", "p-size", "x_std-zero"])
+def test_wrong_sidecar_field_is_parse_error(tmp_path, capsys, model, key, value):
+    """A model that runs, with one sidecar field of the wrong type or size,
+    is a parse error naming the sidecar: never a traceback or a misload."""
+    save, run = _MODEL_RUNS[model]
+    path = save(tmp_path)
+    assert run(tmp_path, path) == 0
+    meta_path = Path(str(path) + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run(tmp_path, path) == 4
+    assert str(meta_path) in capsys.readouterr().err
+

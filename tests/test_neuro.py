@@ -7,10 +7,10 @@ from loopbench.errors import ControllerFault, FeatureUnavailable, TrainingUnstab
 from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run,
-    _episode_cost_on_surrogate, load_controller, load_scheduler, nelder_mead_bounded,
-    save_controller, save_scheduler, train_bptt, train_imitation, tune_static_ai,
+    _episode_cost_on_surrogate, nelder_mead_bounded, train_bptt, train_imitation,
+    tune_static_ai,
 )
-from loopbench.nnet import Mlp, TrainConfig
+from loopbench.nnet import Mlp, TrainConfig, load_model, save_model
 from loopbench.pid import PidController, PidGains, PidState, pid_step
 from loopbench.simcore import DisturbanceSpec, Fopdt, PlantModel, SimConfig, simulate, step_reference
 from loopbench.surrogate import NarxModel
@@ -481,8 +481,8 @@ def test_disturbance_head_unavailable_raises():
 def test_controller_save_load_round_trip(tmp_path):
     nc = NeuralController(Mlp([9, 6, 1], seed=8), u_min=-2.0, u_max=2.0, memory=4,
                           aux=Mlp([6, 1], seed=9))
-    save_controller(nc, tmp_path / "ctl.weights")
-    back = load_controller(tmp_path / "ctl.weights")
+    save_model(nc, tmp_path / "ctl.weights")
+    back = load_model(tmp_path / "ctl.weights", NeuralController)
     f = np.linspace(-1, 1, 9)
     assert back.output(f) == nc.output(f)
     assert back.aux_output(f) == nc.aux_output(f)
@@ -491,7 +491,7 @@ def test_controller_save_load_round_trip(tmp_path):
 def test_scheduler_save_load_round_trip(tmp_path):
     gs = GainScheduler(Mlp([8, 5, 3], seed=2), bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]],
                        memory=4)
-    save_scheduler(gs, tmp_path / "sched.weights")
-    back = load_scheduler(tmp_path / "sched.weights")
+    save_model(gs, tmp_path / "sched.weights")
+    back = load_model(tmp_path / "sched.weights", GainScheduler)
     f = np.linspace(-1, 1, 8)
     assert back.gains_from(f) == gs.gains_from(f)

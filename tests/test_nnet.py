@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from loopbench.errors import TrainingDiverged
 from loopbench.nnet import (
-    Adam, Mlp, SupervisedDataset, TrainConfig, denormalize, grad,
-    load_weights, mse, normalize, save_weights, train,
+    Adam, Mlp, SupervisedDataset, TrainConfig, denormalize, grad, load_model,
+    load_weights, mse, normalize, save_model, save_weights, train,
 )
+from loopbench.neuro import GainScheduler, NeuralController
+from loopbench.surrogate import NarxModel
 
 
 def fd_gradient(net, x, y, h=1e-5):
@@ -170,6 +173,39 @@ def test_weights_file_round_trip(tmp_path):
     # byte-identical re-save
     save_weights(loaded, tmp_path / "net2.weights")
     assert (tmp_path / "net.weights").read_bytes() == (tmp_path / "net2.weights").read_bytes()
+
+
+def _model(kind):
+    """A model of `kind` with non-trivial normalization stats; the `-aux`
+    kinds carry a disturbance head."""
+    rng = np.random.default_rng(4)
+
+    def stats(n):
+        return rng.normal(size=n), rng.uniform(0.1, 3.0, size=n)
+
+    if kind == "narx":
+        return NarxModel(Mlp([5, 6, 1], seed=1), 3, 2, 0.05, *stats(5), *stats(1))
+    if kind.startswith("controller"):
+        aux = Mlp([4, 2], seed=3) if kind.endswith("-aux") else None
+        return NeuralController(Mlp([7, 6, 4, 1], seed=2), -1.5, 2.5, 3, *stats(7), aux=aux)
+    aux = Mlp([5, 1], seed=5) if kind.endswith("-aux") else None
+    return GainScheduler(Mlp([6, 5, 3], seed=4), [[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]], 3,
+                         *stats(6), aux=aux)
+
+
+@pytest.mark.parametrize("kind", ["narx", "controller", "controller-aux", "scheduler",
+                                  "scheduler-aux"])
+def test_model_file_save_load_save_is_byte_identical(tmp_path, kind):
+    model = _model(kind)
+    save_model(model, tmp_path / "a.weights", extras={"mode": "test", "rho": 0.1})
+    back = load_model(tmp_path / "a.weights", type(model))
+    save_model(back, tmp_path / "b.weights", extras={"mode": "test", "rho": 0.1})
+    for suffix in ("weights", "weights.meta.json"):
+        assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+    meta = json.loads((tmp_path / "a.weights.meta.json").read_text())
+    assert meta["kind"] == type(model).KIND
+    assert meta["training"] == {"mode": "test", "rho": 0.1}
+    assert ("aux_w" in meta) == kind.endswith("-aux")
 
 
 # ---------------------------------------------------------------------------

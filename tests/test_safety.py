@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopbench.errors import UnrecoverableFault
+from loopbench.errors import SyncImpossible, UnrecoverableFault
 from loopbench.metrics import compute_step_metrics
 from loopbench.pid import PidController, PidGains
 from loopbench.safety import (
@@ -16,9 +16,37 @@ from loopbench.tuning import FopdtModel, tune_ziegler_nichols, ultimate_from_fop
 LIMITS = (-3.0, 3.0)
 
 
+class _Scripted:
+    """Controller stub returning whatever `u` holds; it cannot be synced, so
+    every handover is a plain one."""
+
+    def __init__(self):
+        self.u = 0.0
+
+    def reset(self) -> None:
+        pass
+
+    def step(self, w, y, dt):
+        return self.u
+
+    def sync_to(self, u, w, y):
+        raise SyncImpossible("scripted stub")
+
+
+def _supervised(sup):
+    return SupervisedController(_Scripted(), _Scripted(), sup, limits=LIMITS)
+
+
+def _select(ctl, u_ai, u_fb, e, dt=0.01):
+    """One supervised step on scripted outputs with error e (w = e, y = 0);
+    returns (selected command, mode after the step)."""
+    ctl.ai.u, ctl.fallback.u = u_ai, u_fb
+    return ctl.step(e, 0.0, dt), ctl.supervisor.mode
+
+
 def test_nonfinite_ai_switches_immediately_with_cause():
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
-    u, mode = sup.supervise_step(math.nan, 0.4, e=0.0, limits=LIMITS)
+    u, mode = _select(_supervised(sup), math.nan, 0.4, e=0.0)
     assert mode == MODE_FALLBACK and u == 0.4
     assert len(sup.log) == 1
     assert sup.log[0].cause == "nonfinite"
@@ -27,56 +55,60 @@ def test_nonfinite_ai_switches_immediately_with_cause():
 
 def test_out_of_range_ai_switches_immediately():
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
-    u, mode = sup.supervise_step(99.0, 0.1, e=0.0, limits=LIMITS)
+    u, mode = _select(_supervised(sup), 99.0, 0.1, e=0.0)
     assert mode == MODE_FALLBACK
     assert sup.log[0].cause == "out-of-range"
 
 
 def test_small_error_stays_in_ai_mode():
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
+    ctl = _supervised(sup)
     for _ in range(100):
-        u, mode = sup.supervise_step(0.5, -0.5, e=0.05, limits=LIMITS)
+        u, mode = _select(ctl, 0.5, -0.5, e=0.05)
         assert mode == MODE_AI and u == 0.5
     assert sup.log == []
 
 
 def test_error_threshold_needs_dwell():
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
+    ctl = _supervised(sup)
     for k in range(4):
-        _, mode = sup.supervise_step(0.5, 0.0, e=0.3, limits=LIMITS)
+        _, mode = _select(ctl, 0.5, 0.0, e=0.3)
         assert mode == MODE_AI
-    _, mode = sup.supervise_step(0.5, 0.0, e=0.3, limits=LIMITS)
+    _, mode = _select(ctl, 0.5, 0.0, e=0.3)
     assert mode == MODE_FALLBACK
     assert sup.log[0].cause == "error-threshold"
 
 
 def test_recovery_needs_dwell_and_valid_ai():
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3, mode=MODE_FALLBACK)
+    ctl = _supervised(sup)
     for _ in range(2):
-        _, mode = sup.supervise_step(0.5, 0.0, e=0.05, limits=LIMITS)
+        _, mode = _select(ctl, 0.5, 0.0, e=0.05)
         assert mode == MODE_FALLBACK
-    _, mode = sup.supervise_step(0.5, 0.0, e=0.05, limits=LIMITS)
+    _, mode = _select(ctl, 0.5, 0.0, e=0.05)
     assert mode == MODE_AI
     # an invalid AI output never re-enters, however small the error
     sup2 = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=1, mode=MODE_FALLBACK)
-    _, mode = sup2.supervise_step(math.inf, 0.0, e=0.0, limits=LIMITS)
+    _, mode = _select(_supervised(sup2), math.inf, 0.0, e=0.0)
     assert mode == MODE_FALLBACK
 
 
 def test_nonfinite_fallback_is_unrecoverable():
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
     with pytest.raises(UnrecoverableFault):
-        sup.supervise_step(0.5, math.nan, e=0.0, limits=LIMITS)
+        _select(_supervised(sup), 0.5, math.nan, e=0.0)
 
 
 def test_hysteresis_transitions_spaced_by_dwell():
     # alternate loud/quiet error stretches; consecutive transitions must be
     # at least `dwell` steps apart for finite in-range AI commands
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=4)
+    ctl = _supervised(sup)
     rng = np.random.default_rng(0)
     for _ in range(3000):
         e = float(rng.choice([0.05, 0.3]))
-        sup.supervise_step(0.5, 0.45, e=e, limits=LIMITS)
+        _select(ctl, 0.5, 0.45, e=e)
     steps = [ev.step for ev in sup.log]
     assert len(steps) > 2
     assert min(np.diff(steps)) >= 4
@@ -84,17 +116,18 @@ def test_hysteresis_transitions_spaced_by_dwell():
 
 def test_supervisor_output_always_finite_within_limits():
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3)
+    ctl = _supervised(sup)
     rng = np.random.default_rng(1)
     for _ in range(5000):
         u_ai = float(rng.choice([0.5, math.nan, math.inf, 50.0, -0.7]))
         u_fb = float(rng.uniform(*LIMITS))
-        u, _ = sup.supervise_step(u_ai, u_fb, e=float(rng.normal()), limits=LIMITS)
+        u, _ = _select(ctl, u_ai, u_fb, e=float(rng.normal()))
         assert math.isfinite(u) and LIMITS[0] <= u <= LIMITS[1]
 
 
 def test_transition_log_csv(tmp_path):
     sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=1)
-    sup.supervise_step(math.nan, 0.0, e=0.0, limits=LIMITS, t=0.25)
+    _select(_supervised(sup), math.nan, 0.0, e=0.0, dt=0.25)
     path = tmp_path / "transitions.csv"
     write_transition_log(sup.log, path)
     lines = path.read_text().splitlines()

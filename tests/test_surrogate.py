@@ -3,11 +3,11 @@ import pytest
 
 from loopbench.dataio import ExcitationSpec, generate_excitation
 from loopbench.errors import MustResample, RolloutDiverged, TooShort
-from loopbench.nnet import Mlp, TrainConfig, denormalize, normalize, train
+from loopbench.nnet import Mlp, TrainConfig, denormalize, load_model, normalize, save_model, train
 from loopbench.simcore import Fopdt, PlantModel, SignalController, SimConfig, simulate
 from loopbench.surrogate import (
     HybridModel, NarxModel, fit_hybrid, fit_surrogate, hybrid_predict, lag_features,
-    load_narx, make_regression_dataset, narx_rollout, save_narx,
+    make_regression_dataset, narx_rollout,
 )
 
 
@@ -216,8 +216,8 @@ def test_hybrid_zero_physics_degenerates_to_residual():
 def test_narx_save_load_round_trip(tmp_path):
     s = _linear_map_series(n=200)
     model, _ = fit_surrogate(s, 2, 2, TrainConfig(max_epochs=10, seed=0), hidden=(6,))
-    save_narx(model, tmp_path / "sur.weights")
-    back = load_narx(tmp_path / "sur.weights")
+    save_model(model, tmp_path / "sur.weights")
+    back = load_model(tmp_path / "sur.weights", NarxModel)
     y_win, u_win = np.array([0.1, 0.2]), np.array([0.3, -0.4])
     assert back.predict_one(y_win, u_win) == model.predict_one(y_win, u_win)
     assert back.dt == model.dt and back.p == model.p and back.q == model.q
