@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import ExcitationSpec
+from .dataio import ExcitationSpec, read_text
 from .errors import ConfigError
 from .nnet import TrainConfig, load_model
 from .pid import CascadeSpec, PidGains
@@ -115,7 +114,7 @@ def resolve_config(raw: dict) -> dict:
 
 def load_raw_config(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
     try:
@@ -289,7 +288,7 @@ def gains_to_dict(gains: PidGains) -> dict:
 
 def load_gains_file(path, limits: tuple[float, float] | None = None) -> PidGains:
     try:
-        block = json.loads(Path(path).read_text(encoding="utf-8"))
+        block = json.loads(read_text(path))
     except OSError as exc:
         raise ConfigError(f"cannot read gains file: {exc}", str(path)) from exc
     except json.JSONDecodeError as exc:

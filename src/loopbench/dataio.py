@@ -18,6 +18,19 @@ from .errors import InvalidSpec, MustResample, ParseError, TooShort
 _BASE_COLUMNS = ("t", "w", "y", "u", "d")
 
 
+def read_text(path) -> str:
+    """A file read as `Path.read_text` reads it (UTF-8, universal newlines);
+    bytes that are not UTF-8 raise ParseError with the path and the 1-based
+    line of the first bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x})",
+                         line=raw.count(b"\n", 0, exc.start) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 @dataclass
 class TimeSeries:
     """In-memory image of one data file."""
@@ -99,8 +112,7 @@ def write_timeseries(series: TimeSeries, path) -> None:
 
 def read_timeseries(path) -> TimeSeries:
     """Parse and validate a data file; every failure carries a 1-based line number."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     names = _validate_header([f.strip() for f in lines[0].split(",")])

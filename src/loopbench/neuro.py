@@ -12,7 +12,7 @@ squashes), not post-hoc clamps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,33 +29,6 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-# ---------------------------------------------------------------------------
-# Feature windows
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ControlHistory:
-    """Newest-first buffers of past measurements and controls, zero-warm."""
-
-    m: int
-    y: list = field(default_factory=list)
-    u: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.y:
-            self.y = [0.0] * self.m
-        if not self.u:
-            self.u = [0.0] * self.m
-
-    def push(self, y_now: float, u_now: float) -> None:
-        self.y = [y_now] + self.y[: self.m - 1]
-        self.u = [u_now] + self.u[: self.m - 1]
-
-    def reset(self) -> None:
-        self.y = [0.0] * self.m
-        self.u = [0.0] * self.m
-
-
 def _feature_stats(mean, std, size: int):
     """Feature normalization stats checked to `size` entries; zero mean and
     unit std where not given."""
@@ -70,6 +43,7 @@ class NeuralController:
     Features: current reference, the last m measurements (newest first,
     including the current one), and the last m controls. The tanh output
     squash makes saturation structural for arbitrary network weights.
+    `features` builds the row for deployment, imitation replay and BPTT alike.
     """
 
     KIND = "neural-controller"
@@ -101,21 +75,27 @@ class NeuralController:
     def half_span(self) -> float:
         return 0.5 * (self.u_max - self.u_min)
 
-    def features(self, w: float, y_now: float, hist: ControlHistory) -> np.ndarray:
-        return np.array([w, y_now, *hist.y[: self.memory - 1], *hist.u[: self.memory]])
+    @staticmethod
+    def features(w: float, y_window, u_window) -> list:
+        """Row from chronological windows of exactly m samples (newest last):
+        y(k-m+1)..y(k), the current measurement included, and u(k-m)..u(k-1)."""
+        return [w, *y_window[::-1], *u_window[::-1]]
 
-    def output(self, feat_raw: np.ndarray) -> float:
-        z = float(self.mlp.forward(normalize(feat_raw, self.feat_mean, self.feat_std))[0])
+    def forward(self, row):
+        """Pre-squash network output z and the activations of the pass."""
+        out, acts = self.mlp.forward_cached(normalize(row, self.feat_mean, self.feat_std))
+        return float(out[0, 0]), acts
+
+    def output(self, row) -> float:
+        z = self.forward(row)[0]
         if not math.isfinite(z):
             raise ControllerFault("non-finite network output")
         return self.center + self.half_span * math.tanh(z)
 
-    def aux_output(self, feat_raw: np.ndarray) -> float:
+    def aux_output(self, row) -> float:
         if self.aux is None:
             raise FeatureUnavailable("disturbance head not enabled on this controller")
-        fn = normalize(feat_raw, self.feat_mean, self.feat_std)
-        _, acts = self.mlp.forward_cached(fn)
-        return float(self.aux.forward(acts[-1])[0, 0])
+        return float(self.aux.forward(self.forward(row)[1][-1])[0, 0])
 
     def copy(self) -> "NeuralController":
         return NeuralController(self.mlp.copy(), self.u_min, self.u_max, self.memory,
@@ -124,20 +104,27 @@ class NeuralController:
 
 
 class NeuralControlLoop:
-    """Controller-protocol adapter owning the history buffers."""
+    """Controller-protocol adapter owning the zero-warm feature windows."""
 
     def __init__(self, nc: NeuralController):
         self.nc = nc
-        self.hist = ControlHistory(nc.memory)
+        self.reset()
 
     def reset(self) -> None:
-        self.hist.reset()
+        self.y_win = [0.0] * self.nc.memory
+        self.u_win = [0.0] * self.nc.memory
 
     def step(self, w: float, y, dt: float) -> float:
-        """Assemble features, run the net, squash, and update the history."""
-        y0 = primary_output(y)
-        u = self.nc.output(self.nc.features(w, y0, self.hist))
-        self.hist.push(y0, u)
+        """Run the net on the current row, then shift both windows. The
+        measurement goes into the window's newest slot, which shifts out
+        only once the output is valid: a faulted step leaves no history."""
+        y_win, u_win = self.y_win, self.u_win
+        y_win[-1] = primary_output(y)
+        u = self.nc.output(self.nc.features(w, y_win, u_win))
+        y_win.append(0.0)
+        del y_win[0]
+        u_win.append(u)
+        del u_win[0]
         return u
 
 
@@ -170,20 +157,22 @@ class GainScheduler:
             raise ValueError(f"scheduler net must map {want} features to 3 gains")
         self.feat_mean, self.feat_std = _feature_stats(self.feat_mean, self.feat_std, want)
 
-    def features(self, e_window, y_window) -> np.ndarray:
-        return np.concatenate([e_window, y_window])
+    @staticmethod
+    def features(e_window, y_window) -> list:
+        """Row from chronological windows of exactly m samples (newest last):
+        the errors, then the measurements, each newest first."""
+        return [*e_window[::-1], *y_window[::-1]]
 
-    def gains_from(self, feat_raw: np.ndarray) -> tuple[float, float, float]:
-        z = self.mlp.forward(normalize(feat_raw, self.feat_mean, self.feat_std))
-        g = self.bounds[:, 0] + _sigmoid(np.clip(z, -60.0, 60.0)) * (self.bounds[:, 1] - self.bounds[:, 0])
+    def forward(self, row):
+        """Gains (array), the clipped network output z and the activations."""
+        out, acts = self.mlp.forward_cached(normalize(row, self.feat_mean, self.feat_std))
+        z = np.clip(out[0], -60.0, 60.0)
+        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+        return lo + _sigmoid(z) * (hi - lo), z, acts
+
+    def gains_from(self, row) -> tuple[float, float, float]:
+        g = self.forward(row)[0]
         return float(g[0]), float(g[1]), float(g[2])
-
-    def aux_output(self, feat_raw: np.ndarray) -> float:
-        if self.aux is None:
-            raise FeatureUnavailable("disturbance head not enabled on this scheduler")
-        fn = normalize(feat_raw, self.feat_mean, self.feat_std)
-        _, acts = self.mlp.forward_cached(fn)
-        return float(self.aux.forward(acts[-1])[0, 0])
 
     def copy(self) -> "GainScheduler":
         return GainScheduler(self.mlp.copy(), self.bounds.copy(), self.memory,
@@ -211,9 +200,8 @@ class ScheduledPidController:
         self.template = template
         self.gains = _ScheduledGains(template)
         self.state = PidState()
-        self.e_win = [0.0] * gs.memory
-        self.y_win = [0.0] * gs.memory
         self.gain_trace: list[tuple[float, float, float]] = []
+        self.reset()
 
     def reset(self) -> None:
         self.state.reset()
@@ -223,9 +211,10 @@ class ScheduledPidController:
 
     def step(self, w: float, y, dt: float) -> float:
         y0 = primary_output(y)
-        e = w - y0
-        self.e_win = [e] + self.e_win[:-1]
-        self.y_win = [y0] + self.y_win[:-1]
+        self.e_win.append(w - y0)
+        del self.e_win[0]
+        self.y_win.append(y0)
+        del self.y_win[0]
         kp, ki, kd = self.gs.gains_from(self.gs.features(self.e_win, self.y_win))
         self.gain_trace.append((kp, ki, kd))
         self.gains.kp, self.gains.ki, self.gains.kd = kp, ki, kd
@@ -257,18 +246,16 @@ def imitation_data_from_run(traj, m: int, with_disturbance: bool = False) -> Sup
     `with_disturbance`, rows also carry the next-step disturbance as a second
     target column for the auxiliary head.
     """
-    hist = ControlHistory(m)
-    feats, targets = [], []
     n = len(traj.t)
-    for k in range(n - 1):
-        y_k = float(traj.y_meas[k])
-        feats.append(np.array([traj.w[k], y_k, *hist.y[: m - 1], *hist.u[:m]]))
-        row = [float(traj.u[k])]
-        if with_disturbance:
-            row.append(float(traj.d[k + 1]))
-        targets.append(row)
-        hist.push(y_k, float(traj.u[k]))
-    return SupervisedDataset(np.stack(feats), np.array(targets))
+    # zero-warm records: step k's windows are y_pad[k:k+m] and u_pad[k:k+m]
+    y_pad = [0.0] * (m - 1) + np.asarray(traj.y_meas, dtype=float).tolist()
+    u_pad = [0.0] * m + np.asarray(traj.u, dtype=float).tolist()
+    feats = [NeuralController.features(traj.w[k], y_pad[k:k + m], u_pad[k:k + m])
+             for k in range(n - 1)]
+    targets = [u_pad[m:m + n - 1]]
+    if with_disturbance:
+        targets.append(np.asarray(traj.d, dtype=float)[1:n])
+    return SupervisedDataset(np.array(feats), np.column_stack(targets))
 
 
 @dataclass
@@ -396,196 +383,81 @@ class BpttResult:
     skipped: list  # diverged episode count per epoch
 
 
-def _controller_rollout(nc: NeuralController, narx: NarxModel, w_seq: np.ndarray,
-                        horizon: int, rho: float, want_grads: bool):
-    """Unrolled controller->surrogate loop; returns (loss, flat grads or None).
+class _ControllerBlock:
+    """The neural controller as a rollout block: u_k = center + half_span *
+    tanh(z) on the controller's own row."""
 
-    The reverse pass propagates adjoints through the surrogate into both the
-    output-lag and control-lag windows, then through the controller squash
-    and network into its parameters and feature history.
-    """
-    p, q, m = narx.p, narx.q, nc.memory
-    pad_y = max(p, m)
-    pad_u = max(q - 1, m, 1)
-    ys = np.zeros(pad_y + horizon)
-    us = np.zeros(pad_u + horizon)
-    caches_c, caches_s, zs = [], [], []
+    def __init__(self, nc: NeuralController):
+        self.nc = nc
 
-    loss_track = 0.0
-    loss_du = 0.0
-    for k in range(horizon):
-        iy = pad_y - 1 + k
-        y_now = ys[iy]
-        feat_c = np.concatenate([[w_seq[k], y_now], ys[iy - m + 1: iy][::-1],
-                                 us[pad_u - 1 + k - m + 1: pad_u + k][::-1]])
-        fn = normalize(feat_c, nc.feat_mean, nc.feat_std)
-        z_out, acts_c = nc.mlp.forward_cached(fn)
-        z = float(z_out[0, 0])
-        u_k = nc.center + nc.half_span * math.tanh(z)
-        us[pad_u + k] = u_k
+    def forward(self, k, w, y_window, u_window):
+        nc = self.nc
+        z, acts = nc.forward(nc.features(w, y_window, u_window))
+        return nc.center + nc.half_span * math.tanh(z), (z, acts)
 
-        feat_s = np.concatenate([ys[iy - p + 1: iy + 1][::-1],
-                                 us[pad_u + k - q + 1: pad_u + k + 1][::-1]])
-        y_next, acts_s = narx.predict_cached(feat_s)
-        if not math.isfinite(y_next):
-            raise SimulationDiverged("surrogate rollout diverged", step=k)
-        ys[pad_y + k] = y_next
-
-        loss_track += (y_next - w_seq[k + 1]) ** 2
-        loss_du += (u_k - us[pad_u + k - 1]) ** 2
-        if want_grads:
-            caches_c.append(acts_c)
-            caches_s.append(acts_s)
-            zs.append(z)
-
-    loss = loss_track / horizon + rho * loss_du / horizon
-    if not want_grads:
-        return loss, None
-
-    ybar = np.zeros_like(ys)
-    ubar = np.zeros_like(us)
-    pgrads = np.zeros(nc.mlp.n_params)
-    for k in range(horizon - 1, -1, -1):
-        iy = pad_y - 1 + k
-        ybar[pad_y + k] += 2.0 * (ys[pad_y + k] - w_seq[k + 1]) / horizon
-        du = us[pad_u + k] - us[pad_u + k - 1]
-        ubar[pad_u + k] += 2.0 * rho * du / horizon
-        ubar[pad_u + k - 1] -= 2.0 * rho * du / horizon
-
-        fbar_s = narx.backward_to_features(caches_s[k], float(ybar[pad_y + k]))
-        for j in range(p):
-            ybar[iy - j] += fbar_s[j]
-        for j in range(q):
-            ubar[pad_u + k - j] += fbar_s[p + j]
-
-        dz = float(ubar[pad_u + k]) * nc.half_span * (1.0 - math.tanh(zs[k]) ** 2)
-        g_c, gf = nc.mlp.backward(caches_c[k], np.array([[dz]]))
-        pgrads += g_c
+    def reverse(self, k, cache, u_bar, ybar_w, ubar_w):
+        # u_bar already holds the loss terms and the surrogate adjoint; the
+        # row's adjoint then goes into the y and u windows, one sum per entry
+        nc, m = self.nc, self.nc.memory
+        z, acts = cache
+        dz = u_bar * nc.half_span * (1.0 - math.tanh(z) ** 2)
+        grads, gf = nc.mlp.backward(acts, np.array([[dz]]))
         df = gf[0] / nc.feat_std
-        ybar[iy] += df[1]
-        for j in range(1, m):
-            ybar[iy - j] += df[1 + j]
-        for j in range(m):
-            ubar[pad_u - 1 + k - j] += df[1 + m + j]
-
-    return loss, pgrads
+        ybar_w += df[1:m + 1][::-1]
+        ubar_w += df[m + 1:][::-1]
+        return grads
 
 
-def _scheduler_rollout(gs: GainScheduler, narx: NarxModel, w_seq: np.ndarray,
-                       horizon: int, rho: float, want_grads: bool,
-                       limits: tuple[float, float]):
-    """Unrolled scheduled-PI->surrogate loop with a differentiable PI core.
+class _SchedulerBlock:
+    """Scheduled PI core as a rollout block: rectangle integration with
+    conditional anti-windup (branch flags kept for the reverse pass); the
+    derivative channel is left to the deployed PID, where it is bounded
+    anyway. The error window, the integrator and their adjoints live here."""
 
-    The training core uses rectangle integration with conditional anti-windup
-    (branch flags recorded for the reverse pass); the derivative channel is
-    left to the deployed PID, where it is bounded anyway.
-    """
-    p, q, m = narx.p, narx.q, gs.memory
-    dt = narx.dt
-    pad_y = max(p, m)
-    pad_u = max(q - 1, 1)
-    ys = np.zeros(pad_y + horizon)
-    us = np.zeros(pad_u + horizon)
-    es = np.zeros(m + horizon)
-    caches_g, caches_s, z_list, gain_list, flags = [], [], [], [], []
+    def __init__(self, gs: GainScheduler, dt: float, limits, horizon: int):
+        self.gs, self.dt, self.limits = gs, dt, limits
+        self.es = [0.0] * gs.memory  # zero-warm error record
+        self.ebar = np.zeros(gs.memory + horizon)
+        self.s_int = 0.0
+        self.sbar = 0.0  # adjoint of the integrator entering step k+1
 
-    s_int = 0.0
-    loss_track = 0.0
-    loss_du = 0.0
-    lo, hi = gs.bounds[:, 0], gs.bounds[:, 1]
-    for k in range(horizon):
-        iy = pad_y - 1 + k
-        e_k = w_seq[k] - ys[iy]
-        es[m + k] = e_k
-        feat = np.concatenate([es[k + 1: m + k + 1][::-1], ys[iy - m + 1: iy + 1][::-1]])
-        fn = normalize(feat, gs.feat_mean, gs.feat_std)
-        z_out, acts_g = gs.mlp.forward_cached(fn)
-        z = np.clip(z_out[0], -60.0, 60.0)
-        sig = _sigmoid(z)
-        gains = lo + sig * (hi - lo)
+    def forward(self, k, w, y_window, u_window):
+        gs, m, (u_lo, u_hi) = self.gs, self.gs.memory, self.limits
+        e_k = w - y_window[-1]
+        self.es.append(e_k)
+        gains, z, acts = gs.forward(gs.features(self.es[-m:], y_window))
         kp, ki = float(gains[0]), float(gains[1])
-
-        inc = ki * e_k * dt
-        s_cand = s_int + inc
+        inc = ki * e_k * self.dt
+        s_cand = self.s_int + inc
         u_raw = kp * e_k + s_cand
-        if u_raw > limits[1]:
-            u_k, sat = limits[1], 1
-        elif u_raw < limits[0]:
-            u_k, sat = limits[0], -1
-        else:
-            u_k, sat = u_raw, 0
+        sat = 1 if u_raw > u_hi else -1 if u_raw < u_lo else 0
         frozen = sat != 0 and (inc * sat > 0.0)
-        s_prev = s_int
-        s_int = s_prev if frozen else s_cand
-        us[pad_u + k] = u_k
+        if not frozen:
+            self.s_int = s_cand
+        u_k = u_hi if sat > 0 else u_lo if sat < 0 else u_raw
+        return u_k, (z, acts, kp, ki, sat, frozen)
 
-        feat_s = np.concatenate([ys[iy - p + 1: iy + 1][::-1],
-                                 us[pad_u + k - q + 1: pad_u + k + 1][::-1]])
-        y_next, acts_s = narx.predict_cached(feat_s)
-        if not math.isfinite(y_next):
-            raise SimulationDiverged("surrogate rollout diverged", step=k)
-        ys[pad_y + k] = y_next
-
-        loss_track += (y_next - w_seq[k + 1]) ** 2
-        loss_du += (u_k - us[pad_u + k - 1]) ** 2
-        if want_grads:
-            caches_g.append(acts_g)
-            caches_s.append(acts_s)
-            z_list.append(z)
-            gain_list.append((kp, ki))
-            flags.append((sat, frozen))
-
-    loss = loss_track / horizon + rho * loss_du / horizon
-    if not want_grads:
-        return loss, None
-
-    ybar = np.zeros_like(ys)
-    ubar = np.zeros_like(us)
-    ebar = np.zeros_like(es)
-    sbar = 0.0  # adjoint of the integrator entering step k+1
-    pgrads = np.zeros(gs.mlp.n_params)
-    for k in range(horizon - 1, -1, -1):
-        iy = pad_y - 1 + k
-        ybar[pad_y + k] += 2.0 * (ys[pad_y + k] - w_seq[k + 1]) / horizon
-        du = us[pad_u + k] - us[pad_u + k - 1]
-        ubar[pad_u + k] += 2.0 * rho * du / horizon
-        ubar[pad_u + k - 1] -= 2.0 * rho * du / horizon
-
-        fbar_s = narx.backward_to_features(caches_s[k], float(ybar[pad_y + k]))
-        for j in range(p):
-            ybar[iy - j] += fbar_s[j]
-        for j in range(q):
-            ubar[pad_u + k - j] += fbar_s[p + j]
-
-        sat, frozen = flags[k]
-        kp, ki = gain_list[k]
-        e_k = es[m + k]
-        du_raw = float(ubar[pad_u + k]) if sat == 0 else 0.0
+    def reverse(self, k, cache, u_bar, ybar_w, ubar_w):
+        # after the loss terms and surrogate adjoint (in u_bar): the PI core into
+        # ebar[m+k] and the sbar carry, network backward, window scatters, and
+        # last the fold of the final ebar[m+k] into the newest y (e_k = w_k - y_k)
+        gs, m, dt = self.gs, self.gs.memory, self.dt
+        z, acts, kp, ki, sat, frozen = cache
+        e_k = self.es[m + k]
+        du_raw = u_bar if sat == 0 else 0.0
         # s_cand feeds u_raw always and the next state only when not frozen
-        ds_cand = du_raw + (0.0 if frozen else sbar)
-        ds_prev = ds_cand + (sbar if frozen else 0.0)
-        dkp = du_raw * e_k
-        dki = ds_cand * e_k * dt
-        de = du_raw * kp + ds_cand * ki * dt
-        ebar[m + k] += de
-        sbar = ds_prev
-
-        z = z_list[k]
-        sig = _sigmoid(z)
-        dz = np.array([dkp, dki, 0.0]) * sig * (1.0 - sig) * (hi - lo)
-        g_g, gf = gs.mlp.backward(caches_g[k], dz.reshape(1, 3))
-        pgrads += g_g
+        ds_cand = du_raw + (0.0 if frozen else self.sbar)
+        ds_prev = ds_cand + (self.sbar if frozen else 0.0)
+        self.ebar[m + k] += du_raw * kp + ds_cand * ki * dt
+        self.sbar = ds_prev
+        sig, span = _sigmoid(z), gs.bounds[:, 1] - gs.bounds[:, 0]
+        dz = np.array([du_raw * e_k, ds_cand * e_k * dt, 0.0]) * sig * (1.0 - sig) * span
+        grads, gf = gs.mlp.backward(acts, dz.reshape(1, 3))
         df = gf[0] / gs.feat_std
-        for j in range(m):
-            ebar[m + k - j] += df[j]
-            ybar[iy - j] += df[m + j]
-
-        # ebar[m+k] is final here (the PID core above and the feature windows
-        # of steps >= k are all processed); fold e_k = w_k - y_k into y_k now,
-        # before iteration k-1 consumes ybar for y_k.
-        ybar[iy] -= ebar[m + k]
-
-    return loss, pgrads
+        self.ebar[k + 1:m + k + 1] += df[:m][::-1]
+        ybar_w += df[m:][::-1]
+        ybar_w[-1] -= self.ebar[m + k]
+        return grads
 
 
 def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float = 0.01,
@@ -594,17 +466,71 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float 
     """Rollout loss and exact gradient w.r.t. the trained network's weights.
 
     loss = mean squared tracking error + rho * mean squared control move.
-    Exposed separately so the finite-difference oracle in the tests can call
-    the same computation it is checking.
+    One unrolled block->surrogate loop for both targets: the loop owns the
+    output and control records, the surrogate step, the loss and the
+    surrogate adjoint; the controller or the scheduled PI core supplies a
+    forward step (windows to u_k and a cache) and a reverse step (the cache
+    and the adjoint of u_k to the parameter gradient, its window adjoints
+    added into ybar/ubar). Exposed separately so the finite-difference
+    oracle in the tests can call the same computation it is checking.
     """
     w_seq = np.asarray(w_seq, dtype=float)
     if len(w_seq) < horizon + 1:
         raise ValueError("reference must cover horizon + 1 samples")
     if isinstance(target, NeuralController):
-        return _controller_rollout(target, narx, w_seq, horizon, rho, want_grads)
-    if isinstance(target, GainScheduler):
-        return _scheduler_rollout(target, narx, w_seq, horizon, rho, want_grads, limits)
-    raise TypeError("target must be a NeuralController or GainScheduler")
+        block = _ControllerBlock(target)
+    elif isinstance(target, GainScheduler):
+        block = _SchedulerBlock(target, narx.dt, limits, horizon)
+    else:
+        raise TypeError("target must be a NeuralController or GainScheduler")
+    p, q, m = narx.p, narx.q, target.memory
+    pad_y = max(p, m)
+    pad_u = max(q - 1, m, 1)
+    ys = np.zeros(pad_y + horizon)
+    us = np.zeros(pad_u + horizon)
+    caches = []
+
+    loss_track = 0.0
+    loss_du = 0.0
+    for k in range(horizon):
+        iy, iu = pad_y - 1 + k, pad_u + k  # newest output; the control chosen now
+        u_k, cache = block.forward(k, w_seq[k], ys[iy - m + 1:iy + 1].tolist(),
+                                   us[iu - m:iu].tolist())
+        us[iu] = u_k
+        y_next, acts_s = narx.predict(ys[iy - p + 1:iy + 1].tolist(), us[iu - q + 1:iu + 1].tolist())
+        if not math.isfinite(y_next):
+            raise SimulationDiverged("surrogate rollout diverged", step=k)
+        ys[iy + 1] = y_next
+        loss_track += (y_next - w_seq[k + 1]) ** 2
+        loss_du += (u_k - us[iu - 1]) ** 2
+        caches.append((cache, acts_s))
+
+    loss = loss_track / horizon + rho * loss_du / horizon
+    if not want_grads:
+        return loss, None
+
+    # each reverse step adds, in this order: the loss terms, the surrogate
+    # adjoint, then the block's reverse step; every += is a float sum, so
+    # this order into each entry is what keeps the gradient's bits (sums
+    # into different entries may go in any order, hence the slice +=)
+    ybar = np.zeros_like(ys)
+    ubar = np.zeros_like(us)
+    pgrads = np.zeros(target.mlp.n_params)
+    for k in range(horizon - 1, -1, -1):
+        iy, iu = pad_y - 1 + k, pad_u + k
+        cache, acts_s = caches[k]
+        ybar[iy + 1] += 2.0 * (ys[iy + 1] - w_seq[k + 1]) / horizon
+        du = us[iu] - us[iu - 1]
+        ubar[iu] += 2.0 * rho * du / horizon
+        ubar[iu - 1] -= 2.0 * rho * du / horizon
+
+        fbar_s = narx.backward_to_features(acts_s, float(ybar[iy + 1]))
+        ybar[iy - p + 1:iy + 1] += fbar_s[:p][::-1]
+        ubar[iu - q + 1:iu + 1] += fbar_s[p:][::-1]
+
+        pgrads += block.reverse(k, cache, float(ubar[iu]), ybar[iy - m + 1:iy + 1],
+                                ubar[iu - m:iu])
+    return loss, pgrads
 
 
 def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConfig,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import read_text
 from .errors import ParseError, TrainingDiverged
 
 STD_FLOOR = 1e-12
@@ -307,7 +308,7 @@ def save_weights(net: Mlp, path) -> None:
 def load_weights(path) -> Mlp:
     """Inverse of `save_weights`. Malformed or truncated content raises
     ParseError with the 1-based line number."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
 
     def line(pos: int) -> str:
         if pos >= len(lines):
@@ -430,9 +431,8 @@ def load_model(path, cls):
     rejects raises ParseError naming the sidecar."""
     mlp = load_weights(path)
     where = str(path) + ".meta.json"
-    text = Path(where).read_text(encoding="utf-8")
     try:
-        meta = json.loads(text)
+        meta = json.loads(read_text(where))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON: {exc.msg}", line=exc.lineno) from None
     if not isinstance(meta, dict) or meta.get("kind") != cls.KIND:

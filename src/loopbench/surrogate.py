@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import MustResample, RolloutDiverged, TooShort
-from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, denormalize, \
-    float_vector, normalize, train
+from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, float_vector, \
+    normalize, train
 
 
 def _series_dt(t: np.ndarray) -> float:
@@ -30,9 +30,11 @@ def _series_dt(t: np.ndarray) -> float:
     return step
 
 
-def lag_features(y: np.ndarray, u: np.ndarray, k: int, p: int, q: int) -> np.ndarray:
-    """Feature row at time k: [y(k)..y(k-p+1), u(k)..u(k-q+1)], newest first."""
-    return np.concatenate([y[k - p + 1:k + 1][::-1], u[k - q + 1:k + 1][::-1]])
+def lag_features(y_window, u_window, p: int, q: int) -> list:
+    """The NARX feature row [y(k)..y(k-p+1), u(k)..u(k-q+1)], newest first,
+    from chronological windows (newest sample last, at least p outputs and
+    q inputs; only the newest count)."""
+    return [*y_window[-p:][::-1], *u_window[-q:][::-1]]
 
 
 def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
@@ -51,7 +53,9 @@ def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
     if n <= p + q + 1:
         raise TooShort(f"need more than p+q+1 = {p + q + 1} samples, got {n}")
     k0 = max(p, q)
-    rows = np.stack([lag_features(y, u, k, p, q) for k in range(k0, n - 1)])
+    y_list, u_list = y.tolist(), u.tolist()
+    rows = np.array([lag_features(y_list[k - p + 1:k + 1], u_list[k - q + 1:k + 1], p, q)
+                     for k in range(k0, n - 1)])
     targets = y[k0 + 1:n].reshape(-1, 1)
     return SupervisedDataset(rows, targets)
 
@@ -61,9 +65,9 @@ class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
     Per-step prediction runs on Python floats around one single-row
-    `Mlp.forward`: float arithmetic rounds exactly as numpy's elementwise
-    ops, so the result is bit-equal to normalizing and denormalizing arrays.
-    The float copies of the normalization stats are taken at construction.
+    `Mlp.forward_cached`: float arithmetic rounds exactly as numpy's
+    elementwise ops, so it is bit-equal to the array form. The float copies
+    of the normalization stats are taken at construction.
     """
 
     KIND = "narx-surrogate"
@@ -94,23 +98,16 @@ class NarxModel:
         self._y_mean = float(self.y_mean[0])
         self._y_std = float(self.y_std[0])
 
-    def predict_feat(self, feat_raw) -> float:
-        """Next output from a raw newest-first feature row (any float sequence)."""
-        xn = [(f - m) / s for f, (m, s) in zip(feat_raw, self._x_stats)]
-        z = float(self.mlp.forward(np.array([xn]))[0, 0])
-        return z * self._y_std + self._y_mean
+    def predict(self, y_window, u_window):
+        """Next output from chronological windows (newest sample last), and
+        the network activations `backward_to_features` takes."""
+        row = lag_features(y_window, u_window, self.p, self.q)
+        xn = [(f - m) / s for f, (m, s) in zip(row, self._x_stats)]
+        out, acts = self.mlp.forward_cached(np.array([xn]))
+        return float(out[0, 0]) * self._y_std + self._y_mean, acts
 
     def predict_one(self, y_window, u_window) -> float:
-        """Next output from chronological windows (newest sample last)."""
-        return self.predict_feat([*y_window[-self.p:][::-1], *u_window[-self.q:][::-1]])
-
-    # -- differentiable pieces used by closed-loop training ------------------
-
-    def predict_cached(self, feat_raw: np.ndarray):
-        xn = normalize(feat_raw, self.x_mean, self.x_std)
-        out, acts = self.mlp.forward_cached(xn)
-        y_next = float(denormalize(out[0], self.y_mean, self.y_std)[0])
-        return y_next, acts
+        return self.predict(y_window, u_window)[0]
 
     def backward_to_features(self, acts, upstream: float) -> np.ndarray:
         """Adjoint of the raw feature vector given d(loss)/d(prediction)."""
@@ -172,7 +169,7 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig,
 
     val_y, val_u = y[n_train:], u[n_train:]
     k0 = max(p, q)
-    preds = np.array([model.predict_feat(lag_features(val_y, val_u, k, p, q))
+    preds = np.array([model.predict_one(val_y[:k + 1], val_u[:k + 1])
                       for k in range(k0, len(val_y) - 1)])
     one_step_rmse = float(np.sqrt(np.mean((preds - val_y[k0 + 1:]) ** 2)))
 
@@ -247,17 +244,13 @@ class HybridModel:
     x_mean: np.ndarray
     x_std: np.ndarray
 
-    def residual_feat(self, y_window: np.ndarray, u_window: np.ndarray) -> np.ndarray:
-        feat = np.concatenate([np.asarray(y_window, dtype=float)[-self.p:][::-1],
-                               np.asarray(u_window, dtype=float)[-self.q:][::-1]])
-        return normalize(feat, self.x_mean, self.x_std)
-
 
 def hybrid_predict(model: HybridModel, y_window, u_window) -> float:
     y_window = np.asarray(y_window, dtype=float)
     u_window = np.asarray(u_window, dtype=float)
     base = float(model.physics(y_window, u_window))
-    corr = float(model.residual.forward(model.residual_feat(y_window, u_window))[0])
+    row = lag_features(y_window, u_window, model.p, model.q)
+    corr = float(model.residual.forward(normalize(row, model.x_mean, model.x_std))[0])
     return base + corr
 
 

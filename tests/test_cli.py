@@ -611,3 +611,47 @@ def test_wrong_sidecar_field_is_parse_error(tmp_path, capsys, model, key, value)
     assert run(tmp_path, path) == 4
     assert str(meta_path) in capsys.readouterr().err
 
+
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8
+# ---------------------------------------------------------------------------
+
+def _insert_ff(path, line):
+    """Put a 0xff byte at the start of the 1-based `line` of the file."""
+    rows = Path(path).read_bytes().split(b"\n")
+    rows[line - 1] = b"\xff" + rows[line - 1]
+    Path(path).write_bytes(b"\n".join(rows))
+
+
+def _sim_pid_cfg(tmp_path, **controller):
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+           "controller": {"kind": "pid", **controller}}
+    return _write(tmp_path, "sim.json", cfg)
+
+
+@pytest.mark.parametrize("target", ["config", "gains", "csv", "weights", "sidecar"])
+def test_non_utf8_byte_is_parse_error_with_path_and_line(tmp_path, capsys, target):
+    out = ["--out", str(tmp_path / "o")]
+    if target == "config":
+        bad = _sim_pid_cfg(tmp_path, gains={"kp": 1.0})
+        argv = ["simulate", "--config", bad, *out]
+    elif target == "gains":
+        bad = _write(tmp_path, "gains.json", {"kp": 1.0, "ki": 0.5, "kd": 0.0, "structure": "pid",
+                                              "u_min": None, "u_max": None, "filter_n": 10.0})
+        argv = ["simulate", "--config", _sim_pid_cfg(tmp_path, gains_path=bad), *out]
+    elif target == "csv":
+        a, bad = _two_sim_runs(tmp_path)
+        argv = ["compare", str(a), str(bad), *out]
+    else:
+        path = _saved_controller(tmp_path)
+        bad = str(path) if target == "weights" else f"{path}.meta.json"
+        cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+               "controller": {"kind": "neural", "model_path": str(path)}}
+        argv = ["simulate", "--config", _write(tmp_path, "sim.json", cfg), *out]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _insert_ff(bad, 3)
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and "line 3" in err

@@ -1,10 +1,11 @@
 """Seeded fuzzing of model files.
 
 Each mutant of a saved surrogate, controller or scheduler (weights file or
-sidecar) goes through the command that loads it. Whatever the mutation, the
-command ends in an exit code of the CLI contract (0 ok, 2 config,
-3 numerical, 4 I/O) and never in a traceback. Layer sizes stay small so that
-no mutant asks for a large allocation.
+sidecar, cut, edited or given a byte that is not UTF-8) goes through the
+command that loads it. Whatever the mutation, the command ends in an exit
+code of the CLI contract (0 ok, 2 config, 3 numerical, 4 I/O) and never in
+a traceback. Layer sizes stay small so that no mutant asks for a large
+allocation.
 """
 
 import json
@@ -106,6 +107,13 @@ def _mutate_sidecar(rng, meta, text):
     return json.dumps(meta), f"zeroed {key} row {row}"
 
 
+def _insert_ff(rng, text):
+    """Insert a 0xff byte, which no UTF-8 text holds, at a random offset."""
+    data = text.encode()
+    at = int(rng.integers(0, len(data) + 1))
+    return data[:at] + b"\xff" + data[at:], f"0xff at byte {at}"
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_mutated_model_files_keep_the_exit_code_contract(tmp_path, capsys, model):
     rng = np.random.default_rng(MODELS.index(model))
@@ -118,14 +126,19 @@ def test_mutated_model_files_keep_the_exit_code_contract(tmp_path, capsys, model
     codes = set()
     for i in range(N_MUTANTS):
         path = tmp_path / f"m{i}.weights"
-        weights_lines, what = lines, "unchanged weights"
-        meta_text = sidecar
-        if rng.random() < 0.3:
+        meta_path = tmp_path / f"m{i}.weights.meta.json"
+        files = {path: "\n".join(lines) + "\n", meta_path: sidecar}
+        draw = rng.random()
+        if draw < 0.3:
             weights_lines, what = _mutate_weights(rng, lines)
+            files[path] = "\n".join(weights_lines) + "\n"
+        elif draw < 0.4:
+            target = (path, meta_path)[int(rng.integers(0, 2))]
+            files[target], what = _insert_ff(rng, files[target])
         else:
-            meta_text, what = _mutate_sidecar(rng, meta, sidecar)
-        path.write_text("\n".join(weights_lines) + "\n")
-        (tmp_path / f"m{i}.weights.meta.json").write_text(meta_text)
+            files[meta_path], what = _mutate_sidecar(rng, meta, sidecar)
+        for target, content in files.items():
+            target.write_bytes(content if isinstance(content, bytes) else content.encode())
         for cfg, argv in _commands(path)[model]:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(cfg))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from loopbench.neuro import (
     _episode_cost_on_surrogate, nelder_mead_bounded, train_bptt, train_imitation,
     tune_static_ai,
 )
-from loopbench.nnet import Mlp, TrainConfig, load_model, save_model
+from loopbench.nnet import Mlp, TrainConfig, denormalize, load_model, normalize, save_model
 from loopbench.pid import PidController, PidGains, PidState, pid_step
-from loopbench.simcore import DisturbanceSpec, Fopdt, PlantModel, SimConfig, simulate, step_reference
+from loopbench.simcore import (
+    DisturbanceSpec, Fopdt, PlantModel, SensorSpec, SimConfig, simulate, step_reference,
+)
 from loopbench.surrogate import NarxModel
 from test_surrogate import NARX_SHAPES, array_predict_one, random_narx
 
@@ -123,8 +126,8 @@ class _RebuiltGainsController(ScheduledPidController):
     def step(self, w, y, dt):
         y0 = float(y)
         e = w - y0
-        self.e_win = [e] + self.e_win[:-1]
-        self.y_win = [y0] + self.y_win[:-1]
+        self.e_win = self.e_win[1:] + [e]
+        self.y_win = self.y_win[1:] + [y0]
         kp, ki, kd = self.gs.gains_from(self.gs.features(self.e_win, self.y_win))
         self.gain_trace.append((kp, ki, kd))
         gains = PidGains(kp=kp, ki=ki, kd=kd, structure=self.template.structure,
@@ -193,6 +196,188 @@ def test_bptt_scheduler_gradient_matches_finite_differences():
         limits = (-100.0, 100.0)
         _, g = bptt_loss_and_grad(gs, narx, w_seq, 3, 0.01, limits)
         assert _max_rel(g, _fd_bptt(gs, narx, w_seq, 3, 0.01, limits)) < 1e-4
+
+
+# The two rollouts `bptt_loss_and_grad` used before it became one loop with a
+# controller block and a scheduled-PI block, kept as the bit-for-bit reference.
+
+def _ref_surrogate_step(narx, feat_s):
+    out, acts = narx.mlp.forward_cached(normalize(feat_s, narx.x_mean, narx.x_std))
+    return float(denormalize(out[0], narx.y_mean, narx.y_std)[0]), acts
+
+
+def _ref_controller_rollout(nc, narx, w_seq, horizon, rho):
+    p, q, m = narx.p, narx.q, nc.memory
+    pad_y = max(p, m)
+    pad_u = max(q - 1, m, 1)
+    ys = np.zeros(pad_y + horizon)
+    us = np.zeros(pad_u + horizon)
+    caches_c, caches_s, zs = [], [], []
+    loss_track = 0.0
+    loss_du = 0.0
+    for k in range(horizon):
+        iy = pad_y - 1 + k
+        y_now = ys[iy]
+        feat_c = np.concatenate([[w_seq[k], y_now], ys[iy - m + 1: iy][::-1],
+                                 us[pad_u - 1 + k - m + 1: pad_u + k][::-1]])
+        z_out, acts_c = nc.mlp.forward_cached(normalize(feat_c, nc.feat_mean, nc.feat_std))
+        z = float(z_out[0, 0])
+        u_k = nc.center + nc.half_span * math.tanh(z)
+        us[pad_u + k] = u_k
+        feat_s = np.concatenate([ys[iy - p + 1: iy + 1][::-1],
+                                 us[pad_u + k - q + 1: pad_u + k + 1][::-1]])
+        y_next, acts_s = _ref_surrogate_step(narx, feat_s)
+        ys[pad_y + k] = y_next
+        loss_track += (y_next - w_seq[k + 1]) ** 2
+        loss_du += (u_k - us[pad_u + k - 1]) ** 2
+        caches_c.append(acts_c)
+        caches_s.append(acts_s)
+        zs.append(z)
+    loss = loss_track / horizon + rho * loss_du / horizon
+
+    ybar = np.zeros_like(ys)
+    ubar = np.zeros_like(us)
+    pgrads = np.zeros(nc.mlp.n_params)
+    for k in range(horizon - 1, -1, -1):
+        iy = pad_y - 1 + k
+        ybar[pad_y + k] += 2.0 * (ys[pad_y + k] - w_seq[k + 1]) / horizon
+        du = us[pad_u + k] - us[pad_u + k - 1]
+        ubar[pad_u + k] += 2.0 * rho * du / horizon
+        ubar[pad_u + k - 1] -= 2.0 * rho * du / horizon
+        fbar_s = narx.backward_to_features(caches_s[k], float(ybar[pad_y + k]))
+        for j in range(p):
+            ybar[iy - j] += fbar_s[j]
+        for j in range(q):
+            ubar[pad_u + k - j] += fbar_s[p + j]
+        dz = float(ubar[pad_u + k]) * nc.half_span * (1.0 - math.tanh(zs[k]) ** 2)
+        g_c, gf = nc.mlp.backward(caches_c[k], np.array([[dz]]))
+        pgrads += g_c
+        df = gf[0] / nc.feat_std
+        ybar[iy] += df[1]
+        for j in range(1, m):
+            ybar[iy - j] += df[1 + j]
+        for j in range(m):
+            ubar[pad_u - 1 + k - j] += df[1 + m + j]
+    return loss, pgrads
+
+
+def _ref_scheduler_rollout(gs, narx, w_seq, horizon, rho, limits):
+    p, q, m = narx.p, narx.q, gs.memory
+    dt = narx.dt
+    pad_y = max(p, m)
+    pad_u = max(q - 1, 1)
+    ys = np.zeros(pad_y + horizon)
+    us = np.zeros(pad_u + horizon)
+    es = np.zeros(m + horizon)
+    caches_g, caches_s, z_list, gain_list, flags = [], [], [], [], []
+    s_int = 0.0
+    loss_track = 0.0
+    loss_du = 0.0
+    lo, hi = gs.bounds[:, 0], gs.bounds[:, 1]
+    for k in range(horizon):
+        iy = pad_y - 1 + k
+        e_k = w_seq[k] - ys[iy]
+        es[m + k] = e_k
+        feat = np.concatenate([es[k + 1: m + k + 1][::-1], ys[iy - m + 1: iy + 1][::-1]])
+        z_out, acts_g = gs.mlp.forward_cached(normalize(feat, gs.feat_mean, gs.feat_std))
+        z = np.clip(z_out[0], -60.0, 60.0)
+        gains = lo + 1.0 / (1.0 + np.exp(-z)) * (hi - lo)
+        kp, ki = float(gains[0]), float(gains[1])
+        inc = ki * e_k * dt
+        s_cand = s_int + inc
+        u_raw = kp * e_k + s_cand
+        if u_raw > limits[1]:
+            u_k, sat = limits[1], 1
+        elif u_raw < limits[0]:
+            u_k, sat = limits[0], -1
+        else:
+            u_k, sat = u_raw, 0
+        frozen = sat != 0 and (inc * sat > 0.0)
+        s_int = s_int if frozen else s_cand
+        us[pad_u + k] = u_k
+        feat_s = np.concatenate([ys[iy - p + 1: iy + 1][::-1],
+                                 us[pad_u + k - q + 1: pad_u + k + 1][::-1]])
+        y_next, acts_s = _ref_surrogate_step(narx, feat_s)
+        ys[pad_y + k] = y_next
+        loss_track += (y_next - w_seq[k + 1]) ** 2
+        loss_du += (u_k - us[pad_u + k - 1]) ** 2
+        caches_g.append(acts_g)
+        caches_s.append(acts_s)
+        z_list.append(z)
+        gain_list.append((kp, ki))
+        flags.append((sat, frozen))
+    loss = loss_track / horizon + rho * loss_du / horizon
+
+    ybar = np.zeros_like(ys)
+    ubar = np.zeros_like(us)
+    ebar = np.zeros_like(es)
+    sbar = 0.0
+    pgrads = np.zeros(gs.mlp.n_params)
+    for k in range(horizon - 1, -1, -1):
+        iy = pad_y - 1 + k
+        ybar[pad_y + k] += 2.0 * (ys[pad_y + k] - w_seq[k + 1]) / horizon
+        du = us[pad_u + k] - us[pad_u + k - 1]
+        ubar[pad_u + k] += 2.0 * rho * du / horizon
+        ubar[pad_u + k - 1] -= 2.0 * rho * du / horizon
+        fbar_s = narx.backward_to_features(caches_s[k], float(ybar[pad_y + k]))
+        for j in range(p):
+            ybar[iy - j] += fbar_s[j]
+        for j in range(q):
+            ubar[pad_u + k - j] += fbar_s[p + j]
+        sat, frozen = flags[k]
+        kp, ki = gain_list[k]
+        e_k = es[m + k]
+        du_raw = float(ubar[pad_u + k]) if sat == 0 else 0.0
+        ds_cand = du_raw + (0.0 if frozen else sbar)
+        ds_prev = ds_cand + (sbar if frozen else 0.0)
+        dkp = du_raw * e_k
+        dki = ds_cand * e_k * dt
+        ebar[m + k] += du_raw * kp + ds_cand * ki * dt
+        sbar = ds_prev
+        sig = 1.0 / (1.0 + np.exp(-z_list[k]))
+        dz = np.array([dkp, dki, 0.0]) * sig * (1.0 - sig) * (hi - lo)
+        g_g, gf = gs.mlp.backward(caches_g[k], dz.reshape(1, 3))
+        pgrads += g_g
+        df = gf[0] / gs.feat_std
+        for j in range(m):
+            ebar[m + k - j] += df[j]
+            ybar[iy - j] += df[m + j]
+        ybar[iy] -= ebar[m + k]
+    return loss, pgrads
+
+
+@pytest.mark.parametrize("kind", ["controller", "scheduler"])
+def test_one_rollout_loop_bit_equal_to_the_two_rollouts(kind):
+    """p, q, m over {1,2,4} x {1,3,6} x {1,2,4}, four seeds, and limits that
+    saturate the PI core or never bind: loss and gradient equal with ==."""
+    horizon, rho = 30, 0.05
+    cases = 0
+    for p, q, m in itertools.product((1, 2, 4), (1, 3, 6), (1, 2, 4)):
+        for seed in range(4):
+            rng = np.random.default_rng([p, q, m, seed])
+            narx = random_narx(p, q, (5,), seed)
+            n = 1 + 2 * m if kind == "controller" else 2 * m
+            stats = {"feat_mean": rng.normal(size=n) * 0.1,
+                     "feat_std": rng.uniform(0.5, 2.0, size=n)}
+            if kind == "controller":
+                target = NeuralController(Mlp([n, 6, 1], seed=seed), u_min=-1.5, u_max=2.0,
+                                          memory=m, **stats)
+            else:
+                target = GainScheduler(Mlp([n, 5, 3], seed=seed),
+                                       bounds=[[0.1, 3.0], [0.05, 2.0], [0.0, 0.5]], memory=m,
+                                       **stats)
+            w_seq = np.concatenate([np.zeros(2), np.full(horizon - 1, rng.uniform(0.5, 1.5))])
+            w_seq += rng.normal(size=horizon + 1) * 0.05
+            for limits in ((-0.4, 0.4), (-50.0, 50.0)):
+                if kind == "controller":
+                    want = _ref_controller_rollout(target, narx, w_seq, horizon, rho)
+                else:
+                    want = _ref_scheduler_rollout(target, narx, w_seq, horizon, rho, limits)
+                loss, grads = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+                assert loss == want[0], (p, q, m, seed, limits)
+                assert np.array_equal(grads, want[1]), (p, q, m, seed, limits)
+                cases += 1
+    assert cases == 216
 
 
 def test_bptt_identity_surrogate_learns_constant_reference():
@@ -378,6 +563,30 @@ def _p_teacher_run(seed, n=2000):
 def _p_teacher_mix(lam):
     return DualDatasetMix(imitation_data_from_run(_p_teacher_run(1), m=4),
                           imitation_data_from_run(_p_teacher_run(2), m=4), lam=lam)
+
+
+@pytest.mark.parametrize("sensor", [SensorSpec(noise_std=0.02, quantization=0.01),
+                                    SensorSpec(sample_period=0.05)])
+def test_replayed_rows_equal_deployed_rows(sensor, monkeypatch):
+    """Imitation replay builds exactly the rows the deployed loop fed its
+    network, with the recorded controls in the control window."""
+    nc = NeuralController(Mlp([9, 8, 1], seed=3), u_min=-2.0, u_max=2.0, memory=4)
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.1), u_min=-3.0, u_max=3.0)
+    rows = []
+    output = NeuralController.output
+
+    def spy(self, row):
+        rows.append(np.array(row))
+        return output(self, row)
+
+    monkeypatch.setattr(NeuralController, "output", spy)
+    traj = simulate(plant, NeuralControlLoop(nc), step_reference(1.0, 0.5),
+                    sensor=sensor, cfg=SimConfig(dt=0.025, horizon=5.0, seed=4))
+    n = len(traj.t)
+    assert len(rows) == n
+    x = imitation_data_from_run(traj, 4).x
+    assert x.shape == (n - 1, 9)
+    assert np.array_equal(x, np.stack(rows[:n - 1]))
 
 
 def test_imitation_clones_pure_p_teacher():

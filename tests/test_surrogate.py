@@ -52,7 +52,7 @@ def test_dataset_rows_reproduce_source_exactly():
     k0 = 2
     for i in range(len(ds)):
         k = k0 + i
-        assert np.array_equal(ds.x[i], lag_features(s.y, s.u, k, 2, 2))
+        assert np.array_equal(ds.x[i], lag_features(s.y[:k + 1], s.u[:k + 1], 2, 2))
         assert ds.y[i, 0] == s.y[k + 1]
 
 
