@@ -218,7 +218,7 @@ def sensor_from(cfg: dict) -> SensorSpec:
         period = None if s["sample_period"] is None else float(s["sample_period"])
         return SensorSpec(noise_std=float(s["noise_std"]), sample_period=period,
                           quantization=float(s["quantization"]))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc), "sensor") from exc
 
 
@@ -229,7 +229,7 @@ def disturbance_from(cfg: dict) -> DisturbanceSpec:
                                time=float(d["time"]), magnitude=float(d["magnitude"]),
                                std=float(d["std"]), amplitude=float(d["amplitude"]),
                                period=float(d["period"]))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc), "disturbance") from exc
 
 
@@ -250,7 +250,10 @@ def excitation_from(cfg: dict) -> ExcitationSpec:
 def reference_from(cfg: dict):
     r = cfg["reference"]
     if r["variant"] == "step":
-        level, time, baseline = float(r["level"]), float(r["time"]), float(r["baseline"])
+        try:
+            level, time, baseline = float(r["level"]), float(r["time"]), float(r["baseline"])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc), "reference") from exc
         return lambda t: level if t >= time else baseline
     from .dataio import read_timeseries
 

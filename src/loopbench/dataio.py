@@ -86,14 +86,14 @@ def from_trajectory(traj, measured: bool = True) -> TimeSeries:
     )
 
 
-def _validate_header(fields: list[str]) -> list[str]:
+def _validate_header(fields: list[str], path) -> list[str]:
     for i, name in enumerate(_BASE_COLUMNS):
         if i >= len(fields) or fields[i] != name:
             got = fields[i] if i < len(fields) else "<missing>"
-            raise ParseError(f"expected column {name!r}, got {got!r}", line=1)
+            raise ParseError(f"{path}: expected column {name!r}, got {got!r}", line=1)
     for name in fields[len(_BASE_COLUMNS):]:
         if len(name) < 2 or name[0] not in "yu" or not name[1:].isdigit() or int(name[1:]) < 2:
-            raise ParseError(f"unknown column {name!r}", line=1)
+            raise ParseError(f"{path}: unknown column {name!r}", line=1)
     return fields
 
 
@@ -111,11 +111,12 @@ def write_timeseries(series: TimeSeries, path) -> None:
 
 
 def read_timeseries(path) -> TimeSeries:
-    """Parse and validate a data file; every failure carries a 1-based line number."""
+    """Parse and validate a data file; every failure names the file and
+    carries a 1-based line number."""
     lines = read_text(path).splitlines()
     if not lines:
-        raise ParseError("empty file", line=1)
-    names = _validate_header([f.strip() for f in lines[0].split(",")])
+        raise ParseError(f"{path}: empty file", line=1)
+    names = _validate_header([f.strip() for f in lines[0].split(",")], path)
     n_cols = len(names)
 
     rows = []
@@ -124,17 +125,17 @@ def read_timeseries(path) -> TimeSeries:
             continue
         fields = line.split(",")
         if len(fields) != n_cols:
-            raise ParseError(f"expected {n_cols} cells, got {len(fields)}", line=lineno)
+            raise ParseError(f"{path}: expected {n_cols} cells, got {len(fields)}", line=lineno)
         try:
             row = [float(f) for f in fields]
         except ValueError:
             bad = next(f for f in fields if not _is_number(f))
-            raise ParseError(f"non-numeric cell {bad!r}", line=lineno) from None
+            raise ParseError(f"{path}: non-numeric cell {bad!r}", line=lineno) from None
         if rows and row[0] <= rows[-1][0]:
-            raise ParseError("t is not strictly increasing", line=lineno)
+            raise ParseError(f"{path}: t is not strictly increasing", line=lineno)
         rows.append(row)
     if not rows:
-        raise ParseError("no data rows", line=2)
+        raise ParseError(f"{path}: no data rows", line=2)
 
     data = np.array(rows)
     extra = {name: data[:, i] for i, name in enumerate(names) if i >= len(_BASE_COLUMNS)}

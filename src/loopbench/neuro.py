@@ -25,8 +25,14 @@ from .simcore import primary_output
 from .surrogate import NarxModel
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z: list) -> list:
+    """Logistic of each float, through np.exp: math.exp differs from it in the last bit."""
+    return [1.0 / (1.0 + e) for e in np.exp([-v for v in z]).tolist()]
+
+
+def _normalized(row, mean: np.ndarray, std: np.ndarray) -> list:
+    """`normalize` on Python floats: the same IEEE operations, so the same bits."""
+    return [(f - m) / s for f, m, s in zip(row, mean.tolist(), std.tolist())]
 
 
 def _feature_stats(mean, std, size: int):
@@ -83,8 +89,8 @@ class NeuralController:
 
     def forward(self, row):
         """Pre-squash network output z and the activations of the pass."""
-        out, acts = self.mlp.forward_cached(normalize(row, self.feat_mean, self.feat_std))
-        return float(out[0, 0]), acts
+        out, acts = self.mlp.forward_cached(_normalized(row, self.feat_mean, self.feat_std))
+        return float(out[0]), acts
 
     def output(self, row) -> float:
         z = self.forward(row)[0]
@@ -95,7 +101,7 @@ class NeuralController:
     def aux_output(self, row) -> float:
         if self.aux is None:
             raise FeatureUnavailable("disturbance head not enabled on this controller")
-        return float(self.aux.forward(self.forward(row)[1][-1])[0, 0])
+        return float(self.aux.forward(self.forward(row)[1][-1])[0])
 
     def copy(self) -> "NeuralController":
         return NeuralController(self.mlp.copy(), self.u_min, self.u_max, self.memory,
@@ -164,15 +170,15 @@ class GainScheduler:
         return [*e_window[::-1], *y_window[::-1]]
 
     def forward(self, row):
-        """Gains (array), the clipped network output z and the activations."""
-        out, acts = self.mlp.forward_cached(normalize(row, self.feat_mean, self.feat_std))
-        z = np.clip(out[0], -60.0, 60.0)
-        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-        return lo + _sigmoid(z) * (hi - lo), z, acts
+        """Gains [kp, ki, kd] and the sigmoid of the network output clipped
+        to [-60, 60], both lists of floats, and the activations. A NaN output
+        stays NaN, as the first argument of max and min."""
+        out, acts = self.mlp.forward_cached(_normalized(row, self.feat_mean, self.feat_std))
+        sig = _sigmoid([min(max(z, -60.0), 60.0) for z in out.tolist()])
+        return [lo + s * (hi - lo) for s, (lo, hi) in zip(sig, self.bounds.tolist())], sig, acts
 
     def gains_from(self, row) -> tuple[float, float, float]:
-        g = self.forward(row)[0]
-        return float(g[0]), float(g[1]), float(g[2])
+        return tuple(self.forward(row)[0])
 
     def copy(self) -> "GainScheduler":
         return GainScheduler(self.mlp.copy(), self.bounds.copy(), self.memory,
@@ -401,8 +407,8 @@ class _ControllerBlock:
         nc, m = self.nc, self.nc.memory
         z, acts = cache
         dz = u_bar * nc.half_span * (1.0 - math.tanh(z) ** 2)
-        grads, gf = nc.mlp.backward(acts, np.array([[dz]]))
-        df = gf[0] / nc.feat_std
+        grads, gf = nc.mlp.backward(acts, [dz])
+        df = gf / nc.feat_std
         ybar_w += df[1:m + 1][::-1]
         ubar_w += df[m + 1:][::-1]
         return grads
@@ -425,8 +431,7 @@ class _SchedulerBlock:
         gs, m, (u_lo, u_hi) = self.gs, self.gs.memory, self.limits
         e_k = w - y_window[-1]
         self.es.append(e_k)
-        gains, z, acts = gs.forward(gs.features(self.es[-m:], y_window))
-        kp, ki = float(gains[0]), float(gains[1])
+        (kp, ki, _), sig, acts = gs.forward(gs.features(self.es[-m:], y_window))
         inc = ki * e_k * self.dt
         s_cand = self.s_int + inc
         u_raw = kp * e_k + s_cand
@@ -435,14 +440,14 @@ class _SchedulerBlock:
         if not frozen:
             self.s_int = s_cand
         u_k = u_hi if sat > 0 else u_lo if sat < 0 else u_raw
-        return u_k, (z, acts, kp, ki, sat, frozen)
+        return u_k, (sig, acts, kp, ki, sat, frozen)
 
     def reverse(self, k, cache, u_bar, ybar_w, ubar_w):
         # after the loss terms and surrogate adjoint (in u_bar): the PI core into
         # ebar[m+k] and the sbar carry, network backward, window scatters, and
         # last the fold of the final ebar[m+k] into the newest y (e_k = w_k - y_k)
         gs, m, dt = self.gs, self.gs.memory, self.dt
-        z, acts, kp, ki, sat, frozen = cache
+        sig, acts, kp, ki, sat, frozen = cache
         e_k = self.es[m + k]
         du_raw = u_bar if sat == 0 else 0.0
         # s_cand feeds u_raw always and the next state only when not frozen
@@ -450,10 +455,10 @@ class _SchedulerBlock:
         ds_prev = ds_cand + (self.sbar if frozen else 0.0)
         self.ebar[m + k] += du_raw * kp + ds_cand * ki * dt
         self.sbar = ds_prev
-        sig, span = _sigmoid(z), gs.bounds[:, 1] - gs.bounds[:, 0]
-        dz = np.array([du_raw * e_k, ds_cand * e_k * dt, 0.0]) * sig * (1.0 - sig) * span
-        grads, gf = gs.mlp.backward(acts, dz.reshape(1, 3))
-        df = gf[0] / gs.feat_std
+        dz = [d * s * (1.0 - s) * (hi - lo) for d, s, (lo, hi)
+              in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs.bounds.tolist())]
+        grads, gf = gs.mlp.backward(acts, dz)
+        df = gf / gs.feat_std
         self.ebar[k + 1:m + k + 1] += df[:m][::-1]
         ybar_w += df[m:][::-1]
         ybar_w[-1] -= self.ebar[m + k]

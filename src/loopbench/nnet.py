@@ -132,53 +132,62 @@ class Mlp:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(x, dtype=float)
-        single = a.ndim == 1
-        if a.ndim < 2:
-            a = a.reshape(1, -1)
-        if a.shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"input dim {a.shape[1]} != first layer size {self.layer_sizes[0]}")
-        for l in range(self.n_layers - 1):
-            a = np.tanh(a @ self.weights[l].T + self.biases[l])
-        out = a @ self.weights[-1].T + self.biases[-1]
-        return out[0] if single else out
+        """Network output: 1-D for a row, 2-D for a batch of rows."""
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
-        """Batch forward keeping every activation for the reverse pass."""
-        a = np.atleast_2d(np.asarray(x, dtype=float))
+        """Forward pass keeping every activation for the reverse pass.
+
+        A single row is 1-D in, 1-D out, and stays 1-D in between, so each
+        layer is one matrix-vector product (gemv); a 2-D batch of rows runs
+        through matrix products. A row rounds exactly as a one-row batch.
+        """
+        a = np.asarray(x, dtype=float)
+        if a.shape[-1:] != (self.layer_sizes[0],):
+            raise ValueError(f"input shape {a.shape} does not end in the first layer size "
+                             f"{self.layer_sizes[0]}")
         acts = [a]
         for l in range(self.n_layers - 1):
-            a = np.tanh(a @ self.weights[l].T + self.biases[l])
+            a = np.tanh(np.dot(a, self.weights[l].T) + self.biases[l])
             acts.append(a)
-        out = a @ self.weights[-1].T + self.biases[-1]
-        return out, acts
+        return np.dot(a, self.weights[-1].T) + self.biases[-1], acts
 
     def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
         """Reverse pass through the activations only: (adjoint of each layer's
         pre-activation, last layer first; adjoint of the input).
 
-        `extra_last_hidden_grad` injects an adjoint at the last hidden
+        `grad_out` and `extra_last_hidden_grad` are shaped like the output
+        and the last hidden activation of the pass: 1-D for a row, 2-D for a
+        batch. `extra_last_hidden_grad` injects an adjoint at the last hidden
         activation (used by auxiliary output heads that branch off there).
         """
-        g = np.atleast_2d(np.asarray(grad_out, dtype=float))
+        g = np.asarray(grad_out, dtype=float)
         gzs = [g]
-        ga = g @ self.weights[-1]
+        ga = np.dot(g, self.weights[-1])
         if extra_last_hidden_grad is not None:
-            ga = ga + np.atleast_2d(extra_last_hidden_grad)
+            ga = ga + extra_last_hidden_grad
         for l in range(self.n_layers - 2, -1, -1):
             gz = ga * (1.0 - acts[l + 1] ** 2)
             gzs.append(gz)
-            ga = gz @ self.weights[l]
+            ga = np.dot(gz, self.weights[l])
         return gzs, ga
 
     def backward(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
         """Reverse pass: (parameter gradient laid out like `params`, gradient
-        w.r.t. the input); `adjoints` documents the arguments."""
+        w.r.t. the input); `adjoints` documents the arguments. For a row the
+        weight gradient is the outer product of the pre-activation adjoint
+        and the layer input. Adding 0.0 to the gradient turns the -0.0 of a
+        row's products into the 0.0 that a batch's sums give, and changes no
+        other value, so a row's gradient is a one-row batch's, bit for bit."""
         gzs, ga = self.adjoints(acts, grad_out, extra_last_hidden_grad)
+        row = acts[0].ndim == 1
         parts = []  # last layer first, bias before weights
         for l, gz in zip(range(self.n_layers - 1, -1, -1), gzs):
-            parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
-        return np.concatenate(parts[::-1]), ga
+            if row:
+                parts += [gz, (gz[:, None] * acts[l]).ravel()]
+            else:
+                parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
+        return np.concatenate(parts[::-1]) + 0.0, ga
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
 class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
-    Per-step prediction runs on Python floats around one single-row
+    Per-step prediction runs on Python floats around one 1-D row through
     `Mlp.forward_cached`: float arithmetic rounds exactly as numpy's
     elementwise ops, so it is bit-equal to the array form. The float copies
     of the normalization stats are taken at construction.
@@ -103,16 +103,16 @@ class NarxModel:
         the network activations `backward_to_features` takes."""
         row = lag_features(y_window, u_window, self.p, self.q)
         xn = [(f - m) / s for f, (m, s) in zip(row, self._x_stats)]
-        out, acts = self.mlp.forward_cached(np.array([xn]))
-        return float(out[0, 0]) * self._y_std + self._y_mean, acts
+        out, acts = self.mlp.forward_cached(xn)
+        return float(out[0]) * self._y_std + self._y_mean, acts
 
     def predict_one(self, y_window, u_window) -> float:
         return self.predict(y_window, u_window)[0]
 
     def backward_to_features(self, acts, upstream: float) -> np.ndarray:
         """Adjoint of the raw feature vector given d(loss)/d(prediction)."""
-        _, gx = self.mlp.adjoints(acts, np.array([[upstream * self._y_std]]))
-        return gx[0] / self.x_std
+        _, gx = self.mlp.adjoints(acts, [upstream * self._y_std])
+        return gx / self.x_std
 
 
 @dataclass

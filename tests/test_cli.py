@@ -655,3 +655,39 @@ def test_non_utf8_byte_is_parse_error_with_path_and_line(tmp_path, capsys, targe
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert str(bad) in err and "line 3" in err
+
+
+@pytest.mark.parametrize("target", ["compare", "fit-surrogate", "reference-profile"])
+def test_malformed_time_series_error_names_the_file(tmp_path, capsys, target):
+    good, other = _two_sim_runs(tmp_path)
+    rows = _read_rows(other)
+    rows[2] = rows[2].replace(",", ",x", 1)  # a non-numeric cell on line 3
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    out = ["--out", str(tmp_path / "o")]
+    if target == "compare":
+        argv = ["compare", str(good), str(bad), *out]
+    elif target == "fit-surrogate":
+        argv = ["fit-surrogate", "--config", _write(tmp_path, "rec.json", _record_cfg()),
+                "--data", str(bad), *out]
+    else:
+        cfg = _sim_pid_cfg(tmp_path, gains={"kp": 1.0})
+        cfg_dict = json.loads(Path(cfg).read_text())
+        cfg_dict["reference"] = {"variant": "profile", "path": str(bad)}
+        argv = ["simulate", "--config", _write(tmp_path, "sim.json", cfg_dict), *out]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"line 3: {bad}: non-numeric cell" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sensor", "noise_std", [1.0]), ("sensor", "sample_period", {}),
+    ("sensor", "quantization", [0.5]), ("disturbance", "time", [1.0]),
+    ("disturbance", "magnitude", None), ("reference", "level", [1.0]),
+])
+def test_wrong_typed_value_exits_2_with_section_path(tmp_path, capsys, section, key, value):
+    cfg = json.loads(Path(_sim_pid_cfg(tmp_path, gains={"kp": 1.0})).read_text())
+    cfg[section] = {key: value}
+    argv = ["simulate", "--config", _write(tmp_path, "bad.json", cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"config error: {section}: " in capsys.readouterr().err

@@ -17,6 +17,7 @@ from loopbench.simcore import (
     DisturbanceSpec, Fopdt, PlantModel, SensorSpec, SimConfig, simulate, step_reference,
 )
 from loopbench.surrogate import NarxModel
+from test_nnet import matmul_forward_cached
 from test_surrogate import NARX_SHAPES, array_predict_one, random_narx
 
 
@@ -168,6 +169,90 @@ def test_scheduled_pid_nonfinite_gains_fault_at_the_same_step():
     assert outcomes[0] == outcomes[1] == (12, "non-finite controller output")
 
 
+# The controller and scheduler steps as whole-array operations on a one-row
+# (1, n) batch, kept as the bit-for-bit reference of their 1-D row path.
+
+def _array_output(nc, row):
+    out, acts = matmul_forward_cached(nc.mlp, normalize(row, nc.feat_mean, nc.feat_std))
+    z = float(out[0, 0])
+    if not math.isfinite(z):
+        raise ControllerFault("non-finite network output")
+    return nc.center + nc.half_span * math.tanh(z), acts
+
+
+class _ArrayControlLoop(NeuralControlLoop):
+    def step(self, w, y, dt):
+        self.y_win[-1] = float(y)
+        u, _ = _array_output(self.nc, self.nc.features(w, self.y_win, self.u_win))
+        self.y_win.append(0.0)
+        del self.y_win[0]
+        self.u_win.append(u)
+        del self.u_win[0]
+        return u
+
+
+def _array_gains(gs, row):
+    out, _ = matmul_forward_cached(gs.mlp, normalize(row, gs.feat_mean, gs.feat_std))
+    z = np.clip(out[0], -60.0, 60.0)
+    lo, hi = gs.bounds[:, 0], gs.bounds[:, 1]
+    g = lo + 1.0 / (1.0 + np.exp(-z)) * (hi - lo)
+    return float(g[0]), float(g[1]), float(g[2])
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("m, hidden", [(1, (6,)), (2, (16, 8)), (4, (32, 32)), (3, (8, 8, 8))])
+def test_control_loop_step_bit_equal_to_array_form(m, hidden):
+    """Steps from windows at three scales (the largest saturates tanh), and
+    the disturbance head on the same rows."""
+    rng = np.random.default_rng([m, *hidden])
+    n = 1 + 2 * m
+    for seed in range(6):
+        nc = NeuralController(Mlp([n, *hidden, 1], seed=seed), u_min=-rng.uniform(0.5, 3.0),
+                              u_max=rng.uniform(0.5, 3.0), memory=m,
+                              feat_mean=rng.normal(size=n) * 0.1,
+                              feat_std=rng.uniform(0.5, 2.0, size=n),
+                              aux=Mlp([hidden[-1], 1], seed=seed + 1))
+        for b in nc.mlp.biases:
+            b[...] = rng.normal(size=b.shape) * 0.3
+        loop, ref = NeuralControlLoop(nc), _ArrayControlLoop(nc)
+        got, want = [], []
+        for k in range(150):
+            scale = (1e-3, 1.0, 1e3)[k % 3]
+            w, y = rng.normal() * scale, rng.normal() * scale
+            row = nc.features(w, [*loop.y_win[1:], y], loop.u_win)
+            acts = _array_output(nc, row)[1]
+            got.append(nc.aux_output(row))
+            want.append(float(matmul_forward_cached(nc.aux, acts[-1])[0][0, 0]))
+            got.append(loop.step(w, y, 0.01))
+            want.append(ref.step(w, y, 0.01))
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("m, hidden", [(1, (5,)), (2, (8,)), (4, (8, 8)), (3, (16, 16, 4))])
+def test_gains_from_bit_equal_to_array_form(m, hidden):
+    """Rows at three scales (the largest clips z at +-60), bounds with lo = 0
+    and lo = hi among them, and NaN rows."""
+    rng = np.random.default_rng([m, *hidden, 1])
+    n = 2 * m
+    for seed in range(6):
+        lo = rng.uniform(0.0, 2.0, size=3) * (rng.random(3) < 0.7)
+        hi = np.where(rng.random(3) < 0.2, lo, lo + rng.uniform(0.0, 5.0, size=3))
+        gs = GainScheduler(Mlp([n, *hidden, 3], seed=seed), bounds=np.column_stack([lo, hi]),
+                           memory=m, feat_mean=rng.normal(size=n) * 0.1,
+                           feat_std=rng.uniform(0.5, 2.0, size=n))
+        for b in gs.mlp.biases:
+            b[...] = rng.normal(size=b.shape) * 0.3
+        for k in range(300):
+            row = rng.normal(size=n) * (1e-3, 1.0, 1e4)[k % 3]
+            if k % 50 == 49:
+                row[k % n] = math.nan
+            row = row.tolist()
+            assert _bits(gs.gains_from(row)) == _bits(_array_gains(gs, row))
+
+
 # ---------------------------------------------------------------------------
 # BPTT: gradient oracle and training behavior
 # ---------------------------------------------------------------------------
@@ -200,10 +285,16 @@ def test_bptt_scheduler_gradient_matches_finite_differences():
 
 # The two rollouts `bptt_loss_and_grad` used before it became one loop with a
 # controller block and a scheduled-PI block, kept as the bit-for-bit reference.
+# Every network pass here runs on a one-row (1, n) batch.
 
 def _ref_surrogate_step(narx, feat_s):
-    out, acts = narx.mlp.forward_cached(normalize(feat_s, narx.x_mean, narx.x_std))
+    out, acts = narx.mlp.forward_cached(np.atleast_2d(normalize(feat_s, narx.x_mean, narx.x_std)))
     return float(denormalize(out[0], narx.y_mean, narx.y_std)[0]), acts
+
+
+def _ref_surrogate_adjoint(narx, acts, upstream):
+    _, gx = narx.mlp.adjoints(acts, np.array([[upstream * float(narx.y_std[0])]]))
+    return gx[0] / narx.x_std
 
 
 def _ref_controller_rollout(nc, narx, w_seq, horizon, rho):
@@ -220,7 +311,8 @@ def _ref_controller_rollout(nc, narx, w_seq, horizon, rho):
         y_now = ys[iy]
         feat_c = np.concatenate([[w_seq[k], y_now], ys[iy - m + 1: iy][::-1],
                                  us[pad_u - 1 + k - m + 1: pad_u + k][::-1]])
-        z_out, acts_c = nc.mlp.forward_cached(normalize(feat_c, nc.feat_mean, nc.feat_std))
+        z_out, acts_c = nc.mlp.forward_cached(np.atleast_2d(normalize(feat_c, nc.feat_mean,
+                                                                      nc.feat_std)))
         z = float(z_out[0, 0])
         u_k = nc.center + nc.half_span * math.tanh(z)
         us[pad_u + k] = u_k
@@ -244,7 +336,7 @@ def _ref_controller_rollout(nc, narx, w_seq, horizon, rho):
         du = us[pad_u + k] - us[pad_u + k - 1]
         ubar[pad_u + k] += 2.0 * rho * du / horizon
         ubar[pad_u + k - 1] -= 2.0 * rho * du / horizon
-        fbar_s = narx.backward_to_features(caches_s[k], float(ybar[pad_y + k]))
+        fbar_s = _ref_surrogate_adjoint(narx, caches_s[k], float(ybar[pad_y + k]))
         for j in range(p):
             ybar[iy - j] += fbar_s[j]
         for j in range(q):
@@ -279,7 +371,8 @@ def _ref_scheduler_rollout(gs, narx, w_seq, horizon, rho, limits):
         e_k = w_seq[k] - ys[iy]
         es[m + k] = e_k
         feat = np.concatenate([es[k + 1: m + k + 1][::-1], ys[iy - m + 1: iy + 1][::-1]])
-        z_out, acts_g = gs.mlp.forward_cached(normalize(feat, gs.feat_mean, gs.feat_std))
+        z_out, acts_g = gs.mlp.forward_cached(np.atleast_2d(normalize(feat, gs.feat_mean,
+                                                                      gs.feat_std)))
         z = np.clip(z_out[0], -60.0, 60.0)
         gains = lo + 1.0 / (1.0 + np.exp(-z)) * (hi - lo)
         kp, ki = float(gains[0]), float(gains[1])
@@ -319,7 +412,7 @@ def _ref_scheduler_rollout(gs, narx, w_seq, horizon, rho, limits):
         du = us[pad_u + k] - us[pad_u + k - 1]
         ubar[pad_u + k] += 2.0 * rho * du / horizon
         ubar[pad_u + k - 1] -= 2.0 * rho * du / horizon
-        fbar_s = narx.backward_to_features(caches_s[k], float(ybar[pad_y + k]))
+        fbar_s = _ref_surrogate_adjoint(narx, caches_s[k], float(ybar[pad_y + k]))
         for j in range(p):
             ybar[iy - j] += fbar_s[j]
         for j in range(q):

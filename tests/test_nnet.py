@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,3 +320,88 @@ def test_backward_and_adjoints_bit_equal_to_interleaved_pass(sizes):
         assert ga.tobytes() == want_ga.tobytes() == ga_only.tobytes()
         assert len(gzs) == net.n_layers
 
+
+
+# ---------------------------------------------------------------------------
+# one single-row path: a 1-D row rounds exactly as a one-row (1, n) batch
+# ---------------------------------------------------------------------------
+
+def matmul_forward_cached(net, x):
+    """Batch forward with `@` products, as a one-row (1, n) batch for 1-D `x`."""
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    acts = [a]
+    for l in range(net.n_layers - 1):
+        a = np.tanh(a @ net.weights[l].T + net.biases[l])
+        acts.append(a)
+    return a @ net.weights[-1].T + net.biases[-1], acts
+
+
+# no, one, two and three hidden layers; widths up to 64; 1- and 3-wide outputs
+ROW_SHAPES = [[3, 1], [1, 5, 1], [6, 16, 1], [8, 8, 3], [4, 64, 3], [9, 32, 32, 1],
+              [5, 7, 4, 3], [3, 64, 64, 1], [9, 32, 32, 32, 1], [2, 64, 48, 64, 3]]
+
+
+@pytest.mark.parametrize("sizes", ROW_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_row_path_bit_equal_to_one_row_batch(sizes):
+    """forward, forward_cached, adjoints and backward on a 1-D row against
+    the same calls on the (1, n) batch and against the `@` reference,
+    outputs, activations, adjoints and parameter gradients bit for bit."""
+    rng = np.random.default_rng(sizes)
+    for seed in range(30):
+        net = Mlp(sizes, seed=seed)
+        for b in net.biases:
+            b[...] = rng.normal(size=b.shape) * 0.5
+        x = rng.normal(size=sizes[0]) * (1e-3, 1.0, 50.0)[seed % 3]
+        g = rng.normal(size=sizes[-1])
+        extra = rng.normal(size=sizes[-2]) if seed % 2 and len(sizes) > 2 else None
+        extra_b = None if extra is None else extra[None, :]
+
+        out, acts = net.forward_cached(x)
+        out_b, acts_b = net.forward_cached(x[None, :])
+        out_r, acts_r = matmul_forward_cached(net, x)
+        assert out.shape == (sizes[-1],) and all(a.ndim == 1 for a in acts)
+        assert net.forward(x).tobytes() == out.tobytes() == out_b.tobytes() == out_r.tobytes()
+        for a, a_b, a_r in zip(acts, acts_b, acts_r, strict=True):
+            assert a.tobytes() == a_b.tobytes() == a_r.tobytes()
+
+        gzs, ga = net.adjoints(acts, g, extra)
+        gzs_b, ga_b = net.adjoints(acts_b, g[None, :], extra_b)
+        for gz, gz_b in zip(gzs, gzs_b, strict=True):
+            assert gz.ndim == 1 and gz.tobytes() == gz_b.tobytes()
+        grads, gx = net.backward(acts, g, extra)
+        grads_b, gx_b = net.backward(acts_b, g[None, :], extra_b)
+        grads_r, gx_r = _interleaved_backward(net, acts_r, g, extra)
+        assert grads.shape == net.params.shape and gx.shape == (sizes[0],)
+        assert grads.tobytes() == grads_b.tobytes() == grads_r.tobytes()
+        assert gx.tobytes() == ga.tobytes() == gx_b.tobytes() == gx_r.tobytes()
+
+        # batches of several rows: np.dot products against the `@` reference
+        xs = rng.normal(size=(1 + seed % 7, sizes[0]))
+        out_b, acts_b = net.forward_cached(xs)
+        out_r, acts_r = matmul_forward_cached(net, xs)
+        assert out_b.tobytes() == out_r.tobytes()
+        assert all(a.tobytes() == a_r.tobytes() for a, a_r in zip(acts_b, acts_r))
+
+
+# an AVX2 OpenBLAS core and numpy's SIMD dispatch capped below AVX-512 (x86-64-v3)
+PORTABLE_PROFILE = {"OPENBLAS_CORETYPE": "Haswell",
+                    "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL,AVX512_SPR,X86_V4"}
+
+
+def test_row_path_bit_equal_under_the_portable_profile():
+    """The row-vs-batch tests again, in a fresh interpreter under the portable
+    profile: both variables are read once, when numpy and OpenBLAS load."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = ("import sys, pytest\n"
+              "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
+              "assert not cpu.get('X86_V4'), 'AVX-512 dispatch was not disabled'\n"
+              "sys.exit(pytest.main(sys.argv[1:]))\n")
+    tests = [os.path.join(here, "test_nnet.py::test_row_path_bit_equal_to_one_row_batch"),
+             os.path.join(here, "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass"),
+             os.path.join(here, "test_neuro.py::test_control_loop_step_bit_equal_to_array_form"),
+             os.path.join(here, "test_neuro.py::test_gains_from_bit_equal_to_array_form")]
+    run = subprocess.run([sys.executable, "-c", script, "-q", "-p", "no:cacheprovider", *tests],
+                         env={**os.environ, **PORTABLE_PROFILE}, cwd=os.path.dirname(here),
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
+    assert " passed" in run.stdout and "skipped" not in run.stdout
