@@ -10,7 +10,6 @@ bytes and seed. Exit codes: 0 success, 2 config/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .dataio import from_trajectory, generate_excitation, read_timeseries, resample_uniform, \
-    write_timeseries
+    write_csv, write_json, write_timeseries
 from .errors import (
     ConfigError, ControllerFault, IdentificationError, InvalidSpec, LoopbenchError,
     MustResample, NoLimitCycle, ParseError, RolloutDiverged, SimulationDiverged, TooShort,
@@ -54,13 +53,7 @@ def _out_dir(args) -> Path:
 
 
 def _echo(cfg: dict, out: Path, command: str) -> None:
-    cfgmod.dump_config(cfg, out / f"{command}_config.json")
-
-
-def _write_kv_csv(path: Path, pairs) -> None:
-    lines = ["key,value"] + [f"{k},{v!r}" if isinstance(v, str) else f"{k},{repr(v)}"
-                             for k, v in pairs]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_json(out / f"{command}_config.json", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +65,8 @@ def cmd_record(args) -> int:
     sim = cfgmod.sim_from(cfg, args.seed)
     plant = cfgmod.plant_from(cfg)
     exc = cfgmod.excitation_from(cfg)
-    u = generate_excitation(exc, sim, limits=(plant.u_min, plant.u_max))
+    with cfgmod.section("excitation"):
+        u = generate_excitation(exc, sim, limits=(plant.u_min, plant.u_max))
     traj = simulate(plant, SignalController(u), 0.0,
                     disturbance=cfgmod.disturbance_from(cfg),
                     sensor=cfgmod.sensor_from(cfg), cfg=sim)
@@ -91,20 +85,21 @@ def cmd_fit_surrogate(args) -> int:
     cfg = cfgmod.load_config(args.config, required=("sim",))
     sur = cfg["surrogate"]
     series = read_timeseries(args.data)
-    resampled = False
-    if not series.is_uniform():
-        series = resample_uniform(series, float(cfg["sim"]["dt"]))
-        resampled = True
-    model, report = fit_surrogate(
-        series, int(sur["p"]), int(sur["q"]),
-        cfgmod.train_config_from(sur),
-        hidden=tuple(int(h) for h in sur["hidden"]),
-        val_fraction=float(sur["val_fraction"]),
-        resampled=resampled,
-    )
+    with cfgmod.section("surrogate"):
+        resampled = False
+        if not series.is_uniform():
+            series = resample_uniform(series, float(cfg["sim"]["dt"]))
+            resampled = True
+        model, report = fit_surrogate(
+            series, int(sur["p"]), int(sur["q"]),
+            cfgmod.train_config_from(sur),
+            hidden=tuple(int(h) for h in sur["hidden"]),
+            val_fraction=float(sur["val_fraction"]),
+            resampled=resampled,
+        )
     out = _out_dir(args)
     save_model(model, out / "surrogate.weights")
-    _write_kv_csv(out / "surrogate_report.csv", sorted(report.as_dict().items()))
+    write_csv(out / "surrogate_report.csv", ["key", "value"], sorted(report.as_dict().items()))
     _echo(cfg, out, "fit-surrogate")
     for key, value in sorted(report.as_dict().items()):
         print(f"{key}: {value}")
@@ -133,50 +128,47 @@ def cmd_tune(args) -> int:
     out = _out_dir(args)
     limits = tuple(float(v) for v in cfg["plant"]["limits"])
 
-    if t["mode"] == "rule":
-        gain_kw = {"u_min": limits[0], "u_max": limits[1]}
-        if t["rule"] == "ziegler-nichols":
-            if t["fopdt"] is not None:
-                f = t["fopdt"]
-                up = ultimate_from_fopdt(FopdtModel(float(f["gain"]), float(f["tau"]),
-                                                    float(f["dead_time"])))
+    with cfgmod.section("tuning"):
+        if t["mode"] == "rule":
+            gain_kw = {"u_min": limits[0], "u_max": limits[1]}
+            if t["rule"] == "ziegler-nichols":
+                if t["fopdt"] is not None:
+                    f = t["fopdt"]
+                    up = ultimate_from_fopdt(FopdtModel(float(f["gain"]), float(f["tau"]),
+                                                        float(f["dead_time"])))
+                else:
+                    up = relay_experiment(cfgmod.plant_from(cfg), float(t["relay_amplitude"]), sim)
+                gains = tune_ziegler_nichols(up, t["kind"], **gain_kw)
             else:
-                up = relay_experiment(cfgmod.plant_from(cfg), float(t["relay_amplitude"]), sim)
-            gains = tune_ziegler_nichols(up, t["kind"], **gain_kw)
+                model = _identified_model(cfg, sim)
+                rule = tune_cohen_coon if t["rule"] == "cohen-coon" else tune_kappa_tau
+                gains = rule(model, **gain_kw)
+            trace = []
         else:
-            model = _identified_model(cfg, sim)
-            rule = tune_cohen_coon if t["rule"] == "cohen-coon" else tune_kappa_tau
-            gains = rule(model, **gain_kw)
-        trace = []
-    else:
-        if int(t["budget"]) < 1:
-            raise ConfigError("AI tuning needs a positive evaluation budget", "tuning.budget")
-        if not args.surrogate:
-            raise ConfigError("AI tuning needs --surrogate <model>", "tuning.mode")
-        narx = load_model(args.surrogate, NarxModel)
-        count = int(t["episodes"]["count"])
-        level = float(t["episodes"]["level"])
-        n_steps = max(int(round(sim.horizon / narx.dt)), 2)
-        episodes = [np.concatenate([np.zeros(2), np.full(n_steps, level * (i + 1) / count)])
-                    for i in range(count)]
-        result = tune_static_ai(
-            narx, episodes,
-            cfgmod.bounds_from(t["bounds"], "tuning.bounds"),
-            budget=int(t["budget"]), rho=float(t["rho"]), seed=sim.seed,
-            restarts=int(t["restarts"]),
-            x0=None if t["x0"] is None else np.array(t["x0"], dtype=float),
-            gain_kw={"u_min": limits[0], "u_max": limits[1]},
-        )
-        gains = result.gains
-        trace = result.trace
+            if int(t["budget"]) < 1:
+                raise ConfigError("AI tuning needs a positive evaluation budget", "tuning.budget")
+            if not args.surrogate:
+                raise ConfigError("AI tuning needs --surrogate <model>", "tuning.mode")
+            narx = load_model(args.surrogate, NarxModel)
+            count = int(t["episodes"]["count"])
+            level = float(t["episodes"]["level"])
+            n_steps = max(int(round(sim.horizon / narx.dt)), 2)
+            episodes = [np.concatenate([np.zeros(2), np.full(n_steps, level * (i + 1) / count)])
+                        for i in range(count)]
+            result = tune_static_ai(
+                narx, episodes,
+                cfgmod.bounds_from(t["bounds"], "tuning.bounds"),
+                budget=int(t["budget"]), rho=float(t["rho"]), seed=sim.seed,
+                restarts=int(t["restarts"]),
+                x0=None if t["x0"] is None else np.array(t["x0"], dtype=float),
+                gain_kw={"u_min": limits[0], "u_max": limits[1]},
+            )
+            gains = result.gains
+            trace = result.trace
 
-    with open(out / "gains.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(cfgmod.gains_to_dict(gains), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "gains.json", cfgmod.gains_to_dict(gains))
     if trace:
-        lines = ["eval,cost"] + [f"{i},{repr(c)}" for i, c in trace]
-        (out / "tune_trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
-                                            newline="\n")
+        write_csv(out / "tune_trace.csv", ["eval", "cost"], trace)
     _echo(cfg, out, "tune")
     print(f"kp={gains.kp!r} ki={gains.ki!r} kd={gains.kd!r} -> {out / 'gains.json'}")
     return 0
@@ -228,56 +220,52 @@ def cmd_train_controller(args) -> int:
     tr = cfg["training"]
     out = _out_dir(args)
     limits = tuple(float(v) for v in cfg["plant"]["limits"])
-    memory = int(tr["memory"])
-    hidden = [int(h) for h in tr["hidden"]]
-    tc = cfgmod.train_config_from(tr)
+    with cfgmod.section("training"):
+        memory = int(tr["memory"])
+        hidden = [int(h) for h in tr["hidden"]]
+        tc = cfgmod.train_config_from(tr)
 
-    if tr["mode"] == "imitation":
-        runs_a, runs_b, _ = _teacher_runs(cfg, sim, limits)
-        beta = float(tr["beta"])
-        with_d = beta > 0.0
-        mix = DualDatasetMix(_stack_datasets(runs_a, memory, with_d),
-                             _stack_datasets(runs_b, memory, with_d),
-                             lam=float(tr["lambda"]))
-        aux = Mlp([hidden[-1], 1], seed=tc.seed + 1000) if with_d else None
-        nc = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
-                              u_min=limits[0], u_max=limits[1], memory=memory, aux=aux)
-        result = train_imitation(nc, mix, tc, aux_weight=beta)
-        save_model(result.controller, out / "controller.weights",
-                   extras={"mode": "imitation", "lambda": float(tr["lambda"]), "beta": beta})
-        lines = ["epoch,train_loss,val_rmse_a,val_rmse_b"]
-        for i, (loss, va, vb) in enumerate(result.history):
-            lines.append(f"{i},{repr(loss)},{repr(va)},{repr(vb)}")
-        (out / "training_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
-                                                newline="\n")
-        print(f"val rmse A={result.val_rmse_a!r} B={result.val_rmse_b!r} "
-              f"-> {out / 'controller.weights'}")
-    else:
-        if not args.surrogate:
-            raise ConfigError("bptt training needs --surrogate <model>", "training.mode")
-        narx = load_model(args.surrogate, NarxModel)
-        horizon = int(tr["horizon"])
-        count = int(tr["episodes"]["count"])
-        level = float(tr["episodes"]["level"])
-        refs = [np.full(horizon + 1, level * (i + 1) / count) for i in range(count)]
-        if tr["target"] == "controller":
-            target = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
-                                      u_min=limits[0], u_max=limits[1], memory=memory)
+        if tr["mode"] == "imitation":
+            runs_a, runs_b, _ = _teacher_runs(cfg, sim, limits)
+            beta = float(tr["beta"])
+            with_d = beta > 0.0
+            mix = DualDatasetMix(_stack_datasets(runs_a, memory, with_d),
+                                 _stack_datasets(runs_b, memory, with_d),
+                                 lam=float(tr["lambda"]))
+            aux = Mlp([hidden[-1], 1], seed=tc.seed + 1000) if with_d else None
+            nc = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
+                                  u_min=limits[0], u_max=limits[1], memory=memory, aux=aux)
+            result = train_imitation(nc, mix, tc, aux_weight=beta)
+            save_model(result.controller, out / "controller.weights",
+                       extras={"mode": "imitation", "lambda": float(tr["lambda"]), "beta": beta})
+            write_csv(out / "training_curve.csv",
+                      ["epoch", "train_loss", "val_rmse_a", "val_rmse_b"],
+                      [(i, *row) for i, row in enumerate(result.history)])
+            print(f"val rmse A={result.val_rmse_a!r} B={result.val_rmse_b!r} "
+                  f"-> {out / 'controller.weights'}")
         else:
-            bounds = cfgmod.bounds_from(tr["bounds"], "training.bounds")
-            target = GainScheduler(Mlp([2 * memory, *hidden, 3], seed=tc.seed),
-                                   bounds=bounds, memory=memory)
-        result = train_bptt(target, narx, refs, horizon, tc, rho=float(tr["rho"]),
-                            limits=limits)
-        name = "controller.weights" if tr["target"] == "controller" else "scheduler.weights"
-        save_model(result.trained, out / name,
-                   extras={"mode": "bptt", "horizon": horizon, "rho": float(tr["rho"])})
-        lines = ["epoch,loss,skipped"]
-        for i, (loss, sk) in enumerate(zip(result.history, result.skipped)):
-            lines.append(f"{i},{repr(loss)},{sk}")
-        (out / "training_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
-                                                newline="\n")
-        print(f"final rollout loss {result.history[-1]!r} -> {out / name}")
+            if not args.surrogate:
+                raise ConfigError("bptt training needs --surrogate <model>", "training.mode")
+            narx = load_model(args.surrogate, NarxModel)
+            horizon = int(tr["horizon"])
+            count = int(tr["episodes"]["count"])
+            level = float(tr["episodes"]["level"])
+            refs = [np.full(horizon + 1, level * (i + 1) / count) for i in range(count)]
+            if tr["target"] == "controller":
+                target = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
+                                          u_min=limits[0], u_max=limits[1], memory=memory)
+            else:
+                bounds = cfgmod.bounds_from(tr["bounds"], "training.bounds")
+                target = GainScheduler(Mlp([2 * memory, *hidden, 3], seed=tc.seed),
+                                       bounds=bounds, memory=memory)
+            result = train_bptt(target, narx, refs, horizon, tc, rho=float(tr["rho"]),
+                                limits=limits)
+            name = "controller.weights" if tr["target"] == "controller" else "scheduler.weights"
+            save_model(result.trained, out / name,
+                       extras={"mode": "bptt", "horizon": horizon, "rho": float(tr["rho"])})
+            write_csv(out / "training_curve.csv", ["epoch", "loss", "skipped"],
+                      zip(range(len(result.history)), result.history, result.skipped))
+            print(f"final rollout loss {result.history[-1]!r} -> {out / name}")
     _echo(cfg, out, "train-controller")
     return 0
 
@@ -303,23 +291,26 @@ def cmd_simulate(args) -> int:
     sim = cfgmod.sim_from(cfg, args.seed)
     plant = cfgmod.plant_from(cfg)
     limits = (plant.u_min, plant.u_max)
-    controller = cfgmod.controller_from(cfg, limits)
+    controller = cfgmod.controller_from(cfg, plant)
 
     safety = cfg["safety"]
     supervisor = None
     blender = None
-    if safety["kind"] == "switch":
-        fallback = PidController(cfgmod.resolve_gains(safety["fallback"], limits, "safety.fallback"))
-        supervisor = SwitchSupervisor(theta_hi=float(safety["theta_hi"]),
-                                      theta_lo=float(safety["theta_lo"]),
-                                      dwell=int(safety["dwell"]),
-                                      agree_tol=None if safety["agree_tol"] is None
-                                      else float(safety["agree_tol"]))
-        controller = SupervisedController(controller, fallback, supervisor, limits)
-    elif safety["kind"] == "blend":
-        blender = BoundedBlender(delta=float(safety["delta"]))
-        controller = BlendedController(controller, _correction_source(safety["correction"], limits),
-                                       blender, limits)
+    with cfgmod.section("safety"):
+        if safety["kind"] == "switch":
+            fallback = PidController(cfgmod.resolve_gains(safety["fallback"], limits,
+                                                          "safety.fallback"))
+            supervisor = SwitchSupervisor(theta_hi=float(safety["theta_hi"]),
+                                          theta_lo=float(safety["theta_lo"]),
+                                          dwell=int(safety["dwell"]),
+                                          agree_tol=None if safety["agree_tol"] is None
+                                          else float(safety["agree_tol"]))
+            controller = SupervisedController(controller, fallback, supervisor, limits)
+        elif safety["kind"] == "blend":
+            blender = BoundedBlender(delta=float(safety["delta"]))
+            controller = BlendedController(controller,
+                                           _correction_source(safety["correction"], limits),
+                                           blender, limits)
 
     traj = simulate(plant, controller, cfgmod.reference_from(cfg),
                     disturbance=cfgmod.disturbance_from(cfg),
@@ -327,11 +318,8 @@ def cmd_simulate(args) -> int:
 
     out = _out_dir(args)
     write_timeseries(from_trajectory(traj), out / "trajectory.csv")
-    plot_lines = ["t,w,y,u"]
-    for k in range(len(traj)):
-        plot_lines.append(",".join(repr(float(v)) for v in
-                                   (traj.t[k], traj.w[k], traj.y[k], traj.u[k])))
-    (out / "plot.csv").write_text("\n".join(plot_lines) + "\n", encoding="utf-8", newline="\n")
+    write_csv(out / "plot.csv", ["t", "w", "y", "u"],
+              zip(traj.t.tolist(), traj.w.tolist(), traj.y.tolist(), traj.u.tolist()))
 
     metrics = compute_step_metrics(traj, band=0.02)
     ComparisonTable([(cfg["controller"]["kind"], metrics)]).to_csv(out / "metrics.csv")
@@ -339,10 +327,9 @@ def cmd_simulate(args) -> int:
     if supervisor is not None:
         write_transition_log(supervisor.log, out / "transitions.csv", dt=sim.dt)
     if blender is not None:
-        lines = ["step,time,u_conv,u"]
-        for k, (uc, u) in enumerate(zip(controller.u_conv_trace, controller.u_trace)):
-            lines.append(f"{k},{repr(k * sim.dt)},{repr(uc)},{repr(u)}")
-        (out / "blend.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        write_csv(out / "blend.csv", ["step", "time", "u_conv", "u"],
+                  [(k, k * sim.dt, uc, u) for k, (uc, u)
+                   in enumerate(zip(controller.u_conv_trace, controller.u_trace))])
 
     _echo(cfg, out, "simulate")
     settle = repr(metrics.settling_time_s) if metrics.settled else "not-settled"

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-from .dataio import ExcitationSpec, read_text
+from .dataio import ExcitationSpec, read_text, read_timeseries
 from .errors import ConfigError
 from .nnet import TrainConfig, load_model
 from .pid import CascadeSpec, PidGains
 from .simcore import (
     DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder, SensorSpec,
-    SimConfig, TankNonlinear,
+    SimConfig, TankNonlinear, step_reference,
 )
 
 # u_min/u_max of None mean "inherit the plant's actuator limits"
@@ -139,12 +140,6 @@ def load_config(path, required=()) -> dict:
     return resolve_config(raw)
 
 
-def dump_config(cfg: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _require(cond: bool, message: str, path: str) -> None:
     if not cond:
         raise ConfigError(message, path)
@@ -185,15 +180,27 @@ def _check(cfg: dict) -> None:
 # Builders
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def section(path: str):
+    """Build the objects of config section `path`: a value they reject
+    (AttributeError, LookupError, TypeError, ValueError, ArithmeticError)
+    becomes a ConfigError naming the section."""
+    try:
+        yield
+    except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(str(exc), path) from exc
+
+
 def sim_from(cfg: dict, seed_override: int | None = None) -> SimConfig:
     sim = cfg["sim"]
     seed = seed_override if seed_override is not None else sim["seed"]
-    return SimConfig(dt=float(sim["dt"]), horizon=float(sim["horizon"]), seed=int(seed))
+    with section("sim"):
+        return SimConfig(dt=float(sim["dt"]), horizon=float(sim["horizon"]), seed=int(seed))
 
 
 def plant_from(cfg: dict) -> PlantModel:
     p = cfg["plant"]
-    try:
+    with section("plant"):
         if p["variant"] == "fopdt":
             variant = Fopdt(gain=float(p["gain"]), tau=float(p["tau"]),
                             dead_time=float(p["dead_time"]))
@@ -208,34 +215,36 @@ def plant_from(cfg: dict) -> PlantModel:
                                        c=np.array(p["c"], dtype=float))
         x0 = None if p["x0"] is None else np.array(p["x0"], dtype=float)
         return PlantModel(variant, u_min=float(p["limits"][0]), u_max=float(p["limits"][1]), x0=x0)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), "plant") from exc
 
 
 def sensor_from(cfg: dict) -> SensorSpec:
+    """The sensor, checked against the grid of `cfg`'s sim section."""
     s = cfg["sensor"]
-    try:
+    grid = sim_from(cfg)
+    with section("sensor"):
         period = None if s["sample_period"] is None else float(s["sample_period"])
-        return SensorSpec(noise_std=float(s["noise_std"]), sample_period=period,
+        spec = SensorSpec(noise_std=float(s["noise_std"]), sample_period=period,
                           quantization=float(s["quantization"]))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), "sensor") from exc
+        spec.steps_per_sample(grid.dt)
+    return spec
 
 
 def disturbance_from(cfg: dict) -> DisturbanceSpec:
+    """The disturbance, checked against the grid of `cfg`'s sim section."""
     d = cfg["disturbance"]
-    try:
-        return DisturbanceSpec(variant=d["variant"], injection=d["injection"],
+    grid = sim_from(cfg)
+    with section("disturbance"):
+        spec = DisturbanceSpec(variant=d["variant"], injection=d["injection"],
                                time=float(d["time"]), magnitude=float(d["magnitude"]),
                                std=float(d["std"]), amplitude=float(d["amplitude"]),
                                period=float(d["period"]))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), "disturbance") from exc
+        spec.check_grid(grid)
+    return spec
 
 
 def excitation_from(cfg: dict) -> ExcitationSpec:
     e = cfg["excitation"]
-    try:
+    with section("excitation"):
         return ExcitationSpec(
             variant=e["variant"], levels=tuple(e["levels"]), dwell=float(e["dwell"]),
             order=int(e["order"]), amplitude=float(e["amplitude"]),
@@ -243,23 +252,16 @@ def excitation_from(cfg: dict) -> ExcitationSpec:
             f0=float(e["f0"]), f1=float(e["f1"]),
             duration=None if e["duration"] is None else float(e["duration"]),
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc), "excitation") from exc
 
 
 def reference_from(cfg: dict):
     r = cfg["reference"]
-    if r["variant"] == "step":
-        try:
-            level, time, baseline = float(r["level"]), float(r["time"]), float(r["baseline"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc), "reference") from exc
-        return lambda t: level if t >= time else baseline
-    from .dataio import read_timeseries
-
-    if not r["path"]:
-        raise ConfigError("profile reference needs a path", "reference.path")
-    profile = read_timeseries(r["path"])
+    with section("reference"):
+        if r["variant"] == "step":
+            return step_reference(float(r["level"]), float(r["time"]), float(r["baseline"]))
+        if not r["path"]:
+            raise ConfigError("profile reference needs a path", "reference.path")
+        profile = read_timeseries(r["path"])
     t_ref, w_ref = profile.t, profile.w
     return lambda t: float(np.interp(t, t_ref, w_ref))
 
@@ -268,7 +270,7 @@ def gains_from_dict(block: dict, path: str = "gains",
                     limits: tuple[float, float] | None = None) -> PidGains:
     """Gains from a JSON block; null output limits inherit `limits` (or none)."""
     fallback = limits if limits is not None else (-math.inf, math.inf)
-    try:
+    with section(path):
         u_min = fallback[0] if block.get("u_min") is None else float(block["u_min"])
         u_max = fallback[1] if block.get("u_max") is None else float(block["u_max"])
         return PidGains(
@@ -276,8 +278,6 @@ def gains_from_dict(block: dict, path: str = "gains",
             structure=block["structure"], u_min=u_min, u_max=u_max,
             deriv_filter_n=float(block["filter_n"]),
         )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc), path) from exc
 
 
 def gains_to_dict(gains: PidGains) -> dict:
@@ -292,7 +292,7 @@ def gains_to_dict(gains: PidGains) -> dict:
 def load_gains_file(path, limits: tuple[float, float] | None = None) -> PidGains:
     try:
         block = json.loads(read_text(path))
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         raise ConfigError(f"cannot read gains file: {exc}", str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid gains JSON: {exc}", str(path)) from exc
@@ -315,34 +315,37 @@ def train_config_from(block: dict) -> TrainConfig:
 
 
 def bounds_from(block: dict, path: str) -> np.ndarray:
-    try:
+    with section(path):
         return np.array([block["kp"], block["ki"], block["kd"]], dtype=float)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc), path) from exc
 
 
-def controller_from(cfg: dict, limits: tuple[float, float]):
-    """Instantiate the configured primary controller (no safety wrapper)."""
+def controller_from(cfg: dict, plant: PlantModel):
+    """Instantiate the configured primary controller for `plant` (no safety
+    wrapper)."""
     from .neuro import GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController
     from .pid import CascadeController, PidController
     from .simcore import ConstantController
 
     c = cfg["controller"]
     kind = c["kind"]
-    if kind == "pid":
-        return PidController(resolve_gains(c, limits, "controller"))
-    if kind == "cascade":
-        outer = gains_from_dict(c["outer"], "controller.outer", limits=limits)
-        inner = gains_from_dict(c["inner"], "controller.inner", limits=limits)
-        return CascadeController(CascadeSpec(outer=outer, inner=inner,
-                                             outer_channel=int(c["outer_channel"]),
-                                             inner_channel=int(c["inner_channel"])))
-    if kind == "constant":
-        return ConstantController(float(c["value"]))
-    if not c["model_path"]:
-        raise ConfigError(f"{kind} controller needs model_path", "controller.model_path")
-    if kind == "neural":
-        return NeuralControlLoop(load_model(c["model_path"], NeuralController))
-    gs = load_model(c["model_path"], GainScheduler)
-    template = PidGains(kp=1.0, u_min=limits[0], u_max=limits[1])
-    return ScheduledPidController(gs, template)
+    limits = (plant.u_min, plant.u_max)
+    with section("controller"):
+        if kind == "pid":
+            return PidController(resolve_gains(c, limits, "controller"))
+        if kind == "cascade":
+            outer = gains_from_dict(c["outer"], "controller.outer", limits=limits)
+            inner = gains_from_dict(c["inner"], "controller.inner", limits=limits)
+            channels = int(c["outer_channel"]), int(c["inner_channel"])
+            if not all(0 <= ch < plant.n_outputs for ch in channels):
+                raise ValueError(f"cascade channels must index the plant's {plant.n_outputs} "
+                                 f"outputs, got {channels}")
+            return CascadeController(CascadeSpec(outer, inner, *channels))
+        if kind == "constant":
+            return ConstantController(float(c["value"]))
+        if not c["model_path"]:
+            raise ConfigError(f"{kind} controller needs model_path", "controller.model_path")
+        if kind == "neural":
+            return NeuralControlLoop(load_model(c["model_path"], NeuralController))
+        gs = load_model(c["model_path"], GainScheduler)
+        template = PidGains(kp=1.0, u_min=limits[0], u_max=limits[1])
+        return ScheduledPidController(gs, template)

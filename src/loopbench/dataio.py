@@ -1,12 +1,15 @@
-"""Time-series files, resampling, splitting, and excitation-signal generation.
+"""Time-series files, resampling, splitting, excitation signals, and the one
+text reader and file writer of the workbench.
 
-The on-disk format is plain CSV (UTF-8, LF, comma separator, '.' decimal)
-with header `t,w,y,u,d` plus optional extra channel pairs y2,u2,...
-Floats are written with repr() so a write/read round trip is exact.
+Every file written is UTF-8 with LF line ends and one final newline; numbers
+are the repr() of the Python value (an exact round trip), JSON is `indent=2,
+sort_keys=True`. The time-series CSV has header `t,w,y,u,d` plus optional
+extra channel pairs y2,u2,...
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +34,36 @@ def read_text(path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def write_lines(path, lines) -> None:
+    """`lines` joined by LF with one final newline, as UTF-8."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A comma-separated file: a `str` cell as it is, any other cell as the
+    repr of its Python value (a numpy scalar is converted first, since numpy 2
+    reprs `np.float64(0.1)`)."""
+    write_lines(path, [",".join(header)] + [
+        ",".join([c if isinstance(c, str) else repr(c.item() if isinstance(c, np.generic) else c)
+                  for c in row]) for row in rows])
+
+
+def write_json(path, obj) -> None:
+    write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
+
+
+def uniform_dt(t) -> float:
+    """Spacing of a uniform time grid; raises TooShort below two samples and
+    MustResample when the spacing varies by more than 1e-9 of max(step, 1)."""
+    spacing = np.diff(np.asarray(t, dtype=float))
+    if len(spacing) == 0:
+        raise TooShort("need at least two samples")
+    step = float(spacing[0])
+    if np.ptp(spacing) > 1e-9 * max(step, 1.0):
+        raise MustResample("series is not uniformly sampled")
+    return step
+
+
 @dataclass
 class TimeSeries:
     """In-memory image of one data file."""
@@ -51,19 +84,9 @@ class TimeSeries:
             cols.update(self.extra)
         return cols
 
-    def dt(self) -> float:
-        """Grid spacing; raises MustResample when the series is not uniform."""
-        if len(self.t) < 2:
-            raise TooShort("need at least two samples")
-        spacing = np.diff(self.t)
-        step = float(spacing[0])
-        if np.ptp(spacing) > 1e-9 * max(step, 1.0):
-            raise MustResample("series is not uniformly sampled")
-        return step
-
     def is_uniform(self) -> bool:
         try:
-            self.dt()
+            uniform_dt(self.t)
             return True
         except MustResample:
             return False
@@ -99,15 +122,11 @@ def _validate_header(fields: list[str], path) -> list[str]:
 
 def write_timeseries(series: TimeSeries, path) -> None:
     cols = series.columns()
-    names = list(cols.keys())
     n = len(series)
     for name, arr in cols.items():
         if len(arr) != n:
             raise ValueError(f"column {name!r} length mismatch")
-    lines = [",".join(names)]
-    for k in range(n):
-        lines.append(",".join(repr(float(cols[name][k])) for name in names))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_csv(path, cols, zip(*[np.asarray(arr, dtype=float).tolist() for arr in cols.values()]))
 
 
 def read_timeseries(path) -> TimeSeries:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .dataio import write_csv
 from .errors import IncomparableError
 from .nnet import Mlp
 
@@ -117,14 +117,10 @@ class ComparisonTable:
     rows: list  # (label, StepMetrics), sorted by IAE
 
     def to_csv(self, path) -> None:
-        lines = [",".join(CSV_COLUMNS)]
-        for label, m in self.rows:
-            lines.append(",".join([label] + [
-                repr(m.overshoot_pct), repr(m.rise_time_s), repr(m.settling_time_s),
-                str(int(m.settled)), repr(m.steady_state_error), repr(m.iae),
-                repr(m.ise), repr(m.itae), repr(m.total_variation_u), repr(m.mean_abs_u),
-            ]))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        write_csv(path, CSV_COLUMNS, [
+            (label, m.overshoot_pct, m.rise_time_s, m.settling_time_s, int(m.settled),
+             m.steady_state_error, m.iae, m.ise, m.itae, m.total_variation_u, m.mean_abs_u)
+            for label, m in self.rows])
 
     def format_text(self) -> str:
         headers = ("label", "overshoot%", "rise[s]", "settle[s]", "ss-err", "IAE", "ISE", "ITAE")

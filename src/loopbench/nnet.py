@@ -12,11 +12,10 @@ import dataclasses
 import json
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .dataio import read_text
+from .dataio import read_text, write_json, write_lines
 from .errors import ParseError, TrainingDiverged
 
 STD_FLOOR = 1e-12
@@ -307,11 +306,10 @@ def save_weights(net: Mlp, path) -> None:
     lines = [WEIGHTS_MAGIC, "layers " + " ".join(str(s) for s in net.layer_sizes)]
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(f"W{l}")
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        lines.extend(" ".join(map(repr, row)) for row in w.tolist())
         lines.append(f"b{l}")
-        lines.append(" ".join(repr(float(v)) for v in b))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        lines.append(" ".join(map(repr, b.tolist())))
+    write_lines(path, lines)
 
 
 def load_weights(path) -> Mlp:
@@ -405,9 +403,7 @@ def save_model(model, path, extras: dict | None = None) -> None:
         meta["aux_b"] = model.aux.biases[0].tolist()
     if extras:
         meta["training"] = extras
-    with open(str(path) + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(path) + ".meta.json", meta)
 
 
 def _aux_from(meta: dict, trunk: Mlp, path) -> Mlp | None:

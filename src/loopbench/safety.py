@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from .dataio import write_csv
 from .errors import ControllerFault, SyncImpossible, UnrecoverableFault
 from .simcore import primary_output
 
@@ -113,11 +113,11 @@ def _ai_validity(u_ai: float, limits: tuple[float, float]) -> tuple[bool, str]:
 
 def write_transition_log(log, path, dt: float | None = None) -> None:
     """Serialize the switch log as step,time,direction,cause CSV."""
-    lines = ["step,time,direction,cause"]
+    rows = []
     for ev in log:
         t = ev.time if math.isfinite(ev.time) else (ev.step * dt if dt else math.nan)
-        lines.append(f"{ev.step},{repr(float(t))},{ev.direction},{ev.cause}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        rows.append((ev.step, float(t), ev.direction, ev.cause))
+    write_csv(path, ["step", "time", "direction", "cause"], rows)
 
 
 @dataclass(frozen=True)

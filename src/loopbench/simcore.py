@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ControllerFault, SimulationDiverged
 
 DIVERGENCE_FACTOR = 1e9
+# grid ceiling: a run keeps about ten float64 arrays of this length (under 1 GB)
+MAX_STEPS = 10_000_000
 
 
 def _round_half_away(x: float) -> int:
@@ -30,17 +32,22 @@ def _round_half_away(x: float) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid definition plus the seed for every stochastic element of a run."""
+    """Grid definition plus the seed for every stochastic element of a run.
+
+    A grid holds at most MAX_STEPS steps, checked before any array is built.
+    """
 
     dt: float
     horizon: float
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be > 0")
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise ValueError("horizon must be > 0")
+        if not self.horizon / self.dt <= MAX_STEPS:
+            raise ValueError(f"horizon / dt exceeds the ceiling of {MAX_STEPS} steps")
         if self.n_steps < 1:
             raise ValueError("horizon too short for one step")
 
@@ -217,13 +224,17 @@ class DisturbanceSpec:
         if self.variant == "sinusoid" and self.period <= 0.0:
             raise ValueError("period must be > 0")
 
+    def check_grid(self, cfg: SimConfig) -> None:
+        """ValueError unless a step lands inside the horizon of `cfg`."""
+        if self.variant == "step" and not 0.0 <= self.time <= cfg.horizon:
+            raise ValueError("step time outside the horizon")
+
     def series(self, cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+        self.check_grid(cfg)
         t = cfg.time_grid()
         if self.variant == "none":
             return np.zeros(cfg.n_steps)
         if self.variant == "step":
-            if not 0.0 <= self.time <= cfg.horizon:
-                raise ValueError("step time outside the horizon")
             return np.where(t >= self.time, self.magnitude, 0.0)
         if self.variant == "gaussian":
             return rng.normal(0.0, self.std, size=cfg.n_steps)

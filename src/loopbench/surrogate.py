@@ -15,19 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MustResample, RolloutDiverged, TooShort
+from .dataio import uniform_dt
+from .errors import RolloutDiverged, TooShort
 from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, float_vector, \
     normalize, train
-
-
-def _series_dt(t: np.ndarray) -> float:
-    spacing = np.diff(t)
-    if len(spacing) == 0:
-        raise TooShort("need at least two samples")
-    step = float(spacing[0])
-    if np.ptp(spacing) > 1e-9 * max(step, 1.0):
-        raise MustResample("trajectory is not uniformly sampled; resample first")
-    return step
 
 
 def lag_features(y_window, u_window, p: int, q: int) -> list:
@@ -46,7 +37,7 @@ def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
     """
     if p < 1 or q < 1:
         raise ValueError("lag orders must be >= 1")
-    _series_dt(np.asarray(traj.t, dtype=float))
+    uniform_dt(traj.t)
     y = np.asarray(traj.y, dtype=float)
     u = np.asarray(traj.u, dtype=float)
     n = len(y)
@@ -147,7 +138,7 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig,
     come from the training block only. The report carries the held-out
     one-step RMSE and a free-running rollout RMSE over the same block.
     """
-    dt = _series_dt(np.asarray(traj.t, dtype=float))
+    dt = uniform_dt(traj.t)
     y = np.asarray(traj.y, dtype=float)
     u = np.asarray(traj.u, dtype=float)
     n = len(y)
@@ -258,7 +249,7 @@ def fit_hybrid(traj, physics: Callable[[np.ndarray, np.ndarray], float],
                p: int, q: int, cfg: TrainConfig, hidden=(16,),
                val_fraction: float = 0.25) -> HybridModel:
     """Train the residual on the physics prediction error over the record."""
-    _series_dt(np.asarray(traj.t, dtype=float))
+    uniform_dt(traj.t)
     y = np.asarray(traj.y, dtype=float)
     u = np.asarray(traj.u, dtype=float)
 

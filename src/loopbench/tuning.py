@@ -32,9 +32,11 @@ class FopdtModel:
     dead_time: float
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not (math.isfinite(self.gain) and self.gain != 0.0):
+            raise ValueError("gain must be finite and non-zero")
+        if not self.tau > 0.0:
             raise ValueError("tau must be > 0")
-        if self.dead_time < 0.0:
+        if not self.dead_time >= 0.0:
             raise ValueError("dead_time must be >= 0")
 
 

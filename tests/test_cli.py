@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -691,3 +692,60 @@ def test_wrong_typed_value_exits_2_with_section_path(tmp_path, capsys, section, 
     argv = ["simulate", "--config", _write(tmp_path, "bad.json", cfg), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert f"config error: {section}: " in capsys.readouterr().err
+
+
+def _tune_rule_cfg():
+    return {"sim": {"dt": 0.05, "horizon": 20.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+            "tuning": {"mode": "rule", "rule": "cohen-coon", "kind": "pi"}}
+
+
+def _imitation_cfg():
+    return {"sim": {"dt": 0.1, "horizon": 2.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+            "training": {"mode": "imitation", "memory": 2, "hidden": [4], "epochs": 2,
+                         "batch_size": 8, "episodes": {"count": 1, "level": 1.0}}}
+
+
+def _patched(cfg, patch):
+    for key, value in patch.items():
+        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+            _patched(cfg[key], value)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+BLEND = {"kind": "blend", "delta": 0.1, "correction": {"kind": "constant", "value": 0.1}}
+
+
+@pytest.mark.parametrize("command, patch, section", [
+    ("simulate", {"controller": {"gains": {"kp": [1.0]}}}, "controller.gains"),
+    ("simulate", {"controller": {"gains": {"ki": None}}}, "controller.gains"),
+    ("simulate", {"safety": {**BLEND, "delta": [0.1]}}, "safety"),
+    ("simulate", {"safety": {**BLEND, "delta": -1}}, "safety"),
+    ("simulate", {"safety": {**BLEND, "correction": {"value": {}}}}, "safety"),
+    ("simulate", {"sim": {"horizon": 1e-300}}, "sim"),
+    ("simulate", {"sim": {"dt": 1e-300}}, "sim"),
+    ("simulate", {"disturbance": {"variant": "step", "time": -1}}, "disturbance"),
+    ("simulate", {"sensor": {"sample_period": 0}}, "sensor"),
+    ("tune", {"tuning": {"step_level": [1.0]}}, "tuning"),
+    ("tune", {"plant": {"gain": -0.5}}, "tuning"),
+    # found by the config fuzz in tests/test_fuzz.py
+    ("tune", {"tuning": {"rule": "kappa-tau", "fopdt": {"gain": 0, "tau": 1.0, "dead_time": 0.2}}},
+     "tuning"),
+    ("tune", {"tuning": {"rule": "ziegler-nichols", "kind": [1.0]}}, "tuning"),
+    ("tune", {"tuning": {"fopdt": {"gain": math.nan, "tau": 1.0, "dead_time": 0.2}}}, "tuning"),
+    ("tune", {"tuning": {"fopdt": {"gain": 1.0, "tau": math.nan, "dead_time": 0.2}}}, "tuning"),
+    ("tune", {"tuning": {"fopdt": {"gain": 1.0, "tau": 1.0, "dead_time": math.nan}}}, "tuning"),
+    ("simulate", {"controller": {"kind": "cascade"}}, "controller"),
+    ("train-controller", {"training": {"hidden": [], "beta": 0.5}}, "training"),
+    ("train-controller", {"training": {"episodes": {"count": 0}}}, "training"),
+])
+def test_rejected_value_exits_2_with_section_path(tmp_path, capsys, command, patch, section):
+    base = {"tune": _tune_rule_cfg(), "train-controller": _imitation_cfg()}.get(command) or \
+        json.loads(Path(_sim_pid_cfg(tmp_path, gains={"kp": 1.0})).read_text())
+    argv = [command, "--config", _write(tmp_path, "ok.json", base), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    argv[2] = _write(tmp_path, "bad.json", _patched(base, patch))
+    assert main(argv) == 2
+    assert f"config error: {section}: " in capsys.readouterr().err
+

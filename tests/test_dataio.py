@@ -1,9 +1,15 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import loopbench
 from loopbench.dataio import (
     ExcitationSpec, PRBS_TAPS, TimeSeries, from_trajectory, generate_excitation,
-    prbs_bits, read_timeseries, resample_uniform, split_contiguous, write_timeseries,
+    prbs_bits, read_timeseries, resample_uniform, split_contiguous, write_csv, write_json,
+    write_lines, write_timeseries,
 )
 from loopbench.errors import InvalidSpec, ParseError, TooShort
 from loopbench.simcore import ConstantController, PlantModel, LinearStateSpace, SimConfig, simulate
@@ -193,3 +199,68 @@ def test_from_trajectory_records_measurement(tmp_path):
     write_timeseries(ts, tmp_path / "t.csv")
     back = read_timeseries(tmp_path / "t.csv")
     assert np.array_equal(back.u, traj.u)
+
+
+# ---------------------------------------------------------------------------
+# the one writer
+# ---------------------------------------------------------------------------
+
+def test_write_lines_is_utf8_lf_with_one_final_newline(tmp_path):
+    write_lines(tmp_path / "a.txt", ["µ", "", "b"])
+    assert (tmp_path / "a.txt").read_bytes() == "µ\n\nb\n".encode("utf-8")
+
+
+def test_write_json_sorts_keys_indents_two_and_ends_in_newline(tmp_path):
+    write_json(tmp_path / "a.json", {"b": 1, "a": [0.1, None]})
+    assert (tmp_path / "a.json").read_bytes() == (
+        b'{\n  "a": [\n    0.1,\n    null\n  ],\n  "b": 1\n}\n')
+
+
+def test_write_csv_cells_are_reprs_of_python_values(tmp_path):
+    # numpy 2 reprs a scalar as `np.float64(0.1)`, so a numpy scalar must be
+    # written as the repr of its Python value, never as its own repr
+    write_csv(tmp_path / "a.csv", ["s", "f", "i", "f64", "i64", "f32", "b"], [
+        ("x", 0.1, 3, np.float64(0.1), np.int64(3), np.float32(0.5), np.bool_(True)),
+        ("", math.nan, -0.0, np.float64(-0.0), np.int32(-7), np.float32(0.1), False),
+    ])
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == (
+        "s,f,i,f64,i64,f32,b\n"
+        "x,0.1,3,0.1,3,0.5,True\n"
+        f",nan,-0.0,-0.0,-7,{float(np.float32(0.1))!r},False\n")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_write_timeseries_cells_are_float_reprs(tmp_path, dtype):
+    rng = np.random.default_rng(1)
+    cols = {name: (rng.normal(size=7) * 100).astype(dtype) for name in ("t", "w", "y", "u", "d")}
+    cols["t"] = np.arange(7).astype(dtype)
+    series = TimeSeries(**cols, extra={"y2": rng.normal(size=7).astype(dtype)})
+    write_timeseries(series, tmp_path / "a.csv")
+    names = [*cols, "y2"]
+    expected = [",".join(names)] + [",".join(repr(float(series.columns()[n][k])) for n in names)
+                                    for k in range(7)]
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+# a call that writes a file: Path.write_text/write_bytes, json.dump, or open()
+# with a mode that writes, appends, creates or updates
+WRITE_CALL = re.compile(r"\.write_text\(|\.write_bytes\(|\bjson\.dump\(|"
+                        r"\bopen\([^)]*[\"'][rbt]*[wax+][^\"']*[\"']")
+
+
+def test_write_call_pattern_finds_every_writer_form():
+    for line in ('Path(p).write_text(s, encoding="utf-8")', "p.write_bytes(b)",
+                 "json.dump(obj, fh)", 'open(p, "w", newline="\\n")', "open(p, 'ab')",
+                 'open(p, mode="r+")', 'open(p, "x")'):
+        assert WRITE_CALL.search(line), line
+    for line in ("open(p)", 'open(p, "rb")', "json.dumps(obj)", "read_text(p)"):
+        assert not WRITE_CALL.search(line), line
+
+
+def test_only_dataio_writes_files():
+    src = Path(loopbench.__file__).parent
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "dataio.py"
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if WRITE_CALL.search(line)]
+    assert hits == [], "write files through dataio.write_lines/write_csv/write_json"

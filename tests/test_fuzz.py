@@ -1,11 +1,12 @@
-"""Seeded fuzzing of model files.
+"""Seeded fuzzing of model files and configs.
 
 Each mutant of a saved surrogate, controller or scheduler (weights file or
-sidecar, cut, edited or given a byte that is not UTF-8) goes through the
-command that loads it. Whatever the mutation, the command ends in an exit
-code of the CLI contract (0 ok, 2 config, 3 numerical, 4 I/O) and never in
-a traceback. Layer sizes stay small so that no mutant asks for a large
-allocation.
+sidecar, cut, edited or given a byte that is not UTF-8), and each config
+with one leaf set to a junk value, goes through the command that reads it.
+Whatever the mutation, the command ends in an exit code of the CLI contract
+(0 ok, 2 config, 3 numerical, 4 I/O) and never in a traceback. Layer sizes
+and horizons stay small so that no mutant asks for a large allocation or a
+long run.
 """
 
 import json
@@ -15,6 +16,8 @@ import numpy as np
 import pytest
 
 from loopbench.cli import main
+from loopbench.config import resolve_config
+from loopbench.dataio import TimeSeries, write_timeseries
 from loopbench.neuro import GainScheduler, NeuralController
 from loopbench.nnet import Mlp, save_model
 from loopbench.surrogate import NarxModel
@@ -150,3 +153,114 @@ def test_mutated_model_files_keep_the_exit_code_contract(tmp_path, capsys, model
             codes.add(code)
         capsys.readouterr()
     assert 4 in codes
+
+
+# --- configs ---
+
+JUNK = ("x", None, [], {}, True, -1, 0, math.nan, [1.0], [[1, 2]], -0.5, 1e-300)
+READS = {"record": ("sim", "plant", "sensor", "disturbance", "excitation"),
+         "simulate": ("sim", "plant", "sensor", "disturbance", "reference", "controller", "safety"),
+         "tune": ("sim", "plant", "tuning"),
+         "fit-surrogate": ("sim", "surrogate"),
+         "train-controller": ("sim", "plant", "sensor", "disturbance", "training")}
+N_CONFIG_MUTANTS = 150
+GAINS = {"kp": 1.2, "ki": 0.8, "kd": 0.05}
+LINEAR2 = {"variant": "linear", "a": [[-0.5, 0.5], [0.0, -3.0]], "b": [0.0, 3.0],
+           "c": [[1.0, 0.0], [0.0, 1.0]], "limits": [-5.0, 5.0]}
+
+
+def _config_bases(tmp_path):
+    """(name, command, config, extra arguments): between them they read every
+    leaf of the sections of every command but `compare`."""
+    profile = tmp_path / "profile.csv"
+    t = np.arange(11) * 0.1
+    write_timeseries(TimeSeries(t, np.where(t > 0.3, 1.0, 0.0), *np.zeros((3, 11))), profile)
+    record = tmp_path / "record.csv"
+    t = np.arange(60) * 0.1
+    u = np.sign(np.sin(0.7 * t))
+    y = np.zeros(60)
+    for k in range(59):
+        y[k + 1] = 0.9 * y[k] + 0.1 * u[k]
+    write_timeseries(TimeSeries(t, np.zeros(60), y, u, np.zeros(60)), record)
+    surrogate = tmp_path / "sur.weights"
+    save_model(_models()["surrogate"], surrogate)
+    tune = {"sim": {"dt": 0.05, "horizon": 20.0, "seed": 0}, "plant": PLANT}
+    sim = {"sim": SIM, "plant": PLANT,
+           "sensor": {"noise_std": 0.01, "sample_period": 0.2, "quantization": 0.001},
+           "disturbance": {"variant": "step", "time": 0.5, "magnitude": 0.2}}
+    switch = {"kind": "switch", "dwell": 2, "agree_tol": 0.5, "fallback": {"gains": GAINS}}
+    blend = {"kind": "blend", "delta": 0.2, "correction": {"kind": "constant", "value": 0.1}}
+    train = {"memory": 2, "hidden": [4], "epochs": 1, "patience": 2,
+             "episodes": {"count": 1, "level": 1.0}}
+    return [
+        ("record-prbs", "record", {**sim, "excitation": {"variant": "prbs", "order": 4,
+                                                         "bit_period": 0.2}}, []),
+        ("record-steps", "record", {**sim, "excitation": {"variant": "step_train", "dwell": 0.3,
+                                                          "levels": [0.0, 1.0, -0.5]}}, []),
+        ("record-chirp", "record", {**sim, "excitation": {"variant": "chirp", "duration": 0.8}},
+         []),
+        ("simulate-switch", "simulate", {**sim, "controller": {"kind": "constant", "value": 0.4},
+                                         "safety": switch}, []),
+        ("simulate-blend", "simulate", {**sim, "controller": {"kind": "pid", "gains": GAINS},
+                                        "safety": blend,
+                                        "reference": {"variant": "profile", "path": str(profile)}},
+         []),
+        ("simulate-cascade", "simulate", {**sim, "plant": LINEAR2, "controller": {
+            "kind": "cascade", "outer": GAINS, "inner": GAINS}}, []),
+        ("tune-relay", "tune", {**tune, "tuning": {"mode": "rule", "relay_amplitude": 1.0}}, []),
+        ("tune-step", "tune", {**tune, "tuning": {"mode": "rule", "rule": "cohen-coon"}}, []),
+        ("tune-fopdt", "tune", {**tune, "tuning": {
+            "mode": "rule", "rule": "kappa-tau",
+            "fopdt": {"gain": 1.0, "tau": 1.0, "dead_time": 0.2}}}, []),
+        ("tune-ai", "tune", {**tune, "tuning": {"mode": "ai", "budget": 4, "restarts": 1,
+                                               "x0": [1.0, 0.5, 0.0]}},
+         ["--surrogate", str(surrogate)]),
+        ("fit-surrogate", "fit-surrogate", {**sim, "surrogate": {
+            "p": 2, "q": 1, "hidden": [4], "epochs": 2, "patience": 2, "batch_size": 8}},
+         ["--data", str(record)]),
+        ("train-imitation", "train-controller", {**sim, "training": {
+            **train, "mode": "imitation", "beta": 0.5, "epochs": 2, "batch_size": 8}}, []),
+        ("train-bptt", "train-controller", {**sim, "training": {
+            **train, "mode": "bptt", "horizon": 4}}, ["--surrogate", str(surrogate)]),
+        ("train-scheduler", "train-controller", {**sim, "training": {
+            **train, "mode": "bptt", "target": "scheduler", "horizon": 4}},
+         ["--surrogate", str(surrogate)]),
+    ]
+
+
+def _leaves(block, sections, path=()):
+    """Key paths of every leaf under `sections` of a resolved config."""
+    for key, value in block.items():
+        if path or key in sections:
+            if isinstance(value, dict) and value:
+                yield from _leaves(value, sections, (*path, key))
+            else:
+                yield (*path, key)
+
+
+@pytest.mark.parametrize("base", range(14))
+def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys, base):
+    name, command, raw, extra = _config_bases(tmp_path)[base]
+    cfg = resolve_config(raw)
+    argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+            *extra]
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(argv) == 0, f"{name} base config"
+    leaves = sorted(_leaves(cfg, READS[command]))
+    rng = np.random.default_rng(100 + base)
+    for i in range(N_CONFIG_MUTANTS):
+        leaf = leaves[int(rng.integers(0, len(leaves)))]
+        value = JUNK[int(rng.integers(0, len(JUNK)))]
+        mutant = json.loads(json.dumps(cfg))
+        block = mutant
+        for key in leaf[:-1]:
+            block = block[key]
+        block[leaf[-1]] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(mutant))
+        what = f"{name} mutant {i}: {'.'.join(leaf)} = {value!r}"
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback is the failure this test looks for
+            pytest.fail(f"{what} raised {exc!r}")
+        assert code in (0, 2, 3, 4), f"{what} exited {code}"
+        capsys.readouterr()

@@ -7,8 +7,9 @@ digest trained weights and the files the training commands write, and
 `pipeline/ac12` the nine files of the AC-12 pipeline. The closed-loop digests
 in `tests/golden/digests.json` were captured before the float-state fast
 path landed, the training and pipeline digests before the networks moved
-onto one parameter vector, and `tune/ai-q1` before per-step surrogate
-prediction moved onto Python-float lag windows; a change that moves any
+onto one parameter vector, `tune/ai-q1` before per-step surrogate
+prediction moved onto Python-float lag windows, and the `cli/*` cases before
+every output file moved onto the `dataio` writers; a change that moves any
 output bit fails here and must be declared as a behaviour change. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -273,6 +274,67 @@ def _pipeline_ac12(tmp):
     return _files_digest(ac12_pipeline(Path(tmp), "ac12"), *AC12_FILES)
 
 
+# --- CLI output files no case above digests: the safety-wrapper logs, the
+# comparison table, a rule-mode gains file and every command's config echo ---
+
+SIM_CFG = {"sim": {"dt": 0.02, "horizon": 6.0, "seed": 5},
+           "plant": {"variant": "fopdt", "gain": 1.5, "tau": 0.8, "dead_time": 0.15,
+                     "limits": [-3.0, 3.0]},
+           "sensor": {"noise_std": 0.02, "quantization": 0.005},
+           "disturbance": {"variant": "step", "injection": "input", "time": 3.0,
+                           "magnitude": 0.3},
+           "reference": {"variant": "step", "level": 1.0, "time": 0.2}}
+SWITCH = {"controller": {"kind": "constant", "value": 0.4},
+          "safety": {"kind": "switch", "theta_hi": 0.1, "theta_lo": 0.05, "dwell": 5,
+                     "fallback": {"gains": {"kp": 1.2, "ki": 0.8, "kd": 0.05}}}}
+BLEND = {"controller": {"kind": "pid", "gains": {"kp": 1.2, "ki": 0.8, "kd": 0.05}},
+         "safety": {"kind": "blend", "delta": 0.1,
+                    "correction": {"kind": "constant", "value": 0.3}}}
+
+
+def _simulate_cli(tmp, name, wrapper):
+    return _cli(tmp, name, "simulate", {**SIM_CFG, **wrapper})
+
+
+def _switch_cli(tmp):
+    out = _simulate_cli(tmp, "switch", SWITCH)
+    assert len((out / "transitions.csv").read_text(encoding="utf-8").splitlines()) > 2
+    return _files_digest(out, "trajectory.csv", "plot.csv", "metrics.csv", "transitions.csv",
+                         "simulate_config.json")
+
+
+def _blend_cli(tmp):
+    return _files_digest(_simulate_cli(tmp, "blend", BLEND), "trajectory.csv", "blend.csv",
+                         "simulate_config.json")
+
+
+def _compare_cli(tmp):
+    paths = []
+    for name, wrapper in (("switch", SWITCH), ("blend", BLEND)):
+        path = Path(tmp) / f"{name}.csv"
+        path.write_bytes((_simulate_cli(tmp, name, wrapper) / "trajectory.csv").read_bytes())
+        paths.append(str(path))
+    out = Path(tmp) / "cmp"
+    assert cli_main(["compare", *paths, "--out", str(out)]) == 0
+    return _files_digest(out, "comparison.csv")
+
+
+def _tune_rule_cli(tmp):
+    cfg = {"sim": {"dt": 0.01, "horizon": 20.0, "seed": 3}, "plant": TRAIN_PLANT,
+           "tuning": {"mode": "rule", "rule": "cohen-coon", "kind": "pi", "step_level": 0.8}}
+    return _files_digest(_cli(tmp, "tuned", "tune", cfg), "gains.json", "tune_config.json")
+
+
+def _echoes_cli(tmp):
+    sur = _surrogate(tmp)
+    cfg = {"sim": {"dt": 0.5, "horizon": 10.0, "seed": 11}, "plant": TRAIN_PLANT,
+           "training": {"mode": "bptt", "memory": 2, "hidden": [4], "horizon": 6, "epochs": 1,
+                        "episodes": {"count": 1, "level": 1.0}}}
+    _cli(tmp, "bptt", "train-controller", cfg, "--surrogate", str(sur / "surrogate.weights"))
+    return _files_digest(Path(tmp), "rec/record_config.json", "sur/fit-surrogate_config.json",
+                         "bptt/train-controller_config.json")
+
+
 CASES = {f"{p}/{k}": _loop_case(p, build)
          for p in PLANTS for k, build in (KINDS_MULTI if p == "linear2" else KINDS).items()}
 CASES.update({
@@ -298,6 +360,11 @@ CASES.update({
     "tune/ai": _tune_ai(2),
     "tune/ai-q1": _tune_ai(1),
     "pipeline/ac12": _pipeline_ac12,
+    "cli/switch": _switch_cli,
+    "cli/blend": _blend_cli,
+    "cli/compare": _compare_cli,
+    "cli/tune-rule": _tune_rule_cli,
+    "cli/echoes": _echoes_cli,
 })
 
 

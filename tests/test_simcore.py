@@ -6,7 +6,7 @@ import pytest
 from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.simcore import (
     ConstantController, DelayLine, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel,
-    SecondOrder, SensorSpec, SignalController, SimConfig, TankNonlinear, _SensorSampler,
+    MAX_STEPS, SecondOrder, SensorSpec, SignalController, SimConfig, TankNonlinear, _SensorSampler,
     apply_sensor, rk4_step, simulate, step_reference,
 )
 from loopbench.pid import PidController, PidGains
@@ -71,6 +71,17 @@ def test_delay_line_half_away_from_zero_rounding():
 def test_delay_line_two_sample_push_pop():
     d = DelayLine(dead_time=0.2, dt=0.1)
     assert [d.push_pop(x) for x in (1.0, 2.0, 3.0)] == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("dt, horizon", [(1.0, MAX_STEPS + 1.0), (1e-300, 10.0), (5e-324, 1e300)])
+def test_sim_config_rejects_grids_beyond_the_step_ceiling(dt, horizon):
+    with pytest.raises(ValueError, match=f"ceiling of {MAX_STEPS} steps"):
+        SimConfig(dt=dt, horizon=horizon)
+
+
+def test_sim_config_accepts_a_grid_at_the_step_ceiling():
+    assert MAX_STEPS == 10_000_000
+    assert SimConfig(dt=1.0, horizon=float(MAX_STEPS)).n_steps == MAX_STEPS
 
 
 def test_simulate_p_controller_on_integrator():
