@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .dataio import from_trajectory, generate_excitation, read_timeseries, resample_uniform, \
-    write_csv, write_json, write_timeseries
+from .dataio import format_column, from_trajectory, generate_excitation, read_timeseries, \
+    resample_uniform, write_columns, write_csv, write_json, write_timeseries
 from .errors import (
     ConfigError, ControllerFault, IdentificationError, InvalidSpec, LoopbenchError,
     MustResample, NoLimitCycle, ParseError, RolloutDiverged, SimulationDiverged, TooShort,
@@ -317,9 +317,9 @@ def cmd_simulate(args) -> int:
                     sensor=cfgmod.sensor_from(cfg), cfg=sim)
 
     out = _out_dir(args)
-    write_timeseries(from_trajectory(traj), out / "trajectory.csv")
-    write_csv(out / "plot.csv", ["t", "w", "y", "u"],
-              zip(traj.t.tolist(), traj.w.tolist(), traj.y.tolist(), traj.u.tolist()))
+    cols = write_timeseries(from_trajectory(traj), out / "trajectory.csv")
+    write_columns(out / "plot.csv", {"t": cols["t"], "w": cols["w"],
+                                     "y": format_column(traj.y.tolist()), "u": cols["u"]})
 
     metrics = compute_step_metrics(traj, band=0.02)
     ComparisonTable([(cfg["controller"]["kind"], metrics)]).to_csv(out / "metrics.csv")
@@ -327,9 +327,10 @@ def cmd_simulate(args) -> int:
     if supervisor is not None:
         write_transition_log(supervisor.log, out / "transitions.csv", dt=sim.dt)
     if blender is not None:
-        write_csv(out / "blend.csv", ["step", "time", "u_conv", "u"],
-                  [(k, k * sim.dt, uc, u) for k, (uc, u)
-                   in enumerate(zip(controller.u_conv_trace, controller.u_trace))])
+        steps = list(range(len(controller.u_trace)))
+        write_columns(out / "blend.csv", {
+            "step": format_column(steps), "time": format_column([k * sim.dt for k in steps]),
+            "u_conv": format_column(controller.u_conv_trace), "u": format_column(controller.u_trace)})
 
     _echo(cfg, out, "simulate")
     settle = repr(metrics.settling_time_s) if metrics.settled else "not-settled"

@@ -172,6 +172,10 @@ def _check(cfg: dict) -> None:
              "target must be controller or scheduler", "training.target")
     lam = cfg["training"]["lambda"]
     _require(_is_number(lam) and 0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
+    for name in ("tuning", "training"):
+        level = cfg[name]["episodes"]["level"]
+        _require(_is_number(level) and math.isfinite(level), "level must be a finite number",
+                 f"{name}.episodes.level")
     _require(cfg["reference"]["variant"] in ("step", "profile"),
              "variant must be step or profile", "reference.variant")
 

@@ -48,6 +48,16 @@ def write_csv(path, header, rows) -> None:
                   for c in row]) for row in rows])
 
 
+def format_column(values: list) -> list[str]:
+    """Each Python number's repr, cut from one repr of the list: a list's repr
+    joins its items' reprs with ", ", which no number's repr contains."""
+    return repr(values)[1:-1].split(", ") if values else []
+
+
+def write_columns(path, columns: dict[str, list[str]]) -> None:
+    write_lines(path, [",".join(columns), *map(",".join, zip(*columns.values()))])
+
+
 def write_json(path, obj) -> None:
     write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
@@ -120,13 +130,16 @@ def _validate_header(fields: list[str], path) -> list[str]:
     return fields
 
 
-def write_timeseries(series: TimeSeries, path) -> None:
+def write_timeseries(series: TimeSeries, path) -> dict[str, list[str]]:
+    """Write the series; returns its formatted columns for reuse."""
     cols = series.columns()
     n = len(series)
     for name, arr in cols.items():
         if len(arr) != n:
             raise ValueError(f"column {name!r} length mismatch")
-    write_csv(path, cols, zip(*[np.asarray(arr, dtype=float).tolist() for arr in cols.values()]))
+    cells = {name: format_column(np.asarray(arr, dtype=float).tolist()) for name, arr in cols.items()}
+    write_columns(path, cells)
+    return cells
 
 
 def read_timeseries(path) -> TimeSeries:

@@ -126,10 +126,10 @@ class TankNonlinear:
 
 PlantVariant = Union[LinearStateSpace, Fopdt, SecondOrder, TankNonlinear]
 
-# Integrator state: a float for Fopdt and TankNonlinear, a 2-tuple of floats
-# for SecondOrder, a numpy vector for LinearStateSpace. Python floats and
-# numpy float64 elements round identically, so the scalar plants integrate to
-# the same bits as the vector form at a fraction of the per-call overhead.
+# Integrator state: a float for Fopdt and TankNonlinear, a tuple of floats
+# otherwise. Python floats and numpy float64 elements round identically, so
+# every plant integrates to the same bits as the vector form; A x and C x stay
+# BLAS products (OpenBLAS fuses multiply-adds, a Python dot product does not).
 PlantState = Union[float, tuple, np.ndarray]
 
 
@@ -170,12 +170,9 @@ class PlantModel:
         return self.variant.dead_time if isinstance(self.variant, Fopdt) else 0.0
 
     def initial_state(self) -> PlantState:
-        """A numpy vector for LinearStateSpace, a 2-tuple of floats for
-        SecondOrder, a float for Fopdt and TankNonlinear."""
-        if isinstance(self.variant, LinearStateSpace):
-            return self.x0.copy() if self.x0 is not None else np.zeros(self.state_dim)
+        """A float for Fopdt and TankNonlinear, a tuple of floats otherwise."""
         x0 = self.x0.tolist() if self.x0 is not None else [0.0] * self.state_dim
-        return tuple(x0) if isinstance(self.variant, SecondOrder) else x0[0]
+        return x0[0] if isinstance(self.variant, (Fopdt, TankNonlinear)) else tuple(x0)
 
     def derivative(self, x: PlantState, u: float) -> PlantState:
         v = self.variant
@@ -188,13 +185,13 @@ class PlantModel:
         if isinstance(v, SecondOrder):
             wn = v.omega_n
             return (x[1], v.gain * wn * wn * u - 2.0 * v.zeta * wn * x[1] - wn * wn * x[0])
-        return v.a @ x + v.b * u
+        return tuple([ax + b * u for ax, b in zip(v.a.dot(np.array(x)).tolist(), v.b.tolist())])
 
     def output(self, x: PlantState):
         """Float for a single-output plant, numpy vector for a multi-output one."""
         v = self.variant
         if isinstance(v, LinearStateSpace):
-            y = v.c @ x
+            y = v.c.dot(np.array(x))
             return float(y[0]) if y.shape[0] == 1 else y
         return x if isinstance(x, float) else x[0]
 
@@ -343,8 +340,8 @@ class DelayLine:
 def rk4_step(state: PlantState, u, dt: float, dynamics: Callable) -> PlantState:
     """Classical 4th-order Runge-Kutta update with input held over the step.
 
-    A float or tuple state (the scalar plants) is integrated element by
-    element with the same operations in the same order as the array form.
+    A float or tuple state (every plant) is integrated element by element
+    with the same operations in the same order as the array form.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -517,7 +514,7 @@ def simulate(
         if not input_additive:
             y = y + d_k[k]
         if multi:
-            bounded = np.all(np.isfinite(y)) and np.max(np.abs(y)) <= guard
+            bounded = all([math.isfinite(v) and abs(v) <= guard for v in y.tolist()])
         else:
             bounded = math.isfinite(y) and abs(y) <= guard
         if not bounded:

@@ -749,3 +749,29 @@ def test_rejected_value_exits_2_with_section_path(tmp_path, capsys, command, pat
     assert main(argv) == 2
     assert f"config error: {section}: " in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mode", ["tune-ai", "bptt", "imitation"])
+def test_nonfinite_episode_level_exits_2_with_key(tmp_path, capsys, mode, level):
+    """A reference level that is not finite is a config error naming the key,
+    not a numerical failure after a whole search or training run."""
+    surrogate = ["--surrogate", str(_saved_surrogate(tmp_path))]
+    sim = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT)}
+    command, base, extra, key = {
+        "tune-ai": ("tune", {**sim, "tuning": {"mode": "ai", "budget": 5}}, surrogate,
+                    "tuning.episodes.level"),
+        "bptt": ("train-controller", {**sim, "training": {"mode": "bptt", "memory": 2, "hidden": [4],
+                                                          "horizon": 5, "epochs": 1}},
+                 surrogate, "training.episodes.level"),
+        "imitation": ("train-controller", _imitation_cfg(), [], "training.episodes.level"),
+    }[mode]
+    argv = [command, "--config", _write(tmp_path, "ok.json", base), "--out", str(tmp_path / "o"),
+            *extra]
+    assert main(argv) == 0
+    section = key.split(".")[0]
+    base[section]["episodes"] = {"count": 1, "level": level}
+    argv[2] = _write(tmp_path, "bad.json", base)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err

@@ -7,9 +7,9 @@ import pytest
 
 import loopbench
 from loopbench.dataio import (
-    ExcitationSpec, PRBS_TAPS, TimeSeries, from_trajectory, generate_excitation,
-    prbs_bits, read_timeseries, resample_uniform, split_contiguous, write_csv, write_json,
-    write_lines, write_timeseries,
+    ExcitationSpec, PRBS_TAPS, TimeSeries, format_column, from_trajectory, generate_excitation,
+    prbs_bits, read_timeseries, resample_uniform, split_contiguous, write_columns, write_csv,
+    write_json, write_lines, write_timeseries,
 )
 from loopbench.errors import InvalidSpec, ParseError, TooShort
 from loopbench.simcore import ConstantController, PlantModel, LinearStateSpace, SimConfig, simulate
@@ -242,6 +242,31 @@ def test_write_timeseries_cells_are_float_reprs(tmp_path, dtype):
     assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
+def test_format_column_equals_per_cell_repr():
+    edge = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 1e22, 1e-7,
+            0.1 + 0.2, 1.0, 3, -7, 0, 10**20]
+    rng = np.random.default_rng(3)
+    scaled = (rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, size=2000)).tolist()
+    for values in (edge, scaled, [2.5], [-1]):
+        assert format_column(values) == [repr(v) for v in values]
+    assert format_column([]) == []
+
+
+def test_write_columns_joins_formatted_columns_row_by_row(tmp_path):
+    write_columns(tmp_path / "a.csv", {"k": format_column([0, 1]), "x": format_column([0.5, -0.0])})
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == "k,x\n0,0.5\n1,-0.0\n"
+    write_columns(tmp_path / "b.csv", {"k": [], "x": []})
+    assert (tmp_path / "b.csv").read_text(encoding="utf-8") == "k,x\n"
+
+
+def test_write_timeseries_returns_the_cells_it_wrote(tmp_path):
+    series = _series(n=5)
+    cells = write_timeseries(series, tmp_path / "a.csv")
+    assert list(cells) == ["t", "w", "y", "u", "d"]
+    rows = (tmp_path / "a.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows == [",".join(col[k] for col in cells.values()) for k in range(5)]
+
+
 # a call that writes a file: Path.write_text/write_bytes, json.dump, or open()
 # with a mode that writes, appends, creates or updates
 WRITE_CALL = re.compile(r"\.write_text\(|\.write_bytes\(|\bjson\.dump\(|"
@@ -263,4 +288,4 @@ def test_only_dataio_writes_files():
             for path in sorted(src.glob("*.py")) if path.name != "dataio.py"
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if WRITE_CALL.search(line)]
-    assert hits == [], "write files through dataio.write_lines/write_csv/write_json"
+    assert hits == [], "write files through dataio.write_lines/write_csv/write_columns/write_json"

@@ -1,8 +1,10 @@
-"""Seeded fuzzing of model files and configs.
+"""Seeded fuzzing of model files, configs and time-series files.
 
 Each mutant of a saved surrogate, controller or scheduler (weights file or
-sidecar, cut, edited or given a byte that is not UTF-8), and each config
-with one leaf set to a junk value, goes through the command that reads it.
+sidecar, cut, edited or given a byte that is not UTF-8), each config with
+one leaf set to a junk value, and each mutant of a trajectory CSV (cut, a
+junk cell, a dropped column, a permuted header, swapped or deleted rows, a
+0xff byte) goes through the commands that read it.
 Whatever the mutation, the command ends in an exit code of the CLI contract
 (0 ok, 2 config, 3 numerical, 4 I/O) and never in a traceback. Layer sizes
 and horizons stay small so that no mutant asks for a large allocation or a
@@ -264,3 +266,79 @@ def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys, base):
             pytest.fail(f"{what} raised {exc!r}")
         assert code in (0, 2, 3, 4), f"{what} exited {code}"
         capsys.readouterr()
+
+
+# --- time-series files ---
+
+N_CSV_MUTANTS = 150
+CELL_JUNK = ("x", "", " ", "nan", "inf", "-inf", "1e999", "--1", "1,5", "0x10", "1_0", "1e-400")
+
+
+def _mutate_csv(rng, lines):
+    """Truncate at a random byte, put junk in a cell, drop a column, permute
+    the header, swap or delete rows, or insert a 0xff byte."""
+    text = "\n".join(lines) + "\n"
+    op = int(rng.integers(0, 7))
+    if op == 0:
+        at = int(rng.integers(0, len(text)))
+        return text[:at].encode(), f"truncated at byte {at}"
+    if op == 6:
+        return _insert_ff(rng, text)
+    rows = [line.split(",") for line in lines]
+    if op == 1:
+        i, j = int(rng.integers(1, len(rows))), int(rng.integers(0, len(rows[0])))
+        rows[i][j] = str(rng.choice(CELL_JUNK))
+        what = f"cell ({i + 1}, {j + 1}) = {rows[i][j]!r}"
+    elif op == 2:
+        j = int(rng.integers(0, len(rows[0])))
+        upto = len(rows) if rng.random() < 0.5 else int(rng.integers(1, len(rows)))
+        rows = [row[:j] + row[j + 1:] if i < upto else row for i, row in enumerate(rows)]
+        what = f"dropped column {j + 1} from the first {upto} lines"
+    elif op == 3:
+        rows[0] = [str(name) for name in rng.permutation(rows[0])]
+        what = f"header {','.join(rows[0])}"
+    elif op == 4:
+        i, k = (int(v) for v in rng.integers(1, len(rows), size=2))
+        rows[i], rows[k] = rows[k], rows[i]
+        what = f"swapped lines {i + 1} and {k + 1}"
+    else:
+        i = int(rng.integers(1, len(rows)))
+        del rows[i]
+        what = f"deleted line {i + 1}"
+    return ("\n".join(",".join(row) for row in rows) + "\n").encode(), what
+
+
+def test_mutated_time_series_keep_the_exit_code_contract(tmp_path, capsys):
+    """Mutants of a `simulate` trajectory (2-output plant, so with a y2
+    column) through `compare` beside the good file and through
+    `fit-surrogate`."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "sim": {"dt": 0.1, "horizon": 6.0, "seed": 0}, "plant": LINEAR2,
+        "sensor": {"noise_std": 0.01},
+        "controller": {"kind": "cascade", "outer": GAINS, "inner": GAINS},
+        "surrogate": {"p": 2, "q": 1, "hidden": [4], "epochs": 2, "patience": 2,
+                      "batch_size": 8}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    good = tmp_path / "good.csv"
+    good.write_bytes((tmp_path / "sim" / "trajectory.csv").read_bytes())
+    lines = good.read_text().splitlines()
+    assert lines[0] == "t,w,y,u,d,y2"
+    mutant = tmp_path / "mutant.csv"
+    runs = (["compare", str(good), str(mutant)],
+            ["fit-surrogate", "--config", str(cfg), "--data", str(mutant)])
+    rng = np.random.default_rng(7)
+    codes = set()
+    for i in range(-1, N_CSV_MUTANTS):
+        data, what = _mutate_csv(rng, lines) if i >= 0 else (good.read_bytes(), "unmutated")
+        mutant.write_bytes(data)
+        for argv in runs:
+            try:
+                code = main([*argv, "--out", str(tmp_path / "out")])
+            except Exception as exc:  # a traceback is the failure this test looks for
+                pytest.fail(f"mutant {i} ({what}) through {argv[0]} raised {exc!r}")
+            assert code in (0, 2, 3, 4), f"mutant {i} ({what}) through {argv[0]} exited {code}"
+            assert i >= 0 or code == 0, f"the unmutated file through {argv[0]} exited {code}"
+            codes.add(code)
+        capsys.readouterr()
+    assert {0, 4} <= codes

@@ -8,8 +8,10 @@ digest trained weights and the files the training commands write, and
 in `tests/golden/digests.json` were captured before the float-state fast
 path landed, the training and pipeline digests before the networks moved
 onto one parameter vector, `tune/ai-q1` before per-step surrogate
-prediction moved onto Python-float lag windows, and the `cli/*` cases before
-every output file moved onto the `dataio` writers; a change that moves any
+prediction moved onto Python-float lag windows, the `cli/*` cases before
+every output file moved onto the `dataio` writers, and `cli/linear2-cascade`
+before linear plants moved onto float state and trajectory files were
+formatted by column; a change that moves any
 output bit fails here and must be declared as a behaviour change. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -319,6 +321,22 @@ def _compare_cli(tmp):
     return _files_digest(out, "comparison.csv")
 
 
+def _linear2_cascade_cli(tmp):
+    cfg = {"sim": {"dt": 0.02, "horizon": 6.0, "seed": 5},
+           "plant": {"variant": "linear", "a": [[-0.5, 0.5, 0.0], [0.0, -3.0, 1.0], [0.0, -1.0, -2.0]],
+                     "b": [0.0, 1.0, 3.0], "c": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                     "x0": [0.1, 0.0, -0.2], "limits": [-5.0, 5.0]},
+           "sensor": {"noise_std": 0.01},
+           "disturbance": {"variant": "step", "injection": "output", "time": 3.0,
+                           "magnitude": 0.2},
+           "reference": {"variant": "step", "level": 1.0, "time": 0.2},
+           "controller": {"kind": "cascade", "outer": {"kp": 1.5, "ki": 0.5},
+                          "inner": {"kp": 2.0, "ki": 1.0}}}
+    out = _cli(tmp, "cascade", "simulate", cfg)
+    assert (out / "trajectory.csv").read_text(encoding="utf-8").startswith("t,w,y,u,d,y2\n")
+    return _files_digest(out, "trajectory.csv", "plot.csv", "metrics.csv")
+
+
 def _tune_rule_cli(tmp):
     cfg = {"sim": {"dt": 0.01, "horizon": 20.0, "seed": 3}, "plant": TRAIN_PLANT,
            "tuning": {"mode": "rule", "rule": "cohen-coon", "kind": "pi", "step_level": 0.8}}
@@ -363,6 +381,7 @@ CASES.update({
     "cli/switch": _switch_cli,
     "cli/blend": _blend_cli,
     "cli/compare": _compare_cli,
+    "cli/linear2-cascade": _linear2_cascade_cli,
     "cli/tune-rule": _tune_rule_cli,
     "cli/echoes": _echoes_cli,
 })

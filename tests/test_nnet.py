@@ -389,8 +389,9 @@ PORTABLE_PROFILE = {"OPENBLAS_CORETYPE": "Haswell",
 
 
 def test_row_path_bit_equal_under_the_portable_profile():
-    """The row-vs-batch tests again, in a fresh interpreter under the portable
-    profile: both variables are read once, when numpy and OpenBLAS load."""
+    """The row-vs-batch tests and the float-state plant test again, in a fresh
+    interpreter under the portable profile: both variables are read once,
+    when numpy and OpenBLAS load."""
     here = os.path.dirname(os.path.abspath(__file__))
     script = ("import sys, pytest\n"
               "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
@@ -399,7 +400,8 @@ def test_row_path_bit_equal_under_the_portable_profile():
     tests = [os.path.join(here, "test_nnet.py::test_row_path_bit_equal_to_one_row_batch"),
              os.path.join(here, "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass"),
              os.path.join(here, "test_neuro.py::test_control_loop_step_bit_equal_to_array_form"),
-             os.path.join(here, "test_neuro.py::test_gains_from_bit_equal_to_array_form")]
+             os.path.join(here, "test_neuro.py::test_gains_from_bit_equal_to_array_form"),
+             os.path.join(here, "test_simcore.py::test_float_state_rk4_matches_array_branch_bitwise")]
     run = subprocess.run([sys.executable, "-c", script, "-q", "-p", "no:cacheprovider", *tests],
                          env={**os.environ, **PORTABLE_PROFILE}, cwd=os.path.dirname(here),
                          capture_output=True, text=True, timeout=600)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from loopbench import simcore
 from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.simcore import (
     ConstantController, DelayLine, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel,
@@ -249,7 +250,9 @@ def test_simconfig_validation():
 # ---------------------------------------------------------------------------
 
 def _array_dynamics(v):
-    """The vector-state derivatives the scalar plants are checked against."""
+    """The vector-state derivatives the float-state plants are checked against."""
+    if isinstance(v, LinearStateSpace):
+        return lambda x, u: v.a @ x + v.b * u
     if isinstance(v, Fopdt):
         return lambda x, u: np.array([(v.gain * u - x[0]) / v.tau])
     if isinstance(v, SecondOrder):
@@ -266,12 +269,24 @@ def _rk4_or_diverged(state, u, dt, dynamics):
         return "diverged"
 
 
+def _linear(n_states, n_outputs, seed):
+    rng = np.random.default_rng(seed)
+    return LinearStateSpace(a=rng.normal(0.0, 2.0, size=(n_states, n_states)),
+                            b=rng.normal(0.0, 1.0, size=n_states),
+                            c=rng.normal(0.0, 1.0, size=(n_outputs, n_states)))
+
+
 @pytest.mark.parametrize("variant", [
     Fopdt(gain=1.7, tau=0.35),
     TankNonlinear(area=0.8, outflow_coeff=1.3),
     SecondOrder(gain=2.5, omega_n=3.0, zeta=0.15),
+    # (states, outputs): 1x1, 2x1, 2x2, 4x1, 4x3
+    _linear(1, 1, 1), _linear(2, 1, 2), _linear(2, 2, 3), _linear(4, 1, 4), _linear(4, 3, 5),
 ])
 def test_float_state_rk4_matches_array_branch_bitwise(variant):
+    """Every plant's float-state step against the array form with `==`; a
+    linear plant's A x and C x are one BLAS product each in both forms, so
+    this also runs under the portable profile (tests/test_nnet.py)."""
     plant = PlantModel(variant)
     ref = _array_dynamics(variant)
     rng = np.random.default_rng(2024)
@@ -282,14 +297,38 @@ def test_float_state_rk4_matches_array_branch_bitwise(variant):
     states[-20:] *= 1e300
     inputs = rng.normal(0.0, 1.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
     steps = 10.0 ** rng.uniform(-4.0, 0.0, size=n)
+    linear = isinstance(variant, LinearStateSpace)
     for x, u, dt in zip(states, inputs.tolist(), steps.tolist()):
-        fast_x = tuple(x.tolist()) if plant.state_dim == 2 else float(x[0])
+        fast_x = tuple(x.tolist()) if isinstance(plant.initial_state(), tuple) else float(x[0])
+        if linear:
+            y = plant.output(fast_x)
+            assert isinstance(y, float) == (plant.n_outputs == 1)
+            assert np.atleast_1d(y).tobytes() == (variant.c @ x).tobytes()
         fast = _rk4_or_diverged(fast_x, u, dt, plant.derivative)
         slow = _rk4_or_diverged(x, u, dt, ref)
         if isinstance(slow, str):
             assert fast == slow
         else:
             assert np.atleast_1d(fast).tolist() == slow.tolist()
+
+
+@pytest.mark.parametrize("plant", [
+    PlantModel(Fopdt(gain=1.5, tau=0.8, dead_time=0.15)),
+    PlantModel(SecondOrder(gain=1.0, omega_n=2.0, zeta=0.4)),
+    PlantModel(TankNonlinear(area=1.2, outflow_coeff=0.8), x0=[0.3]),
+    PlantModel(LinearStateSpace(a=[[0.0, 1.0], [-2.0, -0.7]], b=[0.0, 2.0], c=[[1.0, 0.0]])),
+    PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0], c=np.eye(2))),
+], ids=["fopdt", "second_order", "tank", "linear", "linear2"])
+def test_simulate_calls_rk4_step_once_per_step(plant, monkeypatch):
+    """The benchmark's traced runs check `simcore.rk4_step` calls against the
+    step counts of their configs, so each step integrates through it once."""
+    calls = []
+    real = simcore.rk4_step
+    monkeypatch.setattr(simcore, "rk4_step", lambda *args: calls.append(1) or real(*args))
+    cfg = SimConfig(dt=0.01, horizon=0.5)
+    traj = simulate(plant, ConstantController(0.5), 1.0,
+                    DisturbanceSpec("step", "output", time=0.2, magnitude=0.1), cfg=cfg)
+    assert len(calls) == cfg.n_steps == len(traj) == 50
 
 
 @pytest.mark.parametrize("sensor", [
