@@ -100,10 +100,17 @@ def _merge(defaults, given, path):
             if isinstance(default, dict) and default:
                 out[key] = _merge(default, given[key], child_path)
             else:
+                _require(not _has_bool(given[key]), "no setting takes a boolean", child_path)
                 out[key] = given[key]
         else:
             out[key] = json.loads(json.dumps(default))  # deep copy of the default
     return out
+
+
+def _has_bool(value) -> bool:
+    """Whether a JSON value is or holds a boolean: no leaf of `DEFAULTS` is one."""
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else None
+    return isinstance(value, bool) if items is None else any(map(_has_bool, items))
 
 
 def resolve_config(raw: dict) -> dict:

@@ -170,6 +170,10 @@ def read_timeseries(path) -> TimeSeries:
         raise ParseError(f"{path}: no data rows", line=2)
 
     data = np.array(rows)
+    if not np.isfinite(data).all():  # only then look for the cell
+        lineno, cell = next((i, f) for i, line in enumerate(lines[1:], start=2) if line
+                            for f in line.split(",") if not math.isfinite(float(f)))
+        raise ParseError(f"{path}: non-finite cell {cell!r}", line=lineno)
     extra = {name: data[:, i] for i, name in enumerate(names) if i >= len(_BASE_COLUMNS)}
     return TimeSeries(t=data[:, 0], w=data[:, 1], y=data[:, 2], u=data[:, 3], d=data[:, 4],
                       extra=extra or None)

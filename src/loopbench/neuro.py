@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ControllerFault, FeatureUnavailable, SimulationDiverged, TooShort, \
     TrainingUnstable, TuningFailed
 from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, check_int, check_number, \
-    float_vector, normalize
+    float_vector, mean_square, normalize
 from .pid import PidGains, PidState, pid_step
 from .simcore import primary_output
 from .surrogate import NarxModel
@@ -315,6 +315,7 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
         work.aux.bind(params[work.mlp.n_params:])
     adam = Adam(params.size, cfg.learning_rate, cfg.beta1, cfg.beta2)
     rng = np.random.default_rng(cfg.seed)
+    grads = np.empty(params.size)  # laid out like `params`, rewritten every step
 
     def _loss_and_step(rows):
         ys = train_y[rows]
@@ -322,17 +323,17 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
         th = np.tanh(z[:, :1])
         u_hat = work.center + work.half_span * th
         diff = u_hat - ys[:, :1]
-        loss = float(np.mean(diff ** 2))
+        loss = mean_square(diff)
         gz = (2.0 * diff / diff.size) * work.half_span * (1.0 - th ** 2)
         extra = None
         if has_aux:
             d_hat, acts_aux = work.aux.forward_cached(acts[-1])
             d_diff = d_hat - ys[:, 1:2]
-            loss += aux_weight * float(np.mean(d_diff ** 2))
-            grads_aux, extra = work.aux.backward(acts_aux, aux_weight * 2.0 * d_diff / d_diff.size)
-        grads, _ = work.mlp.backward(acts, gz, extra_last_hidden_grad=extra)
-        if has_aux:
-            grads = np.concatenate([grads, grads_aux])
+            loss += aux_weight * mean_square(d_diff)
+            gz_aux = aux_weight * 2.0 * d_diff / d_diff.size  # the one-layer head's only adjoint
+            work.aux.backward(acts_aux, gz_aux, out=grads[work.mlp.n_params:])
+            extra = work.aux.input_adjoint([gz_aux])
+        work.mlp.backward(acts, gz, extra, out=grads[:work.mlp.n_params])
         adam.step(params, grads)
         return loss
 
@@ -353,7 +354,7 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
         a_draws = 0
         for _ in range(n_batches):
             from_a = rng.random(cfg.batch_size) < mix.lam
-            na = int(from_a.sum())
+            na = int(np.count_nonzero(from_a))
             a_draws += na
             idx_a = rng.integers(0, len(a_train), size=na)
             idx_b = rng.integers(0, len(b_train), size=cfg.batch_size - na)
@@ -407,11 +408,11 @@ class _ControllerBlock:
         nc, m = self.nc, self.nc.memory
         z, acts = cache
         dz = u_bar * nc.half_span * (1.0 - math.tanh(z) ** 2)
-        grads, gf = nc.mlp.backward(acts, [dz])
-        df = gf / nc.feat_std
+        gzs = nc.mlp.adjoints(acts, [dz])
+        df = nc.mlp.input_adjoint(gzs) / nc.feat_std
         ybar_w += df[1:m + 1][::-1]
         ubar_w += df[m + 1:][::-1]
-        return grads
+        return gzs, acts
 
 
 class _SchedulerBlock:
@@ -457,12 +458,12 @@ class _SchedulerBlock:
         self.sbar = ds_prev
         dz = [d * s * (1.0 - s) * (hi - lo) for d, s, (lo, hi)
               in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs.bounds.tolist())]
-        grads, gf = gs.mlp.backward(acts, dz)
-        df = gf / gs.feat_std
+        gzs = gs.mlp.adjoints(acts, dz)
+        df = gs.mlp.input_adjoint(gzs) / gs.feat_std
         self.ebar[k + 1:m + k + 1] += df[:m][::-1]
         ybar_w += df[m:][::-1]
         ybar_w[-1] -= self.ebar[m + k]
-        return grads
+        return gzs, acts
 
 
 def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float = 0.01,
@@ -475,11 +476,11 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float 
     output and control records, the surrogate step, the loss and the
     surrogate adjoint; the controller or the scheduled PI core supplies a
     forward step (windows to u_k and a cache) and a reverse step (the cache
-    and the adjoint of u_k to the parameter gradient, its window adjoints
+    and the adjoint of u_k to its network's adjoints, its window adjoints
     added into ybar/ubar). Exposed separately so the finite-difference
     oracle in the tests can call the same computation it is checking.
     """
-    w_seq = np.asarray(w_seq, dtype=float)
+    w_seq = np.asarray(w_seq, dtype=float).tolist()
     if len(w_seq) < horizon + 1:
         raise ValueError("reference must cover horizon + 1 samples")
     if isinstance(target, NeuralController):
@@ -491,23 +492,23 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float 
     p, q, m = narx.p, narx.q, target.memory
     pad_y = max(p, m)
     pad_u = max(q - 1, m, 1)
-    ys = np.zeros(pad_y + horizon)
-    us = np.zeros(pad_u + horizon)
+    ys = [0.0] * (pad_y + horizon)  # the records on floats; only their adjoints are arrays
+    us = [0.0] * (pad_u + horizon)
     caches = []
 
     loss_track = 0.0
     loss_du = 0.0
     for k in range(horizon):
         iy, iu = pad_y - 1 + k, pad_u + k  # newest output; the control chosen now
-        u_k, cache = block.forward(k, w_seq[k], ys[iy - m + 1:iy + 1].tolist(),
-                                   us[iu - m:iu].tolist())
+        u_k, cache = block.forward(k, w_seq[k], ys[iy - m + 1:iy + 1], us[iu - m:iu])
         us[iu] = u_k
-        y_next, acts_s = narx.predict(ys[iy - p + 1:iy + 1].tolist(), us[iu - q + 1:iu + 1].tolist())
+        y_next, acts_s = narx.predict(ys[iy - p + 1:iy + 1], us[iu - q + 1:iu + 1])
         if not math.isfinite(y_next):
             raise SimulationDiverged("surrogate rollout diverged", step=k)
         ys[iy + 1] = y_next
-        loss_track += (y_next - w_seq[k + 1]) ** 2
-        loss_du += (u_k - us[iu - 1]) ** 2
+        # float64 squares: inf past the float range, where a float's ** 2 raises
+        loss_track += np.float64(y_next - w_seq[k + 1]) ** 2
+        loss_du += np.float64(u_k - us[iu - 1]) ** 2
         caches.append((cache, acts_s))
 
     loss = loss_track / horizon + rho * loss_du / horizon
@@ -518,9 +519,9 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float 
     # adjoint, then the block's reverse step; every += is a float sum, so
     # this order into each entry is what keeps the gradient's bits (sums
     # into different entries may go in any order, hence the slice +=)
-    ybar = np.zeros_like(ys)
-    ubar = np.zeros_like(us)
-    pgrads = np.zeros(target.mlp.n_params)
+    ybar = np.zeros(len(ys))
+    ubar = np.zeros(len(us))
+    steps = []  # (adjoints, activations) in the order the parameter gradient sums them
     for k in range(horizon - 1, -1, -1):
         iy, iu = pad_y - 1 + k, pad_u + k
         cache, acts_s = caches[k]
@@ -533,9 +534,9 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float 
         ybar[iy - p + 1:iy + 1] += fbar_s[:p][::-1]
         ubar[iu - q + 1:iu + 1] += fbar_s[p:][::-1]
 
-        pgrads += block.reverse(k, cache, float(ubar[iu]), ybar[iy - m + 1:iy + 1],
-                                ubar[iu - m:iu])
-    return loss, pgrads
+        steps.append(block.reverse(k, cache, float(ubar[iu]), ybar[iy - m + 1:iy + 1],
+                                   ubar[iu - m:iu]))
+    return loss, target.mlp.summed_row_gradient(*zip(*steps))
 
 
 def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConfig,

@@ -99,12 +99,12 @@ class Mlp:
                 w[...] = rng.uniform(-lim, lim, size=w.shape)
 
     def _views(self, vec: np.ndarray):
-        """Per-layer weight and bias views into a vector laid out like `params`."""
+        """Per-layer weight and bias views into a vector (or stack) laid out like `params`."""
         weights, biases, pos = [], [], 0
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            weights.append(vec[pos:pos + n_in * n_out].reshape(n_out, n_in))
+            weights.append(vec[..., pos:pos + n_in * n_out].reshape(*vec.shape[:-1], n_out, n_in))
             pos += n_in * n_out
-            biases.append(vec[pos:pos + n_out])
+            biases.append(vec[..., pos:pos + n_out])
             pos += n_out
         return weights, biases
 
@@ -147,55 +147,76 @@ class Mlp:
                              f"{self.layer_sizes[0]}")
         acts = [a]
         for l in range(self.n_layers - 1):
-            a = np.tanh(np.dot(a, self.weights[l].T) + self.biases[l])
-            acts.append(a)
+            a = np.dot(a, self.weights[l].T)  # a fresh array: the bias and tanh go in place
+            a += self.biases[l]
+            acts.append(np.tanh(a, out=a))
         return np.dot(a, self.weights[-1].T) + self.biases[-1], acts
 
     def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
-        """Reverse pass through the activations only: (adjoint of each layer's
-        pre-activation, last layer first; adjoint of the input).
+        """Reverse pass through the activations only: the adjoint of each
+        layer's pre-activation, last layer first.
 
         `grad_out` and `extra_last_hidden_grad` are shaped like the output
         and the last hidden activation of the pass: 1-D for a row, 2-D for a
         batch. `extra_last_hidden_grad` injects an adjoint at the last hidden
         activation (used by auxiliary output heads that branch off there).
         """
-        g = np.asarray(grad_out, dtype=float)
-        gzs = [g]
-        ga = np.dot(g, self.weights[-1])
-        if extra_last_hidden_grad is not None:
-            ga = ga + extra_last_hidden_grad
+        gzs = [np.asarray(grad_out, dtype=float)]
         for l in range(self.n_layers - 2, -1, -1):
-            gz = ga * (1.0 - acts[l + 1] ** 2)
-            gzs.append(gz)
-            ga = np.dot(gz, self.weights[l])
-        return gzs, ga
+            ga = np.dot(gzs[-1], self.weights[l + 1])
+            if extra_last_hidden_grad is not None:
+                ga += extra_last_hidden_grad
+                extra_last_hidden_grad = None
+            gzs.append(ga * (1.0 - acts[l + 1] ** 2))
+        return gzs
 
-    def backward(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
-        """Reverse pass: (parameter gradient laid out like `params`, gradient
-        w.r.t. the input); `adjoints` documents the arguments. For a row the
-        weight gradient is the outer product of the pre-activation adjoint
-        and the layer input. Adding 0.0 to the gradient turns the -0.0 of a
-        row's products into the 0.0 that a batch's sums give, and changes no
-        other value, so a row's gradient is a one-row batch's, bit for bit."""
-        gzs, ga = self.adjoints(acts, grad_out, extra_last_hidden_grad)
-        row = acts[0].ndim == 1
-        parts = []  # last layer first, bias before weights
+    def input_adjoint(self, gzs) -> np.ndarray:
+        """Adjoint of the input, from the pre-activation adjoints of `adjoints`."""
+        return np.dot(gzs[-1], self.weights[0])
+
+    def backward(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Reverse pass over a batch: the parameter gradient, laid out like `params`,
+        into `out` (a new vector if None); `adjoints` documents the arguments. The
+        added 0.0 turns any -0.0 of the BLAS products into 0.0, as sums from +0.0 give."""
+        out = np.empty(self.n_params) if out is None else out
+        weights, biases = self._views(out)
+        gzs = self.adjoints(acts, grad_out, extra_last_hidden_grad)
         for l, gz in zip(range(self.n_layers - 1, -1, -1), gzs):
-            if row:
-                parts += [gz, (gz[:, None] * acts[l]).ravel()]
-            else:
-                parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
-        return np.concatenate(parts[::-1]) + 0.0, ga
+            np.add.reduce(gz, axis=0, out=biases[l])
+            np.dot(gz.T, acts[l], out=weights[l])
+        out += 0.0
+        return out
+
+    def summed_row_gradient(self, gzs_seq, acts_seq) -> np.ndarray:
+        """Sum in order from +0.0 of the row gradients of 1-D passes (`adjoints` and
+        activations of each): `g += backward(...)` on each one-row batch, bit for bit,
+        as such a sum is never -0.0. The terms go in chunks of about 2^20 numbers
+        (8 MB) under the running sum, which `np.add.reduce` over the stack adds row
+        after row (numpy sums pairwise only along the contiguous axis)."""
+        total, step = np.zeros(self.n_params), max(1, (1 << 20) // self.n_params)
+        for s in range(0, len(gzs_seq), step):
+            gzs_c, acts_c = gzs_seq[s:s + step], acts_seq[s:s + step]
+            terms = np.concatenate([total[None], np.empty((len(gzs_c), self.n_params))])
+            weights, biases = self._views(terms[1:])
+            for i, l in enumerate(range(self.n_layers - 1, -1, -1)):
+                biases[l][...] = gz = np.array([gzs[i] for gzs in gzs_c])
+                np.multiply(gz[..., None], np.array([a[l] for a in acts_c])[:, None], out=weights[l])
+            total = np.add.reduce(terms, axis=0)
+        return total
 
 
 # ---------------------------------------------------------------------------
 # Loss, gradients, optimizer
 # ---------------------------------------------------------------------------
 
+def mean_square(diff: np.ndarray) -> float:
+    """`np.mean(diff ** 2)` without its wrapper: the same sum and division."""
+    return float(np.add.reduce(diff ** 2, axis=None) / diff.size)
+
+
 def mse(net: Mlp, x: np.ndarray, y: np.ndarray) -> float:
-    pred = net.forward(np.atleast_2d(x))
-    return float(np.mean((pred - np.atleast_2d(y)) ** 2))
+    return mean_square(net.forward(np.atleast_2d(x)) - np.atleast_2d(y))
 
 
 def grad(net: Mlp, x: np.ndarray, y: np.ndarray):
@@ -207,9 +228,7 @@ def grad(net: Mlp, x: np.ndarray, y: np.ndarray):
         raise ValueError("empty batch")
     out, acts = net.forward_cached(xb)
     diff = out - yb
-    loss = float(np.mean(diff ** 2))
-    grads, _ = net.backward(acts, 2.0 * diff / diff.size)
-    return grads, loss
+    return net.backward(acts, 2.0 * diff / diff.size), mean_square(diff)
 
 
 class Adam:

@@ -102,8 +102,7 @@ class NarxModel:
 
     def backward_to_features(self, acts, upstream: float) -> np.ndarray:
         """Adjoint of the raw feature vector given d(loss)/d(prediction)."""
-        _, gx = self.mlp.adjoints(acts, [upstream * self._y_std])
-        return gx / self.x_std
+        return self.mlp.input_adjoint(self.mlp.adjoints(acts, [upstream * self._y_std])) / self.x_std
 
 
 @dataclass

@@ -72,6 +72,24 @@ def test_non_numeric_config_value_exits_2_with_key_path(tmp_path, capsys, sectio
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("leaf, value", [("sim.seed", True), ("sensor.noise_std", True),
+                                         ("plant.gain", True), ("controller.gains.kp", False),
+                                         ("plant.limits", [-1.0, True])])
+def test_boolean_config_value_exits_2_with_key_path(tmp_path, capsys, leaf, value):
+    # no setting is a boolean; `float()`/`int()` would read true as 1
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+           "controller": {"kind": "pid", "gains": {"kp": 1.0}}}
+    *sections, key = leaf.split(".")
+    block = cfg
+    for name in sections:
+        block = block.setdefault(name, {})
+    block[key] = value
+    argv = ["simulate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"config error: {leaf}: no setting takes a boolean" \
+        in capsys.readouterr().err
+
+
 def test_non_numeric_actuator_limit_is_validation_error():
     with pytest.raises(ConfigError) as err:
         resolve_config({"plant": {"limits": [0.0, "1"]}})
@@ -679,6 +697,30 @@ def test_malformed_time_series_error_names_the_file(tmp_path, capsys, target):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert f"line 3: {bad}: non-numeric cell" in err
+
+
+@pytest.mark.parametrize("target", ["compare", "fit-surrogate"])
+@pytest.mark.parametrize("column", ["y", "y2"])
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+def test_non_finite_time_series_cell_is_parse_error(tmp_path, capsys, target, column, cell):
+    cfg = {"sim": {"dt": 0.1, "horizon": 6.0, "seed": 0},
+           "plant": {"variant": "linear", "a": [[-0.5, 0.5], [0.0, -3.0]], "b": [0.0, 3.0],
+                     "c": [[1.0, 0.0], [0.0, 1.0]], "limits": [-5.0, 5.0]},
+           "controller": {"kind": "pid", "gains": {"kp": 1.0, "ki": 0.5}},
+           "surrogate": {"p": 2, "q": 1, "hidden": [4], "epochs": 2, "batch_size": 8}}
+    cfg_path = _write(tmp_path, "sim.json", cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")]) == 0
+    good = tmp_path / "sim" / "trajectory.csv"
+    rows = [line.split(",") for line in _read_rows(good)]
+    assert rows[0] == ["t", "w", "y", "u", "d", "y2"]
+    rows[20][rows[0].index(column)] = cell  # line 21
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    out = ["--out", str(tmp_path / "o")]
+    argv = (["compare", str(good), str(bad), *out] if target == "compare"
+            else ["fit-surrogate", "--config", cfg_path, "--data", str(bad), *out])
+    assert main(argv) == 4
+    assert f"line 21: {bad}: non-finite cell {cell!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [

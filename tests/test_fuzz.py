@@ -2,11 +2,13 @@
 
 Each mutant of a saved surrogate, controller or scheduler (weights file or
 sidecar, cut, edited or given a byte that is not UTF-8), each config with
-one leaf set to a junk value, and each mutant of a trajectory CSV (cut, a
-junk cell, a dropped column, a permuted header, swapped or deleted rows, a
-0xff byte) goes through the commands that read it.
+one leaf set to a junk value or given a 0xff byte, and each mutant of a
+trajectory CSV (cut, a junk cell, a dropped column, a permuted header,
+swapped or deleted rows, a 0xff byte) goes through the commands that read it.
 Whatever the mutation, the command ends in an exit code of the CLI contract
-(0 ok, 2 config, 3 numerical, 4 I/O) and never in a traceback. Layer sizes
+(0 ok, 2 config, 3 numerical, 4 I/O) and never in a traceback; a boolean
+config leaf exits 2, and a 0xff byte or a non-finite cell as the only fault
+exits 4. Layer sizes
 and horizons stay small so that no mutant asks for a large allocation or a
 long run.
 """
@@ -166,6 +168,7 @@ READS = {"record": ("sim", "plant", "sensor", "disturbance", "excitation"),
          "fit-surrogate": ("sim", "surrogate"),
          "train-controller": ("sim", "plant", "sensor", "disturbance", "training")}
 N_CONFIG_MUTANTS = 150
+N_CONFIG_FF_MUTANTS = 5
 GAINS = {"kp": 1.2, "ki": 0.8, "kd": 0.05}
 LINEAR2 = {"variant": "linear", "a": [[-0.5, 0.5], [0.0, -3.0]], "b": [0.0, 3.0],
            "c": [[1.0, 0.0], [0.0, 1.0]], "limits": [-5.0, 5.0]}
@@ -265,30 +268,45 @@ def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys, base):
         except Exception as exc:  # a traceback is the failure this test looks for
             pytest.fail(f"{what} raised {exc!r}")
         assert code in (0, 2, 3, 4), f"{what} exited {code}"
+        assert value is not True or code == 2, f"{what} exited {code}"
+        capsys.readouterr()
+    text = json.dumps(cfg)
+    for i in range(N_CONFIG_FF_MUTANTS):
+        data, what = _insert_ff(rng, text)
+        (tmp_path / "cfg.json").write_bytes(data)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail(f"{name} {what} raised {exc!r}")
+        assert code == 4, f"{name} {what} exited {code}"
         capsys.readouterr()
 
 
 # --- time-series files ---
 
 N_CSV_MUTANTS = 150
-CELL_JUNK = ("x", "", " ", "nan", "inf", "-inf", "1e999", "--1", "1,5", "0x10", "1_0", "1e-400")
+NON_FINITE = ("nan", "inf", "-inf", "1e999")
+CELL_JUNK = ("x", "", " ", *NON_FINITE, "--1", "1,5", "0x10", "1_0", "1e-400")
 
 
 def _mutate_csv(rng, lines):
     """Truncate at a random byte, put junk in a cell, drop a column, permute
-    the header, swap or delete rows, or insert a 0xff byte."""
+    the header, swap or delete rows, or insert a 0xff byte. Returns the bytes,
+    what was done, and whether the only fault is a non-finite cell."""
     text = "\n".join(lines) + "\n"
     op = int(rng.integers(0, 7))
     if op == 0:
         at = int(rng.integers(0, len(text)))
-        return text[:at].encode(), f"truncated at byte {at}"
+        return text[:at].encode(), f"truncated at byte {at}", False
     if op == 6:
-        return _insert_ff(rng, text)
+        return *_insert_ff(rng, text), False
     rows = [line.split(",") for line in lines]
     if op == 1:
         i, j = int(rng.integers(1, len(rows))), int(rng.integers(0, len(rows[0])))
         rows[i][j] = str(rng.choice(CELL_JUNK))
         what = f"cell ({i + 1}, {j + 1}) = {rows[i][j]!r}"
+        if rows[i][j] in NON_FINITE:
+            return ("\n".join(",".join(row) for row in rows) + "\n").encode(), what, True
     elif op == 2:
         j = int(rng.integers(0, len(rows[0])))
         upto = len(rows) if rng.random() < 0.5 else int(rng.integers(1, len(rows)))
@@ -305,7 +323,7 @@ def _mutate_csv(rng, lines):
         i = int(rng.integers(1, len(rows)))
         del rows[i]
         what = f"deleted line {i + 1}"
-    return ("\n".join(",".join(row) for row in rows) + "\n").encode(), what
+    return ("\n".join(",".join(row) for row in rows) + "\n").encode(), what, False
 
 
 def test_mutated_time_series_keep_the_exit_code_contract(tmp_path, capsys):
@@ -329,8 +347,11 @@ def test_mutated_time_series_keep_the_exit_code_contract(tmp_path, capsys):
             ["fit-surrogate", "--config", str(cfg), "--data", str(mutant)])
     rng = np.random.default_rng(7)
     codes = set()
+    non_finite = 0
     for i in range(-1, N_CSV_MUTANTS):
-        data, what = _mutate_csv(rng, lines) if i >= 0 else (good.read_bytes(), "unmutated")
+        data, what, only_non_finite = (_mutate_csv(rng, lines) if i >= 0
+                                       else (good.read_bytes(), "unmutated", False))
+        non_finite += only_non_finite
         mutant.write_bytes(data)
         for argv in runs:
             try:
@@ -339,6 +360,8 @@ def test_mutated_time_series_keep_the_exit_code_contract(tmp_path, capsys):
                 pytest.fail(f"mutant {i} ({what}) through {argv[0]} raised {exc!r}")
             assert code in (0, 2, 3, 4), f"mutant {i} ({what}) through {argv[0]} exited {code}"
             assert i >= 0 or code == 0, f"the unmutated file through {argv[0]} exited {code}"
+            assert code == 4 or not only_non_finite, f"mutant {i} ({what}) through {argv[0]} " \
+                f"exited {code}"
             codes.add(code)
         capsys.readouterr()
-    assert {0, 4} <= codes
+    assert {0, 4} <= codes and non_finite > 0

@@ -293,7 +293,7 @@ def _ref_surrogate_step(narx, feat_s):
 
 
 def _ref_surrogate_adjoint(narx, acts, upstream):
-    _, gx = narx.mlp.adjoints(acts, np.array([[upstream * float(narx.y_std[0])]]))
+    gx = narx.mlp.input_adjoint(narx.mlp.adjoints(acts, np.array([[upstream * float(narx.y_std[0])]])))
     return gx[0] / narx.x_std
 
 
@@ -342,7 +342,8 @@ def _ref_controller_rollout(nc, narx, w_seq, horizon, rho):
         for j in range(q):
             ubar[pad_u + k - j] += fbar_s[p + j]
         dz = float(ubar[pad_u + k]) * nc.half_span * (1.0 - math.tanh(zs[k]) ** 2)
-        g_c, gf = nc.mlp.backward(caches_c[k], np.array([[dz]]))
+        g_c = nc.mlp.backward(caches_c[k], np.array([[dz]]))
+        gf = nc.mlp.input_adjoint(nc.mlp.adjoints(caches_c[k], np.array([[dz]])))
         pgrads += g_c
         df = gf[0] / nc.feat_std
         ybar[iy] += df[1]
@@ -429,7 +430,8 @@ def _ref_scheduler_rollout(gs, narx, w_seq, horizon, rho, limits):
         sbar = ds_prev
         sig = 1.0 / (1.0 + np.exp(-z_list[k]))
         dz = np.array([dkp, dki, 0.0]) * sig * (1.0 - sig) * (hi - lo)
-        g_g, gf = gs.mlp.backward(caches_g[k], dz.reshape(1, 3))
+        g_g = gs.mlp.backward(caches_g[k], dz.reshape(1, 3))
+        gf = gs.mlp.input_adjoint(gs.mlp.adjoints(caches_g[k], dz.reshape(1, 3)))
         pgrads += g_g
         df = gf[0] / gs.feat_std
         for j in range(m):
@@ -512,6 +514,28 @@ def test_bptt_unstable_when_rollouts_diverge():
     with np.errstate(all="ignore"), pytest.raises(TrainingUnstable):
         train_bptt(nc, narx, [np.full(30, 0.5)], horizon=20,
                    cfg=TrainConfig(max_epochs=3, seed=0))
+
+
+@pytest.mark.parametrize("kind", ["controller", "scheduler"])
+def test_bptt_skips_a_rollout_whose_squares_overflow(kind):
+    """y[k+1] = 10 y[k] + u[k] diverges through finite outputs (and, under the
+    scheduler without limits, finite controls) whose squares pass the float
+    range: the loss is inf, the rollout is skipped, and one skipped reference
+    in one makes training unstable."""
+    net = Mlp([2, 1], init=False)
+    net.weights[0][:] = np.array([[10.0, 1.0]])
+    narx = NarxModel(net, 1, 1, 0.1, np.zeros(2), np.ones(2), np.zeros(1), np.ones(1))
+    if kind == "controller":
+        target = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
+    else:
+        target = GainScheduler(Mlp([8, 6, 3], seed=0),
+                               bounds=[[0.2, 2.0], [0.1, 1.0], [0.0, 0.1]], memory=4)
+    w_seq = np.full(201, 0.5)
+    with np.errstate(all="ignore"):
+        loss, _ = bptt_loss_and_grad(target, narx, w_seq, 200, 0.01)
+        assert loss == math.inf
+        with pytest.raises(TrainingUnstable):
+            train_bptt(target, narx, [w_seq], horizon=200, cfg=TrainConfig(max_epochs=1, seed=0))
 
 
 def test_bptt_horizon_cap():

@@ -250,7 +250,7 @@ def test_backward_gradient_is_laid_out_like_params():
     x = rng.normal(size=(5, 3))
     g = rng.normal(size=(5, 2))
     out, acts = net.forward_cached(x)
-    grads, _ = net.backward(acts, g)
+    grads = net.backward(acts, g)
     gz = (g @ net.weights[1]) * (1.0 - acts[1] ** 2)
     # layer 0: W (4x3) then b (4); layer 1: W (2x4) then b (2)
     assert grads.shape == net.params.shape
@@ -314,10 +314,10 @@ def test_backward_and_adjoints_bit_equal_to_interleaved_pass(sizes):
         g = rng.normal(size=(rows, sizes[-1]))
         extra = rng.normal(size=(rows, sizes[-2])) if seed % 2 and len(sizes) > 2 else None
         want_grads, want_ga = _interleaved_backward(net, acts, g, extra)
-        grads, ga = net.backward(acts, g, extra_last_hidden_grad=extra)
-        gzs, ga_only = net.adjoints(acts, g, extra_last_hidden_grad=extra)
+        grads = net.backward(acts, g, extra_last_hidden_grad=extra)
+        gzs = net.adjoints(acts, g, extra_last_hidden_grad=extra)
         assert grads.tobytes() == want_grads.tobytes()
-        assert ga.tobytes() == want_ga.tobytes() == ga_only.tobytes()
+        assert net.input_adjoint(gzs).tobytes() == want_ga.tobytes()
         assert len(gzs) == net.n_layers
 
 
@@ -343,9 +343,11 @@ ROW_SHAPES = [[3, 1], [1, 5, 1], [6, 16, 1], [8, 8, 3], [4, 64, 3], [9, 32, 32, 
 
 @pytest.mark.parametrize("sizes", ROW_SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_row_path_bit_equal_to_one_row_batch(sizes):
-    """forward, forward_cached, adjoints and backward on a 1-D row against
-    the same calls on the (1, n) batch and against the `@` reference,
-    outputs, activations, adjoints and parameter gradients bit for bit."""
+    """forward, forward_cached and adjoints on a 1-D row against the same
+    calls on the (1, n) batch and against the `@` reference, and the row's
+    parameter gradient (`summed_row_gradient` over that one row) against
+    `backward` on the batch: outputs, activations, adjoints and parameter
+    gradients bit for bit."""
     rng = np.random.default_rng(sizes)
     for seed in range(30):
         net = Mlp(sizes, seed=seed)
@@ -364,16 +366,17 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
         for a, a_b, a_r in zip(acts, acts_b, acts_r, strict=True):
             assert a.tobytes() == a_b.tobytes() == a_r.tobytes()
 
-        gzs, ga = net.adjoints(acts, g, extra)
-        gzs_b, ga_b = net.adjoints(acts_b, g[None, :], extra_b)
+        gzs = net.adjoints(acts, g, extra)
+        gzs_b = net.adjoints(acts_b, g[None, :], extra_b)
         for gz, gz_b in zip(gzs, gzs_b, strict=True):
             assert gz.ndim == 1 and gz.tobytes() == gz_b.tobytes()
-        grads, gx = net.backward(acts, g, extra)
-        grads_b, gx_b = net.backward(acts_b, g[None, :], extra_b)
+        grads = net.summed_row_gradient([gzs], [acts])
+        grads_b = net.backward(acts_b, g[None, :], extra_b)
         grads_r, gx_r = _interleaved_backward(net, acts_r, g, extra)
+        gx, gx_b = net.input_adjoint(gzs), net.input_adjoint(gzs_b)
         assert grads.shape == net.params.shape and gx.shape == (sizes[0],)
         assert grads.tobytes() == grads_b.tobytes() == grads_r.tobytes()
-        assert gx.tobytes() == ga.tobytes() == gx_b.tobytes() == gx_r.tobytes()
+        assert gx.tobytes() == gx_b.tobytes() == gx_r.tobytes()
 
         # batches of several rows: np.dot products against the `@` reference
         xs = rng.normal(size=(1 + seed % 7, sizes[0]))
@@ -389,9 +392,9 @@ PORTABLE_PROFILE = {"OPENBLAS_CORETYPE": "Haswell",
 
 
 def test_row_path_bit_equal_under_the_portable_profile():
-    """The row-vs-batch tests and the float-state plant test again, in a fresh
-    interpreter under the portable profile: both variables are read once,
-    when numpy and OpenBLAS load."""
+    """The row-vs-batch tests, the training-step bit tests and the float-state
+    plant test again, in a fresh interpreter under the portable profile: both
+    variables are read once, when numpy and OpenBLAS load."""
     here = os.path.dirname(os.path.abspath(__file__))
     script = ("import sys, pytest\n"
               "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
@@ -399,6 +402,7 @@ def test_row_path_bit_equal_under_the_portable_profile():
               "sys.exit(pytest.main(sys.argv[1:]))\n")
     tests = [os.path.join(here, "test_nnet.py::test_row_path_bit_equal_to_one_row_batch"),
              os.path.join(here, "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass"),
+             os.path.join(here, "test_training_bits.py"),
              os.path.join(here, "test_neuro.py::test_control_loop_step_bit_equal_to_array_form"),
              os.path.join(here, "test_neuro.py::test_gains_from_bit_equal_to_array_form"),
              os.path.join(here, "test_simcore.py::test_float_state_rk4_matches_array_branch_bitwise")]

@@ -1,0 +1,399 @@
+"""The training steps against copies of the step code they replaced, byte for byte.
+
+The copies below are the reverse pass that built the parameter gradient
+from per-layer parts, one concatenate and an added 0.0; the imitation step
+around it; and the BPTT rollout that added every step's full gradient into
+its sum (`pgrads += backward(...)`), on numpy output and control records.
+The current code writes the gradient in place, computes the input adjoint
+only where it is read, and forms the BPTT gradient once per rollout, in
+chunks of bounded size; every output byte must stay the same.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from loopbench.neuro import (
+    DualDatasetMix, GainScheduler, NeuralController, bptt_loss_and_grad, train_imitation,
+)
+from loopbench.errors import SimulationDiverged, TooShort
+from loopbench.nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize
+from test_surrogate import random_narx
+
+
+# ---------------------------------------------------------------------------
+# the reference network passes
+# ---------------------------------------------------------------------------
+
+def ref_forward_cached(net, x):
+    """The forward pass on fresh arrays: one new array per operation."""
+    a = np.asarray(x, dtype=float)
+    acts = [a]
+    for l in range(net.n_layers - 1):
+        a = np.tanh(np.dot(a, net.weights[l].T) + net.biases[l])
+        acts.append(a)
+    return np.dot(a, net.weights[-1].T) + net.biases[-1], acts
+
+
+def ref_backward(net, acts, grad_out, extra=None):
+    """(parameter gradient from per-layer parts, one concatenate and an added
+    0.0; the input adjoint, always computed)."""
+    g = np.asarray(grad_out, dtype=float)
+    gzs = [g]
+    ga = np.dot(g, net.weights[-1])
+    if extra is not None:
+        ga = ga + extra
+    for l in range(net.n_layers - 2, -1, -1):
+        gz = ga * (1.0 - acts[l + 1] ** 2)
+        gzs.append(gz)
+        ga = np.dot(gz, net.weights[l])
+    parts = []  # last layer first, bias before weights
+    for l, gz in zip(range(net.n_layers - 1, -1, -1), gzs):
+        if acts[0].ndim == 1:
+            parts += [gz, (gz[:, None] * acts[l]).ravel()]
+        else:
+            parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
+    return np.concatenate(parts[::-1]) + 0.0, ga
+
+
+# no to three hidden layers; 1- and 3-wide outputs
+SHAPES = [[3, 1], [1, 5, 1], [6, 16, 1], [8, 8, 3], [9, 32, 32, 1], [5, 7, 4, 3],
+          [9, 32, 32, 32, 1], [2, 64, 48, 64, 3]]
+
+
+@pytest.mark.parametrize("sizes", SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_backward_bit_equal_to_concatenated_parts(sizes):
+    """Batches of 1 to 64 rows through `backward`, into a new vector and into
+    a slice of a longer one, and rows through `summed_row_gradient`, with and
+    without an extra adjoint at the last hidden activation; zero adjoint
+    entries check the sign of zero."""
+    rng = np.random.default_rng(sizes)
+    for seed in range(24):
+        net = Mlp(sizes, seed=seed)
+        for b in net.biases:
+            b[...] = rng.normal(size=b.shape) * 0.5
+        lead = () if seed % 3 == 0 else (int(rng.choice([1, 2, 7, 64])),)
+        x = rng.normal(size=lead + (sizes[0],)) * (1e-3, 1.0, 50.0)[seed % 3]
+        out, acts = net.forward_cached(x)
+        out_r, acts_r = ref_forward_cached(net, x)
+        assert out.tobytes() == out_r.tobytes()
+        assert all(a.tobytes() == a_r.tobytes() for a, a_r in zip(acts, acts_r, strict=True))
+
+        g = rng.normal(size=lead + (sizes[-1],))
+        g[..., 0] = 0.0 if seed % 4 == 1 else g[..., 0]
+        extra = None
+        if len(sizes) > 2 and seed % 2:
+            extra = rng.normal(size=lead + (sizes[-2],))
+        want, want_gx = ref_backward(net, acts, g, extra)
+        assert net.input_adjoint(net.adjoints(acts, g, extra)).tobytes() == want_gx.tobytes()
+        if not lead:  # a row's gradient is a sum over one pass
+            got = net.summed_row_gradient([net.adjoints(acts, g, extra)], [acts])
+            assert got.tobytes() == want.tobytes()
+            continue
+        assert net.backward(acts, g, extra).tobytes() == want.tobytes()
+        buf = np.full(net.n_params + 5, np.nan)
+        assert net.backward(acts, g, extra, out=buf[2:-3]) is not None
+        assert buf[2:-3].tobytes() == want.tobytes() and np.isnan(buf[[0, 1, -3, -2, -1]]).all()
+
+
+@pytest.mark.parametrize("sizes", [[3, 1], [8, 8, 3], [9, 32, 32, 1], [9, 512, 512, 1],
+                                   [4, 700, 600, 2]], ids=lambda s: "-".join(map(str, s)))
+def test_summed_row_gradient_bit_equal_to_running_sum(sizes):
+    """1 to 40 row passes (10 for the wide nets, whose 2^20-number chunks hold
+    3 and 2 of them): the same bytes as adding each row's reference gradient
+    into a zero vector in order; some passes have zero adjoints, so terms are
+    zeros of either sign."""
+    rng = np.random.default_rng([len(sizes), *sizes])
+    for seed in range(6 if sizes[1] < 100 else 2):
+        net = Mlp(sizes, seed=seed)
+        passes, want = [], np.zeros(net.n_params)
+        for i in range(int(rng.integers(1, 41)) if sizes[1] < 100 else 10):
+            _, acts = net.forward_cached(rng.normal(size=sizes[0]) * 2.0)
+            g = rng.normal(size=sizes[-1]) * (0.0 if i % 5 == 2 else 1.0)
+            passes.append((net.adjoints(acts, g), acts))
+            want += ref_backward(net, acts, g)[0]
+        got = net.summed_row_gradient(*zip(*passes))
+        assert got.tobytes() == want.tobytes(), seed
+
+
+# ---------------------------------------------------------------------------
+# imitation
+# ---------------------------------------------------------------------------
+
+def _split(ds, fraction=0.75):
+    k = int(np.floor(len(ds) * fraction))
+    if k < 1 or len(ds) - k < 1:
+        raise TooShort("dataset too small for a train/validation split")
+    return SupervisedDataset(ds.x[:k], ds.y[:k]), SupervisedDataset(ds.x[k:], ds.y[k:])
+
+
+def ref_train_imitation(nc, mix, cfg, aux_weight=0.0):
+    """`train_imitation` with the reference passes, a gradient concatenated
+    per step and `np.mean` losses."""
+    a_train, a_val = _split(mix.a)
+    b_train, b_val = _split(mix.b)
+    work = nc.copy()
+    all_x = np.vstack([a_train.x, b_train.x])
+    work.feat_mean = all_x.mean(axis=0)
+    work.feat_std = np.maximum(all_x.std(axis=0), 1e-12)
+    train_xn = normalize(all_x, work.feat_mean, work.feat_std)
+    train_y = np.vstack([a_train.y, b_train.y])
+    val_a, val_b = ((normalize(ds.x, work.feat_mean, work.feat_std), ds.y[:, :1])
+                    for ds in (a_val, b_val))
+    has_aux = work.aux is not None and a_train.y.shape[1] > 1
+    params = work.mlp.params
+    if has_aux:
+        params = np.empty(work.mlp.n_params + work.aux.n_params)
+        work.mlp.bind(params[:work.mlp.n_params])
+        work.aux.bind(params[work.mlp.n_params:])
+    adam = Adam(params.size, cfg.learning_rate, cfg.beta1, cfg.beta2)
+    rng = np.random.default_rng(cfg.seed)
+
+    def loss_and_step(rows):
+        ys = train_y[rows]
+        z, acts = ref_forward_cached(work.mlp, train_xn[rows])
+        th = np.tanh(z[:, :1])
+        u_hat = work.center + work.half_span * th
+        diff = u_hat - ys[:, :1]
+        loss = float(np.mean(diff ** 2))
+        gz = (2.0 * diff / diff.size) * work.half_span * (1.0 - th ** 2)
+        extra = None
+        if has_aux:
+            d_hat, acts_aux = ref_forward_cached(work.aux, acts[-1])
+            d_diff = d_hat - ys[:, 1:2]
+            loss += aux_weight * float(np.mean(d_diff ** 2))
+            grads_aux, extra = ref_backward(work.aux, acts_aux,
+                                            aux_weight * 2.0 * d_diff / d_diff.size)
+        grads, _ = ref_backward(work.mlp, acts, gz, extra)
+        if has_aux:
+            grads = np.concatenate([grads, grads_aux])
+        adam.step(params, grads)
+        return loss
+
+    def val_rmse(split):
+        xn, u_teacher = split
+        u_hat = work.center + work.half_span * np.tanh(ref_forward_cached(work.mlp, xn)[0][:, :1])
+        return float(np.sqrt(np.mean((u_hat - u_teacher) ** 2)))
+
+    n_batches = max((len(a_train) + len(b_train)) // cfg.batch_size, 1)
+    history, a_fraction = [], []
+    best, best_snapshot, wait = math.inf, None, 0
+    for _ in range(cfg.max_epochs):
+        losses = []
+        a_draws = 0
+        for _ in range(n_batches):
+            from_a = rng.random(cfg.batch_size) < mix.lam
+            na = int(from_a.sum())
+            a_draws += na
+            idx_a = rng.integers(0, len(a_train), size=na)
+            idx_b = rng.integers(0, len(b_train), size=cfg.batch_size - na)
+            losses.append(loss_and_step(np.concatenate([idx_a, len(a_train) + idx_b])))
+        va, vb = val_rmse(val_a), val_rmse(val_b)
+        history.append((float(np.mean(losses)), va, vb))
+        a_fraction.append(a_draws / (n_batches * cfg.batch_size))
+        score = 0.5 * (va * va + vb * vb)
+        if score < best:
+            best, best_snapshot, wait = score, work.copy(), 0
+        else:
+            wait += 1
+            if wait > cfg.patience:
+                break
+    work = best_snapshot if best_snapshot is not None else work
+    return work, history, a_fraction, val_rmse(val_a), val_rmse(val_b)
+
+
+def _mix(rng, n, with_aux):
+    x = rng.normal(size=(n, 9))
+    u = np.tanh(x[:, :1] - 0.5 * x[:, 1:2])
+    y = np.column_stack([u, np.sin(x[:, 2:3])]) if with_aux else u
+    return DualDatasetMix(SupervisedDataset(x, y), SupervisedDataset(0.3 * x, 0.3 * y), 0.6)
+
+
+@pytest.mark.parametrize("with_aux", [False, True], ids=["trunk", "aux-head"])
+def test_train_imitation_bit_equal_to_concatenated_steps(with_aux):
+    """Final parameters, history, A-share and validation RMSE, with and
+    without the disturbance head, over two shapes and batch sizes."""
+    for seed, hidden, batch in ((0, [8], 16), (1, [12, 10], 32), (2, [6], 64)):
+        rng = np.random.default_rng(seed)
+        aux = Mlp([hidden[-1], 1], seed=seed + 10) if with_aux else None
+        nc = NeuralController(Mlp([9, *hidden, 1], seed=seed), u_min=-1.5, u_max=2.0,
+                              memory=4, aux=aux)
+        mix = _mix(rng, 90, with_aux)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=batch, max_epochs=12, patience=3,
+                          seed=seed + 5)
+        res = train_imitation(nc, mix, cfg, aux_weight=0.7)
+        ref, history, a_fraction, rmse_a, rmse_b = ref_train_imitation(nc, mix, cfg, aux_weight=0.7)
+        assert res.controller.mlp.params.tobytes() == ref.mlp.params.tobytes()
+        if with_aux:
+            assert res.controller.aux.params.tobytes() == ref.aux.params.tobytes()
+        assert repr(res.history) == repr(history)
+        assert repr(res.a_fraction) == repr(a_fraction)
+        assert repr((res.val_rmse_a, res.val_rmse_b)) == repr((rmse_a, rmse_b))
+
+
+# ---------------------------------------------------------------------------
+# BPTT
+# ---------------------------------------------------------------------------
+
+def _normalized(row, mean, std):
+    return [(f - m) / s for f, m, s in zip(row, mean.tolist(), std.tolist())]
+
+
+class RefControllerBlock:
+    def __init__(self, nc):
+        self.nc = nc
+
+    def forward(self, k, w, y_window, u_window):
+        nc = self.nc
+        out, acts = ref_forward_cached(nc.mlp, _normalized(nc.features(w, y_window, u_window),
+                                                           nc.feat_mean, nc.feat_std))
+        z = float(out[0])
+        return nc.center + nc.half_span * math.tanh(z), (z, acts)
+
+    def reverse(self, k, cache, u_bar, ybar_w, ubar_w):
+        nc, m = self.nc, self.nc.memory
+        z, acts = cache
+        dz = u_bar * nc.half_span * (1.0 - math.tanh(z) ** 2)
+        grads, gf = ref_backward(nc.mlp, acts, [dz])
+        df = gf / nc.feat_std
+        ybar_w += df[1:m + 1][::-1]
+        ubar_w += df[m + 1:][::-1]
+        return grads
+
+
+class RefSchedulerBlock:
+    def __init__(self, gs, dt, limits, horizon):
+        self.gs, self.dt, self.limits = gs, dt, limits
+        self.es = [0.0] * gs.memory
+        self.ebar = np.zeros(gs.memory + horizon)
+        self.s_int = 0.0
+        self.sbar = 0.0
+
+    def forward(self, k, w, y_window, u_window):
+        gs, m, (u_lo, u_hi) = self.gs, self.gs.memory, self.limits
+        e_k = w - y_window[-1]
+        self.es.append(e_k)
+        out, acts = ref_forward_cached(gs.mlp, _normalized(gs.features(self.es[-m:], y_window),
+                                                           gs.feat_mean, gs.feat_std))
+        sig = [1.0 / (1.0 + e) for e in
+               np.exp([-min(max(z, -60.0), 60.0) for z in out.tolist()]).tolist()]
+        kp, ki, _ = [lo + s * (hi - lo) for s, (lo, hi) in zip(sig, gs.bounds.tolist())]
+        inc = ki * e_k * self.dt
+        s_cand = self.s_int + inc
+        u_raw = kp * e_k + s_cand
+        sat = 1 if u_raw > u_hi else -1 if u_raw < u_lo else 0
+        frozen = sat != 0 and (inc * sat > 0.0)
+        if not frozen:
+            self.s_int = s_cand
+        u_k = u_hi if sat > 0 else u_lo if sat < 0 else u_raw
+        return u_k, (sig, acts, kp, ki, sat, frozen)
+
+    def reverse(self, k, cache, u_bar, ybar_w, ubar_w):
+        gs, m, dt = self.gs, self.gs.memory, self.dt
+        sig, acts, kp, ki, sat, frozen = cache
+        e_k = self.es[m + k]
+        du_raw = u_bar if sat == 0 else 0.0
+        ds_cand = du_raw + (0.0 if frozen else self.sbar)
+        ds_prev = ds_cand + (self.sbar if frozen else 0.0)
+        self.ebar[m + k] += du_raw * kp + ds_cand * ki * dt
+        self.sbar = ds_prev
+        dz = [d * s * (1.0 - s) * (hi - lo) for d, s, (lo, hi)
+              in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs.bounds.tolist())]
+        grads, gf = ref_backward(gs.mlp, acts, dz)
+        df = gf / gs.feat_std
+        self.ebar[k + 1:m + k + 1] += df[:m][::-1]
+        ybar_w += df[m:][::-1]
+        ybar_w[-1] -= self.ebar[m + k]
+        return grads
+
+
+def ref_predict(narx, y_window, u_window):
+    row = [*y_window[-narx.p:][::-1], *u_window[-narx.q:][::-1]]
+    xn = _normalized(row, narx.x_mean, narx.x_std)
+    out, acts = ref_forward_cached(narx.mlp, xn)
+    return float(out[0]) * float(narx.y_std[0]) + float(narx.y_mean[0]), acts
+
+
+def ref_bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits):
+    """The rollout on numpy records, adding each step's gradient into `pgrads`."""
+    w_seq = np.asarray(w_seq, dtype=float)
+    if isinstance(target, NeuralController):
+        block = RefControllerBlock(target)
+    else:
+        block = RefSchedulerBlock(target, narx.dt, limits, horizon)
+    p, q, m = narx.p, narx.q, target.memory
+    pad_y = max(p, m)
+    pad_u = max(q - 1, m, 1)
+    ys = np.zeros(pad_y + horizon)
+    us = np.zeros(pad_u + horizon)
+    caches = []
+    loss_track = 0.0
+    loss_du = 0.0
+    for k in range(horizon):
+        iy, iu = pad_y - 1 + k, pad_u + k
+        u_k, cache = block.forward(k, w_seq[k], ys[iy - m + 1:iy + 1].tolist(),
+                                   us[iu - m:iu].tolist())
+        us[iu] = u_k
+        y_next, acts_s = ref_predict(narx, ys[iy - p + 1:iy + 1].tolist(),
+                                     us[iu - q + 1:iu + 1].tolist())
+        if not math.isfinite(y_next):
+            raise SimulationDiverged("surrogate rollout diverged", step=k)
+        ys[iy + 1] = y_next
+        loss_track += (y_next - w_seq[k + 1]) ** 2
+        loss_du += (u_k - us[iu - 1]) ** 2
+        caches.append((cache, acts_s))
+    loss = loss_track / horizon + rho * loss_du / horizon
+
+    ybar = np.zeros_like(ys)
+    ubar = np.zeros_like(us)
+    pgrads = np.zeros(target.mlp.n_params)
+    for k in range(horizon - 1, -1, -1):
+        iy, iu = pad_y - 1 + k, pad_u + k
+        cache, acts_s = caches[k]
+        ybar[iy + 1] += 2.0 * (ys[iy + 1] - w_seq[k + 1]) / horizon
+        du = us[iu] - us[iu - 1]
+        ubar[iu] += 2.0 * rho * du / horizon
+        ubar[iu - 1] -= 2.0 * rho * du / horizon
+        _, gx = ref_backward(narx.mlp, acts_s, [float(ybar[iy + 1]) * float(narx.y_std[0])])
+        fbar_s = gx / narx.x_std
+        ybar[iy - p + 1:iy + 1] += fbar_s[:p][::-1]
+        ubar[iu - q + 1:iu + 1] += fbar_s[p:][::-1]
+        pgrads += block.reverse(k, cache, float(ubar[iu]), ybar[iy - m + 1:iy + 1],
+                                ubar[iu - m:iu])
+    return loss, pgrads
+
+
+@pytest.mark.parametrize("kind", ["controller", "scheduler"])
+def test_bptt_bit_equal_to_per_step_gradient_sum(kind):
+    """p, q, m over {1,2,4} x {1,3,6} x {1,2,4}, four seeds, limits that
+    saturate or never bind: loss and gradient byte-equal. Some seeds zero
+    the output layer, so that many per-step terms are zeros of either sign."""
+    horizon, rho = 30, 0.05
+    cases = 0
+    for p, q, m in itertools.product((1, 2, 4), (1, 3, 6), (1, 2, 4)):
+        for seed in range(4):
+            rng = np.random.default_rng([p, q, m, seed, 7])
+            narx = random_narx(p, q, (5,), seed)
+            n = 1 + 2 * m if kind == "controller" else 2 * m
+            stats = {"feat_mean": rng.normal(size=n) * 0.1,
+                     "feat_std": rng.uniform(0.5, 2.0, size=n)}
+            if kind == "controller":
+                target = NeuralController(Mlp([n, 6, 1], seed=seed), u_min=-1.5, u_max=2.0,
+                                          memory=m, **stats)
+            else:
+                target = GainScheduler(Mlp([n, 5, 3], seed=seed),
+                                       bounds=[[0.1, 3.0], [0.05, 2.0], [0.0, 0.5]], memory=m,
+                                       **stats)
+            if seed == 3:
+                target.mlp.weights[-1][:, ::2] = 0.0
+            w_seq = np.concatenate([np.zeros(2), np.full(horizon - 1, rng.uniform(0.5, 1.5))])
+            w_seq += rng.normal(size=horizon + 1) * 0.05
+            for limits in ((-0.4, 0.4), (-50.0, 50.0)):
+                want = ref_bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+                loss, grads = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+                assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes(), (p, q, m, seed)
+                assert grads.tobytes() == want[1].tobytes(), (p, q, m, seed, limits)
+                cases += 1
+    assert cases == 216
