@@ -210,25 +210,13 @@ def resample_uniform(series: TimeSeries, target_dt: float) -> TimeSeries:
     )
 
 
-def split_contiguous(series: TimeSeries, train_fraction: float) -> tuple[TimeSeries, TimeSeries]:
-    """First floor(N * fraction) samples train, the rest validation. No shuffling."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train fraction must be in (0, 1)")
-    n = len(series)
-    n_train = int(math.floor(n * train_fraction))
-    if n_train < 2 or n - n_train < 1:
-        raise TooShort(f"split {n_train}/{n - n_train} leaves a block that is too short")
-
-    def _take(sl):
-        cols = series.columns()
-        extra_names = [name for name in cols if name not in _BASE_COLUMNS]
-        return TimeSeries(
-            t=series.t[sl].copy(), w=series.w[sl].copy(), y=series.y[sl].copy(),
-            u=series.u[sl].copy(), d=series.d[sl].copy(),
-            extra={name: cols[name][sl].copy() for name in extra_names} or None,
-        )
-
-    return _take(slice(0, n_train)), _take(slice(n_train, n))
+def split_contiguous(n: int, val_fraction: float) -> int:
+    """Length of the training block when the last `val_fraction` of n samples
+    is held out for validation: floor(n * (1 - val_fraction)). No shuffling;
+    each caller checks the block sizes it needs."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    return math.floor(n * (1.0 - val_fraction))
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,6 @@ class TooShort(LoopbenchError):
     """Series or split block too short for the requested operation."""
 
 
-class FeatureUnavailable(LoopbenchError):
-    """Requested model feature (e.g. disturbance head) is not enabled."""
-
-
 class UnrecoverableFault(LoopbenchError):
     """The fallback path itself failed; the run cannot continue safely."""
 

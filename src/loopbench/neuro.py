@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControllerFault, FeatureUnavailable, SimulationDiverged, TooShort, \
-    TrainingUnstable, TuningFailed
+from .dataio import split_contiguous
+from .errors import ControllerFault, SimulationDiverged, TooShort, TrainingUnstable, TuningFailed
 from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, check_int, check_number, \
     float_vector, mean_square, normalize
 from .pid import PidGains, PidState, pid_step
@@ -97,11 +97,6 @@ class NeuralController:
         if not math.isfinite(z):
             raise ControllerFault("non-finite network output")
         return self.center + self.half_span * math.tanh(z)
-
-    def aux_output(self, row) -> float:
-        if self.aux is None:
-            raise FeatureUnavailable("disturbance head not enabled on this controller")
-        return float(self.aux.forward(self.forward(row)[1][-1])[0])
 
     def copy(self) -> "NeuralController":
         return NeuralController(self.mlp.copy(), self.u_min, self.u_max, self.memory,
@@ -273,15 +268,6 @@ class ImitationResult:
     val_rmse_b: float = math.nan
 
 
-def _contiguous_split(ds: SupervisedDataset, fraction: float = 0.75):
-    n = len(ds)
-    k = int(np.floor(n * fraction))
-    if k < 1 or n - k < 1:
-        raise TooShort("dataset too small for a train/validation split")
-    return (SupervisedDataset(ds.x[:k], ds.y[:k]),
-            SupervisedDataset(ds.x[k:], ds.y[k:]))
-
-
 def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
                     aux_weight: float = 0.0) -> ImitationResult:
     """Clone a teacher control law by lam-mixed supervised regression.
@@ -292,8 +278,13 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
     column, the multitask loss L_main + aux_weight * MSE(d_hat, d) trains
     trunk and head together, one Adam update per batch.
     """
-    a_train, a_val = _contiguous_split(mix.a)
-    b_train, b_val = _contiguous_split(mix.b)
+    blocks = []
+    for ds in (mix.a, mix.b):  # the last quarter of each set validates
+        k = split_contiguous(len(ds), 0.25)
+        if k < 1 or len(ds) - k < 1:
+            raise TooShort("dataset too small for a train/validation split")
+        blocks += [SupervisedDataset(ds.x[:k], ds.y[:k]), SupervisedDataset(ds.x[k:], ds.y[k:])]
+    a_train, a_val, b_train, b_val = blocks
 
     work = nc.copy()
     all_x = np.vstack([a_train.x, b_train.x])

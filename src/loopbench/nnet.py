@@ -27,10 +27,6 @@ def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def denormalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return x * std + mean
-
-
 def _stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = a.mean(axis=0)
     std = np.maximum(a.std(axis=0), STD_FLOOR)

@@ -2,23 +2,19 @@
 
 A discrete-time NARX one-step predictor (lagged outputs and inputs in, next
 output out) is the workhorse: it trains in seconds and its rollout is exact
-to differentiate, which the closed-loop training in `neuro` relies on. The
-hybrid variant adds a learned residual on top of a known physics map so the
-physics covers the border cases the data never visits.
+to differentiate, which the closed-loop training in `neuro` relies on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .dataio import uniform_dt
+from .dataio import split_contiguous, uniform_dt
 from .errors import RolloutDiverged, TooShort
-from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, float_vector, \
-    normalize, train
+from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, float_vector, train
 
 
 def lag_features(y_window, u_window, p: int, q: int) -> list:
@@ -141,7 +137,7 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig,
     y = np.asarray(traj.y, dtype=float)
     u = np.asarray(traj.u, dtype=float)
     n = len(y)
-    n_train = int(np.floor(n * (1.0 - val_fraction)))
+    n_train = split_contiguous(n, val_fraction)
     if n_train <= p + q + 1 or n - n_train <= max(p, q) + 1:
         raise TooShort("record too short for the requested split and lag orders")
 
@@ -212,60 +208,3 @@ def narx_rollout(model: NarxModel, y_init, u_seq, u_init=None) -> np.ndarray:
         del u_hist[0]
     return np.array(out, dtype=float)
 
-
-# ---------------------------------------------------------------------------
-# Hybrid physics + residual model
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HybridModel:
-    """Known physics map plus an additive learned residual (blend weight 1).
-
-    `physics(y_window, u_window)` predicts the next output from chronological
-    windows. With all-zero residual weights the hybrid equals the physics
-    exactly, by construction: the residual is the raw network output on
-    NARX-normalized features.
-    """
-
-    physics: Callable[[np.ndarray, np.ndarray], float]
-    residual: Mlp
-    p: int
-    q: int
-    x_mean: np.ndarray
-    x_std: np.ndarray
-
-
-def hybrid_predict(model: HybridModel, y_window, u_window) -> float:
-    y_window = np.asarray(y_window, dtype=float)
-    u_window = np.asarray(u_window, dtype=float)
-    base = float(model.physics(y_window, u_window))
-    row = lag_features(y_window, u_window, model.p, model.q)
-    corr = float(model.residual.forward(normalize(row, model.x_mean, model.x_std))[0])
-    return base + corr
-
-
-def fit_hybrid(traj, physics: Callable[[np.ndarray, np.ndarray], float],
-               p: int, q: int, cfg: TrainConfig, hidden=(16,),
-               val_fraction: float = 0.25) -> HybridModel:
-    """Train the residual on the physics prediction error over the record."""
-    uniform_dt(traj.t)
-    y = np.asarray(traj.y, dtype=float)
-    u = np.asarray(traj.u, dtype=float)
-
-    ds = make_regression_dataset(traj, p, q)
-    k0 = max(p, q)
-    phys = np.array([physics(y[k - p + 1:k + 1], u[k - q + 1:k + 1])
-                     for k in range(k0, len(y) - 1)]).reshape(-1, 1)
-    resid_targets = ds.y - phys
-
-    feats = normalize(ds.x, ds.x_mean, ds.x_std)
-    n_train = int(np.floor(len(feats) * (1.0 - val_fraction)))
-    if n_train < 2 or len(feats) - n_train < 1:
-        raise TooShort("record too short for residual training")
-    train_ds = SupervisedDataset(feats[:n_train], resid_targets[:n_train])
-    val_ds = SupervisedDataset(feats[n_train:], resid_targets[n_train:])
-
-    net = Mlp([p + q, *hidden, 1], seed=cfg.seed)
-    result = train(net, train_ds, val_ds, cfg)
-    return HybridModel(physics=physics, residual=result.net, p=p, q=q,
-                       x_mean=ds.x_mean, x_std=ds.x_std)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from loopbench.cli import main as cli_main
-from loopbench.dataio import ExcitationSpec, generate_excitation, prbs_bits
+from loopbench.dataio import ExcitationSpec, generate_excitation, prbs_bits, split_contiguous
 from loopbench.metrics import compute_step_metrics, measure_latency
 from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralController, NeuralControlLoop,
@@ -197,7 +197,7 @@ def test_ac5_surrogate_quality():
             hidden=(32,))
         assert rep.one_step_rmse < 0.01 * rep.output_range
         # 50-step free runs across the held-out block
-        n_train = int(np.floor(len(rec) * 0.75))
+        n_train = split_contiguous(len(rec), 0.25)
         yv, uv = rec.y[n_train:], rec.u[n_train:]
         worst = 0.0
         for start in range(2, len(yv) - 51, 25):

@@ -185,6 +185,17 @@ def test_fit_surrogate_corrupt_csv_reports_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("val_fraction", [0, -0.5, 1.0, 1.5, math.nan, math.inf])
+def test_out_of_range_val_fraction_exits_2_naming_it(tmp_path, capsys, val_fraction):
+    cfg = {**_record_cfg(), "surrogate": {"val_fraction": val_fraction}}
+    cfg_path = _write(tmp_path, "rec.json", cfg)
+    assert main(["record", "--config", cfg_path, "--out", str(tmp_path / "rec")]) == 0
+    data = str(tmp_path / "rec" / "record.csv")
+    argv = ["fit-surrogate", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "sur")]
+    assert main(argv) == 2
+    assert "config error: surrogate: val_fraction" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # tune
 # ---------------------------------------------------------------------------

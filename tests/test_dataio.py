@@ -1,17 +1,22 @@
+import ast
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import loopbench
+from loopbench import neuro, surrogate
 from loopbench.dataio import (
     ExcitationSpec, PRBS_TAPS, TimeSeries, format_column, from_trajectory, generate_excitation,
     prbs_bits, read_timeseries, resample_uniform, split_contiguous, write_columns, write_csv,
     write_json, write_lines, write_timeseries,
 )
 from loopbench.errors import InvalidSpec, ParseError, TooShort
+from loopbench.neuro import DualDatasetMix, NeuralController, train_imitation
+from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig
 from loopbench.simcore import ConstantController, PlantModel, LinearStateSpace, SimConfig, simulate
 
 
@@ -101,19 +106,73 @@ def test_resample_single_sample_too_short():
 
 
 def test_split_75_25():
-    train, val = split_contiguous(_series(n=100), 0.75)
-    assert len(train) == 75 and len(val) == 25
-    assert train.t[-1] < val.t[0]
+    """The surrogate fit holds out the last quarter by default: a 100-sample
+    record trains on samples 0..74 and validates on 75..99 (lag-2 rows)."""
+    _, rep = surrogate.fit_surrogate(_series(n=100), 2, 2, TrainConfig(max_epochs=1), hidden=(2,))
+    assert (rep.n_train, rep.n_val) == (75 - 3, 25 - 3)
 
 
-def test_split_floor_rule():
-    train, val = split_contiguous(_series(n=5), 0.5)
-    assert len(train) == 2 and len(val) == 3
+class _Split(Exception):
+    """Carries the first training block's length out of the caller under test."""
+
+
+def _stop(length):
+    raise _Split(length)
+
+
+def test_split_floor_rule(monkeypatch):
+    """Each caller's train/validation boundary for every length 2..5000, against
+    the expressions the callers used before the one rule: floor(n * (1 - f)) in
+    the surrogate fit and floor(n * 0.75) in imitation, each with its caller's
+    minimum block sizes. The first block the caller builds after the split
+    reports its length and stops the call."""
+    p = q = 2
+    cfg = TrainConfig()
+    t, zeros = np.arange(5000) * 0.1, np.zeros(5000)
+    monkeypatch.setattr(surrogate, "make_regression_dataset",
+                        lambda block, p, q: _stop(len(block.y)))
+    for val_fraction in (0.1, 0.25, 0.3, 0.5):
+        for n in range(2, 5001):
+            want = int(np.floor(n * (1.0 - val_fraction)))
+            assert split_contiguous(n, val_fraction) == want
+            if want <= p + q + 1 or n - want <= max(p, q) + 1:
+                want = TooShort
+            record = SimpleNamespace(t=t[:n], y=zeros[:n], u=zeros[:n])
+            try:
+                surrogate.fit_surrogate(record, p, q, cfg, val_fraction=val_fraction)
+            except TooShort:
+                got = TooShort
+            except _Split as exc:
+                got = exc.args[0]
+            assert got == want, (n, val_fraction)
+
+    nc = NeuralController(Mlp([3, 2, 1], seed=0), -1.0, 1.0, memory=1)
+    rows, targets = np.zeros((5000, 3)), np.zeros((5000, 1))
+    stats = (np.zeros(3), np.ones(3), np.zeros(1), np.ones(1))
+    monkeypatch.setattr(neuro, "SupervisedDataset", lambda x, y: _stop(len(x)))
+    for n in range(2, 5001):
+        ds = SupervisedDataset(rows[:n], targets[:n], *stats)
+        want = int(np.floor(n * 0.75))
+        assert split_contiguous(n, 0.25) == want
+        if want < 1 or n - want < 1:
+            want = TooShort
+        try:
+            train_imitation(nc, DualDatasetMix(ds, ds, 0.5), cfg)
+        except TooShort:
+            got = TooShort
+        except _Split as exc:
+            got = exc.args[0]
+        assert got == want, n
 
 
 def test_split_too_short_rejected():
-    with pytest.raises(TooShort):
-        split_contiguous(_series(n=3), 0.4)  # train block of 1
+    """The rule has no minimum size: each caller rejects a block too short for it."""
+    with pytest.raises(TooShort):  # split 7/3: three samples leave no lag-2 validation row
+        surrogate.fit_surrogate(_series(n=10), 2, 2, TrainConfig())
+    one_row = SupervisedDataset(np.zeros((1, 3)), np.zeros((1, 1)))
+    with pytest.raises(TooShort):  # split 0/1
+        train_imitation(NeuralController(Mlp([3, 2, 1], seed=0), -1.0, 1.0, memory=1),
+                        DualDatasetMix(one_row, one_row, 0.5), TrainConfig())
 
 
 def test_prbs_period_and_balance_order5():
@@ -289,3 +348,30 @@ def test_only_dataio_writes_files():
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if WRITE_CALL.search(line)]
     assert hits == [], "write files through dataio.write_lines/write_csv/write_columns/write_json"
+
+
+# the one public name that no command reaches on purpose: AC-11's latency instrument
+UNREACHED_ON_PURPOSE = {"metrics.measure_latency"}
+
+
+def test_every_public_definition_is_used_in_src():
+    """Each public module-level function and class in `src/loopbench` is
+    named somewhere in `src/` outside its own definition (imports aside)."""
+    src = Path(loopbench.__file__).parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = f"{path.stem}.{stmt.name}"
+                if not stmt.name.startswith("_"):
+                    defined.append((owner, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    used.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    used.add((node.attr, owner))
+    unused = [owner for owner, name in defined
+              if owner not in UNREACHED_ON_PURPOSE
+              and not any(n == name and o != owner for n, o in used)]
+    assert unused == [], "delete what nothing in src/ uses, or use it"

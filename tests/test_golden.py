@@ -32,14 +32,13 @@ import pytest
 from loopbench.cli import main as cli_main
 from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.neuro import GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController
-from loopbench.nnet import Mlp, TrainConfig
+from loopbench.nnet import Mlp
 from loopbench.pid import CascadeController, CascadeSpec, PidController, PidGains
 from loopbench.safety import BlendedController, BoundedBlender, SupervisedController, SwitchSupervisor
 from loopbench.simcore import (
     ConstantController, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder,
-    SensorSpec, SignalController, SimConfig, TankNonlinear, simulate, step_reference,
+    SensorSpec, SimConfig, TankNonlinear, simulate, step_reference,
 )
-from loopbench.surrogate import fit_hybrid
 from loopbench.tuning import identify_fopdt_step, relay_experiment, run_step_test
 from test_acceptance import AC12_FILES, ac12_pipeline
 
@@ -217,18 +216,6 @@ def _fit_surrogate(tmp):
                          "surrogate_report.csv")
 
 
-def _hybrid(tmp):
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=-3.0, u_max=3.0)
-    cfg = SimConfig(dt=0.5, horizon=60.0, seed=3)
-    u = np.sign(np.sin(0.37 * np.arange(cfg.n_steps) + 0.2))
-    traj = simulate(plant, SignalController(u), 0.0, cfg=cfg)
-    model = fit_hybrid(traj, lambda yw, uw: 0.6 * yw[-1] + 0.4 * uw[-1], 2, 2,
-                       TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=30, seed=4),
-                       hidden=(6,))
-    net = model.residual
-    return _digest(*net.weights, *net.biases, model.x_mean, model.x_std)
-
-
 def _imitation(hidden, beta):
     def run(tmp):
         cfg = {"sim": {"dt": 0.05, "horizon": 8.0, "seed": 11}, "plant": TRAIN_PLANT,
@@ -370,7 +357,6 @@ CASES.update({
     "fail/linear-unstable": _failure_case(PlantModel(LinearStateSpace(a=[[40.0]], b=[1.0], c=[[1.0]])),
                                           ConstantController(1.0)),
     "train/fit-surrogate": _fit_surrogate,
-    "train/hybrid": _hybrid,
     "train/imitation": _imitation([8], 0.0),
     "train/imitation-aux": _imitation([8, 6], 0.5),
     "train/bptt-controller": _bptt("controller"),

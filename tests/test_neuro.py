@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from loopbench.errors import ControllerFault, FeatureUnavailable, TrainingUnstable
+from loopbench.dataio import split_contiguous
+from loopbench.errors import ControllerFault, TrainingUnstable
 from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run,
     _episode_cost_on_surrogate, nelder_mead_bounded, train_bptt, train_imitation,
     tune_static_ai,
 )
-from loopbench.nnet import Mlp, TrainConfig, denormalize, load_model, normalize, save_model
+from loopbench.nnet import Mlp, TrainConfig, load_model, normalize, save_model
 from loopbench.pid import PidController, PidGains, PidState, pid_step
 from loopbench.simcore import (
     DisturbanceSpec, Fopdt, PlantModel, SensorSpec, SimConfig, simulate, step_reference,
@@ -52,6 +53,11 @@ def _fd_bptt(target, narx, w_seq, horizon, rho, limits, h=1e-5):
 def _max_rel(a, b):
     den = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float(np.max(np.abs(a - b) / den))
+
+
+def _aux_output(nc, row):
+    """The disturbance head's estimate on a feature row, through the trunk's 1-D row path."""
+    return float(nc.aux.forward(nc.forward(row)[1][-1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +230,7 @@ def test_control_loop_step_bit_equal_to_array_form(m, hidden):
             w, y = rng.normal() * scale, rng.normal() * scale
             row = nc.features(w, [*loop.y_win[1:], y], loop.u_win)
             acts = _array_output(nc, row)[1]
-            got.append(nc.aux_output(row))
+            got.append(_aux_output(nc, row))
             want.append(float(matmul_forward_cached(nc.aux, acts[-1])[0][0, 0]))
             got.append(loop.step(w, y, 0.01))
             want.append(ref.step(w, y, 0.01))
@@ -289,7 +295,7 @@ def test_bptt_scheduler_gradient_matches_finite_differences():
 
 def _ref_surrogate_step(narx, feat_s):
     out, acts = narx.mlp.forward_cached(np.atleast_2d(normalize(feat_s, narx.x_mean, narx.x_std)))
-    return float(denormalize(out[0], narx.y_mean, narx.y_std)[0]), acts
+    return float((out[0] * narx.y_std + narx.y_mean)[0]), acts
 
 
 def _ref_surrogate_adjoint(narx, acts, upstream):
@@ -768,8 +774,8 @@ def test_aux_head_predicts_sinusoid_disturbance():
                           aux_weight=0.1)
     model = res.controller
     nb = len(mix.b)
-    k = int(nb * 0.75)
-    preds = np.array([model.aux_output(mix.b.x[i]) for i in range(k, nb)])
+    k = split_contiguous(nb, 0.25)
+    preds = np.array([_aux_output(model, mix.b.x[i]) for i in range(k, nb)])
     rmse = float(np.sqrt(np.mean((preds - mix.b.y[k:, 1]) ** 2)))
     assert rmse < 0.2 * 0.3  # 20% of the disturbance amplitude
 
@@ -794,12 +800,6 @@ def test_zero_aux_weight_leaves_main_task_unchanged():
     assert float(np.max(diff)) < 1e-9
 
 
-def test_disturbance_head_unavailable_raises():
-    nc = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
-    with pytest.raises(FeatureUnavailable):
-        nc.aux_output(np.zeros(9))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -811,7 +811,7 @@ def test_controller_save_load_round_trip(tmp_path):
     back = load_model(tmp_path / "ctl.weights", NeuralController)
     f = np.linspace(-1, 1, 9)
     assert back.output(f) == nc.output(f)
-    assert back.aux_output(f) == nc.aux_output(f)
+    assert _aux_output(back, f) == _aux_output(nc, f)
 
 
 def test_scheduler_save_load_round_trip(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from loopbench.errors import TrainingDiverged
 from loopbench.nnet import (
-    Adam, Mlp, SupervisedDataset, TrainConfig, denormalize, grad, load_model,
+    Adam, Mlp, SupervisedDataset, TrainConfig, grad, load_model,
     load_weights, mse, normalize, save_model, save_weights, train,
 )
 from loopbench.neuro import GainScheduler, NeuralController
@@ -151,7 +151,7 @@ def test_normalization_round_trip():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(50, 3)) * 7.0 + 2.0
     mean, std = x.mean(axis=0), x.std(axis=0)
-    assert np.allclose(denormalize(normalize(x, mean, std), mean, std), x, atol=1e-12)
+    assert np.allclose(normalize(x, mean, std) * std + mean, x, atol=1e-12)
 
 
 def test_dataset_std_floor_guards_constant_features():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from loopbench.dataio import ExcitationSpec, generate_excitation
+from loopbench.dataio import ExcitationSpec, generate_excitation, split_contiguous
 from loopbench.errors import MustResample, RolloutDiverged, TooShort
-from loopbench.nnet import Mlp, TrainConfig, denormalize, load_model, normalize, save_model, train
+from loopbench.nnet import Mlp, TrainConfig, load_model, normalize, save_model, train
 from loopbench.simcore import Fopdt, PlantModel, SignalController, SimConfig, simulate
 from loopbench.surrogate import (
-    HybridModel, NarxModel, fit_hybrid, fit_surrogate, hybrid_predict, lag_features,
-    make_regression_dataset, narx_rollout,
+    NarxModel, fit_surrogate, lag_features, make_regression_dataset, narx_rollout,
 )
 
 
@@ -119,7 +118,7 @@ def _decay_surrogate():
         TrainConfig(learning_rate=5e-3, batch_size=64, max_epochs=2000, patience=2000, seed=0),
         hidden=(24,))
     # low-rate refinement pass for the free-run tail accuracy
-    n_tr = int(np.floor(len(s.y) * 0.75))
+    n_tr = split_contiguous(len(s.y), 0.25)
     tr_ds = make_regression_dataset(_Series(s.t[:n_tr], s.y[:n_tr], s.u[:n_tr]), 1, 1)
     va_ds = make_regression_dataset(_Series(s.t[n_tr:], s.y[n_tr:], s.u[n_tr:]), 1, 1) \
         .with_stats_of(tr_ds)
@@ -172,47 +171,6 @@ def test_one_step_error_not_worse_than_rollout():
     assert rep.one_step_rmse <= rep.rollout_rmse + 1e-12
 
 
-def test_hybrid_zero_residual_equals_physics():
-    def physics(y_win, u_win):
-        return 0.9 * y_win[-1] + 0.1 * u_win[-1]
-
-    model = HybridModel(physics=physics, residual=Mlp([2, 4, 1], init=False),
-                        p=1, q=1, x_mean=np.zeros(2), x_std=np.ones(2))
-    for y0, u0 in [(0.0, 0.0), (1.0, -1.0), (-3.0, 2.0), (100.0, 5.0)]:
-        assert hybrid_predict(model, [y0], [u0]) == physics([y0], [u0])
-
-
-def test_hybrid_beats_pure_narx_on_extrapolation():
-    # true map trained inside |u| <= 1; evaluated at inputs 1.5x beyond the range
-    def true_map(y, u):
-        return 0.9 * y + 0.1 * u
-
-    s = _linear_map_series(n=800, seed=2)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=64, max_epochs=300, patience=300, seed=0)
-    narx, _ = fit_surrogate(s, 1, 1, cfg, hidden=(16,))
-    hybrid = fit_hybrid(s, lambda yw, uw: true_map(yw[-1], uw[-1]), 1, 1, cfg, hidden=(8,))
-
-    rng = np.random.default_rng(9)
-    y_test = rng.uniform(-1.0, 1.0, size=200)
-    u_test = rng.uniform(1.0, 1.5, size=200) * rng.choice([-1.0, 1.0], size=200)
-    err_narx, err_hybrid = [], []
-    for y0, u0 in zip(y_test, u_test):
-        truth = true_map(y0, u0)
-        err_narx.append(narx.predict_one([y0], [u0]) - truth)
-        err_hybrid.append(hybrid_predict(hybrid, [y0], [u0]) - truth)
-    rmse_narx = float(np.sqrt(np.mean(np.square(err_narx))))
-    rmse_hybrid = float(np.sqrt(np.mean(np.square(err_hybrid))))
-    assert rmse_hybrid <= rmse_narx
-
-
-def test_hybrid_zero_physics_degenerates_to_residual():
-    res_net = Mlp([2, 6, 1], seed=2)
-    model = HybridModel(physics=lambda yw, uw: 0.0, residual=res_net, p=1, q=1,
-                        x_mean=np.zeros(2), x_std=np.ones(2))
-    pred = hybrid_predict(model, [0.3], [0.7])
-    assert pred == pytest.approx(float(res_net.forward(np.array([0.3, 0.7]))[0]))
-
-
 def test_narx_save_load_round_trip(tmp_path):
     s = _linear_map_series(n=200)
     model, _ = fit_surrogate(s, 2, 2, TrainConfig(max_epochs=10, seed=0), hidden=(6,))
@@ -237,7 +195,7 @@ def array_predict_one(model, y_window, u_window):
     for l in range(net.n_layers - 1):
         a = np.tanh(a @ net.weights[l].T + net.biases[l])
     z = (a @ net.weights[-1].T + net.biases[-1])[0]
-    return float(denormalize(z, model.y_mean, model.y_std)[0])
+    return float((z * model.y_std + model.y_mean)[0])
 
 
 def array_rollout(model, y_init, u_seq, u_init=None):
