@@ -667,14 +667,19 @@ class StaticTuneResult:
 
 
 def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.ndarray,
-                               rho: float) -> float:
-    """IAE + rho * integral(|u|) of a PID loop closed over the surrogate."""
+                               rho: float):
+    """IAE + rho * integral(|u|) of a PID loop closed over the surrogate, as a
+    generator: each step yields its lag windows (chronological, newest last;
+    they change in place on the next send), is sent the surrogate's
+    prediction from them, and returns the cost when the episode ends.
+    `_lockstep_costs` drives it."""
     state = PidState()
     dt = narx.dt
     w = np.asarray(reference, dtype=float).tolist()
     y_hist = [0.0] * narx.p  # chronological lag windows: p outputs, q-1 inputs between steps
     u_hist = [0.0] * (narx.q - 1)
-    scale = max(1.0, float(np.max(np.abs(reference))))
+    lags = y_hist, u_hist
+    bound = 1e6 * max(1.0, float(np.max(np.abs(reference))))
     iae = 0.0
     effort = 0.0
     y_now = 0.0
@@ -684,8 +689,8 @@ def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.n
         except ControllerFault:
             return math.inf
         u_hist.append(u)
-        y_now = narx.predict_one(y_hist, u_hist)
-        if not math.isfinite(y_now) or abs(y_now) > 1e6 * scale:
+        y_now = yield lags
+        if not math.isfinite(y_now) or abs(y_now) > bound:
             return math.inf
         y_hist.append(y_now)
         del y_hist[0]
@@ -695,6 +700,42 @@ def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.n
     return iae + rho * effort
 
 
+def _lockstep_costs(narx: NarxModel, episodes) -> list:
+    """Return values of `_episode_cost_on_surrogate` generators run side by
+    side: each step, one `predict_rows` call predicts for every live episode,
+    so each cost is bit-equal to that episode run alone. Fewer than three
+    episodes run one after another on the row path: a stacked pass of two
+    rows costs about what two row passes cost, so the lockstep's bookkeeping
+    would only slow them down."""
+    if len(episodes) < 3:
+        return [_cost_alone(narx, episode) for episode in episodes]
+    costs = [None] * len(episodes)
+    live, preds = list(enumerate(episodes)), [None] * len(episodes)
+    while live:
+        windows = []
+        for (i, episode), y in zip(live, preds):
+            try:
+                windows.append(episode.send(y))
+            except StopIteration as stop:
+                costs[i] = stop.value
+        if len(windows) < len(live):
+            live = [(i, episode) for i, episode in live if costs[i] is None]
+        if live:
+            preds = narx.predict_rows(windows)
+    return costs
+
+
+def _cost_alone(narx: NarxModel, episode) -> float:
+    """Return value of one `_episode_cost_on_surrogate` generator, each step
+    predicted on the row path."""
+    predict, send, y = narx.predict, episode.send, None
+    try:
+        while True:
+            y = predict(*send(y))[0]
+    except StopIteration as stop:
+        return stop.value
+
+
 def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
                    seed: int = 0, restarts: int = 2, x0=None, cost_fn=None,
                    gain_kw: dict | None = None) -> StaticTuneResult:
@@ -702,7 +743,8 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
 
     `model` is the NarxModel the episodes are simulated on; `episodes` is a
     list of reference arrays. The cost is the episode mean of
-    IAE + rho * integral(|u|). `cost_fn(vec) -> float`, when given, replaces
+    IAE + rho * integral(|u|); three or more episodes of one evaluation run
+    in lockstep (`_lockstep_costs`). `cost_fn(vec) -> float`, when given, replaces
     the simulation cost entirely (test stubs, custom objectives).
     """
     if budget < 1:
@@ -716,7 +758,8 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
 
         def cost_fn(vec):
             gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
-            costs = [_episode_cost_on_surrogate(model, gains, ep, rho) for ep in episodes]
+            costs = _lockstep_costs(model, [_episode_cost_on_surrogate(model, gains, ep, rho)
+                                            for ep in episodes])
             return float(np.mean(costs))
 
     start = np.asarray(x0, dtype=float) if x0 is not None else 0.5 * (bounds[:, 0] + bounds[:, 1])

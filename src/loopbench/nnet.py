@@ -148,6 +148,21 @@ class Mlp:
             acts.append(np.tanh(a, out=a))
         return np.dot(a, self.weights[-1].T) + self.biases[-1], acts
 
+    def forward_rows(self, x: np.ndarray) -> np.ndarray:
+        """Outputs of k independent rows, (k, n) in and (k, n_out) out, each row
+        bit-equal to `forward` on that row alone. Every layer is one stacked
+        product over (k, 1, n), which makes one matrix-vector product (gemv) per
+        row, the call a 1-D row makes; a 2-D matrix product over the rows rounds
+        differently."""
+        a = np.asarray(x, dtype=float)
+        if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
+            raise ValueError(f"input shape {a.shape} is not (rows, {self.layer_sizes[0]})")
+        for l in range(self.n_layers - 1):
+            a = np.matmul(a[:, None, :], self.weights[l].T)[:, 0]
+            a += self.biases[l]
+            np.tanh(a, out=a)
+        return np.matmul(a[:, None, :], self.weights[-1].T)[:, 0] + self.biases[-1]
+
     def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
         """Reverse pass through the activations only: the adjoint of each
         layer's pre-activation, last layer first.

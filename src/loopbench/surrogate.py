@@ -52,9 +52,10 @@ class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
     Per-step prediction runs on Python floats around one 1-D row through
-    `Mlp.forward_cached`: float arithmetic rounds exactly as numpy's
-    elementwise ops, so it is bit-equal to the array form. The float copies
-    of the normalization stats are taken at construction.
+    `Mlp.forward_cached`; `predict_rows` stacks k rows for `Mlp.forward_rows`.
+    Float arithmetic rounds exactly as numpy's elementwise ops, so both are
+    bit-equal to the array form. The float copies of the normalization stats
+    are taken at construction.
     """
 
     KIND = "narx-surrogate"
@@ -95,6 +96,15 @@ class NarxModel:
 
     def predict_one(self, y_window, u_window) -> float:
         return self.predict(y_window, u_window)[0]
+
+    def predict_rows(self, windows) -> list:
+        """`predict_one` of each (y_window, u_window) pair, bit for bit, through
+        one `Mlp.forward_rows` pass; a single pair takes the cheaper row path."""
+        if len(windows) == 1:
+            return [self.predict_one(*windows[0])]
+        rows = np.array([lag_features(y, u, self.p, self.q) for y, u in windows])
+        out = self.mlp.forward_rows((rows - self.x_mean) / self.x_std)
+        return [v * self._y_std + self._y_mean for v in out[:, 0].tolist()]
 
     def backward_to_features(self, acts, upstream: float) -> np.ndarray:
         """Adjoint of the raw feature vector given d(loss)/d(prediction)."""
@@ -155,8 +165,9 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig,
 
     val_y, val_u = y[n_train:], u[n_train:]
     k0 = max(p, q)
-    preds = np.array([model.predict_one(val_y[:k + 1], val_u[:k + 1])
-                      for k in range(k0, len(val_y) - 1)])
+    ys, us = val_y.tolist(), val_u.tolist()
+    preds = np.array(model.predict_rows([(ys[k + 1 - p:k + 1], us[k + 1 - q:k + 1])
+                                         for k in range(k0, len(val_y) - 1)]))
     one_step_rmse = float(np.sqrt(np.mean((preds - val_y[k0 + 1:]) ** 2)))
 
     # free run from the start of the held-out block: u_seq[i] is the input at

@@ -8,6 +8,7 @@ import pytest
 from loopbench.cli import main
 from loopbench.config import DEFAULTS, resolve_config
 from loopbench.errors import ConfigError, ParseError
+from loopbench import neuro
 from loopbench.neuro import GainScheduler, NeuralController
 from loopbench.nnet import Mlp, load_model, save_model
 from loopbench.surrogate import NarxModel
@@ -596,6 +597,30 @@ def _tune_with_surrogate(tmp_path, path):
            "tuning": {"mode": "ai", "budget": 5}}
     return main(["tune", "--config", _write(tmp_path, "tune.json", cfg),
                  "--surrogate", str(path), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, monkeypatch):
+    """The benchmark's traced runs check `neuro._episode_cost_on_surrogate`
+    calls against tune_trace.csv rows times `episodes.count`, so every
+    evaluation creates one episode per reference. Three episodes share one
+    stacked surrogate pass per step; one or two run on the row path."""
+    episodes, passes = [], []
+    real = neuro._episode_cost_on_surrogate
+    monkeypatch.setattr(neuro, "_episode_cost_on_surrogate",
+                        lambda *args: episodes.append(1) or real(*args))
+    predict_rows = NarxModel.predict_rows
+    monkeypatch.setattr(NarxModel, "predict_rows", lambda self, windows:
+                        passes.append(len(windows)) or predict_rows(self, windows))
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+           "tuning": {"mode": "ai", "budget": 7, "episodes": {"count": count, "level": 1.0}}}
+    assert main(["tune", "--config", _write(tmp_path, "tune.json", cfg),
+                 "--surrogate", str(_saved_surrogate(tmp_path)), "--out", str(tmp_path / "o")]) == 0
+    rows = _read_rows(tmp_path / "o" / "tune_trace.csv")[1:]
+    assert len(rows) == 7 and all(math.isfinite(float(r.split(",")[1])) for r in rows)
+    assert len(episodes) == len(rows) * count
+    # episodes of 12 samples (two leading zeros, then 10 at the level): 11 steps
+    assert passes == ([3] * (len(rows) * 11) if count == 3 else [])
 
 
 # per model kind: (save a valid model file, run the command that loads it)

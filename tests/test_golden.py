@@ -9,9 +9,10 @@ in `tests/golden/digests.json` were captured before the float-state fast
 path landed, the training and pipeline digests before the networks moved
 onto one parameter vector, `tune/ai-q1` before per-step surrogate
 prediction moved onto Python-float lag windows, the `cli/*` cases before
-every output file moved onto the `dataio` writers, and `cli/linear2-cascade`
+every output file moved onto the `dataio` writers, `cli/linear2-cascade`
 before linear plants moved onto float state and trajectory files were
-formatted by column; a change that moves any
+formatted by column, and `tune/ai-corner` before the AI search moved its
+episodes onto one stacked surrogate pass per step; a change that moves any
 output bit fails here and must be declared as a behaviour change. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -259,6 +260,33 @@ def _tune_ai(q):
     return run
 
 
+def _tune_ai_corner(tmp):
+    """AI tuning whose optimum is the corner (2, 2, 0) of the perfbench `tuning`
+    workload's bounds: once the simplex steps outside the box, clipped points
+    are evaluated again, so the trace repeats a cost value."""
+    plant = {"variant": "fopdt", "gain": 1.0, "tau": 1.0, "dead_time": 0.25,
+             "limits": [-3.0, 3.0]}
+    cfg = {"sim": {"dt": 0.1, "horizon": 300.0, "seed": 11}, "plant": plant,
+           "sensor": {"noise_std": 0.002},
+           "excitation": {"variant": "prbs", "order": 8, "amplitude": 1.0, "bit_period": 1.0,
+                          "seed": 1},
+           "surrogate": {"p": 2, "q": 4, "hidden": [16], "epochs": 10, "patience": 10,
+                         "batch_size": 64, "learning_rate": 0.01, "seed": 0}}
+    rec = _cli(tmp, "rec", "record", cfg)
+    sur = _cli(tmp, "sur", "fit-surrogate", cfg, "--data", str(rec / "record.csv"))
+    cfg = {"sim": {"dt": 0.1, "horizon": 20.0, "seed": 11}, "plant": plant,
+           "tuning": {"mode": "ai", "budget": 30, "restarts": 2, "rho": 0.01,
+                      "bounds": {"kp": [0.1, 2.0], "ki": [0.05, 2.0], "kd": [0.0, 0.2]},
+                      "episodes": {"count": 3, "level": 1.0}}}
+    out = _cli(tmp, "tuned", "tune", cfg, "--surrogate", str(sur / "surrogate.weights"))
+    gains = json.loads((out / "gains.json").read_text(encoding="utf-8"))
+    assert (gains["kp"], gains["ki"], gains["kd"]) == (2.0, 2.0, 0.0)
+    costs = [line.split(",")[1] for line in
+             (out / "tune_trace.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(costs) == 30 and len(set(costs)) < len(costs)
+    return _files_digest(out, "gains.json", "tune_trace.csv")
+
+
 def _pipeline_ac12(tmp):
     return _files_digest(ac12_pipeline(Path(tmp), "ac12"), *AC12_FILES)
 
@@ -363,6 +391,7 @@ CASES.update({
     "train/bptt-scheduler": _bptt("scheduler"),
     "tune/ai": _tune_ai(2),
     "tune/ai-q1": _tune_ai(1),
+    "tune/ai-corner": _tune_ai_corner,
     "pipeline/ac12": _pipeline_ac12,
     "cli/switch": _switch_cli,
     "cli/blend": _blend_cli,

@@ -9,8 +9,8 @@ from loopbench.errors import ControllerFault, TrainingUnstable
 from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run,
-    _episode_cost_on_surrogate, nelder_mead_bounded, train_bptt, train_imitation,
-    tune_static_ai,
+    _episode_cost_on_surrogate, _lockstep_costs, nelder_mead_bounded, train_bptt,
+    train_imitation, tune_static_ai,
 )
 from loopbench.nnet import Mlp, TrainConfig, load_model, normalize, save_model
 from loopbench.pid import PidController, PidGains, PidState, pid_step
@@ -614,20 +614,32 @@ def _array_episode_cost(narx, gains, reference, rho):
     return iae + rho * effort
 
 
+def _costs(narx, cases):
+    """`_lockstep_costs` over fresh episode generators of (gains, reference, rho) cases."""
+    return _lockstep_costs(narx, [_episode_cost_on_surrogate(narx, g, ref, rho)
+                                  for g, ref, rho in cases])
+
+
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_episode_cost_bit_equal_to_array_form(p, q, hidden):
+    """Episodes run in lockstep (three at a time), two and one at a time on
+    the row path, cost exactly what the array form gives each on its own."""
     rng = np.random.default_rng(11 * p + q)
     for seed in range(4):
         narx = random_narx(p, q, hidden, seed)
+        cases = []
         for _ in range(6):
             gains = PidGains(kp=rng.uniform(0.0, 3.0), ki=rng.uniform(0.0, 2.0),
                              kd=rng.uniform(0.0, 0.3), u_min=-3.0, u_max=3.0)
             ref = np.concatenate([np.zeros(3), np.full(40, rng.uniform(-2.0, 2.0))])
-            rho = rng.uniform(0.0, 0.1)
-            want = _array_episode_cost(narx, gains, ref, rho)
-            assert math.isfinite(want)
-            assert _episode_cost_on_surrogate(narx, gains, ref, rho) == want
-            assert _episode_cost_on_surrogate(narx, gains, ref.tolist(), rho) == want
+            cases.append((gains, ref, rng.uniform(0.0, 0.1)))
+        want = [_array_episode_cost(narx, *case) for case in cases]
+        assert all(math.isfinite(c) for c in want)
+        assert _costs(narx, cases[:3]) == want[:3]
+        assert _costs(narx, [(g, ref.tolist(), rho) for g, ref, rho in cases[3:]]) == want[3:]
+        assert _costs(narx, cases[1:3]) == want[1:3]
+        for case, cost in zip(cases, want):
+            assert _costs(narx, [case]) == [cost]
 
 
 @pytest.mark.parametrize("case", ["bound", "fault-output", "fault-reference"])
@@ -644,7 +656,69 @@ def test_episode_cost_inf_paths_match_array_form(case):
     else:
         ref[10] = math.nan  # pid_step rejects the reference: ControllerFault
     assert _array_episode_cost(narx, gains, ref, 0.01) == math.inf
-    assert _episode_cost_on_surrogate(narx, gains, ref, 0.01) == math.inf
+    for count in (1, 2, 3):
+        assert _costs(narx, [(gains, ref, 0.01)] * count) == [math.inf] * count
+
+
+def _linear_narx():
+    """Surrogate with no hidden layer, y[k+1] = 0.5 y[k] + u[k], so a large
+    enough command passes the divergence bound."""
+    net = Mlp([2, 1], init=False)
+    net.weights[0][:] = np.array([[0.5, 1.0]])
+    return NarxModel(net, 1, 1, 0.1, np.zeros(2), np.ones(2), np.zeros(1), np.ones(1))
+
+
+LOCKSTEP_NARX = {"linear": _linear_narx(), "p3q2": random_narx(3, 2, (7,), seed=1),
+                 "p2q3": random_narx(2, 3, (5, 5), seed=4)}
+
+
+@pytest.mark.parametrize("case, name", [("fault", "linear"), ("fault", "p3q2"), ("fault", "p2q3"),
+                                        ("bound", "linear"), ("lengths", "linear"),
+                                        ("lengths", "p3q2"), ("lengths", "p2q3")])
+def test_lockstep_costs_match_array_form_per_episode(case, name):
+    """Episodes that end early, each at its own step, leave the lockstep: a
+    ControllerFault (cost inf), a prediction past the 1e6 * scale bound while
+    the others finish (the tanh of a hidden layer bounds the other surrogates'
+    predictions), and references of unequal length."""
+    narx = LOCKSTEP_NARX[name]
+    rng = np.random.default_rng(7)
+    cases = [(PidGains(kp=rng.uniform(0.2, 2.0), ki=rng.uniform(0.0, 1.0), kd=rng.uniform(0.0, 0.2),
+                       u_min=-3.0, u_max=3.0),
+              np.concatenate([np.zeros(2), np.full(n, rng.uniform(-2.0, 2.0))]),
+              rng.uniform(0.0, 0.1)) for n in (30, 30, 30, 30)]
+    if case == "fault":
+        ref = cases[1][1].copy()
+        ref[12] = math.nan  # pid_step rejects the reference at step 12
+        cases[1] = (cases[1][0], ref, cases[1][2])
+    elif case == "bound":
+        # a command of 1e7 sends the linear surrogate past 1e6 once the reference steps
+        cases[2] = (PidGains(kp=1e7, u_min=-1e7, u_max=1e7), cases[2][1], cases[2][2])
+    else:
+        # one step, none, and 5, 31 and 19 steps
+        cases = [(g, ref[:n], rho) for (g, ref, rho), n in zip(cases, (2, 1, 6, 32))]
+        cases.append((cases[0][0], np.concatenate([np.zeros(2), np.full(18, 0.7)]), 0.01))
+    want = [_array_episode_cost(narx, *c) for c in cases]
+    assert sum(math.isfinite(c) for c in want) >= len(cases) - 1
+    if case != "lengths":
+        assert not all(math.isfinite(c) for c in want)
+    assert _costs(narx, cases) == want
+
+
+def test_tune_static_ai_costs_equal_the_per_episode_mean():
+    """The search's cost of each evaluation, every trace row included, equals
+    the mean of the per-episode array costs: the lockstep changes no bit."""
+    narx = random_narx(2, 2, (8,), seed=5)
+    episodes = [np.concatenate([np.zeros(2), np.full(25, level)]) for level in (0.5, 1.0, 1.5)]
+    gain_kw = {"u_min": -3.0, "u_max": 3.0}
+    bounds = [[0.1, 2.0], [0.05, 2.0], [0.0, 0.2]]
+
+    def oracle(vec):
+        gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
+        return float(np.mean([_array_episode_cost(narx, gains, ep, 0.01) for ep in episodes]))
+
+    got = tune_static_ai(narx, episodes, bounds, budget=25, seed=3, gain_kw=gain_kw)
+    want = tune_static_ai(None, None, bounds, budget=25, seed=3, gain_kw=gain_kw, cost_fn=oracle)
+    assert got.trace == want.trace and got.cost == want.cost and got.gains == want.gains
 
 
 def test_nelder_mead_respects_bounds():

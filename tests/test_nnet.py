@@ -386,15 +386,36 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
         assert all(a.tobytes() == a_r.tobytes() for a, a_r in zip(acts_b, acts_r))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 750])
+@pytest.mark.parametrize("sizes", [s for s in ROW_SHAPES if 3 <= len(s) <= 5],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_forward_rows_bit_equal_to_forward_per_row(sizes, k):
+    """k rows through the stacked (k, 1, n) products give, row by row, the
+    bits of `forward` on each row alone; a 2-D matrix product would not."""
+    rng = np.random.default_rng([k, *sizes])
+    for seed in range(3):
+        net = Mlp(sizes, seed=seed)
+        for b in net.biases:
+            b[...] = rng.normal(size=b.shape) * 0.5
+        xs = rng.normal(size=(k, sizes[0])) * rng.choice([1e-3, 1.0, 50.0], size=(k, 1))
+        out = net.forward_rows(xs)
+        assert out.shape == (k, sizes[-1])
+        for x, row in zip(xs, out, strict=True):
+            assert row.tobytes() == net.forward(x).tobytes()
+    with pytest.raises(ValueError):
+        net.forward_rows(xs[0])
+
+
 # an AVX2 OpenBLAS core and numpy's SIMD dispatch capped below AVX-512 (x86-64-v3)
 PORTABLE_PROFILE = {"OPENBLAS_CORETYPE": "Haswell",
                     "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL,AVX512_SPR,X86_V4"}
 
 
 def test_row_path_bit_equal_under_the_portable_profile():
-    """The row-vs-batch tests, the training-step bit tests and the float-state
-    plant test again, in a fresh interpreter under the portable profile: both
-    variables are read once, when numpy and OpenBLAS load."""
+    """The row-vs-batch tests, the stacked-row and lockstep-episode tests, the
+    training-step bit tests and the float-state plant test again, in a fresh
+    interpreter under the portable profile: both variables are read once,
+    when numpy and OpenBLAS load."""
     here = os.path.dirname(os.path.abspath(__file__))
     script = ("import sys, pytest\n"
               "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
@@ -402,6 +423,10 @@ def test_row_path_bit_equal_under_the_portable_profile():
               "sys.exit(pytest.main(sys.argv[1:]))\n")
     tests = [os.path.join(here, "test_nnet.py::test_row_path_bit_equal_to_one_row_batch"),
              os.path.join(here, "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass"),
+             os.path.join(here, "test_nnet.py::test_forward_rows_bit_equal_to_forward_per_row"),
+             os.path.join(here, "test_surrogate.py::test_predict_rows_bit_equal_to_predict_one"),
+             os.path.join(here, "test_neuro.py::test_episode_cost_bit_equal_to_array_form"),
+             os.path.join(here, "test_neuro.py::test_lockstep_costs_match_array_form_per_episode"),
              os.path.join(here, "test_training_bits.py"),
              os.path.join(here, "test_neuro.py::test_control_loop_step_bit_equal_to_array_form"),
              os.path.join(here, "test_neuro.py::test_gains_from_bit_equal_to_array_form"),
