@@ -728,10 +728,10 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
 def _cost_alone(narx: NarxModel, episode) -> float:
     """Return value of one `_episode_cost_on_surrogate` generator, each step
     predicted on the row path."""
-    predict, send, y = narx.predict, episode.send, None
+    predict, send, y = narx.predict_one, episode.send, None
     try:
         while True:
-            y = predict(*send(y))[0]
+            y = predict(*send(y))
     except StopIteration as stop:
         return stop.value
 

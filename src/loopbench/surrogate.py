@@ -99,9 +99,7 @@ class NarxModel:
 
     def predict_rows(self, windows) -> list:
         """`predict_one` of each (y_window, u_window) pair, bit for bit, through
-        one `Mlp.forward_rows` pass; a single pair takes the cheaper row path."""
-        if len(windows) == 1:
-            return [self.predict_one(*windows[0])]
+        one `Mlp.forward_rows` pass."""
         rows = np.array([lag_features(y, u, self.p, self.q) for y, u in windows])
         out = self.mlp.forward_rows((rows - self.x_mean) / self.x_std)
         return [v * self._y_std + self._y_mean for v in out[:, 0].tolist()]
