@@ -88,14 +88,11 @@ def cmd_fit_surrogate(args) -> int:
     with cfgmod.section("surrogate"):
         resampled = False
         if not series.is_uniform():
-            series = resample_uniform(series, float(cfg["sim"]["dt"]))
+            series = resample_uniform(series, cfg["sim"]["dt"])
             resampled = True
         model, report = fit_surrogate(
-            series, int(sur["p"]), int(sur["q"]),
-            cfgmod.train_config_from(sur),
-            hidden=tuple(int(h) for h in sur["hidden"]),
-            val_fraction=float(sur["val_fraction"]),
-            resampled=resampled,
+            series, sur["p"], sur["q"], cfgmod.train_config_from(sur),
+            hidden=tuple(sur["hidden"]), val_fraction=sur["val_fraction"], resampled=resampled,
         )
     out = _out_dir(args)
     save_model(model, out / "surrogate.weights")
@@ -110,56 +107,45 @@ def cmd_fit_surrogate(args) -> int:
 # tune
 # ---------------------------------------------------------------------------
 
-def _identified_model(cfg, sim) -> FopdtModel:
-    t = cfg["tuning"]
-    if t["fopdt"] is not None:
-        f = t["fopdt"]
-        return FopdtModel(gain=float(f["gain"]), tau=float(f["tau"]),
-                          dead_time=float(f["dead_time"]))
-    plant = cfgmod.plant_from(cfg)
-    traj = run_step_test(plant, sim, u1=float(t["step_level"]))
-    return identify_fopdt_step(traj)
-
-
 def cmd_tune(args) -> int:
     cfg = cfgmod.load_config(args.config, required=("tuning",))
     sim = cfgmod.sim_from(cfg, args.seed)
     t = cfg["tuning"]
     out = _out_dir(args)
-    limits = tuple(float(v) for v in cfg["plant"]["limits"])
+    limits = tuple(cfg["plant"]["limits"])
 
     with cfgmod.section("tuning"):
         if t["mode"] == "rule":
             gain_kw = {"u_min": limits[0], "u_max": limits[1]}
+            model = None if t["fopdt"] is None else FopdtModel(**t["fopdt"])
             if t["rule"] == "ziegler-nichols":
-                if t["fopdt"] is not None:
-                    f = t["fopdt"]
-                    up = ultimate_from_fopdt(FopdtModel(float(f["gain"]), float(f["tau"]),
-                                                        float(f["dead_time"])))
+                if model is not None:
+                    up = ultimate_from_fopdt(model)
                 else:
-                    up = relay_experiment(cfgmod.plant_from(cfg), float(t["relay_amplitude"]), sim)
+                    up = relay_experiment(cfgmod.plant_from(cfg), t["relay_amplitude"], sim)
                 gains = tune_ziegler_nichols(up, t["kind"], **gain_kw)
             else:
-                model = _identified_model(cfg, sim)
+                if model is None:
+                    traj = run_step_test(cfgmod.plant_from(cfg), sim, u1=t["step_level"])
+                    model = identify_fopdt_step(traj)
                 rule = tune_cohen_coon if t["rule"] == "cohen-coon" else tune_kappa_tau
                 gains = rule(model, **gain_kw)
             trace = []
         else:
-            if int(t["budget"]) < 1:
+            if t["budget"] < 1:
                 raise ConfigError("AI tuning needs a positive evaluation budget", "tuning.budget")
             if not args.surrogate:
                 raise ConfigError("AI tuning needs --surrogate <model>", "tuning.mode")
             narx = load_model(args.surrogate, NarxModel)
-            count = int(t["episodes"]["count"])
-            level = float(t["episodes"]["level"])
+            count = t["episodes"]["count"]
+            level = t["episodes"]["level"]
             n_steps = max(int(round(sim.horizon / narx.dt)), 2)
             episodes = [np.concatenate([np.zeros(2), np.full(n_steps, level * (i + 1) / count)])
                         for i in range(count)]
             result = tune_static_ai(
                 narx, episodes,
                 cfgmod.bounds_from(t["bounds"], "tuning.bounds"),
-                budget=int(t["budget"]), rho=float(t["rho"]), seed=sim.seed,
-                restarts=int(t["restarts"]),
+                budget=t["budget"], rho=t["rho"], seed=sim.seed, restarts=t["restarts"],
                 x0=None if t["x0"] is None else np.array(t["x0"], dtype=float),
                 gain_kw={"u_min": limits[0], "u_max": limits[1]},
             )
@@ -193,8 +179,8 @@ def _teacher_runs(cfg, sim, limits):
     teacher_gains = cfgmod.resolve_gains(cfg["training"]["teacher"], limits, "training.teacher")
     dist = cfgmod.disturbance_from(cfg)
     sensor = cfgmod.sensor_from(cfg)
-    count = int(cfg["training"]["episodes"]["count"])
-    level = float(cfg["training"]["episodes"]["level"])
+    count = cfg["training"]["episodes"]["count"]
+    level = cfg["training"]["episodes"]["level"]
     runs_a, runs_b = [], []
     for i in range(count):
         cfg_i = type(sim)(dt=sim.dt, horizon=sim.horizon, seed=sim.seed + i)
@@ -219,25 +205,25 @@ def cmd_train_controller(args) -> int:
     sim = cfgmod.sim_from(cfg, args.seed)
     tr = cfg["training"]
     out = _out_dir(args)
-    limits = tuple(float(v) for v in cfg["plant"]["limits"])
+    limits = tuple(cfg["plant"]["limits"])
     with cfgmod.section("training"):
-        memory = int(tr["memory"])
-        hidden = [int(h) for h in tr["hidden"]]
+        memory = tr["memory"]
+        hidden = tr["hidden"]
         tc = cfgmod.train_config_from(tr)
 
         if tr["mode"] == "imitation":
             runs_a, runs_b, _ = _teacher_runs(cfg, sim, limits)
-            beta = float(tr["beta"])
+            beta = tr["beta"]
             with_d = beta > 0.0
             mix = DualDatasetMix(_stack_datasets(runs_a, memory, with_d),
                                  _stack_datasets(runs_b, memory, with_d),
-                                 lam=float(tr["lambda"]))
+                                 lam=tr["lambda"])
             aux = Mlp([hidden[-1], 1], seed=tc.seed + 1000) if with_d else None
             nc = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
                                   u_min=limits[0], u_max=limits[1], memory=memory, aux=aux)
             result = train_imitation(nc, mix, tc, aux_weight=beta)
             save_model(result.controller, out / "controller.weights",
-                       extras={"mode": "imitation", "lambda": float(tr["lambda"]), "beta": beta})
+                       extras={"mode": "imitation", "lambda": tr["lambda"], "beta": beta})
             write_csv(out / "training_curve.csv",
                       ["epoch", "train_loss", "val_rmse_a", "val_rmse_b"],
                       [(i, *row) for i, row in enumerate(result.history)])
@@ -247,9 +233,9 @@ def cmd_train_controller(args) -> int:
             if not args.surrogate:
                 raise ConfigError("bptt training needs --surrogate <model>", "training.mode")
             narx = load_model(args.surrogate, NarxModel)
-            horizon = int(tr["horizon"])
-            count = int(tr["episodes"]["count"])
-            level = float(tr["episodes"]["level"])
+            horizon = tr["horizon"]
+            count = tr["episodes"]["count"]
+            level = tr["episodes"]["level"]
             refs = [np.full(horizon + 1, level * (i + 1) / count) for i in range(count)]
             if tr["target"] == "controller":
                 target = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
@@ -258,11 +244,10 @@ def cmd_train_controller(args) -> int:
                 bounds = cfgmod.bounds_from(tr["bounds"], "training.bounds")
                 target = GainScheduler(Mlp([2 * memory, *hidden, 3], seed=tc.seed),
                                        bounds=bounds, memory=memory)
-            result = train_bptt(target, narx, refs, horizon, tc, rho=float(tr["rho"]),
-                                limits=limits)
+            result = train_bptt(target, narx, refs, horizon, tc, rho=tr["rho"], limits=limits)
             name = "controller.weights" if tr["target"] == "controller" else "scheduler.weights"
             save_model(result.trained, out / name,
-                       extras={"mode": "bptt", "horizon": horizon, "rho": float(tr["rho"])})
+                       extras={"mode": "bptt", "horizon": horizon, "rho": tr["rho"]})
             write_csv(out / "training_curve.csv", ["epoch", "loss", "skipped"],
                       zip(range(len(result.history)), result.history, result.skipped))
             print(f"final rollout loss {result.history[-1]!r} -> {out / name}")
@@ -274,14 +259,12 @@ def cmd_train_controller(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _correction_source(block: dict, limits):
+def _correction_source(block: dict):
     if block["kind"] == "constant":
-        return ConstantController(float(block["value"]))
-    if block["kind"] == "neural":
-        if not block["model_path"]:
-            raise ConfigError("neural correction needs model_path", "safety.correction.model_path")
-        return NeuralControlLoop(load_model(block["model_path"], NeuralController))
-    raise ConfigError("correction kind must be constant or neural", "safety.correction.kind")
+        return ConstantController(block["value"])
+    if not block["model_path"]:
+        raise ConfigError("neural correction needs model_path", "safety.correction.model_path")
+    return NeuralControlLoop(load_model(block["model_path"], NeuralController))
 
 
 def cmd_simulate(args) -> int:
@@ -300,16 +283,12 @@ def cmd_simulate(args) -> int:
         if safety["kind"] == "switch":
             fallback = PidController(cfgmod.resolve_gains(safety["fallback"], limits,
                                                           "safety.fallback"))
-            supervisor = SwitchSupervisor(theta_hi=float(safety["theta_hi"]),
-                                          theta_lo=float(safety["theta_lo"]),
-                                          dwell=int(safety["dwell"]),
-                                          agree_tol=None if safety["agree_tol"] is None
-                                          else float(safety["agree_tol"]))
+            supervisor = SwitchSupervisor(theta_hi=safety["theta_hi"], theta_lo=safety["theta_lo"],
+                                          dwell=safety["dwell"], agree_tol=safety["agree_tol"])
             controller = SupervisedController(controller, fallback, supervisor, limits)
         elif safety["kind"] == "blend":
-            blender = BoundedBlender(delta=float(safety["delta"]))
-            controller = BlendedController(controller,
-                                           _correction_source(safety["correction"], limits),
+            blender = BoundedBlender(delta=safety["delta"])
+            controller = BlendedController(controller, _correction_source(safety["correction"]),
                                            blender, limits)
 
     traj = simulate(plant, controller, cfgmod.reference_from(cfg),

@@ -1,7 +1,8 @@
 """Experiment config: JSON schema, strict validation, default resolution,
 and builders turning config sections into live objects.
 
-Validation rejects unknown keys and reports the offending key path; every
+Validation rejects unknown keys and values of the wrong kind (each leaf's
+kind comes from its default) and reports the offending key path; every
 command echoes the fully-resolved config (defaults filled) next to its
 outputs, and that echo reproduces the run when fed back in.
 """
@@ -81,36 +82,73 @@ DEFAULTS = {
     },
 }
 
-_PLANT_VARIANTS = ("fopdt", "second_order", "tank", "linear")
-_CONTROLLER_KINDS = ("pid", "cascade", "neural", "pid+scheduler", "constant")
-_SAFETY_KINDS = ("none", "switch", "blend")
+# the allowed values of the string leaves that no dataclass checks
+_ENUMS = {
+    "plant.variant": ("fopdt", "second_order", "tank", "linear"),
+    "controller.kind": ("pid", "cascade", "neural", "pid+scheduler", "constant"),
+    "safety.kind": ("none", "switch", "blend"),
+    "safety.correction.kind": ("constant", "neural"),
+    "tuning.mode": ("rule", "ai"),
+    "tuning.rule": ("ziegler-nichols", "cohen-coon", "kappa-tau"),
+    "training.mode": ("imitation", "bptt"),
+    "training.target": ("controller", "scheduler"),
+    "reference.variant": ("step", "profile"),
+}
+
+# the kind of each leaf whose default is null, by the leaf's own name; a
+# block's values are no defaults, so a supplied block gives every key
+_NULLABLE = {
+    "u_min": 0.0, "u_max": 0.0, "sample_period": 0.0, "duration": 0.0, "agree_tol": 0.0,
+    "x0": [0.0], "path": "", "gains_path": "", "model_path": "",
+    "fopdt": {"gain": 0.0, "tau": 0.0, "dead_time": 0.0},
+}
 
 
-def _merge(defaults, given, path):
-    """Fill defaults recursively; unknown keys are a validation error."""
-    if not isinstance(given, dict):
-        raise ConfigError("expected an object", path)
+def _merge(defaults, given, path, required=False):
+    """Fill defaults recursively, checking each given value against the kind of
+    its default; unknown keys, and with `required` missing ones, are errors."""
+    _require(isinstance(given, dict), "expected an object", path)
+    for key in given:
+        _require(key in defaults, f"unknown key {key!r}", f"{path}.{key}" if path else key)
     out = {}
-    for key, value in given.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key {key!r}", f"{path}.{key}" if path else key)
     for key, default in defaults.items():
         child_path = f"{path}.{key}" if path else key
-        if key in given:
-            if isinstance(default, dict) and default:
-                out[key] = _merge(default, given[key], child_path)
-            else:
-                _require(not _has_bool(given[key]), "no setting takes a boolean", child_path)
-                out[key] = given[key]
-        else:
+        if key not in given:
+            _require(not required, "missing key", child_path)
             out[key] = json.loads(json.dumps(default))  # deep copy of the default
+        elif default is None and given[key] is None:
+            out[key] = None
+        else:
+            kind = _NULLABLE[key] if default is None else default
+            out[key] = _leaf(kind, given[key], child_path, required=default is None)
     return out
 
 
-def _has_bool(value) -> bool:
-    """Whether a JSON value is or holds a boolean: no leaf of `DEFAULTS` is one."""
-    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else None
-    return isinstance(value, bool) if items is None else any(map(_has_bool, items))
+def _leaf(kind, value, path, required=False):
+    """`value` checked against `kind`, a default or a `_NULLABLE` prototype: a
+    float takes any number (stored as a float), an int an integer, a str a
+    string (one of `_ENUMS` where listed), a list a list of items of its first
+    item's kind and a dict a merged block."""
+    _require(not isinstance(value, bool), "no setting takes a boolean", path)
+    if path in _ENUMS:
+        _require(value in _ENUMS[path], f"must be one of {_ENUMS[path]}", path)
+        return value
+    if isinstance(kind, dict):
+        return _merge(kind, value, path, required)
+    if isinstance(kind, list):
+        _require(isinstance(value, list), "expected a list", path)
+        return [_leaf(kind[0], item, path) for item in value]
+    if isinstance(kind, str):
+        _require(isinstance(value, str), "expected a string", path)
+        return value
+    if isinstance(kind, int):
+        _require(isinstance(value, int), "expected an integer", path)
+        return value
+    _require(isinstance(value, (int, float)), "expected a number", path)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError("number out of range", path) from exc
 
 
 def resolve_config(raw: dict) -> dict:
@@ -152,39 +190,20 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise ConfigError(message, path)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check(cfg: dict) -> None:
+    """The range checks that name a key; `_merge` has checked every kind."""
     sim = cfg["sim"]
-    _require(isinstance(sim["seed"], int) and sim["seed"] >= 0, "seed must be a non-negative integer", "sim.seed")
-    _require(_is_number(sim["dt"]) and sim["dt"] > 0, "dt must be a number > 0", "sim.dt")
-    _require(_is_number(sim["horizon"]) and sim["horizon"] > 0, "horizon must be a number > 0", "sim.horizon")
-    _require(cfg["plant"]["variant"] in _PLANT_VARIANTS,
-             f"variant must be one of {_PLANT_VARIANTS}", "plant.variant")
+    _require(sim["seed"] >= 0, "seed must be a non-negative integer", "sim.seed")
+    _require(sim["dt"] > 0, "dt must be a number > 0", "sim.dt")
+    _require(sim["horizon"] > 0, "horizon must be a number > 0", "sim.horizon")
     lim = cfg["plant"]["limits"]
-    _require(isinstance(lim, list) and len(lim) == 2 and all(map(_is_number, lim)) and lim[0] < lim[1],
-             "limits must be [lo, hi] with lo < hi", "plant.limits")
-    _require(cfg["controller"]["kind"] in _CONTROLLER_KINDS,
-             f"kind must be one of {_CONTROLLER_KINDS}", "controller.kind")
-    _require(cfg["safety"]["kind"] in _SAFETY_KINDS,
-             f"kind must be one of {_SAFETY_KINDS}", "safety.kind")
-    _require(cfg["tuning"]["mode"] in ("rule", "ai"), "mode must be rule or ai", "tuning.mode")
-    _require(cfg["tuning"]["rule"] in ("ziegler-nichols", "cohen-coon", "kappa-tau"),
-             "unknown tuning rule", "tuning.rule")
-    _require(cfg["training"]["mode"] in ("imitation", "bptt"),
-             "mode must be imitation or bptt", "training.mode")
-    _require(cfg["training"]["target"] in ("controller", "scheduler"),
-             "target must be controller or scheduler", "training.target")
+    _require(len(lim) == 2 and lim[0] < lim[1], "limits must be [lo, hi] with lo < hi",
+             "plant.limits")
     lam = cfg["training"]["lambda"]
-    _require(_is_number(lam) and 0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
+    _require(0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
     for name in ("tuning", "training"):
-        level = cfg[name]["episodes"]["level"]
-        _require(_is_number(level) and math.isfinite(level), "level must be a finite number",
+        _require(math.isfinite(cfg[name]["episodes"]["level"]), "level must be a finite number",
                  f"{name}.episodes.level")
-    _require(cfg["reference"]["variant"] in ("step", "profile"),
-             "variant must be step or profile", "reference.variant")
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +225,24 @@ def sim_from(cfg: dict, seed_override: int | None = None) -> SimConfig:
     sim = cfg["sim"]
     seed = seed_override if seed_override is not None else sim["seed"]
     with section("sim"):
-        return SimConfig(dt=float(sim["dt"]), horizon=float(sim["horizon"]), seed=int(seed))
+        return SimConfig(dt=sim["dt"], horizon=sim["horizon"], seed=seed)
 
 
 def plant_from(cfg: dict) -> PlantModel:
     p = cfg["plant"]
     with section("plant"):
         if p["variant"] == "fopdt":
-            variant = Fopdt(gain=float(p["gain"]), tau=float(p["tau"]),
-                            dead_time=float(p["dead_time"]))
+            variant = Fopdt(gain=p["gain"], tau=p["tau"], dead_time=p["dead_time"])
         elif p["variant"] == "second_order":
-            variant = SecondOrder(gain=float(p["gain"]), omega_n=float(p["omega_n"]),
-                                  zeta=float(p["zeta"]))
+            variant = SecondOrder(gain=p["gain"], omega_n=p["omega_n"], zeta=p["zeta"])
         elif p["variant"] == "tank":
-            variant = TankNonlinear(area=float(p["area"]), outflow_coeff=float(p["outflow_coeff"]))
+            variant = TankNonlinear(area=p["area"], outflow_coeff=p["outflow_coeff"])
         else:
             variant = LinearStateSpace(a=np.array(p["a"], dtype=float),
                                        b=np.array(p["b"], dtype=float),
                                        c=np.array(p["c"], dtype=float))
         x0 = None if p["x0"] is None else np.array(p["x0"], dtype=float)
-        return PlantModel(variant, u_min=float(p["limits"][0]), u_max=float(p["limits"][1]), x0=x0)
+        return PlantModel(variant, u_min=p["limits"][0], u_max=p["limits"][1], x0=x0)
 
 
 def sensor_from(cfg: dict) -> SensorSpec:
@@ -233,9 +250,8 @@ def sensor_from(cfg: dict) -> SensorSpec:
     s = cfg["sensor"]
     grid = sim_from(cfg)
     with section("sensor"):
-        period = None if s["sample_period"] is None else float(s["sample_period"])
-        spec = SensorSpec(noise_std=float(s["noise_std"]), sample_period=period,
-                          quantization=float(s["quantization"]))
+        spec = SensorSpec(noise_std=s["noise_std"], sample_period=s["sample_period"],
+                          quantization=s["quantization"])
         spec.steps_per_sample(grid.dt)
     return spec
 
@@ -245,10 +261,9 @@ def disturbance_from(cfg: dict) -> DisturbanceSpec:
     d = cfg["disturbance"]
     grid = sim_from(cfg)
     with section("disturbance"):
-        spec = DisturbanceSpec(variant=d["variant"], injection=d["injection"],
-                               time=float(d["time"]), magnitude=float(d["magnitude"]),
-                               std=float(d["std"]), amplitude=float(d["amplitude"]),
-                               period=float(d["period"]))
+        spec = DisturbanceSpec(variant=d["variant"], injection=d["injection"], time=d["time"],
+                               magnitude=d["magnitude"], std=d["std"],
+                               amplitude=d["amplitude"], period=d["period"])
         spec.check_grid(grid)
     return spec
 
@@ -257,11 +272,9 @@ def excitation_from(cfg: dict) -> ExcitationSpec:
     e = cfg["excitation"]
     with section("excitation"):
         return ExcitationSpec(
-            variant=e["variant"], levels=tuple(e["levels"]), dwell=float(e["dwell"]),
-            order=int(e["order"]), amplitude=float(e["amplitude"]),
-            bit_period=float(e["bit_period"]), seed=int(e["seed"]),
-            f0=float(e["f0"]), f1=float(e["f1"]),
-            duration=None if e["duration"] is None else float(e["duration"]),
+            variant=e["variant"], levels=tuple(e["levels"]), dwell=e["dwell"],
+            order=e["order"], amplitude=e["amplitude"], bit_period=e["bit_period"],
+            seed=e["seed"], f0=e["f0"], f1=e["f1"], duration=e["duration"],
         )
 
 
@@ -269,7 +282,7 @@ def reference_from(cfg: dict):
     r = cfg["reference"]
     with section("reference"):
         if r["variant"] == "step":
-            return step_reference(float(r["level"]), float(r["time"]), float(r["baseline"]))
+            return step_reference(r["level"], r["time"], r["baseline"])
         if not r["path"]:
             raise ConfigError("profile reference needs a path", "reference.path")
         profile = read_timeseries(r["path"])
@@ -282,12 +295,11 @@ def gains_from_dict(block: dict, path: str = "gains",
     """Gains from a JSON block; null output limits inherit `limits` (or none)."""
     fallback = limits if limits is not None else (-math.inf, math.inf)
     with section(path):
-        u_min = fallback[0] if block.get("u_min") is None else float(block["u_min"])
-        u_max = fallback[1] if block.get("u_max") is None else float(block["u_max"])
         return PidGains(
-            kp=float(block["kp"]), ki=float(block["ki"]), kd=float(block["kd"]),
-            structure=block["structure"], u_min=u_min, u_max=u_max,
-            deriv_filter_n=float(block["filter_n"]),
+            kp=block["kp"], ki=block["ki"], kd=block["kd"], structure=block["structure"],
+            u_min=fallback[0] if block["u_min"] is None else block["u_min"],
+            u_max=fallback[1] if block["u_max"] is None else block["u_max"],
+            deriv_filter_n=block["filter_n"],
         )
 
 
@@ -307,21 +319,21 @@ def load_gains_file(path, limits: tuple[float, float] | None = None) -> PidGains
         raise ConfigError(f"cannot read gains file: {exc}", str(path)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid gains JSON: {exc}", str(path)) from exc
-    return gains_from_dict(block, path=str(path), limits=limits)
+    return gains_from_dict(_merge(_GAIN_DEFAULTS, block, str(path)), path=str(path),
+                           limits=limits)
 
 
 def resolve_gains(block: dict, limits: tuple[float, float], path: str) -> PidGains:
     """Gains from an inline block or a gains_path file; null limits inherit the plant's."""
-    if block.get("gains_path"):
+    if block["gains_path"]:
         return load_gains_file(block["gains_path"], limits=limits)
     return gains_from_dict(block["gains"], path=f"{path}.gains", limits=limits)
 
 
 def train_config_from(block: dict) -> TrainConfig:
     return TrainConfig(
-        learning_rate=float(block["learning_rate"]), batch_size=int(block["batch_size"]),
-        max_epochs=int(block["epochs"]), patience=int(block["patience"]),
-        seed=int(block["seed"]),
+        learning_rate=block["learning_rate"], batch_size=block["batch_size"],
+        max_epochs=block["epochs"], patience=block["patience"], seed=block["seed"],
     )
 
 
@@ -346,13 +358,13 @@ def controller_from(cfg: dict, plant: PlantModel):
         if kind == "cascade":
             outer = gains_from_dict(c["outer"], "controller.outer", limits=limits)
             inner = gains_from_dict(c["inner"], "controller.inner", limits=limits)
-            channels = int(c["outer_channel"]), int(c["inner_channel"])
+            channels = c["outer_channel"], c["inner_channel"]
             if not all(0 <= ch < plant.n_outputs for ch in channels):
                 raise ValueError(f"cascade channels must index the plant's {plant.n_outputs} "
                                  f"outputs, got {channels}")
             return CascadeController(CascadeSpec(outer, inner, *channels))
         if kind == "constant":
-            return ConstantController(float(c["value"]))
+            return ConstantController(c["value"])
         if not c["model_path"]:
             raise ConfigError(f"{kind} controller needs model_path", "controller.model_path")
         if kind == "neural":

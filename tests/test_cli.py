@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loopbench
 from loopbench.cli import main
 from loopbench.config import DEFAULTS, resolve_config
 from loopbench.errors import ConfigError, ParseError
@@ -89,6 +91,12 @@ def test_boolean_config_value_exits_2_with_key_path(tmp_path, capsys, leaf, valu
     assert main(argv) == 2
     assert f"config error: {leaf}: no setting takes a boolean" \
         in capsys.readouterr().err
+
+
+def test_integer_beyond_the_float_range_exits_2_with_key_path():
+    with pytest.raises(ConfigError) as err:
+        resolve_config({"plant": {"gain": 10 ** 400}})
+    assert err.value.path == "plant.gain"
 
 
 def test_non_numeric_actuator_limit_is_validation_error():
@@ -679,6 +687,10 @@ def _insert_ff(path, line):
     Path(path).write_bytes(b"\n".join(rows))
 
 
+GAINS_FILE = {"kp": 1.0, "ki": 0.5, "kd": 0.0, "structure": "pid", "u_min": None,
+              "u_max": None, "filter_n": 10.0}
+
+
 def _sim_pid_cfg(tmp_path, **controller):
     cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
            "controller": {"kind": "pid", **controller}}
@@ -692,8 +704,7 @@ def test_non_utf8_byte_is_parse_error_with_path_and_line(tmp_path, capsys, targe
         bad = _sim_pid_cfg(tmp_path, gains={"kp": 1.0})
         argv = ["simulate", "--config", bad, *out]
     elif target == "gains":
-        bad = _write(tmp_path, "gains.json", {"kp": 1.0, "ki": 0.5, "kd": 0.0, "structure": "pid",
-                                              "u_min": None, "u_max": None, "filter_n": 10.0})
+        bad = _write(tmp_path, "gains.json", GAINS_FILE)
         argv = ["simulate", "--config", _sim_pid_cfg(tmp_path, gains_path=bad), *out]
     elif target == "csv":
         a, bad = _two_sim_runs(tmp_path)
@@ -769,7 +780,7 @@ def test_wrong_typed_value_exits_2_with_section_path(tmp_path, capsys, section, 
     cfg[section] = {key: value}
     argv = ["simulate", "--config", _write(tmp_path, "bad.json", cfg), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
-    assert f"config error: {section}: " in capsys.readouterr().err
+    assert f"config error: {section}.{key}: " in capsys.readouterr().err
 
 
 def _tune_rule_cfg():
@@ -795,22 +806,32 @@ def _patched(cfg, patch):
 BLEND = {"kind": "blend", "delta": 0.1, "correction": {"kind": "constant", "value": 0.1}}
 
 
+def _leaf_case(command, patch, path, index, section):
+    """A wrong kind, which `_merge` rejects with the leaf's path; the test id
+    keeps the section path it was first written with."""
+    return pytest.param(command, patch, path, id=f"{command}-patch{index}-{section}")
+
+
 @pytest.mark.parametrize("command, patch, section", [
-    ("simulate", {"controller": {"gains": {"kp": [1.0]}}}, "controller.gains"),
-    ("simulate", {"controller": {"gains": {"ki": None}}}, "controller.gains"),
-    ("simulate", {"safety": {**BLEND, "delta": [0.1]}}, "safety"),
+    _leaf_case("simulate", {"controller": {"gains": {"kp": [1.0]}}}, "controller.gains.kp", 0,
+               "controller.gains"),
+    _leaf_case("simulate", {"controller": {"gains": {"ki": None}}}, "controller.gains.ki", 1,
+               "controller.gains"),
+    _leaf_case("simulate", {"safety": {**BLEND, "delta": [0.1]}}, "safety.delta", 2, "safety"),
     ("simulate", {"safety": {**BLEND, "delta": -1}}, "safety"),
-    ("simulate", {"safety": {**BLEND, "correction": {"value": {}}}}, "safety"),
+    _leaf_case("simulate", {"safety": {**BLEND, "correction": {"value": {}}}},
+               "safety.correction.value", 4, "safety"),
     ("simulate", {"sim": {"horizon": 1e-300}}, "sim"),
     ("simulate", {"sim": {"dt": 1e-300}}, "sim"),
     ("simulate", {"disturbance": {"variant": "step", "time": -1}}, "disturbance"),
     ("simulate", {"sensor": {"sample_period": 0}}, "sensor"),
-    ("tune", {"tuning": {"step_level": [1.0]}}, "tuning"),
+    _leaf_case("tune", {"tuning": {"step_level": [1.0]}}, "tuning.step_level", 9, "tuning"),
     ("tune", {"plant": {"gain": -0.5}}, "tuning"),
     # found by the config fuzz in tests/test_fuzz.py
     ("tune", {"tuning": {"rule": "kappa-tau", "fopdt": {"gain": 0, "tau": 1.0, "dead_time": 0.2}}},
      "tuning"),
-    ("tune", {"tuning": {"rule": "ziegler-nichols", "kind": [1.0]}}, "tuning"),
+    _leaf_case("tune", {"tuning": {"rule": "ziegler-nichols", "kind": [1.0]}}, "tuning.kind", 12,
+               "tuning"),
     ("tune", {"tuning": {"fopdt": {"gain": math.nan, "tau": 1.0, "dead_time": 0.2}}}, "tuning"),
     ("tune", {"tuning": {"fopdt": {"gain": 1.0, "tau": math.nan, "dead_time": 0.2}}}, "tuning"),
     ("tune", {"tuning": {"fopdt": {"gain": 1.0, "tau": 1.0, "dead_time": math.nan}}}, "tuning"),
@@ -853,3 +874,168 @@ def test_nonfinite_episode_level_exits_2_with_key(tmp_path, capsys, mode, level)
     capsys.readouterr()
     assert main(argv) == 2
     assert f"config error: {key}: " in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# gains files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key, value", [("kp", True), ("kp", "1.5"), ("kq", 0.5)])
+def test_gains_file_value_of_a_wrong_kind_exits_2_naming_file_and_key(tmp_path, capsys, key,
+                                                                      value):
+    path = _write(tmp_path, "gains.json", {**GAINS_FILE, key: value})
+    argv = ["simulate", "--config", _sim_pid_cfg(tmp_path, gains_path=path),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"config error: {path}.{key}: " in capsys.readouterr().err
+
+
+def test_gains_file_follows_the_rule_of_an_inline_gains_block(tmp_path):
+    """Missing keys take their defaults, as in an inline block."""
+    gains = {"kp": 2.0, "ki": 1.0}
+    path = _write(tmp_path, "gains.json", gains)
+    for name, controller in (("file", {"gains_path": path}), ("inline", {"gains": gains})):
+        argv = ["simulate", "--config", _sim_pid_cfg(tmp_path, **controller),
+                "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    assert (tmp_path / "file" / "trajectory.csv").read_bytes() == \
+        (tmp_path / "inline" / "trajectory.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# integral numbers written as JSON integers
+# ---------------------------------------------------------------------------
+
+def _as_integers(value):
+    """`value` with every integral float written as an int."""
+    if isinstance(value, dict):
+        return {key: _as_integers(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_as_integers(item) for item in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+EQ_GAINS = {"kp": 2.0, "ki": 1.0, "kd": 0.0, "u_min": -2.0, "u_max": 2.0, "filter_n": 10.0}
+EQ_SIM = {"sim": {"dt": 0.1, "horizon": 6.0, "seed": 3},
+          "sensor": {"noise_std": 0.0, "sample_period": 1.0, "quantization": 0.0},
+          "disturbance": {"variant": "step", "time": 3.0, "magnitude": 1.0},
+          "reference": {"variant": "step", "level": 1.0, "time": 1.0, "baseline": 0.0}}
+EQ_PLANTS = {
+    "fopdt": {"variant": "fopdt", "gain": 2.0, "tau": 1.0, "dead_time": 1.0,
+              "limits": [-3.0, 3.0]},
+    "second_order": {"variant": "second_order", "gain": 1.0, "omega_n": 2.0, "zeta": 1.0,
+                     "x0": [0.0, 1.0], "limits": [-3.0, 3.0]},
+    "tank": {"variant": "tank", "area": 2.0, "outflow_coeff": 1.0, "x0": [1.0],
+             "limits": [0.0, 3.0]},
+    "linear": {"variant": "linear", "a": [[0.0, 1.0], [-2.0, -3.0]], "b": [0.0, 1.0],
+               "c": [[2.0, 0.0]], "limits": [-3.0, 3.0]},
+}
+EQ_TRAIN = {"memory": 2, "hidden": [4], "learning_rate": 0.01, "batch_size": 8, "epochs": 2,
+            "patience": 2, "seed": 7, "episodes": {"count": 2, "level": 1.0}}
+EQ_TUNE = {"sim": {"dt": 0.05, "horizon": 20.0, "seed": 0}, "plant": EQ_PLANTS["fopdt"]}
+
+
+def _equivalence_case(name, tmp_path):
+    """(command, config with integral numbers written as floats, extra arguments)."""
+    surrogate = ["--surrogate", str(_saved_surrogate(tmp_path))]
+    fopdt = {**EQ_SIM, "plant": EQ_PLANTS["fopdt"]}
+    record = {**fopdt, "excitation": {"variant": "prbs", "order": 5, "amplitude": 1.0,
+                                      "bit_period": 1.0, "seed": 2}}
+    if name == "fit-surrogate":
+        assert main(["record", "--config", _write(tmp_path, "rec.json", record),
+                     "--out", str(tmp_path / "rec")]) == 0
+    cases = {
+        "record-prbs": ("record", record, []),
+        "record-steps": ("record", {**fopdt, "excitation": {
+            "variant": "step_train", "levels": [0.0, 1.0, -2.0], "dwell": 2.0}}, []),
+        "fit-surrogate": ("fit-surrogate", {**fopdt, "surrogate": {
+            "p": 2, "q": 1, "hidden": [4], "learning_rate": 0.01, "batch_size": 8,
+            "epochs": 3, "patience": 3, "seed": 0}},
+            ["--data", str(tmp_path / "rec" / "record.csv")]),
+        "tune-relay": ("tune", {**EQ_TUNE, "tuning": {
+            "mode": "rule", "rule": "ziegler-nichols", "relay_amplitude": 1.0}}, []),
+        "tune-step": ("tune", {**EQ_TUNE, "tuning": {
+            "mode": "rule", "rule": "cohen-coon", "kind": "pi", "step_level": 2.0}}, []),
+        "tune-fopdt": ("tune", {**EQ_TUNE, "tuning": {
+            "mode": "rule", "rule": "kappa-tau", "fopdt": {"gain": 2.0, "tau": 3.0,
+                                                           "dead_time": 1.0}}}, []),
+        "tune-ai": ("tune", {**EQ_TUNE, "tuning": {
+            "mode": "ai", "budget": 6, "rho": 0.0, "restarts": 1, "x0": [1.0, 1.0, 0.0],
+            "bounds": {"kp": [0.0, 2.0], "ki": [0.0, 2.0], "kd": [0.0, 1.0]},
+            "episodes": {"count": 2, "level": 1.0}}}, surrogate),
+        "train-imitation": ("train-controller", {**fopdt, "training": {
+            **EQ_TRAIN, "mode": "imitation", "teacher": {"gains": EQ_GAINS}, "lambda": 1.0,
+            "beta": 1.0}}, []),
+        "train-bptt": ("train-controller", {**fopdt, "training": {
+            **EQ_TRAIN, "mode": "bptt", "horizon": 4, "rho": 0.0}}, surrogate),
+        "train-scheduler": ("train-controller", {**fopdt, "training": {
+            **EQ_TRAIN, "mode": "bptt", "target": "scheduler", "horizon": 4, "rho": 1.0,
+            "bounds": {"kp": [0.0, 2.0], "ki": [0.0, 1.0], "kd": [0.0, 0.0]}}}, surrogate),
+        "simulate-switch": ("simulate", {**fopdt, "controller": {"kind": "constant", "value": 1.0},
+                                         "safety": {"kind": "switch", "theta_hi": 1.0,
+                                                    "theta_lo": 0.0, "dwell": 2, "agree_tol": 1.0,
+                                                    "fallback": {"gains": EQ_GAINS}}}, []),
+        "simulate-blend": ("simulate", {**fopdt, "controller": {"kind": "pid", "gains": EQ_GAINS},
+                                        "safety": {"kind": "blend", "delta": 1.0, "correction": {
+                                            "kind": "constant", "value": 1.0}}}, []),
+        "simulate-cascade": ("simulate", {**EQ_SIM, "plant": {**EQ_PLANTS["linear"], "c": [
+            [1.0, 0.0], [0.0, 1.0]]}, "controller": {
+            "kind": "cascade", "outer": EQ_GAINS, "inner": EQ_GAINS, "outer_channel": 0,
+            "inner_channel": 1}}, []),
+    }
+    for plant in EQ_PLANTS:
+        cases[f"simulate-{plant}"] = ("simulate", {
+            **EQ_SIM, "plant": EQ_PLANTS[plant], "controller": {"kind": "pid", "gains": EQ_GAINS}},
+            [])
+    return cases[name]
+
+
+@pytest.mark.parametrize("name", [
+    "record-prbs", "record-steps", "fit-surrogate", "tune-relay", "tune-step", "tune-fopdt",
+    "tune-ai", "train-imitation", "train-bptt", "train-scheduler", "simulate-switch",
+    "simulate-blend", "simulate-cascade", *(f"simulate-{plant}" for plant in EQ_PLANTS)])
+def test_integral_numbers_as_json_integers_give_the_same_bytes(tmp_path, name):
+    """Every number leaf is stored as a float, so a config whose integral
+    numbers are written as JSON integers writes the same files, its config
+    echo included, as one that writes them as floats."""
+    command, cfg, extra = _equivalence_case(name, tmp_path)
+    as_integers = _as_integers(cfg)
+    assert json.dumps(as_integers) != json.dumps(cfg)
+    outputs = []
+    for label, raw in (("floats", cfg), ("ints", as_integers)):
+        out = tmp_path / label
+        argv = [command, "--config", _write(tmp_path, f"{label}.json", raw), "--out", str(out),
+                *extra]
+        assert main(argv) == 0, label
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    floats, ints = outputs
+    echo = f"{command}_config.json"
+    assert sorted(floats) == sorted(ints)
+    for file in floats:
+        assert file == echo or floats[file] == ints[file], file
+    assert floats[echo] == ints[echo]
+
+
+# ---------------------------------------------------------------------------
+# one place decides a leaf's kind
+# ---------------------------------------------------------------------------
+
+# a `float(`/`int(` call on a subscript, such as `float(cfg["sim"]["dt"])`
+LEAF_CAST = re.compile(r"\b(float|int)\(\s*\w+\[")
+
+
+def test_leaf_cast_pattern_finds_a_cast_of_a_subscript():
+    for line in ('float(sim["dt"])', "int( t['budget'])", 'x = int(block["seed"]) + 1'):
+        assert LEAF_CAST.search(line), line
+    for line in ("float(value)", "int(round(x / dt))", "float(np.interp(t, a, b))",
+                 "np.array(p['a'], dtype=float)"):
+        assert not LEAF_CAST.search(line), line
+
+
+def test_no_builder_casts_a_config_leaf():
+    """`config._merge` types every leaf; the builders read the values as they are."""
+    src = Path(loopbench.__file__).parent
+    hits = [f"{name}:{i}: {line.strip()}" for name in ("config.py", "cli.py")
+            for i, line in enumerate((src / name).read_text(encoding="utf-8").splitlines(), 1)
+            if LEAF_CAST.search(line)]
+    assert hits == [], "a config leaf has its kind from `config._merge`; do not cast it"

@@ -8,13 +8,17 @@ swapped or deleted rows, a 0xff byte) goes through the commands that read it.
 Whatever the mutation, the command ends in an exit code of the CLI contract
 (0 ok, 2 config, 3 numerical, 4 I/O) and never in a traceback; a boolean
 config leaf exits 2, and a 0xff byte or a non-finite cell as the only fault
-exits 4. Layer sizes
+exits 4. A number or integer leaf set to a numeric string, an integer leaf
+set to a float and a list leaf set to a string each exit 2 with the leaf's
+key path. Layer sizes
 and horizons stay small so that no mutant asks for a large allocation or a
 long run.
 """
 
 import json
 import math
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -280,6 +284,32 @@ def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys, base):
             pytest.fail(f"{name} {what} raised {exc!r}")
         assert code == 4, f"{name} {what} exited {code}"
         capsys.readouterr()
+
+
+# a numeric string for every number and integer leaf, a float for every
+# integer leaf and a string for every list leaf
+WRONG_KINDS = {float: ("1", " 2e0 "), int: ("1", " 2e0 ", 7.0, 7.9), list: ("01",)}
+
+
+@pytest.mark.parametrize("base", range(14))
+def test_leaf_of_a_wrong_kind_exits_2_with_its_key_path(tmp_path, capsys, base):
+    name, command, raw, extra = _config_bases(tmp_path)[base]
+    cfg = resolve_config(raw)
+    argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+            *extra]
+    kinds = set()
+    for leaf in sorted(_leaves(cfg, READS[command])):
+        *parents, key = leaf
+        kind = type(reduce(getitem, leaf, cfg))
+        for value in WRONG_KINDS.get(kind, ()):
+            mutant = json.loads(json.dumps(cfg))
+            reduce(getitem, parents, mutant)[key] = value
+            (tmp_path / "cfg.json").write_text(json.dumps(mutant))
+            what = f"{name}: {'.'.join(leaf)} = {value!r}"
+            assert main(argv) == 2, what
+            assert f"config error: {'.'.join(leaf)}: " in capsys.readouterr().err, what
+            kinds.add(kind)
+    assert kinds == set(WRONG_KINDS)
 
 
 # --- time-series files ---
