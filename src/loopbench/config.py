@@ -165,7 +165,7 @@ def load_raw_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object", str(path))
@@ -190,10 +190,14 @@ def _require(cond: bool, message: str, path: str) -> None:
         raise ConfigError(message, path)
 
 
+def _check_seed(seed: int) -> None:
+    _require(seed >= 0, "seed must be a non-negative integer", "sim.seed")
+
+
 def _check(cfg: dict) -> None:
     """The range checks that name a key; `_merge` has checked every kind."""
     sim = cfg["sim"]
-    _require(sim["seed"] >= 0, "seed must be a non-negative integer", "sim.seed")
+    _check_seed(sim["seed"])
     _require(sim["dt"] > 0, "dt must be a number > 0", "sim.dt")
     _require(sim["horizon"] > 0, "horizon must be a number > 0", "sim.horizon")
     lim = cfg["plant"]["limits"]
@@ -222,8 +226,11 @@ def section(path: str):
 
 
 def sim_from(cfg: dict, seed_override: int | None = None) -> SimConfig:
+    """The grid of `cfg`'s sim section; `seed_override` (a `--seed`), when
+    given, replaces `sim.seed` and is range-checked as it is."""
     sim = cfg["sim"]
     seed = seed_override if seed_override is not None else sim["seed"]
+    _check_seed(seed)
     with section("sim"):
         return SimConfig(dt=sim["dt"], horizon=sim["horizon"], seed=seed)
 
@@ -317,7 +324,7 @@ def load_gains_file(path, limits: tuple[float, float] | None = None) -> PidGains
         block = json.loads(read_text(path))
     except (OSError, TypeError) as exc:
         raise ConfigError(f"cannot read gains file: {exc}", str(path)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"invalid gains JSON: {exc}", str(path)) from exc
     return gains_from_dict(_merge(_GAIN_DEFAULTS, block, str(path)), path=str(path),
                            limits=limits)

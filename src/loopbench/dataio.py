@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -144,14 +145,52 @@ def write_timeseries(series: TimeSeries, path) -> dict[str, list[str]]:
 
 def read_timeseries(path) -> TimeSeries:
     """Parse and validate a data file; every failure names the file and
-    carries a 1-based line number."""
+    carries a 1-based line number.
+
+    The body is read in one pass: each line's comma count is checked, the
+    cells stream through `float` into one array, and `t` order and
+    finiteness are checked on that array. Only a file that fails one of
+    these checks is scanned line by line, to name its first bad line.
+    """
     lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file", line=1)
     names = _validate_header([f.strip() for f in lines[0].split(",")], path)
     n_cols = len(names)
+    body = list(filter(None, lines[1:]))
+    if not body:
+        raise ParseError(f"{path}: no data rows", line=2)
 
-    rows = []
+    data = _parse_body(body, n_cols)
+    if data is None:
+        _raise_first_fault(lines, n_cols, path)
+    extra = {name: data[:, i] for i, name in enumerate(names) if i >= len(_BASE_COLUMNS)}
+    return TimeSeries(t=data[:, 0], w=data[:, 1], y=data[:, 2], u=data[:, 3], d=data[:, 4],
+                      extra=extra or None)
+
+
+def _parse_body(body: list[str], n_cols: int) -> np.ndarray | None:
+    """The non-blank body lines as one (rows, n_cols) array, or None when a
+    line has another cell count, a cell is not a number or not finite, or
+    `t` does not rise from row to row."""
+    if set(map(str.count, body, repeat(","))) != {n_cols - 1}:
+        return None
+    cells = map(float, chain.from_iterable(map(str.split, body, repeat(","))))
+    try:
+        data = np.fromiter(cells, dtype=float, count=len(body) * n_cols).reshape(-1, n_cols)
+    except ValueError:
+        return None
+    t = data[:, 0]
+    if (t[1:] <= t[:-1]).any() or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _raise_first_fault(lines: list[str], n_cols: int, path) -> None:
+    """ParseError for the first bad line of a file body that failed a check
+    of `read_timeseries`: a wrong cell count, a non-numeric cell or a `t` not
+    above the row before, in line order, and only then a non-finite cell."""
+    prev_t = None
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
@@ -163,20 +202,12 @@ def read_timeseries(path) -> TimeSeries:
         except ValueError:
             bad = next(f for f in fields if not _is_number(f))
             raise ParseError(f"{path}: non-numeric cell {bad!r}", line=lineno) from None
-        if rows and row[0] <= rows[-1][0]:
+        if prev_t is not None and row[0] <= prev_t:
             raise ParseError(f"{path}: t is not strictly increasing", line=lineno)
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: no data rows", line=2)
-
-    data = np.array(rows)
-    if not np.isfinite(data).all():  # only then look for the cell
-        lineno, cell = next((i, f) for i, line in enumerate(lines[1:], start=2) if line
-                            for f in line.split(",") if not math.isfinite(float(f)))
-        raise ParseError(f"{path}: non-finite cell {cell!r}", line=lineno)
-    extra = {name: data[:, i] for i, name in enumerate(names) if i >= len(_BASE_COLUMNS)}
-    return TimeSeries(t=data[:, 0], w=data[:, 1], y=data[:, 2], u=data[:, 3], d=data[:, 4],
-                      extra=extra or None)
+        prev_t = row[0]
+    lineno, cell = next((i, f) for i, line in enumerate(lines[1:], start=2) if line
+                        for f in line.split(",") if not math.isfinite(float(f)))
+    raise ParseError(f"{path}: non-finite cell {cell!r}", line=lineno)
 
 
 def _is_number(s: str) -> bool:

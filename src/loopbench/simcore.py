@@ -174,18 +174,26 @@ class PlantModel:
         x0 = self.x0.tolist() if self.x0 is not None else [0.0] * self.state_dim
         return x0[0] if isinstance(self.variant, (Fopdt, TankNonlinear)) else tuple(x0)
 
-    def derivative(self, x: PlantState, u: float) -> PlantState:
+    def dynamics(self) -> Callable[[PlantState, float], PlantState]:
+        """The variant's derivative f(x, u), with its constants bound once.
+
+        The variant is picked here, not on every call, and each closure
+        evaluates the variant's expression in its own order: a linear
+        plant's A x stays one BLAS product.
+        """
         v = self.variant
         if isinstance(v, Fopdt):
-            return (v.gain * u - x) / v.tau
+            gain, tau = v.gain, v.tau
+            return lambda x, u: (gain * u - x) / tau
         if isinstance(v, TankNonlinear):
+            area, outflow = v.area, v.outflow_coeff
             # level cannot drain below zero
-            h = max(x, 0.0)
-            return (u - v.outflow_coeff * math.sqrt(h)) / v.area
+            return lambda x, u: (u - outflow * math.sqrt(max(x, 0.0))) / area
         if isinstance(v, SecondOrder):
-            wn = v.omega_n
-            return (x[1], v.gain * wn * wn * u - 2.0 * v.zeta * wn * x[1] - wn * wn * x[0])
-        return tuple([ax + b * u for ax, b in zip(v.a.dot(np.array(x)).tolist(), v.b.tolist())])
+            gain, zeta, wn = v.gain, v.zeta, v.omega_n
+            return lambda x, u: (x[1], gain * wn * wn * u - 2.0 * zeta * wn * x[1] - wn * wn * x[0])
+        a, b = v.a, v.b.tolist()
+        return lambda x, u: tuple([ax + bi * u for ax, bi in zip(a.dot(np.array(x)).tolist(), b)])
 
     def output(self, x: PlantState):
         """Float for a single-output plant, numpy vector for a multi-output one."""
@@ -194,9 +202,6 @@ class PlantModel:
             y = v.c.dot(np.array(x))
             return float(y[0]) if y.shape[0] == 1 else y
         return x if isinstance(x, float) else x[0]
-
-    def clamp(self, u: float) -> float:
-        return min(max(u, self.u_min), self.u_max)
 
 
 @dataclass(frozen=True)
@@ -273,45 +278,50 @@ def primary_output(y) -> float:
     return float(y if isinstance(y, float) else y[0] if hasattr(y, "__len__") else y)
 
 
-def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
-    """One fresh sensor reading: additive noise, then optional quantization.
+# readings per sized noise draw; a chunk, not the run, so memory stays flat
+_NOISE_CHUNK = 1024
 
-    Holding between samples is the simulation loop's job; this is the
-    per-sample measurement map.
-    """
-    y = np.asarray(y, dtype=float)
-    meas = y + rng.normal(0.0, sensor.noise_std, size=y.shape) if sensor.noise_std > 0.0 else y.copy()
-    if sensor.quantization > 0.0:
-        meas = np.rint(meas / sensor.quantization) * sensor.quantization
-    return float(meas[0]) if meas.shape == (1,) else meas
+
+def _noise_draws(rng: np.random.Generator, std: float, readings: int, n_outputs: int):
+    """The noise of `readings` sensor readings, a float or a row of
+    `n_outputs` values each, drawn `_NOISE_CHUNK` readings per `rng.normal`
+    call. A function apart from the sampler, so that no reference cycle keeps
+    a chunk alive after its run."""
+    while readings > 0:
+        m = min(readings, _NOISE_CHUNK)
+        if n_outputs == 1:
+            yield from rng.normal(0.0, std, size=m).tolist()
+        else:
+            yield from rng.normal(0.0, std, size=(m, n_outputs))
+        readings -= m
 
 
 class _SensorSampler:
-    """Stateful wrapper: fresh reading every m-th step, held value in between.
+    """The sensor of one run of `n_steps`: a fresh reading every m-th step,
+    the held value in between.
 
-    A float output takes the scalar path, which draws the same noise sample
-    from the same generator stream as `apply_sensor` and rounds with the
-    same `np.rint`, so the reading is bit-identical.
+    A reading adds noise, then rounds to the quantization step with `np.rint`.
+    The run draws ceil(n_steps / m) readings of `n_outputs` noise values, in
+    chunks: a sized draw gives the values of as many scalar draws, so every
+    reading and the generator's end state are those of one draw per reading.
     """
 
-    def __init__(self, sensor: SensorSpec, dt: float, rng: np.random.Generator):
-        self.sensor = sensor
+    def __init__(self, sensor: SensorSpec, dt: float, rng: np.random.Generator,
+                 n_steps: int, n_outputs: int = 1):
         self.every = sensor.steps_per_sample(dt)
         self.rng = rng
-        self.held = None
-
-    def sample(self, y, k: int):
-        if self.held is None or k % self.every == 0:
-            self.held = self.read(y) if isinstance(y, float) else apply_sensor(y, self.sensor, self.rng)
-        return self.held
-
-    def read(self, y: float) -> float:
-        sensor = self.sensor
+        self.noise_std = sensor.noise_std
+        self.quantization = sensor.quantization
         if sensor.noise_std > 0.0:
-            y = y + self.rng.normal(0.0, sensor.noise_std)
-        if sensor.quantization > 0.0:
-            y = np.rint(y / sensor.quantization) * sensor.quantization
-        return float(y)
+            self._noise = _noise_draws(rng, sensor.noise_std, -(-n_steps // self.every), n_outputs)
+
+    def read(self, y):
+        """A fresh reading of `y`: a float, or the vector of a multi-output plant."""
+        if self.noise_std > 0.0:
+            y = y + next(self._noise)
+        if self.quantization > 0.0:
+            y = np.rint(y / self.quantization) * self.quantization
+        return float(y) if isinstance(y, float) else y
 
 
 class DelayLine:
@@ -490,7 +500,8 @@ def simulate(
     t = cfg.time_grid()
     w = _reference_array(reference, cfg)
     d = disturbance.series(cfg, rng)
-    sampler = _SensorSampler(sensor, cfg.dt, rng)
+    sampler = _SensorSampler(sensor, cfg.dt, rng, n, plant.n_outputs)
+    read, every = sampler.read, sampler.every
 
     multi = plant.n_outputs > 1
     y_rec = np.zeros(n)
@@ -503,6 +514,8 @@ def simulate(
     guard = DIVERGENCE_FACTOR * ref_scale
 
     x = plant.initial_state()
+    dynamics = plant.dynamics()
+    u_lo, u_hi = plant.u_min, plant.u_max
     controller.reset()
     input_additive = disturbance.injection == "input"
     # plain floats in the loop: one conversion here instead of a numpy
@@ -520,7 +533,8 @@ def simulate(
         if not bounded:
             raise SimulationDiverged("plant output exceeded the divergence guard", step=k)
 
-        y_m = sampler.sample(y, k)
+        if k % every == 0:
+            y_m = read(y)
         if multi:
             y_rec[k], y_meas_rec[k], y_extra[k] = y[0], y_m[0], y[1:]
         else:
@@ -529,7 +543,7 @@ def simulate(
         u_cmd = controller.step(w_k[k], y_m, cfg.dt)
         if not math.isfinite(u_cmd):
             raise ControllerFault(f"controller emitted a non-finite command at step {k}")
-        u_k = plant.clamp(float(u_cmd))
+        u_k = min(max(float(u_cmd), u_lo), u_hi)
         u_rec[k] = u_k
 
         u_plant = u_k + d_k[k] if input_additive else u_k
@@ -537,7 +551,7 @@ def simulate(
             u_plant = u_plant * float(gain_schedule(t_k[k]))
         u_eff = delay.push_pop(u_plant) if delay is not None else u_plant
         try:
-            x = rk4_step(x, u_eff, cfg.dt, plant.derivative)
+            x = rk4_step(x, u_eff, cfg.dt, dynamics)
         except SimulationDiverged as exc:
             raise SimulationDiverged("non-finite state during integration", step=k) from exc
 

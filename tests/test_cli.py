@@ -99,6 +99,33 @@ def test_integer_beyond_the_float_range_exits_2_with_key_path():
     assert err.value.path == "plant.gain"
 
 
+@pytest.mark.parametrize("command", ["record", "simulate", "tune", "train-controller"])
+def test_negative_seed_override_exits_2_naming_sim_seed(tmp_path, capsys, command):
+    """`--seed` replaces `sim.seed` and is range-checked as it is."""
+    cfg = {**_record_cfg(), "controller": {"kind": "pid"}, "tuning": {}, "training": {}}
+    argv = [command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "config error: sim.seed: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("target", ["config", "gains"])
+def test_integer_too_long_to_convert_exits_2_naming_the_file(tmp_path, capsys, target):
+    """A JSON integer of more than 4,300 digits, which `int` refuses to
+    convert from text: `sim.seed` in a config, `kp` in a gains file."""
+    big = "1" * 5000
+    gains = tmp_path / "gains.json"
+    gains.write_text(f'{{"kp": {big if target == "gains" else 1}}}', encoding="utf-8")
+    config = Path(_sim_pid_cfg(tmp_path, gains_path=str(gains)))
+    if target == "config":
+        config.write_text(config.read_text().replace('"seed": 0', f'"seed": {big}'))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {config if target == 'config' else gains}: invalid " in err
+    assert "Exceeds the limit (4300 digits)" in err
+
+
 def test_non_numeric_actuator_limit_is_validation_error():
     with pytest.raises(ConfigError) as err:
         resolve_config({"plant": {"limits": [0.0, "1"]}})

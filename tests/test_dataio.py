@@ -11,8 +11,8 @@ import loopbench
 from loopbench import neuro, surrogate
 from loopbench.dataio import (
     ExcitationSpec, PRBS_TAPS, TimeSeries, format_column, from_trajectory, generate_excitation,
-    prbs_bits, read_timeseries, resample_uniform, split_contiguous, write_columns, write_csv,
-    write_json, write_lines, write_timeseries,
+    _is_number, _validate_header, prbs_bits, read_text, read_timeseries, resample_uniform,
+    split_contiguous, write_columns, write_csv, write_json, write_lines, write_timeseries,
 )
 from loopbench.errors import InvalidSpec, ParseError, TooShort
 from loopbench.neuro import DualDatasetMix, NeuralController, train_imitation
@@ -75,6 +75,105 @@ def test_non_numeric_cell_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
         read_timeseries(path)
     assert err.value.line == 3 and "oops" in str(err.value)
+
+
+def _per_line_reader(path) -> TimeSeries:
+    """The reference for `read_timeseries`: every body line split, converted
+    and checked for cell count, numeric cells and rising `t` in turn, then
+    the whole array checked for finiteness."""
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file", line=1)
+    names = _validate_header([f.strip() for f in lines[0].split(",")], path)
+    n_cols = len(names)
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line == "":
+            continue
+        fields = line.split(",")
+        if len(fields) != n_cols:
+            raise ParseError(f"{path}: expected {n_cols} cells, got {len(fields)}", line=lineno)
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            bad = next(f for f in fields if not _is_number(f))
+            raise ParseError(f"{path}: non-numeric cell {bad!r}", line=lineno) from None
+        if rows and row[0] <= rows[-1][0]:
+            raise ParseError(f"{path}: t is not strictly increasing", line=lineno)
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{path}: no data rows", line=2)
+    data = np.array(rows)
+    if not np.isfinite(data).all():
+        lineno, cell = next((i, f) for i, line in enumerate(lines[1:], start=2) if line
+                            for f in line.split(",") if not math.isfinite(float(f)))
+        raise ParseError(f"{path}: non-finite cell {cell!r}", line=lineno)
+    extra = {name: data[:, i] for i, name in enumerate(names) if i >= 5}
+    return TimeSeries(t=data[:, 0], w=data[:, 1], y=data[:, 2], u=data[:, 3], d=data[:, 4],
+                      extra=extra or None)
+
+
+def _outcome(reader, path):
+    """The columns' names and bytes, or the ParseError's text and line."""
+    try:
+        series = reader(path)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return [(name, col.dtype, col.tobytes()) for name, col in series.columns().items()]
+
+
+def _assert_reads_as_reference(path, data: bytes):
+    path.write_bytes(data)
+    assert _outcome(read_timeseries, path) == _outcome(_per_line_reader, path), data[:300]
+
+
+HEADER = b"t,w,y,u,d,y2\n"
+
+
+@pytest.mark.parametrize("body", [
+    # cell counts wrong in opposite directions, the total right
+    b"0,1,2,3,4,5\n0.1,1,2,3,4,5,6\n0.2,1,2,3,4,5\n0.3,1,2,3,4\n",
+    b"0,1,2,3,4,5\n0.1,1,2,3,4\n0.2,1,2,3,4,5,6\n",
+    # blank lines and CRLF, alone and mixed, and a lone CR
+    b"\n0,1,2,3,4,5\n\n\n0.1,1,2,3,4,5\n\n",
+    b"0,1,2,3,4,5\r\n0.1,1,2,3,4,5\r\n\r\n0.2,1,2,3,4,5\r\n",
+    b"0,1,2,3,4,5\r\n0.1,1,2,3,4,5\n0.2,1,2,3,4,5\r0.3,1,2,3,4,5",
+    # a NaN t, then a smaller t; a NaN t first
+    b"0,1,2,3,4,5\nnan,1,2,3,4,5\n-1,1,2,3,4,5\n",
+    b"nan,1,2,3,4,5\n0,1,2,3,4,5\n",
+    # a non-finite cell after, and before, a t that does not rise
+    b"0,1,2,3,4,5\n0.1,1,2,3,4,5\n0.1,1,2,3,4,5\n0.2,1,inf,3,4,5\n",
+    b"0,1,2,3,4,5\n0.1,1,-inf,3,4,5\n0.05,1,2,3,4,5\n",
+    b"0,1,2,3,4,5\n0.1,1,1e999,3,4,5\n0.2,1,nan,3,4,5\n",
+    # a count fault after a non-numeric cell, and the reverse
+    b"0,1,2,3,4,5\n0.1,1,x,3,4,5\n0.2,1,2\n",
+    b"0,1,2,3,4,5\n0.1,1,2\n0.2,1,x,3,4,5\n",
+    # empty, blank, padded and underscored cells; a rising -0.0 after 0.0
+    b"0,1,2,3,4,5\n0.1,1,,3,4,5\n",
+    b"0,1, 2 ,3,4,5\n0.1,1,2_0,3,4,5\n",
+    b"0.0,1,2,3,4,5\n-0.0,1,2,3,4,5\n",
+    # header only, header plus blank lines, one row
+    b"", b"\n\n", b"0,1,2,3,4,5\n",
+])
+def test_read_timeseries_matches_the_per_line_reference(tmp_path, body):
+    _assert_reads_as_reference(tmp_path / "a.csv", HEADER + body)
+    _assert_reads_as_reference(tmp_path / "b.csv", body)
+
+
+def test_read_timeseries_matches_the_per_line_reference_on_fuzz_mutants(tmp_path):
+    """The trajectory file mutants of the CSV fuzz test (cut, a junk cell, a
+    dropped column, a permuted header, swapped or deleted rows, a 0xff byte)."""
+    from test_fuzz import _mutate_csv
+
+    plant = PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0], c=np.eye(2)))
+    traj = simulate(plant, ConstantController(0.5), 1.0, cfg=SimConfig(dt=0.1, horizon=3.0))
+    good = tmp_path / "good.csv"
+    write_timeseries(from_trajectory(traj), good)
+    lines = good.read_text().splitlines()
+    _assert_reads_as_reference(good, good.read_bytes())
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        _assert_reads_as_reference(tmp_path / "mutant.csv", _mutate_csv(rng, lines)[0])
 
 
 def test_resample_linear_midpoint():

@@ -413,7 +413,8 @@ PORTABLE_PROFILE = {"OPENBLAS_CORETYPE": "Haswell",
 
 def test_row_path_bit_equal_under_the_portable_profile():
     """The row-vs-batch tests, the stacked-row and lockstep-episode tests, the
-    training-step bit tests and the float-state plant test again, in a fresh
+    training-step bit tests, the float-state plant test, the sensor bit tests
+    and the trajectory reader's reference tests again, in a fresh
     interpreter under the portable profile: both variables are read once,
     when numpy and OpenBLAS load."""
     here = os.path.dirname(os.path.abspath(__file__))
@@ -430,7 +431,12 @@ def test_row_path_bit_equal_under_the_portable_profile():
              os.path.join(here, "test_training_bits.py"),
              os.path.join(here, "test_neuro.py::test_control_loop_step_bit_equal_to_array_form"),
              os.path.join(here, "test_neuro.py::test_gains_from_bit_equal_to_array_form"),
-             os.path.join(here, "test_simcore.py::test_float_state_rk4_matches_array_branch_bitwise")]
+             os.path.join(here, "test_simcore.py::test_float_state_rk4_matches_array_branch_bitwise"),
+             os.path.join(here, "test_simcore.py::test_float_sensor_reading_matches_apply_sensor_bitwise"),
+             os.path.join(here, "test_simcore.py::test_vector_sensor_reading_matches_apply_sensor_bitwise"),
+             os.path.join(here, "test_simcore.py::test_simulate_sensor_readings_match_apply_sensor_bitwise"),
+             os.path.join(here, "test_dataio.py::test_read_timeseries_matches_the_per_line_reference"),
+             os.path.join(here, "test_dataio.py::test_read_timeseries_matches_the_per_line_reference_on_fuzz_mutants")]
     run = subprocess.run([sys.executable, "-c", script, "-q", "-p", "no:cacheprovider", *tests],
                          env={**os.environ, **PORTABLE_PROFILE}, cwd=os.path.dirname(here),
                          capture_output=True, text=True, timeout=600)

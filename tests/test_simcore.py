@@ -8,11 +8,22 @@ from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.simcore import (
     ConstantController, DelayLine, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel,
     MAX_STEPS, SecondOrder, SensorSpec, SignalController, SimConfig, TankNonlinear, _SensorSampler,
-    apply_sensor, rk4_step, simulate, step_reference,
+    rk4_step, simulate, step_reference,
 )
-from loopbench.pid import PidController, PidGains
+from loopbench.pid import CascadeController, CascadeSpec, PidController, PidGains
 
 INTEGRATOR = PlantModel(LinearStateSpace(a=[[0.0]], b=[1.0], c=[[1.0]]))
+
+
+def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
+    """One fresh sensor reading on its own noise draw: additive noise, then
+    optional quantization. The reference that `simulate`'s sampler, which
+    draws a run's noise in chunks, is checked against bit for bit."""
+    y = np.asarray(y, dtype=float)
+    meas = y + rng.normal(0.0, sensor.noise_std, size=y.shape) if sensor.noise_std > 0.0 else y.copy()
+    if sensor.quantization > 0.0:
+        meas = np.rint(meas / sensor.quantization) * sensor.quantization
+    return float(meas[0]) if meas.shape == (1,) else meas
 
 
 def test_rk4_exponential_decay():
@@ -298,13 +309,14 @@ def test_float_state_rk4_matches_array_branch_bitwise(variant):
     inputs = rng.normal(0.0, 1.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
     steps = 10.0 ** rng.uniform(-4.0, 0.0, size=n)
     linear = isinstance(variant, LinearStateSpace)
+    dynamics = plant.dynamics()
     for x, u, dt in zip(states, inputs.tolist(), steps.tolist()):
         fast_x = tuple(x.tolist()) if isinstance(plant.initial_state(), tuple) else float(x[0])
         if linear:
             y = plant.output(fast_x)
             assert isinstance(y, float) == (plant.n_outputs == 1)
             assert np.atleast_1d(y).tobytes() == (variant.c @ x).tobytes()
-        fast = _rk4_or_diverged(fast_x, u, dt, plant.derivative)
+        fast = _rk4_or_diverged(fast_x, u, dt, dynamics)
         slow = _rk4_or_diverged(x, u, dt, ref)
         if isinstance(slow, str):
             assert fast == slow
@@ -342,9 +354,81 @@ def test_float_sensor_reading_matches_apply_sensor_bitwise(sensor):
     # round-half-to-even ties of the 0.25 quantizer
     ys = np.random.default_rng(5).normal(0.0, 3.0, size=10_000).tolist()
     ys += (np.arange(-40, 41) * 0.125).tolist()
-    fast = _SensorSampler(sensor, 0.01, np.random.default_rng(11))
+    fast = _SensorSampler(sensor, 0.01, np.random.default_rng(11), len(ys))
     slow = np.random.default_rng(11)
     for y in ys:
         assert fast.read(y) == apply_sensor(np.array([y]), sensor, slow)
     # both generators end in the same state: the stream did not shift
+    assert fast.rng.random() == slow.random()
+
+
+class _Seen:
+    """A controller wrapper that keeps every measurement the loop hands it."""
+
+    def __init__(self, inner):
+        self.inner, self.seen = inner, []
+
+    def reset(self):
+        self.inner.reset()
+        self.seen.clear()
+
+    def step(self, w, y, dt):
+        self.seen.append(y if isinstance(y, float) else y.copy())
+        return self.inner.step(w, y, dt)
+
+
+SENSOR_CASES = [
+    SensorSpec(noise_std=0.03),
+    SensorSpec(noise_std=0.03, sample_period=0.003),
+    SensorSpec(noise_std=0.03, sample_period=0.007),
+    SensorSpec(quantization=0.01, sample_period=0.003),
+    SensorSpec(noise_std=0.02, quantization=0.005, sample_period=0.007),
+]
+SENSOR_IDS = ["noise-1", "noise-3", "noise-7", "quant-3", "noise-quant-7"]
+
+
+@pytest.mark.parametrize("sensor", SENSOR_CASES, ids=SENSOR_IDS)
+@pytest.mark.parametrize("two_outputs", [False, True], ids=["fopdt", "linear2"])
+def test_simulate_sensor_readings_match_apply_sensor_bitwise(sensor, two_outputs):
+    """Every reading `simulate` hands the controller against `apply_sensor`
+    per reading on its own generator, after the same disturbance draws. The
+    10,007-step run reads 10,007, 3,336 or 1,430 times: more than one noise
+    chunk and no multiple of it."""
+    gains = PidGains(kp=1.2, ki=0.8, u_min=-3.0, u_max=3.0)
+    if two_outputs:
+        plant = PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0], c=np.eye(2)))
+        inner = CascadeController(CascadeSpec(gains, gains, 0, 1))
+    else:
+        plant = PlantModel(Fopdt(gain=1.5, tau=0.8, dead_time=0.015))
+        inner = PidController(gains)
+    cfg = SimConfig(dt=0.001, horizon=10.007, seed=3)
+    disturbance = DisturbanceSpec("gaussian", "output", std=0.05)
+    ctrl = _Seen(inner)
+    traj = simulate(plant, ctrl, step_reference(1.0, 0.5), disturbance, sensor, cfg)
+
+    rng = np.random.default_rng(cfg.seed)
+    assert disturbance.series(cfg, rng).tobytes() == traj.d.tobytes()
+    every = sensor.steps_per_sample(cfg.dt)
+    outputs = traj.y[:, None] if traj.y_extra is None else np.column_stack([traj.y, traj.y_extra])
+    expected = []
+    for k, y in enumerate(outputs):
+        if k % every == 0:
+            held = apply_sensor(y, sensor, rng)
+        expected.append(held)
+    assert len(ctrl.seen) == len(expected) == cfg.n_steps == 10_007
+    assert all(isinstance(y, float) != two_outputs for y in ctrl.seen)
+    assert np.array(ctrl.seen).tobytes() == np.array(expected).tobytes()
+    assert traj.y_meas.tobytes() == np.array(expected).reshape(cfg.n_steps, -1)[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("sensor", SENSOR_CASES, ids=SENSOR_IDS)
+def test_vector_sensor_reading_matches_apply_sensor_bitwise(sensor):
+    """A two-output plant's readings and the generator's end state against
+    `apply_sensor` on its own generator, over 2,500 readings."""
+    n_steps = 2499 * sensor.steps_per_sample(0.001) + 1
+    ys = np.random.default_rng(5).normal(0.0, 3.0, size=(2500, 2))
+    fast = _SensorSampler(sensor, 0.001, np.random.default_rng(11), n_steps, 2)
+    slow = np.random.default_rng(11)
+    for y in ys:
+        assert fast.read(y).tobytes() == apply_sensor(y, sensor, slow).tobytes()
     assert fast.rng.random() == slow.random()
