@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +175,9 @@ def _parse_body(body: list[str], n_cols: int) -> np.ndarray | None:
     `t` does not rise from row to row."""
     if set(map(str.count, body, repeat(","))) != {n_cols - 1}:
         return None
-    cells = map(float, chain.from_iterable(map(str.split, body, repeat(","))))
+    # every line has n_cols - 1 commas, so one split of the joined body
+    # gives the cells row after row
+    cells = map(float, ",".join(body).split(","))
     try:
         data = np.fromiter(cells, dtype=float, count=len(body) * n_cols).reshape(-1, n_cols)
     except ValueError:

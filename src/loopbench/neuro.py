@@ -30,16 +30,18 @@ def _sigmoid(z: list) -> list:
     return [1.0 / (1.0 + e) for e in np.exp([-v for v in z]).tolist()]
 
 
-def _normalized(row, mean: np.ndarray, std: np.ndarray) -> list:
-    """`normalize` on Python floats: the same IEEE operations, so the same bits."""
-    return [(f - m) / s for f, m, s in zip(row, mean.tolist(), std.tolist())]
+def _normalized(row, stats: list) -> list:
+    """`normalize` on Python floats, from (mean, std) float pairs: the same
+    IEEE operations, so the same bits."""
+    return [(f - m) / s for f, (m, s) in zip(row, stats)]
 
 
 def _feature_stats(mean, std, size: int):
-    """Feature normalization stats checked to `size` entries; zero mean and
-    unit std where not given."""
-    return (np.zeros(size) if mean is None else float_vector(mean, size, "feat_mean"),
-            np.ones(size) if std is None else float_vector(std, size, "feat_std", positive=True))
+    """Feature normalization stats checked to `size` entries (zero mean and
+    unit std where not given), and their (mean, std) float pairs."""
+    mean = np.zeros(size) if mean is None else float_vector(mean, size, "feat_mean")
+    std = np.ones(size) if std is None else float_vector(std, size, "feat_std", positive=True)
+    return mean, std, list(zip(mean.tolist(), std.tolist()))
 
 
 @dataclass
@@ -50,6 +52,8 @@ class NeuralController:
     including the current one), and the last m controls. The tanh output
     squash makes saturation structural for arbitrary network weights.
     `features` builds the row for deployment, imitation replay and BPTT alike.
+    The float copies of the stats and the output centre and half-span are
+    taken at construction, so a new controller is built to change them.
     """
 
     KIND = "neural-controller"
@@ -71,15 +75,10 @@ class NeuralController:
         want = 1 + 2 * self.memory
         if self.mlp.layer_sizes[0] != want or self.mlp.layer_sizes[-1] != 1:
             raise ValueError(f"controller net must map {want} features to 1 output")
-        self.feat_mean, self.feat_std = _feature_stats(self.feat_mean, self.feat_std, want)
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.u_max + self.u_min)
-
-    @property
-    def half_span(self) -> float:
-        return 0.5 * (self.u_max - self.u_min)
+        self.feat_mean, self.feat_std, self._stats = _feature_stats(self.feat_mean, self.feat_std,
+                                                                    want)
+        self.center = 0.5 * (self.u_max + self.u_min)
+        self.half_span = 0.5 * (self.u_max - self.u_min)
 
     @staticmethod
     def features(w: float, y_window, u_window) -> list:
@@ -89,7 +88,7 @@ class NeuralController:
 
     def forward(self, row):
         """Pre-squash network output z and the activations of the pass."""
-        out, acts = self.mlp.forward_cached(_normalized(row, self.feat_mean, self.feat_std))
+        out, acts = self.mlp.forward_cached(_normalized(row, self._stats))
         return float(out[0]), acts
 
     def output(self, row) -> float:
@@ -135,7 +134,8 @@ class GainScheduler:
 
     Bounds are enforced by scaled sigmoids, so emitted gains stay inside
     them for arbitrary network weights; a zero network yields the bound
-    midpoints.
+    midpoints. The float copies of the stats and bounds are taken at
+    construction.
     """
 
     KIND = "gain-scheduler"
@@ -156,7 +156,9 @@ class GainScheduler:
         want = 2 * self.memory
         if self.mlp.layer_sizes[0] != want or self.mlp.layer_sizes[-1] != 3:
             raise ValueError(f"scheduler net must map {want} features to 3 gains")
-        self.feat_mean, self.feat_std = _feature_stats(self.feat_mean, self.feat_std, want)
+        self.feat_mean, self.feat_std, self._stats = _feature_stats(self.feat_mean, self.feat_std,
+                                                                    want)
+        self._bounds = self.bounds.tolist()
 
     @staticmethod
     def features(e_window, y_window) -> list:
@@ -168,9 +170,9 @@ class GainScheduler:
         """Gains [kp, ki, kd] and the sigmoid of the network output clipped
         to [-60, 60], both lists of floats, and the activations. A NaN output
         stays NaN, as the first argument of max and min."""
-        out, acts = self.mlp.forward_cached(_normalized(row, self.feat_mean, self.feat_std))
+        out, acts = self.mlp.forward_cached(_normalized(row, self._stats))
         sig = _sigmoid([min(max(z, -60.0), 60.0) for z in out.tolist()])
-        return [lo + s * (hi - lo) for s, (lo, hi) in zip(sig, self.bounds.tolist())], sig, acts
+        return [lo + s * (hi - lo) for s, (lo, hi) in zip(sig, self._bounds)], sig, acts
 
     def gains_from(self, row) -> tuple[float, float, float]:
         return tuple(self.forward(row)[0])
@@ -286,10 +288,10 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
         blocks += [SupervisedDataset(ds.x[:k], ds.y[:k]), SupervisedDataset(ds.x[k:], ds.y[k:])]
     a_train, a_val, b_train, b_val = blocks
 
-    work = nc.copy()
     all_x = np.vstack([a_train.x, b_train.x])
-    work.feat_mean = all_x.mean(axis=0)
-    work.feat_std = np.maximum(all_x.std(axis=0), 1e-12)
+    work = NeuralController(nc.mlp.copy(), nc.u_min, nc.u_max, nc.memory, all_x.mean(axis=0),
+                            np.maximum(all_x.std(axis=0), 1e-12),
+                            nc.aux.copy() if nc.aux else None)
     # normalization is elementwise, so normalizing every row once and then
     # gathering a batch rounds exactly as normalizing the gathered batch
     train_xn = normalize(all_x, work.feat_mean, work.feat_std)
@@ -448,7 +450,7 @@ class _SchedulerBlock:
         self.ebar[m + k] += du_raw * kp + ds_cand * ki * dt
         self.sbar = ds_prev
         dz = [d * s * (1.0 - s) * (hi - lo) for d, s, (lo, hi)
-              in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs.bounds.tolist())]
+              in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs._bounds)]
         gzs = gs.mlp.adjoints(acts, dz)
         df = gs.mlp.input_adjoint(gzs) / gs.feat_std
         self.ebar[k + 1:m + k + 1] += df[:m][::-1]

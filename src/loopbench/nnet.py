@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +81,7 @@ class Mlp:
     All parameters live in one float64 vector `params`, laid out layer by
     layer as the row-major weight matrix followed by the bias; `weights[l]`
     and `biases[l]` are views into it, so writing either updates the other.
+    The forward passes read transposed views taken with them.
     """
 
     def __init__(self, layer_sizes, seed: int = 0, init: bool = True):
@@ -87,12 +90,17 @@ class Mlp:
             raise ValueError("need at least input and output sizes, all >= 1")
         self.layer_sizes = sizes
         self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:])))
-        self.weights, self.biases = self._views(self.params)
+        self._view_params()
         if init:
             rng = np.random.default_rng(seed)
             for w in self.weights:
                 lim = np.sqrt(6.0 / sum(w.shape))
                 w[...] = rng.uniform(-lim, lim, size=w.shape)
+
+    def _view_params(self) -> None:
+        """`weights`, `biases` and the transposed weights, as views of `params`."""
+        self.weights, self.biases = self._views(self.params)
+        self._weights_t = [w.T for w in self.weights]
 
     def _views(self, vec: np.ndarray):
         """Per-layer weight and bias views into a vector (or stack) laid out like `params`."""
@@ -109,7 +117,7 @@ class Mlp:
         so that several networks can share one optimizer vector."""
         vec[...] = self.params
         self.params = vec
-        self.weights, self.biases = self._views(vec)
+        self._view_params()
 
     @property
     def n_layers(self) -> int:
@@ -141,12 +149,13 @@ class Mlp:
         if a.shape[-1:] != (self.layer_sizes[0],):
             raise ValueError(f"input shape {a.shape} does not end in the first layer size "
                              f"{self.layer_sizes[0]}")
+        weights_t, biases = self._weights_t, self.biases
         acts = [a]
-        for l in range(self.n_layers - 1):
-            a = np.dot(a, self.weights[l].T)  # a fresh array: the bias and tanh go in place
-            a += self.biases[l]
+        for l in range(len(weights_t) - 1):
+            a = np.dot(a, weights_t[l])  # a fresh array: the bias and tanh go in place
+            a += biases[l]
             acts.append(np.tanh(a, out=a))
-        return np.dot(a, self.weights[-1].T) + self.biases[-1], acts
+        return np.dot(a, weights_t[-1]) + biases[-1], acts
 
     def forward_rows(self, x: np.ndarray) -> np.ndarray:
         """Outputs of k independent rows, (k, n) in and (k, n_out) out, each row
@@ -157,11 +166,12 @@ class Mlp:
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"input shape {a.shape} is not (rows, {self.layer_sizes[0]})")
-        for l in range(self.n_layers - 1):
-            a = np.matmul(a[:, None, :], self.weights[l].T)[:, 0]
-            a += self.biases[l]
+        weights_t, biases = self._weights_t, self.biases
+        for l in range(len(weights_t) - 1):
+            a = np.matmul(a[:, None, :], weights_t[l])[:, 0]
+            a += biases[l]
             np.tanh(a, out=a)
-        return np.matmul(a[:, None, :], self.weights[-1].T)[:, 0] + self.biases[-1]
+        return np.matmul(a[:, None, :], weights_t[-1])[:, 0] + biases[-1]
 
     def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
         """Reverse pass through the activations only: the adjoint of each
@@ -343,8 +353,9 @@ def save_weights(net: Mlp, path) -> None:
 
 
 def load_weights(path) -> Mlp:
-    """Inverse of `save_weights`. Malformed or truncated content raises
-    ParseError with the 1-based line number."""
+    """Inverse of `save_weights`. Malformed or truncated content, or a
+    number that is not finite, raises ParseError with the 1-based line
+    number."""
     lines = read_text(path).splitlines()
 
     def line(pos: int) -> str:
@@ -353,12 +364,16 @@ def load_weights(path) -> Mlp:
         return lines[pos]
 
     def numbers(pos: int, count: int) -> np.ndarray:
+        cells = line(pos).split()
         try:
-            values = [float(v) for v in line(pos).split()]
+            values = [float(v) for v in cells]
         except ValueError:
             raise ParseError(f"{path}: non-numeric value", line=pos + 1) from None
         if len(values) != count:
             raise ParseError(f"{path}: expected {count} values, got {len(values)}", line=pos + 1)
+        bad = [c for c, v in zip(cells, values) if not math.isfinite(v)]
+        if bad:
+            raise ParseError(f"{path}: non-finite value {bad[0]!r}", line=pos + 1)
         return np.array(values)
 
     if line(0) != WEIGHTS_MAGIC:
@@ -460,16 +475,48 @@ def _aux_from(meta: dict, trunk: Mlp, path) -> Mlp | None:
     return aux
 
 
+# a JSON string, or a bare JSON number or constant
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+def _json_number(token: str):
+    """A bare JSON number token as `json.loads` converts it, but ValueError
+    for NaN, Infinity, a float beyond the float range, and an integer
+    longer than `int` converts from text."""
+    if token.lstrip("-").isdigit():
+        return int(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not finite")
+    return value
+
+
+def _bad_number_line(text: str) -> int:
+    """The 1-based line of the first number `_json_number` rejects."""
+    for m in _JSON_TOKEN.finditer(text):
+        if m.group()[0] != '"':
+            try:
+                _json_number(m.group())
+            except ValueError:
+                return text.count("\n", 0, m.start()) + 1
+    return 1
+
+
 def load_model(path, cls):
     """Inverse of `save_model` for the model class `cls`. A sidecar that is
-    not JSON, is of another kind, lacks a field or holds one that `cls`
+    not JSON, holds a number that is not finite or an integer too long to
+    convert, is of another kind, lacks a field or holds one that `cls`
     rejects raises ParseError naming the sidecar."""
     mlp = load_weights(path)
     where = str(path) + ".meta.json"
+    text = read_text(where)
     try:
-        meta = json.loads(read_text(where))
+        meta = json.loads(text, parse_int=_json_number, parse_float=_json_number,
+                          parse_constant=_json_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except ValueError as exc:
+        raise ParseError(f"{where}: invalid number: {exc}", line=_bad_number_line(text)) from None
     if not isinstance(meta, dict) or meta.get("kind") != cls.KIND:
         raise ParseError(f"{where}: not a {cls.KIND} model", line=1)
     names = _sidecar_fields(cls)

@@ -9,7 +9,9 @@ into saturation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import ControllerFault, SyncImpossible
 from .simcore import primary_output
@@ -31,6 +33,8 @@ class PidGains:
     u_min: float = -math.inf
     u_max: float = math.inf
     deriv_filter_n: float = 10.0
+    # weight of w in the proportional term, fixed by the structure
+    setpoint_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("kp", "ki", "kd", "u_min", "u_max", "deriv_filter_n"):
@@ -43,10 +47,8 @@ class PidGains:
             raise ValueError(f"unknown structure {self.structure!r}")
         if not self.u_min < self.u_max:
             raise ValueError("require u_min < u_max")
-
-    @property
-    def setpoint_weight(self) -> float:
-        return 0.0 if self.structure in _MEASUREMENT_PROPORTIONAL else 1.0
+        object.__setattr__(self, "setpoint_weight",
+                           0.0 if self.structure in _MEASUREMENT_PROPORTIONAL else 1.0)
 
     @staticmethod
     def from_time_constants(kp: float, ti: float = math.inf, td: float = 0.0, **kw) -> "PidGains":
@@ -218,12 +220,7 @@ class CascadeController:
         self.states.reset()
 
     def step(self, w: float, y, dt: float) -> float:
-        import numpy as np
-
-        y_vec = np.atleast_1d(y)
-        return cascade_step(
-            self.spec, self.states, w,
-            float(y_vec[self.spec.outer_channel]),
-            float(y_vec[self.spec.inner_channel]),
-            dt,
-        )
+        y_vec = np.atleast_1d(y).tolist()
+        spec = self.spec
+        return cascade_step(spec, self.states, w, y_vec[spec.outer_channel],
+                            y_vec[spec.inner_channel], dt)

@@ -9,7 +9,9 @@ trajectories.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Protocol, Sequence, Union
 
 import numpy as np
@@ -192,16 +194,34 @@ class PlantModel:
         if isinstance(v, SecondOrder):
             gain, zeta, wn = v.gain, v.zeta, v.omega_n
             return lambda x, u: (x[1], gain * wn * wn * u - 2.0 * zeta * wn * x[1] - wn * wn * x[0])
-        a, b = v.a, v.b.tolist()
-        return lambda x, u: tuple([ax + bi * u for ax, bi in zip(a.dot(np.array(x)).tolist(), b)])
+        a_x, b = _bound_product(v.a), v.b.tolist()
+        return lambda x, u: tuple([ax + bi * u for ax, bi in zip(a_x(x).tolist(), b)])
 
-    def output(self, x: PlantState):
-        """Float for a single-output plant, numpy vector for a multi-output one."""
+    def output_map(self) -> Callable[[PlantState], object]:
+        """The measurement y(x), its variant picked once: a float for a
+        single-output plant, a fresh numpy vector for a multi-output one."""
         v = self.variant
-        if isinstance(v, LinearStateSpace):
-            y = v.c.dot(np.array(x))
-            return float(y[0]) if y.shape[0] == 1 else y
-        return x if isinstance(x, float) else x[0]
+        if isinstance(v, SecondOrder):
+            return itemgetter(0)
+        if not isinstance(v, LinearStateSpace):
+            return lambda x: x
+        c_x = _bound_product(v.c)
+        if v.c.shape[0] > 1:
+            return c_x
+        return lambda x: c_x(x).tolist()[0]
+
+
+def _bound_product(m: np.ndarray) -> Callable[[tuple], np.ndarray]:
+    """x -> m x for a tuple of floats, as one BLAS product (gemv) on an operand
+    allocated here and refilled per call: the same product of the same values
+    as `m.dot(np.array(x))`, without a new array per call."""
+    operand = np.empty(m.shape[1])
+    fill, dot = struct.Struct(f"{m.shape[1]}d").pack_into, m.dot
+
+    def product(x):
+        fill(operand, 0, *x)
+        return dot(operand)
+    return product
 
 
 @dataclass(frozen=True)
@@ -285,8 +305,8 @@ _NOISE_CHUNK = 1024
 def _noise_draws(rng: np.random.Generator, std: float, readings: int, n_outputs: int):
     """The noise of `readings` sensor readings, a float or a row of
     `n_outputs` values each, drawn `_NOISE_CHUNK` readings per `rng.normal`
-    call. A function apart from the sampler, so that no reference cycle keeps
-    a chunk alive after its run."""
+    call. A module-level generator, so that no reference cycle keeps a chunk
+    alive after its run."""
     while readings > 0:
         m = min(readings, _NOISE_CHUNK)
         if n_outputs == 1:
@@ -296,32 +316,31 @@ def _noise_draws(rng: np.random.Generator, std: float, readings: int, n_outputs:
         readings -= m
 
 
-class _SensorSampler:
-    """The sensor of one run of `n_steps`: a fresh reading every m-th step,
-    the held value in between.
+def _sensor_reader(sensor: SensorSpec, dt: float, rng: np.random.Generator, n_steps: int,
+                   n_outputs: int = 1):
+    """The sensor of one run of `n_steps` as (read, m): a fresh reading
+    `read(y)` every m-th step, the held value in between.
 
-    A reading adds noise, then rounds to the quantization step with `np.rint`.
-    The run draws ceil(n_steps / m) readings of `n_outputs` noise values, in
-    chunks: a sized draw gives the values of as many scalar draws, so every
-    reading and the generator's end state are those of one draw per reading.
+    A reading of `y` (a float, or the vector of a multi-output plant) adds
+    noise, then rounds to the quantization step with `np.rint`; `read` is
+    built for the sensor's options here, not branched per reading. The run
+    draws ceil(n_steps / m) readings of `n_outputs` noise values, in chunks:
+    a sized draw gives the values of as many scalar draws, so every reading
+    and the generator's end state are those of one draw per reading.
     """
-
-    def __init__(self, sensor: SensorSpec, dt: float, rng: np.random.Generator,
-                 n_steps: int, n_outputs: int = 1):
-        self.every = sensor.steps_per_sample(dt)
-        self.rng = rng
-        self.noise_std = sensor.noise_std
-        self.quantization = sensor.quantization
-        if sensor.noise_std > 0.0:
-            self._noise = _noise_draws(rng, sensor.noise_std, -(-n_steps // self.every), n_outputs)
-
-    def read(self, y):
-        """A fresh reading of `y`: a float, or the vector of a multi-output plant."""
-        if self.noise_std > 0.0:
-            y = y + next(self._noise)
-        if self.quantization > 0.0:
-            y = np.rint(y / self.quantization) * self.quantization
-        return float(y) if isinstance(y, float) else y
+    every, q, rint = sensor.steps_per_sample(dt), sensor.quantization, np.rint
+    noise = None
+    if sensor.noise_std > 0.0:
+        noise = _noise_draws(rng, sensor.noise_std, -(-n_steps // every), n_outputs).__next__
+    if q > 0.0:
+        if n_outputs > 1:
+            quantize = lambda y: rint(y / q) * q
+        else:
+            quantize = lambda y: float(rint(y / q) * q)
+        read = quantize if noise is None else lambda y: quantize(y + noise())
+    else:
+        read = (lambda y: y) if noise is None else lambda y: y + noise()
+    return read, every
 
 
 class DelayLine:
@@ -463,19 +482,32 @@ class Trajectory:
         return len(self.t)
 
 
-def _reference_array(reference, cfg: SimConfig) -> np.ndarray:
+def _reference_array(reference, t: np.ndarray) -> np.ndarray:
+    """The reference on the time grid `t`: a step in one `np.where`, a
+    callable per sample, a scalar or an array of the grid's length."""
+    if isinstance(reference, _StepReference):
+        return np.where(t >= reference.time, float(reference.level), float(reference.baseline))
     if callable(reference):
-        return np.array([float(reference(tk)) for tk in cfg.time_grid()])
+        return np.array([float(reference(tk)) for tk in t])
     arr = np.asarray(reference, dtype=float)
     if arr.ndim == 0:
-        return np.full(cfg.n_steps, float(arr))
-    if arr.shape[0] != cfg.n_steps:
+        return np.full(len(t), float(arr))
+    if arr.shape[0] != len(t):
         raise ValueError("reference array length must equal the step count")
     return arr.copy()
 
 
-def step_reference(level: float, time: float = 0.0, baseline: float = 0.0) -> Callable[[float], float]:
-    return lambda t: level if t >= time else baseline
+@dataclass(frozen=True)
+class _StepReference:
+    """w(t) = level from `time` on, `baseline` before."""
+
+    level: float
+    time: float
+    baseline: float
+
+
+def step_reference(level: float, time: float = 0.0, baseline: float = 0.0) -> _StepReference:
+    return _StepReference(level, time, baseline)
 
 
 def simulate(
@@ -498,10 +530,9 @@ def simulate(
     n = cfg.n_steps
     rng = np.random.default_rng(cfg.seed)
     t = cfg.time_grid()
-    w = _reference_array(reference, cfg)
+    w = _reference_array(reference, t)
     d = disturbance.series(cfg, rng)
-    sampler = _SensorSampler(sensor, cfg.dt, rng, n, plant.n_outputs)
-    read, every = sampler.read, sampler.every
+    read, every = _sensor_reader(sensor, cfg.dt, rng, n, plant.n_outputs)
 
     multi = plant.n_outputs > 1
     y_rec = np.zeros(n)
@@ -514,7 +545,7 @@ def simulate(
     guard = DIVERGENCE_FACTOR * ref_scale
 
     x = plant.initial_state()
-    dynamics = plant.dynamics()
+    dynamics, output, dt = plant.dynamics(), plant.output_map(), cfg.dt
     u_lo, u_hi = plant.u_min, plant.u_max
     controller.reset()
     input_additive = disturbance.injection == "input"
@@ -523,7 +554,7 @@ def simulate(
     w_k, d_k, t_k = w.tolist(), d.tolist(), t.tolist()
 
     for k in range(n):
-        y = plant.output(x)  # float, or a vector on a multi-output plant
+        y = output(x)  # float, or a vector on a multi-output plant
         if not input_additive:
             y = y + d_k[k]
         if multi:
@@ -540,7 +571,7 @@ def simulate(
         else:
             y_rec[k], y_meas_rec[k] = y, y_m
 
-        u_cmd = controller.step(w_k[k], y_m, cfg.dt)
+        u_cmd = controller.step(w_k[k], y_m, dt)
         if not math.isfinite(u_cmd):
             raise ControllerFault(f"controller emitted a non-finite command at step {k}")
         u_k = min(max(float(u_cmd), u_lo), u_hi)
@@ -551,7 +582,7 @@ def simulate(
             u_plant = u_plant * float(gain_schedule(t_k[k]))
         u_eff = delay.push_pop(u_plant) if delay is not None else u_plant
         try:
-            x = rk4_step(x, u_eff, cfg.dt, dynamics)
+            x = rk4_step(x, u_eff, dt, dynamics)
         except SimulationDiverged as exc:
             raise SimulationDiverged("non-finite state during integration", step=k) from exc
 

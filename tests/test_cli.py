@@ -544,6 +544,21 @@ def test_short_weights_row_is_parse_error_with_line(tmp_path):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_weight_is_parse_error_with_line(tmp_path, capsys, cell):
+    """A weights row that parses as floats but holds a non-finite number."""
+    path = _saved_controller(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[5] = " ".join([*lines[5].split()[:-1], cell])  # the last cell of W0's third row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_model(path, NeuralController)
+    assert err.value.line == 6
+    capsys.readouterr()
+    assert _simulate_with_model(tmp_path, path) == 4
+    assert f"i/o error: line 6: {path}: non-finite value {cell!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sidecar, line", [
     ('{"kind": "neural-controller",\n "memory": 4,,\n}', 2),  # invalid JSON
     ('{"kind": "narx-surrogate"}', 1),  # another model's sidecar
@@ -701,6 +716,50 @@ def test_wrong_sidecar_field_is_parse_error(tmp_path, capsys, model, key, value)
     assert run(tmp_path, path) == 4
     assert str(meta_path) in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("model, key", [("controller", "feat_mean"), ("controller", "u_max"),
+                                        ("scheduler", "bounds"), ("surrogate", "x_std"),
+                                        ("surrogate", "dt")])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_non_finite_sidecar_number_is_parse_error_with_line(tmp_path, capsys, model, key, token):
+    """`json.loads` reads NaN and Infinity, and a float beyond the range as
+    inf; a model file holding one is a parse error naming the sidecar and
+    the number's line, not a numerical failure or a silent load."""
+    save, run = _MODEL_RUNS[model]
+    path = save(tmp_path)
+    meta_path = Path(str(path) + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    value = meta[key]
+    if isinstance(value, list):
+        value[-1] = ["@"] * len(value[-1]) if isinstance(value[-1], list) else "@"
+    else:
+        meta[key] = "@"
+    text = json.dumps(meta, indent=2)
+    line = text[:text.index('"@"')].count("\n") + 1
+    meta_path.write_text(text.replace('"@"', token))
+    capsys.readouterr()
+    assert run(tmp_path, path) == 4
+    assert f"i/o error: line {line}: {meta_path}: invalid number: {token} is not finite" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, key", [("controller", "memory"), ("surrogate", "p")])
+def test_sidecar_integer_too_long_to_convert_is_parse_error_with_line(tmp_path, capsys,
+                                                                      model, key):
+    """An integer of more than 4,300 digits, which `json.loads` refuses with
+    a plain ValueError, is a parse error of the sidecar (exit 4), not a
+    config error of the command's section."""
+    save, run = _MODEL_RUNS[model]
+    path = save(tmp_path)
+    meta_path = Path(str(path) + ".meta.json")
+    text = meta_path.read_text()
+    line = text[:text.index(f'"{key}": ')].count("\n") + 1
+    meta_path.write_text(re.sub(f'"{key}": \\d+', f'"{key}": {"1" * 5000}', text))
+    capsys.readouterr()
+    assert run(tmp_path, path) == 4
+    err = capsys.readouterr().err
+    assert f"i/o error: line {line}: {meta_path}: invalid number: Exceeds the limit" in err
 
 
 # ---------------------------------------------------------------------------

@@ -155,11 +155,13 @@ HEADER = b"t,w,y,u,d,y2\n"
     # header only, header plus blank lines, one row
     b"", b"\n\n", b"0,1,2,3,4,5\n",
 ])
+@pytest.mark.bits
 def test_read_timeseries_matches_the_per_line_reference(tmp_path, body):
     _assert_reads_as_reference(tmp_path / "a.csv", HEADER + body)
     _assert_reads_as_reference(tmp_path / "b.csv", body)
 
 
+@pytest.mark.bits
 def test_read_timeseries_matches_the_per_line_reference_on_fuzz_mutants(tmp_path):
     """The trajectory file mutants of the CSV fuzz test (cut, a junk cell, a
     dropped column, a permuted header, swapped or deleted rows, a 0xff byte)."""

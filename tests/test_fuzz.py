@@ -8,7 +8,8 @@ swapped or deleted rows, a 0xff byte) goes through the commands that read it.
 Whatever the mutation, the command ends in an exit code of the CLI contract
 (0 ok, 2 config, 3 numerical, 4 I/O) and never in a traceback; a boolean
 config leaf exits 2, and a 0xff byte or a non-finite cell as the only fault
-exits 4. A number or integer leaf set to a numeric string, an integer leaf
+exits 4, as does a model file whose only fault is one non-finite number.
+A number or integer leaf set to a numeric string, an integer leaf
 set to a float and a list leaf set to a string each exit 2 with the leaf's
 key path. Layer sizes
 and horizons stay small so that no mutant asks for a large allocation or a
@@ -118,6 +119,39 @@ def _mutate_sidecar(rng, meta, text):
     return json.dumps(meta), f"zeroed {key} row {row}"
 
 
+N_NON_FINITE_MUTANTS = 24
+
+
+def _number_paths(value, path=()):
+    """Key and index paths of every number in a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+    return [p for key, v in items for p in _number_paths(v, (*path, key))]
+
+
+def _non_finite_mutant(rng, lines, meta):
+    """One number of the weights file or the sidecar made non-finite, the
+    files otherwise intact: (weights lines, sidecar text, what)."""
+    if rng.random() < 0.5:
+        rows = [i for i, line in enumerate(lines) if line[:1] in "-0123456789"]
+        i = int(rng.choice(rows))
+        values = lines[i].split()
+        j = int(rng.integers(0, len(values)))
+        values[j] = str(rng.choice(["nan", "inf", "-inf", "1e999"]))
+        lines = [*lines[:i], " ".join(values), *lines[i + 1:]]
+        return lines, json.dumps(meta), f"weights line {i + 1} cell {j} = {values[j]}"
+    paths = _number_paths(meta)
+    path = paths[int(rng.integers(0, len(paths)))]
+    token = str(rng.choice(["NaN", "Infinity", "-Infinity", "1e999"]))
+    mutant = json.loads(json.dumps(meta))
+    reduce(getitem, path[:-1], mutant)[path[-1]] = "@"
+    return lines, json.dumps(mutant).replace('"@"', token), f"sidecar {list(path)} = {token}"
+
+
 def _insert_ff(rng, text):
     """Insert a 0xff byte, which no UTF-8 text holds, at a random offset."""
     data = text.encode()
@@ -161,6 +195,18 @@ def test_mutated_model_files_keep_the_exit_code_contract(tmp_path, capsys, model
             codes.add(code)
         capsys.readouterr()
     assert 4 in codes
+
+    path, meta_path = tmp_path / "nf.weights", tmp_path / "nf.weights.meta.json"
+    for i in range(N_NON_FINITE_MUTANTS):
+        weights_lines, text, what = _non_finite_mutant(rng, lines, meta)
+        path.write_text("\n".join(weights_lines) + "\n")
+        meta_path.write_text(text)
+        for cfg, argv in _commands(path)[model]:
+            cfg_path.write_text(json.dumps(cfg))
+            code = main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 4, f"non-finite mutant {i} ({what}) through {argv[0]} exited {code}"
+            assert "non-finite value" in err if what.startswith("weights") else "is not finite" in err
 
 
 # --- configs ---

@@ -209,6 +209,7 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("m, hidden", [(1, (6,)), (2, (16, 8)), (4, (32, 32)), (3, (8, 8, 8))])
 def test_control_loop_step_bit_equal_to_array_form(m, hidden):
     """Steps from windows at three scales (the largest saturates tanh), and
@@ -237,6 +238,7 @@ def test_control_loop_step_bit_equal_to_array_form(m, hidden):
         assert _bits(got) == _bits(want)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("m, hidden", [(1, (5,)), (2, (8,)), (4, (8, 8)), (3, (16, 16, 4))])
 def test_gains_from_bit_equal_to_array_form(m, hidden):
     """Rows at three scales (the largest clips z at +-60), bounds with lo = 0
@@ -620,6 +622,7 @@ def _costs(narx, cases):
                                   for g, ref, rho in cases])
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_episode_cost_bit_equal_to_array_form(p, q, hidden):
     """Episodes run in lockstep (three at a time), two and one at a time on
@@ -672,6 +675,7 @@ LOCKSTEP_NARX = {"linear": _linear_narx(), "p3q2": random_narx(3, 2, (7,), seed=
                  "p2q3": random_narx(2, 3, (5, 5), seed=4)}
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("case, name", [("fault", "linear"), ("fault", "p3q2"), ("fault", "p2q3"),
                                         ("bound", "linear"), ("lengths", "linear"),
                                         ("lengths", "p3q2"), ("lengths", "p2q3")])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -304,6 +305,7 @@ def _interleaved_backward(net, acts, grad_out, extra=None):
     return np.concatenate(parts[::-1]), ga
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("sizes", [[3, 1], [4, 6, 1], [5, 7, 4, 3]])
 def test_backward_and_adjoints_bit_equal_to_interleaved_pass(sizes):
     rng = np.random.default_rng(len(sizes))
@@ -341,6 +343,7 @@ ROW_SHAPES = [[3, 1], [1, 5, 1], [6, 16, 1], [8, 8, 3], [4, 64, 3], [9, 32, 32, 
               [5, 7, 4, 3], [3, 64, 64, 1], [9, 32, 32, 32, 1], [2, 64, 48, 64, 3]]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("sizes", ROW_SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_row_path_bit_equal_to_one_row_batch(sizes):
     """forward, forward_cached and adjoints on a 1-D row against the same
@@ -386,6 +389,7 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
         assert all(a.tobytes() == a_r.tobytes() for a, a_r in zip(acts_b, acts_r))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 750])
 @pytest.mark.parametrize("sizes", [s for s in ROW_SHAPES if 3 <= len(s) <= 5],
                          ids=lambda s: "-".join(map(str, s)))
@@ -411,34 +415,48 @@ PORTABLE_PROFILE = {"OPENBLAS_CORETYPE": "Haswell",
                     "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL,AVX512_SPR,X86_V4"}
 
 
+# the bit tests the portable-profile run must include, whatever else carries the marker
+PORTABLE_REQUIRED = (
+    "test_nnet.py::test_row_path_bit_equal_to_one_row_batch",
+    "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass",
+    "test_nnet.py::test_forward_rows_bit_equal_to_forward_per_row",
+    "test_surrogate.py::test_predict_rows_bit_equal_to_predict_one",
+    "test_neuro.py::test_episode_cost_bit_equal_to_array_form",
+    "test_neuro.py::test_lockstep_costs_match_array_form_per_episode",
+    "test_training_bits.py::",
+    "test_neuro.py::test_control_loop_step_bit_equal_to_array_form",
+    "test_neuro.py::test_gains_from_bit_equal_to_array_form",
+    "test_simcore.py::test_float_state_rk4_matches_array_branch_bitwise",
+    "test_simcore.py::test_float_sensor_reading_matches_apply_sensor_bitwise",
+    "test_simcore.py::test_vector_sensor_reading_matches_apply_sensor_bitwise",
+    "test_simcore.py::test_simulate_sensor_readings_match_apply_sensor_bitwise",
+    "test_dataio.py::test_read_timeseries_matches_the_per_line_reference",
+    "test_dataio.py::test_read_timeseries_matches_the_per_line_reference_on_fuzz_mutants",
+    "test_closed_loop_bits.py::",
+)
+
+
 def test_row_path_bit_equal_under_the_portable_profile():
-    """The row-vs-batch tests, the stacked-row and lockstep-episode tests, the
-    training-step bit tests, the float-state plant test, the sensor bit tests
-    and the trajectory reader's reference tests again, in a fresh
+    """Every test marked `bits` (the row-vs-batch, stacked-row and lockstep
+    tests, the training-step, plant, sensor and closed-loop block bit tests
+    and the trajectory reader's reference tests) again, in a fresh
     interpreter under the portable profile: both variables are read once,
-    when numpy and OpenBLAS load."""
+    when numpy and OpenBLAS load. Each must pass; none may be skipped."""
     here = os.path.dirname(os.path.abspath(__file__))
     script = ("import sys, pytest\n"
               "from numpy._core._multiarray_umath import __cpu_features__ as cpu\n"
               "assert not cpu.get('X86_V4'), 'AVX-512 dispatch was not disabled'\n"
               "sys.exit(pytest.main(sys.argv[1:]))\n")
-    tests = [os.path.join(here, "test_nnet.py::test_row_path_bit_equal_to_one_row_batch"),
-             os.path.join(here, "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass"),
-             os.path.join(here, "test_nnet.py::test_forward_rows_bit_equal_to_forward_per_row"),
-             os.path.join(here, "test_surrogate.py::test_predict_rows_bit_equal_to_predict_one"),
-             os.path.join(here, "test_neuro.py::test_episode_cost_bit_equal_to_array_form"),
-             os.path.join(here, "test_neuro.py::test_lockstep_costs_match_array_form_per_episode"),
-             os.path.join(here, "test_training_bits.py"),
-             os.path.join(here, "test_neuro.py::test_control_loop_step_bit_equal_to_array_form"),
-             os.path.join(here, "test_neuro.py::test_gains_from_bit_equal_to_array_form"),
-             os.path.join(here, "test_simcore.py::test_float_state_rk4_matches_array_branch_bitwise"),
-             os.path.join(here, "test_simcore.py::test_float_sensor_reading_matches_apply_sensor_bitwise"),
-             os.path.join(here, "test_simcore.py::test_vector_sensor_reading_matches_apply_sensor_bitwise"),
-             os.path.join(here, "test_simcore.py::test_simulate_sensor_readings_match_apply_sensor_bitwise"),
-             os.path.join(here, "test_dataio.py::test_read_timeseries_matches_the_per_line_reference"),
-             os.path.join(here, "test_dataio.py::test_read_timeseries_matches_the_per_line_reference_on_fuzz_mutants")]
-    run = subprocess.run([sys.executable, "-c", script, "-q", "-p", "no:cacheprovider", *tests],
+    run = subprocess.run([sys.executable, "-c", script, "-v", "-p", "no:cacheprovider",
+                          "-m", "bits", here],
                          env={**os.environ, **PORTABLE_PROFILE}, cwd=os.path.dirname(here),
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
-    assert " passed" in run.stdout and "skipped" not in run.stdout
+    outcomes = re.findall(r"^tests/(\S+?::.*) ([A-Z]+) +\[ *\d+%\]$", run.stdout, re.M)
+    assert outcomes and all(outcome == "PASSED" for _, outcome in outcomes), outcomes
+    summary = run.stdout.strip().splitlines()[-1]
+    assert f" {len(outcomes)} passed" in summary and "skipped" not in summary, summary
+    names = {test.split("[")[0] for test, _ in outcomes}
+    missing = [name for name in PORTABLE_REQUIRED if name not in names
+               and not (name.endswith("::") and any(n.startswith(name) for n in names))]
+    assert not missing, f"not run under the portable profile: {missing}"

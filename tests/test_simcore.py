@@ -7,7 +7,7 @@ from loopbench import simcore
 from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.simcore import (
     ConstantController, DelayLine, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel,
-    MAX_STEPS, SecondOrder, SensorSpec, SignalController, SimConfig, TankNonlinear, _SensorSampler,
+    MAX_STEPS, SecondOrder, SensorSpec, SignalController, SimConfig, TankNonlinear, _sensor_reader,
     rk4_step, simulate, step_reference,
 )
 from loopbench.pid import CascadeController, CascadeSpec, PidController, PidGains
@@ -17,7 +17,7 @@ INTEGRATOR = PlantModel(LinearStateSpace(a=[[0.0]], b=[1.0], c=[[1.0]]))
 
 def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
     """One fresh sensor reading on its own noise draw: additive noise, then
-    optional quantization. The reference that `simulate`'s sampler, which
+    optional quantization. The reference that `simulate`'s sensor reader, which
     draws a run's noise in chunks, is checked against bit for bit."""
     y = np.asarray(y, dtype=float)
     meas = y + rng.normal(0.0, sensor.noise_std, size=y.shape) if sensor.noise_std > 0.0 else y.copy()
@@ -294,6 +294,7 @@ def _linear(n_states, n_outputs, seed):
     # (states, outputs): 1x1, 2x1, 2x2, 4x1, 4x3
     _linear(1, 1, 1), _linear(2, 1, 2), _linear(2, 2, 3), _linear(4, 1, 4), _linear(4, 3, 5),
 ])
+@pytest.mark.bits
 def test_float_state_rk4_matches_array_branch_bitwise(variant):
     """Every plant's float-state step against the array form with `==`; a
     linear plant's A x and C x are one BLAS product each in both forms, so
@@ -309,11 +310,11 @@ def test_float_state_rk4_matches_array_branch_bitwise(variant):
     inputs = rng.normal(0.0, 1.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
     steps = 10.0 ** rng.uniform(-4.0, 0.0, size=n)
     linear = isinstance(variant, LinearStateSpace)
-    dynamics = plant.dynamics()
+    dynamics, output = plant.dynamics(), plant.output_map()
     for x, u, dt in zip(states, inputs.tolist(), steps.tolist()):
         fast_x = tuple(x.tolist()) if isinstance(plant.initial_state(), tuple) else float(x[0])
         if linear:
-            y = plant.output(fast_x)
+            y = output(fast_x)
             assert isinstance(y, float) == (plant.n_outputs == 1)
             assert np.atleast_1d(y).tobytes() == (variant.c @ x).tobytes()
         fast = _rk4_or_diverged(fast_x, u, dt, dynamics)
@@ -349,17 +350,19 @@ def test_simulate_calls_rk4_step_once_per_step(plant, monkeypatch):
     SensorSpec(quantization=0.25),
     SensorSpec(noise_std=0.2, quantization=0.05),
 ])
+@pytest.mark.bits
 def test_float_sensor_reading_matches_apply_sensor_bitwise(sensor):
     # random readings plus exact multiples of 1/8, which sit on the
     # round-half-to-even ties of the 0.25 quantizer
     ys = np.random.default_rng(5).normal(0.0, 3.0, size=10_000).tolist()
     ys += (np.arange(-40, 41) * 0.125).tolist()
-    fast = _SensorSampler(sensor, 0.01, np.random.default_rng(11), len(ys))
+    rng = np.random.default_rng(11)
+    read = _sensor_reader(sensor, 0.01, rng, len(ys))[0]
     slow = np.random.default_rng(11)
     for y in ys:
-        assert fast.read(y) == apply_sensor(np.array([y]), sensor, slow)
+        assert read(y) == apply_sensor(np.array([y]), sensor, slow)
     # both generators end in the same state: the stream did not shift
-    assert fast.rng.random() == slow.random()
+    assert rng.random() == slow.random()
 
 
 class _Seen:
@@ -387,6 +390,7 @@ SENSOR_CASES = [
 SENSOR_IDS = ["noise-1", "noise-3", "noise-7", "quant-3", "noise-quant-7"]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("sensor", SENSOR_CASES, ids=SENSOR_IDS)
 @pytest.mark.parametrize("two_outputs", [False, True], ids=["fopdt", "linear2"])
 def test_simulate_sensor_readings_match_apply_sensor_bitwise(sensor, two_outputs):
@@ -421,14 +425,16 @@ def test_simulate_sensor_readings_match_apply_sensor_bitwise(sensor, two_outputs
     assert traj.y_meas.tobytes() == np.array(expected).reshape(cfg.n_steps, -1)[:, 0].tobytes()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("sensor", SENSOR_CASES, ids=SENSOR_IDS)
 def test_vector_sensor_reading_matches_apply_sensor_bitwise(sensor):
     """A two-output plant's readings and the generator's end state against
     `apply_sensor` on its own generator, over 2,500 readings."""
     n_steps = 2499 * sensor.steps_per_sample(0.001) + 1
     ys = np.random.default_rng(5).normal(0.0, 3.0, size=(2500, 2))
-    fast = _SensorSampler(sensor, 0.001, np.random.default_rng(11), n_steps, 2)
+    rng = np.random.default_rng(11)
+    read = _sensor_reader(sensor, 0.001, rng, n_steps, 2)[0]
     slow = np.random.default_rng(11)
     for y in ys:
-        assert fast.read(y).tobytes() == apply_sensor(y, sensor, slow).tobytes()
-    assert fast.rng.random() == slow.random()
+        assert read(y).tobytes() == apply_sensor(y, sensor, slow).tobytes()
+    assert rng.random() == slow.random()

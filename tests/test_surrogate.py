@@ -245,6 +245,7 @@ def test_predict_one_bit_equal_to_array_form(p, q, hidden):
             assert model.predict_one(np.array(y_win), np.array(u_win)) == want
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_predict_rows_bit_equal_to_predict_one(p, q, hidden):
     """k windows at once give the bits of `predict_one` on each; k = 1 is the

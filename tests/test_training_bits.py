@@ -22,6 +22,8 @@ from loopbench.errors import SimulationDiverged, TooShort
 from loopbench.nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize
 from test_surrogate import random_narx
 
+pytestmark = pytest.mark.bits
+
 
 # ---------------------------------------------------------------------------
 # the reference network passes
