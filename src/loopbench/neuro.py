@@ -594,8 +594,13 @@ def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int,
     """Minimal Nelder-Mead with clipped-to-bounds evaluations and an exact
     evaluation budget shared across seeded restarts.
 
-    Returns (best_x, best_cost, trace) where trace holds (eval_index, cost)
-    of every evaluation in order.
+    `f(points) -> costs` takes a list of points: a start simplex's n + 1
+    vertices and a shrink's n new vertices go in one call, as their costs do
+    not depend on each other; a reflection, expansion or contraction is a
+    call of one point. A call the budget cuts evaluates only the points it
+    has left, so trace, best point and cost are those of evaluating every
+    point one after another. Returns (best_x, best_cost, trace) where trace
+    holds (eval_index, cost) of every evaluation in order.
     """
     bounds = np.asarray(bounds, dtype=float)
     n = len(x0)
@@ -603,17 +608,18 @@ def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int,
     best_x, best_f = None, math.inf
     evals = 0
 
-    def wrapped(x):
+    def wrapped(xs):
         nonlocal evals, best_x, best_f
-        if evals >= budget:
+        todo = [np.clip(x, bounds[:, 0], bounds[:, 1]) for x in xs[:budget - evals]]
+        costs = [float(c) for c in f(todo)] if todo else []
+        for xc, c in zip(todo, costs, strict=True):
+            trace.append((evals, c))
+            evals += 1
+            if c < best_f:
+                best_f, best_x = c, xc.copy()
+        if len(todo) < len(xs):
             raise _BudgetExhausted
-        xc = np.clip(x, bounds[:, 0], bounds[:, 1])
-        c = float(f(xc))
-        trace.append((evals, c))
-        evals += 1
-        if c < best_f:
-            best_f, best_x = c, xc.copy()
-        return c
+        return costs
 
     rng = np.random.default_rng(seed)
     starts = [np.asarray(x0, dtype=float)]
@@ -629,7 +635,7 @@ def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int,
                 step = init_scale * (bounds[i, 1] - bounds[i, 0])
                 v[i] = v[i] + step if v[i] + step <= bounds[i, 1] else v[i] - step
                 simplex.append(v)
-            fs = [wrapped(v) for v in simplex]
+            fs = wrapped(simplex)
             for _ in range(10 * budget):
                 order = np.argsort(fs)
                 simplex = [simplex[i] for i in order]
@@ -638,23 +644,22 @@ def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int,
                     break
                 centroid = np.mean(simplex[:-1], axis=0)
                 xr = centroid + alpha * (centroid - simplex[-1])
-                fr = wrapped(xr)
+                fr, = wrapped([xr])
                 if fs[0] <= fr < fs[-2]:
                     simplex[-1], fs[-1] = xr, fr
                     continue
                 if fr < fs[0]:
                     xe = centroid + gamma * (xr - centroid)
-                    fe = wrapped(xe)
+                    fe, = wrapped([xe])
                     simplex[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
                     continue
                 xc = centroid + rho_c * (simplex[-1] - centroid)
-                fc = wrapped(xc)
+                fc, = wrapped([xc])
                 if fc < fs[-1]:
                     simplex[-1], fs[-1] = xc, fc
                     continue
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    fs[i] = wrapped(simplex[i])
+                simplex[1:] = [simplex[0] + sigma * (v - simplex[0]) for v in simplex[1:]]
+                fs[1:] = wrapped(simplex[1:])
     except _BudgetExhausted:
         pass
     return best_x, best_f, trace
@@ -705,9 +710,11 @@ def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.n
 def _lockstep_costs(narx: NarxModel, episodes) -> list:
     """Return values of `_episode_cost_on_surrogate` generators run side by
     side: each step, one `predict_rows` call predicts for every live episode,
-    so each cost is bit-equal to that episode run alone. Fewer than three
-    episodes run one after another on the row path: a stacked pass of two
-    rows costs about what two row passes cost, so the lockstep's bookkeeping
+    so each cost is bit-equal to that episode run alone. The generators may
+    belong to several gain points (`tune_static_ai` passes every episode of
+    a whole start simplex or shrink). A call of fewer than three generators
+    runs them one after another on the row path: a stacked pass of two rows
+    costs about what two row passes cost, so the lockstep's bookkeeping
     would only slow them down."""
     if len(episodes) < 3:
         return [_cost_alone(narx, episode) for episode in episodes]
@@ -745,28 +752,36 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
 
     `model` is the NarxModel the episodes are simulated on; `episodes` is a
     list of reference arrays. The cost is the episode mean of
-    IAE + rho * integral(|u|); three or more episodes of one evaluation run
-    in lockstep (`_lockstep_costs`). `cost_fn(vec) -> float`, when given, replaces
-    the simulation cost entirely (test stubs, custom objectives).
+    IAE + rho * integral(|u|). Every episode of every point of one search
+    call (a start simplex, a shrink, or one point) runs in one lockstep
+    (`_lockstep_costs`), and each point's cost is the mean over its own
+    episodes. `cost_fn(vec) -> float`, when given, replaces the simulation
+    cost entirely (test stubs, custom objectives), one point at a time.
     """
     if budget < 1:
         raise ValueError("evaluation budget must be positive")
     bounds = np.asarray(gain_bounds, dtype=float).reshape(3, 2)
     gain_kw = gain_kw or {}
 
-    if cost_fn is None:
+    if cost_fn is not None:
+        def costs_of(points):
+            return [cost_fn(vec) for vec in points]
+    else:
         if not episodes:
             raise ValueError("need at least one episode")
+        m = len(episodes)
 
-        def cost_fn(vec):
-            gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
-            costs = _lockstep_costs(model, [_episode_cost_on_surrogate(model, gains, ep, rho)
-                                            for ep in episodes])
-            return float(np.mean(costs))
+        def costs_of(points):
+            runs = []
+            for vec in points:
+                gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
+                runs += [_episode_cost_on_surrogate(model, gains, ep, rho) for ep in episodes]
+            costs = _lockstep_costs(model, runs)
+            return [float(np.mean(costs[i:i + m])) for i in range(0, len(costs), m)]
 
     start = np.asarray(x0, dtype=float) if x0 is not None else 0.5 * (bounds[:, 0] + bounds[:, 1])
     start = np.clip(start, bounds[:, 0], bounds[:, 1])
-    best_x, best_f, trace = nelder_mead_bounded(cost_fn, start, bounds, budget,
+    best_x, best_f, trace = nelder_mead_bounded(costs_of, start, bounds, budget,
                                                 seed=seed, restarts=restarts)
     if best_x is None or not math.isfinite(best_f):
         raise TuningFailed("every candidate evaluation diverged")

@@ -159,19 +159,22 @@ class Mlp:
 
     def forward_rows(self, x: np.ndarray) -> np.ndarray:
         """Outputs of k independent rows, (k, n) in and (k, n_out) out, each row
-        bit-equal to `forward` on that row alone. Every layer is one stacked
-        product over (k, 1, n), which makes one matrix-vector product (gemv) per
-        row, the call a 1-D row makes; a 2-D matrix product over the rows rounds
-        differently."""
+        bit-equal to `forward` on that row alone. The rows stay a (k, 1, n)
+        stack through every layer, so each layer is one stacked product that
+        makes one matrix-vector product (gemv) per row, the call a 1-D row
+        makes; a 2-D matrix product over the rows rounds differently."""
         a = np.asarray(x, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"input shape {a.shape} is not (rows, {self.layer_sizes[0]})")
         weights_t, biases = self._weights_t, self.biases
+        a = a[:, None, :]
         for l in range(len(weights_t) - 1):
-            a = np.matmul(a[:, None, :], weights_t[l])[:, 0]
+            a = np.matmul(a, weights_t[l])
             a += biases[l]
             np.tanh(a, out=a)
-        return np.matmul(a[:, None, :], weights_t[-1])[:, 0] + biases[-1]
+        a = np.matmul(a, weights_t[-1])
+        a += biases[-1]
+        return a[:, 0]
 
     def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
         """Reverse pass through the activations only: the adjoint of each

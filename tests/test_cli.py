@@ -653,8 +653,10 @@ def _tune_with_surrogate(tmp_path, path):
 def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, monkeypatch):
     """The benchmark's traced runs check `neuro._episode_cost_on_surrogate`
     calls against tune_trace.csv rows times `episodes.count`, so every
-    evaluation creates one episode per reference. Three episodes share one
-    stacked surrogate pass per step; one or two run on the row path."""
+    evaluation creates one episode per reference. The episodes of a start
+    simplex or a shrink, and the three of one evaluation, share one stacked
+    surrogate pass per step; one or two episodes of a single evaluation run
+    on the row path."""
     episodes, passes = [], []
     real = neuro._episode_cost_on_surrogate
     monkeypatch.setattr(neuro, "_episode_cost_on_surrogate",
@@ -670,7 +672,12 @@ def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, mon
     assert len(rows) == 7 and all(math.isfinite(float(r.split(",")[1])) for r in rows)
     assert len(episodes) == len(rows) * count
     # episodes of 12 samples (two leading zeros, then 10 at the level): 11 steps
-    assert passes == ([3] * (len(rows) * 11) if count == 3 else [])
+    # per stacked call; the first is the start simplex's four points
+    assert len(passes) % 11 == 0 and passes[:11] == [4 * count] * 11
+    assert all(k % count == 0 for k in passes)
+    # the points of stacked calls, and the single evaluations on the row path
+    stacked = sum(passes[::11]) // count
+    assert stacked == len(rows) if count == 3 else stacked < len(rows)
 
 
 # per model kind: (save a valid model file, run the command that loads it)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from loopbench import neuro
 from loopbench.dataio import split_contiguous
 from loopbench.errors import ControllerFault, TrainingUnstable
 from loopbench.neuro import (
@@ -708,34 +709,161 @@ def test_lockstep_costs_match_array_form_per_episode(case, name):
     assert _costs(narx, cases) == want
 
 
-def test_tune_static_ai_costs_equal_the_per_episode_mean():
+def test_tune_static_ai_costs_equal_the_per_episode_mean(monkeypatch):
     """The search's cost of each evaluation, every trace row included, equals
-    the mean of the per-episode array costs: the lockstep changes no bit."""
+    the mean of the per-episode array costs for one, two and three episodes:
+    the lockstep of every episode of a start simplex or shrink changes no bit,
+    also where the budget cuts a shrink after two of its three points."""
     narx = random_narx(2, 2, (8,), seed=5)
-    episodes = [np.concatenate([np.zeros(2), np.full(25, level)]) for level in (0.5, 1.0, 1.5)]
     gain_kw = {"u_min": -3.0, "u_max": 3.0}
     bounds = [[0.1, 2.0], [0.05, 2.0], [0.0, 0.2]]
+    rows = []
+    lockstep = neuro._lockstep_costs
+    monkeypatch.setattr(neuro, "_lockstep_costs",
+                        lambda model, runs: rows.append(len(runs)) or lockstep(model, runs))
+    # the budget that ends two points into the first shrink, by episode count
+    for count, cut in [(1, 10), (2, 13), (3, 13)]:
+        episodes = [np.concatenate([np.zeros(2), np.full(25, level)])
+                    for level in (0.5, 1.0, 1.5)[:count]]
 
-    def oracle(vec):
-        gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
-        return float(np.mean([_array_episode_cost(narx, gains, ep, 0.01) for ep in episodes]))
+        def oracle(vec):
+            gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
+            return float(np.mean([_array_episode_cost(narx, gains, ep, 0.01) for ep in episodes]))
 
-    got = tune_static_ai(narx, episodes, bounds, budget=25, seed=3, gain_kw=gain_kw)
-    want = tune_static_ai(None, None, bounds, budget=25, seed=3, gain_kw=gain_kw, cost_fn=oracle)
-    assert got.trace == want.trace and got.cost == want.cost and got.gains == want.gains
+        for budget in (cut, 25):
+            rows.clear()
+            got = tune_static_ai(narx, episodes, bounds, budget=budget, seed=3, gain_kw=gain_kw)
+            want = tune_static_ai(None, None, bounds, budget=budget, seed=3, gain_kw=gain_kw,
+                                  cost_fn=oracle)
+            assert got.trace == want.trace and got.cost == want.cost and got.gains == want.gains
+            assert len(got.trace) == budget and rows[0] == 4 * count
+            assert (rows[-1] == 2 * count) if budget == cut else (3 * count in rows)
+
+
+def _sequential_nelder_mead(f, x0, bounds, budget, seed=0, restarts=1, init_scale=0.25):
+    """`nelder_mead_bounded` as it was before it batched the start simplex and
+    the shrink: `f(x) -> cost` of one point, every point evaluated in turn."""
+    bounds = np.asarray(bounds, dtype=float)
+    n = len(x0)
+    trace = []
+    best_x, best_f = None, math.inf
+    evals = 0
+
+    class BudgetExhausted(Exception):
+        pass
+
+    def wrapped(x):
+        nonlocal evals, best_x, best_f
+        if evals >= budget:
+            raise BudgetExhausted
+        xc = np.clip(x, bounds[:, 0], bounds[:, 1])
+        c = float(f(xc))
+        trace.append((evals, c))
+        evals += 1
+        if c < best_f:
+            best_f, best_x = c, xc.copy()
+        return c
+
+    rng = np.random.default_rng(seed)
+    starts = [np.asarray(x0, dtype=float)]
+    for _ in range(max(restarts - 1, 0)):
+        starts.append(bounds[:, 0] + rng.random(n) * (bounds[:, 1] - bounds[:, 0]))
+
+    alpha, gamma, rho_c, sigma = 1.0, 2.0, 0.5, 0.5
+    try:
+        for x_start in starts:
+            simplex = [x_start.copy()]
+            for i in range(n):
+                v = x_start.copy()
+                step = init_scale * (bounds[i, 1] - bounds[i, 0])
+                v[i] = v[i] + step if v[i] + step <= bounds[i, 1] else v[i] - step
+                simplex.append(v)
+            fs = [wrapped(v) for v in simplex]
+            for _ in range(10 * budget):
+                order = np.argsort(fs)
+                simplex = [simplex[i] for i in order]
+                fs = [fs[i] for i in order]
+                if np.std(fs) < 1e-14 and max(np.linalg.norm(v - simplex[0]) for v in simplex) < 1e-12:
+                    break
+                centroid = np.mean(simplex[:-1], axis=0)
+                xr = centroid + alpha * (centroid - simplex[-1])
+                fr = wrapped(xr)
+                if fs[0] <= fr < fs[-2]:
+                    simplex[-1], fs[-1] = xr, fr
+                    continue
+                if fr < fs[0]:
+                    xe = centroid + gamma * (xr - centroid)
+                    fe = wrapped(xe)
+                    simplex[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
+                    continue
+                xc = centroid + rho_c * (simplex[-1] - centroid)
+                fc = wrapped(xc)
+                if fc < fs[-1]:
+                    simplex[-1], fs[-1] = xc, fc
+                    continue
+                for i in range(1, n + 1):
+                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
+                    fs[i] = wrapped(simplex[i])
+    except BudgetExhausted:
+        pass
+    return best_x, best_f, trace
+
+
+# one-point costs: an optimum outside the box, ties (a coarse floor and a
+# constant, which shrink on every step), and inf on part of the box or all of it
+SEARCH_COSTS = {
+    "outside": lambda v: float(np.sum((v - 10.0) ** 2)),
+    "ties": lambda v: float(np.floor(4.0 * np.sum((v - 0.3) ** 2))),
+    "constant": lambda v: 1.0,
+    "inf-part": lambda v: math.inf if v[0] > 0.6 else float(np.sum((v - 0.9) ** 2)),
+    "inf-all": lambda v: math.inf,
+}
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", list(SEARCH_COSTS))
+def test_nelder_mead_matches_the_sequential_search(name, n, restarts):
+    """Start simplices and shrinks evaluated as one call of several points give
+    the trace, best point and best cost of evaluating them one at a time, for
+    every budget from 1 to 12: budgets that end inside a start simplex, inside
+    a shrink, and past them."""
+    cost = SEARCH_COSTS[name]
+    bounds = np.array([[0.0, 1.0], [0.0, 2.0], [-1.0, 0.5]])[:n]
+    x0 = np.array([0.4, 1.9, 0.2])[:n]
+    for budget in range(1, 13):
+        sizes = []
+
+        def batch(points):
+            sizes.append(len(points))
+            return [cost(v) for v in points]
+
+        with np.errstate(invalid="ignore"):  # np.std of inf costs
+            want_x, want_f, want_trace = _sequential_nelder_mead(cost, x0, bounds, budget,
+                                                                 seed=budget, restarts=restarts)
+            got_x, got_f, got_trace = nelder_mead_bounded(batch, x0, bounds, budget,
+                                                          seed=budget, restarts=restarts)
+        assert got_trace == want_trace and len(got_trace) == sum(sizes) <= budget
+        assert got_f == want_f
+        assert (got_x is None and want_x is None) or got_x.tobytes() == want_x.tobytes()
+        assert sizes[0] == min(n + 1, budget) and all(1 <= k <= n + 1 for k in sizes)
+        if name == "constant" and n == 3 and budget == 12:
+            # start simplex, reflection, contraction, shrink, then a shrink cut after one point
+            assert sizes == [4, 1, 1, 3, 1, 1, 1]
 
 
 def test_nelder_mead_respects_bounds():
     seen = []
 
-    def probe(v):
-        seen.append(v.copy())
-        return float(np.sum((v - 10.0) ** 2))  # optimum far outside bounds
+    def probe(points):
+        seen.extend(v.copy() for v in points)
+        return [float(np.sum((v - 10.0) ** 2)) for v in points]  # optimum far outside bounds
 
     nelder_mead_bounded(probe, np.array([0.5, 0.5]), np.array([[0.0, 1.0], [0.0, 1.0]]),
                         budget=200, seed=0, restarts=2)
     pts = np.array(seen)
-    assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
+    assert len(pts) == 200 and np.all(pts >= 0.0) and np.all(pts <= 1.0)
 
 
 # ---------------------------------------------------------------------------

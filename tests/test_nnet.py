@@ -423,6 +423,7 @@ PORTABLE_REQUIRED = (
     "test_surrogate.py::test_predict_rows_bit_equal_to_predict_one",
     "test_neuro.py::test_episode_cost_bit_equal_to_array_form",
     "test_neuro.py::test_lockstep_costs_match_array_form_per_episode",
+    "test_neuro.py::test_nelder_mead_matches_the_sequential_search",
     "test_training_bits.py::",
     "test_neuro.py::test_control_loop_step_bit_equal_to_array_form",
     "test_neuro.py::test_gains_from_bit_equal_to_array_form",
