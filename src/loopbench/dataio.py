@@ -103,19 +103,18 @@ class TimeSeries:
             return False
 
 
-def from_trajectory(traj, measured: bool = True) -> TimeSeries:
+def from_trajectory(traj) -> TimeSeries:
     """Build a file record from a simulation trajectory.
 
     The y column records the measured response (what an experimenter's data
-    logger sees); pass measured=False for the raw plant output. Extra output
-    channels, when present, become y2, y3, ...
+    logger sees). Extra output channels, when present, become y2, y3, ...
     """
     extra = None
     if getattr(traj, "y_extra", None) is not None:
         extra = {f"y{i + 2}": traj.y_extra[:, i].copy() for i in range(traj.y_extra.shape[1])}
     return TimeSeries(
         t=traj.t.copy(), w=traj.w.copy(),
-        y=(traj.y_meas if measured else traj.y).copy(),
+        y=traj.y_meas.copy(),
         u=traj.u.copy(), d=traj.d.copy(), extra=extra,
     )
 

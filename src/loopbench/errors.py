@@ -76,8 +76,8 @@ class TooShort(LoopbenchError):
 class UnrecoverableFault(LoopbenchError):
     """The fallback path itself failed; the run cannot continue safely."""
 
-    def __init__(self, message: str, step: int = -1):
-        super().__init__(message if step < 0 else f"{message} (step {step})")
+    def __init__(self, message: str, step: int):
+        super().__init__(f"{message} (step {step})")
         self.step = step
 
 

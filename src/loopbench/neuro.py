@@ -306,7 +306,7 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
         params = np.empty(work.mlp.n_params + work.aux.n_params)
         work.mlp.bind(params[:work.mlp.n_params])
         work.aux.bind(params[work.mlp.n_params:])
-    adam = Adam(params.size, cfg.learning_rate, cfg.beta1, cfg.beta2)
+    adam = Adam(params.size, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     grads = np.empty(params.size)  # laid out like `params`, rewritten every step
 
@@ -460,8 +460,7 @@ class _SchedulerBlock:
 
 
 def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float = 0.01,
-                       limits: tuple[float, float] = (-math.inf, math.inf),
-                       want_grads: bool = True):
+                       limits: tuple[float, float] = (-math.inf, math.inf)):
     """Rollout loss and exact gradient w.r.t. the trained network's weights.
 
     loss = mean squared tracking error + rho * mean squared control move.
@@ -505,8 +504,6 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float 
         caches.append((cache, acts_s))
 
     loss = loss_track / horizon + rho * loss_du / horizon
-    if not want_grads:
-        return loss, None
 
     # each reverse step adds, in this order: the loss terms, the surrogate
     # adjoint, then the block's reverse step; every += is a float sum, so
@@ -532,13 +529,17 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float 
     return loss, target.mlp.summed_row_gradient(*zip(*steps))
 
 
+# gradient norm above which a BPTT update is scaled down to it
+CLIP_NORM = 1.0
+
+
 def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConfig,
-               rho: float = 0.01, clip_norm: float = 1.0,
-               limits: tuple[float, float] | None = None) -> BpttResult:
+               limits: tuple[float, float], rho: float = 0.01) -> BpttResult:
     """Train a controller or scheduler through closed-loop surrogate rollouts.
 
-    One Adam update per episode in a fixed seeded order; gradient norm is
-    clipped at `clip_norm`. Diverged rollouts are skipped and counted; more
+    `limits` bound the scheduled PI core's command (a controller bounds its
+    own). One Adam update per episode in a fixed seeded order; gradient norm
+    is clipped at `CLIP_NORM`. Diverged rollouts are skipped and counted; more
     than half skipped in one epoch aborts as unstable. horizon = 0 is the
     degenerate no-op contract (loss 0, no update).
     """
@@ -547,13 +548,10 @@ def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConf
     work = target.copy()
     if horizon == 0:
         return BpttResult(trained=work, history=[0.0], skipped=[0])
-    if limits is None:
-        limits = (target.u_min, target.u_max) if isinstance(target, NeuralController) \
-            else (-math.inf, math.inf)
 
     refs = [np.asarray(r, dtype=float) for r in references]
     rng = np.random.default_rng(cfg.seed)
-    adam = Adam(work.mlp.n_params, cfg.learning_rate, cfg.beta1, cfg.beta2)
+    adam = Adam(work.mlp.n_params, cfg.learning_rate)
     result = BpttResult(trained=work, history=[], skipped=[])
 
     for _ in range(cfg.max_epochs):
@@ -570,8 +568,8 @@ def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConf
                 skipped += 1
                 continue
             norm = float(np.linalg.norm(flat))
-            if norm > clip_norm:
-                flat = flat * (clip_norm / norm)
+            if norm > CLIP_NORM:
+                flat = flat * (CLIP_NORM / norm)
             adam.step(work.mlp.params, flat)
             losses.append(loss)
         if skipped > 0.5 * len(refs):
@@ -589,8 +587,12 @@ class _BudgetExhausted(Exception):
     pass
 
 
+# a start simplex's edge along each axis, as a fraction of that axis's bounds
+SIMPLEX_SCALE = 0.25
+
+
 def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int,
-                        seed: int = 0, restarts: int = 1, init_scale: float = 0.25):
+                        seed: int = 0, restarts: int = 1):
     """Minimal Nelder-Mead with clipped-to-bounds evaluations and an exact
     evaluation budget shared across seeded restarts.
 
@@ -632,7 +634,7 @@ def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int,
             simplex = [x_start.copy()]
             for i in range(n):
                 v = x_start.copy()
-                step = init_scale * (bounds[i, 1] - bounds[i, 0])
+                step = SIMPLEX_SCALE * (bounds[i, 1] - bounds[i, 0])
                 v[i] = v[i] + step if v[i] + step <= bounds[i, 1] else v[i] - step
                 simplex.append(v)
             fs = wrapped(simplex)
@@ -640,7 +642,9 @@ def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int,
                 order = np.argsort(fs)
                 simplex = [simplex[i] for i in order]
                 fs = [fs[i] for i in order]
-                if np.std(fs) < 1e-14 and max(np.linalg.norm(v - simplex[0]) for v in simplex) < 1e-12:
+                with np.errstate(invalid="ignore"):  # an inf cost: nan spread, no break
+                    flat = np.std(fs) < 1e-14
+                if flat and max(np.linalg.norm(v - simplex[0]) for v in simplex) < 1e-12:
                     break
                 centroid = np.mean(simplex[:-1], axis=0)
                 xr = centroid + alpha * (centroid - simplex[-1])
@@ -746,7 +750,7 @@ def _cost_alone(narx: NarxModel, episode) -> float:
 
 
 def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
-                   seed: int = 0, restarts: int = 2, x0=None, cost_fn=None,
+                   seed: int = 0, restarts: int = 2, x0=None,
                    gain_kw: dict | None = None) -> StaticTuneResult:
     """Derivative-free (kp, ki, kd) search against the surrogate.
 
@@ -755,29 +759,23 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
     IAE + rho * integral(|u|). Every episode of every point of one search
     call (a start simplex, a shrink, or one point) runs in one lockstep
     (`_lockstep_costs`), and each point's cost is the mean over its own
-    episodes. `cost_fn(vec) -> float`, when given, replaces the simulation
-    cost entirely (test stubs, custom objectives), one point at a time.
+    episodes.
     """
     if budget < 1:
         raise ValueError("evaluation budget must be positive")
+    if not episodes:
+        raise ValueError("need at least one episode")
     bounds = np.asarray(gain_bounds, dtype=float).reshape(3, 2)
     gain_kw = gain_kw or {}
+    m = len(episodes)
 
-    if cost_fn is not None:
-        def costs_of(points):
-            return [cost_fn(vec) for vec in points]
-    else:
-        if not episodes:
-            raise ValueError("need at least one episode")
-        m = len(episodes)
-
-        def costs_of(points):
-            runs = []
-            for vec in points:
-                gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
-                runs += [_episode_cost_on_surrogate(model, gains, ep, rho) for ep in episodes]
-            costs = _lockstep_costs(model, runs)
-            return [float(np.mean(costs[i:i + m])) for i in range(0, len(costs), m)]
+    def costs_of(points):
+        runs = []
+        for vec in points:
+            gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
+            runs += [_episode_cost_on_surrogate(model, gains, ep, rho) for ep in episodes]
+        costs = _lockstep_costs(model, runs)
+        return [float(np.mean(costs[i:i + m])) for i in range(0, len(costs), m)]
 
     start = np.asarray(x0, dtype=float) if x0 is not None else 0.5 * (bounds[:, 0] + bounds[:, 1])
     start = np.clip(start, bounds[:, 0], bounds[:, 1])

@@ -24,6 +24,11 @@ STD_FLOOR = 1e-12
 
 WEIGHTS_MAGIC = "loopbench-mlp v1"
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return (x - mean) / std
@@ -258,9 +263,8 @@ def grad(net: Mlp, x: np.ndarray, y: np.ndarray):
 class Adam:
     """Adaptive-moment update rule on a flat parameter vector, in place."""
 
-    def __init__(self, n_params: int, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, n_params: int, lr: float):
+        self.lr = lr
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
@@ -269,20 +273,18 @@ class Adam:
         """One update of `params` (and the moments) in place; elementwise,
         so each entry rounds exactly as the out-of-place formula would."""
         self.t += 1
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grads ** 2
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grads
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grads ** 2
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 10_000
@@ -311,7 +313,7 @@ def train(net: Mlp, data: SupervisedDataset, val: SupervisedDataset, cfg: TrainC
     """
     work = net.copy()
     rng = np.random.default_rng(cfg.seed)
-    adam = Adam(work.n_params, cfg.learning_rate, cfg.beta1, cfg.beta2)
+    adam = Adam(work.n_params, cfg.learning_rate)
     result = TrainResult(net=net.copy())
     n = len(data)
     wait = 0

@@ -56,14 +56,6 @@ class PidGains:
         ki = 0.0 if not math.isfinite(ti) or ti <= 0.0 else kp / ti
         return PidGains(kp=kp, ki=ki, kd=kp * td, **kw)
 
-    @property
-    def ti(self) -> float:
-        return self.kp / self.ki if self.ki > 0.0 else math.inf
-
-    @property
-    def td(self) -> float:
-        return self.kd / self.kp if self.kp > 0.0 else 0.0
-
 
 @dataclass
 class PidState:

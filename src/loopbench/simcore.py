@@ -130,9 +130,10 @@ PlantVariant = Union[LinearStateSpace, Fopdt, SecondOrder, TankNonlinear]
 
 # Integrator state: a float for Fopdt and TankNonlinear, a tuple of floats
 # otherwise. Python floats and numpy float64 elements round identically, so
-# every plant integrates to the same bits as the vector form; A x and C x stay
-# BLAS products (OpenBLAS fuses multiply-adds, a Python dot product does not).
-PlantState = Union[float, tuple, np.ndarray]
+# every plant integrates to the same bits as the vector form (the tests keep
+# it as the reference); A x and C x stay BLAS products (OpenBLAS fuses
+# multiply-adds, a Python dot product does not).
+PlantState = Union[float, tuple]
 
 
 @dataclass(frozen=True)
@@ -369,11 +370,9 @@ class DelayLine:
 def rk4_step(state: PlantState, u, dt: float, dynamics: Callable) -> PlantState:
     """Classical 4th-order Runge-Kutta update with input held over the step.
 
-    A float or tuple state (every plant) is integrated element by element
-    with the same operations in the same order as the array form.
+    A float or tuple state is integrated element by element with the
+    operations of x + (dt / 6)(k1 + 2 k2 + 2 k3 + k4) in the vector form's order.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
     if isinstance(state, float):
         k1 = dynamics(state, u)
         k2 = dynamics(state + 0.5 * dt * k1, u)
@@ -381,7 +380,7 @@ def rk4_step(state: PlantState, u, dt: float, dynamics: Callable) -> PlantState:
         k4 = dynamics(state + dt * k3, u)
         out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         finite = math.isfinite(out)
-    elif isinstance(state, tuple):
+    else:
         h = 0.5 * dt
         k1 = dynamics(state, u)
         k2 = dynamics(tuple([x + h * k for x, k in zip(state, k1)]), u)
@@ -391,14 +390,6 @@ def rk4_step(state: PlantState, u, dt: float, dynamics: Callable) -> PlantState:
         out = tuple([x + c * (a + 2.0 * b + 2.0 * e + f)
                      for x, a, b, e, f in zip(state, k1, k2, k3, k4)])
         finite = all(map(math.isfinite, out))
-    else:
-        x = np.asarray(state, dtype=float)
-        k1 = np.asarray(dynamics(x, u), dtype=float)
-        k2 = np.asarray(dynamics(x + 0.5 * dt * k1, u), dtype=float)
-        k3 = np.asarray(dynamics(x + 0.5 * dt * k2, u), dtype=float)
-        k4 = np.asarray(dynamics(x + dt * k3, u), dtype=float)
-        out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        finite = np.all(np.isfinite(out))
     if not finite:
         raise SimulationDiverged("non-finite state after RK4 stage", step=-1)
     return out
@@ -430,7 +421,7 @@ class ConstantController:
 class SignalController:
     """Plays back a precomputed input sequence (open-loop excitation runs)."""
 
-    def __init__(self, u: Sequence[float] | Callable[[float], float]):
+    def __init__(self, u: Sequence[float]):
         self._u = u
         self._k = 0
 
@@ -438,11 +429,8 @@ class SignalController:
         self._k = 0
 
     def step(self, w, y, dt) -> float:
-        if callable(self._u):
-            value = float(self._u(self._k * dt))
-        else:
-            seq = self._u
-            value = float(seq[self._k]) if self._k < len(seq) else float(seq[-1])
+        seq = self._u
+        value = float(seq[self._k]) if self._k < len(seq) else float(seq[-1])
         self._k += 1
         return value
 

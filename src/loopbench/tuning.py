@@ -56,11 +56,10 @@ class UltimateParams:
 # Step-test identification
 # ---------------------------------------------------------------------------
 
-def run_step_test(plant: PlantModel, cfg: SimConfig, u0: float = 0.0, u1: float = 1.0,
-                  step_time: float | None = None) -> Trajectory:
-    """Open-loop input step from steady state, recorded for identification."""
-    t_step = step_time if step_time is not None else 0.05 * cfg.horizon
-    u = np.where(cfg.time_grid() >= t_step, u1, u0)
+def run_step_test(plant: PlantModel, cfg: SimConfig, u1: float = 1.0) -> Trajectory:
+    """Open-loop input step from 0 to `u1` at 5 % of the horizon, from steady
+    state, recorded for identification."""
+    u = np.where(cfg.time_grid() >= 0.05 * cfg.horizon, u1, 0.0)
     return simulate(plant, SignalController(u), 0.0, cfg=cfg)
 
 

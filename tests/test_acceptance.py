@@ -29,9 +29,10 @@ from loopbench.simcore import (
 )
 from loopbench.surrogate import NarxModel, fit_surrogate, narx_rollout
 from loopbench.tuning import (
-    FopdtModel, UltimateParams, identify_fopdt_step, relay_experiment, run_step_test,
-    tune_cohen_coon, tune_kappa_tau, tune_ziegler_nichols,
+    FopdtModel, UltimateParams, identify_fopdt_step, relay_experiment, tune_cohen_coon,
+    tune_kappa_tau, tune_ziegler_nichols,
 )
+from test_tuning import step_test
 
 
 class Budget:
@@ -82,19 +83,19 @@ def test_ac1_tuning_rule_exactness():
     with Budget("AC-1", 1.0) as b:
         cc = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
         assert cc.kp == pytest.approx(35.0 / 12.0, rel=1e-9)      # 2.916667
-        assert cc.ti == pytest.approx(17.5 / 17.0, rel=1e-9)      # 1.029412
-        assert cc.td == pytest.approx(1.0 / 6.0, rel=1e-9)        # 0.166667
+        assert cc.kp / cc.ki == pytest.approx(17.5 / 17.0, rel=1e-9)  # 1.029412
+        assert cc.kd / cc.kp == pytest.approx(1.0 / 6.0, rel=1e-9)    # 0.166667
         kt = tune_kappa_tau(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
         assert kt.kp == pytest.approx(1.1, rel=1e-9)
-        assert kt.ti == pytest.approx(0.5 / 0.6, rel=1e-9)
-        assert kt.td == pytest.approx(0.25 / 1.15, rel=1e-9)
+        assert kt.kp / kt.ki == pytest.approx(0.5 / 0.6, rel=1e-9)
+        assert kt.kd / kt.kp == pytest.approx(0.25 / 1.15, rel=1e-9)
         zn = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pid")
-        assert (zn.kp, zn.ti, zn.td) == (pytest.approx(1.2, rel=1e-9),
-                                         pytest.approx(0.5, rel=1e-9),
-                                         pytest.approx(0.125, rel=1e-9))
+        assert (zn.kp, zn.kp / zn.ki, zn.kd / zn.kp) == (pytest.approx(1.2, rel=1e-9),
+                                                         pytest.approx(0.5, rel=1e-9),
+                                                         pytest.approx(0.125, rel=1e-9))
         zn_pi = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pi")
         assert zn_pi.kp == pytest.approx(0.9, rel=1e-9)
-        assert zn_pi.ti == pytest.approx(1.0 / 1.2, rel=1e-9)
+        assert zn_pi.kp / zn_pi.ki == pytest.approx(1.0 / 1.2, rel=1e-9)
         assert tune_ziegler_nichols(UltimateParams(ku=1.0, pu=1.0), "p").kp == pytest.approx(0.5, rel=1e-9)
     b.report("ZN / Cohen-Coon / Kappa-Tau tables match the formulas to 1e-9 relative")
 
@@ -102,7 +103,7 @@ def test_ac1_tuning_rule_exactness():
 def test_ac2_identification_pipeline():
     with Budget("AC-2", 5.0) as b:
         plant = PlantModel(Fopdt(gain=1.0, tau=2.0, dead_time=1.0), u_min=-3.0, u_max=3.0)
-        traj = run_step_test(plant, SimConfig(dt=0.01, horizon=25.0, seed=0), step_time=1.0)
+        traj = step_test(plant, SimConfig(dt=0.01, horizon=25.0, seed=0), step_time=1.0)
         m = identify_fopdt_step(traj)
         assert m.gain == pytest.approx(1.0, rel=0.05)
         assert m.tau == pytest.approx(2.0, rel=0.05)
@@ -119,11 +120,11 @@ def test_ac3_integrator_order():
     with Budget("AC-3", 1.0) as b:
         def max_err(dt):
             n = round(1.0 / dt)
-            x = np.array([1.0])
+            x = 1.0
             worst = 0.0
             for k in range(n):
                 x = rk4_step(x, 0.0, dt, lambda s, u: -s)
-                worst = max(worst, abs(x[0] - math.exp(-(k + 1) * dt)))
+                worst = max(worst, abs(x - math.exp(-(k + 1) * dt)))
             return worst
 
         ratio = max_err(0.1) / max_err(0.05)
@@ -163,9 +164,9 @@ def test_ac4_gradient_oracle():
             g = np.zeros_like(base)
             for i in range(base.size):
                 params[i] = base[i] + 1e-5
-                hi, _ = bptt_loss_and_grad(target, narx, w_seq, 3, 0.01, limits, want_grads=False)
+                hi, _ = bptt_loss_and_grad(target, narx, w_seq, 3, 0.01, limits)
                 params[i] = base[i] - 1e-5
-                lo, _ = bptt_loss_and_grad(target, narx, w_seq, 3, 0.01, limits, want_grads=False)
+                lo, _ = bptt_loss_and_grad(target, narx, w_seq, 3, 0.01, limits)
                 params[i] = base[i]
                 g[i] = (hi - lo) / 2e-5
             return g

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,11 +262,62 @@ def test_tune_cohen_coon_passthrough_exact(tmp_path):
     assert gains["kd"] / gains["kp"] == pytest.approx(1.0 / 6.0, rel=1e-9)    # Td
 
 
+# (ku / kp, ti / pu, td / pu) of the Ziegler-Nichols table, by controller kind
+ZN_TABLE = {"p": (0.5, None, None), "pi": (0.45, 1.0 / 1.2, None), "pid": (0.6, 0.5, 0.125)}
+
+
+@pytest.mark.parametrize("kind", sorted(ZN_TABLE))
+def test_tune_ziegler_nichols_from_a_given_fopdt(tmp_path, kind):
+    """The rule's ultimate point comes from `tuning.fopdt`, not from a relay
+    run: the ultimate gain read back from kp gives the crossover frequency w
+    of |G(jw)| Ku = 1, which satisfies w L + atan(w tau) = pi, and Ti and Td
+    are the table's fractions of Pu = 2 pi / w."""
+    gain, tau, dead = 2.0, 1.5, 0.4
+    cfg = {"tuning": {"mode": "rule", "rule": "ziegler-nichols", "kind": kind,
+                      "fopdt": {"gain": gain, "tau": tau, "dead_time": dead}}}
+    assert main(["tune", "--config", _write(tmp_path, "t.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    gains = json.loads((tmp_path / "o" / "gains.json").read_text())
+    kp_of_ku, ti_of_pu, td_of_pu = ZN_TABLE[kind]
+    ku = gains["kp"] / kp_of_ku
+    w = math.sqrt((ku * gain) ** 2 - 1.0) / tau
+    assert w * dead + math.atan(w * tau) == pytest.approx(math.pi, rel=1e-12)
+    pu = 2.0 * math.pi / w
+    if ti_of_pu is None:
+        assert gains["ki"] == 0.0
+    else:
+        assert gains["kp"] / gains["ki"] == pytest.approx(ti_of_pu * pu, rel=1e-9)
+    if td_of_pu is None:
+        assert gains["kd"] == 0.0
+    else:
+        assert gains["kd"] / gains["kp"] == pytest.approx(td_of_pu * pu, rel=1e-9)
+
+
+def test_tune_ziegler_nichols_from_an_fopdt_without_dead_time_exits_3(tmp_path, capsys):
+    cfg = {"tuning": {"mode": "rule", "rule": "ziegler-nichols",
+                      "fopdt": {"gain": 1.0, "tau": 1.0, "dead_time": 0}}}
+    assert main(["tune", "--config", _write(tmp_path, "t.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "numerical failure: no phase crossover without dead time\n"
+
+
 def test_tune_ai_zero_budget_rejected(tmp_path, capsys):
     cfg = {"tuning": {"mode": "ai", "budget": 0}}
     cfg_path = _write(tmp_path, "t.json", cfg)
     assert main(["tune", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, block, message", [
+    ("tune", {"tuning": {"mode": "ai"}}, "tuning.mode: AI tuning needs --surrogate <model>"),
+    ("train-controller", {"training": {"mode": "bptt"}},
+     "training.mode: bptt training needs --surrogate <model>"),
+], ids=["tune-ai", "train-bptt"])
+def test_surrogate_mode_without_surrogate_exits_2(tmp_path, capsys, command, block, message):
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, **block}
+    argv = [command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +573,39 @@ def _simulate_with_model(tmp_path, path, kind="neural"):
                  "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("block, message", [
+    ({"controller": {"kind": "neural"}},
+     "controller.model_path: neural controller needs model_path"),
+    ({"controller": {"kind": "pid+scheduler"}},
+     "controller.model_path: pid+scheduler controller needs model_path"),
+    ({"controller": {"kind": "pid"}, "safety": {"kind": "blend", "delta": 0.1, "correction": {"kind": "neural"}}},
+     "safety.correction.model_path: neural correction needs model_path"),
+    ({"controller": {"kind": "pid"}, "reference": {"variant": "profile"}},
+     "reference.path: profile reference needs a path"),
+], ids=["neural", "pid+scheduler", "neural-correction", "profile-reference"])
+def test_simulate_without_a_needed_path_exits_2_naming_it(tmp_path, capsys, block, message):
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT), **block}
+    argv = ["simulate", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_simulate_model_flag_loads_the_file_and_echoes_it(tmp_path):
+    """`--model` replaces `controller.model_path`: the run equals one whose
+    config names the file, and the echoed config holds the flag's path."""
+    path = str(_saved_controller(tmp_path))
+    assert _simulate_with_model(tmp_path, path) == 0
+    want = (tmp_path / "o" / "trajectory.csv").read_bytes()
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+           "controller": {"kind": "neural", "model_path": str(tmp_path / "missing.weights")}}
+    out = tmp_path / "flag"
+    assert main(["simulate", "--config", _write(tmp_path, "flag.json", cfg),
+                 "--model", path, "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").read_bytes() == want
+    echo = json.loads((out / "simulate_config.json").read_text())
+    assert echo["controller"]["model_path"] == path
+
+
 def test_truncated_weights_file_is_parse_error_with_line(tmp_path, capsys):
     path = _saved_controller(tmp_path)
     lines = path.read_text().splitlines()
@@ -678,6 +763,21 @@ def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, mon
     # the points of stacked calls, and the single evaluations on the row path
     stacked = sum(passes[::11]) // count
     assert stacked == len(rows) if count == 3 else stacked < len(rows)
+
+
+def test_ai_tune_whose_every_evaluation_diverges_prints_one_line(tmp_path, capsys):
+    """A surrogate that predicts 1e7 at every step sends every episode past the
+    divergence bound, so every cost is inf. The search's convergence test then
+    takes the spread of inf costs; that raises no numpy warning (which would
+    print to stderr outside pytest), and the failure is the only line."""
+    path = tmp_path / "sur.weights"
+    save_model(NarxModel(Mlp([4, 1], init=False), 2, 2, 0.1, np.zeros(4), np.ones(4),
+                         np.full(1, 1e7), np.ones(1)), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _tune_with_surrogate(tmp_path, path) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "numerical failure: every candidate evaluation diverged\n"
 
 
 # per model kind: (save a valid model file, run the command that loads it)

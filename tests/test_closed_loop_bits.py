@@ -31,6 +31,7 @@ from loopbench.simcore import (
     SimConfig, _noise_draws, _reference_array, _sensor_reader, primary_output, rk4_step,
     simulate, step_reference,
 )
+from test_simcore import array_rk4_step
 
 pytestmark = pytest.mark.bits
 
@@ -276,7 +277,7 @@ def test_cascade_step_bit_equal_to_per_step_form(channels):
 @pytest.mark.parametrize("states", [1, 2, 3, 4])
 def test_linear_plant_bit_equal_to_array_branch(states, outputs):
     """A run of `output_map()` and `dynamics()` calls, interleaved as in
-    `simulate`, against the array branch of `rk4_step` and a fresh operand
+    `simulate`, against the array form of `rk4_step` and a fresh operand
     per product; every multi-output reading stays as it was returned."""
     rng = np.random.default_rng([states, outputs])
     variant = LinearStateSpace(a=rng.normal(0.0, 1.5, size=(states, states)),
@@ -296,7 +297,7 @@ def test_linear_plant_bit_equal_to_array_branch(states, outputs):
         assert _bits(y) == _bits(ref_readings[-1])
         assert _bits(dynamics(x, u)) == _bits(ref(x, u))
         x = rk4_step(x, u, dt, dynamics)
-        x_ref = rk4_step(x_ref, u, dt, lambda s, v: variant.a @ s + variant.b * v)
+        x_ref = array_rk4_step(x_ref, u, dt, lambda s, v: variant.a @ s + variant.b * v)
         assert _bits(x) == x_ref.tobytes()
     assert _bits(readings) == _bits(ref_readings)
 

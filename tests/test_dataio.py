@@ -476,3 +476,80 @@ def test_every_public_definition_is_used_in_src():
               if owner not in UNREACHED_ON_PURPOSE
               and not any(n == name and o != owner for n, o in used)]
     assert unused == [], "delete what nothing in src/ uses, or use it"
+
+
+# defaulted parameters that no call in src/ sets, on purpose; a whole
+# function's entry covers each of its parameters
+SET_BY_NO_SRC_CALL_ON_PURPOSE = {
+    "cli.main.argv": "the console entry point calls main() without argv",
+    "metrics.measure_latency": "AC-11's latency instrument, in UNREACHED_ON_PURPOSE",
+    "simcore.simulate.gain_schedule": "AC-10's process change and the five */linear goldens",
+}
+
+
+def defaulted_parameters_no_call_sets(src: Path) -> list[str]:
+    """`module.function.parameter` (a method as `module.Class.method.parameter`)
+    of each defaulted parameter of a module-level function or method in `src`
+    that no call in `src` could set: by keyword, by position, or through
+    `*`/`**`. A call counts when its callee's name matches the function's, or
+    the class's for `__init__`."""
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(src.glob("*.py"))]
+    defs = []  # (label, callee name, positional parameters after self, defaulted names)
+    for module, tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                members = [(f"{module}.", stmt, stmt.name, 0)]
+            elif isinstance(stmt, ast.ClassDef):
+                members = [(f"{module}.{stmt.name}.", fn,
+                            stmt.name if fn.name == "__init__" else fn.name,
+                            0 if any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list) else 1)
+                           for fn in stmt.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for prefix, fn, callee, skip in members:
+                a = fn.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = positional[len(positional) - len(a.defaults):] + \
+                    [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                defs.append((prefix + fn.name, callee, positional[skip:], defaulted))
+    calls = [node for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def callee_name(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    def sets(call, name, index):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        return index is not None and (len(call.args) > index
+                                      or any(isinstance(x, ast.Starred) for x in call.args))
+
+    return [f"{label}.{name}" for label, callee, positional, defaulted in defs
+            for name in defaulted
+            if not any(callee_name(c) == callee
+                       and sets(c, name, positional.index(name) if name in positional else None)
+                       for c in calls)]
+
+
+def test_scan_flags_a_defaulted_parameter_no_call_sets(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n\n"
+        "class K:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+        "    def g(self, z=0):\n        pass\n\n"
+        "f(0, 1, c=2)\nK(1)\nk.g(**kw)\n", encoding="utf-8")
+    assert defaulted_parameters_no_call_sets(tmp_path) == ["m.f.d", "m.K.__init__.y"]
+
+
+def test_every_defaulted_parameter_is_set_by_a_call_in_src():
+    """An option whose only value in use is its default is a constant: each
+    defaulted parameter in `src/` is set by some call in `src/`, apart from
+    the allow-list, each entry with its reason."""
+    flagged = defaulted_parameters_no_call_sets(Path(loopbench.__file__).parent)
+    unset = [p for p in flagged if p not in SET_BY_NO_SRC_CALL_ON_PURPOSE
+             and p.rsplit(".", 1)[0] not in SET_BY_NO_SRC_CALL_ON_PURPOSE]
+    assert unset == [], "make each a constant, or set it from a command"
+    stale = [key for key in SET_BY_NO_SRC_CALL_ON_PURPOSE
+             if not any(p == key or p.rsplit(".", 1)[0] == key for p in flagged)]
+    assert stale == [], "drop allow-list entries that no longer match"

@@ -43,9 +43,9 @@ def _fd_bptt(target, narx, w_seq, horizon, rho, limits, h=1e-5):
     g = np.zeros_like(base)
     for i in range(base.size):
         params[i] = base[i] + h
-        hi, _ = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits, want_grads=False)
+        hi, _ = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
         params[i] = base[i] - h
-        lo, _ = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits, want_grads=False)
+        lo, _ = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
         params[i] = base[i]
         g[i] = (hi - lo) / (2.0 * h)
     return g
@@ -487,7 +487,8 @@ def test_one_rollout_loop_bit_equal_to_the_two_rollouts(kind):
 def test_bptt_identity_surrogate_learns_constant_reference():
     nc = NeuralController(Mlp([9, 8, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
     res = train_bptt(nc, _identity_narx(), [np.full(40, 0.5)], horizon=30,
-                     cfg=TrainConfig(learning_rate=0.05, max_epochs=300, seed=0), rho=0.001)
+                     cfg=TrainConfig(learning_rate=0.05, max_epochs=300, seed=0),
+                     limits=(-1.0, 1.0), rho=0.001)
     assert res.history[-1] < 1e-4
     loop = NeuralControlLoop(res.trained)
     u = 0.0
@@ -499,7 +500,7 @@ def test_bptt_identity_surrogate_learns_constant_reference():
 def test_bptt_zero_horizon_is_noop():
     nc = NeuralController(Mlp([9, 4, 1], seed=1), u_min=-1.0, u_max=1.0, memory=4)
     res = train_bptt(nc, _identity_narx(), [np.full(5, 0.5)], horizon=0,
-                     cfg=TrainConfig(max_epochs=50, seed=0))
+                     cfg=TrainConfig(max_epochs=50, seed=0), limits=(-1.0, 1.0))
     assert res.history == [0.0]
     assert np.array_equal(res.trained.mlp.params, nc.mlp.params)
 
@@ -508,7 +509,8 @@ def test_bptt_deterministic_weights():
     def run():
         nc = NeuralController(Mlp([9, 6, 1], seed=2), u_min=-1.0, u_max=1.0, memory=4)
         res = train_bptt(nc, _identity_narx(), [np.full(20, 0.3), np.full(20, -0.2)],
-                         horizon=15, cfg=TrainConfig(learning_rate=0.02, max_epochs=40, seed=9))
+                         horizon=15, cfg=TrainConfig(learning_rate=0.02, max_epochs=40, seed=9),
+                         limits=(-1.0, 1.0))
         return res.trained.mlp.params
 
     assert np.array_equal(run(), run())
@@ -522,7 +524,7 @@ def test_bptt_unstable_when_rollouts_diverge():
     nc = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
     with np.errstate(all="ignore"), pytest.raises(TrainingUnstable):
         train_bptt(nc, narx, [np.full(30, 0.5)], horizon=20,
-                   cfg=TrainConfig(max_epochs=3, seed=0))
+                   cfg=TrainConfig(max_epochs=3, seed=0), limits=(-1.0, 1.0))
 
 
 @pytest.mark.parametrize("kind", ["controller", "scheduler"])
@@ -544,39 +546,45 @@ def test_bptt_skips_a_rollout_whose_squares_overflow(kind):
         loss, _ = bptt_loss_and_grad(target, narx, w_seq, 200, 0.01)
         assert loss == math.inf
         with pytest.raises(TrainingUnstable):
-            train_bptt(target, narx, [w_seq], horizon=200, cfg=TrainConfig(max_epochs=1, seed=0))
+            train_bptt(target, narx, [w_seq], horizon=200, cfg=TrainConfig(max_epochs=1, seed=0),
+                       limits=(-math.inf, math.inf))
 
 
 def test_bptt_horizon_cap():
     nc = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
     with pytest.raises(ValueError):
         train_bptt(nc, _identity_narx(), [np.zeros(300)], horizon=250,
-                   cfg=TrainConfig(max_epochs=1, seed=0))
+                   cfg=TrainConfig(max_epochs=1, seed=0), limits=(-1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # static AI tuning (bounded Nelder-Mead)
 # ---------------------------------------------------------------------------
 
+def _one_point_at_a_time(cost):
+    """A `nelder_mead_bounded` objective from a cost of one point."""
+    return lambda points: [cost(v) for v in points]
+
+
 def test_nelder_mead_quadratic_stub_argmin():
-    res = tune_static_ai(None, None, [[0.0, 5.0]] * 3, budget=500, seed=0,
-                         cost_fn=lambda v: (v[0] - 1) ** 2 + (v[1] - 2) ** 2 + (v[2] - 0.5) ** 2)
-    assert res.gains.kp == pytest.approx(1.0, abs=1e-3)
-    assert res.gains.ki == pytest.approx(2.0, abs=1e-3)
-    assert res.gains.kd == pytest.approx(0.5, abs=1e-3)
-    assert res.n_evals <= 500
+    quadratic = lambda v: (v[0] - 1) ** 2 + (v[1] - 2) ** 2 + (v[2] - 0.5) ** 2
+    best_x, _, trace = nelder_mead_bounded(_one_point_at_a_time(quadratic), np.full(3, 2.5),
+                                           np.array([[0.0, 5.0]] * 3), budget=500, seed=0,
+                                           restarts=2)
+    assert best_x == pytest.approx([1.0, 2.0, 0.5], abs=1e-3)
+    assert len(trace) <= 500
 
 
 def test_budget_one_returns_first_simplex_point():
-    res = tune_static_ai(None, None, [[0.0, 4.0]] * 3, budget=1, seed=0,
-                         cost_fn=lambda v: float(np.sum(v ** 2)))
+    res = tune_static_ai(_identity_narx(), [np.ones(10)], [[0.0, 4.0]] * 3, budget=1, seed=0,
+                         gain_kw={"u_min": -3.0, "u_max": 3.0})
     assert res.n_evals == 1
-    assert res.gains.kp == pytest.approx(2.0)  # bound midpoint start
+    assert (res.gains.kp, res.gains.ki, res.gains.kd) == (2.0, 2.0, 2.0)  # bound midpoint start
 
 
 def test_positive_budget_required():
     with pytest.raises(ValueError):
-        tune_static_ai(None, None, [[0.0, 1.0]] * 3, budget=0, cost_fn=lambda v: 0.0)
+        tune_static_ai(_identity_narx(), [np.ones(10)], [[0.0, 1.0]] * 3, budget=0)
 
 
 def test_tune_static_ai_against_surrogate_episode():
@@ -717,6 +725,7 @@ def test_tune_static_ai_costs_equal_the_per_episode_mean(monkeypatch):
     narx = random_narx(2, 2, (8,), seed=5)
     gain_kw = {"u_min": -3.0, "u_max": 3.0}
     bounds = [[0.1, 2.0], [0.05, 2.0], [0.0, 0.2]]
+    box = np.array(bounds)
     rows = []
     lockstep = neuro._lockstep_costs
     monkeypatch.setattr(neuro, "_lockstep_costs",
@@ -733,14 +742,17 @@ def test_tune_static_ai_costs_equal_the_per_episode_mean(monkeypatch):
         for budget in (cut, 25):
             rows.clear()
             got = tune_static_ai(narx, episodes, bounds, budget=budget, seed=3, gain_kw=gain_kw)
-            want = tune_static_ai(None, None, bounds, budget=budget, seed=3, gain_kw=gain_kw,
-                                  cost_fn=oracle)
-            assert got.trace == want.trace and got.cost == want.cost and got.gains == want.gains
+            want_x, want_f, want_trace = nelder_mead_bounded(
+                _one_point_at_a_time(oracle), 0.5 * (box[:, 0] + box[:, 1]), box, budget,
+                seed=3, restarts=2)
+            assert got.trace == want_trace and got.cost == want_f
+            assert got.gains == PidGains(kp=float(want_x[0]), ki=float(want_x[1]),
+                                         kd=float(want_x[2]), **gain_kw)
             assert len(got.trace) == budget and rows[0] == 4 * count
             assert (rows[-1] == 2 * count) if budget == cut else (3 * count in rows)
 
 
-def _sequential_nelder_mead(f, x0, bounds, budget, seed=0, restarts=1, init_scale=0.25):
+def _sequential_nelder_mead(f, x0, bounds, budget, seed=0, restarts=1):
     """`nelder_mead_bounded` as it was before it batched the start simplex and
     the shrink: `f(x) -> cost` of one point, every point evaluated in turn."""
     bounds = np.asarray(bounds, dtype=float)
@@ -775,7 +787,7 @@ def _sequential_nelder_mead(f, x0, bounds, budget, seed=0, restarts=1, init_scal
             simplex = [x_start.copy()]
             for i in range(n):
                 v = x_start.copy()
-                step = init_scale * (bounds[i, 1] - bounds[i, 0])
+                step = 0.25 * (bounds[i, 1] - bounds[i, 0])
                 v[i] = v[i] + step if v[i] + step <= bounds[i, 1] else v[i] - step
                 simplex.append(v)
             fs = [wrapped(v) for v in simplex]
@@ -783,7 +795,9 @@ def _sequential_nelder_mead(f, x0, bounds, budget, seed=0, restarts=1, init_scal
                 order = np.argsort(fs)
                 simplex = [simplex[i] for i in order]
                 fs = [fs[i] for i in order]
-                if np.std(fs) < 1e-14 and max(np.linalg.norm(v - simplex[0]) for v in simplex) < 1e-12:
+                with np.errstate(invalid="ignore"):  # an inf cost: nan spread, no break
+                    flat = np.std(fs) < 1e-14
+                if flat and max(np.linalg.norm(v - simplex[0]) for v in simplex) < 1e-12:
                     break
                 centroid = np.mean(simplex[:-1], axis=0)
                 xr = centroid + alpha * (centroid - simplex[-1])
@@ -839,11 +853,10 @@ def test_nelder_mead_matches_the_sequential_search(name, n, restarts):
             sizes.append(len(points))
             return [cost(v) for v in points]
 
-        with np.errstate(invalid="ignore"):  # np.std of inf costs
-            want_x, want_f, want_trace = _sequential_nelder_mead(cost, x0, bounds, budget,
-                                                                 seed=budget, restarts=restarts)
-            got_x, got_f, got_trace = nelder_mead_bounded(batch, x0, bounds, budget,
-                                                          seed=budget, restarts=restarts)
+        want_x, want_f, want_trace = _sequential_nelder_mead(cost, x0, bounds, budget,
+                                                             seed=budget, restarts=restarts)
+        got_x, got_f, got_trace = nelder_mead_bounded(batch, x0, bounds, budget,
+                                                      seed=budget, restarts=restarts)
         assert got_trace == want_trace and len(got_trace) == sum(sizes) <= budget
         assert got_f == want_f
         assert (got_x is None and want_x is None) or got_x.tobytes() == want_x.tobytes()

@@ -26,32 +26,44 @@ def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
     return float(meas[0]) if meas.shape == (1,) else meas
 
 
+def array_rk4_step(state, u, dt, dynamics):
+    """`rk4_step` on a numpy vector state, the form the float and tuple states
+    are checked against bit for bit."""
+    x = np.asarray(state, dtype=float)
+    k1 = np.asarray(dynamics(x, u), dtype=float)
+    k2 = np.asarray(dynamics(x + 0.5 * dt * k1, u), dtype=float)
+    k3 = np.asarray(dynamics(x + 0.5 * dt * k2, u), dtype=float)
+    k4 = np.asarray(dynamics(x + dt * k3, u), dtype=float)
+    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise SimulationDiverged("non-finite state after RK4 stage", step=-1)
+    return out
+
+
 def test_rk4_exponential_decay():
     # closed form: e^(-0.1) = 0.90483742
-    out = rk4_step(np.array([1.0]), 0.0, 0.1, lambda x, u: -x)
-    assert out[0] == pytest.approx(0.9048375, abs=1e-6)
-    assert out[0] == pytest.approx(math.exp(-0.1), abs=1e-6)
+    out = rk4_step(1.0, 0.0, 0.1, lambda x, u: -x)
+    assert out == pytest.approx(0.9048375, abs=1e-6)
+    assert out == pytest.approx(math.exp(-0.1), abs=1e-6)
 
 
 def test_rk4_zero_derivative_exact():
-    out = rk4_step(np.array([3.25]), 0.0, 0.7, lambda x, u: np.zeros_like(x))
-    assert out[0] == 3.25
+    assert rk4_step(3.25, 0.0, 0.7, lambda x, u: 0.0) == 3.25
 
 
 def test_rk4_constant_derivative_exact():
-    out = rk4_step(np.array([0.0]), 1.0, 0.5, lambda x, u: np.array([u]))
-    assert out[0] == 0.5
+    assert rk4_step(0.0, 1.0, 0.5, lambda x, u: u) == 0.5
 
 
 def test_rk4_order_error_ratio():
     # halving dt from 0.1 to 0.05 must shrink the max error on y' = -y by >= 14x
     def max_err(dt):
         n = round(1.0 / dt)
-        x = np.array([1.0])
+        x = 1.0
         worst = 0.0
         for k in range(n):
             x = rk4_step(x, 0.0, dt, lambda s, u: -s)
-            worst = max(worst, abs(x[0] - math.exp(-(k + 1) * dt)))
+            worst = max(worst, abs(x - math.exp(-(k + 1) * dt)))
         return worst
 
     ratio = max_err(0.1) / max_err(0.05)
@@ -60,7 +72,7 @@ def test_rk4_order_error_ratio():
 
 def test_rk4_nonfinite_derivative_raises():
     with pytest.raises(SimulationDiverged):
-        rk4_step(np.array([1.0]), 0.0, 0.1, lambda x, u: np.array([math.nan]))
+        rk4_step(1.0, 0.0, 0.1, lambda x, u: math.nan)
 
 
 def test_delay_line_three_sample_shift():
@@ -273,9 +285,9 @@ def _array_dynamics(v):
     return lambda x, u: np.array([(u - v.outflow_coeff * math.sqrt(max(x[0], 0.0))) / v.area])
 
 
-def _rk4_or_diverged(state, u, dt, dynamics):
+def _rk4_or_diverged(state, u, dt, dynamics, step=rk4_step):
     try:
-        return rk4_step(state, u, dt, dynamics)
+        return step(state, u, dt, dynamics)
     except SimulationDiverged:
         return "diverged"
 
@@ -318,7 +330,7 @@ def test_float_state_rk4_matches_array_branch_bitwise(variant):
             assert isinstance(y, float) == (plant.n_outputs == 1)
             assert np.atleast_1d(y).tobytes() == (variant.c @ x).tobytes()
         fast = _rk4_or_diverged(fast_x, u, dt, dynamics)
-        slow = _rk4_or_diverged(x, u, dt, ref)
+        slow = _rk4_or_diverged(x, u, dt, ref, array_rk4_step)
         if isinstance(slow, str):
             assert fast == slow
         else:

@@ -150,7 +150,7 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0):
         params = np.empty(work.mlp.n_params + work.aux.n_params)
         work.mlp.bind(params[:work.mlp.n_params])
         work.aux.bind(params[work.mlp.n_params:])
-    adam = Adam(params.size, cfg.learning_rate, cfg.beta1, cfg.beta2)
+    adam = Adam(params.size, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
 
     def loss_and_step(rows):

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 from loopbench.errors import IdentificationFailed, NoLimitCycle, RuleInapplicable
 from loopbench.metrics import compute_step_metrics
 from loopbench.pid import PidController
-from loopbench.simcore import Fopdt, PlantModel, SimConfig, simulate, step_reference
+from loopbench.simcore import Fopdt, PlantModel, SignalController, SimConfig, simulate, step_reference
 from loopbench.tuning import (
     FopdtModel, UltimateParams, identify_fopdt_step, relay_experiment, run_step_test,
     tune_cohen_coon, tune_kappa_tau, tune_ziegler_nichols, ultimate_from_fopdt,
@@ -12,6 +13,13 @@ from loopbench.tuning import (
 
 def _fopdt_plant(k, tau, dead, lim=10.0):
     return PlantModel(Fopdt(gain=k, tau=tau, dead_time=dead), u_min=-lim, u_max=lim)
+
+
+def step_test(plant, cfg, step_time, u0=0.0, u1=1.0):
+    """An open-loop input step from `u0` to `u1` at `step_time`: the
+    `run_step_test` record with the step placed by the test."""
+    u = np.where(cfg.time_grid() >= step_time, u1, u0)
+    return simulate(plant, SignalController(u), 0.0, cfg=cfg)
 
 
 def _step_cfg(tau, dead):
@@ -27,14 +35,14 @@ def _step_cfg(tau, dead):
 def test_ziegler_nichols_pid_table():
     g = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pid")
     assert g.kp == pytest.approx(1.2, rel=1e-9)
-    assert g.ti == pytest.approx(0.5, rel=1e-9)
-    assert g.td == pytest.approx(0.125, rel=1e-9)
+    assert g.kp / g.ki == pytest.approx(0.5, rel=1e-9)
+    assert g.kd / g.kp == pytest.approx(0.125, rel=1e-9)
 
 
 def test_ziegler_nichols_pi_table():
     g = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pi")
     assert g.kp == pytest.approx(0.9, rel=1e-9)
-    assert g.ti == pytest.approx(1.0 / 1.2, rel=1e-9)
+    assert g.kp / g.ki == pytest.approx(1.0 / 1.2, rel=1e-9)
     assert g.kd == 0.0
 
 
@@ -47,8 +55,8 @@ def test_ziegler_nichols_p_table():
 def test_cohen_coon_reference_point():
     g = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
     assert g.kp == pytest.approx(35.0 / 12.0, rel=1e-9)       # 2.916667
-    assert g.ti == pytest.approx(17.5 / 17.0, rel=1e-9)       # 1.029412
-    assert g.td == pytest.approx(1.0 / 6.0, rel=1e-9)         # 0.166667
+    assert g.kp / g.ki == pytest.approx(17.5 / 17.0, rel=1e-9)       # 1.029412
+    assert g.kd / g.kp == pytest.approx(1.0 / 6.0, rel=1e-9)         # 0.166667
 
 
 def test_cohen_coon_needs_dead_time():
@@ -60,15 +68,15 @@ def test_cohen_coon_gain_only_scales_kp():
     g1 = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
     g2 = tune_cohen_coon(FopdtModel(gain=2.0, tau=1.0, dead_time=0.5))
     assert g2.kp == pytest.approx(g1.kp / 2.0, rel=1e-12)
-    assert g2.ti == pytest.approx(g1.ti, rel=1e-12)
-    assert g2.td == pytest.approx(g1.td, rel=1e-12)
+    assert g2.kp / g2.ki == pytest.approx(g1.kp / g1.ki, rel=1e-12)
+    assert g2.kd / g2.kp == pytest.approx(g1.kd / g1.kp, rel=1e-12)
 
 
 def test_kappa_tau_reference_point():
     g = tune_kappa_tau(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
     assert g.kp == pytest.approx(1.1, rel=1e-9)
-    assert g.ti == pytest.approx(0.5 / 0.6, rel=1e-9)         # 0.833333
-    assert g.td == pytest.approx(0.25 / 1.15, rel=1e-9)       # 0.217391
+    assert g.kp / g.ki == pytest.approx(0.5 / 0.6, rel=1e-9)         # 0.833333
+    assert g.kd / g.kp == pytest.approx(0.25 / 1.15, rel=1e-9)       # 0.217391
 
 
 def test_kappa_tau_long_dead_time_limit():
@@ -88,7 +96,7 @@ def test_rules_positive_over_valid_fopdt_grid():
                 m = FopdtModel(gain=k, tau=tau, dead_time=ratio * tau)
                 for g in (tune_cohen_coon(m), tune_kappa_tau(m),
                           tune_ziegler_nichols(ultimate_from_fopdt(m), "pid")):
-                    assert g.kp > 0.0 and g.ti > 0.0 and g.td > 0.0
+                    assert g.kp > 0.0 and g.ki > 0.0 and g.kd > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +105,7 @@ def test_rules_positive_over_valid_fopdt_grid():
 
 def test_identify_recovers_known_fopdt():
     plant = _fopdt_plant(1.0, 2.0, 1.0)
-    traj = run_step_test(plant, SimConfig(dt=0.01, horizon=25.0, seed=0), step_time=1.0)
+    traj = step_test(plant, SimConfig(dt=0.01, horizon=25.0, seed=0), step_time=1.0)
     m = identify_fopdt_step(traj)
     assert m.gain == pytest.approx(1.0, rel=0.05)
     assert m.tau == pytest.approx(2.0, rel=0.05)
@@ -106,8 +114,7 @@ def test_identify_recovers_known_fopdt():
 
 def test_identify_gain_is_ratio_of_changes():
     plant = _fopdt_plant(2.0, 1.0, 0.2)
-    traj = run_step_test(plant, SimConfig(dt=0.005, horizon=12.0, seed=0),
-                         u0=0.0, u1=0.5, step_time=0.5)
+    traj = step_test(plant, SimConfig(dt=0.005, horizon=12.0, seed=0), step_time=0.5, u1=0.5)
     m = identify_fopdt_step(traj)
     assert m.gain == pytest.approx(2.0, rel=0.05)
 
@@ -121,7 +128,7 @@ def test_identify_flat_response_fails():
 
 def test_identify_rejects_stepless_input():
     plant = _fopdt_plant(1.0, 1.0, 0.1)
-    traj = run_step_test(plant, SimConfig(dt=0.01, horizon=5.0, seed=0), u0=1.0, u1=1.0)
+    traj = step_test(plant, SimConfig(dt=0.01, horizon=5.0, seed=0), step_time=0.25, u0=1.0)
     with pytest.raises(IdentificationFailed):
         identify_fopdt_step(traj)
 
@@ -129,12 +136,12 @@ def test_identify_rejects_stepless_input():
 def test_identify_gain_scaling_property():
     # doubling plant gain halves the rule kp and leaves Ti, Td alone (within tolerance)
     cfg = SimConfig(dt=0.01, horizon=15.0, seed=0)
-    m1 = identify_fopdt_step(run_step_test(_fopdt_plant(1.0, 1.0, 0.3), cfg, step_time=0.5))
-    m2 = identify_fopdt_step(run_step_test(_fopdt_plant(2.0, 1.0, 0.3), cfg, step_time=0.5))
+    m1 = identify_fopdt_step(step_test(_fopdt_plant(1.0, 1.0, 0.3), cfg, step_time=0.5))
+    m2 = identify_fopdt_step(step_test(_fopdt_plant(2.0, 1.0, 0.3), cfg, step_time=0.5))
     g1, g2 = tune_cohen_coon(m1), tune_cohen_coon(m2)
     assert g2.kp == pytest.approx(g1.kp / 2.0, rel=0.02)
-    assert g2.ti == pytest.approx(g1.ti, rel=0.02)
-    assert g2.td == pytest.approx(g1.td, rel=0.02)
+    assert g2.kp / g2.ki == pytest.approx(g1.kp / g1.ki, rel=0.02)
+    assert g2.kd / g2.kp == pytest.approx(g1.kd / g1.kp, rel=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +189,7 @@ def test_pipeline_settles_over_fopdt_grid():
                 dead = ratio * tau
                 plant = _fopdt_plant(k, tau, dead, lim=50.0)
                 ident = identify_fopdt_step(
-                    run_step_test(plant, _step_cfg(tau, dead), step_time=0.5))
+                    step_test(plant, _step_cfg(tau, dead), step_time=0.5))
                 rules = [tune_cohen_coon(ident), tune_kappa_tau(ident),
                          tune_ziegler_nichols(ultimate_from_fopdt(ident), "pid")]
                 horizon = 20.0 * (tau + dead)
