@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +303,7 @@ def cmd_simulate(args) -> int:
     ComparisonTable([(cfg["controller"]["kind"], metrics)]).to_csv(out / "metrics.csv")
 
     if supervisor is not None:
-        write_transition_log(supervisor.log, out / "transitions.csv", dt=sim.dt)
+        write_transition_log(supervisor.log, out / "transitions.csv")
     if blender is not None:
         steps = list(range(len(controller.u_trace)))
         write_columns(out / "blend.csv", {
@@ -326,12 +325,7 @@ def cmd_compare(args) -> int:
     labels = [p.stem for p in paths]
     if len(set(labels)) != len(labels):
         labels = [str(p) for p in paths]
-    entries = list(zip(labels, (read_timeseries(p) for p in paths)))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            table = compare(entries, band=args.band, map_fn=pool.map)
-    else:
-        table = compare(entries, band=args.band)
+    table = compare(zip(labels, (read_timeseries(p) for p in paths)), band=args.band)
 
     out = _out_dir(args)
     table.to_csv(out / "comparison.csv")
@@ -355,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override sim.seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers where supported")
 
     p = sub.add_parser("record", help="open-loop excitation run, recorded to CSV")
     common(p)

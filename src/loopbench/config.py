@@ -158,7 +158,9 @@ def resolve_config(raw: dict) -> dict:
     return cfg
 
 
-def load_raw_config(path) -> dict:
+def load_config(path, required=()) -> dict:
+    """Read, parse and resolve a config file. Commands demand their `required`
+    sections be spelled out, not defaulted into existence."""
     try:
         text = read_text(path)
     except OSError as exc:
@@ -169,19 +171,9 @@ def load_raw_config(path) -> dict:
         raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object", str(path))
-    return raw
-
-
-def require_sections(raw: dict, names) -> None:
-    """Commands demand their inputs be spelled out, not defaulted into existence."""
-    for name in names:
+    for name in required:
         if name not in raw:
             raise ConfigError("required section is missing", name)
-
-
-def load_config(path, required=()) -> dict:
-    raw = load_raw_config(path)
-    require_sections(raw, required)
     return resolve_config(raw)
 
 

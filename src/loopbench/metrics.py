@@ -36,7 +36,7 @@ class StepMetrics:
     mean_abs_u: float
 
 
-def _interp_crossing(t: np.ndarray, y: np.ndarray, level: float, sign: float) -> float:
+def crossing_time(t: np.ndarray, y: np.ndarray, level: float, sign: float) -> float:
     """First interpolated time sign*(y - level) becomes >= 0; NaN if never."""
     z = sign * (y - level)
     idx = np.flatnonzero(z >= 0.0)
@@ -81,8 +81,8 @@ def compute_step_metrics(traj, band: float = 0.02) -> StepMetrics:
     else:
         sign = math.copysign(1.0, dw)
         overshoot = max(0.0, float(np.max(sign * (y_seg - w1))) / abs(dw)) * 100.0
-        t10 = _interp_crossing(t_seg, y_seg, w0 + 0.1 * dw, sign)
-        t90 = _interp_crossing(t_seg, y_seg, w0 + 0.9 * dw, sign)
+        t10 = crossing_time(t_seg, y_seg, w0 + 0.1 * dw, sign)
+        t90 = crossing_time(t_seg, y_seg, w0 + 0.9 * dw, sign)
         rise = t90 - t10 if math.isfinite(t10) and math.isfinite(t90) else math.nan
 
     tol = band * abs(dw)
@@ -136,13 +136,11 @@ class ComparisonTable:
                          for row in rows)
 
 
-def compare(entries, band: float = 0.02, map_fn=map) -> ComparisonTable:
+def compare(entries, band: float = 0.02) -> ComparisonTable:
     """StepMetrics per labeled trajectory, sorted by IAE.
 
     Entries sharing a run must share the reference and disturbance arrays
-    exactly; anything else is not a like-for-like comparison. `map_fn`
-    computes the per-trajectory metrics (an executor's `map` to spread them
-    over workers); the result does not depend on it.
+    exactly; anything else is not a like-for-like comparison.
     """
     items = list(entries.items()) if isinstance(entries, dict) else list(entries)
     if not items:
@@ -151,8 +149,7 @@ def compare(entries, band: float = 0.02, map_fn=map) -> ComparisonTable:
     for label, traj in items[1:]:
         if not (np.array_equal(first.w, traj.w) and np.array_equal(first.d, traj.d)):
             raise IncomparableError(f"entry {label!r} has a different reference or disturbance")
-    metrics = map_fn(lambda traj: compute_step_metrics(traj, band), [traj for _, traj in items])
-    rows = [(label, m) for (label, _), m in zip(items, metrics)]
+    rows = [(label, compute_step_metrics(traj, band)) for label, traj in items]
     rows.sort(key=lambda r: (r[1].iae, r[0]))
     return ComparisonTable(rows)
 

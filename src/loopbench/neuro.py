@@ -19,7 +19,7 @@ import numpy as np
 from .dataio import split_contiguous
 from .errors import ControllerFault, SimulationDiverged, TooShort, TrainingUnstable, TuningFailed
 from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, check_int, check_number, \
-    float_vector, mean_square, normalize
+    feature_stats, float_vector, mean_square, normalize
 from .pid import PidGains, PidState, pid_step
 from .simcore import primary_output
 from .surrogate import NarxModel
@@ -36,7 +36,7 @@ def _normalized(row, stats: list) -> list:
     return [(f - m) / s for f, (m, s) in zip(row, stats)]
 
 
-def _feature_stats(mean, std, size: int):
+def _checked_stats(mean, std, size: int):
     """Feature normalization stats checked to `size` entries (zero mean and
     unit std where not given), and their (mean, std) float pairs."""
     mean = np.zeros(size) if mean is None else float_vector(mean, size, "feat_mean")
@@ -75,8 +75,8 @@ class NeuralController:
         want = 1 + 2 * self.memory
         if self.mlp.layer_sizes[0] != want or self.mlp.layer_sizes[-1] != 1:
             raise ValueError(f"controller net must map {want} features to 1 output")
-        self.feat_mean, self.feat_std, self._stats = _feature_stats(self.feat_mean, self.feat_std,
-                                                                    want)
+        self.feat_mean, self.feat_std, self._stats = _checked_stats(self.feat_mean, self.feat_std,
+                                                                   want)
         self.center = 0.5 * (self.u_max + self.u_min)
         self.half_span = 0.5 * (self.u_max - self.u_min)
 
@@ -156,8 +156,8 @@ class GainScheduler:
         want = 2 * self.memory
         if self.mlp.layer_sizes[0] != want or self.mlp.layer_sizes[-1] != 3:
             raise ValueError(f"scheduler net must map {want} features to 3 gains")
-        self.feat_mean, self.feat_std, self._stats = _feature_stats(self.feat_mean, self.feat_std,
-                                                                    want)
+        self.feat_mean, self.feat_std, self._stats = _checked_stats(self.feat_mean, self.feat_std,
+                                                                   want)
         self._bounds = self.bounds.tolist()
 
     @staticmethod
@@ -289,8 +289,7 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
     a_train, a_val, b_train, b_val = blocks
 
     all_x = np.vstack([a_train.x, b_train.x])
-    work = NeuralController(nc.mlp.copy(), nc.u_min, nc.u_max, nc.memory, all_x.mean(axis=0),
-                            np.maximum(all_x.std(axis=0), 1e-12),
+    work = NeuralController(nc.mlp.copy(), nc.u_min, nc.u_max, nc.memory, *feature_stats(all_x),
                             nc.aux.copy() if nc.aux else None)
     # normalization is elementwise, so normalizing every row once and then
     # gathering a batch rounds exactly as normalizing the gathered batch
@@ -674,7 +673,6 @@ class StaticTuneResult:
     gains: PidGains
     cost: float
     trace: list
-    n_evals: int
 
 
 def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.ndarray,
@@ -784,4 +782,4 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
     if best_x is None or not math.isfinite(best_f):
         raise TuningFailed("every candidate evaluation diverged")
     gains = PidGains(kp=float(best_x[0]), ki=float(best_x[1]), kd=float(best_x[2]), **gain_kw)
-    return StaticTuneResult(gains=gains, cost=best_f, trace=trace, n_evals=len(trace))
+    return StaticTuneResult(gains=gains, cost=best_f, trace=trace)

@@ -34,7 +34,8 @@ def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def _stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def feature_stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and std of a row block, the std floored at STD_FLOOR."""
     mean = a.mean(axis=0)
     std = np.maximum(a.std(axis=0), STD_FLOOR)
     return mean, std
@@ -42,42 +43,19 @@ def _stats(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SupervisedDataset:
-    """Sample rows plus the per-feature normalization stats of this split."""
+    """Sample rows and their targets, one target row per sample row."""
 
     x: np.ndarray
     y: np.ndarray
-    x_mean: np.ndarray = None
-    x_std: np.ndarray = None
-    y_mean: np.ndarray = None
-    y_std: np.ndarray = None
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         self.y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        if self.y.shape[0] == 1 and self.x.shape[0] > 1:
-            self.y = self.y.T
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError("input and target row counts differ")
-        if self.x_mean is None:
-            self.x_mean, self.x_std = _stats(self.x)
-        if self.y_mean is None:
-            self.y_mean, self.y_std = _stats(self.y)
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def with_stats_of(self, other: "SupervisedDataset") -> "SupervisedDataset":
-        """Same rows, normalization stats borrowed from another split."""
-        return SupervisedDataset(self.x, self.y, other.x_mean, other.x_std,
-                                 other.y_mean, other.y_std)
-
-    def normalized(self) -> "SupervisedDataset":
-        """Rows mapped into this dataset's normalized space."""
-        xs = normalize(self.x, self.x_mean, self.x_std)
-        ys = normalize(self.y, self.y_mean, self.y_std)
-        d_in, d_out = self.x.shape[1], self.y.shape[1]
-        return SupervisedDataset(xs, ys, np.zeros(d_in), np.ones(d_in),
-                                 np.zeros(d_out), np.ones(d_out))
 
 
 class Mlp:
@@ -309,7 +287,7 @@ def train(net: Mlp, data: SupervisedDataset, val: SupervisedDataset, cfg: TrainC
     """Mini-batch Adam with seeded shuffling; returns the best-validation snapshot.
 
     Operates on the raw dataset arrays; callers that want normalized training
-    pass `data.normalized()` / `val.with_stats_of(data).normalized()`.
+    `normalize` both blocks with the `feature_stats` of the training block.
     """
     work = net.copy()
     rng = np.random.default_rng(cfg.seed)

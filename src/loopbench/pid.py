@@ -65,7 +65,6 @@ class PidState:
     last_error: float = 0.0
     last_meas: float = 0.0
     d_filt: float = 0.0
-    last_output: float = 0.0
     primed: bool = False
 
     def reset(self) -> None:
@@ -73,7 +72,6 @@ class PidState:
         self.last_error = 0.0
         self.last_meas = 0.0
         self.d_filt = 0.0
-        self.last_output = 0.0
         self.primed = False
 
 
@@ -84,8 +82,6 @@ def pid_step(gains: PidGains, state: PidState, w: float, y: float, dt: float) ->
     current ones, so a constant error integrates at the full rectangle rate
     and the derivative starts from zero.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
     if not (math.isfinite(w) and math.isfinite(y)):
         raise ControllerFault("non-finite reference or measurement")
 
@@ -119,7 +115,6 @@ def pid_step(gains: PidGains, state: PidState, w: float, y: float, dt: float) ->
     state.integrator += inc
     state.last_error = e
     state.last_meas = y
-    state.last_output = u
     state.primed = True
     if not math.isfinite(u):
         raise ControllerFault("non-finite controller output")
@@ -148,7 +143,6 @@ def pid_sync(state: PidState, target_output: float, gains: PidGains, w: float, y
         last_error=-e,
         last_meas=y,
         d_filt=0.0,
-        last_output=target_output,
         primed=True,
     )
 

@@ -78,8 +78,8 @@ class SwitchSupervisor:
         self._hi_count = 0
         self._lo_count = 0
 
-    def decide(self, ai_valid: bool, cause_if_invalid: str, e: float,
-               t: float = math.nan, ai_agrees: bool = True) -> bool:
+    def decide(self, ai_valid: bool, cause_if_invalid: str, e: float, t: float,
+               ai_agrees: bool = True) -> bool:
         """Update dwell counters and the mode; True when AI->FALLBACK fired now."""
         handover = False
         if self.mode == MODE_AI:
@@ -111,13 +111,10 @@ def _ai_validity(u_ai: float, limits: tuple[float, float]) -> tuple[bool, str]:
     return True, ""
 
 
-def write_transition_log(log, path, dt: float | None = None) -> None:
+def write_transition_log(log, path) -> None:
     """Serialize the switch log as step,time,direction,cause CSV."""
-    rows = []
-    for ev in log:
-        t = ev.time if math.isfinite(ev.time) else (ev.step * dt if dt else math.nan)
-        rows.append((ev.step, float(t), ev.direction, ev.cause))
-    write_csv(path, ["step", "time", "direction", "cause"], rows)
+    write_csv(path, ["step", "time", "direction", "cause"],
+              [(ev.step, ev.time, ev.direction, ev.cause) for ev in log])
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ class BoundedBlender:
         self.step_count = 0
 
     def blend_step(self, u_conv: float, u_ai_correction: float,
-                   limits: tuple[float, float] | None = None) -> float:
+                   limits: tuple[float, float]) -> float:
         corr = u_ai_correction
         if not math.isfinite(corr):
             self.absorb_log.append(AbsorbEvent(self.step_count, "nonfinite-correction"))
@@ -153,8 +150,7 @@ class BoundedBlender:
         # float arithmetic a checker will use (u_conv + delta can round up)
         while abs(u - u_conv) > self.delta:
             u = math.nextafter(u, u_conv)
-        if limits is not None:
-            u = min(max(u, limits[0]), limits[1])
+        u = min(max(u, limits[0]), limits[1])
         self.step_count += 1
         return u
 
@@ -169,7 +165,8 @@ class SupervisedController:
     Both controllers step every cycle. On an AI->FALLBACK handover the
     fallback integrator is synced to the last selected output before its own
     step, so the handover is bumpless whenever integral action allows it;
-    without integral action the handover proceeds unsynced.
+    without integral action the handover proceeds unsynced. A fault of the
+    fallback itself ends the run as an `UnrecoverableFault`.
     """
 
     def __init__(self, ai, fallback, supervisor: SwitchSupervisor,
@@ -198,24 +195,22 @@ class SupervisedController:
         e = w - y0
         sup = self.supervisor
 
-        if sup.mode == MODE_FALLBACK:
-            # no handover possible in this direction, so the fallback can run
-            # first and its output feeds the re-entry agreement gate
+        # in AI mode the switch decides first, so a handover can sync the
+        # fallback before its step; in fallback mode no handover is possible,
+        # so the fallback runs first and its output feeds the re-entry gate
+        in_fallback = sup.mode == MODE_FALLBACK
+        if not in_fallback and sup.decide(valid, cause, e, self._t):
+            try:
+                self.fallback.sync_to(sup.last_u, w, y0)
+            except (SyncImpossible, ValueError):
+                pass  # proportional-only or out-of-range target: plain handover
+        try:
             u_fb = float(self.fallback.step(w, y0, dt))
-            if not math.isfinite(u_fb):
-                raise UnrecoverableFault("fallback command is non-finite", step=sup.step_count)
+        except ControllerFault as exc:
+            raise UnrecoverableFault(f"fallback failed: {exc}", step=sup.step_count) from exc
+        if in_fallback:
             agrees = valid and abs(u_ai - u_fb) <= sup._agreement(self.limits)
-            sup.decide(valid, cause, e, t=self._t, ai_agrees=agrees)
-        else:
-            handover = sup.decide(valid, cause, e, t=self._t)
-            if handover:
-                try:
-                    self.fallback.sync_to(sup.last_u, w, y0)
-                except (SyncImpossible, ValueError):
-                    pass  # proportional-only or out-of-range target: plain handover
-            u_fb = float(self.fallback.step(w, y0, dt))
-            if not math.isfinite(u_fb):
-                raise UnrecoverableFault("fallback command is non-finite", step=sup.step_count)
+            sup.decide(valid, cause, e, self._t, ai_agrees=agrees)
 
         u = u_ai if sup.mode == MODE_AI else u_fb
         sup.last_u = u
@@ -229,7 +224,7 @@ class BlendedController:
     """Conventional controller plus a delta-capped learned correction."""
 
     def __init__(self, conventional, correction_source, blender: BoundedBlender,
-                 limits: tuple[float, float] | None = None):
+                 limits: tuple[float, float]):
         self.conventional = conventional
         self.correction_source = correction_source
         self.blender = blender

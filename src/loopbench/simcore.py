@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Protocol, Sequence, Union
 
@@ -455,7 +455,6 @@ class Trajectory:
     d: np.ndarray
     dt: float
     y_extra: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.t)
@@ -541,40 +540,41 @@ def simulate(
     # scalar per element access
     w_k, d_k, t_k = w.tolist(), d.tolist(), t.tolist()
 
-    for k in range(n):
-        y = output(x)  # float, or a vector on a multi-output plant
-        if not input_additive:
-            y = y + d_k[k]
-        if multi:
-            bounded = all([math.isfinite(v) and abs(v) <= guard for v in y.tolist()])
-        else:
-            bounded = math.isfinite(y) and abs(y) <= guard
-        if not bounded:
-            raise SimulationDiverged("plant output exceeded the divergence guard", step=k)
+    # a learned block's overflow shows up as a non-finite command, which the
+    # loop's own checks referee, so numpy's warnings for it stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            y = output(x)  # float, or a vector on a multi-output plant
+            if not input_additive:
+                y = y + d_k[k]
+            if multi:
+                bounded = all([math.isfinite(v) and abs(v) <= guard for v in y.tolist()])
+            else:
+                bounded = math.isfinite(y) and abs(y) <= guard
+            if not bounded:
+                raise SimulationDiverged("plant output exceeded the divergence guard", step=k)
 
-        if k % every == 0:
-            y_m = read(y)
-        if multi:
-            y_rec[k], y_meas_rec[k], y_extra[k] = y[0], y_m[0], y[1:]
-        else:
-            y_rec[k], y_meas_rec[k] = y, y_m
+            if k % every == 0:
+                y_m = read(y)
+            if multi:
+                y_rec[k], y_meas_rec[k], y_extra[k] = y[0], y_m[0], y[1:]
+            else:
+                y_rec[k], y_meas_rec[k] = y, y_m
 
-        u_cmd = controller.step(w_k[k], y_m, dt)
-        if not math.isfinite(u_cmd):
-            raise ControllerFault(f"controller emitted a non-finite command at step {k}")
-        u_k = min(max(float(u_cmd), u_lo), u_hi)
-        u_rec[k] = u_k
+            u_cmd = controller.step(w_k[k], y_m, dt)
+            if not math.isfinite(u_cmd):
+                raise ControllerFault(f"controller emitted a non-finite command at step {k}")
+            u_k = min(max(float(u_cmd), u_lo), u_hi)
+            u_rec[k] = u_k
 
-        u_plant = u_k + d_k[k] if input_additive else u_k
-        if gain_schedule is not None:
-            u_plant = u_plant * float(gain_schedule(t_k[k]))
-        u_eff = delay.push_pop(u_plant) if delay is not None else u_plant
-        try:
-            x = rk4_step(x, u_eff, dt, dynamics)
-        except SimulationDiverged as exc:
-            raise SimulationDiverged("non-finite state during integration", step=k) from exc
+            u_plant = u_k + d_k[k] if input_additive else u_k
+            if gain_schedule is not None:
+                u_plant = u_plant * float(gain_schedule(t_k[k]))
+            u_eff = delay.push_pop(u_plant) if delay is not None else u_plant
+            try:
+                x = rk4_step(x, u_eff, dt, dynamics)
+            except SimulationDiverged as exc:
+                raise SimulationDiverged("non-finite state during integration", step=k) from exc
 
-    return Trajectory(
-        t=t, w=w, y=y_rec, y_meas=y_meas_rec, u=u_rec, d=d, dt=cfg.dt,
-        y_extra=y_extra, meta={"seed": cfg.seed},
-    )
+    return Trajectory(t=t, w=w, y=y_rec, y_meas=y_meas_rec, u=u_rec, d=d, dt=cfg.dt,
+                      y_extra=y_extra)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .dataio import split_contiguous, uniform_dt
 from .errors import RolloutDiverged, TooShort
-from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, float_vector, train
+from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, feature_stats, \
+    float_vector, normalize, train
 
 
 def lag_features(y_window, u_window, p: int, q: int) -> list:
@@ -29,7 +30,7 @@ def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
 
     Row k holds p output lags and q input lags with target y(k+1); rows run
     from k = max(p, q) to N-2, so an N-sample series yields N-1-max(p, q)
-    rows. Normalization stats are those of this dataset.
+    rows.
     """
     if p < 1 or q < 1:
         raise ValueError("lag orders must be >= 1")
@@ -154,12 +155,15 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig,
             self.t, self.y, self.u = traj.t[sl], y[sl], u[sl]
 
     train_ds = make_regression_dataset(_Block(slice(0, n_train)), p, q)
-    val_ds = make_regression_dataset(_Block(slice(n_train, n)), p, q).with_stats_of(train_ds)
+    val_ds = make_regression_dataset(_Block(slice(n_train, n)), p, q)
+    x_mean, x_std = feature_stats(train_ds.x)
+    y_mean, y_std = feature_stats(train_ds.y)
+    train_n, val_n = (SupervisedDataset(normalize(ds.x, x_mean, x_std), normalize(ds.y, y_mean, y_std))
+                      for ds in (train_ds, val_ds))
 
     net = Mlp([p + q, *hidden, 1], seed=cfg.seed)
-    result = train(net, train_ds.normalized(), val_ds.normalized(), cfg)
-    model = NarxModel(result.net, p, q, dt,
-                      train_ds.x_mean, train_ds.x_std, train_ds.y_mean, train_ds.y_std)
+    result = train(net, train_n, val_n, cfg)
+    model = NarxModel(result.net, p, q, dt, x_mean, x_std, y_mean, y_std)
 
     val_y, val_u = y[n_train:], u[n_train:]
     k0 = max(p, q)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentificationFailed, NoLimitCycle, NotSettled, RuleInapplicable
+from .metrics import crossing_time
 from .pid import PidGains
 from .simcore import PlantModel, SignalController, SimConfig, Trajectory, simulate
 
@@ -63,18 +64,6 @@ def run_step_test(plant: PlantModel, cfg: SimConfig, u1: float = 1.0) -> Traject
     return simulate(plant, SignalController(u), 0.0, cfg=cfg)
 
 
-def _crossing_time(t: np.ndarray, y: np.ndarray, level: float, sign: float) -> float:
-    """First time y crosses `level` in the direction of `sign`, interpolated."""
-    z = sign * (y - level)
-    for k in range(len(z)):
-        if z[k] >= 0.0:
-            if k == 0 or z[k] == z[k - 1]:
-                return float(t[k])
-            frac = -z[k - 1] / (z[k] - z[k - 1])
-            return float(t[k - 1] + frac * (t[k] - t[k - 1]))
-    raise IdentificationFailed(f"response never reached the {level:.6g} level")
-
-
 def identify_fopdt_step(traj: Trajectory) -> FopdtModel:
     """Two-point FOPDT fit from an open-loop step test.
 
@@ -113,8 +102,13 @@ def identify_fopdt_step(traj: Trajectory) -> FopdtModel:
     if np.any(steps < -0.01 * abs(dy)):
         raise IdentificationFailed("response is not monotone after the dead time")
 
-    t28 = _crossing_time(seg_t, seg_y, y0 + _P28 * dy, sign)
-    t63 = _crossing_time(seg_t, seg_y, y0 + _P63 * dy, sign)
+    times = []
+    for frac in (_P28, _P63):
+        level = y0 + frac * dy
+        times.append(crossing_time(seg_t, seg_y, level, sign))
+        if math.isnan(times[-1]):
+            raise IdentificationFailed(f"response never reached the {level:.6g} level")
+    t28, t63 = times
     tau = 1.5 * (t63 - t28)
     if tau <= 0.0:
         raise IdentificationFailed("degenerate two-point geometry")

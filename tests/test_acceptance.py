@@ -224,7 +224,7 @@ def test_ac6_static_ai_tuning_parity():
         result = tune_static_ai(narx, episodes, [[0.05, 5.0], [0.0, 5.0], [0.0, 1.0]],
                                 budget=500, rho=0.01, seed=0, restarts=2,
                                 gain_kw={"u_min": -3.0, "u_max": 3.0})
-        assert result.n_evals <= 500
+        assert len(result.trace) <= 500
 
         eval_cfg = SimConfig(dt=dt, horizon=30.0, seed=0)
         iae_zn = compute_step_metrics(

@@ -10,6 +10,7 @@ import pytest
 import loopbench
 from loopbench.cli import main
 from loopbench.config import DEFAULTS, resolve_config
+from loopbench.dataio import read_timeseries
 from loopbench.errors import ConfigError, ParseError
 from loopbench import neuro
 from loopbench.neuro import GainScheduler, NeuralController
@@ -412,6 +413,98 @@ def test_simulate_switch_logs_fallback_engagement(tmp_path):
     assert any("AI->FALLBACK" in line for line in transitions[1:])
 
 
+def test_simulate_fallback_fault_exits_3_naming_the_step(tmp_path, capsys):
+    # the AI is out of range at once; the fallback's huge gains saturate at
+    # step 0, then its derivative turns the output non-finite at step 1
+    cfg = {
+        "sim": {"dt": 0.01, "horizon": 1.0, "seed": 0},
+        "plant": {"variant": "fopdt", "gain": 10.0, "tau": 1.0, "limits": [-1.0, 1.0]},
+        "controller": {"kind": "constant", "value": 5.0},
+        "safety": {"kind": "switch",
+                   "fallback": {"gains": {"kp": 1e308, "kd": 1e308, "filter_n": 1e6}}},
+        "reference": {"variant": "step", "level": 10.0},
+    }
+    cfg_path = _write(tmp_path, "s.json", cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == \
+        "numerical failure: fallback failed: non-finite controller output (step 1)\n"
+
+
+def test_simulate_out_of_range_ai_hands_over_to_p_only_fallback(tmp_path):
+    # without integral action the fallback cannot be synced: a plain handover
+    cfg = {
+        "sim": {"dt": 0.01, "horizon": 1.0, "seed": 0},
+        "plant": {"variant": "fopdt", "gain": 1.0, "tau": 1.0, "limits": [-2.0, 2.0]},
+        "controller": {"kind": "constant", "value": 5.0},
+        "safety": {"kind": "switch", "fallback": {"gains": {"kp": 1.0}}},
+        "reference": {"variant": "step", "level": 1.0},
+    }
+    cfg_path = _write(tmp_path, "s.json", cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    assert _read_rows(tmp_path / "o" / "transitions.csv") == \
+        ["step,time,direction,cause", "0,0.0,AI->FALLBACK,out-of-range"]
+    rows = np.genfromtxt(tmp_path / "o" / "trajectory.csv", delimiter=",", names=True)
+    assert np.array_equal(rows["u"], 1.0 * (rows["w"] - rows["y"]))  # the P law from step 0
+
+
+def test_simulate_overflowing_neural_ai_falls_back_quietly(tmp_path, capsys):
+    # finite output weights of 1e308 overflow the output layer: the switch
+    # catches the non-finite command, and numpy warns about nothing
+    nc = NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0)
+    nc.mlp.weights[-1][...] = 1e308
+    save_model(nc, tmp_path / "big.weights")
+    cfg = {
+        "sim": {"dt": 0.01, "horizon": 1.0, "seed": 0},
+        "plant": {"variant": "fopdt", "gain": 1.0, "tau": 1.0, "limits": [-3.0, 3.0]},
+        "controller": {"kind": "neural", "model_path": str(tmp_path / "big.weights")},
+        "safety": {"kind": "switch", "fallback": {"gains": {"kp": 1.0, "ki": 1.0}}},
+        "reference": {"variant": "step", "level": 1.0},
+    }
+    cfg_path = _write(tmp_path, "s.json", cfg)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    assert _read_rows(tmp_path / "o" / "transitions.csv") == \
+        ["step,time,direction,cause", "2,0.02,AI->FALLBACK,nonfinite"]
+
+
+def test_simulate_blend_with_neural_correction_keeps_delta_bound(tmp_path):
+    save_model(NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0),
+               tmp_path / "corr.weights")
+    cfg = {
+        "sim": {"dt": 0.01, "horizon": 5.0, "seed": 0},
+        "plant": dict(FOPDT_PLANT),
+        "controller": {"kind": "pid", "gains": {"kp": 1.0, "ki": 0.8}},
+        "safety": {"kind": "blend", "delta": 0.05,
+                   "correction": {"kind": "neural", "model_path": str(tmp_path / "corr.weights")}},
+        "reference": {"variant": "step", "level": 1.0},
+    }
+    cfg_path = _write(tmp_path, "s.json", cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    rows = np.genfromtxt(tmp_path / "o" / "blend.csv", delimiter=",", names=True)
+    diffs = np.abs(rows["u"] - rows["u_conv"])
+    assert np.all(diffs <= 0.05)
+    assert np.any(diffs > 0.0)  # the network does correct the command
+
+
+def test_simulate_sinusoid_disturbance_column(tmp_path):
+    cfg = {
+        "sim": {"dt": 0.01, "horizon": 3.0, "seed": 0},
+        "plant": dict(FOPDT_PLANT),
+        "controller": {"kind": "pid", "gains": {"kp": 1.0, "ki": 0.5}},
+        "disturbance": {"variant": "sinusoid", "amplitude": 0.3, "period": 0.7},
+        "reference": {"variant": "step", "level": 1.0},
+    }
+    cfg_path = _write(tmp_path, "s.json", cfg)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    traj = read_timeseries(tmp_path / "o" / "trajectory.csv")
+    assert np.array_equal(traj.d, 0.3 * np.sin(2.0 * math.pi * traj.t / 0.7))
+    assert np.ptp(traj.d) > 0.5
+
+
 def test_simulate_without_safety_writes_no_safety_files(tmp_path):
     cfg = {
         "sim": {"dt": 0.01, "horizon": 5.0, "seed": 0},
@@ -489,14 +582,6 @@ def test_compare_two_runs_sorted_by_iae(tmp_path, capsys):
     assert iae == sorted(iae)
 
 
-def test_compare_jobs_flag_gives_same_result(tmp_path):
-    a, b = _two_sim_runs(tmp_path)
-    main(["compare", str(a), str(b), "--out", str(tmp_path / "c1")])
-    main(["compare", str(a), str(b), "--jobs", "4", "--out", str(tmp_path / "c2")])
-    assert (tmp_path / "c1" / "comparison.csv").read_bytes() == \
-        (tmp_path / "c2" / "comparison.csv").read_bytes()
-
-
 def test_bptt_scheduler_train_then_simulate(tmp_path):
     rec_cfg = {
         "sim": {"dt": 0.25, "horizon": 300.0, "seed": 1},
@@ -541,7 +626,19 @@ def test_bptt_scheduler_train_then_simulate(tmp_path):
     assert abs(y_final - 1.0) < 0.1  # scheduled loop tracks the step
 
 
-def test_compare_incomparable_runs_same_exit_code_and_message_with_jobs(tmp_path, capsys):
+def test_no_subcommand_accepts_jobs(capsys):
+    """Every command runs in one process on one thread: argparse rejects --jobs."""
+    for argv in (["record", "--config", "c.json"], ["fit-surrogate", "--config", "c.json",
+                 "--data", "d.csv"], ["tune", "--config", "c.json"],
+                 ["train-controller", "--config", "c.json"], ["simulate", "--config", "c.json"],
+                 ["compare", "a.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", "o", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_compare_incomparable_runs_exit_code_and_message(tmp_path, capsys):
     a, _ = _two_sim_runs(tmp_path)
     other = {"sim": {"dt": 0.01, "horizon": 15.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
              "reference": {"variant": "step", "level": 0.5}, "controller": {"kind": "pid"}}
@@ -551,8 +648,6 @@ def test_compare_incomparable_runs_same_exit_code_and_message_with_jobs(tmp_path
     capsys.readouterr()
     serial = main(["compare", str(a), str(c), "--out", str(tmp_path / "c1")])
     serial_err = capsys.readouterr().err
-    parallel = main(["compare", str(a), str(c), "--jobs", "2", "--out", str(tmp_path / "c2")])
-    assert (serial, serial_err) == (parallel, capsys.readouterr().err)
     assert serial == 3 and "different reference or disturbance" in serial_err
 
 

@@ -249,10 +249,9 @@ def test_split_floor_rule(monkeypatch):
 
     nc = NeuralController(Mlp([3, 2, 1], seed=0), -1.0, 1.0, memory=1)
     rows, targets = np.zeros((5000, 3)), np.zeros((5000, 1))
-    stats = (np.zeros(3), np.ones(3), np.zeros(1), np.ones(1))
     monkeypatch.setattr(neuro, "SupervisedDataset", lambda x, y: _stop(len(x)))
     for n in range(2, 5001):
-        ds = SupervisedDataset(rows[:n], targets[:n], *stats)
+        ds = SupervisedDataset(rows[:n], targets[:n])
         want = int(np.floor(n * 0.75))
         assert split_contiguous(n, 0.25) == want
         if want < 1 or n - want < 1:
@@ -449,6 +448,27 @@ def test_only_dataio_writes_files():
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if WRITE_CALL.search(line)]
     assert hits == [], "write files through dataio.write_lines/write_csv/write_columns/write_json"
+
+
+CONCURRENCY_MODULES = ("concurrent", "threading", "multiprocessing")
+
+
+def test_no_module_imports_threads_or_processes():
+    """loopbench runs in one process on one thread: no module in `src/`
+    imports concurrent.futures, threading or multiprocessing."""
+    src = Path(loopbench.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno}: {name}" for name in names
+                     if name.split(".")[0] in CONCURRENCY_MODULES]
+    assert hits == []
 
 
 # the one public name that no command reaches on purpose: AC-11's latency instrument

@@ -578,7 +578,7 @@ def test_nelder_mead_quadratic_stub_argmin():
 def test_budget_one_returns_first_simplex_point():
     res = tune_static_ai(_identity_narx(), [np.ones(10)], [[0.0, 4.0]] * 3, budget=1, seed=0,
                          gain_kw={"u_min": -3.0, "u_max": 3.0})
-    assert res.n_evals == 1
+    assert len(res.trace) == 1
     assert (res.gains.kp, res.gains.ki, res.gains.kd) == (2.0, 2.0, 2.0)  # bound midpoint start
 
 

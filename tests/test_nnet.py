@@ -10,7 +10,7 @@ import pytest
 
 from loopbench.errors import TrainingDiverged
 from loopbench.nnet import (
-    Adam, Mlp, SupervisedDataset, TrainConfig, grad, load_model,
+    STD_FLOOR, Adam, Mlp, SupervisedDataset, TrainConfig, feature_stats, grad, load_model,
     load_weights, mse, normalize, save_model, save_weights, train,
 )
 from loopbench.neuro import GainScheduler, NeuralController
@@ -155,11 +155,11 @@ def test_normalization_round_trip():
     assert np.allclose(normalize(x, mean, std) * std + mean, x, atol=1e-12)
 
 
-def test_dataset_std_floor_guards_constant_features():
-    ds = SupervisedDataset(np.ones((10, 2)), np.zeros((10, 1)))
-    assert np.all(ds.x_std >= 1e-12)
-    z = ds.normalized()
-    assert np.all(z.x == 0.0)
+def test_feature_stats_std_floor_guards_constant_features():
+    x = np.ones((10, 2))
+    mean, std = feature_stats(x)
+    assert np.all(std == STD_FLOOR)
+    assert np.all(normalize(x, mean, std) == 0.0)
 
 
 def test_param_count():

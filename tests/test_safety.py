@@ -95,9 +95,14 @@ def test_recovery_needs_dwell_and_valid_ai():
 
 
 def test_nonfinite_fallback_is_unrecoverable():
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
-    with pytest.raises(UnrecoverableFault):
-        _select(_supervised(sup), 0.5, math.nan, e=0.0)
+    # the fallback PID's output overflows, so pid_step faults; with nothing
+    # left to switch to, the supervisor ends the run in either mode
+    for mode in (MODE_AI, MODE_FALLBACK):
+        sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, mode=mode)
+        ctl = SupervisedController(_Scripted(), PidController(PidGains(kp=1e308)), sup, LIMITS)
+        with pytest.raises(UnrecoverableFault,
+                           match=r"^fallback failed: non-finite controller output \(step 0\)$"):
+            ctl.step(10.0, 0.0, 0.01)
 
 
 def test_hysteresis_transitions_spaced_by_dwell():
@@ -141,17 +146,17 @@ def test_transition_log_csv(tmp_path):
 
 def test_blend_clamps_upper():
     b = BoundedBlender(delta=0.2)
-    assert b.blend_step(1.0, 0.5) == pytest.approx(1.2)
+    assert b.blend_step(1.0, 0.5, (-math.inf, math.inf)) == pytest.approx(1.2)
 
 
 def test_blend_passthrough_inside_bound():
     b = BoundedBlender(delta=0.2)
-    assert b.blend_step(1.0, -0.05) == pytest.approx(0.95)
+    assert b.blend_step(1.0, -0.05, (-math.inf, math.inf)) == pytest.approx(0.95)
 
 
 def test_blend_absorbs_nonfinite_and_logs():
     b = BoundedBlender(delta=0.2)
-    assert b.blend_step(1.0, math.nan) == pytest.approx(1.0)
+    assert b.blend_step(1.0, math.nan, (-math.inf, math.inf)) == pytest.approx(1.0)
     assert len(b.absorb_log) == 1
     assert b.absorb_log[0].cause == "nonfinite-correction"
 

@@ -3,7 +3,8 @@ import pytest
 
 from loopbench.dataio import ExcitationSpec, generate_excitation, split_contiguous
 from loopbench.errors import MustResample, RolloutDiverged, TooShort
-from loopbench.nnet import Mlp, TrainConfig, load_model, normalize, save_model, train
+from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig, feature_stats, load_model, normalize, \
+    save_model, train
 from loopbench.simcore import Fopdt, PlantModel, SignalController, SimConfig, simulate
 from loopbench.surrogate import (
     NarxModel, fit_surrogate, lag_features, make_regression_dataset, narx_rollout,
@@ -120,12 +121,15 @@ def _decay_surrogate():
     # low-rate refinement pass for the free-run tail accuracy
     n_tr = split_contiguous(len(s.y), 0.25)
     tr_ds = make_regression_dataset(_Series(s.t[:n_tr], s.y[:n_tr], s.u[:n_tr]), 1, 1)
-    va_ds = make_regression_dataset(_Series(s.t[n_tr:], s.y[n_tr:], s.u[n_tr:]), 1, 1) \
-        .with_stats_of(tr_ds)
-    res = train(model.mlp, tr_ds.normalized(), va_ds.normalized(),
+    va_ds = make_regression_dataset(_Series(s.t[n_tr:], s.y[n_tr:], s.u[n_tr:]), 1, 1)
+    x_mean, x_std = feature_stats(tr_ds.x)
+    y_mean, y_std = feature_stats(tr_ds.y)
+    tr_n, va_n = (SupervisedDataset(normalize(ds.x, x_mean, x_std), normalize(ds.y, y_mean, y_std))
+                  for ds in (tr_ds, va_ds))
+    res = train(model.mlp, tr_n, va_n,
                 TrainConfig(learning_rate=3e-4, batch_size=64, max_epochs=2500,
                             patience=2500, seed=1))
-    return NarxModel(res.net, 1, 1, 1.0, tr_ds.x_mean, tr_ds.x_std, tr_ds.y_mean, tr_ds.y_std)
+    return NarxModel(res.net, 1, 1, 1.0, x_mean, x_std, y_mean, y_std)
 
 
 def test_rollout_tracks_geometric_decay():
