@@ -19,7 +19,7 @@ from . import config as cfgmod
 from .dataio import format_column, from_trajectory, generate_excitation, read_timeseries, \
     resample_uniform, write_columns, write_csv, write_json, write_timeseries
 from .errors import (
-    ConfigError, ControllerFault, IdentificationError, InvalidSpec, LoopbenchError,
+    ConfigError, ControllerFault, IdentificationError, LoopbenchError,
     MustResample, NoLimitCycle, ParseError, RolloutDiverged, SimulationDiverged, TooShort,
     TrainingDiverged, TrainingUnstable, TuningFailed, UnrecoverableFault,
 )
@@ -337,6 +337,13 @@ def cmd_compare(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def finite_positive(text: str) -> float:
+    """A finite number > 0 (argparse names this type when `float` fails)."""
+    if not 0.0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return float(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopbench",
@@ -376,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="metrics table over recorded trajectories")
     p.add_argument("trajectories", nargs="+", help="trajectory CSV files")
-    p.add_argument("--band", type=float, default=0.02, help="settling band fraction")
+    p.add_argument("--band", type=finite_positive, default=0.02, help="settling band fraction")
     common(p, config=False)
     p.set_defaults(func=cmd_compare)
 
@@ -388,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidSpec) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL as exc:

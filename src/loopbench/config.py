@@ -9,14 +9,14 @@ outputs, and that echo reproduces the run when fed back in.
 
 from __future__ import annotations
 
-import json
+import copy
 import math
 from contextlib import contextmanager
 
 import numpy as np
 
-from .dataio import ExcitationSpec, read_text, read_timeseries
-from .errors import ConfigError
+from .dataio import ExcitationSpec, parse_json, read_text, read_timeseries
+from .errors import ConfigError, ParseError
 from .nnet import TrainConfig, load_model
 from .pid import CascadeSpec, PidGains
 from .simcore import (
@@ -115,7 +115,7 @@ def _merge(defaults, given, path, required=False):
         child_path = f"{path}.{key}" if path else key
         if key not in given:
             _require(not required, "missing key", child_path)
-            out[key] = json.loads(json.dumps(default))  # deep copy of the default
+            out[key] = copy.deepcopy(default)
         elif default is None and given[key] is None:
             out[key] = None
         else:
@@ -158,17 +158,23 @@ def resolve_config(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path, required=()) -> dict:
-    """Read, parse and resolve a config file. Commands demand their `required`
-    sections be spelled out, not defaulted into existence."""
+def _read_json(path, what: str):
+    """The JSON value of file `path`; a file that cannot be read or parsed is a
+    ConfigError (a byte that is not UTF-8 stays `read_text`'s ParseError)."""
     try:
         text = read_text(path)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
+        raise ConfigError(f"cannot read {what}: {exc}", str(path)) from exc
     try:
-        raw = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-        raise ConfigError(f"invalid JSON: {exc}", str(path)) from exc
+        return parse_json(text, path)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def load_config(path, required=()) -> dict:
+    """Read, parse and resolve a config file. Commands demand their `required`
+    sections be spelled out, not defaulted into existence."""
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object", str(path))
     for name in required:
@@ -197,9 +203,6 @@ def _check(cfg: dict) -> None:
              "plant.limits")
     lam = cfg["training"]["lambda"]
     _require(0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
-    for name in ("tuning", "training"):
-        _require(math.isfinite(cfg[name]["episodes"]["level"]), "level must be a finite number",
-                 f"{name}.episodes.level")
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +292,13 @@ def reference_from(cfg: dict):
     return lambda t: float(np.interp(t, t_ref, w_ref))
 
 
-def gains_from_dict(block: dict, path: str = "gains",
-                    limits: tuple[float, float] | None = None) -> PidGains:
-    """Gains from a JSON block; null output limits inherit `limits` (or none)."""
-    fallback = limits if limits is not None else (-math.inf, math.inf)
+def gains_from_dict(block: dict, path: str, limits: tuple[float, float]) -> PidGains:
+    """Gains from a JSON block; null output limits inherit `limits`."""
     with section(path):
         return PidGains(
             kp=block["kp"], ki=block["ki"], kd=block["kd"], structure=block["structure"],
-            u_min=fallback[0] if block["u_min"] is None else block["u_min"],
-            u_max=fallback[1] if block["u_max"] is None else block["u_max"],
+            u_min=limits[0] if block["u_min"] is None else block["u_min"],
+            u_max=limits[1] if block["u_max"] is None else block["u_max"],
             deriv_filter_n=block["filter_n"],
         )
 
@@ -311,15 +312,9 @@ def gains_to_dict(gains: PidGains) -> dict:
     }
 
 
-def load_gains_file(path, limits: tuple[float, float] | None = None) -> PidGains:
-    try:
-        block = json.loads(read_text(path))
-    except (OSError, TypeError) as exc:
-        raise ConfigError(f"cannot read gains file: {exc}", str(path)) from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-        raise ConfigError(f"invalid gains JSON: {exc}", str(path)) from exc
-    return gains_from_dict(_merge(_GAIN_DEFAULTS, block, str(path)), path=str(path),
-                           limits=limits)
+def load_gains_file(path, limits: tuple[float, float]) -> PidGains:
+    return gains_from_dict(_merge(_GAIN_DEFAULTS, _read_json(path, "gains file"), str(path)),
+                           path=str(path), limits=limits)
 
 
 def resolve_gains(block: dict, limits: tuple[float, float], path: str) -> PidGains:

@@ -1,5 +1,5 @@
 """Time-series files, resampling, splitting, excitation signals, and the one
-text reader and file writer of the workbench.
+text reader, JSON parser and file writer of the workbench.
 
 Every file written is UTF-8 with LF line ends and one final newline; numbers
 are the repr() of the Python value (an exact round trip), JSON is `indent=2,
@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, MustResample, ParseError, TooShort
+from .errors import MustResample, ParseError, TooShort
 
 _BASE_COLUMNS = ("t", "w", "y", "u", "d")
 
@@ -33,6 +34,44 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x})",
                          line=raw.count(b"\n", 0, exc.start) + 1) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+# a JSON string, or a bare JSON number or constant
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+def _json_number(token: str):
+    """A bare JSON number token as `json.loads` converts it; ValueError for NaN,
+    Infinity, a float beyond the range and an integer too long for `int`."""
+    if token.lstrip("-").isdigit():
+        return int(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not finite")
+    return value
+
+
+def _bad_number_line(text: str) -> int:
+    """The 1-based line of the first number `_json_number` rejects."""
+    for m in _JSON_TOKEN.finditer(text):
+        if m.group()[0] != '"':
+            try:
+                _json_number(m.group())
+            except ValueError:
+                return text.count("\n", 0, m.start()) + 1
+    return 1
+
+
+def parse_json(text: str, where):
+    """`text` parsed as JSON (RFC 8259); a syntax error or a number that
+    `_json_number` rejects is a ParseError naming `where` and the line."""
+    try:
+        return json.loads(text, parse_int=_json_number, parse_float=_json_number,
+                          parse_constant=_json_number)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except ValueError as exc:
+        raise ParseError(f"{where}: invalid number: {exc}", line=_bad_number_line(text)) from None
 
 
 def write_lines(path, lines) -> None:
@@ -281,13 +320,13 @@ class ExcitationSpec:
 
     def __post_init__(self):
         if self.variant not in ("step_train", "prbs", "chirp"):
-            raise InvalidSpec(f"unknown excitation variant {self.variant!r}")
+            raise ValueError(f"unknown excitation variant {self.variant!r}")
         if self.variant == "step_train" and not self.levels:
-            raise InvalidSpec("step_train needs at least one level")
+            raise ValueError("step_train needs at least one level")
         if self.variant == "prbs" and self.order not in PRBS_TAPS:
-            raise InvalidSpec("PRBS order must be in 3..16")
+            raise ValueError("PRBS order must be in 3..16")
         if self.variant == "chirp" and (self.f0 < 0.0 or self.f1 < 0.0):
-            raise InvalidSpec("chirp frequencies must be >= 0")
+            raise ValueError("chirp frequencies must be >= 0")
 
 
 def prbs_bits(order: int, seed: int = 1) -> np.ndarray:
@@ -324,7 +363,7 @@ def generate_excitation(spec: ExcitationSpec, cfg, limits: tuple[float, float] |
         peak = max(abs(float(v)) for v in spec.levels)
         _check_amplitude(peak, limits)
         if spec.dwell <= 0.0:
-            raise InvalidSpec("dwell must be > 0")
+            raise ValueError("dwell must be > 0")
         per_level = max(int(round(spec.dwell / dt)), 1)
         idx = (np.arange(n) // per_level) % len(spec.levels)
         return np.array([float(spec.levels[i]) for i in idx])
@@ -332,7 +371,7 @@ def generate_excitation(spec: ExcitationSpec, cfg, limits: tuple[float, float] |
     if spec.variant == "prbs":
         _check_amplitude(abs(spec.amplitude), limits)
         if spec.bit_period < dt:
-            raise InvalidSpec("bit period must be >= dt")
+            raise ValueError("bit period must be >= dt")
         bits = prbs_bits(spec.order, spec.seed)
         per_bit = max(int(round(spec.bit_period / dt)), 1)
         idx = (np.arange(n) // per_bit) % len(bits)
@@ -342,7 +381,7 @@ def generate_excitation(spec: ExcitationSpec, cfg, limits: tuple[float, float] |
     _check_amplitude(abs(spec.amplitude), limits)
     duration = spec.duration if spec.duration is not None else cfg.horizon
     if duration > cfg.horizon + 1e-12:
-        raise InvalidSpec("chirp duration exceeds the horizon")
+        raise ValueError("chirp duration exceeds the horizon")
     sweep_rate = (spec.f1 - spec.f0) / (2.0 * duration)
     phase = 2.0 * math.pi * (spec.f0 * t + sweep_rate * t * t)
     u = spec.amplitude * np.sin(phase)
@@ -352,4 +391,4 @@ def generate_excitation(spec: ExcitationSpec, cfg, limits: tuple[float, float] |
 
 def _check_amplitude(peak: float, limits: tuple[float, float] | None) -> None:
     if limits is not None and (-peak < limits[0] or peak > limits[1]):
-        raise InvalidSpec(f"excitation amplitude {peak:.6g} exceeds actuator limits {limits}")
+        raise ValueError(f"excitation amplitude {peak:.6g} exceeds actuator limits {limits}")

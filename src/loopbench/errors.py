@@ -93,10 +93,6 @@ class ParseError(LoopbenchError):
         self.line = line
 
 
-class InvalidSpec(LoopbenchError):
-    """Excitation or experiment specification out of range."""
-
-
 class ConfigError(LoopbenchError):
     """Experiment config validation failure; carries the offending key path."""
 

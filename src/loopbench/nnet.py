@@ -9,15 +9,13 @@ training is bit-reproducible.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import read_text, write_json, write_lines
+from .dataio import parse_json, read_text, write_json, write_lines
 from .errors import ParseError, TrainingDiverged
 
 STD_FLOOR = 1e-12
@@ -458,48 +456,13 @@ def _aux_from(meta: dict, trunk: Mlp, path) -> Mlp | None:
     return aux
 
 
-# a JSON string, or a bare JSON number or constant
-_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
-
-
-def _json_number(token: str):
-    """A bare JSON number token as `json.loads` converts it, but ValueError
-    for NaN, Infinity, a float beyond the float range, and an integer
-    longer than `int` converts from text."""
-    if token.lstrip("-").isdigit():
-        return int(token)
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"{token} is not finite")
-    return value
-
-
-def _bad_number_line(text: str) -> int:
-    """The 1-based line of the first number `_json_number` rejects."""
-    for m in _JSON_TOKEN.finditer(text):
-        if m.group()[0] != '"':
-            try:
-                _json_number(m.group())
-            except ValueError:
-                return text.count("\n", 0, m.start()) + 1
-    return 1
-
-
 def load_model(path, cls):
-    """Inverse of `save_model` for the model class `cls`. A sidecar that is
-    not JSON, holds a number that is not finite or an integer too long to
-    convert, is of another kind, lacks a field or holds one that `cls`
-    rejects raises ParseError naming the sidecar."""
+    """Inverse of `save_model` for the model class `cls`. A sidecar that
+    `parse_json` rejects, is of another kind, lacks a field or holds one that
+    `cls` rejects raises ParseError naming the sidecar."""
     mlp = load_weights(path)
     where = str(path) + ".meta.json"
-    text = read_text(where)
-    try:
-        meta = json.loads(text, parse_int=_json_number, parse_float=_json_number,
-                          parse_constant=_json_number)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: invalid JSON: {exc.msg}", line=exc.lineno) from None
-    except ValueError as exc:
-        raise ParseError(f"{where}: invalid number: {exc}", line=_bad_number_line(text)) from None
+    meta = parse_json(read_text(where), where)
     if not isinstance(meta, dict) or meta.get("kind") != cls.KIND:
         raise ParseError(f"{where}: not a {cls.KIND} model", line=1)
     names = _sidecar_fields(cls)

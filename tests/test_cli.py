@@ -119,13 +119,15 @@ def test_integer_too_long_to_convert_exits_2_naming_the_file(tmp_path, capsys, t
     gains = tmp_path / "gains.json"
     gains.write_text(f'{{"kp": {big if target == "gains" else 1}}}', encoding="utf-8")
     config = Path(_sim_pid_cfg(tmp_path, gains_path=str(gains)))
+    path, line = gains, 1
     if target == "config":
-        config.write_text(config.read_text().replace('"seed": 0', f'"seed": {big}'))
+        text = config.read_text()
+        config.write_text(text.replace('"seed": 0', f'"seed": {big}'))
+        path, line = config, text[:text.index('"seed"')].count("\n") + 1
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {config if target == 'config' else gains}: invalid " in err
-    assert "Exceeds the limit (4300 digits)" in err
+    assert f"config error: line {line}: {path}: invalid number: Exceeds the limit (4300 digits)" \
+        in capsys.readouterr().err
 
 
 def test_non_numeric_actuator_limit_is_validation_error():
@@ -170,6 +172,21 @@ def test_record_echoes_resolved_config(tmp_path):
     echo_path = _write(tmp_path, "echo.json", echo)
     main(["record", "--config", echo_path, "--out", str(tmp_path / "o2")])
     assert (tmp_path / "o" / "record.csv").read_bytes() == (tmp_path / "o2" / "record.csv").read_bytes()
+
+
+@pytest.mark.parametrize("excitation, message", [
+    ({"variant": "prbs", "order": 2}, "PRBS order must be in 3..16"),
+    ({"variant": "step_train", "levels": [1.0], "dwell": 0.0}, "dwell must be > 0"),
+    ({"variant": "chirp", "duration": 500.0}, "chirp duration exceeds the horizon"),
+    ({"variant": "prbs", "bit_period": 0.1}, "bit period must be >= dt"),
+    ({"variant": "prbs", "amplitude": 5.0},
+     "excitation amplitude 5 exceeds actuator limits (-3.0, 3.0)"),
+], ids=["prbs-order", "dwell", "chirp-duration", "bit-period", "amplitude"])
+def test_rejected_excitation_exits_2_naming_the_section(tmp_path, capsys, excitation, message):
+    cfg = {**_record_cfg(), "excitation": excitation}
+    argv = ["record", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: excitation: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +240,7 @@ def test_fit_surrogate_corrupt_csv_reports_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("val_fraction", [0, -0.5, 1.0, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("val_fraction", [0, -0.5, 1.0, 1.5])
 def test_out_of_range_val_fraction_exits_2_naming_it(tmp_path, capsys, val_fraction):
     cfg = {**_record_cfg(), "surrogate": {"val_fraction": val_fraction}}
     cfg_path = _write(tmp_path, "rec.json", cfg)
@@ -321,6 +338,24 @@ def test_surrogate_mode_without_surrogate_exits_2(tmp_path, capsys, command, blo
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("plant, sim, rule, message", [
+    ({"gain": 0.0}, {"dt": 0.05, "horizon": 20.0}, "cohen-coon",
+     "flat response: no identifiable gain"),
+    ({"tau": 50.0}, {"dt": 0.05, "horizon": 2.0}, "cohen-coon",
+     "no steady final value within the horizon"),
+    ({"dead_time": 0.0}, {"dt": 0.1, "horizon": 20.0}, "ziegler-nichols",
+     "oscillation at the sampling scale, not a process limit cycle"),
+], ids=["step-test-flat", "step-test-not-settled", "relay-no-limit-cycle"])
+def test_failed_tuning_experiment_exits_3(tmp_path, capsys, plant, sim, rule, message):
+    """A step test on a plant without gain or one too slow for the horizon,
+    and a relay on a plant without dead time, exit 3 saying why."""
+    cfg = {"sim": {**sim, "seed": 0}, "plant": {**FOPDT_PLANT, **plant},
+           "tuning": {"mode": "rule", "rule": rule}}
+    assert main(["tune", "--config", _write(tmp_path, "c.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # train-controller
 # ---------------------------------------------------------------------------
@@ -374,6 +409,27 @@ def test_train_controller_imitation_and_seed_repeat_identical(tmp_path):
     curve = _read_rows(tmp_path / "a" / "training_curve.csv")
     assert curve[0] == "epoch,train_loss,val_rmse_a,val_rmse_b"
     assert len(curve) > 10
+
+
+def _bptt_cfg(horizon):
+    return {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
+            "training": {"mode": "bptt", "memory": 2, "hidden": [4], "horizon": horizon,
+                         "epochs": 1}}
+
+
+def test_bptt_horizon_above_200_exits_2(tmp_path, capsys):
+    argv = ["train-controller", "--config", _write(tmp_path, "c.json", _bptt_cfg(201)),
+            "--surrogate", str(_saved_surrogate(tmp_path)), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "config error: training: rollout horizon is capped at 200 steps\n"
+
+
+def test_bptt_horizon_0_trains_one_epoch_of_zero_loss(tmp_path):
+    argv = ["train-controller", "--config", _write(tmp_path, "c.json", _bptt_cfg(0)),
+            "--surrogate", str(_saved_surrogate(tmp_path)), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert _read_rows(tmp_path / "o" / "training_curve.csv") == ["epoch,loss,skipped", "0,0.0,0"]
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +613,17 @@ def test_simulate_diverged_exit_code(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("band", ["nan", "inf", "0", "-1"])
+def test_compare_band_must_be_finite_and_positive(tmp_path, capsys, band):
+    """argparse rejects the band before any file is read; an accepted band
+    would go on to the missing file and exit 4."""
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(tmp_path / "a.csv"), "--band", band, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"argument --band: must be a finite number > 0, got {band!r}" \
+        in capsys.readouterr().err
+
 
 def _two_sim_runs(tmp_path):
     base = {
@@ -1095,8 +1162,10 @@ BLEND = {"kind": "blend", "delta": 0.1, "correction": {"kind": "constant", "valu
 
 
 def _leaf_case(command, patch, path, index, section):
-    """A wrong kind, which `_merge` rejects with the leaf's path; the test id
-    keeps the section path it was first written with."""
+    """A case with a fixed test id, `{command}-patch{index}-{section}`, that
+    does not shift when cases are added or removed; a wrong kind, which
+    `_merge` rejects with the leaf's path, keeps the section id it was first
+    written with."""
     return pytest.param(command, patch, path, id=f"{command}-patch{index}-{section}")
 
 
@@ -1120,12 +1189,11 @@ def _leaf_case(command, patch, path, index, section):
      "tuning"),
     _leaf_case("tune", {"tuning": {"rule": "ziegler-nichols", "kind": [1.0]}}, "tuning.kind", 12,
                "tuning"),
-    ("tune", {"tuning": {"fopdt": {"gain": math.nan, "tau": 1.0, "dead_time": 0.2}}}, "tuning"),
-    ("tune", {"tuning": {"fopdt": {"gain": 1.0, "tau": math.nan, "dead_time": 0.2}}}, "tuning"),
-    ("tune", {"tuning": {"fopdt": {"gain": 1.0, "tau": 1.0, "dead_time": math.nan}}}, "tuning"),
-    ("simulate", {"controller": {"kind": "cascade"}}, "controller"),
-    ("train-controller", {"training": {"hidden": [], "beta": 0.5}}, "training"),
-    ("train-controller", {"training": {"episodes": {"count": 0}}}, "training"),
+    _leaf_case("simulate", {"controller": {"kind": "cascade"}}, "controller", 16, "controller"),
+    _leaf_case("train-controller", {"training": {"hidden": [], "beta": 0.5}}, "training", 17,
+               "training"),
+    _leaf_case("train-controller", {"training": {"episodes": {"count": 0}}}, "training", 18,
+               "training"),
 ])
 def test_rejected_value_exits_2_with_section_path(tmp_path, capsys, command, patch, section):
     base = {"tune": _tune_rule_cfg(), "train-controller": _imitation_cfg()}.get(command) or \
@@ -1141,27 +1209,81 @@ def test_rejected_value_exits_2_with_section_path(tmp_path, capsys, command, pat
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("mode", ["tune-ai", "bptt", "imitation"])
 def test_nonfinite_episode_level_exits_2_with_key(tmp_path, capsys, mode, level):
-    """A reference level that is not finite is a config error naming the key,
-    not a numerical failure after a whole search or training run."""
+    """A reference level that is not finite is a config error naming the file
+    and the level's line, not a numerical failure after a whole search or
+    training run."""
     surrogate = ["--surrogate", str(_saved_surrogate(tmp_path))]
     sim = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT)}
-    command, base, extra, key = {
-        "tune-ai": ("tune", {**sim, "tuning": {"mode": "ai", "budget": 5}}, surrogate,
-                    "tuning.episodes.level"),
+    command, base, extra, section = {
+        "tune-ai": ("tune", {**sim, "tuning": {"mode": "ai", "budget": 5}}, surrogate, "tuning"),
         "bptt": ("train-controller", {**sim, "training": {"mode": "bptt", "memory": 2, "hidden": [4],
                                                           "horizon": 5, "epochs": 1}},
-                 surrogate, "training.episodes.level"),
-        "imitation": ("train-controller", _imitation_cfg(), [], "training.episodes.level"),
+                 surrogate, "training"),
+        "imitation": ("train-controller", _imitation_cfg(), [], "training"),
     }[mode]
     argv = [command, "--config", _write(tmp_path, "ok.json", base), "--out", str(tmp_path / "o"),
             *extra]
     assert main(argv) == 0
-    section = key.split(".")[0]
     base[section]["episodes"] = {"count": 1, "level": level}
     argv[2] = _write(tmp_path, "bad.json", base)
+    text = Path(argv[2]).read_text()
+    line = text[:text.index('"level"')].count("\n") + 1
     capsys.readouterr()
     assert main(argv) == 2
-    assert f"config error: {key}: " in capsys.readouterr().err
+    assert f"config error: line {line}: {argv[2]}: invalid number: {json.dumps(level)} is not " \
+        "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, leaf, token", [
+    ("record", "excitation.amplitude", "-Infinity"),
+    ("fit-surrogate", "surrogate.val_fraction", "NaN"),
+    ("fit-surrogate", "surrogate.val_fraction", "Infinity"),
+    ("tune", "tuning.fopdt.gain", "NaN"),
+    ("tune", "tuning.fopdt.tau", "NaN"),
+    ("tune", "tuning.fopdt.dead_time", "NaN"),
+    ("train-controller", "training.lambda", "1e999"),
+    ("simulate", "controller.gains.kp", "Infinity"),
+    ("simulate", "plant.gain", "NaN"),
+    ("simulate", "plant.tau", "1e999"),
+])
+def test_non_finite_config_number_exits_2_naming_the_file_and_line(tmp_path, capsys, command,
+                                                                    leaf, token):
+    """JSON has no NaN or Infinity (RFC 8259), and 1e999 is beyond the float
+    range: a config holding one is a config error naming the file and the
+    number's line, and the command does not run. A PID with kp Infinity
+    would otherwise report a saturated run, a NaN plant gain a numerical
+    failure at step 0."""
+    record = ["record", "--config", _write(tmp_path, "rec.json", _record_cfg()),
+              "--out", str(tmp_path / "rec")]
+    assert main(record) == 0
+    base, extra = {
+        "record": (_record_cfg(), []),
+        "fit-surrogate": ({**_record_cfg(), "surrogate": {"hidden": [4], "epochs": 2,
+                                                          "patience": 2, "batch_size": 8}},
+                          ["--data", str(tmp_path / "rec" / "record.csv")]),
+        "tune": (_patched(_tune_rule_cfg(), {"tuning": {"fopdt": {"gain": 1.0, "tau": 1.0,
+                                                                  "dead_time": 0.2}}}), []),
+        "train-controller": (_imitation_cfg(), []),
+        "simulate": (json.loads(Path(_sim_pid_cfg(tmp_path, gains={"kp": 1.0})).read_text()), []),
+    }[command]
+    argv = [command, "--config", _write(tmp_path, "ok.json", base), "--out", str(tmp_path / "o"),
+            *extra]
+    assert main(argv) == 0
+    *sections, key = leaf.split(".")
+    block = base
+    for name in sections:
+        block = block.setdefault(name, {})
+    block[key] = "@"
+    text = json.dumps(base, indent=1)
+    line = text[:text.index('"@"')].count("\n") + 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"@"', token), encoding="utf-8")
+    argv[2:5] = [str(bad), "--out", str(tmp_path / "bad")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"config error: line {line}: {bad}: invalid number: {token} is not finite\n"
+    assert not (tmp_path / "bad").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1176,6 +1298,21 @@ def test_gains_file_value_of_a_wrong_kind_exits_2_naming_file_and_key(tmp_path, 
             "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert f"config error: {path}.{key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_gains_file_number_exits_2_naming_the_file_and_line(tmp_path, capsys, token):
+    """A gains file follows the config's number rule: with kp Infinity the
+    run used to exit 0 and report a saturated loop."""
+    path = _write(tmp_path, "gains.json", {**GAINS_FILE, "kp": "@"})
+    text = Path(path).read_text()
+    line = text[:text.index('"@"')].count("\n") + 1
+    Path(path).write_text(text.replace('"@"', token))
+    argv = ["simulate", "--config", _sim_pid_cfg(tmp_path, gains_path=path),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"config error: line {line}: {path}: invalid number: {token} is not finite\n"
 
 
 def test_gains_file_follows_the_rule_of_an_inline_gains_block(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -11,10 +12,11 @@ import loopbench
 from loopbench import neuro, surrogate
 from loopbench.dataio import (
     ExcitationSpec, PRBS_TAPS, TimeSeries, format_column, from_trajectory, generate_excitation,
-    _is_number, _validate_header, prbs_bits, read_text, read_timeseries, resample_uniform,
-    split_contiguous, write_columns, write_csv, write_json, write_lines, write_timeseries,
+    _is_number, _validate_header, parse_json, prbs_bits, read_text, read_timeseries,
+    resample_uniform, split_contiguous, write_columns, write_csv, write_json, write_lines,
+    write_timeseries,
 )
-from loopbench.errors import InvalidSpec, ParseError, TooShort
+from loopbench.errors import ParseError, TooShort
 from loopbench.neuro import DualDatasetMix, NeuralController, train_imitation
 from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig
 from loopbench.simcore import ConstantController, PlantModel, LinearStateSpace, SimConfig, simulate
@@ -338,14 +340,14 @@ def test_step_train_levels_and_dwell():
 def test_excitation_amplitude_checked_against_limits():
     cfg = SimConfig(dt=0.1, horizon=1.0, seed=0)
     spec = ExcitationSpec(variant="prbs", order=3, amplitude=5.0, bit_period=0.1)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError):
         generate_excitation(spec, cfg, limits=(-1.0, 1.0))
 
 
 def test_prbs_order_range_enforced():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError):
         ExcitationSpec(variant="prbs", order=2)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ValueError):
         ExcitationSpec(variant="prbs", order=17)
 
 
@@ -363,6 +365,26 @@ def test_from_trajectory_records_measurement(tmp_path):
 # ---------------------------------------------------------------------------
 # the one writer
 # ---------------------------------------------------------------------------
+
+def test_parse_json_reads_what_json_loads_reads_of_finite_numbers():
+    text = '{"a": [1, -0, 2.5e-3, 1e-400], "b": "NaN \\" Infinity", "c": {"d": null}}'
+    assert parse_json(text, "x.json") == json.loads(text)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ('{"a": "NaN",\n "b": [1,\n 1e999]}', 3, "invalid number: 1e999 is not finite"),
+    ('{"a": "-Infinity",\n\n "b": -Infinity}', 3, "invalid number: -Infinity is not finite"),
+    ('{"a":\n 1' + "0" * 5000 + '}', 2, "invalid number: Exceeds the limit (4300 digits)"),
+    ('{"a": 1,\n "b": 2,}', 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+], ids=["float-overflow", "constant", "long-integer", "syntax"])
+def test_parse_json_rejects_with_the_line(text, line, message):
+    """A number inside a string is no number; the line is that of the first
+    number the parser rejects, or of the syntax error."""
+    with pytest.raises(ParseError) as err:
+        parse_json(text, "x.json")
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: x.json: {message}")
+
 
 def test_write_lines_is_utf8_lf_with_one_final_newline(tmp_path):
     write_lines(tmp_path / "a.txt", ["µ", "", "b"])
@@ -448,6 +470,26 @@ def test_only_dataio_writes_files():
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if WRITE_CALL.search(line)]
     assert hits == [], "write files through dataio.write_lines/write_csv/write_columns/write_json"
+
+
+JSON_READERS = ("load", "loads")
+
+
+def test_only_dataio_parses_json():
+    """`dataio.parse_json` is the one JSON parser, so that every JSON number
+    the workbench reads follows one rule: the one `json.loads` call in `src/`
+    is in dataio, and no module imports `load` or `loads` from json."""
+    src = Path(loopbench.__file__).parent
+    hits = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in JSON_READERS \
+                    and isinstance(node.value, ast.Name) and node.value.id == "json":
+                hits.append(f"{path.name}: json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                hits += [f"{path.name}: from json import {alias.name}" for alias in node.names
+                         if alias.name in JSON_READERS]
+    assert hits == ["dataio.py: json.loads"], "parse JSON text through dataio.parse_json"
 
 
 CONCURRENCY_MODULES = ("concurrent", "threading", "multiprocessing")

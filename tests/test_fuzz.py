@@ -11,7 +11,8 @@ config leaf exits 2, and a 0xff byte or a non-finite cell as the only fault
 exits 4, as does a model file whose only fault is one non-finite number.
 A number or integer leaf set to a numeric string, an integer leaf
 set to a float and a list leaf set to a string each exit 2 with the leaf's
-key path. Layer sizes
+key path; any number set to NaN, Infinity, -Infinity or 1e999 exits 2 with
+the config's path and the number's line. Layer sizes
 and horizons stay small so that no mutant asks for a large allocation or a
 long run.
 """
@@ -356,6 +357,34 @@ def test_leaf_of_a_wrong_kind_exits_2_with_its_key_path(tmp_path, capsys, base):
             assert f"config error: {'.'.join(leaf)}: " in capsys.readouterr().err, what
             kinds.add(kind)
     assert kinds == set(WRONG_KINDS)
+
+
+NON_FINITE_TOKENS = ("NaN", "Infinity", "-Infinity", "1e999")
+
+
+@pytest.mark.parametrize("base", range(14))
+def test_non_finite_number_exits_2_with_the_file_and_line(tmp_path, capsys, base):
+    """JSON has no NaN or Infinity, and 1e999 is beyond the float range: any
+    of them in any number the command reads, list items included, exits 2
+    naming the config and the number's line, and nothing runs."""
+    name, command, raw, extra = _config_bases(tmp_path)[base]
+    cfg = resolve_config(raw)
+    path = tmp_path / "cfg.json"
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), *extra]
+    numbers = [leaf for section in READS[command]
+               for leaf in _number_paths(cfg[section], (section,))]
+    for leaf in numbers:
+        mutant = json.loads(json.dumps(cfg))
+        reduce(getitem, leaf[:-1], mutant)[leaf[-1]] = "@"
+        text = json.dumps(mutant, indent=1)
+        line = text[:text.index('"@"')].count("\n") + 1
+        for token in NON_FINITE_TOKENS:
+            path.write_text(text.replace('"@"', token))
+            what = f"{name}: {list(leaf)} = {token}"
+            assert main(argv) == 2, what
+            assert capsys.readouterr().err == \
+                f"config error: line {line}: {path}: invalid number: {token} is not finite\n", what
+    assert numbers and not (tmp_path / "out").exists()
 
 
 # --- time-series files ---
