@@ -240,15 +240,28 @@ def test_fit_surrogate_corrupt_csv_reports_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("val_fraction", [0, -0.5, 1.0, 1.5])
+@pytest.mark.parametrize("val_fraction", [0, -0.5, 1.0, 1.5, math.nan, math.inf])
 def test_out_of_range_val_fraction_exits_2_naming_it(tmp_path, capsys, val_fraction):
-    cfg = {**_record_cfg(), "surrogate": {"val_fraction": val_fraction}}
-    cfg_path = _write(tmp_path, "rec.json", cfg)
-    assert main(["record", "--config", cfg_path, "--out", str(tmp_path / "rec")]) == 0
+    """A finite val_fraction outside (0, 1) fails the key check; a NaN or
+    Infinity is no JSON number, so the parser names the file and its line."""
+    rec_path = _write(tmp_path, "rec.json", _record_cfg())
+    assert main(["record", "--config", rec_path, "--out", str(tmp_path / "rec")]) == 0
+    cfg_path = _write(tmp_path, "sur.json",
+                      {**_record_cfg(), "surrogate": {"val_fraction": val_fraction}})
     data = str(tmp_path / "rec" / "record.csv")
     argv = ["fit-surrogate", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "sur")]
+    capsys.readouterr()
     assert main(argv) == 2
-    assert "config error: surrogate: val_fraction" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if math.isfinite(val_fraction):
+        assert "config error: surrogate: val_fraction" in err
+    else:
+        text = Path(cfg_path).read_text()
+        line = text[:text.index('"val_fraction"')].count("\n") + 1
+        token = json.dumps(val_fraction)
+        assert err == \
+            f"config error: line {line}: {cfg_path}: invalid number: {token} is not finite\n"
+    assert not (tmp_path / "sur").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1236,8 +1249,6 @@ def test_nonfinite_episode_level_exits_2_with_key(tmp_path, capsys, mode, level)
 
 @pytest.mark.parametrize("command, leaf, token", [
     ("record", "excitation.amplitude", "-Infinity"),
-    ("fit-surrogate", "surrogate.val_fraction", "NaN"),
-    ("fit-surrogate", "surrogate.val_fraction", "Infinity"),
     ("tune", "tuning.fopdt.gain", "NaN"),
     ("tune", "tuning.fopdt.tau", "NaN"),
     ("tune", "tuning.fopdt.dead_time", "NaN"),
@@ -1253,21 +1264,15 @@ def test_non_finite_config_number_exits_2_naming_the_file_and_line(tmp_path, cap
     number's line, and the command does not run. A PID with kp Infinity
     would otherwise report a saturated run, a NaN plant gain a numerical
     failure at step 0."""
-    record = ["record", "--config", _write(tmp_path, "rec.json", _record_cfg()),
-              "--out", str(tmp_path / "rec")]
-    assert main(record) == 0
-    base, extra = {
-        "record": (_record_cfg(), []),
-        "fit-surrogate": ({**_record_cfg(), "surrogate": {"hidden": [4], "epochs": 2,
-                                                          "patience": 2, "batch_size": 8}},
-                          ["--data", str(tmp_path / "rec" / "record.csv")]),
-        "tune": (_patched(_tune_rule_cfg(), {"tuning": {"fopdt": {"gain": 1.0, "tau": 1.0,
-                                                                  "dead_time": 0.2}}}), []),
-        "train-controller": (_imitation_cfg(), []),
-        "simulate": (json.loads(Path(_sim_pid_cfg(tmp_path, gains={"kp": 1.0})).read_text()), []),
-    }[command]
-    argv = [command, "--config", _write(tmp_path, "ok.json", base), "--out", str(tmp_path / "o"),
-            *extra]
+    base = {
+        "record": _record_cfg,
+        "tune": lambda: _patched(_tune_rule_cfg(), {"tuning": {"fopdt": {
+            "gain": 1.0, "tau": 1.0, "dead_time": 0.2}}}),
+        "train-controller": _imitation_cfg,
+        "simulate": lambda: json.loads(
+            Path(_sim_pid_cfg(tmp_path, gains={"kp": 1.0})).read_text()),
+    }[command]()
+    argv = [command, "--config", _write(tmp_path, "ok.json", base), "--out", str(tmp_path / "o")]
     assert main(argv) == 0
     *sections, key = leaf.split(".")
     block = base
