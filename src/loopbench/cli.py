@@ -18,11 +18,7 @@ import numpy as np
 from . import config as cfgmod
 from .dataio import format_column, from_trajectory, generate_excitation, read_timeseries, \
     resample_uniform, write_columns, write_csv, write_json, write_timeseries
-from .errors import (
-    ConfigError, ControllerFault, IdentificationError, LoopbenchError,
-    MustResample, NoLimitCycle, ParseError, RolloutDiverged, SimulationDiverged, TooShort,
-    TrainingDiverged, TrainingUnstable, TuningFailed, UnrecoverableFault,
-)
+from .errors import ConfigError, DataError, NumericalFailure
 from .metrics import ComparisonTable, compare, compute_step_metrics
 from .neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
@@ -38,11 +34,6 @@ from .tuning import (
     FopdtModel, identify_fopdt_step, relay_experiment, run_step_test, tune_cohen_coon,
     tune_kappa_tau, tune_ziegler_nichols, ultimate_from_fopdt,
 )
-
-_NUMERICAL = (SimulationDiverged, TrainingDiverged, TrainingUnstable, TuningFailed,
-              NoLimitCycle, IdentificationError, RolloutDiverged, ControllerFault,
-              UnrecoverableFault)
-_IO = (ParseError, MustResample, TooShort, OSError)
 
 
 def _out_dir(args) -> Path:
@@ -398,15 +389,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except _IO as exc:
+    except (DataError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except LoopbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

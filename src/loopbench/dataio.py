@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MustResample, ParseError, TooShort
+from .errors import DataError, MustResample, ParseError
 
 _BASE_COLUMNS = ("t", "w", "y", "u", "d")
 
@@ -103,11 +103,11 @@ def write_json(path, obj) -> None:
 
 
 def uniform_dt(t) -> float:
-    """Spacing of a uniform time grid; raises TooShort below two samples and
+    """Spacing of a uniform time grid; raises DataError below two samples and
     MustResample when the spacing varies by more than 1e-9 of max(step, 1)."""
     spacing = np.diff(np.asarray(t, dtype=float))
     if len(spacing) == 0:
-        raise TooShort("need at least two samples")
+        raise DataError("need at least two samples")
     step = float(spacing[0])
     if np.ptp(spacing) > 1e-9 * max(step, 1.0):
         raise MustResample("series is not uniformly sampled")
@@ -267,7 +267,7 @@ def resample_uniform(series: TimeSeries, target_dt: float) -> TimeSeries:
     if target_dt <= 0.0:
         raise ValueError("target dt must be > 0")
     if len(series) < 2:
-        raise TooShort("cannot resample fewer than two samples")
+        raise DataError("cannot resample fewer than two samples")
     t = series.t
     span = float(t[-1] - t[0])
     n = int(math.floor(span / target_dt + 1e-9)) + 1

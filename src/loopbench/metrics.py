@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_csv
-from .errors import IncomparableError
+from .errors import DataError
 from .nnet import Mlp
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -148,7 +148,7 @@ def compare(entries, band: float = 0.02) -> ComparisonTable:
     _, first = items[0]
     for label, traj in items[1:]:
         if not (np.array_equal(first.w, traj.w) and np.array_equal(first.d, traj.d)):
-            raise IncomparableError(f"entry {label!r} has a different reference or disturbance")
+            raise DataError(f"entry {label!r} has a different reference or disturbance")
     rows = [(label, compute_step_metrics(traj, band)) for label, traj in items]
     rows.sort(key=lambda r: (r[1].iae, r[0]))
     return ComparisonTable(rows)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import split_contiguous
-from .errors import ControllerFault, SimulationDiverged, TooShort, TrainingUnstable, TuningFailed
+from .errors import ControllerFault, DataError, NumericalFailure, SimulationDiverged
 from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, check_int, check_number, \
     feature_stats, float_vector, mean_square, normalize
 from .pid import PidGains, PidState, pid_step
@@ -284,7 +284,7 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
     for ds in (mix.a, mix.b):  # the last quarter of each set validates
         k = split_contiguous(len(ds), 0.25)
         if k < 1 or len(ds) - k < 1:
-            raise TooShort("dataset too small for a train/validation split")
+            raise DataError("dataset too small for a train/validation split")
         blocks += [SupervisedDataset(ds.x[:k], ds.y[:k]), SupervisedDataset(ds.x[k:], ds.y[k:])]
     a_train, a_val, b_train, b_val = blocks
 
@@ -572,7 +572,7 @@ def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConf
             adam.step(work.mlp.params, flat)
             losses.append(loss)
         if skipped > 0.5 * len(refs):
-            raise TrainingUnstable(f"{skipped}/{len(refs)} rollouts diverged in one epoch")
+            raise NumericalFailure(f"{skipped}/{len(refs)} rollouts diverged in one epoch")
         result.history.append(float(np.mean(losses)) if losses else math.nan)
         result.skipped.append(skipped)
     return result
@@ -780,6 +780,6 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
     best_x, best_f, trace = nelder_mead_bounded(costs_of, start, bounds, budget,
                                                 seed=seed, restarts=restarts)
     if best_x is None or not math.isfinite(best_f):
-        raise TuningFailed("every candidate evaluation diverged")
+        raise NumericalFailure("every candidate evaluation diverged")
     gains = PidGains(kp=float(best_x[0]), ki=float(best_x[1]), kd=float(best_x[2]), **gain_kw)
     return StaticTuneResult(gains=gains, cost=best_f, trace=trace)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import parse_json, read_text, write_json, write_lines
-from .errors import ParseError, TrainingDiverged
+from .errors import NumericalFailure, ParseError
 
 STD_FLOOR = 1e-12
 
@@ -294,28 +294,31 @@ def train(net: Mlp, data: SupervisedDataset, val: SupervisedDataset, cfg: TrainC
     n = len(data)
     wait = 0
 
-    for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            grads, loss = grad(work, data.x[idx], data.y[idx])
-            batch_losses.append(loss)
-            adam.step(work.params, grads)
-        train_loss = float(np.mean(batch_losses))
-        val_loss = mse(work, val.x, val.y)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise TrainingDiverged("non-finite loss", epoch=epoch)
-        result.history.append((train_loss, val_loss))
-        if val_loss < result.best_val_loss:
-            result.best_val_loss = val_loss
-            result.best_epoch = epoch
-            result.net = work.copy()
-            wait = 0
-        else:
-            wait += 1
-            if wait > cfg.patience:
-                break
+    # an overflowing step shows up as a non-finite loss, which the check
+    # below referees, so numpy's warnings for it stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            perm = rng.permutation(n)
+            batch_losses = []
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                grads, loss = grad(work, data.x[idx], data.y[idx])
+                batch_losses.append(loss)
+                adam.step(work.params, grads)
+            train_loss = float(np.mean(batch_losses))
+            val_loss = mse(work, val.x, val.y)
+            if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                raise NumericalFailure(f"non-finite loss (epoch {epoch})")
+            result.history.append((train_loss, val_loss))
+            if val_loss < result.best_val_loss:
+                result.best_val_loss = val_loss
+                result.best_epoch = epoch
+                result.net = work.copy()
+                wait = 0
+            else:
+                wait += 1
+                if wait > cfg.patience:
+                    break
     return result
 
 

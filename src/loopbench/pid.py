@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ControllerFault, SyncImpossible
+from .errors import ControllerFault
 from .simcore import primary_output
 
 STRUCTURES = ("pid", "pi-d", "pid-p", "pi-pd")
@@ -137,7 +137,7 @@ def pid_sync(state: PidState, target_output: float, gains: PidGains, w: float, y
     if gains.ki <= 0.0:
         if abs(target_output - (p_term + state.integrator)) <= 1e-12 * max(1.0, abs(target_output)):
             return replace(state)
-        raise SyncImpossible("no integral action: cannot reach the requested output")
+        raise ValueError("no integral action: cannot reach the requested output")
     return PidState(
         integrator=target_output - p_term,
         last_error=-e,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dataio import write_csv
-from .errors import ControllerFault, SyncImpossible, UnrecoverableFault
+from .errors import ControllerFault, NumericalFailure
 from .simcore import primary_output
 
 MODE_AI = "AI"
@@ -166,7 +166,7 @@ class SupervisedController:
     fallback integrator is synced to the last selected output before its own
     step, so the handover is bumpless whenever integral action allows it;
     without integral action the handover proceeds unsynced. A fault of the
-    fallback itself ends the run as an `UnrecoverableFault`.
+    fallback itself ends the run as a `NumericalFailure`.
     """
 
     def __init__(self, ai, fallback, supervisor: SwitchSupervisor,
@@ -202,12 +202,12 @@ class SupervisedController:
         if not in_fallback and sup.decide(valid, cause, e, self._t):
             try:
                 self.fallback.sync_to(sup.last_u, w, y0)
-            except (SyncImpossible, ValueError):
+            except ValueError:
                 pass  # proportional-only or out-of-range target: plain handover
         try:
             u_fb = float(self.fallback.step(w, y0, dt))
         except ControllerFault as exc:
-            raise UnrecoverableFault(f"fallback failed: {exc}", step=sup.step_count) from exc
+            raise NumericalFailure(f"fallback failed: {exc} (step {sup.step_count})") from exc
         if in_fallback:
             agrees = valid and abs(u_ai - u_fb) <= sup._agreement(self.limits)
             sup.decide(valid, cause, e, self._t, ai_agrees=agrees)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import split_contiguous, uniform_dt
-from .errors import RolloutDiverged, TooShort
+from .errors import DataError, SimulationDiverged
 from .nnet import Mlp, SupervisedDataset, TrainConfig, check_int, check_number, feature_stats, \
     float_vector, normalize, train
 
@@ -39,7 +39,7 @@ def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
     u = np.asarray(traj.u, dtype=float)
     n = len(y)
     if n <= p + q + 1:
-        raise TooShort(f"need more than p+q+1 = {p + q + 1} samples, got {n}")
+        raise DataError(f"need more than p+q+1 = {p + q + 1} samples, got {n}")
     k0 = max(p, q)
     y_list, u_list = y.tolist(), u.tolist()
     rows = np.array([lag_features(y_list[k - p + 1:k + 1], u_list[k - q + 1:k + 1], p, q)
@@ -148,7 +148,7 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig,
     n = len(y)
     n_train = split_contiguous(n, val_fraction)
     if n_train <= p + q + 1 or n - n_train <= max(p, q) + 1:
-        raise TooShort("record too short for the requested split and lag orders")
+        raise DataError("record too short for the requested split and lag orders")
 
     class _Block:
         def __init__(self, sl):
@@ -214,7 +214,7 @@ def narx_rollout(model: NarxModel, y_init, u_seq, u_init=None) -> np.ndarray:
         u_hist.append(u_now)
         y_next = model.predict_one(y_hist, u_hist)
         if not math.isfinite(y_next):
-            raise RolloutDiverged("non-finite prediction", step=i)
+            raise SimulationDiverged("non-finite prediction", step=i)
         out.append(y_next)
         y_hist.append(y_next)
         del y_hist[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationFailed, NoLimitCycle, NotSettled, RuleInapplicable
+from .errors import NumericalFailure
 from .metrics import crossing_time
 from .pid import PidGains
 from .simcore import PlantModel, SignalController, SimConfig, Trajectory, simulate
@@ -77,20 +77,20 @@ def identify_fopdt_step(traj: Trajectory) -> FopdtModel:
 
     changes = np.flatnonzero(np.abs(np.diff(u)) > 0.0)
     if len(changes) == 0:
-        raise IdentificationFailed("input contains no step")
+        raise NumericalFailure("input contains no step")
     k_step = int(changes[0]) + 1
     du = float(u[k_step] - u[0])
     if len(changes) > 1 and np.any(np.abs(u[k_step:] - u[k_step]) > 1e-12 * max(1.0, abs(du))):
-        raise IdentificationFailed("input is not a single step")
+        raise NumericalFailure("input is not a single step")
 
     y0 = float(np.mean(y[:k_step])) if k_step > 1 else float(y[0])
     tail = max(len(y) // 10, 2)
     y_inf = float(np.mean(y[-tail:]))
     dy = y_inf - y0
     if abs(dy) <= 1e-9 * max(1.0, abs(du)):
-        raise IdentificationFailed("flat response: no identifiable gain")
+        raise NumericalFailure("flat response: no identifiable gain")
     if float(np.ptp(y[-tail:])) > 0.02 * abs(dy):
-        raise NotSettled("no steady final value within the horizon")
+        raise NumericalFailure("no steady final value within the horizon")
 
     sign = math.copysign(1.0, dy)
     seg_t = t[k_step:] - t[k_step]
@@ -100,18 +100,18 @@ def identify_fopdt_step(traj: Trajectory) -> FopdtModel:
     start = int(onset[0]) if len(onset) else 0
     steps = sign * np.diff(seg_y[start:])
     if np.any(steps < -0.01 * abs(dy)):
-        raise IdentificationFailed("response is not monotone after the dead time")
+        raise NumericalFailure("response is not monotone after the dead time")
 
     times = []
     for frac in (_P28, _P63):
         level = y0 + frac * dy
         times.append(crossing_time(seg_t, seg_y, level, sign))
         if math.isnan(times[-1]):
-            raise IdentificationFailed(f"response never reached the {level:.6g} level")
+            raise NumericalFailure(f"response never reached the {level:.6g} level")
     t28, t63 = times
     tau = 1.5 * (t63 - t28)
     if tau <= 0.0:
-        raise IdentificationFailed("degenerate two-point geometry")
+        raise NumericalFailure("degenerate two-point geometry")
     return FopdtModel(gain=dy / du, tau=tau, dead_time=max(t63 - tau, 0.0))
 
 
@@ -167,13 +167,13 @@ def relay_experiment(plant: PlantModel, relay_amplitude: float, cfg: SimConfig) 
 
     crossings = _rising_crossings(t, y - float(np.mean(y)), 0.0)
     if len(crossings) < 5:
-        raise NoLimitCycle("fewer than 4 full cycles after the transient discard")
+        raise NumericalFailure("fewer than 4 full cycles after the transient discard")
     periods = np.diff(crossings)
     pu = float(np.mean(periods))
     if pu < 8.0 * cfg.dt:
-        raise NoLimitCycle("oscillation at the sampling scale, not a process limit cycle")
+        raise NumericalFailure("oscillation at the sampling scale, not a process limit cycle")
     if float(np.std(periods)) > 0.2 * pu:
-        raise NoLimitCycle("oscillation period is not sustained")
+        raise NumericalFailure("oscillation period is not sustained")
 
     # First-harmonic amplitude over an integer number of cycles: for a linear
     # plant in periodic steady state this inverts the describing-function
@@ -185,7 +185,7 @@ def relay_experiment(plant: PlantModel, relay_amplitude: float, cfg: SimConfig) 
     omega = 2.0 * math.pi / pu
     a = 2.0 * abs(np.mean(yw * np.exp(-1j * omega * tw)))
     if a <= 0.0:
-        raise NoLimitCycle("zero oscillation amplitude")
+        raise NumericalFailure("zero oscillation amplitude")
     return UltimateParams(ku=4.0 * h / (math.pi * a), pu=pu)
 
 
@@ -196,7 +196,7 @@ def ultimate_from_fopdt(model: FopdtModel) -> UltimateParams:
     pure first-order lag never reaches -180 degrees.
     """
     if model.dead_time <= 0.0:
-        raise NoLimitCycle("no phase crossover without dead time")
+        raise NumericalFailure("no phase crossover without dead time")
     lo, hi = 1e-12, math.pi / model.dead_time
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -228,7 +228,7 @@ def tune_ziegler_nichols(up: UltimateParams, kind: str = "pid", **gain_kw) -> Pi
 def tune_cohen_coon(model: FopdtModel, **gain_kw) -> PidGains:
     """Cohen-Coon PID rule; needs a nonzero dead time."""
     if model.dead_time <= 0.0:
-        raise RuleInapplicable("Cohen-Coon needs dead time > 0")
+        raise NumericalFailure("Cohen-Coon needs dead time > 0")
     k, tau, L = model.gain, model.tau, model.dead_time
     r = L / tau
     kp = (1.0 / k) * (tau / L) * (4.0 / 3.0 + r / 4.0)
@@ -240,7 +240,7 @@ def tune_cohen_coon(model: FopdtModel, **gain_kw) -> PidGains:
 def tune_kappa_tau(model: FopdtModel, **gain_kw) -> PidGains:
     """Kappa-Tau style rule in its AMIGO form; needs a nonzero dead time."""
     if model.dead_time <= 0.0:
-        raise RuleInapplicable("Kappa-Tau needs dead time > 0")
+        raise NumericalFailure("Kappa-Tau needs dead time > 0")
     k, tau, L = model.gain, model.tau, model.dead_time
     kp = (1.0 / k) * (0.2 + 0.45 * tau / L)
     ti = L * (0.4 * L + 0.8 * tau) / (L + 0.1 * tau)

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import re
 import warnings
 from pathlib import Path
@@ -11,8 +13,8 @@ import loopbench
 from loopbench.cli import main
 from loopbench.config import DEFAULTS, resolve_config
 from loopbench.dataio import read_timeseries
-from loopbench.errors import ConfigError, ParseError
-from loopbench import neuro
+from loopbench.errors import ConfigError, DataError, NumericalFailure, ParseError
+from loopbench import cli, errors, neuro
 from loopbench.neuro import GainScheduler, NeuralController
 from loopbench.nnet import Mlp, load_model, save_model
 from loopbench.surrogate import NarxModel
@@ -264,6 +266,36 @@ def test_out_of_range_val_fraction_exits_2_naming_it(tmp_path, capsys, val_fract
     assert not (tmp_path / "sur").exists()
 
 
+def _fit_surrogate_on_own_record(tmp_path, cfg):
+    cfg_path = _write(tmp_path, "c.json", cfg)
+    assert main(["record", "--config", cfg_path, "--out", str(tmp_path / "rec")]) == 0
+    return main(["fit-surrogate", "--config", cfg_path, "--data",
+                 str(tmp_path / "rec" / "record.csv"), "--out", str(tmp_path / "sur")])
+
+
+def test_diverging_fit_surrogate_prints_one_line(tmp_path, capsys):
+    """An overflowing Adam step makes the loss non-finite; the epoch check
+    reports it, and numpy raises no warning on the way (which would print to
+    stderr outside pytest)."""
+    cfg = {"sim": {"dt": 0.01, "horizon": 5.0}, "plant": {"variant": "fopdt"},
+           "excitation": {"variant": "prbs", "bit_period": 0.1},
+           "surrogate": {"learning_rate": 1e300, "epochs": 5}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _fit_surrogate_on_own_record(tmp_path, cfg) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "numerical failure: non-finite loss (epoch 0)\n"
+
+
+def test_fit_surrogate_on_a_six_sample_record_exits_4(tmp_path, capsys):
+    cfg = {"sim": {"dt": 0.01, "horizon": 0.06}, "plant": {"variant": "fopdt"},
+           "excitation": {"variant": "prbs", "bit_period": 0.01}}
+    assert _fit_surrogate_on_own_record(tmp_path, cfg) == 4
+    assert len(_read_rows(tmp_path / "rec" / "record.csv")) == 1 + 6
+    assert capsys.readouterr().err == \
+        "i/o error: record too short for the requested split and lag orders\n"
+
+
 # ---------------------------------------------------------------------------
 # tune
 # ---------------------------------------------------------------------------
@@ -330,6 +362,15 @@ def test_tune_ziegler_nichols_from_an_fopdt_without_dead_time_exits_3(tmp_path, 
     assert main(["tune", "--config", _write(tmp_path, "t.json", cfg),
                  "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "numerical failure: no phase crossover without dead time\n"
+
+
+@pytest.mark.parametrize("rule, name", [("cohen-coon", "Cohen-Coon"), ("kappa-tau", "Kappa-Tau")])
+def test_tune_step_rule_from_an_fopdt_without_dead_time_exits_3(tmp_path, capsys, rule, name):
+    cfg = {"tuning": {"mode": "rule", "rule": rule,
+                      "fopdt": {"gain": 1.0, "tau": 1.0, "dead_time": 0}}}
+    assert main(["tune", "--config", _write(tmp_path, "t.json", cfg),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {name} needs dead time > 0\n"
 
 
 def test_tune_ai_zero_budget_rejected(tmp_path, capsys):
@@ -443,6 +484,25 @@ def test_bptt_horizon_0_trains_one_epoch_of_zero_loss(tmp_path):
             "--surrogate", str(_saved_surrogate(tmp_path)), "--out", str(tmp_path / "o")]
     assert main(argv) == 0
     assert _read_rows(tmp_path / "o" / "training_curve.csv") == ["epoch,loss,skipped", "0,0.0,0"]
+
+
+def test_bptt_whose_every_rollout_diverges_exits_3(tmp_path, capsys):
+    """A surrogate whose output is 1 * 1e308 + 1e308 predicts inf at every
+    step, so both rollouts of the first epoch diverge."""
+    path = tmp_path / "inf.weights"
+    mlp = Mlp([4, 1], init=False)
+    mlp.biases[0][:] = 1.0
+    save_model(NarxModel(mlp, 2, 2, 0.1, np.zeros(4), np.ones(4), np.full(1, 1e308),
+                         np.full(1, 1e308)), path)
+    cfg = _bptt_cfg(10)
+    cfg["training"]["episodes"] = {"count": 2, "level": 1.0}
+    argv = ["train-controller", "--config", _write(tmp_path, "c.json", cfg),
+            "--surrogate", str(path), "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "numerical failure: 2/2 rollouts diverged in one epoch\n"
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +786,9 @@ def test_compare_incomparable_runs_exit_code_and_message(tmp_path, capsys):
                  "--out", str(tmp_path / "rc")]) == 0
     c = tmp_path / "rc" / "trajectory.csv"
     capsys.readouterr()
-    serial = main(["compare", str(a), str(c), "--out", str(tmp_path / "c1")])
-    serial_err = capsys.readouterr().err
-    assert serial == 3 and "different reference or disturbance" in serial_err
+    assert main(["compare", str(a), str(c), "--out", str(tmp_path / "c1")]) == 4
+    assert capsys.readouterr().err == \
+        f"i/o error: entry {str(c)!r} has a different reference or disturbance\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1469,3 +1529,48 @@ def test_no_builder_casts_a_config_leaf():
             for i, line in enumerate((src / name).read_text(encoding="utf-8").splitlines(), 1)
             if LEAF_CAST.search(line)]
     assert hits == [], "a config leaf has its kind from `config._merge`; do not cast it"
+
+
+# ---------------------------------------------------------------------------
+# error kinds: one exit code and one stderr prefix each
+# ---------------------------------------------------------------------------
+
+KINDS = {ConfigError: (2, "config error"), NumericalFailure: (3, "numerical failure"),
+         DataError: (4, "i/o error"), OSError: (4, "i/o error")}
+
+
+def _public_exception_classes(module):
+    return [obj for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__ and not name.startswith("_")]
+
+
+def test_every_public_exception_class_is_of_exactly_one_kind():
+    """`cli.main` gives each kind its exit code: a class of no kind would end
+    in a traceback, and a class of two kinds would have two codes."""
+    modules = [importlib.import_module(f"loopbench.{info.name}")
+               for info in pkgutil.iter_modules(loopbench.__path__)]
+    classes = [cls for module in modules for cls in _public_exception_classes(module)]
+    assert {ConfigError, NumericalFailure, DataError} <= set(classes)
+    kinds = (ConfigError, NumericalFailure, DataError)
+    assert [cls.__name__ for cls in classes
+            if sum(issubclass(cls, kind) for kind in kinds) != 1] == []
+
+
+# the fields of the classes whose constructors take more than a message
+FIELDS = {"ConfigError": ("training.mode",), "SimulationDiverged": (7,), "ParseError": (3,)}
+
+
+@pytest.mark.parametrize("cls", [*_public_exception_classes(errors), FileNotFoundError],
+                         ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_kinds_code_and_prefix(tmp_path, capsys, monkeypatch,
+                                                              cls):
+    exc = cls("scripted fault", *FIELDS.get(cls.__name__, ()))
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_compare", fail)
+    code, prefix = next(v for kind, v in KINDS.items() if issubclass(cls, kind))
+    assert main(["compare", "a.csv", "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"{prefix}: {exc}\n"

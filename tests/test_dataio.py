@@ -16,7 +16,7 @@ from loopbench.dataio import (
     resample_uniform, split_contiguous, write_columns, write_csv, write_json, write_lines,
     write_timeseries,
 )
-from loopbench.errors import ParseError, TooShort
+from loopbench.errors import DataError, ParseError
 from loopbench.neuro import DualDatasetMix, NeuralController, train_imitation
 from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig
 from loopbench.simcore import ConstantController, PlantModel, LinearStateSpace, SimConfig, simulate
@@ -204,7 +204,7 @@ def test_resample_never_extrapolates():
 
 def test_resample_single_sample_too_short():
     s = TimeSeries(t=np.array([0.0]), w=np.zeros(1), y=np.zeros(1), u=np.zeros(1), d=np.zeros(1))
-    with pytest.raises(TooShort):
+    with pytest.raises(DataError, match="^cannot resample fewer than two samples$"):
         resample_uniform(s, 0.1)
 
 
@@ -239,12 +239,12 @@ def test_split_floor_rule(monkeypatch):
             want = int(np.floor(n * (1.0 - val_fraction)))
             assert split_contiguous(n, val_fraction) == want
             if want <= p + q + 1 or n - want <= max(p, q) + 1:
-                want = TooShort
+                want = "record too short for the requested split and lag orders"
             record = SimpleNamespace(t=t[:n], y=zeros[:n], u=zeros[:n])
             try:
                 surrogate.fit_surrogate(record, p, q, cfg, val_fraction=val_fraction)
-            except TooShort:
-                got = TooShort
+            except DataError as exc:
+                got = str(exc)
             except _Split as exc:
                 got = exc.args[0]
             assert got == want, (n, val_fraction)
@@ -257,11 +257,11 @@ def test_split_floor_rule(monkeypatch):
         want = int(np.floor(n * 0.75))
         assert split_contiguous(n, 0.25) == want
         if want < 1 or n - want < 1:
-            want = TooShort
+            want = "dataset too small for a train/validation split"
         try:
             train_imitation(nc, DualDatasetMix(ds, ds, 0.5), cfg)
-        except TooShort:
-            got = TooShort
+        except DataError as exc:
+            got = str(exc)
         except _Split as exc:
             got = exc.args[0]
         assert got == want, n
@@ -269,10 +269,12 @@ def test_split_floor_rule(monkeypatch):
 
 def test_split_too_short_rejected():
     """The rule has no minimum size: each caller rejects a block too short for it."""
-    with pytest.raises(TooShort):  # split 7/3: three samples leave no lag-2 validation row
+    # split 7/3: three samples leave no lag-2 validation row
+    with pytest.raises(DataError, match="^record too short for the requested split and lag orders$"):
         surrogate.fit_surrogate(_series(n=10), 2, 2, TrainConfig())
     one_row = SupervisedDataset(np.zeros((1, 3)), np.zeros((1, 1)))
-    with pytest.raises(TooShort):  # split 0/1
+    # split 0/1
+    with pytest.raises(DataError, match="^dataset too small for a train/validation split$"):
         train_imitation(NeuralController(Mlp([3, 2, 1], seed=0), -1.0, 1.0, memory=1),
                         DualDatasetMix(one_row, one_row, 0.5), TrainConfig())
 

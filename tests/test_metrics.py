@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopbench.errors import IncomparableError
+from loopbench.errors import DataError
 from loopbench.metrics import compare, compute_step_metrics, measure_latency
 from loopbench.nnet import Mlp
 from loopbench.pid import PidController
@@ -111,7 +111,7 @@ def test_compare_rejects_mismatched_reference():
     t = np.arange(0, 2, 0.01)
     a = _traj(t, np.ones_like(t), 1 - np.exp(-3 * t))
     b = _traj(t, 2 * np.ones_like(t), 1 - np.exp(-3 * t))
-    with pytest.raises(IncomparableError):
+    with pytest.raises(DataError, match="^entry 'b' has a different reference or disturbance$"):
         compare([("a", a), ("b", b)])
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from loopbench import neuro
 from loopbench.dataio import split_contiguous
-from loopbench.errors import ControllerFault, TrainingUnstable
+from loopbench.errors import ControllerFault, NumericalFailure
 from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run,
@@ -522,7 +522,7 @@ def test_bptt_unstable_when_rollouts_diverge():
     bad.weights[1][:] = 1e200
     narx = NarxModel(bad, 1, 1, 0.1, np.zeros(2), np.ones(2), np.zeros(1), np.full(1, 1e200))
     nc = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
-    with np.errstate(all="ignore"), pytest.raises(TrainingUnstable):
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="^1/1 rollouts diverged in one epoch$"):
         train_bptt(nc, narx, [np.full(30, 0.5)], horizon=20,
                    cfg=TrainConfig(max_epochs=3, seed=0), limits=(-1.0, 1.0))
 
@@ -545,7 +545,7 @@ def test_bptt_skips_a_rollout_whose_squares_overflow(kind):
     with np.errstate(all="ignore"):
         loss, _ = bptt_loss_and_grad(target, narx, w_seq, 200, 0.01)
         assert loss == math.inf
-        with pytest.raises(TrainingUnstable):
+        with pytest.raises(NumericalFailure, match="^1/1 rollouts diverged in one epoch$"):
             train_bptt(target, narx, [w_seq], horizon=200, cfg=TrainConfig(max_epochs=1, seed=0),
                        limits=(-math.inf, math.inf))
 

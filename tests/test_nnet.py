@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from loopbench.errors import TrainingDiverged
+from loopbench.errors import NumericalFailure
 from loopbench.nnet import (
     STD_FLOOR, Adam, Mlp, SupervisedDataset, TrainConfig, feature_stats, grad, load_model,
     load_weights, mse, normalize, save_model, save_weights, train,
@@ -128,7 +128,7 @@ def test_train_divergence_raises_with_epoch():
     x = rng.normal(size=(20, 1)) * 100.0
     y = rng.normal(size=(20, 1)) * 100.0
     data = SupervisedDataset(x, y)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match=r"^non-finite loss \(epoch 0\)$"):
         train(Mlp([1, 4, 1], seed=0), data, data,
               TrainConfig(learning_rate=1e200, batch_size=4, max_epochs=50, seed=0))
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopbench.errors import ControllerFault, SyncImpossible
+from loopbench.errors import ControllerFault
 from loopbench.pid import (
     CascadeController, CascadeSpec, CascadeState, PidGains, PidState,
     cascade_step, pid_step, pid_sync,
@@ -88,7 +88,7 @@ def test_sync_natural_output_is_fixed_point():
 
 def test_sync_impossible_without_integral_action():
     gains = PidGains(kp=1.0, ki=0.0)
-    with pytest.raises(SyncImpossible):
+    with pytest.raises(ValueError, match="^no integral action: cannot reach the requested output$"):
         pid_sync(PidState(), 0.9, gains, w=1.0, y=0.5)  # kp*e = 0.5 != 0.9
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopbench.errors import SyncImpossible, UnrecoverableFault
+from loopbench.errors import NumericalFailure
 from loopbench.metrics import compute_step_metrics
 from loopbench.pid import PidController, PidGains
 from loopbench.safety import (
@@ -30,7 +30,7 @@ class _Scripted:
         return self.u
 
     def sync_to(self, u, w, y):
-        raise SyncImpossible("scripted stub")
+        raise ValueError("scripted stub")
 
 
 def _supervised(sup):
@@ -100,7 +100,7 @@ def test_nonfinite_fallback_is_unrecoverable():
     for mode in (MODE_AI, MODE_FALLBACK):
         sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, mode=mode)
         ctl = SupervisedController(_Scripted(), PidController(PidGains(kp=1e308)), sup, LIMITS)
-        with pytest.raises(UnrecoverableFault,
+        with pytest.raises(NumericalFailure,
                            match=r"^fallback failed: non-finite controller output \(step 0\)$"):
             ctl.step(10.0, 0.0, 0.01)
 

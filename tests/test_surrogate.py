@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loopbench.dataio import ExcitationSpec, generate_excitation, split_contiguous
-from loopbench.errors import MustResample, RolloutDiverged, TooShort
+from loopbench.errors import DataError, MustResample, SimulationDiverged
 from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig, feature_stats, load_model, normalize, \
     save_model, train
 from loopbench.simcore import Fopdt, PlantModel, SignalController, SimConfig, simulate
@@ -73,7 +73,7 @@ def test_dataset_requires_uniform_sampling():
 
 def test_dataset_too_short():
     s = _Series(np.arange(4) * 1.0, np.zeros(4), np.zeros(4))
-    with pytest.raises(TooShort):
+    with pytest.raises(DataError, match=r"^need more than p\+q\+1 = 5 samples, got 4$"):
         make_regression_dataset(s, 2, 2)
 
 
@@ -160,11 +160,13 @@ def test_rollout_length_one_equals_one_step():
 
 def test_rollout_diverged_carries_step():
     mlp = Mlp([2, 2, 1], init=False)
-    mlp.weights[1][:] = 1e308  # force overflow after a couple of feedbacks
+    mlp.weights[1][:] = 1e308  # the first prediction already overflows
     mlp.weights[0][:] = 1.0
     model = NarxModel(mlp, 1, 1, 1.0, np.zeros(2), np.ones(2), np.zeros(1), np.full(1, 1e308))
-    with np.errstate(all="ignore"), pytest.raises(RolloutDiverged):
+    with np.errstate(all="ignore"), pytest.raises(SimulationDiverged,
+                                                  match=r"^non-finite prediction \(step 0\)$") as exc:
         narx_rollout(model, [1.0], np.zeros(10))
+    assert exc.value.step == 0
 
 
 def test_one_step_error_not_worse_than_rollout():
@@ -211,7 +213,7 @@ def array_rollout(model, y_init, u_seq, u_init=None):
         u_hist.append(float(u_now))
         y_next = array_predict_one(model, np.array(y_hist), np.array(u_hist))
         if not np.isfinite(y_next):
-            raise RolloutDiverged("non-finite prediction", step=i)
+            raise SimulationDiverged("non-finite prediction", step=i)
         out[i] = y_next
         y_hist.append(y_next)
         y_hist = y_hist[-model.p:]
@@ -288,9 +290,9 @@ def test_narx_rollout_diverges_at_the_array_form_step():
     y_init = [model.x_mean[1], model.x_mean[0]]  # chronological, features newest first
     u_seq = np.full(20, model.x_mean[2])
     with np.errstate(all="ignore"):
-        with pytest.raises(RolloutDiverged) as want:
+        with pytest.raises(SimulationDiverged) as want:
             array_rollout(model, y_init, u_seq)
-        with pytest.raises(RolloutDiverged) as got:
+        with pytest.raises(SimulationDiverged) as got:
             narx_rollout(model, y_init, u_seq)
     assert got.value.step == want.value.step > 0
     assert str(got.value) == str(want.value)

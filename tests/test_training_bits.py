@@ -18,7 +18,7 @@ import pytest
 from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralController, bptt_loss_and_grad, train_imitation,
 )
-from loopbench.errors import SimulationDiverged, TooShort
+from loopbench.errors import DataError, SimulationDiverged
 from loopbench.nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize
 from test_surrogate import random_narx
 
@@ -127,7 +127,7 @@ def test_summed_row_gradient_bit_equal_to_running_sum(sizes):
 def _split(ds, fraction=0.75):
     k = int(np.floor(len(ds) * fraction))
     if k < 1 or len(ds) - k < 1:
-        raise TooShort("dataset too small for a train/validation split")
+        raise DataError("dataset too small for a train/validation split")
     return SupervisedDataset(ds.x[:k], ds.y[:k]), SupervisedDataset(ds.x[k:], ds.y[k:])
 
 
