@@ -106,20 +106,19 @@ def cmd_tune(args) -> int:
 
     with cfgmod.section("tuning"):
         if t["mode"] == "rule":
-            gain_kw = {"u_min": limits[0], "u_max": limits[1]}
             model = None if t["fopdt"] is None else FopdtModel(**t["fopdt"])
             if t["rule"] == "ziegler-nichols":
                 if model is not None:
                     up = ultimate_from_fopdt(model)
                 else:
                     up = relay_experiment(cfgmod.plant_from(cfg), t["relay_amplitude"], sim)
-                gains = tune_ziegler_nichols(up, t["kind"], **gain_kw)
+                gains = tune_ziegler_nichols(up, t["kind"], limits)
             else:
                 if model is None:
                     traj = run_step_test(cfgmod.plant_from(cfg), sim, u1=t["step_level"])
                     model = identify_fopdt_step(traj)
                 rule = tune_cohen_coon if t["rule"] == "cohen-coon" else tune_kappa_tau
-                gains = rule(model, **gain_kw)
+                gains = rule(model, limits)
             trace = []
         else:
             if t["budget"] < 1:
@@ -136,8 +135,7 @@ def cmd_tune(args) -> int:
                 narx, episodes,
                 cfgmod.bounds_from(t["bounds"], "tuning.bounds"),
                 budget=t["budget"], rho=t["rho"], seed=sim.seed, restarts=t["restarts"],
-                x0=None if t["x0"] is None else np.array(t["x0"], dtype=float),
-                gain_kw={"u_min": limits[0], "u_max": limits[1]},
+                x0=None if t["x0"] is None else np.array(t["x0"], dtype=float), limits=limits,
             )
             gains = result.gains
             trace = result.trace
@@ -175,9 +173,9 @@ def _teacher_runs(cfg, sim, limits):
     for i in range(count):
         cfg_i = type(sim)(dt=sim.dt, horizon=sim.horizon, seed=sim.seed + i)
         ref_a = _coverage_reference(cfg_i, level, seed=sim.seed + i + 1)
-        runs_a.append(simulate(plant, PidController(teacher_gains), ref_a, dist, sensor, cfg_i))
+        runs_a.append(simulate(plant, PidController(teacher_gains), ref_a, cfg_i, dist, sensor))
         ref_b = level * (i + 1) / count
-        runs_b.append(simulate(plant, PidController(teacher_gains), ref_b, dist, sensor, cfg_i))
+        runs_b.append(simulate(plant, PidController(teacher_gains), ref_b, cfg_i, dist, sensor))
     return runs_a, runs_b, teacher_gains
 
 
@@ -281,7 +279,7 @@ def cmd_simulate(args) -> int:
             controller = BlendedController(controller, _correction_source(safety["correction"]),
                                            blender, limits)
 
-    traj = simulate(plant, controller, cfgmod.reference_from(cfg),
+    traj = simulate(plant, controller, cfgmod.reference_from(cfg, sim),
                     disturbance=cfgmod.disturbance_from(cfg),
                     sensor=cfgmod.sensor_from(cfg), cfg=sim)
 

@@ -21,7 +21,7 @@ from .nnet import TrainConfig, load_model
 from .pid import CascadeSpec, PidGains
 from .simcore import (
     DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder, SensorSpec,
-    SimConfig, TankNonlinear, step_reference,
+    SimConfig, TankNonlinear,
 )
 
 # u_min/u_max of None mean "inherit the plant's actuator limits"
@@ -171,7 +171,7 @@ def _read_json(path, what: str):
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path, required=()) -> dict:
+def load_config(path, required) -> dict:
     """Read, parse and resolve a config file. Commands demand their `required`
     sections be spelled out, not defaulted into existence."""
     raw = _read_json(path, "config")
@@ -222,12 +222,14 @@ def section(path: str):
 
 def sim_from(cfg: dict, seed_override: int | None = None) -> SimConfig:
     """The grid of `cfg`'s sim section; `seed_override` (a `--seed`), when
-    given, replaces `sim.seed` and is range-checked as it is."""
+    given, is range-checked and replaces `sim.seed` in `cfg` itself, so that
+    the config echo reruns the run."""
     sim = cfg["sim"]
-    seed = seed_override if seed_override is not None else sim["seed"]
-    _check_seed(seed)
+    if seed_override is not None:
+        _check_seed(seed_override)
+        sim["seed"] = seed_override
     with section("sim"):
-        return SimConfig(dt=sim["dt"], horizon=sim["horizon"], seed=seed)
+        return SimConfig(dt=sim["dt"], horizon=sim["horizon"], seed=sim["seed"])
 
 
 def plant_from(cfg: dict) -> PlantModel:
@@ -280,16 +282,19 @@ def excitation_from(cfg: dict) -> ExcitationSpec:
         )
 
 
-def reference_from(cfg: dict):
+def reference_from(cfg: dict, sim: SimConfig) -> np.ndarray:
+    """The reference on the grid of `sim`: a step from `baseline` to `level`
+    at `time`, or a recorded profile interpolated linearly and held beyond
+    its ends."""
     r = cfg["reference"]
+    t = sim.time_grid()
+    if r["variant"] == "step":
+        return np.where(t >= r["time"], r["level"], r["baseline"])
+    if not r["path"]:
+        raise ConfigError("profile reference needs a path", "reference.path")
     with section("reference"):
-        if r["variant"] == "step":
-            return step_reference(r["level"], r["time"], r["baseline"])
-        if not r["path"]:
-            raise ConfigError("profile reference needs a path", "reference.path")
         profile = read_timeseries(r["path"])
-    t_ref, w_ref = profile.t, profile.w
-    return lambda t: float(np.interp(t, t_ref, w_ref))
+    return np.interp(t, profile.t, profile.w)
 
 
 def gains_from_dict(block: dict, path: str, limits: tuple[float, float]) -> PidGains:

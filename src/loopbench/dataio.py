@@ -123,7 +123,7 @@ class TimeSeries:
     y: np.ndarray
     u: np.ndarray
     d: np.ndarray
-    extra: dict[str, np.ndarray] | None = None  # y2,u2,... in header order
+    extra: dict[str, np.ndarray] | None  # y2,u2,... in header order
 
     def __len__(self) -> int:
         return len(self.t)
@@ -308,15 +308,15 @@ class ExcitationSpec:
     """System-identification input: step train, PRBS, or linear chirp."""
 
     variant: str  # step_train | prbs | chirp
-    levels: tuple = ()
-    dwell: float = 1.0
-    order: int = 7
-    amplitude: float = 1.0
-    bit_period: float = 1.0
-    seed: int = 1
-    f0: float = 0.1
-    f1: float = 1.0
-    duration: float | None = None
+    levels: tuple
+    dwell: float
+    order: int
+    amplitude: float
+    bit_period: float
+    seed: int
+    f0: float
+    f1: float
+    duration: float | None
 
     def __post_init__(self):
         if self.variant not in ("step_train", "prbs", "chirp"):
@@ -329,7 +329,7 @@ class ExcitationSpec:
             raise ValueError("chirp frequencies must be >= 0")
 
 
-def prbs_bits(order: int, seed: int = 1) -> np.ndarray:
+def prbs_bits(order: int, seed: int) -> np.ndarray:
     """One full period (2^order - 1 bits) of the maximal-length sequence.
 
     Fibonacci LFSR, shift-left convention: the new bit entering at the bottom
@@ -349,11 +349,11 @@ def prbs_bits(order: int, seed: int = 1) -> np.ndarray:
     return bits
 
 
-def generate_excitation(spec: ExcitationSpec, cfg, limits: tuple[float, float] | None = None) -> np.ndarray:
+def generate_excitation(spec: ExcitationSpec, cfg, limits: tuple[float, float]) -> np.ndarray:
     """Sample the excitation onto the simulation grid.
 
-    `cfg` is a SimConfig (dt/horizon/n_steps). When actuator limits are
-    given, amplitudes outside them are rejected up front.
+    `cfg` is a SimConfig (dt/horizon/n_steps). Amplitudes outside the
+    actuator `limits` are rejected up front.
     """
     n = cfg.n_steps
     dt = cfg.dt
@@ -389,6 +389,6 @@ def generate_excitation(spec: ExcitationSpec, cfg, limits: tuple[float, float] |
     return u
 
 
-def _check_amplitude(peak: float, limits: tuple[float, float] | None) -> None:
-    if limits is not None and (-peak < limits[0] or peak > limits[1]):
+def _check_amplitude(peak: float, limits: tuple[float, float]) -> None:
+    if -peak < limits[0] or peak > limits[1]:
         raise ValueError(f"excitation amplitude {peak:.6g} exceeds actuator limits {limits}")

@@ -49,7 +49,7 @@ def crossing_time(t: np.ndarray, y: np.ndarray, level: float, sign: float) -> fl
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
 
 
-def compute_step_metrics(traj, band: float = 0.02) -> StepMetrics:
+def compute_step_metrics(traj, band: float) -> StepMetrics:
     """Metrics for a single-step reference; integrals use the trapezoid rule.
 
     Times are measured from the step onset. A response that leaves the
@@ -136,13 +136,13 @@ class ComparisonTable:
                          for row in rows)
 
 
-def compare(entries, band: float = 0.02) -> ComparisonTable:
-    """StepMetrics per labeled trajectory, sorted by IAE.
+def compare(entries, band: float) -> ComparisonTable:
+    """StepMetrics per (label, trajectory) pair, sorted by IAE.
 
     Entries sharing a run must share the reference and disturbance arrays
     exactly; anything else is not a like-for-like comparison.
     """
-    items = list(entries.items()) if isinstance(entries, dict) else list(entries)
+    items = list(entries)
     if not items:
         raise ValueError("nothing to compare")
     _, first = items[0]

@@ -12,7 +12,7 @@ squashes), not post-hoc clamps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class NeuralController:
     mlp: Mlp
     u_min: float
     u_max: float
-    memory: int = 4
+    memory: int
     feat_mean: np.ndarray = None
     feat_std: np.ndarray = None
     aux: Mlp | None = None  # one-layer head on the last hidden activation
@@ -142,10 +142,9 @@ class GainScheduler:
 
     mlp: Mlp
     bounds: np.ndarray  # (3, 2) rows (lo, hi) for kp, ki, kd
-    memory: int = 4
+    memory: int
     feat_mean: np.ndarray = None
     feat_std: np.ndarray = None
-    aux: Mlp | None = None  # one-layer head on the last hidden activation
 
     def __post_init__(self):
         self.bounds = float_vector(np.ravel(self.bounds), 6, "bounds").reshape(3, 2)
@@ -179,8 +178,7 @@ class GainScheduler:
 
     def copy(self) -> "GainScheduler":
         return GainScheduler(self.mlp.copy(), self.bounds.copy(), self.memory,
-                             self.feat_mean.copy(), self.feat_std.copy(),
-                             self.aux.copy() if self.aux else None)
+                             self.feat_mean.copy(), self.feat_std.copy())
 
 
 class _ScheduledGains:
@@ -241,7 +239,7 @@ class DualDatasetMix:
             raise ValueError("mix ratio must be in [0, 1]")
 
 
-def imitation_data_from_run(traj, m: int, with_disturbance: bool = False) -> SupervisedDataset:
+def imitation_data_from_run(traj, m: int, with_disturbance: bool) -> SupervisedDataset:
     """(features -> teacher control) pairs replayed from a closed-loop record.
 
     Features are built exactly as the deployed controller builds them, with
@@ -266,12 +264,12 @@ class ImitationResult:
     controller: NeuralController
     history: list  # (train_loss, val_rmse_a, val_rmse_b) per epoch
     a_fraction: list  # realized A-share per epoch
-    val_rmse_a: float = math.nan
-    val_rmse_b: float = math.nan
+    val_rmse_a: float = field(init=False, default=math.nan)
+    val_rmse_b: float = field(init=False, default=math.nan)
 
 
 def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
-                    aux_weight: float = 0.0) -> ImitationResult:
+                    aux_weight: float) -> ImitationResult:
     """Clone a teacher control law by lam-mixed supervised regression.
 
     Targets are teacher controls in actuator units; the loss is taken after
@@ -458,8 +456,8 @@ class _SchedulerBlock:
         return gzs, acts
 
 
-def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float = 0.01,
-                       limits: tuple[float, float] = (-math.inf, math.inf)):
+def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float,
+                       limits: tuple[float, float]):
     """Rollout loss and exact gradient w.r.t. the trained network's weights.
 
     loss = mean squared tracking error + rho * mean squared control move.
@@ -533,7 +531,7 @@ CLIP_NORM = 1.0
 
 
 def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConfig,
-               limits: tuple[float, float], rho: float = 0.01) -> BpttResult:
+               limits: tuple[float, float], rho: float) -> BpttResult:
     """Train a controller or scheduler through closed-loop surrogate rollouts.
 
     `limits` bound the scheduled PI core's command (a controller bounds its
@@ -590,8 +588,8 @@ class _BudgetExhausted(Exception):
 SIMPLEX_SCALE = 0.25
 
 
-def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int,
-                        seed: int = 0, restarts: int = 1):
+def nelder_mead_bounded(f, x0: np.ndarray, bounds: np.ndarray, budget: int, seed: int,
+                        restarts: int):
     """Minimal Nelder-Mead with clipped-to-bounds evaluations and an exact
     evaluation budget shared across seeded restarts.
 
@@ -747,10 +745,10 @@ def _cost_alone(narx: NarxModel, episode) -> float:
         return stop.value
 
 
-def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
-                   seed: int = 0, restarts: int = 2, x0=None,
-                   gain_kw: dict | None = None) -> StaticTuneResult:
-    """Derivative-free (kp, ki, kd) search against the surrogate.
+def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float, seed: int,
+                   restarts: int, x0, limits: tuple[float, float]) -> StaticTuneResult:
+    """Derivative-free (kp, ki, kd) search against the surrogate, from `x0`
+    (the bounds' midpoint when None), for gains with output `limits`.
 
     `model` is the NarxModel the episodes are simulated on; `episodes` is a
     list of reference arrays. The cost is the episode mean of
@@ -764,22 +762,22 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float = 0.01,
     if not episodes:
         raise ValueError("need at least one episode")
     bounds = np.asarray(gain_bounds, dtype=float).reshape(3, 2)
-    gain_kw = gain_kw or {}
     m = len(episodes)
 
     def costs_of(points):
         runs = []
         for vec in points:
-            gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
+            gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]),
+                             u_min=limits[0], u_max=limits[1])
             runs += [_episode_cost_on_surrogate(model, gains, ep, rho) for ep in episodes]
         costs = _lockstep_costs(model, runs)
         return [float(np.mean(costs[i:i + m])) for i in range(0, len(costs), m)]
 
     start = np.asarray(x0, dtype=float) if x0 is not None else 0.5 * (bounds[:, 0] + bounds[:, 1])
     start = np.clip(start, bounds[:, 0], bounds[:, 1])
-    best_x, best_f, trace = nelder_mead_bounded(costs_of, start, bounds, budget,
-                                                seed=seed, restarts=restarts)
+    best_x, best_f, trace = nelder_mead_bounded(costs_of, start, bounds, budget, seed, restarts)
     if best_x is None or not math.isfinite(best_f):
         raise NumericalFailure("every candidate evaluation diverged")
-    gains = PidGains(kp=float(best_x[0]), ki=float(best_x[1]), kd=float(best_x[2]), **gain_kw)
+    gains = PidGains(kp=float(best_x[0]), ki=float(best_x[1]), kd=float(best_x[2]),
+                     u_min=limits[0], u_max=limits[1])
     return StaticTuneResult(gains=gains, cost=best_f, trace=trace)

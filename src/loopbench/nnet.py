@@ -260,11 +260,11 @@ class Adam:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-2
-    batch_size: int = 32
-    max_epochs: int = 200
-    patience: int = 10_000
-    seed: int = 0
+    learning_rate: float
+    batch_size: int
+    max_epochs: int
+    patience: int
+    seed: int
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -276,9 +276,9 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     net: Mlp
-    history: list = field(default_factory=list)  # (train_loss, val_loss) per epoch
-    best_epoch: int = -1
-    best_val_loss: float = float("inf")
+    history: list = field(init=False, default_factory=list)  # (train_loss, val_loss) per epoch
+    best_epoch: int = field(init=False, default=-1)
+    best_val_loss: float = field(init=False, default=math.inf)
 
 
 def train(net: Mlp, data: SupervisedDataset, val: SupervisedDataset, cfg: TrainConfig) -> TrainResult:

@@ -51,10 +51,11 @@ class PidGains:
                            0.0 if self.structure in _MEASUREMENT_PROPORTIONAL else 1.0)
 
     @staticmethod
-    def from_time_constants(kp: float, ti: float = math.inf, td: float = 0.0, **kw) -> "PidGains":
-        """Rule-style parameterization: ki = kp/Ti, kd = kp*Td."""
+    def from_time_constants(kp: float, limits: tuple[float, float], ti: float = math.inf,
+                            td: float = 0.0) -> "PidGains":
+        """Rule-style parameterization: ki = kp/Ti, kd = kp*Td, output `limits`."""
         ki = 0.0 if not math.isfinite(ti) or ti <= 0.0 else kp / ti
-        return PidGains(kp=kp, ki=ki, kd=kp * td, **kw)
+        return PidGains(kp=kp, ki=ki, kd=kp * td, u_min=limits[0], u_max=limits[1])
 
 
 @dataclass

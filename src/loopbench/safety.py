@@ -35,7 +35,7 @@ class SwitchSupervisor:
     after `dwell` consecutive steps with |e| > theta_hi. Returns to AI only
     after `dwell` consecutive steps in which |e| < theta_lo, the AI command
     is valid, and it agrees with the hot fallback to within `agree_tol`
-    (default: 10% of the actuator span). Without the agreement gate a
+    (None: 10% of the actuator span). Without the agreement gate a
     persistently wrong AI would be re-admitted as soon as the fallback has
     recovered the loop, and the pair would limit-cycle. The transition log
     is append-only.
@@ -43,14 +43,14 @@ class SwitchSupervisor:
 
     theta_hi: float
     theta_lo: float
-    dwell: int = 5
-    agree_tol: float | None = None
-    mode: str = MODE_AI
-    log: list = field(default_factory=list)
-    last_u: float = 0.0
-    step_count: int = 0
-    _hi_count: int = 0
-    _lo_count: int = 0
+    dwell: int
+    agree_tol: float | None
+    mode: str = field(init=False, default=MODE_AI)
+    log: list = field(init=False, default_factory=list)
+    last_u: float = field(init=False, default=0.0)
+    step_count: int = field(init=False, default=0)
+    _hi_count: int = field(init=False, default=0)
+    _lo_count: int = field(init=False, default=0)
 
     def __post_init__(self):
         if not (self.theta_hi > self.theta_lo >= 0.0):
@@ -128,8 +128,8 @@ class BoundedBlender:
     """Caps the learned correction at +-delta around the conventional command."""
 
     delta: float
-    absorb_log: list = field(default_factory=list)
-    step_count: int = 0
+    absorb_log: list = field(init=False, default_factory=list)
+    step_count: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.delta < 0.0:

@@ -88,7 +88,7 @@ class Fopdt:
 
     gain: float
     tau: float
-    dead_time: float = 0.0
+    dead_time: float
 
     def __post_init__(self):
         if self.tau <= 0.0:
@@ -141,8 +141,8 @@ class PlantModel:
     """A plant variant plus its actuator limits."""
 
     variant: PlantVariant
-    u_min: float = -math.inf
-    u_max: float = math.inf
+    u_min: float
+    u_max: float
     x0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -318,7 +318,7 @@ def _noise_draws(rng: np.random.Generator, std: float, readings: int, n_outputs:
 
 
 def _sensor_reader(sensor: SensorSpec, dt: float, rng: np.random.Generator, n_steps: int,
-                   n_outputs: int = 1):
+                   n_outputs: int):
     """The sensor of one run of `n_steps` as (read, m): a fresh reading
     `read(y)` every m-th step, the held value in between.
 
@@ -454,7 +454,7 @@ class Trajectory:
     u: np.ndarray
     d: np.ndarray
     dt: float
-    y_extra: np.ndarray | None = None
+    y_extra: np.ndarray | None
 
     def __post_init__(self):
         n = len(self.t)
@@ -470,12 +470,8 @@ class Trajectory:
 
 
 def _reference_array(reference, t: np.ndarray) -> np.ndarray:
-    """The reference on the time grid `t`: a step in one `np.where`, a
-    callable per sample, a scalar or an array of the grid's length."""
-    if isinstance(reference, _StepReference):
-        return np.where(t >= reference.time, float(reference.level), float(reference.baseline))
-    if callable(reference):
-        return np.array([float(reference(tk)) for tk in t])
+    """The reference on the time grid `t`, given as a scalar or an array of
+    the grid's length."""
     arr = np.asarray(reference, dtype=float)
     if arr.ndim == 0:
         return np.full(len(t), float(arr))
@@ -484,26 +480,13 @@ def _reference_array(reference, t: np.ndarray) -> np.ndarray:
     return arr.copy()
 
 
-@dataclass(frozen=True)
-class _StepReference:
-    """w(t) = level from `time` on, `baseline` before."""
-
-    level: float
-    time: float
-    baseline: float
-
-
-def step_reference(level: float, time: float = 0.0, baseline: float = 0.0) -> _StepReference:
-    return _StepReference(level, time, baseline)
-
-
 def simulate(
     plant: PlantModel,
     controller: Controller,
     reference,
+    cfg: SimConfig,
     disturbance: DisturbanceSpec = NO_DISTURBANCE,
     sensor: SensorSpec = IDEAL_SENSOR,
-    cfg: SimConfig = SimConfig(dt=0.01, horizon=10.0),
     gain_schedule: Callable[[float], float] | None = None,
 ) -> Trajectory:
     """Run one fixed-step loop and record every block-diagram signal.

@@ -117,10 +117,10 @@ class SurrogateReport:
     output_range: float
     n_train: int
     n_val: int
-    resampled: bool = False
+    resampled: bool
     # coverage view of the training inputs; no pass/fail attached
-    u_histogram: tuple = ()
-    u_bin_edges: tuple = ()
+    u_histogram: tuple
+    u_bin_edges: tuple
 
     def as_dict(self) -> dict:
         return {
@@ -133,9 +133,8 @@ class SurrogateReport:
         }
 
 
-def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig,
-                  hidden=(32,), val_fraction: float = 0.25,
-                  resampled: bool = False) -> tuple[NarxModel, SurrogateReport]:
+def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig, hidden, val_fraction: float,
+                  resampled: bool) -> tuple[NarxModel, SurrogateReport]:
     """Fit a NARX model with a contiguous-in-time train/validation split.
 
     The last `val_fraction` of the record is held out; normalization stats
@@ -187,7 +186,7 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig,
     return model, report
 
 
-def narx_rollout(model: NarxModel, y_init, u_seq, u_init=None) -> np.ndarray:
+def narx_rollout(model: NarxModel, y_init, u_seq, u_init) -> np.ndarray:
     """Free-running prediction: each output feeds back into its own lag window.
 
     `y_init` seeds the output lags (chronological; at least p samples).
@@ -202,7 +201,7 @@ def narx_rollout(model: NarxModel, y_init, u_seq, u_init=None) -> np.ndarray:
     y_hist = np.asarray(y_init, dtype=float).tolist()
     if len(y_hist) < p:
         raise ValueError(f"initial output window must hold at least p = {p} samples")
-    u_hist = np.asarray(u_init, dtype=float).tolist() if u_init is not None else [0.0] * (q - 1)
+    u_hist = np.asarray(u_init, dtype=float).tolist()
     if len(u_hist) < q - 1:
         raise ValueError(f"initial input window must hold at least q-1 = {q - 1} samples")
     # the windows hold exactly p outputs and q-1 inputs between steps

@@ -57,7 +57,7 @@ class UltimateParams:
 # Step-test identification
 # ---------------------------------------------------------------------------
 
-def run_step_test(plant: PlantModel, cfg: SimConfig, u1: float = 1.0) -> Trajectory:
+def run_step_test(plant: PlantModel, cfg: SimConfig, u1: float) -> Trajectory:
     """Open-loop input step from 0 to `u1` at 5 % of the horizon, from steady
     state, recorded for identification."""
     u = np.where(cfg.time_grid() >= 0.05 * cfg.horizon, u1, 0.0)
@@ -213,19 +213,19 @@ def ultimate_from_fopdt(model: FopdtModel) -> UltimateParams:
 # Tuning rules
 # ---------------------------------------------------------------------------
 
-def tune_ziegler_nichols(up: UltimateParams, kind: str = "pid", **gain_kw) -> PidGains:
+def tune_ziegler_nichols(up: UltimateParams, kind: str, limits: tuple[float, float]) -> PidGains:
     """Classic ultimate-cycle table for P, PI, and PID controllers."""
     kind = kind.lower()
     if kind == "p":
-        return PidGains.from_time_constants(0.5 * up.ku, **gain_kw)
+        return PidGains.from_time_constants(0.5 * up.ku, limits)
     if kind == "pi":
-        return PidGains.from_time_constants(0.45 * up.ku, ti=up.pu / 1.2, **gain_kw)
+        return PidGains.from_time_constants(0.45 * up.ku, limits, ti=up.pu / 1.2)
     if kind == "pid":
-        return PidGains.from_time_constants(0.6 * up.ku, ti=0.5 * up.pu, td=0.125 * up.pu, **gain_kw)
+        return PidGains.from_time_constants(0.6 * up.ku, limits, ti=0.5 * up.pu, td=0.125 * up.pu)
     raise ValueError(f"unknown controller kind {kind!r}")
 
 
-def tune_cohen_coon(model: FopdtModel, **gain_kw) -> PidGains:
+def tune_cohen_coon(model: FopdtModel, limits: tuple[float, float]) -> PidGains:
     """Cohen-Coon PID rule; needs a nonzero dead time."""
     if model.dead_time <= 0.0:
         raise NumericalFailure("Cohen-Coon needs dead time > 0")
@@ -234,10 +234,10 @@ def tune_cohen_coon(model: FopdtModel, **gain_kw) -> PidGains:
     kp = (1.0 / k) * (tau / L) * (4.0 / 3.0 + r / 4.0)
     ti = L * (32.0 + 6.0 * r) / (13.0 + 8.0 * r)
     td = 4.0 * L / (11.0 + 2.0 * r)
-    return PidGains.from_time_constants(kp, ti=ti, td=td, **gain_kw)
+    return PidGains.from_time_constants(kp, limits, ti=ti, td=td)
 
 
-def tune_kappa_tau(model: FopdtModel, **gain_kw) -> PidGains:
+def tune_kappa_tau(model: FopdtModel, limits: tuple[float, float]) -> PidGains:
     """Kappa-Tau style rule in its AMIGO form; needs a nonzero dead time."""
     if model.dead_time <= 0.0:
         raise NumericalFailure("Kappa-Tau needs dead time > 0")
@@ -245,5 +245,5 @@ def tune_kappa_tau(model: FopdtModel, **gain_kw) -> PidGains:
     kp = (1.0 / k) * (0.2 + 0.45 * tau / L)
     ti = L * (0.4 * L + 0.8 * tau) / (L + 0.1 * tau)
     td = 0.5 * L * tau / (0.3 * L + tau)
-    return PidGains.from_time_constants(kp, ti=ti, td=td, **gain_kw)
+    return PidGains.from_time_constants(kp, limits, ti=ti, td=td)
 

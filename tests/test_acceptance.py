@@ -25,7 +25,6 @@ from loopbench.pid import PidController, PidGains, PidState, pid_step, pid_sync
 from loopbench.safety import BoundedBlender, SupervisedController, SwitchSupervisor
 from loopbench.simcore import (
     ConstantController, Fopdt, PlantModel, SignalController, SimConfig, rk4_step, simulate,
-    step_reference,
 )
 from loopbench.surrogate import NarxModel, fit_surrogate, narx_rollout
 from loopbench.tuning import (
@@ -62,18 +61,20 @@ def _max_rel(a, b, floor=1e-8):
     return float(np.max(np.abs(a - b) / den))
 
 
-FOPDT_115 = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=-3.0, u_max=3.0)
+FOPDT_115 = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=-3.0, u_max=3.0, x0=None)
 
 
 def _zn_gains(plant=FOPDT_115, limits=(-3.0, 3.0)):
     up = relay_experiment(plant, 1.0, SimConfig(dt=0.005, horizon=30.0, seed=0))
-    return tune_ziegler_nichols(up, "pid", u_min=limits[0], u_max=limits[1])
+    return tune_ziegler_nichols(up, "pid", limits)
 
 
 def _prbs_record(plant, dt, seed=1, horizon=400.0, order=9):
     cfg = SimConfig(dt=dt, horizon=horizon, seed=seed)
     exc = generate_excitation(
-        ExcitationSpec(variant="prbs", order=order, amplitude=1.0, bit_period=1.0, seed=2), cfg)
+        ExcitationSpec(variant="prbs", order=order, amplitude=1.0, bit_period=1.0, seed=2,
+                       levels=(), dwell=1.0, f0=0.1, f1=1.0, duration=None), cfg,
+        limits=(-math.inf, math.inf))
     return simulate(plant, SignalController(exc), 0.0, cfg=cfg)
 
 
@@ -81,28 +82,33 @@ def _prbs_record(plant, dt, seed=1, horizon=400.0, order=9):
 
 def test_ac1_tuning_rule_exactness():
     with Budget("AC-1", 1.0) as b:
-        cc = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
+        cc = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5),
+                             limits=(-math.inf, math.inf))
         assert cc.kp == pytest.approx(35.0 / 12.0, rel=1e-9)      # 2.916667
         assert cc.kp / cc.ki == pytest.approx(17.5 / 17.0, rel=1e-9)  # 1.029412
         assert cc.kd / cc.kp == pytest.approx(1.0 / 6.0, rel=1e-9)    # 0.166667
-        kt = tune_kappa_tau(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
+        kt = tune_kappa_tau(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5),
+                            limits=(-math.inf, math.inf))
         assert kt.kp == pytest.approx(1.1, rel=1e-9)
         assert kt.kp / kt.ki == pytest.approx(0.5 / 0.6, rel=1e-9)
         assert kt.kd / kt.kp == pytest.approx(0.25 / 1.15, rel=1e-9)
-        zn = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pid")
+        zn = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pid",
+                                  limits=(-math.inf, math.inf))
         assert (zn.kp, zn.kp / zn.ki, zn.kd / zn.kp) == (pytest.approx(1.2, rel=1e-9),
                                                          pytest.approx(0.5, rel=1e-9),
                                                          pytest.approx(0.125, rel=1e-9))
-        zn_pi = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pi")
+        zn_pi = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pi",
+                                     limits=(-math.inf, math.inf))
         assert zn_pi.kp == pytest.approx(0.9, rel=1e-9)
         assert zn_pi.kp / zn_pi.ki == pytest.approx(1.0 / 1.2, rel=1e-9)
-        assert tune_ziegler_nichols(UltimateParams(ku=1.0, pu=1.0), "p").kp == pytest.approx(0.5, rel=1e-9)
+        assert tune_ziegler_nichols(UltimateParams(ku=1.0, pu=1.0), "p",
+                                    limits=(-math.inf, math.inf)).kp == pytest.approx(0.5, rel=1e-9)
     b.report("ZN / Cohen-Coon / Kappa-Tau tables match the formulas to 1e-9 relative")
 
 
 def test_ac2_identification_pipeline():
     with Budget("AC-2", 5.0) as b:
-        plant = PlantModel(Fopdt(gain=1.0, tau=2.0, dead_time=1.0), u_min=-3.0, u_max=3.0)
+        plant = PlantModel(Fopdt(gain=1.0, tau=2.0, dead_time=1.0), u_min=-3.0, u_max=3.0, x0=None)
         traj = step_test(plant, SimConfig(dt=0.01, horizon=25.0, seed=0), step_time=1.0)
         m = identify_fopdt_step(traj)
         assert m.gain == pytest.approx(1.0, rel=0.05)
@@ -177,7 +183,7 @@ def test_ac4_gradient_oracle():
                 nc = NeuralController(Mlp([7, hidden, 1], seed=seed), u_min=-2.0, u_max=2.0,
                                       memory=3)
                 w_seq = rng.normal(size=5) * 0.5
-                _, g = bptt_loss_and_grad(nc, narx, w_seq, 3, 0.01)
+                _, g = bptt_loss_and_grad(nc, narx, w_seq, 3, 0.01, limits=(-math.inf, math.inf))
                 worst_bptt = max(worst_bptt, _max_rel(g, fd_bptt(nc, w_seq, (-2.0, 2.0))))
         for seed in range(3):
             gs = GainScheduler(Mlp([6, 5, 3], seed=seed),
@@ -195,7 +201,7 @@ def test_ac5_surrogate_quality():
         model, rep = fit_surrogate(
             rec, 2, 2,
             TrainConfig(learning_rate=0.01, batch_size=64, max_epochs=500, patience=100, seed=0),
-            hidden=(32,))
+            hidden=(32,), val_fraction=0.25, resampled=False)
         assert rep.one_step_rmse < 0.01 * rep.output_range
         # 50-step free runs across the held-out block
         n_train = split_contiguous(len(rec), 0.25)
@@ -218,19 +224,19 @@ def test_ac6_static_ai_tuning_parity():
         narx, _ = fit_surrogate(
             rec, 2, 3,
             TrainConfig(learning_rate=0.01, batch_size=64, max_epochs=500, patience=100, seed=0),
-            hidden=(32,))
+            hidden=(32,), val_fraction=0.25, resampled=False)
         episodes = [np.concatenate([np.zeros(2), np.full(int(30 / dt), lvl)])
                     for lvl in (0.8, 1.0, 1.2)]
         result = tune_static_ai(narx, episodes, [[0.05, 5.0], [0.0, 5.0], [0.0, 1.0]],
-                                budget=500, rho=0.01, seed=0, restarts=2,
-                                gain_kw={"u_min": -3.0, "u_max": 3.0})
+                                budget=500, rho=0.01, seed=0, restarts=2, x0=None,
+                                limits=(-3.0, 3.0))
         assert len(result.trace) <= 500
 
         eval_cfg = SimConfig(dt=dt, horizon=30.0, seed=0)
         iae_zn = compute_step_metrics(
-            simulate(FOPDT_115, PidController(zn), step_reference(1.0), cfg=eval_cfg)).iae
+            simulate(FOPDT_115, PidController(zn), 1.0, cfg=eval_cfg), band=0.02).iae
         iae_ai = compute_step_metrics(
-            simulate(FOPDT_115, PidController(result.gains), step_reference(1.0), cfg=eval_cfg)).iae
+            simulate(FOPDT_115, PidController(result.gains), 1.0, cfg=eval_cfg), band=0.02).iae
         assert iae_ai <= 1.1 * iae_zn
     b.report(f"true-plant IAE: ai {iae_ai:.3f} vs zn {iae_zn:.3f} "
              f"(ratio {iae_ai / iae_zn:.3f} <= 1.1)")
@@ -239,7 +245,7 @@ def test_ac6_static_ai_tuning_parity():
 def test_ac7_imitation_fidelity():
     with Budget("AC-7", 120.0) as b:
         lim = 5.0
-        plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=-lim, u_max=lim)
+        plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=-lim, u_max=lim, x0=None)
         zn = _zn_gains(plant, limits=(-lim, lim))
         dt, m = 0.05, 4
 
@@ -248,9 +254,11 @@ def test_ac7_imitation_fidelity():
             idx = (np.arange(n) // hold) % len(bits)
             return np.where(bits[idx] == 1, level, 0.0).astype(float)
 
-        runs_b = [simulate(plant, PidController(zn), step_reference(lvl, time=1.0),
-                           cfg=SimConfig(dt=dt, horizon=30.0, seed=20 + i))
-                  for i, lvl in enumerate([0.7, 0.85, 1.0, 1.15, 1.3, 1.0, 0.9, 1.1])]
+        runs_b = []
+        for i, lvl in enumerate([0.7, 0.85, 1.0, 1.15, 1.3, 1.0, 0.9, 1.1]):
+            cfg = SimConfig(dt=dt, horizon=30.0, seed=20 + i)
+            runs_b.append(simulate(plant, PidController(zn),
+                                   np.where(cfg.time_grid() >= 1.0, lvl, 0.0), cfg=cfg))
         runs_a = []
         for i in range(2):
             cfg = SimConfig(dt=dt, horizon=60.0, seed=30 + i)
@@ -258,22 +266,23 @@ def test_ac7_imitation_fidelity():
                                    coverage_ref(cfg.n_steps, 1.0, seed=3 + i), cfg=cfg))
 
         def stack(runs):
-            parts = [imitation_data_from_run(r, m) for r in runs]
+            parts = [imitation_data_from_run(r, m, with_disturbance=False) for r in runs]
             return SupervisedDataset(np.vstack([p.x for p in parts]),
                                      np.vstack([p.y for p in parts]))
 
         mix = DualDatasetMix(stack(runs_a), stack(runs_b), lam=0.25)
         nc = NeuralController(Mlp([1 + 2 * m, 48, 1], seed=0), u_min=-lim, u_max=lim, memory=m)
         res = train_imitation(nc, mix, TrainConfig(learning_rate=5e-3, batch_size=128,
-                                                   max_epochs=2500, patience=2500, seed=0))
+                                                   max_epochs=2500, patience=2500, seed=0),
+                              aux_weight=0.0)
         res = train_imitation(res.controller, mix,
                               TrainConfig(learning_rate=1e-3, batch_size=128,
-                                          max_epochs=2000, patience=2000, seed=1))
+                                          max_epochs=2000, patience=2000, seed=1), aux_weight=0.0)
 
         eval_cfg = SimConfig(dt=dt, horizon=20.0, seed=0)
-        tr_pid = simulate(plant, PidController(zn), step_reference(1.0, time=1.0), cfg=eval_cfg)
-        tr_nn = simulate(plant, NeuralControlLoop(res.controller),
-                         step_reference(1.0, time=1.0), cfg=eval_cfg)
+        step = np.where(eval_cfg.time_grid() >= 1.0, 1.0, 0.0)
+        tr_pid = simulate(plant, PidController(zn), step, cfg=eval_cfg)
+        tr_nn = simulate(plant, NeuralControlLoop(res.controller), step, cfg=eval_cfg)
         worst = float(np.max(np.abs(tr_nn.y - tr_pid.y)))
         assert worst < 0.02  # 2% of the unit step
     b.report(f"max |y_nn - y_pid| = {worst:.4f} over the horizon (< 0.02)")
@@ -281,16 +290,16 @@ def test_ac7_imitation_fidelity():
 
 def test_ac8_safety_switch_efficacy():
     with Budget("AC-8", 10.0) as b:
-        plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=0.0, u_max=3.0)
+        plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=0.0, u_max=3.0, x0=None)
         zn = tune_ziegler_nichols(
             relay_experiment(FOPDT_115, 1.0, SimConfig(dt=0.005, horizon=30.0, seed=0)),
-            "pid", u_min=0.0, u_max=3.0)
+            "pid", (0.0, 3.0))
         cfg = SimConfig(dt=0.01, horizon=30.0, seed=0)
 
         raw = simulate(plant, ConstantController(3.0), 1.0, cfg=cfg)
         assert not compute_step_metrics(raw, band=0.02).settled
 
-        sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
+        sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
         wrapped = SupervisedController(ConstantController(3.0), PidController(zn), sup,
                                        limits=(0.0, 3.0))
         traj = simulate(plant, wrapped, 1.0, cfg=cfg)
@@ -299,7 +308,7 @@ def test_ac8_safety_switch_efficacy():
 
         # bumpless handover: with pid_sync applicable and e unchanged across the
         # step, the output discontinuity is <= 1e-6
-        sup2 = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3)
+        sup2 = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3, agree_tol=None)
         ctl = SupervisedController(ConstantController(1.5), PidController(zn), sup2,
                                    limits=(0.0, 3.0))
         ctl.reset()
@@ -339,38 +348,42 @@ def test_ac9_bounded_influence():
 def test_ac10_adaptive_scheduler_benefit():
     with Budget("AC-10", 180.0) as b:
         lim = 3.0
-        plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.25), u_min=-lim, u_max=lim)
+        plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.25), u_min=-lim, u_max=lim,
+                           x0=None)
         zn = tune_ziegler_nichols(
             relay_experiment(plant, 1.0, SimConfig(dt=0.005, horizon=30.0, seed=0)),
-            "pid", u_min=-lim, u_max=lim)
+            "pid", (-lim, lim))
 
         dt = 0.25
         rec = simulate(plant, SignalController(
             generate_excitation(ExcitationSpec(variant="prbs", order=9, amplitude=1.0,
-                                               bit_period=1.0, seed=2),
-                                SimConfig(dt=dt, horizon=400.0, seed=1))),
+                                               bit_period=1.0, seed=2, levels=(), dwell=1.0,
+                                               f0=0.1, f1=1.0, duration=None),
+                                SimConfig(dt=dt, horizon=400.0, seed=1),
+                                limits=(-math.inf, math.inf))),
             0.0, cfg=SimConfig(dt=dt, horizon=400.0, seed=1),
             gain_schedule=lambda t: 2.0 if t >= 200.0 else 1.0)
         narx, _ = fit_surrogate(rec, 2, 2,
                                 TrainConfig(learning_rate=0.01, batch_size=64,
                                             max_epochs=400, patience=100, seed=0),
-                                hidden=(24,))
+                                hidden=(24,), val_fraction=0.25, resampled=False)
 
         gs = GainScheduler(Mlp([8, 8, 3], seed=0),
                            bounds=[[0.2, 3.0], [0.05, 2.0], [0.0, 0.0]], memory=4)
         res = train_bptt(gs, narx, [np.full(121, 0.5), np.full(121, 1.0)], horizon=120,
-                         cfg=TrainConfig(learning_rate=0.02, max_epochs=150, seed=0),
+                         cfg=TrainConfig(learning_rate=0.02, max_epochs=150, seed=0,
+                                         batch_size=32, patience=10_000),
                          rho=0.01, limits=(-lim, lim))
 
         eval_cfg = SimConfig(dt=dt, horizon=40.0, seed=0)
         switch = lambda t: 2.0 if t >= 20.0 else 1.0
         iae_zn = compute_step_metrics(
-            simulate(plant, PidController(zn), step_reference(1.0), cfg=eval_cfg,
-                     gain_schedule=switch)).iae
+            simulate(plant, PidController(zn), 1.0, cfg=eval_cfg,
+                     gain_schedule=switch), band=0.02).iae
         ctl = ScheduledPidController(res.trained, PidGains(kp=1.0, u_min=-lim, u_max=lim))
         iae_gs = compute_step_metrics(
-            simulate(plant, ctl, step_reference(1.0), cfg=eval_cfg,
-                     gain_schedule=switch)).iae
+            simulate(plant, ctl, 1.0, cfg=eval_cfg,
+                     gain_schedule=switch), band=0.02).iae
         assert iae_gs <= iae_zn
     b.report(f"gain-doubling episode IAE: scheduler {iae_gs:.3f} <= fixed ZN {iae_zn:.3f}")
 

@@ -579,7 +579,7 @@ def test_simulate_out_of_range_ai_hands_over_to_p_only_fallback(tmp_path):
 def test_simulate_overflowing_neural_ai_falls_back_quietly(tmp_path, capsys):
     # finite output weights of 1e308 overflow the output layer: the switch
     # catches the non-finite command, and numpy warns about nothing
-    nc = NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0)
+    nc = NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0, memory=4)
     nc.mlp.weights[-1][...] = 1e308
     save_model(nc, tmp_path / "big.weights")
     cfg = {
@@ -601,7 +601,7 @@ def test_simulate_overflowing_neural_ai_falls_back_quietly(tmp_path, capsys):
 
 
 def test_simulate_blend_with_neural_correction_keeps_delta_bound(tmp_path):
-    save_model(NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0),
+    save_model(NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0, memory=4),
                tmp_path / "corr.weights")
     cfg = {
         "sim": {"dt": 0.01, "horizon": 5.0, "seed": 0},
@@ -797,7 +797,7 @@ def test_compare_incomparable_runs_exit_code_and_message(tmp_path, capsys):
 
 def _saved_controller(tmp_path):
     path = tmp_path / "ctl.weights"
-    save_model(NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0), path)
+    save_model(NeuralController(Mlp([9, 4, 1], seed=1), u_min=-3.0, u_max=3.0, memory=4), path)
     return path
 
 
@@ -900,27 +900,25 @@ def test_malformed_sidecar_is_parse_error(tmp_path, capsys, sidecar, line):
 _AUX_MODELS = {
     "controller": (lambda path: save_model(
         NeuralController(Mlp([9, 5, 4, 1], seed=1), u_min=-3.0, u_max=3.0,
-                         aux=Mlp([4, 1], seed=2)), path),
+                         aux=Mlp([4, 1], seed=2), memory=4), path),
                    lambda path: load_model(path, NeuralController), "neural"),
-    "scheduler": (lambda path: save_model(
-        GainScheduler(Mlp([8, 5, 4, 3], seed=1), bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]],
-                      aux=Mlp([4, 1], seed=2)), path),
-                  lambda path: load_model(path, GainScheduler), "pid+scheduler"),
+}
+
+# disturbance heads a 4-wide last hidden layer rejects
+_MALFORMED_AUX = {
+    "ragged": {"aux_w": [[0.1, 0.2, 0.3, 0.4], [0.5]], "aux_b": [0.0, 0.0]},
+    "empty": {"aux_w": [], "aux_b": []},
+    "narrow": {"aux_w": [[0.1, 0.2, 0.3]], "aux_b": [0.0]},
+    "wide": {"aux_w": [[0.1, 0.2, 0.3, 0.4, 0.5]], "aux_b": [0.0]},
+    "bias-length": {"aux_w": [[0.1, 0.2, 0.3, 0.4]], "aux_b": [0.0, 1.0]},
+    "bias-scalar": {"aux_w": [[0.1, 0.2, 0.3, 0.4]], "aux_b": 0.0},
+    "bias-missing": {"aux_w": [[0.1, 0.2, 0.3, 0.4]]},
+    "non-numeric": {"aux_w": [[0.1, "x", 0.3, 0.4]], "aux_b": [0.0]},
 }
 
 
 @pytest.mark.parametrize("model", sorted(_AUX_MODELS))
-@pytest.mark.parametrize("aux", [
-    {"aux_w": [[0.1, 0.2, 0.3, 0.4], [0.5]], "aux_b": [0.0, 0.0]},  # ragged
-    {"aux_w": [], "aux_b": []},  # empty
-    {"aux_w": [[0.1, 0.2, 0.3]], "aux_b": [0.0]},  # narrower than the last hidden layer
-    {"aux_w": [[0.1, 0.2, 0.3, 0.4, 0.5]], "aux_b": [0.0]},  # wider
-    {"aux_w": [[0.1, 0.2, 0.3, 0.4]], "aux_b": [0.0, 1.0]},  # bias of the wrong length
-    {"aux_w": [[0.1, 0.2, 0.3, 0.4]], "aux_b": 0.0},  # bias not a list
-    {"aux_w": [[0.1, 0.2, 0.3, 0.4]]},  # bias missing
-    {"aux_w": [[0.1, "x", 0.3, 0.4]], "aux_b": [0.0]},  # non-numeric
-], ids=["ragged", "empty", "narrow", "wide", "bias-length", "bias-scalar", "bias-missing",
-        "non-numeric"])
+@pytest.mark.parametrize("aux", list(_MALFORMED_AUX.values()), ids=list(_MALFORMED_AUX))
 def test_malformed_aux_head_is_parse_error(tmp_path, capsys, model, aux):
     save, load, kind = _AUX_MODELS[model]
     path = tmp_path / "model.weights"
@@ -948,10 +946,30 @@ def test_well_formed_aux_head_still_loads(tmp_path, model):
     assert _simulate_with_model(tmp_path, path, kind) == 0
 
 
+_AUX_HEADS = {"well-formed": {"aux_w": [[0.1, 0.2, 0.3, 0.4]], "aux_b": [0.0]}, **_MALFORMED_AUX}
+
+
+@pytest.mark.parametrize("aux", list(_AUX_HEADS.values()), ids=list(_AUX_HEADS))
+def test_scheduler_sidecar_ignores_an_aux_head(tmp_path, aux):
+    """A gain scheduler has no disturbance head: `aux_w` and `aux_b` in its
+    sidecar are unread keys, well-formed or not."""
+    path = tmp_path / "model.weights"
+    save_model(GainScheduler(Mlp([8, 5, 4, 3], seed=1),
+                             bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]], memory=4), path)
+    meta_path = tmp_path / "model.weights.meta.json"
+    plain = meta_path.read_bytes()
+    meta_path.write_text(json.dumps({**json.loads(plain), **aux}))
+    assert not hasattr(load_model(path, GainScheduler), "aux")
+    assert _simulate_with_model(tmp_path, path, "pid+scheduler") == 0
+    meta_path.write_bytes(plain)
+    save_model(load_model(path, GainScheduler), tmp_path / "again.weights")
+    assert (tmp_path / "again.weights.meta.json").read_bytes() == plain
+
+
 def _saved_scheduler(tmp_path):
     path = tmp_path / "sched.weights"
     save_model(GainScheduler(Mlp([8, 4, 3], seed=1),
-                             bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]]), path)
+                             bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]], memory=4), path)
     return path
 
 

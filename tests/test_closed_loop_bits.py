@@ -5,9 +5,9 @@ The copies below re-derive every constant on each call, as the blocks did
 before they were bound: the deployed neural controller and gain scheduler
 read their normalization stats, output centre and half-span and gain bounds
 from the arrays; a linear plant builds a fresh operand for each of A x and
-C x; the sensor branches on its options per reading; a step reference is a
-callable sampled at every grid time. Every output byte and the generator's
-end state must stay the same.
+C x; the sensor branches on its options per reading; a step or profile
+reference is a callable sampled at every grid time. Every output byte and
+the generator's end state must stay the same.
 """
 
 import math
@@ -17,6 +17,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from loopbench.config import reference_from, resolve_config
+from loopbench.dataio import TimeSeries, write_timeseries
 from loopbench.errors import ControllerFault
 from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController,
@@ -28,8 +30,7 @@ from loopbench.pid import (
 )
 from loopbench.simcore import (
     ConstantController, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SensorSpec,
-    SimConfig, _noise_draws, _reference_array, _sensor_reader, primary_output, rk4_step,
-    simulate, step_reference,
+    SimConfig, _noise_draws, _sensor_reader, primary_output, rk4_step, simulate,
 )
 from test_simcore import array_rk4_step
 
@@ -146,6 +147,10 @@ def ref_step_reference(level, time=0.0, baseline=0.0):
     return lambda t: level if t >= time else baseline
 
 
+def ref_profile_reference(t_ref, w_ref):
+    return lambda t: float(np.interp(t, t_ref, w_ref))
+
+
 def _drive(loop, inputs):
     """Outputs of `loop.step` over (w, y) pairs, ending at the first fault."""
     out = []
@@ -236,7 +241,10 @@ def test_trained_imitation_controller_deploys_with_its_fitted_stats(epochs):
     mix = DualDatasetMix(SupervisedDataset(x[:80], y[:80]), SupervisedDataset(x[80:], y[80:]),
                          lam=0.5)
     nc = NeuralController(Mlp([5, 6, 1], seed=1), u_min=-2.0, u_max=2.0, memory=2)
-    trained = train_imitation(nc, mix, TrainConfig(batch_size=16, max_epochs=epochs)).controller
+    trained = train_imitation(nc, mix, TrainConfig(batch_size=16, max_epochs=epochs,
+                                                   learning_rate=1e-2, patience=10_000,
+                                                   seed=0),
+                              aux_weight=0.0).controller
     assert not np.array_equal(trained.feat_mean, nc.feat_mean)
     assert not np.array_equal(trained.feat_std, nc.feat_std)
     inputs = _inputs(rng, 60)
@@ -245,7 +253,7 @@ def test_trained_imitation_controller_deploys_with_its_fitted_stats(epochs):
 
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_setpoint_weight_is_fixed_by_the_structure(structure):
-    gains = PidGains(kp=1.5, ki=0.5, structure=structure)
+    gains = PidGains(kp=1.5, ki=0.5, structure=structure, u_min=-math.inf, u_max=math.inf)
     want = 0.0 if structure in ("pid-p", "pi-pd") else 1.0
     assert gains.setpoint_weight == want
     other = "pi-pd" if want == 1.0 else "pid"
@@ -283,7 +291,7 @@ def test_linear_plant_bit_equal_to_array_branch(states, outputs):
     variant = LinearStateSpace(a=rng.normal(0.0, 1.5, size=(states, states)),
                                b=rng.normal(0.0, 1.0, size=states),
                                c=rng.normal(0.0, 1.0, size=(outputs, states)))
-    plant = PlantModel(variant, x0=rng.normal(size=states))
+    plant = PlantModel(variant, x0=rng.normal(size=states), u_min=-math.inf, u_max=math.inf)
     dynamics, output = plant.dynamics(), plant.output_map()
     ref = ref_linear_dynamics(variant)
     x, x_ref = plant.initial_state(), plant.x0.copy()
@@ -330,18 +338,37 @@ def test_sensor_read_bit_equal_to_per_reading_branches(noise, quantization, peri
     (1.0, 99.0, 0.2), (1.0, math.nan, -0.0), (-0.0, 0.2, 0.0), (1e300, 0.1, -1e-300),
 ], ids=["at-0", "mid", "on-grid", "ints", "before", "after", "nan-time", "neg-zero", "extreme"])
 def test_step_reference_array_bit_equal_to_callable(level, time, baseline):
-    """The `np.where` step against the callable sampled at each grid time,
-    alone and as the `w`, `y` and `u` of a run."""
+    """The config's `np.where` step against the callable sampled at each grid
+    time, alone and as the `w`, `y` and `u` of a run."""
     cfg = SimConfig(dt=0.01, horizon=1.0, seed=4)
     t = cfg.time_grid()
-    got = _reference_array(step_reference(level, time, baseline), t)
+    step = {"variant": "step", "level": level, "time": time, "baseline": baseline}
+    got = reference_from(resolve_config({"reference": step}), cfg)
     want = np.array([float(ref_step_reference(level, time, baseline)(tk)) for tk in t])
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    plant = PlantModel(Fopdt(gain=1.0, tau=0.5), u_min=-1e9, u_max=1e9)
-    runs = [simulate(plant, ConstantController(0.25), reference,
-                     DisturbanceSpec("gaussian", "output", std=0.1),
-                     SensorSpec(noise_std=0.01), cfg)
-            for reference in (step_reference(level, time, baseline),
-                              ref_step_reference(level, time, baseline))]
+    plant = PlantModel(Fopdt(gain=1.0, tau=0.5, dead_time=0.0), u_min=-1e9, u_max=1e9, x0=None)
+    runs = [simulate(plant, ConstantController(0.25), reference, cfg,
+                     DisturbanceSpec("gaussian", "output", std=0.1), SensorSpec(noise_std=0.01))
+            for reference in (got, want)]
     for name in ("w", "y", "y_meas", "u", "d"):
         assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+def test_profile_reference_array_bit_equal_to_callable(tmp_path):
+    """The config's one `np.interp` over the grid against the callable sampled
+    at each grid time, on random profiles: some start after the grid and end
+    before it (held values), and some have fewer samples than the grid and
+    some more (numpy's precomputed and per-sample slopes)."""
+    rng = np.random.default_rng(12)
+    for i in range(60):
+        cfg = SimConfig(dt=0.01, horizon=float(rng.integers(5, 300)) / 100, seed=0)
+        n_ref = int(rng.integers(1, 2 * cfg.n_steps + 2))
+        t_ref = np.unique(rng.uniform(-0.5, cfg.horizon + 0.5, n_ref))  # sorted
+        w_ref = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=len(t_ref))
+        path = tmp_path / f"profile{i}.csv"
+        zeros = np.zeros(len(t_ref))
+        write_timeseries(TimeSeries(t_ref, w_ref, zeros, zeros, zeros, extra=None), path)
+        got = reference_from(resolve_config({"reference": {"variant": "profile",
+                                                           "path": str(path)}}), cfg)
+        want = np.array([ref_profile_reference(t_ref, w_ref)(tk) for tk in cfg.time_grid()])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -26,7 +26,7 @@ def _series(n=20, dt=0.1):
     t = np.arange(n) * dt
     rng = np.random.default_rng(0)
     return TimeSeries(t=t, w=np.ones(n), y=rng.normal(size=n), u=rng.normal(size=n),
-                      d=np.zeros(n))
+                      d=np.zeros(n), extra=None)
 
 
 def test_write_read_round_trip_exact(tmp_path):
@@ -169,8 +169,10 @@ def test_read_timeseries_matches_the_per_line_reference_on_fuzz_mutants(tmp_path
     dropped column, a permuted header, swapped or deleted rows, a 0xff byte)."""
     from test_fuzz import _mutate_csv
 
-    plant = PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0], c=np.eye(2)))
-    traj = simulate(plant, ConstantController(0.5), 1.0, cfg=SimConfig(dt=0.1, horizon=3.0))
+    plant = PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0], c=np.eye(2)),
+                       u_min=-math.inf, u_max=math.inf, x0=None)
+    traj = simulate(plant, ConstantController(0.5), 1.0,
+                    cfg=SimConfig(dt=0.1, horizon=3.0, seed=0))
     good = tmp_path / "good.csv"
     write_timeseries(from_trajectory(traj), good)
     lines = good.read_text().splitlines()
@@ -182,7 +184,7 @@ def test_read_timeseries_matches_the_per_line_reference_on_fuzz_mutants(tmp_path
 
 def test_resample_linear_midpoint():
     s = TimeSeries(t=np.array([0.0, 0.1]), w=np.zeros(2), y=np.array([0.0, 1.0]),
-                   u=np.zeros(2), d=np.zeros(2))
+                   u=np.zeros(2), d=np.zeros(2), extra=None)
     r = resample_uniform(s, 0.05)
     assert r.y[1] == pytest.approx(0.5)
     assert len(r) == 3
@@ -203,7 +205,8 @@ def test_resample_never_extrapolates():
 
 
 def test_resample_single_sample_too_short():
-    s = TimeSeries(t=np.array([0.0]), w=np.zeros(1), y=np.zeros(1), u=np.zeros(1), d=np.zeros(1))
+    s = TimeSeries(t=np.array([0.0]), w=np.zeros(1), y=np.zeros(1), u=np.zeros(1), d=np.zeros(1),
+                   extra=None)
     with pytest.raises(DataError, match="^cannot resample fewer than two samples$"):
         resample_uniform(s, 0.1)
 
@@ -211,7 +214,9 @@ def test_resample_single_sample_too_short():
 def test_split_75_25():
     """The surrogate fit holds out the last quarter by default: a 100-sample
     record trains on samples 0..74 and validates on 75..99 (lag-2 rows)."""
-    _, rep = surrogate.fit_surrogate(_series(n=100), 2, 2, TrainConfig(max_epochs=1), hidden=(2,))
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=1, patience=10_000, seed=0)
+    _, rep = surrogate.fit_surrogate(_series(n=100), 2, 2, cfg, hidden=(2,), val_fraction=0.25,
+                                     resampled=False)
     assert (rep.n_train, rep.n_val) == (75 - 3, 25 - 3)
 
 
@@ -230,7 +235,7 @@ def test_split_floor_rule(monkeypatch):
     minimum block sizes. The first block the caller builds after the split
     reports its length and stops the call."""
     p = q = 2
-    cfg = TrainConfig()
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=200, patience=10_000, seed=0)
     t, zeros = np.arange(5000) * 0.1, np.zeros(5000)
     monkeypatch.setattr(surrogate, "make_regression_dataset",
                         lambda block, p, q: _stop(len(block.y)))
@@ -242,7 +247,8 @@ def test_split_floor_rule(monkeypatch):
                 want = "record too short for the requested split and lag orders"
             record = SimpleNamespace(t=t[:n], y=zeros[:n], u=zeros[:n])
             try:
-                surrogate.fit_surrogate(record, p, q, cfg, val_fraction=val_fraction)
+                surrogate.fit_surrogate(record, p, q, cfg, val_fraction=val_fraction, hidden=(32,),
+                                        resampled=False)
             except DataError as exc:
                 got = str(exc)
             except _Split as exc:
@@ -259,7 +265,7 @@ def test_split_floor_rule(monkeypatch):
         if want < 1 or n - want < 1:
             want = "dataset too small for a train/validation split"
         try:
-            train_imitation(nc, DualDatasetMix(ds, ds, 0.5), cfg)
+            train_imitation(nc, DualDatasetMix(ds, ds, 0.5), cfg, aux_weight=0.0)
         except DataError as exc:
             got = str(exc)
         except _Split as exc:
@@ -271,12 +277,17 @@ def test_split_too_short_rejected():
     """The rule has no minimum size: each caller rejects a block too short for it."""
     # split 7/3: three samples leave no lag-2 validation row
     with pytest.raises(DataError, match="^record too short for the requested split and lag orders$"):
-        surrogate.fit_surrogate(_series(n=10), 2, 2, TrainConfig())
+        surrogate.fit_surrogate(_series(n=10), 2, 2,
+                                TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=200,
+                                            patience=10_000, seed=0),
+                                hidden=(32,), val_fraction=0.25, resampled=False)
     one_row = SupervisedDataset(np.zeros((1, 3)), np.zeros((1, 1)))
     # split 0/1
     with pytest.raises(DataError, match="^dataset too small for a train/validation split$"):
         train_imitation(NeuralController(Mlp([3, 2, 1], seed=0), -1.0, 1.0, memory=1),
-                        DualDatasetMix(one_row, one_row, 0.5), TrainConfig())
+                        DualDatasetMix(one_row, one_row, 0.5),
+                        TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=200,
+                                    patience=10_000, seed=0), aux_weight=0.0)
 
 
 def test_prbs_period_and_balance_order5():
@@ -316,8 +327,9 @@ def test_prbs_deterministic_given_seed():
 
 def test_generate_prbs_signal():
     cfg = SimConfig(dt=0.1, horizon=10.0, seed=0)
-    spec = ExcitationSpec(variant="prbs", order=5, amplitude=0.8, bit_period=0.2, seed=1)
-    u = generate_excitation(spec, cfg)
+    spec = ExcitationSpec(variant="prbs", order=5, amplitude=0.8, bit_period=0.2, seed=1,
+                          levels=(), dwell=1.0, f0=0.1, f1=1.0, duration=None)
+    u = generate_excitation(spec, cfg, limits=(-math.inf, math.inf))
     assert len(u) == 100
     assert set(np.unique(u)) == {-0.8, 0.8}
     # each bit held for 2 samples
@@ -326,35 +338,41 @@ def test_generate_prbs_signal():
 
 def test_chirp_degenerates_to_sinusoid():
     cfg = SimConfig(dt=0.001, horizon=2.0, seed=0)
-    spec = ExcitationSpec(variant="chirp", amplitude=1.0, f0=2.0, f1=2.0)
-    u = generate_excitation(spec, cfg)
+    spec = ExcitationSpec(variant="chirp", amplitude=1.0, f0=2.0, f1=2.0, levels=(), dwell=1.0,
+                          order=7, bit_period=1.0, seed=1, duration=None)
+    u = generate_excitation(spec, cfg, limits=(-math.inf, math.inf))
     t = cfg.time_grid()
     assert np.allclose(u, np.sin(2 * np.pi * 2.0 * t), atol=1e-12)
 
 
 def test_step_train_levels_and_dwell():
     cfg = SimConfig(dt=0.1, horizon=2.0, seed=0)
-    spec = ExcitationSpec(variant="step_train", levels=(0.0, 1.0), dwell=1.0)
-    u = generate_excitation(spec, cfg)
+    spec = ExcitationSpec(variant="step_train", levels=(0.0, 1.0), dwell=1.0, order=7,
+                          amplitude=1.0, bit_period=1.0, seed=1, f0=0.1, f1=1.0, duration=None)
+    u = generate_excitation(spec, cfg, limits=(-math.inf, math.inf))
     assert np.all(u[:10] == 0.0) and np.all(u[10:20] == 1.0)
 
 
 def test_excitation_amplitude_checked_against_limits():
     cfg = SimConfig(dt=0.1, horizon=1.0, seed=0)
-    spec = ExcitationSpec(variant="prbs", order=3, amplitude=5.0, bit_period=0.1)
+    spec = ExcitationSpec(variant="prbs", order=3, amplitude=5.0, bit_period=0.1, levels=(),
+                          dwell=1.0, seed=1, f0=0.1, f1=1.0, duration=None)
     with pytest.raises(ValueError):
         generate_excitation(spec, cfg, limits=(-1.0, 1.0))
 
 
 def test_prbs_order_range_enforced():
     with pytest.raises(ValueError):
-        ExcitationSpec(variant="prbs", order=2)
+        ExcitationSpec(variant="prbs", order=2, levels=(), dwell=1.0, amplitude=1.0,
+                       bit_period=1.0, seed=1, f0=0.1, f1=1.0, duration=None)
     with pytest.raises(ValueError):
-        ExcitationSpec(variant="prbs", order=17)
+        ExcitationSpec(variant="prbs", order=17, levels=(), dwell=1.0, amplitude=1.0,
+                       bit_period=1.0, seed=1, f0=0.1, f1=1.0, duration=None)
 
 
 def test_from_trajectory_records_measurement(tmp_path):
-    plant = PlantModel(LinearStateSpace(a=[[0.0]], b=[1.0], c=[[1.0]]))
+    plant = PlantModel(LinearStateSpace(a=[[0.0]], b=[1.0], c=[[1.0]]), u_min=-math.inf,
+                       u_max=math.inf, x0=None)
     traj = simulate(plant, ConstantController(1.0), 0.0,
                     cfg=SimConfig(dt=0.01, horizon=1.0, seed=0))
     ts = from_trajectory(traj)
@@ -551,12 +569,41 @@ SET_BY_NO_SRC_CALL_ON_PURPOSE = {
 }
 
 
-def defaulted_parameters_no_call_sets(src: Path) -> list[str]:
-    """`module.function.parameter` (a method as `module.Class.method.parameter`)
-    of each defaulted parameter of a module-level function or method in `src`
-    that no call in `src` could set: by keyword, by position, or through
-    `*`/`**`. A call counts when its callee's name matches the function's, or
-    the class's for `__init__`."""
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _init_fields(cls: ast.ClassDef):
+    """(field names in order, defaulted field names) of a dataclass's
+    `__init__`: annotated class attributes, less `field(init=False)` ones."""
+    names, defaulted = [], []
+    for s in cls.body:
+        if not (isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)):
+            continue
+        kw = {k.arg: k.value for k in s.value.keywords} \
+            if isinstance(s.value, ast.Call) and _name(s.value.func) == "field" else None
+        if kw is not None and getattr(kw.get("init"), "value", True) is False:
+            continue
+        names.append(s.target.id)
+        if s.value is not None and (kw is None or "default" in kw or "default_factory" in kw):
+            defaulted.append(s.target.id)
+    return names, defaulted
+
+
+def _scan(src: Path):
+    """The defaulted parameters of `src` and the calls that may set them.
+
+    Yields (label, outcomes) per defaulted parameter of a module-level
+    function, a method or a dataclass's generated `__init__` (labelled
+    `module.Class.field`), where outcomes holds, for each call in `src` whose
+    callee's name matches the function's (the class's for `__init__`),
+    "sets" when the call sets the parameter by keyword or position and
+    "may set" when it could set it only through `*` or `**`."""
     trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(src.glob("*.py"))]
     defs = []  # (label, callee name, positional parameters after self, defaulted names)
@@ -567,9 +614,10 @@ def defaulted_parameters_no_call_sets(src: Path) -> list[str]:
             elif isinstance(stmt, ast.ClassDef):
                 members = [(f"{module}.{stmt.name}.", fn,
                             stmt.name if fn.name == "__init__" else fn.name,
-                            0 if any(getattr(d, "id", None) == "staticmethod"
-                                     for d in fn.decorator_list) else 1)
+                            0 if any(_name(d) == "staticmethod" for d in fn.decorator_list) else 1)
                            for fn in stmt.body if isinstance(fn, ast.FunctionDef)]
+                if _is_dataclass(stmt):
+                    defs.append((f"{module}.{stmt.name}", stmt.name, *_init_fields(stmt)))
             else:
                 continue
             for prefix, fn, callee, skip in members:
@@ -580,21 +628,46 @@ def defaulted_parameters_no_call_sets(src: Path) -> list[str]:
                 defs.append((prefix + fn.name, callee, positional[skip:], defaulted))
     calls = [node for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
-    def callee_name(call):
-        f = call.func
-        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    def outcome(call, name, index):
+        # the arguments before the first `*` have known positions
+        known = next((i for i, x in enumerate(call.args) if isinstance(x, ast.Starred)),
+                     len(call.args))
+        if any(k.arg == name for k in call.keywords) or index is not None and index < known:
+            return "sets"
+        if any(k.arg is None for k in call.keywords) or \
+                index is not None and known < len(call.args):
+            return "may set"
+        return None
 
-    def sets(call, name, index):
-        if any(k.arg in (name, None) for k in call.keywords):
-            return True
-        return index is not None and (len(call.args) > index
-                                      or any(isinstance(x, ast.Starred) for x in call.args))
+    for label, callee, positional, defaulted in defs:
+        for name in defaulted:
+            index = positional.index(name) if name in positional else None
+            yield f"{label}.{name}", [outcome(c, name, index) for c in calls
+                                      if _name(c.func) == callee]
 
-    return [f"{label}.{name}" for label, callee, positional, defaulted in defs
-            for name in defaulted
-            if not any(callee_name(c) == callee
-                       and sets(c, name, positional.index(name) if name in positional else None)
-                       for c in calls)]
+
+def defaulted_parameters_no_call_sets(src: Path) -> list[str]:
+    """`module.function.parameter` (a method as `module.Class.method.parameter`,
+    a dataclass field as `module.Class.field`) of each defaulted parameter in
+    `src` that no call in `src` could set: by keyword, by position, or through
+    `*`/`**`."""
+    return [label for label, outcomes in _scan(src) if not any(outcomes)]
+
+
+def defaulted_parameters_every_call_sets(src: Path) -> list[str]:
+    """Each defaulted parameter (labelled as above) that every call in `src`
+    sets by keyword or position, so that no call uses its default; a call
+    through `*` or `**` may not set it, so it keeps the default in use."""
+    return [label for label, outcomes in _scan(src)
+            if outcomes and all(o == "sets" for o in outcomes)]
+
+
+def kwargs_pass_throughs(src: Path) -> list[str]:
+    """`module.function` of each function in `src`, nested ones included,
+    that takes `**kwargs`."""
+    return [f"{path.stem}.{node.name}" for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.args.kwarg is not None]
 
 
 def test_scan_flags_a_defaulted_parameter_no_call_sets(tmp_path):
@@ -604,6 +677,22 @@ def test_scan_flags_a_defaulted_parameter_no_call_sets(tmp_path):
         "    def g(self, z=0):\n        pass\n\n"
         "f(0, 1, c=2)\nK(1)\nk.g(**kw)\n", encoding="utf-8")
     assert defaulted_parameters_no_call_sets(tmp_path) == ["m.f.d", "m.K.__init__.y"]
+
+
+def test_scan_flags_unset_fields_defaults_every_call_sets_and_kwargs(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass, field\n\n"
+        "@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 0\n"
+        "    c: list = field(default_factory=list)\n    d: int = field(init=False, default=0)\n\n"
+        "def f(x, y=1, z=2):\n    pass\n\n"
+        "def h(x, **kwargs):\n    pass\n\n"
+        "D(1, 2)\nD(a=1, b=3)\nf(0, 1, z=2)\nf(0, y=5, z=3)\nf(*args, z=1)\nh(0, q=1)\n",
+        encoding="utf-8")
+    # c: a dataclass init field no call sets (d is no init field)
+    assert defaulted_parameters_no_call_sets(tmp_path) == ["m.D.c"]
+    # b and z: every call sets them; y: `f(*args, ...)` may leave it to its default
+    assert defaulted_parameters_every_call_sets(tmp_path) == ["m.D.b", "m.f.z"]
+    assert kwargs_pass_throughs(tmp_path) == ["m.h"]
 
 
 def test_every_defaulted_parameter_is_set_by_a_call_in_src():
@@ -617,3 +706,30 @@ def test_every_defaulted_parameter_is_set_by_a_call_in_src():
     stale = [key for key in SET_BY_NO_SRC_CALL_ON_PURPOSE
              if not any(p == key or p.rsplit(".", 1)[0] == key for p in flagged)]
     assert stale == [], "drop allow-list entries that no longer match"
+
+
+# defaulted parameters that every call in src/ sets, kept for a caller
+# outside src/ and tests/ that relies on the default
+SET_BY_EVERY_SRC_CALL_ON_PURPOSE = {
+    "pid.PidGains.u_min": "perfbench/smoke.py builds PidGains(kp=1.0, ki=0.5)",
+    "pid.PidGains.u_max": "perfbench/smoke.py builds PidGains(kp=1.0, ki=0.5)",
+    "simcore.SimConfig.seed": "perfbench/smoke.py builds SimConfig(dt=0.01, horizon=0.5)",
+    "simcore.PlantModel.x0": "perfbench/smoke.py builds its plant without x0",
+}
+
+
+def test_no_defaulted_parameter_is_set_by_every_call_in_src():
+    """A default that every call overrides is a value no command uses: each
+    such parameter or dataclass field is required, so that a command's every
+    value comes from its config, whose one home of defaults is
+    `config.DEFAULTS`; apart from the allow-list, each entry with its reason."""
+    flagged = defaulted_parameters_every_call_sets(Path(loopbench.__file__).parent)
+    assert [p for p in flagged if p not in SET_BY_EVERY_SRC_CALL_ON_PURPOSE] == [], \
+        "drop the default: pass the value at every call"
+    assert [p for p in SET_BY_EVERY_SRC_CALL_ON_PURPOSE if p not in flagged] == [], \
+        "drop allow-list entries that no longer match"
+
+
+def test_no_function_in_src_takes_kwargs():
+    """A `**kwargs` pass-through can set what no signature names."""
+    assert kwargs_pass_throughs(Path(loopbench.__file__).parent) == []

@@ -48,8 +48,7 @@ def _models():
                                        rng.normal(size=5), rng.uniform(0.5, 2.0, size=5),
                                        aux=Mlp([4, 1], seed=3)),
         "scheduler": GainScheduler(Mlp([4, 6, 3], seed=4), [[0.1, 2.0], [0.0, 1.0], [0.0, 0.3]],
-                                   2, rng.normal(size=4), rng.uniform(0.5, 2.0, size=4),
-                                   aux=Mlp([6, 1], seed=5)),
+                                   2, rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)),
     }
 
 
@@ -230,14 +229,15 @@ def _config_bases(tmp_path):
     leaf of the sections of every command but `compare`."""
     profile = tmp_path / "profile.csv"
     t = np.arange(11) * 0.1
-    write_timeseries(TimeSeries(t, np.where(t > 0.3, 1.0, 0.0), *np.zeros((3, 11))), profile)
+    write_timeseries(TimeSeries(t, np.where(t > 0.3, 1.0, 0.0), *np.zeros((3, 11)), extra=None),
+                     profile)
     record = tmp_path / "record.csv"
     t = np.arange(60) * 0.1
     u = np.sign(np.sin(0.7 * t))
     y = np.zeros(60)
     for k in range(59):
         y[k + 1] = 0.9 * y[k] + 0.1 * u[k]
-    write_timeseries(TimeSeries(t, np.zeros(60), y, u, np.zeros(60)), record)
+    write_timeseries(TimeSeries(t, np.zeros(60), y, u, np.zeros(60), extra=None), record)
     surrogate = tmp_path / "sur.weights"
     save_model(_models()["surrogate"], surrogate)
     tune = {"sim": {"dt": 0.05, "horizon": 20.0, "seed": 0}, "plant": PLANT}
@@ -282,6 +282,25 @@ def _config_bases(tmp_path):
             **train, "mode": "bptt", "target": "scheduler", "horizon": 4}},
          ["--surrogate", str(surrogate)]),
     ]
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]], ids=["config-seed", "seed-7"])
+@pytest.mark.parametrize("base", range(14))
+def test_config_echo_reruns_the_run(tmp_path, base, seed):
+    """The config echo is a fixed point: run from it, with no `--seed`, a
+    command writes every output file byte for byte as the run that wrote
+    it, the echo included."""
+    name, command, raw, extra = _config_bases(tmp_path)[base]
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(first), *seed, *extra]
+    assert main(argv) == 0, name
+    echo = first / f"{command}_config.json"
+    assert main([command, "--config", str(echo), "--out", str(again), *extra]) == 0, name
+    files = sorted(path.name for path in first.iterdir())
+    assert files == sorted(path.name for path in again.iterdir())
+    for file in files:
+        assert (first / file).read_bytes() == (again / file).read_bytes(), f"{name}: {file}"
 
 
 def _leaves(block, sections, path=()):

@@ -11,9 +11,11 @@ onto one parameter vector, `tune/ai-q1` before per-step surrogate
 prediction moved onto Python-float lag windows, the `cli/*` cases before
 every output file moved onto the `dataio` writers, `cli/linear2-cascade`
 before linear plants moved onto float state and trajectory files were
-formatted by column, and `tune/ai-corner` before the AI search moved its
-episodes onto one stacked surrogate pass per step; a change that moves any
-output bit fails here and must be declared as a behaviour change. Regenerate with
+formatted by column, `tune/ai-corner` before the AI search moved its
+episodes onto one stacked surrogate pass per step, and `cli/simulate-profile`
+before a profile reference became one `np.interp` over the grid; a change
+that moves any output bit fails here and must be declared as a behaviour
+change. Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
@@ -38,7 +40,7 @@ from loopbench.pid import CascadeController, CascadeSpec, PidController, PidGain
 from loopbench.safety import BlendedController, BoundedBlender, SupervisedController, SwitchSupervisor
 from loopbench.simcore import (
     ConstantController, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder,
-    SensorSpec, SimConfig, TankNonlinear, simulate, step_reference,
+    SensorSpec, SimConfig, TankNonlinear, simulate,
 )
 from loopbench.tuning import identify_fopdt_step, relay_experiment, run_step_test
 from test_acceptance import AC12_FILES, ac12_pipeline
@@ -46,28 +48,30 @@ from test_acceptance import AC12_FILES, ac12_pipeline
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
 CFG = SimConfig(dt=0.01, horizon=4.0, seed=5)
-REFERENCE = step_reference(1.0, time=0.2)
+REFERENCE = np.where(CFG.time_grid() >= 0.2, 1.0, 0.0)
 
 # plant, sensor, disturbance and optional gain schedule per plant variant;
 # between them they cover noise, quantization, sample-and-hold, every
 # disturbance variant at both injection points, a non-zero x0 and a gain change
 PLANTS = {
-    "fopdt": (PlantModel(Fopdt(gain=1.5, tau=0.8, dead_time=0.15), u_min=-3.0, u_max=3.0),
+    "fopdt": (PlantModel(Fopdt(gain=1.5, tau=0.8, dead_time=0.15), u_min=-3.0, u_max=3.0, x0=None),
               SensorSpec(noise_std=0.02, quantization=0.005),
               DisturbanceSpec("step", "input", time=2.0, magnitude=0.3), None),
-    "second_order": (PlantModel(SecondOrder(gain=1.0, omega_n=2.0, zeta=0.4), u_min=-4.0, u_max=4.0),
+    "second_order": (PlantModel(SecondOrder(gain=1.0, omega_n=2.0, zeta=0.4), u_min=-4.0, u_max=4.0,
+                                x0=None),
                      SensorSpec(noise_std=0.01, sample_period=0.02),
                      DisturbanceSpec("sinusoid", "input", amplitude=0.2, period=1.5), None),
     "tank": (PlantModel(TankNonlinear(area=1.2, outflow_coeff=0.8), u_min=0.0, u_max=3.0, x0=[0.3]),
              SensorSpec(quantization=0.01),
              DisturbanceSpec("gaussian", "output", std=0.01), None),
     "linear": (PlantModel(LinearStateSpace(a=[[0.0, 1.0], [-2.0, -0.7]], b=[0.0, 2.0], c=[[1.0, 0.0]]),
-                          u_min=-5.0, u_max=5.0),
+                          u_min=-5.0, u_max=5.0, x0=None),
                SensorSpec(noise_std=0.01),
                DisturbanceSpec("step", "output", time=2.0, magnitude=0.2),
                lambda t: 1.0 if t < 2.5 else 2.0),
     "linear2": (PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0],
-                                            c=[[1.0, 0.0], [0.0, 1.0]]), u_min=-5.0, u_max=5.0),
+                                            c=[[1.0, 0.0], [0.0, 1.0]]), u_min=-5.0, u_max=5.0,
+                           x0=None),
                 SensorSpec(noise_std=0.01, sample_period=0.03),
                 DisturbanceSpec("step", "input", time=1.0, magnitude=-0.4), None),
 }
@@ -93,7 +97,7 @@ def _scheduled(limits):
 
 
 def _switch(limits):
-    sup = SwitchSupervisor(theta_hi=0.3, theta_lo=0.1, dwell=5)
+    sup = SwitchSupervisor(theta_hi=0.3, theta_lo=0.1, dwell=5, agree_tol=None)
     return SupervisedController(_neural(limits), _pid(limits), sup, limits)
 
 
@@ -132,7 +136,7 @@ def _loop_case(plant_name, build):
     def run(tmp):
         plant, sensor, dist, schedule = PLANTS[plant_name]
         ctl = build((plant.u_min, plant.u_max))
-        traj = simulate(plant, ctl, REFERENCE, dist, sensor, CFG, gain_schedule=schedule)
+        traj = simulate(plant, ctl, REFERENCE, CFG, dist, sensor, gain_schedule=schedule)
         extra = []
         if isinstance(ctl, SupervisedController):
             extra = [",".join(ctl.modes),
@@ -146,11 +150,12 @@ def _loop_case(plant_name, build):
     return run
 
 
-def _failure_case(plant, controller):
+def _failure_case(variant, controller):
     """The exception a run ends in, with its step: pins every loop check."""
     def run(tmp):
+        plant = PlantModel(variant, u_min=-math.inf, u_max=math.inf, x0=None)
         try:
-            simulate(plant, controller, 1.0, cfg=SimConfig(dt=0.01, horizon=1.0))
+            simulate(plant, controller, 1.0, cfg=SimConfig(dt=0.01, horizon=1.0, seed=0))
         except (SimulationDiverged, ControllerFault) as exc:
             return f"{type(exc).__name__}: {exc} step={getattr(exc, 'step', None)}"
         return "completed"
@@ -171,14 +176,15 @@ def _record(tmp):
 
 
 def _relay(tmp):
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.3), u_min=-2.0, u_max=2.0)
-    up = relay_experiment(plant, 1.0, SimConfig(dt=0.01, horizon=30.0))
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.3), u_min=-2.0, u_max=2.0, x0=None)
+    up = relay_experiment(plant, 1.0, SimConfig(dt=0.01, horizon=30.0, seed=0))
     return _digest([up.ku, up.pu])
 
 
 def _step_test(variant):
     def run(tmp):
-        traj = run_step_test(PlantModel(variant), SimConfig(dt=0.01, horizon=20.0), u1=0.8)
+        plant = PlantModel(variant, u_min=-math.inf, u_max=math.inf, x0=None)
+        traj = run_step_test(plant, SimConfig(dt=0.01, horizon=20.0, seed=0), u1=0.8)
         model = identify_fopdt_step(traj)
         return _traj_digest(traj, [model.gain, model.tau, model.dead_time])
     return run
@@ -336,6 +342,24 @@ def _compare_cli(tmp):
     return _files_digest(out, "comparison.csv")
 
 
+def _profile_cli(tmp):
+    """`simulate` tracking two recorded profiles, one sparser and one denser
+    than the grid: each is held before its first and after its last sample,
+    and linear in between."""
+    digests = []
+    for name, t in (("sparse", [0.3, 0.8, 1.1, 2.5, 2.6, 4.0, 5.2]),
+                    ("dense", np.linspace(0.05, 5.9, 700).tolist())):
+        w = np.sin(1.7 * np.array(t)) + 0.5 * np.cos(5.3 * np.array(t))
+        path = Path(tmp) / f"{name}.csv"
+        path.write_text("t,w,y,u,d\n" + "".join(f"{tk!r},{wk!r},0.0,0.0,0.0\n"
+                                                   for tk, wk in zip(t, w.tolist())),
+                        encoding="utf-8")
+        out = _simulate_cli(tmp, name, {"reference": {"variant": "profile", "path": str(path)},
+                                         **BLEND})
+        digests.append(_files_digest(out, "trajectory.csv", "plot.csv", "metrics.csv"))
+    return _digest(*digests)
+
+
 def _linear2_cascade_cli(tmp):
     cfg = {"sim": {"dt": 0.02, "horizon": 6.0, "seed": 5},
            "plant": {"variant": "linear", "a": [[-0.5, 0.5, 0.0], [0.0, -3.0, 1.0], [0.0, -1.0, -2.0]],
@@ -376,13 +400,15 @@ CASES.update({
     "tune/step-fopdt": _step_test(Fopdt(gain=2.0, tau=1.5, dead_time=0.4)),
     "tune/step-second_order": _step_test(SecondOrder(gain=1.0, omega_n=1.5, zeta=1.2)),
     "tune/step-tank": _step_test(TankNonlinear(area=1.0, outflow_coeff=1.0)),
-    "fail/fopdt-guard": _failure_case(PlantModel(Fopdt(gain=1.0, tau=1.0)), ConstantController(1e300)),
-    "fail/fopdt-rk4": _failure_case(PlantModel(Fopdt(gain=1e10, tau=1.0)), ConstantController(1e300)),
-    "fail/second_order-guard": _failure_case(PlantModel(SecondOrder(gain=1.0, omega_n=3.0, zeta=0.0)),
+    "fail/fopdt-guard": _failure_case(Fopdt(gain=1.0, tau=1.0, dead_time=0.0),
+                                      ConstantController(1e300)),
+    "fail/fopdt-rk4": _failure_case(Fopdt(gain=1e10, tau=1.0, dead_time=0.0),
+                                    ConstantController(1e300)),
+    "fail/second_order-guard": _failure_case(SecondOrder(gain=1.0, omega_n=3.0, zeta=0.0),
                                              ConstantController(1e300)),
-    "fail/tank-nan-command": _failure_case(PlantModel(TankNonlinear(area=1.0, outflow_coeff=1.0)),
+    "fail/tank-nan-command": _failure_case(TankNonlinear(area=1.0, outflow_coeff=1.0),
                                            ConstantController(math.nan)),
-    "fail/linear-unstable": _failure_case(PlantModel(LinearStateSpace(a=[[40.0]], b=[1.0], c=[[1.0]])),
+    "fail/linear-unstable": _failure_case(LinearStateSpace(a=[[40.0]], b=[1.0], c=[[1.0]]),
                                           ConstantController(1.0)),
     "train/fit-surrogate": _fit_surrogate,
     "train/imitation": _imitation([8], 0.0),
@@ -397,6 +423,7 @@ CASES.update({
     "cli/blend": _blend_cli,
     "cli/compare": _compare_cli,
     "cli/linear2-cascade": _linear2_cascade_cli,
+    "cli/simulate-profile": _profile_cli,
     "cli/tune-rule": _tune_rule_cli,
     "cli/echoes": _echoes_cli,
 })

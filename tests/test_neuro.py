@@ -16,7 +16,7 @@ from loopbench.neuro import (
 from loopbench.nnet import Mlp, TrainConfig, load_model, normalize, save_model
 from loopbench.pid import PidController, PidGains, PidState, pid_step
 from loopbench.simcore import (
-    DisturbanceSpec, Fopdt, PlantModel, SensorSpec, SimConfig, simulate, step_reference,
+    DisturbanceSpec, Fopdt, PlantModel, SensorSpec, SimConfig, simulate,
 )
 from loopbench.surrogate import NarxModel
 from test_nnet import matmul_forward_cached
@@ -120,7 +120,7 @@ def test_scheduler_gains_never_leave_bounds_fuzz():
 def test_scheduled_pid_controller_runs_and_traces_gains():
     gs = GainScheduler(Mlp([8, 6, 3], seed=0), bounds=[[0.2, 2.0], [0.1, 1.0], [0.0, 0.1]],
                        memory=4)
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.1), u_min=-3.0, u_max=3.0)
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.1), u_min=-3.0, u_max=3.0, x0=None)
     ctl = ScheduledPidController(gs, PidGains(kp=1.0, u_min=-3.0, u_max=3.0))
     traj = simulate(plant, ctl, 1.0, cfg=SimConfig(dt=0.02, horizon=5.0, seed=0))
     assert len(ctl.gain_trace) == len(traj)
@@ -274,7 +274,7 @@ def test_bptt_controller_gradient_matches_finite_differences():
                               feat_mean=rng.normal(size=7) * 0.1,
                               feat_std=rng.uniform(0.5, 2.0, size=7))
         w_seq = rng.normal(size=8) * 0.5
-        _, g = bptt_loss_and_grad(nc, narx, w_seq, 3, 0.01)
+        _, g = bptt_loss_and_grad(nc, narx, w_seq, 3, 0.01, limits=(-math.inf, math.inf))
         assert _max_rel(g, _fd_bptt(nc, narx, w_seq, 3, 0.01, (-2.0, 2.0))) < 1e-4
 
 
@@ -487,7 +487,8 @@ def test_one_rollout_loop_bit_equal_to_the_two_rollouts(kind):
 def test_bptt_identity_surrogate_learns_constant_reference():
     nc = NeuralController(Mlp([9, 8, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
     res = train_bptt(nc, _identity_narx(), [np.full(40, 0.5)], horizon=30,
-                     cfg=TrainConfig(learning_rate=0.05, max_epochs=300, seed=0),
+                     cfg=TrainConfig(learning_rate=0.05, max_epochs=300, seed=0, batch_size=32,
+                                     patience=10_000),
                      limits=(-1.0, 1.0), rho=0.001)
     assert res.history[-1] < 1e-4
     loop = NeuralControlLoop(res.trained)
@@ -500,7 +501,9 @@ def test_bptt_identity_surrogate_learns_constant_reference():
 def test_bptt_zero_horizon_is_noop():
     nc = NeuralController(Mlp([9, 4, 1], seed=1), u_min=-1.0, u_max=1.0, memory=4)
     res = train_bptt(nc, _identity_narx(), [np.full(5, 0.5)], horizon=0,
-                     cfg=TrainConfig(max_epochs=50, seed=0), limits=(-1.0, 1.0))
+                     cfg=TrainConfig(max_epochs=50, seed=0,
+                                     learning_rate=1e-2, batch_size=32,
+                                     patience=10_000), limits=(-1.0, 1.0), rho=0.01)
     assert res.history == [0.0]
     assert np.array_equal(res.trained.mlp.params, nc.mlp.params)
 
@@ -509,8 +512,9 @@ def test_bptt_deterministic_weights():
     def run():
         nc = NeuralController(Mlp([9, 6, 1], seed=2), u_min=-1.0, u_max=1.0, memory=4)
         res = train_bptt(nc, _identity_narx(), [np.full(20, 0.3), np.full(20, -0.2)],
-                         horizon=15, cfg=TrainConfig(learning_rate=0.02, max_epochs=40, seed=9),
-                         limits=(-1.0, 1.0))
+                         horizon=15, cfg=TrainConfig(learning_rate=0.02, max_epochs=40, seed=9,
+                                                     batch_size=32, patience=10_000),
+                         limits=(-1.0, 1.0), rho=0.01)
         return res.trained.mlp.params
 
     assert np.array_equal(run(), run())
@@ -524,7 +528,8 @@ def test_bptt_unstable_when_rollouts_diverge():
     nc = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
     with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="^1/1 rollouts diverged in one epoch$"):
         train_bptt(nc, narx, [np.full(30, 0.5)], horizon=20,
-                   cfg=TrainConfig(max_epochs=3, seed=0), limits=(-1.0, 1.0))
+                   cfg=TrainConfig(max_epochs=3, seed=0, learning_rate=1e-2,
+                                   batch_size=32, patience=10_000), limits=(-1.0, 1.0), rho=0.01)
 
 
 @pytest.mark.parametrize("kind", ["controller", "scheduler"])
@@ -543,18 +548,21 @@ def test_bptt_skips_a_rollout_whose_squares_overflow(kind):
                                bounds=[[0.2, 2.0], [0.1, 1.0], [0.0, 0.1]], memory=4)
     w_seq = np.full(201, 0.5)
     with np.errstate(all="ignore"):
-        loss, _ = bptt_loss_and_grad(target, narx, w_seq, 200, 0.01)
+        loss, _ = bptt_loss_and_grad(target, narx, w_seq, 200, 0.01, limits=(-math.inf, math.inf))
         assert loss == math.inf
         with pytest.raises(NumericalFailure, match="^1/1 rollouts diverged in one epoch$"):
-            train_bptt(target, narx, [w_seq], horizon=200, cfg=TrainConfig(max_epochs=1, seed=0),
-                       limits=(-math.inf, math.inf))
+            cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=1, patience=10_000,
+                              seed=0)
+            train_bptt(target, narx, [w_seq], horizon=200, cfg=cfg, limits=(-math.inf, math.inf),
+                       rho=0.01)
 
 
 def test_bptt_horizon_cap():
     nc = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
     with pytest.raises(ValueError):
         train_bptt(nc, _identity_narx(), [np.zeros(300)], horizon=250,
-                   cfg=TrainConfig(max_epochs=1, seed=0), limits=(-1.0, 1.0))
+                   cfg=TrainConfig(max_epochs=1, seed=0, learning_rate=1e-2,
+                                   batch_size=32, patience=10_000), limits=(-1.0, 1.0), rho=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +584,16 @@ def test_nelder_mead_quadratic_stub_argmin():
 
 
 def test_budget_one_returns_first_simplex_point():
-    res = tune_static_ai(_identity_narx(), [np.ones(10)], [[0.0, 4.0]] * 3, budget=1, seed=0,
-                         gain_kw={"u_min": -3.0, "u_max": 3.0})
+    res = tune_static_ai(_identity_narx(), [np.ones(10)], [[0.0, 4.0]] * 3, budget=1, rho=0.01,
+                         seed=0, restarts=2, x0=None, limits=(-3.0, 3.0))
     assert len(res.trace) == 1
     assert (res.gains.kp, res.gains.ki, res.gains.kd) == (2.0, 2.0, 2.0)  # bound midpoint start
 
 
 def test_positive_budget_required():
     with pytest.raises(ValueError):
-        tune_static_ai(_identity_narx(), [np.ones(10)], [[0.0, 1.0]] * 3, budget=0)
+        tune_static_ai(_identity_narx(), [np.ones(10)], [[0.0, 1.0]] * 3, budget=0, rho=0.01,
+                       seed=0, restarts=2, x0=None, limits=(-math.inf, math.inf))
 
 
 def test_tune_static_ai_against_surrogate_episode():
@@ -592,7 +601,7 @@ def test_tune_static_ai_against_surrogate_episode():
     narx = _identity_narx()
     ref = np.concatenate([np.zeros(5), np.ones(45)])
     res = tune_static_ai(narx, [ref], [[0.0, 2.0], [0.0, 2.0], [0.0, 0.2]],
-                         budget=300, seed=0, gain_kw={"u_min": -3.0, "u_max": 3.0})
+                         budget=300, rho=0.01, seed=0, restarts=2, x0=None, limits=(-3.0, 3.0))
     assert math.isfinite(res.cost)
     assert res.cost < 1.0  # a stable tracking loop; diverging candidates cost inf
 
@@ -657,14 +666,15 @@ def test_episode_cost_bit_equal_to_array_form(p, q, hidden):
 @pytest.mark.parametrize("case", ["bound", "fault-output", "fault-reference"])
 def test_episode_cost_inf_paths_match_array_form(case):
     narx = random_narx(2, 1, (5, 4), seed=2)
-    gains = PidGains(kp=1.0, ki=0.5)
+    gains = PidGains(kp=1.0, ki=0.5, u_min=-math.inf, u_max=math.inf)
     ref = np.concatenate([np.zeros(3), np.ones(30)])
     if case == "bound":
         # predictions of order 1e9 break the 1e6 * scale divergence bound
         narx = random_narx(2, 1, (5, 4), seed=2, y_std=1e9)
     elif case == "fault-output":
         ref[:] = 5.0
-        gains = PidGains(kp=1e308, ki=0.5)  # kp * error overflows: ControllerFault
+        gains = PidGains(kp=1e308, ki=0.5,
+                         u_min=-math.inf, u_max=math.inf)  # kp * error overflows: ControllerFault
     else:
         ref[10] = math.nan  # pid_step rejects the reference: ControllerFault
     assert _array_episode_cost(narx, gains, ref, 0.01) == math.inf
@@ -723,7 +733,6 @@ def test_tune_static_ai_costs_equal_the_per_episode_mean(monkeypatch):
     the lockstep of every episode of a start simplex or shrink changes no bit,
     also where the budget cuts a shrink after two of its three points."""
     narx = random_narx(2, 2, (8,), seed=5)
-    gain_kw = {"u_min": -3.0, "u_max": 3.0}
     bounds = [[0.1, 2.0], [0.05, 2.0], [0.0, 0.2]]
     box = np.array(bounds)
     rows = []
@@ -736,18 +745,20 @@ def test_tune_static_ai_costs_equal_the_per_episode_mean(monkeypatch):
                     for level in (0.5, 1.0, 1.5)[:count]]
 
         def oracle(vec):
-            gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), **gain_kw)
+            gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]), u_min=-3.0,
+                             u_max=3.0)
             return float(np.mean([_array_episode_cost(narx, gains, ep, 0.01) for ep in episodes]))
 
         for budget in (cut, 25):
             rows.clear()
-            got = tune_static_ai(narx, episodes, bounds, budget=budget, seed=3, gain_kw=gain_kw)
+            got = tune_static_ai(narx, episodes, bounds, budget=budget, rho=0.01, seed=3,
+                                 restarts=2, x0=None, limits=(-3.0, 3.0))
             want_x, want_f, want_trace = nelder_mead_bounded(
                 _one_point_at_a_time(oracle), 0.5 * (box[:, 0] + box[:, 1]), box, budget,
                 seed=3, restarts=2)
             assert got.trace == want_trace and got.cost == want_f
             assert got.gains == PidGains(kp=float(want_x[0]), ki=float(want_x[1]),
-                                         kd=float(want_x[2]), **gain_kw)
+                                         kd=float(want_x[2]), u_min=-3.0, u_max=3.0)
             assert len(got.trace) == budget and rows[0] == 4 * count
             assert (rows[-1] == 2 * count) if budget == cut else (3 * count in rows)
 
@@ -903,8 +914,9 @@ def _p_teacher_run(seed, n=2000):
 
 
 def _p_teacher_mix(lam):
-    return DualDatasetMix(imitation_data_from_run(_p_teacher_run(1), m=4),
-                          imitation_data_from_run(_p_teacher_run(2), m=4), lam=lam)
+    return DualDatasetMix(imitation_data_from_run(_p_teacher_run(1), m=4, with_disturbance=False),
+                          imitation_data_from_run(_p_teacher_run(2), m=4,
+                                                  with_disturbance=False), lam=lam)
 
 
 @pytest.mark.parametrize("sensor", [SensorSpec(noise_std=0.02, quantization=0.01),
@@ -913,7 +925,7 @@ def test_replayed_rows_equal_deployed_rows(sensor, monkeypatch):
     """Imitation replay builds exactly the rows the deployed loop fed its
     network, with the recorded controls in the control window."""
     nc = NeuralController(Mlp([9, 8, 1], seed=3), u_min=-2.0, u_max=2.0, memory=4)
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.1), u_min=-3.0, u_max=3.0)
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.1), u_min=-3.0, u_max=3.0, x0=None)
     rows = []
     output = NeuralController.output
 
@@ -922,11 +934,12 @@ def test_replayed_rows_equal_deployed_rows(sensor, monkeypatch):
         return output(self, row)
 
     monkeypatch.setattr(NeuralController, "output", spy)
-    traj = simulate(plant, NeuralControlLoop(nc), step_reference(1.0, 0.5),
-                    sensor=sensor, cfg=SimConfig(dt=0.025, horizon=5.0, seed=4))
+    cfg = SimConfig(dt=0.025, horizon=5.0, seed=4)
+    traj = simulate(plant, NeuralControlLoop(nc), np.where(cfg.time_grid() >= 0.5, 1.0, 0.0),
+                    sensor=sensor, cfg=cfg)
     n = len(traj.t)
     assert len(rows) == n
-    x = imitation_data_from_run(traj, 4).x
+    x = imitation_data_from_run(traj, 4, with_disturbance=False).x
     assert x.shape == (n - 1, 9)
     assert np.array_equal(x, np.stack(rows[:n - 1]))
 
@@ -935,7 +948,7 @@ def test_imitation_clones_pure_p_teacher():
     nc = NeuralController(Mlp([9, 24, 1], seed=0), u_min=-6.0, u_max=6.0, memory=4)
     res = train_imitation(nc, _p_teacher_mix(0.5),
                           TrainConfig(learning_rate=5e-3, batch_size=128,
-                                      max_epochs=1200, patience=400, seed=0))
+                                      max_epochs=1200, patience=400, seed=0), aux_weight=0.0)
     assert res.val_rmse_a < 0.01
     assert res.val_rmse_b < 0.01
 
@@ -943,14 +956,18 @@ def test_imitation_clones_pure_p_teacher():
 def test_lambda_one_draws_only_dataset_a():
     nc = NeuralController(Mlp([9, 8, 1], seed=0), u_min=-6.0, u_max=6.0, memory=4)
     res = train_imitation(nc, _p_teacher_mix(1.0),
-                          TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=5, seed=3))
+                          TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=5, seed=3,
+                                      patience=10_000),
+                          aux_weight=0.0)
     assert res.a_fraction == [1.0] * 5
 
 
 def test_lambda_half_realized_fraction():
     nc = NeuralController(Mlp([9, 8, 1], seed=0), u_min=-6.0, u_max=6.0, memory=4)
     res = train_imitation(nc, _p_teacher_mix(0.5),
-                          TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=10, seed=3))
+                          TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=10, seed=3,
+                                      patience=10_000),
+                          aux_weight=0.0)
     for frac in res.a_fraction:
         assert frac == pytest.approx(0.5, abs=0.05)
 
@@ -960,7 +977,7 @@ def test_imitation_deterministic_weights():
         nc = NeuralController(Mlp([9, 8, 1], seed=5), u_min=-6.0, u_max=6.0, memory=4)
         res = train_imitation(nc, _p_teacher_mix(0.5),
                               TrainConfig(learning_rate=1e-2, batch_size=64,
-                                          max_epochs=15, seed=21))
+                                          max_epochs=15, seed=21, patience=10_000), aux_weight=0.0)
         return res.controller.mlp.params
 
     assert np.array_equal(run(), run())
@@ -971,12 +988,12 @@ def test_imitation_deterministic_weights():
 # ---------------------------------------------------------------------------
 
 def _disturbance_runs(m=8):
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.2), u_min=-4.0, u_max=4.0)
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.2), u_min=-4.0, u_max=4.0, x0=None)
     dist = DisturbanceSpec(variant="sinusoid", injection="output", amplitude=0.3, period=2.0)
     pid = PidGains(kp=1.5, ki=1.0, u_min=-4.0, u_max=4.0)
-    tr1 = simulate(plant, PidController(pid), step_reference(1.0), dist,
+    tr1 = simulate(plant, PidController(pid), 1.0, disturbance=dist,
                    cfg=SimConfig(dt=0.1, horizon=120.0, seed=1))
-    tr2 = simulate(plant, PidController(pid), 0.5, dist,
+    tr2 = simulate(plant, PidController(pid), 0.5, disturbance=dist,
                    cfg=SimConfig(dt=0.1, horizon=120.0, seed=2))
     return DualDatasetMix(imitation_data_from_run(tr1, m=m, with_disturbance=True),
                           imitation_data_from_run(tr2, m=m, with_disturbance=True), lam=0.5)
@@ -1006,14 +1023,14 @@ def test_zero_aux_weight_leaves_main_task_unchanged():
     mix = DualDatasetMix(imitation_data_from_run(_p_teacher_run(1), m=m, with_disturbance=True),
                          imitation_data_from_run(_p_teacher_run(2), m=m, with_disturbance=True),
                          lam=0.5)
-    cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=20, seed=4)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=20, seed=4, patience=10_000)
 
     with_head = NeuralController(Mlp([9, 8, 1], seed=6), u_min=-6.0, u_max=6.0, memory=m,
                                  aux=Mlp([8, 1], seed=50))
     res_head = train_imitation(with_head, mix, cfg, aux_weight=0.0)
 
     without = NeuralController(Mlp([9, 8, 1], seed=6), u_min=-6.0, u_max=6.0, memory=m)
-    res_plain = train_imitation(without, mix, cfg)
+    res_plain = train_imitation(without, mix, cfg, aux_weight=0.0)
 
     diff = np.abs(res_head.controller.mlp.params - res_plain.controller.mlp.params)
     assert float(np.max(diff)) < 1e-9

@@ -12,12 +12,13 @@ from loopbench.simcore import LinearStateSpace, PlantModel, SimConfig, simulate
 
 
 def test_pure_proportional():
-    u = pid_step(PidGains(kp=2.0), PidState(), w=1.0, y=0.75, dt=0.1)
+    gains = PidGains(kp=2.0, u_min=-math.inf, u_max=math.inf)
+    u = pid_step(gains, PidState(), w=1.0, y=0.75, dt=0.1)
     assert u == pytest.approx(0.5)
 
 
 def test_integral_accumulation_constant_error():
-    gains = PidGains(kp=0.0, ki=1.0)
+    gains = PidGains(kp=0.0, ki=1.0, u_min=-math.inf, u_max=math.inf)
     state = PidState()
     u = 0.0
     for _ in range(3):
@@ -46,11 +47,12 @@ def test_antiwindup_integrator_nonincreasing_while_saturated():
 
 def test_nonfinite_input_raises():
     with pytest.raises(ControllerFault):
-        pid_step(PidGains(kp=1.0), PidState(), w=math.nan, y=0.0, dt=0.1)
+        pid_step(PidGains(kp=1.0, u_min=-math.inf, u_max=math.inf), PidState(), w=math.nan,
+                 y=0.0, dt=0.1)
 
 
 def test_derivative_on_measurement_no_setpoint_kick():
-    gains = PidGains(kp=1.0, kd=0.5)
+    gains = PidGains(kp=1.0, kd=0.5, u_min=-math.inf, u_max=math.inf)
     state = PidState()
     pid_step(gains, state, w=0.0, y=0.0, dt=0.1)
     # reference jumps, measurement does not: derivative term must stay zero
@@ -62,21 +64,21 @@ def test_derivative_on_measurement_no_setpoint_kick():
 
 
 def test_sync_reaches_target_exactly():
-    gains = PidGains(kp=1.0, ki=1.0)
+    gains = PidGains(kp=1.0, ki=1.0, u_min=-math.inf, u_max=math.inf)
     state = pid_sync(PidState(), 0.7, gains, w=1.0, y=1.0)  # e = 0
     u = pid_step(gains, state, w=1.0, y=1.0, dt=0.1)
     assert u == pytest.approx(0.7, abs=1e-9)
 
 
 def test_sync_exact_for_nonzero_error_too():
-    gains = PidGains(kp=2.0, ki=0.5)
+    gains = PidGains(kp=2.0, ki=0.5, u_min=-math.inf, u_max=math.inf)
     state = pid_sync(PidState(), 0.4, gains, w=1.0, y=0.25)
     u = pid_step(gains, state, w=1.0, y=0.25, dt=0.07)
     assert u == pytest.approx(0.4, abs=1e-9)
 
 
 def test_sync_natural_output_is_fixed_point():
-    gains = PidGains(kp=1.5, ki=0.8)
+    gains = PidGains(kp=1.5, ki=0.8, u_min=-math.inf, u_max=math.inf)
     state = PidState(integrator=0.3, last_error=0.0, last_meas=2.0, primed=True)
     # at equilibrium (e = 0, settled measurement) the natural output is P + I
     natural = gains.kp * (1.0 * 2.0 - 2.0) + state.integrator
@@ -87,7 +89,7 @@ def test_sync_natural_output_is_fixed_point():
 
 
 def test_sync_impossible_without_integral_action():
-    gains = PidGains(kp=1.0, ki=0.0)
+    gains = PidGains(kp=1.0, ki=0.0, u_min=-math.inf, u_max=math.inf)
     with pytest.raises(ValueError, match="^no integral action: cannot reach the requested output$"):
         pid_sync(PidState(), 0.9, gains, w=1.0, y=0.5)  # kp*e = 0.5 != 0.9
 
@@ -99,21 +101,24 @@ def test_sync_target_outside_limits_rejected():
 
 
 def test_cascade_composition_of_proportional():
-    spec = CascadeSpec(outer=PidGains(kp=1.0), inner=PidGains(kp=1.0))
+    spec = CascadeSpec(outer=PidGains(kp=1.0, u_min=-math.inf, u_max=math.inf),
+                       inner=PidGains(kp=1.0, u_min=-math.inf, u_max=math.inf))
     u = cascade_step(spec, CascadeState(PidState(), PidState()),
                      w=1.0, y_outer=0.0, y_inner=0.0, dt=0.1)
     assert u == pytest.approx(1.0)
 
 
 def test_cascade_outer_clamp_limits_inner_reference():
-    spec = CascadeSpec(outer=PidGains(kp=1.0, u_min=-0.5, u_max=0.5), inner=PidGains(kp=1.0))
+    spec = CascadeSpec(outer=PidGains(kp=1.0, u_min=-0.5, u_max=0.5),
+                       inner=PidGains(kp=1.0, u_min=-math.inf, u_max=math.inf))
     u = cascade_step(spec, CascadeState(PidState(), PidState()),
                      w=1.0, y_outer=0.0, y_inner=0.0, dt=0.1)
     assert u == pytest.approx(0.5)
 
 
 def test_cascade_zero_error_zero_output():
-    spec = CascadeSpec(outer=PidGains(kp=2.0), inner=PidGains(kp=3.0))
+    spec = CascadeSpec(outer=PidGains(kp=2.0, u_min=-math.inf, u_max=math.inf),
+                       inner=PidGains(kp=3.0, u_min=-math.inf, u_max=math.inf))
     u = cascade_step(spec, CascadeState(PidState(), PidState()),
                      w=1.0, y_outer=1.0, y_inner=0.0, dt=0.1)
     assert u == pytest.approx(0.0)
@@ -123,15 +128,16 @@ def test_structure_equivalence_pid_vs_pid_deriv_on_meas():
     # with kd = 0 the PID and PI-D wirings are the same law on any stream
     rng = np.random.default_rng(5)
     s1, s2 = PidState(), PidState()
-    g1 = PidGains(kp=1.3, ki=0.7, kd=0.0, structure="pid")
-    g2 = PidGains(kp=1.3, ki=0.7, kd=0.0, structure="pi-d")
+    g1 = PidGains(kp=1.3, ki=0.7, kd=0.0, structure="pid", u_min=-math.inf, u_max=math.inf)
+    g2 = PidGains(kp=1.3, ki=0.7, kd=0.0, structure="pi-d", u_min=-math.inf, u_max=math.inf)
     for _ in range(200):
         w, y = rng.normal(), rng.normal()
         assert pid_step(g1, s1, w, y, 0.05) == pid_step(g2, s2, w, y, 0.05)
 
 
 def test_measurement_proportional_structures_ignore_setpoint_in_p():
-    u = pid_step(PidGains(kp=2.0, structure="pi-pd"), PidState(), w=1.0, y=0.25, dt=0.1)
+    gains = PidGains(kp=2.0, structure="pi-pd", u_min=-math.inf, u_max=math.inf)
+    u = pid_step(gains, PidState(), w=1.0, y=0.25, dt=0.1)
     assert u == pytest.approx(-0.5)  # P on -y only
 
 
@@ -150,7 +156,7 @@ def test_cascade_controller_in_simulation():
     plant = PlantModel(
         LinearStateSpace(a=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0],
                          c=[[1.0, 0.0], [0.0, 1.0]]),
-        u_min=-5.0, u_max=5.0,
+        u_min=-5.0, u_max=5.0, x0=None,
     )
     spec = CascadeSpec(outer=PidGains(kp=2.0, u_min=-2.0, u_max=2.0),
                        inner=PidGains(kp=8.0, u_min=-5.0, u_max=5.0))

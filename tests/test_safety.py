@@ -45,7 +45,7 @@ def _select(ctl, u_ai, u_fb, e, dt=0.01):
 
 
 def test_nonfinite_ai_switches_immediately_with_cause():
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
     u, mode = _select(_supervised(sup), math.nan, 0.4, e=0.0)
     assert mode == MODE_FALLBACK and u == 0.4
     assert len(sup.log) == 1
@@ -54,14 +54,14 @@ def test_nonfinite_ai_switches_immediately_with_cause():
 
 
 def test_out_of_range_ai_switches_immediately():
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
     u, mode = _select(_supervised(sup), 99.0, 0.1, e=0.0)
     assert mode == MODE_FALLBACK
     assert sup.log[0].cause == "out-of-range"
 
 
 def test_small_error_stays_in_ai_mode():
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
     ctl = _supervised(sup)
     for _ in range(100):
         u, mode = _select(ctl, 0.5, -0.5, e=0.05)
@@ -70,7 +70,7 @@ def test_small_error_stays_in_ai_mode():
 
 
 def test_error_threshold_needs_dwell():
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
     ctl = _supervised(sup)
     for k in range(4):
         _, mode = _select(ctl, 0.5, 0.0, e=0.3)
@@ -81,7 +81,8 @@ def test_error_threshold_needs_dwell():
 
 
 def test_recovery_needs_dwell_and_valid_ai():
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3, mode=MODE_FALLBACK)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3, agree_tol=None)
+    sup.mode = MODE_FALLBACK
     ctl = _supervised(sup)
     for _ in range(2):
         _, mode = _select(ctl, 0.5, 0.0, e=0.05)
@@ -89,7 +90,8 @@ def test_recovery_needs_dwell_and_valid_ai():
     _, mode = _select(ctl, 0.5, 0.0, e=0.05)
     assert mode == MODE_AI
     # an invalid AI output never re-enters, however small the error
-    sup2 = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=1, mode=MODE_FALLBACK)
+    sup2 = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=1, agree_tol=None)
+    sup2.mode = MODE_FALLBACK
     _, mode = _select(_supervised(sup2), math.inf, 0.0, e=0.0)
     assert mode == MODE_FALLBACK
 
@@ -98,8 +100,10 @@ def test_nonfinite_fallback_is_unrecoverable():
     # the fallback PID's output overflows, so pid_step faults; with nothing
     # left to switch to, the supervisor ends the run in either mode
     for mode in (MODE_AI, MODE_FALLBACK):
-        sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, mode=mode)
-        ctl = SupervisedController(_Scripted(), PidController(PidGains(kp=1e308)), sup, LIMITS)
+        sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
+        sup.mode = mode
+        fallback = PidController(PidGains(kp=1e308, u_min=-math.inf, u_max=math.inf))
+        ctl = SupervisedController(_Scripted(), fallback, sup, LIMITS)
         with pytest.raises(NumericalFailure,
                            match=r"^fallback failed: non-finite controller output \(step 0\)$"):
             ctl.step(10.0, 0.0, 0.01)
@@ -108,7 +112,7 @@ def test_nonfinite_fallback_is_unrecoverable():
 def test_hysteresis_transitions_spaced_by_dwell():
     # alternate loud/quiet error stretches; consecutive transitions must be
     # at least `dwell` steps apart for finite in-range AI commands
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=4)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=4, agree_tol=None)
     ctl = _supervised(sup)
     rng = np.random.default_rng(0)
     for _ in range(3000):
@@ -120,7 +124,7 @@ def test_hysteresis_transitions_spaced_by_dwell():
 
 
 def test_supervisor_output_always_finite_within_limits():
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3, agree_tol=None)
     ctl = _supervised(sup)
     rng = np.random.default_rng(1)
     for _ in range(5000):
@@ -131,7 +135,7 @@ def test_supervisor_output_always_finite_within_limits():
 
 
 def test_transition_log_csv(tmp_path):
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=1)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=1, agree_tol=None)
     _select(_supervised(sup), math.nan, 0.0, e=0.0, dt=0.25)
     path = tmp_path / "transitions.csv"
     write_transition_log(sup.log, path)
@@ -185,20 +189,19 @@ def test_bounded_influence_fuzz_with_nonfinite_values():
 # ---------------------------------------------------------------------------
 
 def _zn_fallback(limits=(0.0, 3.0)):
-    gains = tune_ziegler_nichols(ultimate_from_fopdt(FopdtModel(1.0, 1.0, 0.5)), "pid",
-                                 u_min=limits[0], u_max=limits[1])
+    gains = tune_ziegler_nichols(ultimate_from_fopdt(FopdtModel(1.0, 1.0, 0.5)), "pid", limits)
     return PidController(gains)
 
 
 def test_supervised_adversarial_ai_settles_where_raw_does_not():
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=0.0, u_max=3.0)
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=0.0, u_max=3.0, x0=None)
     cfg = SimConfig(dt=0.01, horizon=30.0, seed=0)
     adversarial = ConstantController(3.0)
 
     raw = simulate(plant, ConstantController(3.0), 1.0, cfg=cfg)
     assert not compute_step_metrics(raw, band=0.02).settled
 
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
     wrapped = SupervisedController(adversarial, _zn_fallback(), sup, limits=(0.0, 3.0))
     traj = simulate(plant, wrapped, 1.0, cfg=cfg)
     assert compute_step_metrics(traj, band=0.02).settled
@@ -206,7 +209,7 @@ def test_supervised_adversarial_ai_settles_where_raw_does_not():
 
 
 def test_supervised_handover_is_bumpless_when_error_unchanged():
-    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3)
+    sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3, agree_tol=None)
     ctl = SupervisedController(ConstantController(1.5), _zn_fallback((-3.0, 3.0)), sup,
                                limits=(-3.0, 3.0))
     ctl.reset()
@@ -217,7 +220,7 @@ def test_supervised_handover_is_bumpless_when_error_unchanged():
 
 
 def test_blended_controller_records_conventional_trace():
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.2), u_min=-3.0, u_max=3.0)
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.2), u_min=-3.0, u_max=3.0, x0=None)
     pidc = PidController(PidGains(kp=1.0, ki=0.5, u_min=-3.0, u_max=3.0))
     blend = BlendedController(pidc, ConstantController(9.0), BoundedBlender(delta=0.1),
                               limits=(-3.0, 3.0))

@@ -8,11 +8,12 @@ from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.simcore import (
     ConstantController, DelayLine, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel,
     MAX_STEPS, SecondOrder, SensorSpec, SignalController, SimConfig, TankNonlinear, _sensor_reader,
-    rk4_step, simulate, step_reference,
+    rk4_step, simulate,
 )
 from loopbench.pid import CascadeController, CascadeSpec, PidController, PidGains
 
-INTEGRATOR = PlantModel(LinearStateSpace(a=[[0.0]], b=[1.0], c=[[1.0]]))
+INTEGRATOR = PlantModel(LinearStateSpace(a=[[0.0]], b=[1.0], c=[[1.0]]), u_min=-math.inf,
+                        u_max=math.inf, x0=None)
 
 
 def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
@@ -100,18 +101,19 @@ def test_delay_line_two_sample_push_pop():
 @pytest.mark.parametrize("dt, horizon", [(1.0, MAX_STEPS + 1.0), (1e-300, 10.0), (5e-324, 1e300)])
 def test_sim_config_rejects_grids_beyond_the_step_ceiling(dt, horizon):
     with pytest.raises(ValueError, match=f"ceiling of {MAX_STEPS} steps"):
-        SimConfig(dt=dt, horizon=horizon)
+        SimConfig(dt=dt, horizon=horizon, seed=0)
 
 
 def test_sim_config_accepts_a_grid_at_the_step_ceiling():
     assert MAX_STEPS == 10_000_000
-    assert SimConfig(dt=1.0, horizon=float(MAX_STEPS)).n_steps == MAX_STEPS
+    assert SimConfig(dt=1.0, horizon=float(MAX_STEPS), seed=0).n_steps == MAX_STEPS
 
 
 def test_simulate_p_controller_on_integrator():
     # closed loop y' = 1 - y, so y(1) = 1 - e^(-1)
     cfg = SimConfig(dt=1e-3, horizon=1.0, seed=0)
-    traj = simulate(INTEGRATOR, PidController(PidGains(kp=1.0)), 1.0, cfg=cfg)
+    gains = PidGains(kp=1.0, u_min=-math.inf, u_max=math.inf)
+    traj = simulate(INTEGRATOR, PidController(gains), 1.0, cfg=cfg)
     assert traj.y[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-3)
 
 
@@ -123,14 +125,14 @@ def test_simulate_zero_controller_stays_at_zero():
 
 
 def test_simulate_same_seed_bit_identical():
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.2), u_min=-2.0, u_max=2.0)
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.2), u_min=-2.0, u_max=2.0, x0=None)
     dist = DisturbanceSpec(variant="gaussian", std=0.05)
     sensor = SensorSpec(noise_std=0.01)
     cfg = SimConfig(dt=0.01, horizon=3.0, seed=99)
 
     def run():
-        return simulate(plant, PidController(PidGains(kp=0.8, ki=0.4)),
-                        step_reference(1.0), dist, sensor, cfg)
+        gains = PidGains(kp=0.8, ki=0.4, u_min=-math.inf, u_max=math.inf)
+        return simulate(plant, PidController(gains), 1.0, cfg, dist, sensor)
 
     a, b = run(), run()
     for name in ("t", "w", "y", "y_meas", "u", "d"):
@@ -139,7 +141,8 @@ def test_simulate_same_seed_bit_identical():
 
 def test_simulate_divergence_guard_carries_step():
     # positive feedback u = +5 y on an unstable wiring blows up
-    unstable = PlantModel(LinearStateSpace(a=[[1.0]], b=[1.0], c=[[1.0]]), x0=[1.0])
+    unstable = PlantModel(LinearStateSpace(a=[[1.0]], b=[1.0], c=[[1.0]]), x0=[1.0],
+                          u_min=-math.inf, u_max=math.inf)
 
     class PositiveFeedback:
         def reset(self):
@@ -149,18 +152,18 @@ def test_simulate_divergence_guard_carries_step():
             return 5.0 * float(y)
 
     with pytest.raises(SimulationDiverged) as err:
-        simulate(unstable, PositiveFeedback(), 0.0, cfg=SimConfig(dt=0.05, horizon=50.0))
+        simulate(unstable, PositiveFeedback(), 0.0, cfg=SimConfig(dt=0.05, horizon=50.0, seed=0))
     assert err.value.step > 0
 
 
 def test_simulate_nonfinite_command_is_controller_fault():
     with pytest.raises(ControllerFault):
         simulate(INTEGRATOR, ConstantController(math.nan), 0.0,
-                 cfg=SimConfig(dt=0.1, horizon=1.0))
+                 cfg=SimConfig(dt=0.1, horizon=1.0, seed=0))
 
 
 def test_actuator_clamp_invariant_random_controllers():
-    plant = PlantModel(Fopdt(gain=2.0, tau=0.5), u_min=-1.5, u_max=1.0)
+    plant = PlantModel(Fopdt(gain=2.0, tau=0.5, dead_time=0.0), u_min=-1.5, u_max=1.0, x0=None)
     rng = np.random.default_rng(7)
 
     class NoisyController:
@@ -212,7 +215,8 @@ def test_dead_time_lag_matches_rounding():
     # cross-correlating the input with the output increments peaks at round(L/dt)
     dead = 0.25
     dt = 0.1
-    plant = PlantModel(Fopdt(gain=1.0, tau=0.4, dead_time=dead))
+    plant = PlantModel(Fopdt(gain=1.0, tau=0.4, dead_time=dead), u_min=-math.inf, u_max=math.inf,
+                       x0=None)
     rng = np.random.default_rng(3)
     u = np.where(rng.random(400) > 0.5, 1.0, -1.0)
     cfg = SimConfig(dt=dt, horizon=40.0, seed=3)
@@ -229,7 +233,7 @@ def test_dead_time_lag_matches_rounding():
 def test_output_disturbance_enters_response_and_measurement():
     dist = DisturbanceSpec(variant="step", injection="output", time=0.5, magnitude=0.3)
     cfg = SimConfig(dt=0.01, horizon=1.0, seed=0)
-    traj = simulate(INTEGRATOR, ConstantController(0.0), 0.0, dist, cfg=cfg)
+    traj = simulate(INTEGRATOR, ConstantController(0.0), 0.0, disturbance=dist, cfg=cfg)
     assert traj.y[10] == 0.0
     assert traj.y[-1] == pytest.approx(0.3)
     assert traj.y_meas[-1] == pytest.approx(0.3)
@@ -238,13 +242,14 @@ def test_output_disturbance_enters_response_and_measurement():
 def test_input_disturbance_drives_the_plant():
     dist = DisturbanceSpec(variant="step", injection="input", time=0.0, magnitude=1.0)
     cfg = SimConfig(dt=0.01, horizon=1.0, seed=0)
-    traj = simulate(INTEGRATOR, ConstantController(0.0), 0.0, dist, cfg=cfg)
+    traj = simulate(INTEGRATOR, ConstantController(0.0), 0.0, disturbance=dist, cfg=cfg)
     assert traj.y[-1] == pytest.approx(0.99, abs=0.02)  # integrates the unit disturbance
     assert np.all(traj.u == 0.0)  # recorded command excludes the disturbance
 
 
 def test_second_order_plant_dc_gain():
-    plant = PlantModel(SecondOrder(gain=2.0, omega_n=4.0, zeta=1.0))
+    plant = PlantModel(SecondOrder(gain=2.0, omega_n=4.0, zeta=1.0), u_min=-math.inf,
+                       u_max=math.inf, x0=None)
     cfg = SimConfig(dt=0.005, horizon=6.0, seed=0)
     traj = simulate(plant, ConstantController(1.0), 0.0, cfg=cfg)
     assert traj.y[-1] == pytest.approx(2.0, rel=1e-3)
@@ -254,7 +259,7 @@ def test_tank_level_equilibrium():
     # constant inflow u settles at h with c*sqrt(h) = u, i.e. h = (u/c)^2
     from loopbench.simcore import TankNonlinear
 
-    plant = PlantModel(TankNonlinear(area=0.5, outflow_coeff=2.0), u_min=0.0, u_max=5.0)
+    plant = PlantModel(TankNonlinear(area=0.5, outflow_coeff=2.0), u_min=0.0, u_max=5.0, x0=None)
     traj = simulate(plant, ConstantController(1.0), 0.0,
                     cfg=SimConfig(dt=0.01, horizon=10.0, seed=0))
     assert traj.y[-1] == pytest.approx(0.25, rel=1e-2)
@@ -262,10 +267,10 @@ def test_tank_level_equilibrium():
 
 def test_simconfig_validation():
     with pytest.raises(ValueError):
-        SimConfig(dt=0.0, horizon=1.0)
+        SimConfig(dt=0.0, horizon=1.0, seed=0)
     with pytest.raises(ValueError):
-        SimConfig(dt=0.1, horizon=-1.0)
-    assert SimConfig(dt=0.1, horizon=1.0).n_steps == 10
+        SimConfig(dt=0.1, horizon=-1.0, seed=0)
+    assert SimConfig(dt=0.1, horizon=1.0, seed=0).n_steps == 10
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +305,7 @@ def _linear(n_states, n_outputs, seed):
 
 
 @pytest.mark.parametrize("variant", [
-    Fopdt(gain=1.7, tau=0.35),
+    Fopdt(gain=1.7, tau=0.35, dead_time=0.0),
     TankNonlinear(area=0.8, outflow_coeff=1.3),
     SecondOrder(gain=2.5, omega_n=3.0, zeta=0.15),
     # (states, outputs): 1x1, 2x1, 2x2, 4x1, 4x3
@@ -311,7 +316,7 @@ def test_float_state_rk4_matches_array_branch_bitwise(variant):
     """Every plant's float-state step against the array form with `==`; a
     linear plant's A x and C x are one BLAS product each in both forms, so
     this also runs under the portable profile (tests/test_nnet.py)."""
-    plant = PlantModel(variant)
+    plant = PlantModel(variant, u_min=-math.inf, u_max=math.inf, x0=None)
     ref = _array_dynamics(variant)
     rng = np.random.default_rng(2024)
     n = 10_000
@@ -338,11 +343,15 @@ def test_float_state_rk4_matches_array_branch_bitwise(variant):
 
 
 @pytest.mark.parametrize("plant", [
-    PlantModel(Fopdt(gain=1.5, tau=0.8, dead_time=0.15)),
-    PlantModel(SecondOrder(gain=1.0, omega_n=2.0, zeta=0.4)),
-    PlantModel(TankNonlinear(area=1.2, outflow_coeff=0.8), x0=[0.3]),
-    PlantModel(LinearStateSpace(a=[[0.0, 1.0], [-2.0, -0.7]], b=[0.0, 2.0], c=[[1.0, 0.0]])),
-    PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0], c=np.eye(2))),
+    PlantModel(Fopdt(gain=1.5, tau=0.8, dead_time=0.15), u_min=-math.inf, u_max=math.inf, x0=None),
+    PlantModel(SecondOrder(gain=1.0, omega_n=2.0, zeta=0.4), u_min=-math.inf, u_max=math.inf,
+               x0=None),
+    PlantModel(TankNonlinear(area=1.2, outflow_coeff=0.8), x0=[0.3], u_min=-math.inf,
+               u_max=math.inf),
+    PlantModel(LinearStateSpace(a=[[0.0, 1.0], [-2.0, -0.7]], b=[0.0, 2.0], c=[[1.0, 0.0]]),
+               u_min=-math.inf, u_max=math.inf, x0=None),
+    PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0], c=np.eye(2)),
+               u_min=-math.inf, u_max=math.inf, x0=None),
 ], ids=["fopdt", "second_order", "tank", "linear", "linear2"])
 def test_simulate_calls_rk4_step_once_per_step(plant, monkeypatch):
     """The benchmark's traced runs check `simcore.rk4_step` calls against the
@@ -350,9 +359,9 @@ def test_simulate_calls_rk4_step_once_per_step(plant, monkeypatch):
     calls = []
     real = simcore.rk4_step
     monkeypatch.setattr(simcore, "rk4_step", lambda *args: calls.append(1) or real(*args))
-    cfg = SimConfig(dt=0.01, horizon=0.5)
+    cfg = SimConfig(dt=0.01, horizon=0.5, seed=0)
     traj = simulate(plant, ConstantController(0.5), 1.0,
-                    DisturbanceSpec("step", "output", time=0.2, magnitude=0.1), cfg=cfg)
+                    disturbance=DisturbanceSpec("step", "output", time=0.2, magnitude=0.1), cfg=cfg)
     assert len(calls) == cfg.n_steps == len(traj) == 50
 
 
@@ -369,7 +378,7 @@ def test_float_sensor_reading_matches_apply_sensor_bitwise(sensor):
     ys = np.random.default_rng(5).normal(0.0, 3.0, size=10_000).tolist()
     ys += (np.arange(-40, 41) * 0.125).tolist()
     rng = np.random.default_rng(11)
-    read = _sensor_reader(sensor, 0.01, rng, len(ys))[0]
+    read = _sensor_reader(sensor, 0.01, rng, len(ys), n_outputs=1)[0]
     slow = np.random.default_rng(11)
     for y in ys:
         assert read(y) == apply_sensor(np.array([y]), sensor, slow)
@@ -412,15 +421,18 @@ def test_simulate_sensor_readings_match_apply_sensor_bitwise(sensor, two_outputs
     chunk and no multiple of it."""
     gains = PidGains(kp=1.2, ki=0.8, u_min=-3.0, u_max=3.0)
     if two_outputs:
-        plant = PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0], c=np.eye(2)))
+        plant = PlantModel(LinearStateSpace(a=[[-0.5, 0.5], [0.0, -3.0]], b=[0.0, 3.0],
+                                            c=np.eye(2)), u_min=-math.inf, u_max=math.inf, x0=None)
         inner = CascadeController(CascadeSpec(gains, gains, 0, 1))
     else:
-        plant = PlantModel(Fopdt(gain=1.5, tau=0.8, dead_time=0.015))
+        plant = PlantModel(Fopdt(gain=1.5, tau=0.8, dead_time=0.015), u_min=-math.inf,
+                           u_max=math.inf, x0=None)
         inner = PidController(gains)
     cfg = SimConfig(dt=0.001, horizon=10.007, seed=3)
     disturbance = DisturbanceSpec("gaussian", "output", std=0.05)
     ctrl = _Seen(inner)
-    traj = simulate(plant, ctrl, step_reference(1.0, 0.5), disturbance, sensor, cfg)
+    traj = simulate(plant, ctrl, np.where(cfg.time_grid() >= 0.5, 1.0, 0.0), cfg, disturbance,
+                    sensor)
 
     rng = np.random.default_rng(cfg.seed)
     assert disturbance.series(cfg, rng).tobytes() == traj.d.tobytes()

@@ -27,10 +27,12 @@ def _linear_map_series(n=1000, seed=0, u=None):
 
 
 def _fopdt_prbs_series():
-    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=-2.0, u_max=2.0)
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.5), u_min=-2.0, u_max=2.0, x0=None)
     cfg = SimConfig(dt=0.5, horizon=400.0, seed=1)
     exc = generate_excitation(
-        ExcitationSpec(variant="prbs", order=9, amplitude=1.0, bit_period=1.0, seed=2), cfg)
+        ExcitationSpec(variant="prbs", order=9, amplitude=1.0, bit_period=1.0, seed=2,
+                       levels=(), dwell=1.0, f0=0.1, f1=1.0, duration=None), cfg,
+        limits=(-np.inf, np.inf))
     return simulate(plant, SignalController(exc), 0.0, cfg=cfg)
 
 
@@ -82,7 +84,7 @@ def test_fit_surrogate_fopdt_prbs_quality():
     model, rep = fit_surrogate(
         traj, 2, 2,
         TrainConfig(learning_rate=0.01, batch_size=64, max_epochs=500, patience=100, seed=0),
-        hidden=(32,))
+        hidden=(32,), val_fraction=0.25, resampled=False)
     assert rep.one_step_rmse < 0.01 * rep.output_range
     assert rep.rollout_rmse < 0.05 * rep.output_range
     assert rep.n_train > 0 and rep.n_val > 0
@@ -91,16 +93,19 @@ def test_fit_surrogate_fopdt_prbs_quality():
 
 def test_fit_surrogate_constant_data_predicts_the_constant():
     s = _Series(np.arange(60) * 1.0, np.full(60, 2.0), np.zeros(60))
-    model, _ = fit_surrogate(s, 1, 1, TrainConfig(max_epochs=5, seed=0), hidden=(4,))
+    model, _ = fit_surrogate(s, 1, 1, TrainConfig(max_epochs=5, seed=0,
+                                                  learning_rate=1e-2, batch_size=32,
+                                                  patience=10_000), hidden=(4,),
+                             val_fraction=0.25, resampled=False)
     pred = model.predict_one(np.array([2.0]), np.array([0.0]))
     assert pred == pytest.approx(2.0, abs=1e-6)
 
 
 def test_fit_surrogate_deterministic_report():
     s = _linear_map_series(n=200)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=30, seed=5)
-    _, r1 = fit_surrogate(s, 1, 1, cfg, hidden=(8,))
-    _, r2 = fit_surrogate(s, 1, 1, cfg, hidden=(8,))
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=30, seed=5, patience=10_000)
+    _, r1 = fit_surrogate(s, 1, 1, cfg, hidden=(8,), val_fraction=0.25, resampled=False)
+    _, r2 = fit_surrogate(s, 1, 1, cfg, hidden=(8,), val_fraction=0.25, resampled=False)
     assert r1.one_step_rmse == r2.one_step_rmse
     assert r1.rollout_rmse == r2.rollout_rmse
 
@@ -117,7 +122,7 @@ def _decay_surrogate():
     model, _ = fit_surrogate(
         s, 1, 1,
         TrainConfig(learning_rate=5e-3, batch_size=64, max_epochs=2000, patience=2000, seed=0),
-        hidden=(24,))
+        hidden=(24,), val_fraction=0.25, resampled=False)
     # low-rate refinement pass for the free-run tail accuracy
     n_tr = split_contiguous(len(s.y), 0.25)
     tr_ds = make_regression_dataset(_Series(s.t[:n_tr], s.y[:n_tr], s.u[:n_tr]), 1, 1)
@@ -134,7 +139,7 @@ def _decay_surrogate():
 
 def test_rollout_tracks_geometric_decay():
     model = _decay_surrogate()
-    roll = narx_rollout(model, [1.0], np.zeros(50))
+    roll = narx_rollout(model, [1.0], np.zeros(50), u_init=[])
     exact = 0.9 ** np.arange(1, 51)
     assert float(np.max(np.abs(roll - exact) / exact)) < 0.05
 
@@ -143,14 +148,17 @@ def test_rollout_stays_near_equilibrium():
     s = _linear_map_series(n=600, seed=3)
     model, _ = fit_surrogate(s, 1, 1, TrainConfig(learning_rate=0.01, batch_size=64,
                                                   max_epochs=400, patience=400, seed=0),
-                             hidden=(16,))
-    roll = narx_rollout(model, [0.0], np.zeros(30))
+                             hidden=(16,), val_fraction=0.25, resampled=False)
+    roll = narx_rollout(model, [0.0], np.zeros(30), u_init=[])
     assert float(np.max(np.abs(roll))) < 0.05
 
 
 def test_rollout_length_one_equals_one_step():
     s = _linear_map_series(n=300)
-    model, _ = fit_surrogate(s, 2, 2, TrainConfig(max_epochs=20, seed=0), hidden=(8,))
+    model, _ = fit_surrogate(s, 2, 2, TrainConfig(max_epochs=20, seed=0,
+                                                  learning_rate=1e-2, batch_size=32,
+                                                  patience=10_000), hidden=(8,),
+                             val_fraction=0.25, resampled=False)
     y_win = np.array([0.4, 0.5])
     u_win = np.array([0.1])
     roll = narx_rollout(model, y_win, [0.2], u_init=u_win)
@@ -165,7 +173,7 @@ def test_rollout_diverged_carries_step():
     model = NarxModel(mlp, 1, 1, 1.0, np.zeros(2), np.ones(2), np.zeros(1), np.full(1, 1e308))
     with np.errstate(all="ignore"), pytest.raises(SimulationDiverged,
                                                   match=r"^non-finite prediction \(step 0\)$") as exc:
-        narx_rollout(model, [1.0], np.zeros(10))
+        narx_rollout(model, [1.0], np.zeros(10), u_init=[])
     assert exc.value.step == 0
 
 
@@ -173,13 +181,17 @@ def test_one_step_error_not_worse_than_rollout():
     traj = _fopdt_prbs_series()
     _, rep = fit_surrogate(traj, 2, 2,
                            TrainConfig(learning_rate=0.01, batch_size=64, max_epochs=200,
-                                       patience=100, seed=0), hidden=(16,))
+                                       patience=100, seed=0), hidden=(16,), val_fraction=0.25,
+                           resampled=False)
     assert rep.one_step_rmse <= rep.rollout_rmse + 1e-12
 
 
 def test_narx_save_load_round_trip(tmp_path):
     s = _linear_map_series(n=200)
-    model, _ = fit_surrogate(s, 2, 2, TrainConfig(max_epochs=10, seed=0), hidden=(6,))
+    model, _ = fit_surrogate(s, 2, 2, TrainConfig(max_epochs=10, seed=0,
+                                                  learning_rate=1e-2, batch_size=32,
+                                                  patience=10_000), hidden=(6,),
+                             val_fraction=0.25, resampled=False)
     save_model(model, tmp_path / "sur.weights")
     back = load_model(tmp_path / "sur.weights", NarxModel)
     y_win, u_win = np.array([0.1, 0.2]), np.array([0.3, -0.4])
@@ -204,10 +216,10 @@ def array_predict_one(model, y_window, u_window):
     return float((z * model.y_std + model.y_mean)[0])
 
 
-def array_rollout(model, y_init, u_seq, u_init=None):
+def array_rollout(model, y_init, u_seq, u_init):
     """`narx_rollout` with its lag windows rebuilt as arrays on every step."""
     y_hist = list(np.asarray(y_init, dtype=float))
-    u_hist = list(np.asarray(u_init, dtype=float)) if u_init is not None else [0.0] * (model.q - 1)
+    u_hist = list(np.asarray(u_init, dtype=float))
     out = np.empty(len(u_seq))
     for i, u_now in enumerate(np.asarray(u_seq, dtype=float)):
         u_hist.append(float(u_now))
@@ -275,7 +287,7 @@ def test_narx_rollout_bit_equal_to_array_form(p, q, hidden):
         model = random_narx(p, q, hidden, seed)
         y_init = rng.normal(size=p + seed)
         u_seq = rng.uniform(-2.0, 2.0, size=60)
-        u_init = rng.normal(size=q - 1 + seed % 2) if seed % 3 else None
+        u_init = rng.normal(size=q - 1 + seed % 2) if seed % 3 else np.zeros(q - 1)
         got = narx_rollout(model, y_init, u_seq, u_init=u_init)
         want = array_rollout(model, y_init, u_seq, u_init=u_init)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -291,14 +303,14 @@ def test_narx_rollout_diverges_at_the_array_form_step():
     u_seq = np.full(20, model.x_mean[2])
     with np.errstate(all="ignore"):
         with pytest.raises(SimulationDiverged) as want:
-            array_rollout(model, y_init, u_seq)
+            array_rollout(model, y_init, u_seq, u_init=[])
         with pytest.raises(SimulationDiverged) as got:
-            narx_rollout(model, y_init, u_seq)
+            narx_rollout(model, y_init, u_seq, u_init=[])
     assert got.value.step == want.value.step > 0
     assert str(got.value) == str(want.value)
 
 
 def test_narx_rollout_empty_input_sequence():
     model = random_narx(2, 2, (4,), seed=0)
-    out = narx_rollout(model, [0.0, 0.0], [])
+    out = narx_rollout(model, [0.0, 0.0], [], u_init=[0.0])
     assert out.shape == (0,) and out.dtype == np.float64

@@ -4,15 +4,19 @@ import pytest
 from loopbench.errors import NumericalFailure
 from loopbench.metrics import compute_step_metrics
 from loopbench.pid import PidController
-from loopbench.simcore import Fopdt, PlantModel, SignalController, SimConfig, simulate, step_reference
+from loopbench.simcore import Fopdt, PlantModel, SignalController, SimConfig, simulate
 from loopbench.tuning import (
     FopdtModel, UltimateParams, identify_fopdt_step, relay_experiment, run_step_test,
     tune_cohen_coon, tune_kappa_tau, tune_ziegler_nichols, ultimate_from_fopdt,
 )
 
 
+# output limits that never bind
+UNBOUNDED = (-np.inf, np.inf)
+
+
 def _fopdt_plant(k, tau, dead, lim=10.0):
-    return PlantModel(Fopdt(gain=k, tau=tau, dead_time=dead), u_min=-lim, u_max=lim)
+    return PlantModel(Fopdt(gain=k, tau=tau, dead_time=dead), u_min=-lim, u_max=lim, x0=None)
 
 
 def step_test(plant, cfg, step_time, u0=0.0, u1=1.0):
@@ -33,27 +37,27 @@ def _step_cfg(tau, dead):
 # ---------------------------------------------------------------------------
 
 def test_ziegler_nichols_pid_table():
-    g = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pid")
+    g = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pid", UNBOUNDED)
     assert g.kp == pytest.approx(1.2, rel=1e-9)
     assert g.kp / g.ki == pytest.approx(0.5, rel=1e-9)
     assert g.kd / g.kp == pytest.approx(0.125, rel=1e-9)
 
 
 def test_ziegler_nichols_pi_table():
-    g = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pi")
+    g = tune_ziegler_nichols(UltimateParams(ku=2.0, pu=1.0), "pi", UNBOUNDED)
     assert g.kp == pytest.approx(0.9, rel=1e-9)
     assert g.kp / g.ki == pytest.approx(1.0 / 1.2, rel=1e-9)
     assert g.kd == 0.0
 
 
 def test_ziegler_nichols_p_table():
-    g = tune_ziegler_nichols(UltimateParams(ku=1.0, pu=1.0), "p")
+    g = tune_ziegler_nichols(UltimateParams(ku=1.0, pu=1.0), "p", UNBOUNDED)
     assert g.kp == pytest.approx(0.5, rel=1e-9)
     assert g.ki == 0.0 and g.kd == 0.0
 
 
 def test_cohen_coon_reference_point():
-    g = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
+    g = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5), UNBOUNDED)
     assert g.kp == pytest.approx(35.0 / 12.0, rel=1e-9)       # 2.916667
     assert g.kp / g.ki == pytest.approx(17.5 / 17.0, rel=1e-9)       # 1.029412
     assert g.kd / g.kp == pytest.approx(1.0 / 6.0, rel=1e-9)         # 0.166667
@@ -61,32 +65,32 @@ def test_cohen_coon_reference_point():
 
 def test_cohen_coon_needs_dead_time():
     with pytest.raises(NumericalFailure, match="^Cohen-Coon needs dead time > 0$"):
-        tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.0))
+        tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.0), UNBOUNDED)
 
 
 def test_cohen_coon_gain_only_scales_kp():
-    g1 = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
-    g2 = tune_cohen_coon(FopdtModel(gain=2.0, tau=1.0, dead_time=0.5))
+    g1 = tune_cohen_coon(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5), UNBOUNDED)
+    g2 = tune_cohen_coon(FopdtModel(gain=2.0, tau=1.0, dead_time=0.5), UNBOUNDED)
     assert g2.kp == pytest.approx(g1.kp / 2.0, rel=1e-12)
     assert g2.kp / g2.ki == pytest.approx(g1.kp / g1.ki, rel=1e-12)
     assert g2.kd / g2.kp == pytest.approx(g1.kd / g1.kp, rel=1e-12)
 
 
 def test_kappa_tau_reference_point():
-    g = tune_kappa_tau(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5))
+    g = tune_kappa_tau(FopdtModel(gain=1.0, tau=1.0, dead_time=0.5), UNBOUNDED)
     assert g.kp == pytest.approx(1.1, rel=1e-9)
     assert g.kp / g.ki == pytest.approx(0.5 / 0.6, rel=1e-9)         # 0.833333
     assert g.kd / g.kp == pytest.approx(0.25 / 1.15, rel=1e-9)       # 0.217391
 
 
 def test_kappa_tau_long_dead_time_limit():
-    g = tune_kappa_tau(FopdtModel(gain=2.0, tau=1.0, dead_time=1e6))
+    g = tune_kappa_tau(FopdtModel(gain=2.0, tau=1.0, dead_time=1e6), UNBOUNDED)
     assert g.kp == pytest.approx(0.2 / 2.0, rel=1e-5)
 
 
 def test_kappa_tau_needs_dead_time():
     with pytest.raises(NumericalFailure, match="^Kappa-Tau needs dead time > 0$"):
-        tune_kappa_tau(FopdtModel(gain=1.0, tau=1.0, dead_time=0.0))
+        tune_kappa_tau(FopdtModel(gain=1.0, tau=1.0, dead_time=0.0), UNBOUNDED)
 
 
 def test_rules_positive_over_valid_fopdt_grid():
@@ -94,8 +98,8 @@ def test_rules_positive_over_valid_fopdt_grid():
         for ratio in (0.1, 0.25, 0.5):
             for k in (0.5, 1.0, 2.0):
                 m = FopdtModel(gain=k, tau=tau, dead_time=ratio * tau)
-                for g in (tune_cohen_coon(m), tune_kappa_tau(m),
-                          tune_ziegler_nichols(ultimate_from_fopdt(m), "pid")):
+                for g in (tune_cohen_coon(m, UNBOUNDED), tune_kappa_tau(m, UNBOUNDED),
+                          tune_ziegler_nichols(ultimate_from_fopdt(m), "pid", UNBOUNDED)):
                     assert g.kp > 0.0 and g.ki > 0.0 and g.kd > 0.0
 
 
@@ -121,7 +125,7 @@ def test_identify_gain_is_ratio_of_changes():
 
 def test_identify_flat_response_fails():
     plant = _fopdt_plant(0.0, 1.0, 0.1)
-    traj = run_step_test(plant, SimConfig(dt=0.01, horizon=10.0, seed=0))
+    traj = run_step_test(plant, SimConfig(dt=0.01, horizon=10.0, seed=0), u1=1.0)
     with pytest.raises(NumericalFailure, match="^flat response: no identifiable gain$"):
         identify_fopdt_step(traj)
 
@@ -138,7 +142,7 @@ def test_identify_gain_scaling_property():
     cfg = SimConfig(dt=0.01, horizon=15.0, seed=0)
     m1 = identify_fopdt_step(step_test(_fopdt_plant(1.0, 1.0, 0.3), cfg, step_time=0.5))
     m2 = identify_fopdt_step(step_test(_fopdt_plant(2.0, 1.0, 0.3), cfg, step_time=0.5))
-    g1, g2 = tune_cohen_coon(m1), tune_cohen_coon(m2)
+    g1, g2 = tune_cohen_coon(m1, UNBOUNDED), tune_cohen_coon(m2, UNBOUNDED)
     assert g2.kp == pytest.approx(g1.kp / 2.0, rel=0.02)
     assert g2.kp / g2.ki == pytest.approx(g1.kp / g1.ki, rel=0.02)
     assert g2.kd / g2.kp == pytest.approx(g1.kd / g1.kp, rel=0.02)
@@ -190,12 +194,12 @@ def test_pipeline_settles_over_fopdt_grid():
                 plant = _fopdt_plant(k, tau, dead, lim=50.0)
                 ident = identify_fopdt_step(
                     step_test(plant, _step_cfg(tau, dead), step_time=0.5))
-                rules = [tune_cohen_coon(ident), tune_kappa_tau(ident),
-                         tune_ziegler_nichols(ultimate_from_fopdt(ident), "pid")]
+                rules = [tune_cohen_coon(ident, UNBOUNDED), tune_kappa_tau(ident, UNBOUNDED),
+                         tune_ziegler_nichols(ultimate_from_fopdt(ident), "pid", UNBOUNDED)]
                 horizon = 20.0 * (tau + dead)
                 cfg = SimConfig(dt=min(tau / 50.0, max(dead / 8.0, 1e-3)), horizon=horizon, seed=0)
                 for gains in rules:
-                    traj = simulate(plant, PidController(gains), step_reference(1.0), cfg=cfg)
+                    traj = simulate(plant, PidController(gains), 1.0, cfg=cfg)
                     metrics = compute_step_metrics(traj, band=0.05)
                     assert metrics.settled, (
                         f"tau={tau} L={dead} K={k} gains=({gains.kp:.3g},{gains.ki:.3g},{gains.kd:.3g})"
