@@ -344,10 +344,14 @@ def _build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output directory")
+
+    def seeded(p):
+        """`common` plus `--seed`, for the commands that draw from `sim.seed`."""
+        common(p)
         p.add_argument("--seed", type=int, default=None, help="override sim.seed")
 
     p = sub.add_parser("record", help="open-loop excitation run, recorded to CSV")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("fit-surrogate", help="train an empirical plant model from a recording")
@@ -356,17 +360,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_surrogate)
 
     p = sub.add_parser("tune", help="classical rules or AI gain search")
-    common(p)
+    seeded(p)
     p.add_argument("--surrogate", default=None, help="surrogate model (ai mode)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("train-controller", help="imitation or closed-loop (bptt) training")
-    common(p)
+    seeded(p)
     p.add_argument("--surrogate", default=None, help="surrogate model (bptt mode)")
     p.set_defaults(func=cmd_train_controller)
 
     p = sub.add_parser("simulate", help="closed-loop run with the configured safety wrapper")
-    common(p)
+    seeded(p)
     p.add_argument("--model", default=None, help="override controller.model_path")
     p.set_defaults(func=cmd_simulate)
 

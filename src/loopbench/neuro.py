@@ -386,23 +386,24 @@ class _ControllerBlock:
 
     def __init__(self, nc: NeuralController):
         self.nc = nc
+        self.std = nc.feat_std.tolist()
 
     def forward(self, k, w, y_window, u_window):
         nc = self.nc
         z, acts = nc.forward(nc.features(w, y_window, u_window))
-        return nc.center + nc.half_span * math.tanh(z), (z, acts)
+        th = math.tanh(z)
+        return nc.center + nc.half_span * th, (th, acts)
 
-    def reverse(self, k, cache, u_bar, ybar_w, ubar_w):
+    def reverse(self, k, cache, u_bar, ybar, ubar, iy, iu, slopes, gzs):
         # u_bar already holds the loss terms and the surrogate adjoint; the
         # row's adjoint then goes into the y and u windows, one sum per entry
-        nc, m = self.nc, self.nc.memory
-        z, acts = cache
-        dz = u_bar * nc.half_span * (1.0 - math.tanh(z) ** 2)
-        gzs = nc.mlp.adjoints(acts, [dz])
-        df = nc.mlp.input_adjoint(gzs) / nc.feat_std
-        ybar_w += df[1:m + 1][::-1]
-        ubar_w += df[m + 1:][::-1]
-        return gzs, acts
+        nc, m, std = self.nc, self.nc.memory, self.std
+        th = cache[0]
+        gx = nc.mlp.row_input_adjoint(u_bar * nc.half_span * (1.0 - th ** 2), slopes, k,
+                                      gzs).tolist()
+        for j in range(1, m + 1):
+            ybar[iy + 1 - j] += gx[j] / std[j]
+            ubar[iu - j] += gx[m + j] / std[m + j]
 
 
 class _SchedulerBlock:
@@ -414,7 +415,8 @@ class _SchedulerBlock:
     def __init__(self, gs: GainScheduler, dt: float, limits, horizon: int):
         self.gs, self.dt, self.limits = gs, dt, limits
         self.es = [0.0] * gs.memory  # zero-warm error record
-        self.ebar = np.zeros(gs.memory + horizon)
+        self.ebar = [0.0] * (gs.memory + horizon)
+        self.std = gs.feat_std.tolist()
         self.s_int = 0.0
         self.sbar = 0.0  # adjoint of the integrator entering step k+1
 
@@ -433,27 +435,26 @@ class _SchedulerBlock:
         u_k = u_hi if sat > 0 else u_lo if sat < 0 else u_raw
         return u_k, (sig, acts, kp, ki, sat, frozen)
 
-    def reverse(self, k, cache, u_bar, ybar_w, ubar_w):
+    def reverse(self, k, cache, u_bar, ybar, ubar, iy, iu, slopes, gzs):
         # after the loss terms and surrogate adjoint (in u_bar): the PI core into
         # ebar[m+k] and the sbar carry, network backward, window scatters, and
         # last the fold of the final ebar[m+k] into the newest y (e_k = w_k - y_k)
-        gs, m, dt = self.gs, self.gs.memory, self.dt
-        sig, acts, kp, ki, sat, frozen = cache
+        gs, m, dt, std, ebar = self.gs, self.gs.memory, self.dt, self.std, self.ebar
+        sig, _, kp, ki, sat, frozen = cache
         e_k = self.es[m + k]
         du_raw = u_bar if sat == 0 else 0.0
         # s_cand feeds u_raw always and the next state only when not frozen
         ds_cand = du_raw + (0.0 if frozen else self.sbar)
         ds_prev = ds_cand + (self.sbar if frozen else 0.0)
-        self.ebar[m + k] += du_raw * kp + ds_cand * ki * dt
+        ebar[m + k] += du_raw * kp + ds_cand * ki * dt
         self.sbar = ds_prev
         dz = [d * s * (1.0 - s) * (hi - lo) for d, s, (lo, hi)
               in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs._bounds)]
-        gzs = gs.mlp.adjoints(acts, dz)
-        df = gs.mlp.input_adjoint(gzs) / gs.feat_std
-        self.ebar[k + 1:m + k + 1] += df[:m][::-1]
-        ybar_w += df[m:][::-1]
-        ybar_w[-1] -= self.ebar[m + k]
-        return gzs, acts
+        gx = gs.mlp.row_input_adjoint(dz, slopes, k, gzs).tolist()
+        for j in range(m):
+            ebar[m + k - j] += gx[j] / std[j]
+            ybar[iy - j] += gx[m + j] / std[m + j]
+        ybar[iy] -= ebar[m + k]
 
 
 def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float,
@@ -481,7 +482,7 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float,
     p, q, m = narx.p, narx.q, target.memory
     pad_y = max(p, m)
     pad_u = max(q - 1, m, 1)
-    ys = [0.0] * (pad_y + horizon)  # the records on floats; only their adjoints are arrays
+    ys = [0.0] * (pad_y + horizon)  # the records and their adjoints are float lists
     us = [0.0] * (pad_u + horizon)
     caches = []
 
@@ -502,28 +503,37 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float,
 
     loss = loss_track / horizon + rho * loss_du / horizon
 
+    # every step's tanh slopes in one batched product per hidden layer; the
+    # target net's activations stacked per layer for `summed_row_gradient`
+    sur, net = narx.mlp, target.mlp
+    sur_slopes = [1.0 - np.array(a) ** 2 for a in list(zip(*(a for _, a in caches)))[1:]]
+    net_acts = [np.array(a) for a in zip(*(cache[1] for cache, _ in caches))]
+    net_slopes = [1.0 - a ** 2 for a in net_acts[1:]]
+    gzs = [np.empty((horizon, n)) for n in net.layer_sizes[1:]]
+    y_std, x_std = float(narx.y_std[0]), narx.x_std.tolist()
+
     # each reverse step adds, in this order: the loss terms, the surrogate
     # adjoint, then the block's reverse step; every += is a float sum, so
     # this order into each entry is what keeps the gradient's bits (sums
-    # into different entries may go in any order, hence the slice +=)
-    ybar = np.zeros(len(ys))
-    ubar = np.zeros(len(us))
-    steps = []  # (adjoints, activations) in the order the parameter gradient sums them
+    # into different entries may go in any order)
+    ybar = [0.0] * len(ys)
+    ubar = [0.0] * len(us)
     for k in range(horizon - 1, -1, -1):
         iy, iu = pad_y - 1 + k, pad_u + k
-        cache, acts_s = caches[k]
         ybar[iy + 1] += 2.0 * (ys[iy + 1] - w_seq[k + 1]) / horizon
         du = us[iu] - us[iu - 1]
         ubar[iu] += 2.0 * rho * du / horizon
         ubar[iu - 1] -= 2.0 * rho * du / horizon
 
-        fbar_s = narx.backward_to_features(acts_s, float(ybar[iy + 1]))
-        ybar[iy - p + 1:iy + 1] += fbar_s[:p][::-1]
-        ubar[iu - q + 1:iu + 1] += fbar_s[p:][::-1]
+        gx = sur.row_input_adjoint(ybar[iy + 1] * y_std, sur_slopes, k).tolist()
+        for j in range(p):
+            ybar[iy - j] += gx[j] / x_std[j]
+        for j in range(q):
+            ubar[iu - j] += gx[p + j] / x_std[p + j]
 
-        steps.append(block.reverse(k, cache, float(ubar[iu]), ybar[iy - m + 1:iy + 1],
-                                   ubar[iu - m:iu]))
-    return loss, target.mlp.summed_row_gradient(*zip(*steps))
+        block.reverse(k, caches[k][0], ubar[iu], ybar, ubar, iy, iu, net_slopes, gzs)
+    # summed in the reverse loop's order, last step first
+    return loss, net.summed_row_gradient([g[::-1] for g in gzs], [a[::-1] for a in net_acts])
 
 
 # gradient norm above which a BPTT update is scaled down to it

@@ -157,7 +157,7 @@ class Mlp:
         a += biases[-1]
         return a[:, 0]
 
-    def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None):
+    def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None):
         """Reverse pass through the activations only: the adjoint of each
         layer's pre-activation, last layer first.
 
@@ -193,20 +193,45 @@ class Mlp:
         out += 0.0
         return out
 
-    def summed_row_gradient(self, gzs_seq, acts_seq) -> np.ndarray:
-        """Sum in order from +0.0 of the row gradients of 1-D passes (`adjoints` and
-        activations of each): `g += backward(...)` on each one-row batch, bit for bit,
-        as such a sum is never -0.0. The terms go in chunks of about 2^20 numbers
-        (8 MB) under the running sum, which `np.add.reduce` over the stack adds row
-        after row (numpy sums pairwise only along the contiguous axis)."""
+    def row_input_adjoint(self, g, slopes, k: int, gzs=None) -> np.ndarray:
+        """Input adjoint of pass k of a stack of 1-D passes, from its output
+        adjoint `g` (a float for a one-output net) and `slopes`, the passes'
+        tanh slopes `1 - a ** 2` stacked per hidden layer, first layer first.
+        If given, `gzs` holds a (passes, width) stack per layer, first layer
+        first, and row k of each receives that layer's pre-activation adjoint
+        (what `adjoints` returns, last layer first) for `summed_row_gradient`.
+
+        For one output the first product is `g * W[0]`, not np.dot([g], W):
+        the same exactly rounded products, but a zero one may be -0.0 where the
+        gemv gives +0.0. That sign reaches only sums from +0.0, which drop it."""
+        w = self.weights
+        l = len(w) - 1
+        if gzs is not None:
+            gzs[l][k] = g
+        ga = g * w[l][0] if self.layer_sizes[-1] == 1 else np.dot(g, w[l])
+        while l:
+            l -= 1
+            gz = ga * slopes[l][k] if gzs is None else np.multiply(ga, slopes[l][k], out=gzs[l][k])
+            ga = np.dot(gz, w[l])
+        return ga
+
+    def summed_row_gradient(self, gzs, acts) -> np.ndarray:
+        """Sum in order from +0.0 of the row gradients of 1-D passes, stacked per
+        layer, first layer first: `gzs[l]` holds layer l's pre-activation adjoints
+        and `acts[l]` its input activations, row i from pass i. Bit for bit
+        `g += backward(...)` on each pass as a one-row batch, row after row, as
+        such a sum is never -0.0. The terms go in chunks of about 2^20 numbers
+        (8 MB) under the running sum, which `np.add.reduce` over the stack adds
+        row after row (numpy sums pairwise only along the contiguous axis)."""
+        n = len(gzs[0])
         total, step = np.zeros(self.n_params), max(1, (1 << 20) // self.n_params)
-        for s in range(0, len(gzs_seq), step):
-            gzs_c, acts_c = gzs_seq[s:s + step], acts_seq[s:s + step]
-            terms = np.concatenate([total[None], np.empty((len(gzs_c), self.n_params))])
+        for s in range(0, n, step):
+            rows = slice(s, min(s + step, n))
+            terms = np.concatenate([total[None], np.empty((rows.stop - s, self.n_params))])
             weights, biases = self._views(terms[1:])
-            for i, l in enumerate(range(self.n_layers - 1, -1, -1)):
-                biases[l][...] = gz = np.array([gzs[i] for gzs in gzs_c])
-                np.multiply(gz[..., None], np.array([a[l] for a in acts_c])[:, None], out=weights[l])
+            for l, (gz, a) in enumerate(zip(gzs, acts)):
+                biases[l][...] = gz[rows]
+                np.multiply(gz[rows, :, None], a[rows, None], out=weights[l])
             total = np.add.reduce(terms, axis=0)
         return total
 

@@ -89,7 +89,7 @@ class NarxModel:
 
     def predict(self, y_window, u_window):
         """Next output from chronological windows (newest sample last), and
-        the network activations `backward_to_features` takes."""
+        the activations of the network pass."""
         row = lag_features(y_window, u_window, self.p, self.q)
         xn = [(f - m) / s for f, (m, s) in zip(row, self._x_stats)]
         out, acts = self.mlp.forward_cached(xn)
@@ -104,10 +104,6 @@ class NarxModel:
         rows = np.array([lag_features(y, u, self.p, self.q) for y, u in windows])
         out = self.mlp.forward_rows((rows - self.x_mean) / self.x_std)
         return [v * self._y_std + self._y_mean for v in out[:, 0].tolist()]
-
-    def backward_to_features(self, acts, upstream: float) -> np.ndarray:
-        """Adjoint of the raw feature vector given d(loss)/d(prediction)."""
-        return self.mlp.input_adjoint(self.mlp.adjoints(acts, [upstream * self._y_std])) / self.x_std
 
 
 @dataclass

@@ -778,6 +778,16 @@ def test_no_subcommand_accepts_jobs(capsys):
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+def test_unseeded_commands_reject_seed(capsys):
+    """Only the commands that draw from `sim.seed` take `--seed`: argparse
+    rejects it on fit-surrogate (its seed is `surrogate.seed`) and compare."""
+    for argv in (["fit-surrogate", "--config", "c.json", "--data", "d.csv"], ["compare", "a.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", "o", "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 def test_compare_incomparable_runs_exit_code_and_message(tmp_path, capsys):
     a, _ = _two_sim_runs(tmp_path)
     other = {"sim": {"dt": 0.01, "horizon": 15.0, "seed": 0}, "plant": dict(FOPDT_PLANT),

@@ -17,6 +17,7 @@ and horizons stay small so that no mutant asks for a large allocation or a
 long run.
 """
 
+import csv
 import json
 import math
 from functools import reduce
@@ -27,7 +28,7 @@ import pytest
 
 from loopbench.cli import main
 from loopbench.config import resolve_config
-from loopbench.dataio import TimeSeries, write_timeseries
+from loopbench.dataio import TimeSeries, read_timeseries, write_timeseries
 from loopbench.neuro import GainScheduler, NeuralController
 from loopbench.nnet import Mlp, save_model
 from loopbench.surrogate import NarxModel
@@ -289,11 +290,16 @@ def _config_bases(tmp_path):
 def test_config_echo_reruns_the_run(tmp_path, base, seed):
     """The config echo is a fixed point: run from it, with no `--seed`, a
     command writes every output file byte for byte as the run that wrote
-    it, the echo included."""
+    it, the echo included. fit-surrogate takes no `--seed` and exits 2."""
     name, command, raw, extra = _config_bases(tmp_path)[base]
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
     first, again = tmp_path / "first", tmp_path / "again"
     argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(first), *seed, *extra]
+    if seed and command == "fit-surrogate":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return
     assert main(argv) == 0, name
     echo = first / f"{command}_config.json"
     assert main([command, "--config", str(echo), "--out", str(again), *extra]) == 0, name
@@ -301,6 +307,40 @@ def test_config_echo_reruns_the_run(tmp_path, base, seed):
     assert files == sorted(path.name for path in again.iterdir())
     for file in files:
         assert (first / file).read_bytes() == (again / file).read_bytes(), f"{name}: {file}"
+
+
+def _csv_rows(path) -> list:
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]], ids=["config-seed", "seed-7"])
+def test_simulate_outputs_keep_the_safety_invariants(tmp_path, seed):
+    """The run-time assurance invariants of a Simplex architecture (Sha,
+    IEEE Software 18(4), 2001) on every `simulate` base: each `u` in
+    trajectory.csv lies within the plant limits, each blend.csv row keeps
+    |u - u_conv| <= delta, and transitions.csv starts with AI->FALLBACK and
+    alternates direction."""
+    bases = [base for base in _config_bases(tmp_path) if base[1] == "simulate"]
+    kinds = {raw.get("safety", {}).get("kind") for _, _, raw, _ in bases}
+    assert kinds == {None, "switch", "blend"}
+    for name, command, raw, extra in bases:
+        out = tmp_path / name
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(out), *seed, *extra]
+        assert main(argv) == 0, name
+        lo, hi = raw["plant"]["limits"]
+        u = read_timeseries(out / "trajectory.csv").u
+        assert np.all((lo <= u) & (u <= hi)), name
+        safety = raw.get("safety", {})
+        if safety.get("kind") == "blend":
+            rows = _csv_rows(out / "blend.csv")
+            assert len(rows) == len(u), name
+            assert all(abs(float(r["u"]) - float(r["u_conv"])) <= safety["delta"] for r in rows)
+        if safety.get("kind") == "switch":
+            directions = [r["direction"] for r in _csv_rows(out / "transitions.csv")]
+            assert directions[:1] == ["AI->FALLBACK"], name
+            assert all(a != b for a, b in zip(directions, directions[1:])), name
 
 
 def _leaves(block, sections, path=()):

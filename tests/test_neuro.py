@@ -302,7 +302,8 @@ def _ref_surrogate_step(narx, feat_s):
 
 
 def _ref_surrogate_adjoint(narx, acts, upstream):
-    gx = narx.mlp.input_adjoint(narx.mlp.adjoints(acts, np.array([[upstream * float(narx.y_std[0])]])))
+    g = np.array([[upstream * float(narx.y_std[0])]])
+    gx = narx.mlp.input_adjoint(narx.mlp.adjoints(acts, g, None))
     return gx[0] / narx.x_std
 
 
@@ -352,7 +353,7 @@ def _ref_controller_rollout(nc, narx, w_seq, horizon, rho):
             ubar[pad_u + k - j] += fbar_s[p + j]
         dz = float(ubar[pad_u + k]) * nc.half_span * (1.0 - math.tanh(zs[k]) ** 2)
         g_c = nc.mlp.backward(caches_c[k], np.array([[dz]]))
-        gf = nc.mlp.input_adjoint(nc.mlp.adjoints(caches_c[k], np.array([[dz]])))
+        gf = nc.mlp.input_adjoint(nc.mlp.adjoints(caches_c[k], np.array([[dz]]), None))
         pgrads += g_c
         df = gf[0] / nc.feat_std
         ybar[iy] += df[1]
@@ -440,7 +441,7 @@ def _ref_scheduler_rollout(gs, narx, w_seq, horizon, rho, limits):
         sig = 1.0 / (1.0 + np.exp(-z_list[k]))
         dz = np.array([dkp, dki, 0.0]) * sig * (1.0 - sig) * (hi - lo)
         g_g = gs.mlp.backward(caches_g[k], dz.reshape(1, 3))
-        gf = gs.mlp.input_adjoint(gs.mlp.adjoints(caches_g[k], dz.reshape(1, 3)))
+        gf = gs.mlp.input_adjoint(gs.mlp.adjoints(caches_g[k], dz.reshape(1, 3), None))
         pgrads += g_g
         df = gf[0] / gs.feat_std
         for j in range(m):

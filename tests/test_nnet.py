@@ -348,7 +348,7 @@ ROW_SHAPES = [[3, 1], [1, 5, 1], [6, 16, 1], [8, 8, 3], [4, 64, 3], [9, 32, 32, 
 def test_row_path_bit_equal_to_one_row_batch(sizes):
     """forward, forward_cached and adjoints on a 1-D row against the same
     calls on the (1, n) batch and against the `@` reference, and the row's
-    parameter gradient (`summed_row_gradient` over that one row) against
+    parameter gradient (`summed_row_gradient` over a one-row stack) against
     `backward` on the batch: outputs, activations, adjoints and parameter
     gradients bit for bit."""
     rng = np.random.default_rng(sizes)
@@ -373,7 +373,7 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
         gzs_b = net.adjoints(acts_b, g[None, :], extra_b)
         for gz, gz_b in zip(gzs, gzs_b, strict=True):
             assert gz.ndim == 1 and gz.tobytes() == gz_b.tobytes()
-        grads = net.summed_row_gradient([gzs], [acts])
+        grads = net.summed_row_gradient([gz[None] for gz in gzs[::-1]], [a[None] for a in acts])
         grads_b = net.backward(acts_b, g[None, :], extra_b)
         grads_r, gx_r = _interleaved_backward(net, acts_r, g, extra)
         gx, gx_b = net.input_adjoint(gzs), net.input_adjoint(gzs_b)

@@ -5,8 +5,10 @@ from per-layer parts, one concatenate and an added 0.0; the imitation step
 around it; and the BPTT rollout that added every step's full gradient into
 its sum (`pgrads += backward(...)`), on numpy output and control records.
 The current code writes the gradient in place, computes the input adjoint
-only where it is read, and forms the BPTT gradient once per rollout, in
-chunks of bounded size; every output byte must stay the same.
+only where it is read, and forms the BPTT gradient once per rollout from
+per-layer stacks, in chunks of bounded size, on float adjoint records and
+with a one-output net's first reverse product taken as `g * W[0]`; every
+output byte must stay the same.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from loopbench.neuro import (
 )
 from loopbench.errors import DataError, SimulationDiverged
 from loopbench.nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize
+from test_neuro import _identity_narx
 from test_surrogate import random_narx
 
 pytestmark = pytest.mark.bits
@@ -90,8 +93,9 @@ def test_backward_bit_equal_to_concatenated_parts(sizes):
             extra = rng.normal(size=lead + (sizes[-2],))
         want, want_gx = ref_backward(net, acts, g, extra)
         assert net.input_adjoint(net.adjoints(acts, g, extra)).tobytes() == want_gx.tobytes()
-        if not lead:  # a row's gradient is a sum over one pass
-            got = net.summed_row_gradient([net.adjoints(acts, g, extra)], [acts])
+        if not lead:  # a row's gradient is a sum over a one-row stack
+            got = net.summed_row_gradient([gz[None] for gz in net.adjoints(acts, g, extra)[::-1]],
+                                          [a[None] for a in acts])
             assert got.tobytes() == want.tobytes()
             continue
         assert net.backward(acts, g, extra).tobytes() == want.tobytes()
@@ -104,9 +108,10 @@ def test_backward_bit_equal_to_concatenated_parts(sizes):
                                    [4, 700, 600, 2]], ids=lambda s: "-".join(map(str, s)))
 def test_summed_row_gradient_bit_equal_to_running_sum(sizes):
     """1 to 40 row passes (10 for the wide nets, whose 2^20-number chunks hold
-    3 and 2 of them): the same bytes as adding each row's reference gradient
-    into a zero vector in order; some passes have zero adjoints, so terms are
-    zeros of either sign."""
+    3 and 2 of them), stacked per layer: the same bytes as adding each row's
+    reference gradient into a zero vector in order; some passes have zero
+    adjoints, so terms are zeros of either sign. Odd seeds stack the passes
+    last first and hand in reversed views, as `bptt_loss_and_grad` does."""
     rng = np.random.default_rng([len(sizes), *sizes])
     for seed in range(6 if sizes[1] < 100 else 2):
         net = Mlp(sizes, seed=seed)
@@ -114,10 +119,63 @@ def test_summed_row_gradient_bit_equal_to_running_sum(sizes):
         for i in range(int(rng.integers(1, 41)) if sizes[1] < 100 else 10):
             _, acts = net.forward_cached(rng.normal(size=sizes[0]) * 2.0)
             g = rng.normal(size=sizes[-1]) * (0.0 if i % 5 == 2 else 1.0)
-            passes.append((net.adjoints(acts, g), acts))
+            passes.append((net.adjoints(acts, g, None)[::-1], acts))
             want += ref_backward(net, acts, g)[0]
-        got = net.summed_row_gradient(*zip(*passes))
+        order = -1 if seed % 2 else 1
+        gzs, acts = ([np.array(layer[::order])[::order] for layer in zip(*part)]
+                     for part in zip(*passes))
+        got = net.summed_row_gradient(gzs, acts)
         assert got.tobytes() == want.tobytes(), seed
+
+
+def test_one_output_shortcut_equal_to_gemv_but_for_the_sign_of_zero():
+    """`row_input_adjoint`'s first product on a one-output net, `g * W[0]`,
+    against np.dot([g], W) for widths 1 to 257 and g over +-1e-300..1e300
+    and +-0.0, weights with zeros of both signs and products from the
+    subnormal range to 1e308: equal values, hence equal bits but for the
+    sign of a zero, and equal bits once +0.0 is added."""
+    rng = np.random.default_rng(257)
+    gs = [sign * 10.0 ** e for e in range(-300, 301, 25) for sign in (1.0, -1.0)] + [0.0, -0.0]
+    for width in range(1, 258):
+        net = Mlp([width, 1], init=False)
+        net.weights[0][0] = rng.normal(size=width) * 10.0 ** rng.uniform(-20, 7, size=width)
+        net.weights[0][0, ::7] = 0.0
+        net.weights[0][0, 3::7] = -0.0
+        for g in gs:
+            got = net.row_input_adjoint(g, [], 0)
+            want = np.dot(np.array([g]), net.weights[0])
+            assert np.array_equal(got, want), (width, g)
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (width, g)
+
+
+@pytest.mark.parametrize("sizes", SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_row_input_adjoint_bit_equal_to_adjoints(sizes):
+    """Stacks of 1 to 9 row passes: each pass's input adjoint and the rows
+    `row_input_adjoint` writes into the adjoint stacks against
+    `input_adjoint` and `adjoints` on that pass, bit for bit once +0.0 is
+    added (the one-output shortcut may give -0.0 where they give +0.0), and
+    their `summed_row_gradient` against the running sum of the reference
+    gradients, bit for bit; some passes have zero adjoints."""
+    rng = np.random.default_rng([9, *sizes])
+    for seed in range(6):
+        net = Mlp(sizes, seed=seed)
+        n = int(rng.integers(1, 10))
+        passes = [net.forward_cached(rng.normal(size=sizes[0]) * 2.0)[1] for _ in range(n)]
+        acts = [np.array(layer) for layer in zip(*passes)]
+        slopes = [1.0 - a ** 2 for a in acts[1:]]
+        gzs = [np.empty((n, width)) for width in sizes[1:]]
+        want = np.zeros(net.n_params)
+        for k in range(n):
+            g = rng.normal(size=sizes[-1]) * (0.0 if k % 3 == 1 else 1.0)
+            g_in = float(g[0]) if sizes[-1] == 1 else g
+            gx = net.row_input_adjoint(g_in, slopes, k, gzs)
+            want_gzs = net.adjoints(passes[k], g, None)
+            assert (gx + 0.0).tobytes() == (net.input_adjoint(want_gzs) + 0.0).tobytes()
+            assert all((gz[k] + 0.0).tobytes() == (w + 0.0).tobytes()
+                       for gz, w in zip(gzs, want_gzs[::-1], strict=True))
+            assert (net.row_input_adjoint(g_in, slopes, k) + 0.0).tobytes() == (gx + 0.0).tobytes()
+            want += ref_backward(net, passes[k], g)[0]
+        assert net.summed_row_gradient(gzs, acts).tobytes() == want.tobytes(), seed
 
 
 # ---------------------------------------------------------------------------
@@ -399,3 +457,73 @@ def test_bptt_bit_equal_to_per_step_gradient_sum(kind):
                 assert grads.tobytes() == want[1].tobytes(), (p, q, m, seed, limits)
                 cases += 1
     assert cases == 216
+
+
+def _bptt_case(kind, hidden, m, seed):
+    rng = np.random.default_rng([m, seed, 11])
+    n = 1 + 2 * m if kind == "controller" else 2 * m
+    stats = {"feat_mean": rng.normal(size=n) * 0.1, "feat_std": rng.uniform(0.5, 2.0, size=n)}
+    if kind == "controller":
+        return NeuralController(Mlp([n, *hidden, 1], seed=seed), u_min=-1.5, u_max=2.0,
+                                memory=m, **stats)
+    return GainScheduler(Mlp([n, *hidden, 3], seed=seed),
+                         bounds=[[0.1, 3.0], [0.05, 2.0], [0.0, 0.5]], memory=m, **stats)
+
+
+def _assert_bptt_bit_equal(target, narx, w_seq, horizon, rho, limits, what):
+    want = ref_bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+    loss, grads = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+    assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes(), what
+    assert grads.tobytes() == want[1].tobytes(), what
+
+
+def test_bptt_bit_equal_where_the_shortcut_gives_negative_zero():
+    """Rollouts whose one-output shortcut products are zeros, -0.0 where
+    the reference's gemv gives +0.0: a surrogate with zeroed output weights
+    tracking its own constant output (every surrogate adjoint g = +0.0, so
+    every controller adjoint is 0.0 against weights of both signs), a
+    controller with zeroed output weights (its g of both signs), and a
+    scheduler saturated at every step (u_bar never reaches its PI core)."""
+    horizon = 25
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 13])
+        w_seq = np.concatenate([np.zeros(2), np.full(horizon - 1, 1.0)])
+        w_seq += rng.normal(size=horizon + 1) * 0.05
+
+        flat = random_narx(2, 3, (5,), seed)
+        flat.mlp.weights[-1][...] = 0.0
+        level = float(flat.mlp.biases[-1][0]) * float(flat.y_std[0]) + float(flat.y_mean[0])
+        for kind in ("controller", "scheduler"):
+            target = _bptt_case(kind, [6], 2, seed)
+            assert (target.mlp.weights[-1] < 0.0).any()
+            _assert_bptt_bit_equal(target, flat, np.full(horizon + 1, level), horizon, 0.0,
+                                   (-50.0, 50.0), (kind, "g = +0.0", seed))
+
+        narx = random_narx(2, 3, (5,), seed)
+        target = _bptt_case("controller", [6], 2, seed)
+        target.mlp.weights[-1][...] = 0.0
+        _assert_bptt_bit_equal(target, narx, w_seq, horizon, 0.05, (-50.0, 50.0),
+                               ("zeroed controller output", seed))
+
+        target = _bptt_case("scheduler", [6], 2, seed)
+        _assert_bptt_bit_equal(target, narx, w_seq, horizon, 0.05, (0.5, 0.6),
+                               ("saturated scheduler", seed))
+
+
+@pytest.mark.parametrize("kind", ["controller", "scheduler"])
+def test_bptt_bit_equal_on_a_linear_surrogate_and_a_deeper_target(kind):
+    """A surrogate with no hidden layer (its input adjoint is the shortcut
+    alone, and it has no slopes to stack) under a target with two hidden
+    layers, and a hidden surrogate under a target with none."""
+    horizon = 30
+    for seed in range(3):
+        rng = np.random.default_rng([seed, 17])
+        w_seq = np.concatenate([np.zeros(2), np.full(horizon - 1, rng.uniform(0.5, 1.5))])
+        w_seq += rng.normal(size=horizon + 1) * 0.05
+        for narx, hidden in ((_identity_narx(), [6, 4]), (random_narx(2, 2, (), seed), [7, 5]),
+                             (random_narx(2, 3, (5,), seed), [])):
+            for m in (1, 3):
+                target = _bptt_case(kind, hidden, m, seed)
+                for limits in ((-0.4, 0.4), (-50.0, 50.0)):
+                    _assert_bptt_bit_equal(target, narx, w_seq, horizon, 0.05, limits,
+                                           (narx.mlp.layer_sizes, hidden, m, limits, seed))
