@@ -719,17 +719,19 @@ def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.n
 
 def _lockstep_costs(narx: NarxModel, episodes) -> list:
     """Return values of `_episode_cost_on_surrogate` generators run side by
-    side: each step, one `predict_rows` call predicts for every live episode,
-    so each cost is bit-equal to that episode run alone. The generators may
-    belong to several gain points (`tune_static_ai` passes every episode of
-    a whole start simplex or shrink). A call of fewer than three generators
-    runs them one after another on the row path: a stacked pass of two rows
-    costs about what two row passes cost, so the lockstep's bookkeeping
-    would only slow them down."""
-    if len(episodes) < 3:
+    side: one predictor bound once to the call's k generators
+    (`NarxModel.rows_predictor`) predicts for every live episode each step,
+    so each cost is bit-equal to that episode run alone. An episode that ends
+    early leaves the stack, and the same binding serves the fewer windows
+    left. The generators may belong to several gain points (`tune_static_ai`
+    passes every episode of a whole start simplex or shrink). A lone
+    generator runs on the row path, where one row costs less than a stacked
+    pass of one; from two rows on, the stacked pass is the cheaper."""
+    if len(episodes) < 2:
         return [_cost_alone(narx, episode) for episode in episodes]
     costs = [None] * len(episodes)
     live, preds = list(enumerate(episodes)), [None] * len(episodes)
+    predict = narx.rows_predictor(len(episodes))
     while live:
         windows = []
         for (i, episode), y in zip(live, preds):
@@ -740,7 +742,7 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
         if len(windows) < len(live):
             live = [(i, episode) for i, episode in live if costs[i] is None]
         if live:
-            preds = narx.predict_rows(windows)
+            preds = predict(windows)
     return costs
 
 

@@ -138,24 +138,33 @@ class Mlp:
             acts.append(np.tanh(a, out=a))
         return np.dot(a, weights_t[-1]) + biases[-1], acts
 
-    def forward_rows(self, x: np.ndarray) -> np.ndarray:
-        """Outputs of k independent rows, (k, n) in and (k, n_out) out, each row
-        bit-equal to `forward` on that row alone. The rows stay a (k, 1, n)
-        stack through every layer, so each layer is one stacked product that
-        makes one matrix-vector product (gemv) per row, the call a 1-D row
-        makes; a 2-D matrix product over the rows rounds differently."""
-        a = np.asarray(x, dtype=float)
-        if a.ndim != 2 or a.shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"input shape {a.shape} is not (rows, {self.layer_sizes[0]})")
-        weights_t, biases = self._weights_t, self.biases
-        a = a[:, None, :]
-        for l in range(len(weights_t) - 1):
-            a = np.matmul(a, weights_t[l])
-            a += biases[l]
-            np.tanh(a, out=a)
-        a = np.matmul(a, weights_t[-1])
-        a += biases[-1]
-        return a[:, 0]
+    def stacked_pass(self, k: int):
+        """A forward pass of k independent rows bound to buffers allocated here:
+        returns `(inputs, outputs, run)`, where `inputs` is the (k, 1, n) stack
+        the caller fills and `run()` computes every layer in place, the last
+        into the (k, 1, n_out) stack `outputs`. Each output row is bit-equal to
+        `forward` on its input row alone: every layer is one `np.matmul` over
+        the stack, which makes one matrix-vector product (gemv) per row, the
+        call a 1-D row makes; a 2-D matrix product over the rows rounds
+        differently. The biases are tiled to the stack's shape here, as an add
+        of equal shapes skips numpy's broadcasting machinery, so the pass holds
+        while the parameters stay as they are."""
+        if k < 1:
+            raise ValueError(f"a stacked pass needs at least one row, got {k}")
+        acts = [np.empty((k, 1, n)) for n in self.layer_sizes]
+        layers = [(a, w, np.broadcast_to(b, h.shape).copy(), h)
+                  for a, w, b, h in zip(acts[:-1], self._weights_t, self.biases, acts[1:])]
+        hidden, (a_last, w_last, b_last, out) = layers[:-1], layers[-1]
+        matmul, add, tanh = np.matmul, np.add, np.tanh
+
+        def run() -> None:
+            for a, w, b, h in hidden:
+                matmul(a, w, out=h)
+                add(h, b, out=h)
+                tanh(h, out=h)
+            matmul(a_last, w_last, out=out)
+            add(out, b_last, out=out)
+        return acts[0], out, run
 
     def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None):
         """Reverse pass through the activations only: the adjoint of each

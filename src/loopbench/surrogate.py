@@ -2,12 +2,15 @@
 
 A discrete-time NARX one-step predictor (lagged outputs and inputs in, next
 output out) is the workhorse: it trains in seconds and its rollout is exact
-to differentiate, which the closed-loop training in `neuro` relies on.
+to differentiate, which the closed-loop training in `neuro` relies on. It
+predicts one window pair on the row path, or k at once through a stacked
+pass bound once to its buffers; both give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,7 @@ def lag_features(y_window, u_window, p: int, q: int) -> list:
     """The NARX feature row [y(k)..y(k-p+1), u(k)..u(k-q+1)], newest first,
     from chronological windows (newest sample last, at least p outputs and
     q inputs; only the newest count)."""
-    return [*y_window[-p:][::-1], *u_window[-q:][::-1]]
+    return [*y_window[:-p - 1:-1], *u_window[:-q - 1:-1]]
 
 
 def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
@@ -53,7 +56,8 @@ class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
     Per-step prediction runs on Python floats around one 1-D row through
-    `Mlp.forward_cached`; `predict_rows` stacks k rows for `Mlp.forward_rows`.
+    `Mlp.forward_cached`; `rows_predictor` binds k rows to one
+    `Mlp.stacked_pass`, and `predict_rows` is one call of such a binding.
     Float arithmetic rounds exactly as numpy's elementwise ops, so both are
     bit-equal to the array form. The float copies of the normalization stats
     are taken at construction.
@@ -98,12 +102,34 @@ class NarxModel:
     def predict_one(self, y_window, u_window) -> float:
         return self.predict(y_window, u_window)[0]
 
+    def rows_predictor(self, k: int):
+        """`predict_rows` bound to at most k windows: returns `predict(windows)`,
+        which packs the windows' lag features into one `Mlp.stacked_pass` input
+        with a single `struct.pack_into`, normalizes them in place against stats
+        tiled to its shape, runs the pass and denormalizes on floats. Buffers,
+        tiles and packer are made here, once, so a call allocates no array.
+        Fewer than k windows fill the spare rows with copies of the last one's
+        features, whose predictions are dropped; the rows are independent."""
+        p, q, y_std, y_mean = self.p, self.q, self._y_std, self._y_mean
+        n = p + q
+        x, out, run = self.mlp.stacked_pass(k)
+        x_mean, x_std = (np.broadcast_to(v, x.shape).copy() for v in (self.x_mean, self.x_std))
+        fill, out = struct.Struct(f"{k * n}d").pack_into, out.reshape(k)
+        subtract, divide = np.subtract, np.divide
+
+        def predict(windows) -> list:
+            rows = [f for y, u in windows for f in lag_features(y, u, p, q)]
+            fill(x, 0, *rows, *rows[-n:] * (k - len(windows)))
+            subtract(x, x_mean, out=x)
+            divide(x, x_std, out=x)
+            run()
+            return [v * y_std + y_mean for v in out.tolist()[:len(windows)]]
+        return predict
+
     def predict_rows(self, windows) -> list:
         """`predict_one` of each (y_window, u_window) pair, bit for bit, through
-        one `Mlp.forward_rows` pass."""
-        rows = np.array([lag_features(y, u, self.p, self.q) for y, u in windows])
-        out = self.mlp.forward_rows((rows - self.x_mean) / self.x_std)
-        return [v * self._y_std + self._y_mean for v in out[:, 0].tolist()]
+        one stacked pass (`rows_predictor`)."""
+        return self.rows_predictor(len(windows))(windows)
 
 
 @dataclass

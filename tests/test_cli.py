@@ -11,7 +11,7 @@ import pytest
 
 import loopbench
 from loopbench.cli import main
-from loopbench.config import DEFAULTS, resolve_config
+from loopbench.config import DEFAULTS, load_gains_file, resolve_config
 from loopbench.dataio import read_timeseries
 from loopbench.errors import ConfigError, DataError, NumericalFailure, ParseError
 from loopbench import cli, errors, neuro
@@ -1002,16 +1002,24 @@ def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, mon
     """The benchmark's traced runs check `neuro._episode_cost_on_surrogate`
     calls against tune_trace.csv rows times `episodes.count`, so every
     evaluation creates one episode per reference. The episodes of a start
-    simplex or a shrink, and the three of one evaluation, share one stacked
-    surrogate pass per step; one or two episodes of a single evaluation run
-    on the row path."""
-    episodes, passes = [], []
+    simplex or a shrink, and the two or three of one evaluation, share one
+    stacked surrogate pass per step, through one `rows_predictor` binding per
+    `_lockstep_costs` call; a lone episode runs on the row path. The counters
+    wrap each binding's predictor, which counts the rows of every pass."""
+    episodes, lockstep_calls, bindings, passes = [], [], [], []
     real = neuro._episode_cost_on_surrogate
     monkeypatch.setattr(neuro, "_episode_cost_on_surrogate",
                         lambda *args: episodes.append(1) or real(*args))
-    predict_rows = NarxModel.predict_rows
-    monkeypatch.setattr(NarxModel, "predict_rows", lambda self, windows:
-                        passes.append(len(windows)) or predict_rows(self, windows))
+    lockstep = neuro._lockstep_costs
+    monkeypatch.setattr(neuro, "_lockstep_costs", lambda narx, runs:
+                        lockstep_calls.append(len(runs)) or lockstep(narx, runs))
+    rows_predictor = NarxModel.rows_predictor
+
+    def counting_predictor(self, k):
+        bindings.append(k)
+        predict = rows_predictor(self, k)
+        return lambda windows: passes.append(len(windows)) or predict(windows)
+    monkeypatch.setattr(NarxModel, "rows_predictor", counting_predictor)
     cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
            "tuning": {"mode": "ai", "budget": 7, "episodes": {"count": count, "level": 1.0}}}
     assert main(["tune", "--config", _write(tmp_path, "tune.json", cfg),
@@ -1023,9 +1031,11 @@ def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, mon
     # per stacked call; the first is the start simplex's four points
     assert len(passes) % 11 == 0 and passes[:11] == [4 * count] * 11
     assert all(k % count == 0 for k in passes)
+    # one binding per stacked call, not one per step, sized to its episodes
+    assert bindings == [k for k in lockstep_calls if k >= 2] == passes[::11]
     # the points of stacked calls, and the single evaluations on the row path
     stacked = sum(passes[::11]) // count
-    assert stacked == len(rows) if count == 3 else stacked < len(rows)
+    assert stacked == len(rows) if count >= 2 else stacked < len(rows)
 
 
 def test_ai_tune_whose_every_evaluation_diverges_prints_one_line(tmp_path, capsys):
@@ -1041,6 +1051,44 @@ def test_ai_tune_whose_every_evaluation_diverges_prints_one_line(tmp_path, capsy
         assert _tune_with_surrogate(tmp_path, path) == 3
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == "numerical failure: every candidate evaluation diverged\n"
+
+
+def test_ai_tune_with_some_diverging_evaluations_keeps_the_best_finite_point(tmp_path,
+                                                                              monkeypatch):
+    """A linear surrogate, y(k+1) = 0.5 y(k) + 0.4 u(k), under actuator limits
+    too wide to bound it: large gains send the loop past the 1e6 * scale
+    bound within the 11 steps of an episode, small ones keep it finite. The
+    start simplex's episodes end at different steps, so the lockstep's one
+    binding also predicts for fewer live windows than it was bound to. The
+    tune succeeds, its trace holds both kinds of cost, and gains.json is the
+    point of the least finite cost."""
+    net = Mlp([4, 1], init=False)
+    net.weights[0][0] = [0.5, 0.0, 0.4, 0.0]
+    path = tmp_path / "sur.weights"
+    save_model(NarxModel(net, 2, 2, 0.1, np.zeros(4), np.ones(4), np.zeros(1), np.ones(1)), path)
+    short = []
+    rows_predictor = NarxModel.rows_predictor
+
+    def counting_predictor(self, k):
+        predict = rows_predictor(self, k)
+        return lambda windows: short.append(len(windows) < k) or predict(windows)
+    monkeypatch.setattr(NarxModel, "rows_predictor", counting_predictor)
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0},
+           "plant": {**FOPDT_PLANT, "limits": [-1e9, 1e9]},
+           "tuning": {"mode": "ai", "budget": 10, "episodes": {"count": 3, "level": 1.0}}}
+    out = tmp_path / "o"
+    assert main(["tune", "--config", _write(tmp_path, "tune.json", cfg),
+                 "--surrogate", str(path), "--out", str(out)]) == 0
+    costs = [float(r.split(",")[1]) for r in _read_rows(out / "tune_trace.csv")[1:]]
+    finite = [c for c in costs if math.isfinite(c)]
+    assert len(costs) == 10 and 0 < len(finite) < len(costs)
+    assert any(short)
+    gains = load_gains_file(out / "gains.json", limits=(-1e9, 1e9))
+    narx = load_model(path, NarxModel)
+    references = [np.concatenate([np.zeros(2), np.full(10, level)]) for level in (1 / 3, 2 / 3, 1.0)]
+    runs = [neuro._episode_cost_on_surrogate(narx, gains, ref, DEFAULTS["tuning"]["rho"])
+            for ref in references]
+    assert float(np.mean(neuro._lockstep_costs(narx, runs))) == min(finite)
 
 
 # per model kind: (save a valid model file, run the command that loads it)

@@ -394,20 +394,25 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
 @pytest.mark.parametrize("sizes", [s for s in ROW_SHAPES if 3 <= len(s) <= 5],
                          ids=lambda s: "-".join(map(str, s)))
 def test_forward_rows_bit_equal_to_forward_per_row(sizes, k):
-    """k rows through the stacked (k, 1, n) products give, row by row, the
-    bits of `forward` on each row alone; a 2-D matrix product would not."""
+    """k rows through one `stacked_pass` binding, run on fresh inputs three
+    times, give row by row the bits of `forward` on each row alone; the
+    stacked (k, 1, n) products make one gemv per row, a 2-D matrix product
+    would not."""
     rng = np.random.default_rng([k, *sizes])
     for seed in range(3):
         net = Mlp(sizes, seed=seed)
         for b in net.biases:
             b[...] = rng.normal(size=b.shape) * 0.5
-        xs = rng.normal(size=(k, sizes[0])) * rng.choice([1e-3, 1.0, 50.0], size=(k, 1))
-        out = net.forward_rows(xs)
-        assert out.shape == (k, sizes[-1])
-        for x, row in zip(xs, out, strict=True):
-            assert row.tobytes() == net.forward(x).tobytes()
+        inputs, outputs, run = net.stacked_pass(k)
+        assert inputs.shape == (k, 1, sizes[0]) and outputs.shape == (k, 1, sizes[-1])
+        for _ in range(3):
+            xs = rng.normal(size=(k, sizes[0])) * rng.choice([1e-3, 1.0, 50.0], size=(k, 1))
+            inputs[:, 0] = xs
+            run()
+            for x, row in zip(xs, outputs[:, 0], strict=True):
+                assert row.tobytes() == net.forward(x).tobytes()
     with pytest.raises(ValueError):
-        net.forward_rows(xs[0])
+        net.stacked_pass(0)
 
 
 # an AVX2 OpenBLAS core and numpy's SIMD dispatch capped below AVX-512 (x86-64-v3)
@@ -421,6 +426,7 @@ PORTABLE_REQUIRED = (
     "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass",
     "test_nnet.py::test_forward_rows_bit_equal_to_forward_per_row",
     "test_surrogate.py::test_predict_rows_bit_equal_to_predict_one",
+    "test_surrogate.py::test_reused_rows_predictor_bit_equal_to_predict_one",
     "test_neuro.py::test_episode_cost_bit_equal_to_array_form",
     "test_neuro.py::test_lockstep_costs_match_array_form_per_episode",
     "test_neuro.py::test_nelder_mead_matches_the_sequential_search",

@@ -280,6 +280,26 @@ def test_predict_rows_bit_equal_to_predict_one(p, q, hidden):
             assert all(type(v) is float for v in got)
 
 
+@pytest.mark.bits
+@pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
+def test_reused_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
+    """One `rows_predictor(k)` binding called on fresh windows of scales that
+    differ call to call, then on fewer than k windows (the spare rows), then
+    on k again: every prediction is `predict_one`'s, so no call reads a row
+    another call left in the buffers."""
+    rng = np.random.default_rng(100 + 10 * p + q)
+    for seed, k in enumerate((2, 3, 12)):
+        model = random_narx(p, q, hidden, seed)
+        predict = model.rows_predictor(k)
+        for count in (k, k, k, k - 1, 1, k):
+            scale = rng.choice([1e-3, 1.0, 50.0])
+            windows = [((rng.normal(size=p) * scale).tolist(),
+                        (rng.normal(size=q) * scale).tolist()) for _ in range(count)]
+            got = predict(windows)
+            assert got == [model.predict_one(y, u) for y, u in windows]
+            assert all(type(v) is float for v in got)
+
+
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_narx_rollout_bit_equal_to_array_form(p, q, hidden):
     rng = np.random.default_rng(7 * p + q)
