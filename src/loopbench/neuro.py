@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import split_contiguous
 from .errors import ControllerFault, DataError, NumericalFailure, SimulationDiverged
@@ -51,7 +52,8 @@ class NeuralController:
     Features: current reference, the last m measurements (newest first,
     including the current one), and the last m controls. The tanh output
     squash makes saturation structural for arbitrary network weights.
-    `features` builds the row for deployment, imitation replay and BPTT alike.
+    `features` builds the row for deployment and BPTT; imitation replay
+    (`imitation_data_from_run`) copies the same rows out of a whole record.
     The float copies of the stats and the output centre and half-span are
     taken at construction, so a new controller is built to change them.
     """
@@ -242,21 +244,27 @@ class DualDatasetMix:
 def imitation_data_from_run(traj, m: int, with_disturbance: bool) -> SupervisedDataset:
     """(features -> teacher control) pairs replayed from a closed-loop record.
 
-    Features are built exactly as the deployed controller builds them, with
-    the teacher's own outputs in the control history. With
+    Each row holds, bit for bit, what `NeuralController.features` gives the
+    deployed controller, with the teacher's own outputs in the control
+    history. With
     `with_disturbance`, rows also carry the next-step disturbance as a second
     target column for the auxiliary head.
     """
     n = len(traj.t)
-    # zero-warm records: step k's windows are y_pad[k:k+m] and u_pad[k:k+m]
-    y_pad = [0.0] * (m - 1) + np.asarray(traj.y_meas, dtype=float).tolist()
-    u_pad = [0.0] * m + np.asarray(traj.u, dtype=float).tolist()
-    feats = [NeuralController.features(traj.w[k], y_pad[k:k + m], u_pad[k:k + m])
-             for k in range(n - 1)]
+    if n < 2:  # the last sample has no next step, so one sample gives no row
+        raise ValueError("input and target row counts differ")
+    # zero-warm records: step k's windows are y_pad[k:k+m] and u_pad[k:k+m],
+    # and its row is `features(w[k], y window, u window)`, each window reversed
+    y_pad = np.concatenate([np.zeros(m - 1), np.asarray(traj.y_meas, dtype=float)])
+    u_pad = np.concatenate([np.zeros(m), np.asarray(traj.u, dtype=float)])
+    x = np.empty((n - 1, 1 + 2 * m))
+    x[:, 0] = traj.w[:n - 1]
+    x[:, 1:m + 1] = sliding_window_view(y_pad, m)[:n - 1, ::-1]
+    x[:, m + 1:] = sliding_window_view(u_pad, m)[:n - 1, ::-1]
     targets = [u_pad[m:m + n - 1]]
     if with_disturbance:
         targets.append(np.asarray(traj.d, dtype=float)[1:n])
-    return SupervisedDataset(np.array(feats), np.column_stack(targets))
+    return SupervisedDataset(x, np.column_stack(targets))
 
 
 @dataclass
@@ -307,23 +315,49 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     grads = np.empty(params.size)  # laid out like `params`, rewritten every step
 
-    def _loss_and_step(rows):
-        ys = train_y[rows]
-        z, acts = work.mlp.forward_cached(train_xn[rows])
-        th = np.tanh(z[:, :1])
-        u_hat = work.center + work.half_span * th
-        diff = u_hat - ys[:, :1]
-        loss = mean_square(diff)
-        gz = (2.0 * diff / diff.size) * work.half_span * (1.0 - th ** 2)
-        extra = None
+    # one binding per run: the batch's rows, targets, squashed loss and
+    # adjoints live in buffers, each computed in the operation order of
+    # diff = center + half_span * tanh(z) - u and
+    # gz = (2.0 * diff / k) * half_span * (1.0 - tanh(z) ** 2)
+    k = cfg.batch_size
+    trunk = work.mlp.batch_pass(k, grads[:work.mlp.n_params])
+    rows = np.empty(k, dtype=np.int64)
+    ys = np.empty((k, train_y.shape[1]))
+    th, diff, sq = np.empty((k, 1)), np.empty((k, 1)), np.empty((k, 1))
+    if has_aux:
+        # the head's input is the trunk's last hidden activation, in place
+        head = work.aux.batch_pass(k, grads[work.mlp.n_params:], x=trunk.acts[-1])
+        extra = np.empty(trunk.acts[-1].shape)
+
+    def _loss_and_step():
+        # the indices are in range, so clipping changes none and spares
+        # `take` the buffered copy it makes to check them
+        train_xn.take(rows, axis=0, out=trunk.x, mode="clip")
+        train_y.take(rows, axis=0, out=ys, mode="clip")
+        trunk.forward()
+        np.tanh(trunk.out, out=th)
+        np.multiply(work.half_span, th, out=diff)
+        np.add(work.center, diff, out=diff)
+        np.subtract(diff, ys[:, :1], out=diff)
+        loss = mean_square(diff, sq)
+        gz = trunk.g
+        np.multiply(2.0, diff, out=gz)
+        np.divide(gz, k, out=gz)
+        np.multiply(gz, work.half_span, out=gz)
+        np.square(th, out=sq)
+        np.subtract(1.0, sq, out=sq)
+        np.multiply(gz, sq, out=gz)
+        head_adjoint = None
         if has_aux:
-            d_hat, acts_aux = work.aux.forward_cached(acts[-1])
-            d_diff = d_hat - ys[:, 1:2]
-            loss += aux_weight * mean_square(d_diff)
-            gz_aux = aux_weight * 2.0 * d_diff / d_diff.size  # the one-layer head's only adjoint
-            work.aux.backward(acts_aux, gz_aux, out=grads[work.mlp.n_params:])
-            extra = work.aux.input_adjoint([gz_aux])
-        work.mlp.backward(acts, gz, extra, out=grads[:work.mlp.n_params])
+            head.forward()
+            gz_aux = head.g  # the one-layer head's only adjoint, from d_hat - d
+            np.subtract(head.out, ys[:, 1:2], out=gz_aux)
+            loss += aux_weight * mean_square(gz_aux, sq)
+            np.multiply(aux_weight * 2.0, gz_aux, out=gz_aux)
+            np.divide(gz_aux, k, out=gz_aux)
+            work.aux.backward(head)
+            head_adjoint = np.dot(gz_aux, work.aux.weights[0], out=extra)
+        work.mlp.backward(trunk, head_adjoint)
         adam.step(params, grads)
         return loss
 
@@ -346,9 +380,10 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
             from_a = rng.random(cfg.batch_size) < mix.lam
             na = int(np.count_nonzero(from_a))
             a_draws += na
-            idx_a = rng.integers(0, len(a_train), size=na)
-            idx_b = rng.integers(0, len(b_train), size=cfg.batch_size - na)
-            losses.append(_loss_and_step(np.concatenate([idx_a, len(a_train) + idx_b])))
+            rows[:na] = rng.integers(0, len(a_train), size=na)
+            np.add(rng.integers(0, len(b_train), size=cfg.batch_size - na), len(a_train),
+                   out=rows[na:])
+            losses.append(_loss_and_step())
         va, vb = _val_rmse(val_a), _val_rmse(val_b)
         result.history.append((float(np.mean(losses)), va, vb))
         result.a_fraction.append(a_draws / (n_batches * cfg.batch_size))
@@ -787,7 +822,11 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float, seed: 
 
     start = np.asarray(x0, dtype=float) if x0 is not None else 0.5 * (bounds[:, 0] + bounds[:, 1])
     start = np.clip(start, bounds[:, 0], bounds[:, 1])
-    best_x, best_f, trace = nelder_mead_bounded(costs_of, start, bounds, budget, seed, restarts)
+    # a prediction that overflows ends its episode at cost inf, which the
+    # search referees, so numpy's warnings for it stay quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_x, best_f, trace = nelder_mead_bounded(costs_of, start, bounds, budget, seed,
+                                                    restarts)
     if best_x is None or not math.isfinite(best_f):
         raise NumericalFailure("every candidate evaluation diverged")
     gains = PidGains(kp=float(best_x[0]), ki=float(best_x[1]), kd=float(best_x[2]),

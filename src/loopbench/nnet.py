@@ -166,41 +166,36 @@ class Mlp:
             add(out, b_last, out=out)
         return acts[0], out, run
 
-    def adjoints(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None):
-        """Reverse pass through the activations only: the adjoint of each
-        layer's pre-activation, last layer first.
+    def batch_pass(self, k: int, grad: np.ndarray, x: np.ndarray | None = None) -> "BatchPass":
+        """A forward and reverse pass of k rows bound to buffers allocated
+        here (see `BatchPass`); the parameter gradient goes into `grad`, a
+        vector laid out like `params`. `x`, if given, is the (k, inputs)
+        input buffer, such as another pass's last hidden activation. The pass
+        reads the current weight views, so bind it after any `bind`."""
+        return BatchPass(self, k, grad, x)
 
-        `grad_out` and `extra_last_hidden_grad` are shaped like the output
-        and the last hidden activation of the pass: 1-D for a row, 2-D for a
-        batch. `extra_last_hidden_grad` injects an adjoint at the last hidden
-        activation (used by auxiliary output heads that branch off there).
-        """
-        gzs = [np.asarray(grad_out, dtype=float)]
-        for l in range(self.n_layers - 2, -1, -1):
-            ga = np.dot(gzs[-1], self.weights[l + 1])
-            if extra_last_hidden_grad is not None:
-                ga += extra_last_hidden_grad
-                extra_last_hidden_grad = None
-            gzs.append(ga * (1.0 - acts[l + 1] ** 2))
-        return gzs
-
-    def input_adjoint(self, gzs) -> np.ndarray:
-        """Adjoint of the input, from the pre-activation adjoints of `adjoints`."""
-        return np.dot(gzs[-1], self.weights[0])
-
-    def backward(self, acts, grad_out: np.ndarray, extra_last_hidden_grad: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """Reverse pass over a batch: the parameter gradient, laid out like `params`,
-        into `out` (a new vector if None); `adjoints` documents the arguments. The
-        added 0.0 turns any -0.0 of the BLAS products into 0.0, as sums from +0.0 give."""
-        out = np.empty(self.n_params) if out is None else out
-        weights, biases = self._views(out)
-        gzs = self.adjoints(acts, grad_out, extra_last_hidden_grad)
-        for l, gz in zip(range(self.n_layers - 1, -1, -1), gzs):
-            np.add.reduce(gz, axis=0, out=biases[l])
-            np.dot(gz.T, acts[l], out=weights[l])
-        out += 0.0
-        return out
+    def backward(self, bp: "BatchPass", extra: np.ndarray | None = None) -> None:
+        """Reverse pass of this network's bound batch `bp`, whose `g` holds the
+        output adjoint: every pre-activation adjoint into `bp.gzs`, then the
+        parameter gradient into `bp.grad`, each bias as the column sums
+        (`np.add.reduce`) and each weight as `np.dot(gz.T, a)`, then 0.0 added
+        in place, which turns any -0.0 of the BLAS products into 0.0, as sums
+        from +0.0 give. `extra` (k, width) is an adjoint added at the last
+        hidden activation, where an auxiliary output head branches off."""
+        weights, gzs, acts, slopes = self.weights, bp.gzs, bp.acts, bp.slopes
+        for l in range(len(weights) - 2, -1, -1):
+            gz, s = gzs[l], slopes[l]
+            np.dot(gzs[l + 1], weights[l + 1], out=gz)
+            if extra is not None:
+                np.add(gz, extra, out=gz)
+                extra = None
+            np.square(acts[l + 1], out=s)  # the bits of `1.0 - a ** 2`
+            np.subtract(1.0, s, out=s)
+            np.multiply(gz, s, out=gz)
+        for gz, a, gw, gb in bp.terms:
+            np.add.reduce(gz, axis=0, out=gb)
+            np.dot(gz.T, a, out=gw)
+        bp.grad += 0.0
 
     def row_input_adjoint(self, g, slopes, k: int, gzs=None) -> np.ndarray:
         """Input adjoint of pass k of a stack of 1-D passes, from its output
@@ -208,7 +203,7 @@ class Mlp:
         tanh slopes `1 - a ** 2` stacked per hidden layer, first layer first.
         If given, `gzs` holds a (passes, width) stack per layer, first layer
         first, and row k of each receives that layer's pre-activation adjoint
-        (what `adjoints` returns, last layer first) for `summed_row_gradient`.
+        (what `backward` writes into a one-row pass) for `summed_row_gradient`.
 
         For one output the first product is `g * W[0]`, not np.dot([g], W):
         the same exactly rounded products, but a zero one may be -0.0 where the
@@ -228,10 +223,11 @@ class Mlp:
         """Sum in order from +0.0 of the row gradients of 1-D passes, stacked per
         layer, first layer first: `gzs[l]` holds layer l's pre-activation adjoints
         and `acts[l]` its input activations, row i from pass i. Bit for bit
-        `g += backward(...)` on each pass as a one-row batch, row after row, as
-        such a sum is never -0.0. The terms go in chunks of about 2^20 numbers
-        (8 MB) under the running sum, which `np.add.reduce` over the stack adds
-        row after row (numpy sums pairwise only along the contiguous axis)."""
+        the running sum from +0.0 of each pass's `backward` gradient as a
+        one-row batch, row after row, as such a sum is never -0.0. The terms
+        go in chunks of about 2^20 numbers (8 MB) under the running sum, which
+        `np.add.reduce` over the stack adds row after row (numpy sums pairwise
+        only along the contiguous axis)."""
         n = len(gzs[0])
         total, step = np.zeros(self.n_params), max(1, (1 << 20) // self.n_params)
         for s in range(0, n, step):
@@ -245,51 +241,87 @@ class Mlp:
         return total
 
 
+class BatchPass:
+    """A forward and reverse pass of k rows through one network, bound to
+    buffers allocated once: the caller fills the input `x` (k, inputs),
+    `forward()` writes every hidden activation (`acts`, the input first) and
+    the output `out` (k, outputs), the caller writes the output's adjoint
+    into `g` (k, outputs), and `Mlp.backward` writes the pre-activation
+    adjoints into `gzs` (first layer first; `g` is the last) and the
+    parameter gradient into the views `terms` holds of `grad`. Each layer is
+    the `forward_cached` batch product, `np.dot(a, W.T)`, with the bias and
+    tanh in place, so every buffer holds the bits of those fresh arrays."""
+
+    def __init__(self, net: Mlp, k: int, grad: np.ndarray, x: np.ndarray | None):
+        sizes = net.layer_sizes
+        self.x = np.empty((k, sizes[0])) if x is None else x
+        self.acts = [self.x] + [np.empty((k, n)) for n in sizes[1:-1]]
+        self.out = np.empty((k, sizes[-1]))
+        self.gzs = [np.empty((k, n)) for n in sizes[1:]]
+        self.g = self.gzs[-1]
+        self.slopes = [np.empty((k, n)) for n in sizes[1:-1]]  # the hidden tanh slopes
+        self.grad = grad
+        grad_w, grad_b = net._views(grad)
+        self.terms = list(zip(self.gzs, self.acts, grad_w, grad_b))
+        *self._hidden, self._last = zip(self.acts, net._weights_t, net.biases,
+                                        self.acts[1:] + [self.out])
+
+    def forward(self) -> None:
+        dot, add, tanh = np.dot, np.add, np.tanh
+        for a, w_t, b, h in self._hidden:
+            dot(a, w_t, out=h)
+            add(h, b, out=h)
+            tanh(h, out=h)
+        a, w_t, b, out = self._last
+        dot(a, w_t, out=out)
+        add(out, b, out=out)
+
+
 # ---------------------------------------------------------------------------
 # Loss, gradients, optimizer
 # ---------------------------------------------------------------------------
 
-def mean_square(diff: np.ndarray) -> float:
-    """`np.mean(diff ** 2)` without its wrapper: the same sum and division."""
-    return float(np.add.reduce(diff ** 2, axis=None) / diff.size)
+def mean_square(diff: np.ndarray, sq: np.ndarray) -> float:
+    """`np.mean(diff ** 2)` without its wrapper, the squares written into
+    `sq` (which may be `diff`): the same sum and division."""
+    return float(np.add.reduce(np.square(diff, out=sq), axis=None) / diff.size)
 
 
 def mse(net: Mlp, x: np.ndarray, y: np.ndarray) -> float:
-    return mean_square(net.forward(np.atleast_2d(x)) - np.atleast_2d(y))
-
-
-def grad(net: Mlp, x: np.ndarray, y: np.ndarray):
-    """Gradient of the mean squared error over the batch, laid out like
-    `net.params`; returns (grads, loss)."""
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    yb = np.atleast_2d(np.asarray(y, dtype=float))
-    if xb.shape[0] == 0:
-        raise ValueError("empty batch")
-    out, acts = net.forward_cached(xb)
-    diff = out - yb
-    return net.backward(acts, 2.0 * diff / diff.size), mean_square(diff)
+    diff = net.forward(np.atleast_2d(x)) - np.atleast_2d(y)
+    return mean_square(diff, diff)
 
 
 class Adam:
-    """Adaptive-moment update rule on a flat parameter vector, in place."""
+    """Adaptive-moment update rule on a flat parameter vector, in place, with
+    two scratch vectors allocated once for the terms of the update."""
 
     def __init__(self, n_params: int, lr: float):
         self.lr = lr
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
+        self._a = np.empty(n_params)
+        self._b = np.empty(n_params)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """One update of `params` (and the moments) in place; elementwise,
-        so each entry rounds exactly as the out-of-place formula would."""
+        """One update of `params` (and the moments) in place; elementwise and
+        in the formula's operation order, so each entry rounds exactly as the
+        out-of-place `m_hat = m / (1 - b1 ** t)`, ...,
+        `params - lr * m_hat / (sqrt(v_hat) + eps)` would."""
         self.t += 1
-        self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * grads
-        self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * grads ** 2
-        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
-        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, grads, out=a)
+        v *= ADAM_BETA2
+        np.square(grads, out=a)
+        v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
+        np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=a)  # m_hat
+        np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        np.multiply(self.lr, a, out=a)
+        params -= np.divide(a, b, out=a)
 
 
 @dataclass(frozen=True)
@@ -327,6 +359,31 @@ def train(net: Mlp, data: SupervisedDataset, val: SupervisedDataset, cfg: TrainC
     result = TrainResult(net=net.copy())
     n = len(data)
     wait = 0
+    grads = np.empty(work.n_params)  # laid out like `params`, rewritten every step
+
+    def bound_step(k: int):
+        """One mean-squared-error step on k rows, bound to buffers made here;
+        the output adjoint is `2.0 * (out - y) / size`, in that order."""
+        bp = work.batch_pass(k, grads)
+        y, sq, diff = np.empty((k, data.y.shape[1])), np.empty(bp.out.shape), bp.g
+
+        def step(idx) -> float:
+            # the indices are a permutation's, so clipping changes none and
+            # spares `take` the buffered copy it makes to check them
+            data.x.take(idx, axis=0, out=bp.x, mode="clip")
+            data.y.take(idx, axis=0, out=y, mode="clip")
+            bp.forward()
+            np.subtract(bp.out, y, out=diff)
+            loss = mean_square(diff, sq)
+            np.multiply(2.0, diff, out=diff)
+            np.divide(diff, diff.size, out=diff)
+            work.backward(bp)
+            adam.step(work.params, grads)
+            return loss
+        return step
+
+    # the full batches share one binding and the remainder batch has its own
+    steps = {k: bound_step(k) for k in {min(cfg.batch_size, n), n % cfg.batch_size} if k}
 
     # an overflowing step shows up as a non-finite loss, which the check
     # below referees, so numpy's warnings for it stay quiet
@@ -336,9 +393,7 @@ def train(net: Mlp, data: SupervisedDataset, val: SupervisedDataset, cfg: TrainC
             batch_losses = []
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start:start + cfg.batch_size]
-                grads, loss = grad(work, data.x[idx], data.y[idx])
-                batch_losses.append(loss)
-                adam.step(work.params, grads)
+                batch_losses.append(steps[len(idx)](idx))
             train_loss = float(np.mean(batch_losses))
             val_loss = mse(work, val.x, val.y)
             if not (np.isfinite(train_loss) and np.isfinite(val_loss)):

@@ -20,7 +20,7 @@ from loopbench.neuro import (
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run, train_bptt,
     train_imitation, tune_static_ai,
 )
-from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig, grad, mse
+from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig, mse
 from loopbench.pid import PidController, PidGains, PidState, pid_step, pid_sync
 from loopbench.safety import BoundedBlender, SupervisedController, SwitchSupervisor
 from loopbench.simcore import (
@@ -31,6 +31,7 @@ from loopbench.tuning import (
     FopdtModel, UltimateParams, identify_fopdt_step, relay_experiment, tune_cohen_coon,
     tune_kappa_tau, tune_ziegler_nichols,
 )
+from test_nnet import grad
 from test_tuning import step_test
 
 

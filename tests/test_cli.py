@@ -465,6 +465,20 @@ def test_train_controller_imitation_and_seed_repeat_identical(tmp_path):
     assert len(curve) > 10
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_train_controller_on_a_one_sample_teacher_run_exits_2(tmp_path, capsys, beta):
+    """A teacher run of one sample gives no imitation row (the last sample
+    has no next step); the command exits 2 without a traceback."""
+    cfg = _train_cfg()
+    cfg["sim"] = {"dt": 0.1, "horizon": 0.1, "seed": 5}
+    cfg["training"]["beta"] = beta
+    argv = ["train-controller", "--config", _write(tmp_path, "t.json", cfg),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "config error: training: input and target row counts differ\n"
+
+
 def _bptt_cfg(horizon):
     return {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
             "training": {"mode": "bptt", "memory": 2, "hidden": [4], "horizon": horizon,
@@ -1089,6 +1103,88 @@ def test_ai_tune_with_some_diverging_evaluations_keeps_the_best_finite_point(tmp
     runs = [neuro._episode_cost_on_surrogate(narx, gains, ref, DEFAULTS["tuning"]["rho"])
             for ref in references]
     assert float(np.mean(neuro._lockstep_costs(narx, runs))) == min(finite)
+
+
+def _ai_tune(tmp_path, path, plant, bounds, count, level):
+    cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": plant,
+           "tuning": {"mode": "ai", "budget": 10, "bounds": bounds,
+                      "episodes": {"count": count, "level": level}}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["tune", "--config", _write(tmp_path, "tune.json", cfg),
+                     "--surrogate", str(path), "--out", str(tmp_path / "o")])
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def _assert_best_finite_point(tmp_path, path, limits, count, level):
+    """tune_trace.csv holds inf and finite costs, and gains.json is a point of
+    the least finite cost, its episodes rerun independently."""
+    costs = [float(r.split(",")[1]) for r in _read_rows(tmp_path / "o" / "tune_trace.csv")[1:]]
+    finite = [c for c in costs if math.isfinite(c)]
+    assert len(costs) == 10 and 0 < len(finite) < len(costs)
+    gains = load_gains_file(tmp_path / "o" / "gains.json", limits=limits)
+    narx = load_model(path, NarxModel)
+    references = [np.concatenate([np.zeros(2), np.full(10, level * (i + 1) / count)])
+                  for i in range(count)]
+    runs = [neuro._episode_cost_on_surrogate(narx, gains, ref, DEFAULTS["tuning"]["rho"])
+            for ref in references]
+    assert float(np.mean(neuro._lockstep_costs(narx, runs))) == min(finite)
+
+
+def test_ai_tune_with_non_finite_predictions_keeps_the_best_finite_point(tmp_path, capsys,
+                                                                        monkeypatch):
+    """The linear surrogate above, with its output lag normalized by 1e-305:
+    once |y| passes about 1.8e3, far inside the 1e6 divergence bound, the
+    normalized lag overflows and the next prediction is inf or nan. Such an
+    episode costs inf; numpy's overflow warnings stay quiet, the tune exits 0
+    and gains.json is the best finite point."""
+    net = Mlp([4, 1], init=False)
+    net.weights[0][0] = [0.5e-305, 0.0, 0.4, 0.0]
+    std = np.array([1e-305, 1.0, 1.0, 1.0])
+    path = tmp_path / "sur.weights"
+    save_model(NarxModel(net, 2, 2, 0.1, np.zeros(4), std, np.zeros(1), np.ones(1)), path)
+    predictions = []
+    rows_predictor = NarxModel.rows_predictor
+
+    def recording_predictor(self, k):
+        predict = rows_predictor(self, k)
+        return lambda windows: predictions.extend(predict(windows)) or predictions[-len(windows):]
+    monkeypatch.setattr(NarxModel, "rows_predictor", recording_predictor)
+    plant = {**FOPDT_PLANT, "limits": [-1e9, 1e9]}
+    bounds = {"kp": [0.01, 10.0], "ki": [0.0, 2.0], "kd": [0.0, 0.1]}
+    assert _ai_tune(tmp_path, path, plant, bounds, count=2, level=1.0) == 0
+    assert capsys.readouterr().err == ""
+    assert any(not math.isfinite(y) for y in predictions)
+    assert all(abs(y) <= 1e6 for y in predictions if math.isfinite(y))
+    _assert_best_finite_point(tmp_path, path, (-1e9, 1e9), count=2, level=1.0)
+
+
+def test_ai_tune_whose_pid_output_turns_non_finite_keeps_the_best_finite_point(tmp_path, capsys,
+                                                                              monkeypatch):
+    """A surrogate that predicts 1e299 at every step under a reference of 1e300:
+    with kp and kd of 1e9 or more, the proportional term overflows to +inf
+    and the derivative term to -inf, so the PID output is nan and `pid_step`
+    raises ControllerFault; that episode costs inf. Smaller gains keep a
+    finite cost, so the tune exits 0 with the best finite point."""
+    path = tmp_path / "sur.weights"
+    save_model(NarxModel(Mlp([4, 1], init=False), 2, 2, 0.1, np.zeros(4), np.ones(4),
+                         np.full(1, 1e299), np.ones(1)), path)
+    faults = []
+    pid_step = neuro.pid_step
+
+    def recording_pid_step(*args):
+        try:
+            return pid_step(*args)
+        except errors.ControllerFault as exc:
+            faults.append(str(exc))
+            raise
+    monkeypatch.setattr(neuro, "pid_step", recording_pid_step)
+    bounds = {"kp": [0.0, 2e9], "ki": [0.0, 1.0], "kd": [0.0, 2e9]}
+    assert _ai_tune(tmp_path, path, dict(FOPDT_PLANT), bounds, count=1, level=1e300) == 0
+    assert capsys.readouterr().err == ""
+    assert faults and set(faults) == {"non-finite controller output"}
+    _assert_best_finite_point(tmp_path, path, tuple(FOPDT_PLANT["limits"]), count=1, level=1e300)
 
 
 # per model kind: (save a valid model file, run the command that loads it)

@@ -314,16 +314,29 @@ def _csv_rows(path) -> list:
         return list(csv.DictReader(f))
 
 
+def _simulate_bases(tmp_path):
+    """The `simulate` bases, plus a copy of the switch base that hands back:
+    over 20 s its constant AI command, 0.8, is the fallback's steady command
+    under the 0.2 input disturbance, so the two agree once the loop settles."""
+    bases = [base for base in _config_bases(tmp_path) if base[1] == "simulate"]
+    name, command, raw, extra = next(b for b in bases if b[0] == "simulate-switch")
+    recovers = {**raw, "sim": {**raw["sim"], "horizon": 20.0},
+                "controller": {"kind": "constant", "value": 0.8}}
+    return bases + [("simulate-switch-recovers", command, recovers, extra)]
+
+
 @pytest.mark.parametrize("seed", [[], ["--seed", "7"]], ids=["config-seed", "seed-7"])
 def test_simulate_outputs_keep_the_safety_invariants(tmp_path, seed):
     """The run-time assurance invariants of a Simplex architecture (Sha,
     IEEE Software 18(4), 2001) on every `simulate` base: each `u` in
     trajectory.csv lies within the plant limits, each blend.csv row keeps
-    |u - u_conv| <= delta, and transitions.csv starts with AI->FALLBACK and
-    alternates direction."""
-    bases = [base for base in _config_bases(tmp_path) if base[1] == "simulate"]
+    |u - u_conv| <= delta, transitions.csv starts with AI->FALLBACK and
+    alternates direction, and each `recovered` row comes at least `dwell`
+    steps after the handover before it."""
+    bases = _simulate_bases(tmp_path)
     kinds = {raw.get("safety", {}).get("kind") for _, _, raw, _ in bases}
     assert kinds == {None, "switch", "blend"}
+    recoveries = 0
     for name, command, raw, extra in bases:
         out = tmp_path / name
         (tmp_path / "cfg.json").write_text(json.dumps(raw))
@@ -338,9 +351,32 @@ def test_simulate_outputs_keep_the_safety_invariants(tmp_path, seed):
             assert len(rows) == len(u), name
             assert all(abs(float(r["u"]) - float(r["u_conv"])) <= safety["delta"] for r in rows)
         if safety.get("kind") == "switch":
-            directions = [r["direction"] for r in _csv_rows(out / "transitions.csv")]
+            rows = _csv_rows(out / "transitions.csv")
+            directions = [r["direction"] for r in rows]
             assert directions[:1] == ["AI->FALLBACK"], name
             assert all(a != b for a, b in zip(directions, directions[1:])), name
+            for before, row in zip(rows, rows[1:]):
+                if row["cause"] == "recovered":
+                    assert int(row["step"]) - int(before["step"]) >= safety["dwell"], name
+                    recoveries += 1
+    assert recoveries >= 1
+
+
+def test_compare_reproduces_metrics_on_an_ideal_sensor(tmp_path):
+    """On an ideal-sensor copy of each `simulate` base, the measured output is
+    the true output, so `compare` on the run's trajectory.csv writes the row
+    of its metrics.csv, every field but the label."""
+    for name, command, raw, extra in _simulate_bases(tmp_path):
+        ideal = {**raw, "sensor": {"noise_std": 0.0, "sample_period": None, "quantization": 0.0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(ideal))
+        run, table = tmp_path / name, tmp_path / f"{name}-compare"
+        assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(run),
+                     *extra]) == 0, name
+        assert main(["compare", str(run / "trajectory.csv"), "--out", str(table)]) == 0, name
+        want, got = _csv_rows(run / "metrics.csv"), _csv_rows(table / "comparison.csv")
+        assert len(want) == len(got) == 1, name
+        assert [{k: v for k, v in r.items() if k != "label"} for r in got] == \
+            [{k: v for k, v in r.items() if k != "label"} for r in want], name
 
 
 def _leaves(block, sections, path=()):

@@ -19,7 +19,7 @@ from loopbench.simcore import (
     DisturbanceSpec, Fopdt, PlantModel, SensorSpec, SimConfig, simulate,
 )
 from loopbench.surrogate import NarxModel
-from test_nnet import matmul_forward_cached
+from test_nnet import interleaved_backward, matmul_forward_cached
 from test_surrogate import NARX_SHAPES, array_predict_one, random_narx
 
 
@@ -303,7 +303,7 @@ def _ref_surrogate_step(narx, feat_s):
 
 def _ref_surrogate_adjoint(narx, acts, upstream):
     g = np.array([[upstream * float(narx.y_std[0])]])
-    gx = narx.mlp.input_adjoint(narx.mlp.adjoints(acts, g, None))
+    gx = interleaved_backward(narx.mlp, acts, g)[1]
     return gx[0] / narx.x_std
 
 
@@ -352,8 +352,7 @@ def _ref_controller_rollout(nc, narx, w_seq, horizon, rho):
         for j in range(q):
             ubar[pad_u + k - j] += fbar_s[p + j]
         dz = float(ubar[pad_u + k]) * nc.half_span * (1.0 - math.tanh(zs[k]) ** 2)
-        g_c = nc.mlp.backward(caches_c[k], np.array([[dz]]))
-        gf = nc.mlp.input_adjoint(nc.mlp.adjoints(caches_c[k], np.array([[dz]]), None))
+        g_c, gf = interleaved_backward(nc.mlp, caches_c[k], np.array([[dz]]))
         pgrads += g_c
         df = gf[0] / nc.feat_std
         ybar[iy] += df[1]
@@ -440,8 +439,7 @@ def _ref_scheduler_rollout(gs, narx, w_seq, horizon, rho, limits):
         sbar = ds_prev
         sig = 1.0 / (1.0 + np.exp(-z_list[k]))
         dz = np.array([dkp, dki, 0.0]) * sig * (1.0 - sig) * (hi - lo)
-        g_g = gs.mlp.backward(caches_g[k], dz.reshape(1, 3))
-        gf = gs.mlp.input_adjoint(gs.mlp.adjoints(caches_g[k], dz.reshape(1, 3), None))
+        g_g, gf = interleaved_backward(gs.mlp, caches_g[k], dz.reshape(1, 3))
         pgrads += g_g
         df = gf[0] / gs.feat_std
         for j in range(m):
@@ -943,6 +941,42 @@ def test_replayed_rows_equal_deployed_rows(sensor, monkeypatch):
     x = imitation_data_from_run(traj, 4, with_disturbance=False).x
     assert x.shape == (n - 1, 9)
     assert np.array_equal(x, np.stack(rows[:n - 1]))
+
+
+def _rows_one_by_one(traj, m, with_disturbance):
+    """The imitation rows built one `NeuralController.features` call per step,
+    on Python float records, and their targets."""
+    n = len(traj.t)
+    y_pad = [0.0] * (m - 1) + np.asarray(traj.y_meas, dtype=float).tolist()
+    u_pad = [0.0] * m + np.asarray(traj.u, dtype=float).tolist()
+    feats = [NeuralController.features(traj.w[k], y_pad[k:k + m], u_pad[k:k + m])
+             for k in range(n - 1)]
+    targets = [u_pad[m:m + n - 1]]
+    if with_disturbance:
+        targets.append(np.asarray(traj.d, dtype=float)[1:n])
+    return np.array(feats), np.column_stack(targets)
+
+
+@pytest.mark.parametrize("with_disturbance", [False, True], ids=["u", "u-d"])
+@pytest.mark.parametrize("m", [1, 4, 7])
+def test_imitation_rows_bit_equal_to_row_by_row_build(m, with_disturbance):
+    """The windowed build against one `features` call per step, byte for
+    byte, on records of 2 to 300 samples (shorter than the memory too) whose
+    values span zeros of both signs and magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng([m, with_disturbance])
+    for n in (2, 3, m + 1, 300):
+        class Run:
+            pass
+
+        r = Run()
+        r.t = np.arange(n) * 0.1
+        r.w, r.y_meas, r.u, r.d = (rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+                                   for _ in range(4))
+        r.y_meas[::5], r.u[1::5] = -0.0, 0.0
+        ds = imitation_data_from_run(r, m, with_disturbance)
+        x, y = _rows_one_by_one(r, m, with_disturbance)
+        assert ds.x.shape == (n - 1, 1 + 2 * m) and ds.y.shape == (n - 1, 1 + with_disturbance)
+        assert ds.x.tobytes() == x.tobytes() and ds.y.tobytes() == y.tobytes()
 
 
 def test_imitation_clones_pure_p_teacher():

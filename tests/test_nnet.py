@@ -10,11 +10,25 @@ import pytest
 
 from loopbench.errors import NumericalFailure
 from loopbench.nnet import (
-    STD_FLOOR, Adam, Mlp, SupervisedDataset, TrainConfig, feature_stats, grad, load_model,
+    STD_FLOOR, Adam, Mlp, SupervisedDataset, TrainConfig, feature_stats, load_model,
     load_weights, mse, normalize, save_model, save_weights, train,
 )
 from loopbench.neuro import GainScheduler, NeuralController
 from loopbench.surrogate import NarxModel
+
+
+def grad(net, x, y):
+    """Gradient of the mean squared error over the batch through one
+    `batch_pass`, laid out like `net.params`, and the loss."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    grads = np.full(net.n_params, np.nan)
+    bp = net.batch_pass(len(x), grads)
+    bp.x[...] = x
+    bp.forward()
+    diff = bp.out - y
+    bp.g[...] = 2.0 * diff / diff.size
+    net.backward(bp)
+    return grads, float(np.mean(diff ** 2))
 
 
 def fd_gradient(net, x, y, h=1e-5):
@@ -250,8 +264,13 @@ def test_backward_gradient_is_laid_out_like_params():
     net = Mlp([3, 4, 2], seed=2)
     x = rng.normal(size=(5, 3))
     g = rng.normal(size=(5, 2))
-    out, acts = net.forward_cached(x)
-    grads = net.backward(acts, g)
+    grads = np.full(net.n_params, np.nan)
+    bp = net.batch_pass(5, grads)
+    bp.x[...] = x
+    bp.forward()
+    bp.g[...] = g
+    net.backward(bp)
+    acts = bp.acts
     gz = (g @ net.weights[1]) * (1.0 - acts[1] ** 2)
     # layer 0: W (4x3) then b (4); layer 1: W (2x4) then b (2)
     assert grads.shape == net.params.shape
@@ -290,7 +309,7 @@ def test_adam_in_place_step_equals_reference_bit_for_bit():
         assert np.array_equal(params, _adam_reference(start, grad_seq, lr, 0.9, 0.999, 1e-8))
 
 
-def _interleaved_backward(net, acts, grad_out, extra=None):
+def interleaved_backward(net, acts, grad_out, extra=None):
     """Reverse pass with parameter gradients and adjoints interleaved layer by
     layer; splitting the adjoint chain out must not move a bit."""
     g = np.atleast_2d(np.asarray(grad_out, dtype=float))
@@ -308,6 +327,9 @@ def _interleaved_backward(net, acts, grad_out, extra=None):
 @pytest.mark.bits
 @pytest.mark.parametrize("sizes", [[3, 1], [4, 6, 1], [5, 7, 4, 3]])
 def test_backward_and_adjoints_bit_equal_to_interleaved_pass(sizes):
+    """A `batch_pass`'s activations, parameter gradient and pre-activation
+    adjoints (through the input adjoint they give) against `forward_cached`
+    and the interleaved reverse pass."""
     rng = np.random.default_rng(len(sizes))
     for seed in range(10):
         net = Mlp(sizes, seed=seed)
@@ -315,12 +337,17 @@ def test_backward_and_adjoints_bit_equal_to_interleaved_pass(sizes):
         _, acts = net.forward_cached(rng.normal(size=(rows, sizes[0])) * 3.0)
         g = rng.normal(size=(rows, sizes[-1]))
         extra = rng.normal(size=(rows, sizes[-2])) if seed % 2 and len(sizes) > 2 else None
-        want_grads, want_ga = _interleaved_backward(net, acts, g, extra)
-        grads = net.backward(acts, g, extra_last_hidden_grad=extra)
-        gzs = net.adjoints(acts, g, extra_last_hidden_grad=extra)
+        want_grads, want_ga = interleaved_backward(net, acts, g, extra)
+        grads = np.empty(net.n_params)
+        bp = net.batch_pass(rows, grads)
+        bp.x[...] = acts[0]
+        bp.forward()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(bp.acts, acts, strict=True))
+        bp.g[...] = g
+        net.backward(bp, extra)
         assert grads.tobytes() == want_grads.tobytes()
-        assert net.input_adjoint(gzs).tobytes() == want_ga.tobytes()
-        assert len(gzs) == net.n_layers
+        assert np.dot(bp.gzs[0], net.weights[0]).tobytes() == want_ga.tobytes()
+        assert len(bp.gzs) == net.n_layers
 
 
 
@@ -346,11 +373,12 @@ ROW_SHAPES = [[3, 1], [1, 5, 1], [6, 16, 1], [8, 8, 3], [4, 64, 3], [9, 32, 32, 
 @pytest.mark.bits
 @pytest.mark.parametrize("sizes", ROW_SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_row_path_bit_equal_to_one_row_batch(sizes):
-    """forward, forward_cached and adjoints on a 1-D row against the same
-    calls on the (1, n) batch and against the `@` reference, and the row's
-    parameter gradient (`summed_row_gradient` over a one-row stack) against
-    `backward` on the batch: outputs, activations, adjoints and parameter
-    gradients bit for bit."""
+    """forward and forward_cached on a 1-D row against the same calls on the
+    (1, n) batch, a one-row `batch_pass` and the `@` reference, and the
+    row's parameter gradient (`summed_row_gradient` over the one-row pass's
+    adjoint stacks) against `backward` on that pass and the interleaved
+    reference: outputs, activations, input adjoints and parameter gradients
+    bit for bit."""
     rng = np.random.default_rng(sizes)
     for seed in range(30):
         net = Mlp(sizes, seed=seed)
@@ -369,17 +397,20 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
         for a, a_b, a_r in zip(acts, acts_b, acts_r, strict=True):
             assert a.tobytes() == a_b.tobytes() == a_r.tobytes()
 
-        gzs = net.adjoints(acts, g, extra)
-        gzs_b = net.adjoints(acts_b, g[None, :], extra_b)
-        for gz, gz_b in zip(gzs, gzs_b, strict=True):
-            assert gz.ndim == 1 and gz.tobytes() == gz_b.tobytes()
-        grads = net.summed_row_gradient([gz[None] for gz in gzs[::-1]], [a[None] for a in acts])
-        grads_b = net.backward(acts_b, g[None, :], extra_b)
-        grads_r, gx_r = _interleaved_backward(net, acts_r, g, extra)
-        gx, gx_b = net.input_adjoint(gzs), net.input_adjoint(gzs_b)
+        grads_b = np.empty(net.n_params)
+        bp = net.batch_pass(1, grads_b)
+        bp.x[0] = x
+        bp.forward()
+        assert bp.out[0].tobytes() == out.tobytes()
+        assert all(a.tobytes() == a_b[0].tobytes() for a, a_b in zip(acts, bp.acts, strict=True))
+        bp.g[0] = g
+        net.backward(bp, extra_b)
+        grads = net.summed_row_gradient(bp.gzs, bp.acts)
+        grads_r, gx_r = interleaved_backward(net, acts_r, g, extra)
+        gx = np.dot(bp.gzs[0], net.weights[0])[0]
         assert grads.shape == net.params.shape and gx.shape == (sizes[0],)
         assert grads.tobytes() == grads_b.tobytes() == grads_r.tobytes()
-        assert gx.tobytes() == gx_b.tobytes() == gx_r.tobytes()
+        assert gx.tobytes() == gx_r.tobytes()
 
         # batches of several rows: np.dot products against the `@` reference
         xs = rng.normal(size=(1 + seed % 7, sizes[0]))

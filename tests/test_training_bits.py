@@ -1,14 +1,17 @@
 """The training steps against copies of the step code they replaced, byte for byte.
 
 The copies below are the reverse pass that built the parameter gradient
-from per-layer parts, one concatenate and an added 0.0; the imitation step
-around it; and the BPTT rollout that added every step's full gradient into
-its sum (`pgrads += backward(...)`), on numpy output and control records.
-The current code writes the gradient in place, computes the input adjoint
-only where it is read, and forms the BPTT gradient once per rollout from
-per-layer stacks, in chunks of bounded size, on float adjoint records and
-with a one-output net's first reverse product taken as `g * W[0]`; every
-output byte must stay the same.
+from per-layer parts, one concatenate and an added 0.0; the unbound batch
+passes, which allocated every activation, adjoint and gradient term afresh
+on each step, with the Adam update that allocated its terms too; the
+imitation and `nnet.train` loops around them; and the BPTT rollout that
+added every step's full gradient into its sum (`pgrads += backward(...)`),
+on numpy output and control records. The current code runs each batch
+through buffers bound once per run (`Mlp.batch_pass`), writes the gradient
+in place, computes the input adjoint only where it is read, and forms the
+BPTT gradient once per rollout from per-layer stacks, in chunks of bounded
+size, on float adjoint records and with a one-output net's first reverse
+product taken as `g * W[0]`; every output byte must stay the same.
 """
 
 import itertools
@@ -21,7 +24,7 @@ from loopbench.neuro import (
     DualDatasetMix, GainScheduler, NeuralController, bptt_loss_and_grad, train_imitation,
 )
 from loopbench.errors import DataError, SimulationDiverged
-from loopbench.nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize
+from loopbench.nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize, train
 from test_neuro import _identity_narx
 from test_surrogate import random_narx
 
@@ -42,9 +45,8 @@ def ref_forward_cached(net, x):
     return np.dot(a, net.weights[-1].T) + net.biases[-1], acts
 
 
-def ref_backward(net, acts, grad_out, extra=None):
-    """(parameter gradient from per-layer parts, one concatenate and an added
-    0.0; the input adjoint, always computed)."""
+def ref_adjoints(net, acts, grad_out, extra=None):
+    """(each layer's pre-activation adjoint, last layer first; the input adjoint)."""
     g = np.asarray(grad_out, dtype=float)
     gzs = [g]
     ga = np.dot(g, net.weights[-1])
@@ -54,6 +56,13 @@ def ref_backward(net, acts, grad_out, extra=None):
         gz = ga * (1.0 - acts[l + 1] ** 2)
         gzs.append(gz)
         ga = np.dot(gz, net.weights[l])
+    return gzs, ga
+
+
+def ref_backward(net, acts, grad_out, extra=None):
+    """(parameter gradient from per-layer parts, one concatenate and an added
+    0.0; the input adjoint, always computed)."""
+    gzs, ga = ref_adjoints(net, acts, grad_out, extra)
     parts = []  # last layer first, bias before weights
     for l, gz in zip(range(net.n_layers - 1, -1, -1), gzs):
         if acts[0].ndim == 1:
@@ -63,6 +72,54 @@ def ref_backward(net, acts, grad_out, extra=None):
     return np.concatenate(parts[::-1]) + 0.0, ga
 
 
+def unbound_forward_cached(net, x):
+    """The batch forward pass on a fresh product per layer, bias and tanh
+    added in place."""
+    a = np.asarray(x, dtype=float)
+    acts = [a]
+    for l in range(net.n_layers - 1):
+        a = np.dot(a, net.weights[l].T)
+        a += net.biases[l]
+        acts.append(np.tanh(a, out=a))
+    return np.dot(a, net.weights[-1].T) + net.biases[-1], acts
+
+
+def unbound_backward(net, acts, grad_out, extra=None):
+    """(the batch gradient written through per-layer views of a new vector,
+    then 0.0 added; the input adjoint), from fresh adjoint arrays."""
+    gzs = [np.asarray(grad_out, dtype=float)]
+    for l in range(net.n_layers - 2, -1, -1):
+        ga = np.dot(gzs[-1], net.weights[l + 1])
+        if extra is not None:
+            ga += extra
+            extra = None
+        gzs.append(ga * (1.0 - acts[l + 1] ** 2))
+    out = np.empty(net.n_params)
+    weights, biases = net._views(out)
+    for l, gz in zip(range(net.n_layers - 1, -1, -1), gzs):
+        np.add.reduce(gz, axis=0, out=biases[l])
+        np.dot(gz.T, acts[l], out=weights[l])
+    out += 0.0
+    return out, np.dot(gzs[-1], net.weights[0])
+
+
+class UnboundAdam(Adam):
+    """Adam whose update allocates each of its terms."""
+
+    def step(self, params, grads):
+        self.t += 1
+        self.m *= 0.9
+        self.m += (1.0 - 0.9) * grads
+        self.v *= 0.999
+        self.v += (1.0 - 0.999) * grads ** 2
+        m_hat = self.m / (1.0 - 0.9 ** self.t)
+        v_hat = self.v / (1.0 - 0.999 ** self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+UNBOUND = (unbound_forward_cached, unbound_backward, UnboundAdam)
+
+
 # no to three hidden layers; 1- and 3-wide outputs
 SHAPES = [[3, 1], [1, 5, 1], [6, 16, 1], [8, 8, 3], [9, 32, 32, 1], [5, 7, 4, 3],
           [9, 32, 32, 32, 1], [2, 64, 48, 64, 3]]
@@ -70,38 +127,41 @@ SHAPES = [[3, 1], [1, 5, 1], [6, 16, 1], [8, 8, 3], [9, 32, 32, 1], [5, 7, 4, 3]
 
 @pytest.mark.parametrize("sizes", SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_backward_bit_equal_to_concatenated_parts(sizes):
-    """Batches of 1 to 64 rows through `backward`, into a new vector and into
-    a slice of a longer one, and rows through `summed_row_gradient`, with and
-    without an extra adjoint at the last hidden activation; zero adjoint
-    entries check the sign of zero."""
+    """Batches of 1 to 64 rows through a `batch_pass` bound once per batch
+    size and run three times on fresh rows, its gradient into a slice of a
+    longer vector, with and without an extra adjoint at the last hidden
+    activation, and 1-D rows through `summed_row_gradient` on a one-row
+    pass's adjoint stacks; zero adjoint entries check the sign of zero."""
     rng = np.random.default_rng(sizes)
     for seed in range(24):
         net = Mlp(sizes, seed=seed)
         for b in net.biases:
             b[...] = rng.normal(size=b.shape) * 0.5
         lead = () if seed % 3 == 0 else (int(rng.choice([1, 2, 7, 64])),)
-        x = rng.normal(size=lead + (sizes[0],)) * (1e-3, 1.0, 50.0)[seed % 3]
-        out, acts = net.forward_cached(x)
-        out_r, acts_r = ref_forward_cached(net, x)
-        assert out.tobytes() == out_r.tobytes()
-        assert all(a.tobytes() == a_r.tobytes() for a, a_r in zip(acts, acts_r, strict=True))
-
-        g = rng.normal(size=lead + (sizes[-1],))
-        g[..., 0] = 0.0 if seed % 4 == 1 else g[..., 0]
-        extra = None
-        if len(sizes) > 2 and seed % 2:
-            extra = rng.normal(size=lead + (sizes[-2],))
-        want, want_gx = ref_backward(net, acts, g, extra)
-        assert net.input_adjoint(net.adjoints(acts, g, extra)).tobytes() == want_gx.tobytes()
-        if not lead:  # a row's gradient is a sum over a one-row stack
-            got = net.summed_row_gradient([gz[None] for gz in net.adjoints(acts, g, extra)[::-1]],
-                                          [a[None] for a in acts])
-            assert got.tobytes() == want.tobytes()
-            continue
-        assert net.backward(acts, g, extra).tobytes() == want.tobytes()
         buf = np.full(net.n_params + 5, np.nan)
-        assert net.backward(acts, g, extra, out=buf[2:-3]) is not None
-        assert buf[2:-3].tobytes() == want.tobytes() and np.isnan(buf[[0, 1, -3, -2, -1]]).all()
+        bp = net.batch_pass(lead[0] if lead else 1, buf[2:-3])
+        for _ in range(3):
+            x = rng.normal(size=lead + (sizes[0],)) * (1e-3, 1.0, 50.0)[seed % 3]
+            out_r, acts_r = ref_forward_cached(net, x)
+            bp.x[...] = x
+            bp.forward()
+            assert bp.out.tobytes() == out_r.tobytes()
+            assert all(a.tobytes() == a_r.tobytes() for a, a_r in zip(bp.acts, acts_r, strict=True))
+
+            g = rng.normal(size=lead + (sizes[-1],))
+            g[..., 0] = 0.0 if seed % 4 == 1 else g[..., 0]
+            extra = None
+            if len(sizes) > 2 and seed % 2:
+                extra = rng.normal(size=lead + (sizes[-2],))
+            want, want_gx = ref_backward(net, acts_r, g, extra)
+            bp.g[...] = g
+            net.backward(bp, None if extra is None else np.atleast_2d(extra))
+            assert np.dot(bp.gzs[0], net.weights[0]).tobytes() == want_gx.tobytes()
+            if not lead:  # a row's gradient is a sum over a one-row stack
+                got = net.summed_row_gradient(bp.gzs, bp.acts)
+                assert got.tobytes() == want.tobytes()
+                continue
+            assert buf[2:-3].tobytes() == want.tobytes() and np.isnan(buf[[0, 1, -3, -2, -1]]).all()
 
 
 @pytest.mark.parametrize("sizes", [[3, 1], [8, 8, 3], [9, 32, 32, 1], [9, 512, 512, 1],
@@ -119,7 +179,7 @@ def test_summed_row_gradient_bit_equal_to_running_sum(sizes):
         for i in range(int(rng.integers(1, 41)) if sizes[1] < 100 else 10):
             _, acts = net.forward_cached(rng.normal(size=sizes[0]) * 2.0)
             g = rng.normal(size=sizes[-1]) * (0.0 if i % 5 == 2 else 1.0)
-            passes.append((net.adjoints(acts, g, None)[::-1], acts))
+            passes.append((ref_adjoints(net, acts, g)[0][::-1], acts))
             want += ref_backward(net, acts, g)[0]
         order = -1 if seed % 2 else 1
         gzs, acts = ([np.array(layer[::order])[::order] for layer in zip(*part)]
@@ -151,8 +211,8 @@ def test_one_output_shortcut_equal_to_gemv_but_for_the_sign_of_zero():
 @pytest.mark.parametrize("sizes", SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_row_input_adjoint_bit_equal_to_adjoints(sizes):
     """Stacks of 1 to 9 row passes: each pass's input adjoint and the rows
-    `row_input_adjoint` writes into the adjoint stacks against
-    `input_adjoint` and `adjoints` on that pass, bit for bit once +0.0 is
+    `row_input_adjoint` writes into the adjoint stacks against the
+    reference adjoints of that pass, bit for bit once +0.0 is
     added (the one-output shortcut may give -0.0 where they give +0.0), and
     their `summed_row_gradient` against the running sum of the reference
     gradients, bit for bit; some passes have zero adjoints."""
@@ -169,8 +229,8 @@ def test_row_input_adjoint_bit_equal_to_adjoints(sizes):
             g = rng.normal(size=sizes[-1]) * (0.0 if k % 3 == 1 else 1.0)
             g_in = float(g[0]) if sizes[-1] == 1 else g
             gx = net.row_input_adjoint(g_in, slopes, k, gzs)
-            want_gzs = net.adjoints(passes[k], g, None)
-            assert (gx + 0.0).tobytes() == (net.input_adjoint(want_gzs) + 0.0).tobytes()
+            want_gzs, want_gx = ref_adjoints(net, passes[k], g)
+            assert (gx + 0.0).tobytes() == (want_gx + 0.0).tobytes()
             assert all((gz[k] + 0.0).tobytes() == (w + 0.0).tobytes()
                        for gz, w in zip(gzs, want_gzs[::-1], strict=True))
             assert (net.row_input_adjoint(g_in, slopes, k) + 0.0).tobytes() == (gx + 0.0).tobytes()
@@ -189,9 +249,12 @@ def _split(ds, fraction=0.75):
     return SupervisedDataset(ds.x[:k], ds.y[:k]), SupervisedDataset(ds.x[k:], ds.y[k:])
 
 
-def ref_train_imitation(nc, mix, cfg, aux_weight=0.0):
-    """`train_imitation` with the reference passes, a gradient concatenated
-    per step and `np.mean` losses."""
+def ref_train_imitation(nc, mix, cfg, aux_weight=0.0,
+                        passes=(ref_forward_cached, ref_backward, Adam)):
+    """`train_imitation` with the given forward pass, reverse pass and Adam
+    class (by default the reference passes), a gradient concatenated per
+    step and `np.mean` losses."""
+    forward, backward, adam_cls = passes
     a_train, a_val = _split(mix.a)
     b_train, b_val = _split(mix.b)
     work = nc.copy()
@@ -208,12 +271,12 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0):
         params = np.empty(work.mlp.n_params + work.aux.n_params)
         work.mlp.bind(params[:work.mlp.n_params])
         work.aux.bind(params[work.mlp.n_params:])
-    adam = Adam(params.size, cfg.learning_rate)
+    adam = adam_cls(params.size, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
 
     def loss_and_step(rows):
         ys = train_y[rows]
-        z, acts = ref_forward_cached(work.mlp, train_xn[rows])
+        z, acts = forward(work.mlp, train_xn[rows])
         th = np.tanh(z[:, :1])
         u_hat = work.center + work.half_span * th
         diff = u_hat - ys[:, :1]
@@ -221,12 +284,12 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0):
         gz = (2.0 * diff / diff.size) * work.half_span * (1.0 - th ** 2)
         extra = None
         if has_aux:
-            d_hat, acts_aux = ref_forward_cached(work.aux, acts[-1])
+            d_hat, acts_aux = forward(work.aux, acts[-1])
             d_diff = d_hat - ys[:, 1:2]
             loss += aux_weight * float(np.mean(d_diff ** 2))
-            grads_aux, extra = ref_backward(work.aux, acts_aux,
+            grads_aux, extra = backward(work.aux, acts_aux,
                                             aux_weight * 2.0 * d_diff / d_diff.size)
-        grads, _ = ref_backward(work.mlp, acts, gz, extra)
+        grads, _ = backward(work.mlp, acts, gz, extra)
         if has_aux:
             grads = np.concatenate([grads, grads_aux])
         adam.step(params, grads)
@@ -234,7 +297,7 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0):
 
     def val_rmse(split):
         xn, u_teacher = split
-        u_hat = work.center + work.half_span * np.tanh(ref_forward_cached(work.mlp, xn)[0][:, :1])
+        u_hat = work.center + work.half_span * np.tanh(forward(work.mlp, xn)[0][:, :1])
         return float(np.sqrt(np.mean((u_hat - u_teacher) ** 2)))
 
     n_batches = max((len(a_train) + len(b_train)) // cfg.batch_size, 1)
@@ -291,6 +354,114 @@ def test_train_imitation_bit_equal_to_concatenated_steps(with_aux):
         assert repr(res.history) == repr(history)
         assert repr(res.a_fraction) == repr(a_fraction)
         assert repr((res.val_rmse_a, res.val_rmse_b)) == repr((rmse_a, rmse_b))
+
+
+@pytest.mark.parametrize("hidden", [[16], [32, 32]], ids=["9-16-1", "9-32-32-1"])
+@pytest.mark.parametrize("head", [None, 0.0, 0.5], ids=["trunk", "beta-0", "beta-0.5"])
+def test_bound_imitation_steps_bit_equal_to_unbound_steps(hidden, head):
+    """510 imitation steps of batch 48 (17 per epoch, 30 epochs; not a power
+    of two, so that dividing by it rounds) on one binding against the unbound
+    passes and Adam: final parameters, history, A-share and validation RMSE
+    byte for byte, without the disturbance head and with it at beta 0 (its
+    adjoint is zeros of either sign) and 0.5."""
+    rng = np.random.default_rng([len(hidden), 24])
+    aux = None if head is None else Mlp([hidden[-1], 1], seed=3)
+    nc = NeuralController(Mlp([9, *hidden, 1], seed=2), u_min=-1.5, u_max=2.0, memory=4, aux=aux)
+    mix = _mix(rng, 560, head is not None)
+    cfg = TrainConfig(learning_rate=0.005, batch_size=48, max_epochs=30, patience=30, seed=5)
+    res = train_imitation(nc, mix, cfg, aux_weight=head or 0.0)
+    ref, history, a_fraction, rmse_a, rmse_b = ref_train_imitation(nc, mix, cfg, head or 0.0,
+                                                                   UNBOUND)
+    assert len(history) == 30
+    assert res.controller.mlp.params.tobytes() == ref.mlp.params.tobytes()
+    if head is not None:
+        assert res.controller.aux.params.tobytes() == ref.aux.params.tobytes()
+    assert repr(res.history) == repr(history)
+    assert repr(res.a_fraction) == repr(a_fraction)
+    assert repr((res.val_rmse_a, res.val_rmse_b)) == repr((rmse_a, rmse_b))
+
+
+# ---------------------------------------------------------------------------
+# nnet.train and Adam
+# ---------------------------------------------------------------------------
+
+def ref_train(net, data, val, cfg):
+    """`nnet.train` on the unbound passes and Adam, each batch's rows gathered
+    by fancy indexing."""
+    forward, backward, adam_cls = UNBOUND
+    work = net.copy()
+    rng = np.random.default_rng(cfg.seed)
+    adam = adam_cls(work.n_params, cfg.learning_rate)
+    history, best_epoch, best_val, best_net, wait = [], -1, math.inf, net.copy(), 0
+    for epoch in range(cfg.max_epochs):
+        perm = rng.permutation(len(data))
+        losses = []
+        for start in range(0, len(data), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            out, acts = forward(work, data.x[idx])
+            diff = out - data.y[idx]
+            losses.append(float(np.mean(diff ** 2)))
+            adam.step(work.params, backward(work, acts, 2.0 * diff / diff.size)[0])
+        val_loss = float(np.mean((forward(work, val.x)[0] - val.y) ** 2))
+        history.append((float(np.mean(losses)), val_loss))
+        if val_loss < best_val:
+            best_val, best_epoch, best_net, wait = val_loss, epoch, work.copy(), 0
+        else:
+            wait += 1
+            if wait > cfg.patience:
+                break
+    return best_net, history, best_epoch, best_val
+
+
+@pytest.mark.parametrize("sizes, n, batch, epochs", [
+    ([5, 16, 1], 203, 32, 75),  # 6 full batches and a remainder of 11: 525 steps
+    ([9, 32, 32, 1], 203, 32, 75),
+    ([4, 8, 3], 96, 32, 20),  # no remainder
+    ([3, 6, 1], 20, 64, 30),  # one batch, smaller than the batch size
+], ids=["5-16-1", "9-32-32-1", "4-8-3", "3-6-1"])
+def test_bound_train_bit_equal_to_unbound_steps(sizes, n, batch, epochs):
+    """`nnet.train`'s bound full and remainder batches against the unbound
+    passes and Adam: best parameters, history and best epoch byte for byte."""
+    rng = np.random.default_rng([n, *sizes])
+    x = rng.normal(size=(n + 40, sizes[0]))
+    y = np.tanh(x[:, :sizes[-1]] * 1.5) + 0.1 * rng.normal(size=(n + 40, sizes[-1]))
+    data, val = SupervisedDataset(x[:n], y[:n]), SupervisedDataset(x[n:], y[n:])
+    net = Mlp(sizes, seed=len(sizes))
+    cfg = TrainConfig(learning_rate=0.01, batch_size=batch, max_epochs=epochs, patience=epochs,
+                      seed=9)
+    res = train(net, data, val, cfg)
+    best, history, best_epoch, best_val = ref_train(net, data, val, cfg)
+    assert len(history) == epochs
+    assert res.net.params.tobytes() == best.params.tobytes()
+    assert repr(res.history) == repr(history)
+    assert (res.best_epoch, repr(res.best_val_loss)) == (best_epoch, repr(best_val))
+
+
+def test_adam_step_bit_equal_to_out_of_place_formula():
+    """1,000 in-place steps on the scratch vectors against the out-of-place
+    formula, moments and parameters byte for byte after every step, with
+    gradients spanning the subnormal range to 1e3, zeros of both signs, the
+    smallest subnormal, and one 1e300 whose square overflows."""
+    rng = np.random.default_rng(1000)
+    n, lr = 64, 1e-3
+    params = rng.normal(size=n)
+    want, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    adam = Adam(n, lr)
+    with np.errstate(over="ignore"):
+        for t in range(1, 1001):
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-320.0, 3.0, size=n)
+            g[t % n], g[(t + 1) % n], g[(t + 2) % n] = -0.0, 0.0, -5e-324
+            if t == 500:
+                g[7] = 1e300
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g ** 2
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            adam.step(params, g)
+            assert adam.m.tobytes() == m.tobytes() and adam.v.tobytes() == v.tobytes(), t
+            assert params.tobytes() == want.tobytes(), t
+    assert np.isinf(v[7]) and np.isfinite(params).all()
 
 
 # ---------------------------------------------------------------------------
