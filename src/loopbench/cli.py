@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .dataio import format_column, from_trajectory, generate_excitation, read_timeseries, \
-    resample_uniform, write_columns, write_csv, write_json, write_timeseries
+from .dataio import format_column, from_trajectory, generate_excitation, prbs_bits, \
+    read_timeseries, resample_uniform, write_columns, write_csv, write_json, write_timeseries
 from .errors import ConfigError, DataError, NumericalFailure
 from .metrics import ComparisonTable, compare, compute_step_metrics
 from .neuro import (
-    DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
+    GainScheduler, NeuralControlLoop, NeuralController,
     imitation_data_from_run, train_bptt, train_imitation, tune_static_ai,
 )
 from .nnet import Mlp, load_model, save_model
@@ -154,8 +154,6 @@ def cmd_tune(args) -> int:
 
 def _coverage_reference(sim, level: float, seed: int) -> np.ndarray:
     """Dataset-A style reference: piecewise-constant pseudo-random levels."""
-    from .dataio import prbs_bits
-
     bits = prbs_bits(6, seed=seed)
     hold = max(int(round(sim.n_steps / len(bits))), 8)
     idx = (np.arange(sim.n_steps) // hold) % len(bits)
@@ -176,16 +174,7 @@ def _teacher_runs(cfg, sim, limits):
         runs_a.append(simulate(plant, PidController(teacher_gains), ref_a, cfg_i, dist, sensor))
         ref_b = level * (i + 1) / count
         runs_b.append(simulate(plant, PidController(teacher_gains), ref_b, cfg_i, dist, sensor))
-    return runs_a, runs_b, teacher_gains
-
-
-def _stack_datasets(runs, memory, with_d):
-    from .nnet import SupervisedDataset
-
-    parts = [imitation_data_from_run(r, memory, with_disturbance=with_d) for r in runs]
-    x = np.vstack([p.x for p in parts])
-    y = np.vstack([p.y for p in parts])
-    return SupervisedDataset(x, y)
+    return runs_a, runs_b
 
 
 def cmd_train_controller(args) -> int:
@@ -200,16 +189,15 @@ def cmd_train_controller(args) -> int:
         tc = cfgmod.train_config_from(tr)
 
         if tr["mode"] == "imitation":
-            runs_a, runs_b, _ = _teacher_runs(cfg, sim, limits)
+            runs_a, runs_b = _teacher_runs(cfg, sim, limits)
             beta = tr["beta"]
             with_d = beta > 0.0
-            mix = DualDatasetMix(_stack_datasets(runs_a, memory, with_d),
-                                 _stack_datasets(runs_b, memory, with_d),
-                                 lam=tr["lambda"])
             aux = Mlp([hidden[-1], 1], seed=tc.seed + 1000) if with_d else None
             nc = NeuralController(Mlp([1 + 2 * memory, *hidden, 1], seed=tc.seed),
                                   u_min=limits[0], u_max=limits[1], memory=memory, aux=aux)
-            result = train_imitation(nc, mix, tc, aux_weight=beta)
+            result = train_imitation(nc, imitation_data_from_run(runs_a, memory, with_d),
+                                     imitation_data_from_run(runs_b, memory, with_d),
+                                     tr["lambda"], tc, aux_weight=beta)
             save_model(result.controller, out / "controller.weights",
                        extras={"mode": "imitation", "lambda": tr["lambda"], "beta": beta})
             write_csv(out / "training_curve.csv",

@@ -228,21 +228,9 @@ class ScheduledPidController:
 # Imitation training with dual-dataset mixing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DualDatasetMix:
-    """Coverage set A and operational set B, mixed A-fraction lam per batch."""
-
-    a: SupervisedDataset
-    b: SupervisedDataset
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("mix ratio must be in [0, 1]")
-
-
-def imitation_data_from_run(traj, m: int, with_disturbance: bool) -> SupervisedDataset:
-    """(features -> teacher control) pairs replayed from a closed-loop record.
+def imitation_data_from_run(runs, m: int, with_disturbance: bool) -> SupervisedDataset:
+    """(features -> teacher control) pairs replayed from closed-loop records,
+    each run's rows after the previous run's.
 
     Each row holds, bit for bit, what `NeuralController.features` gives the
     deployed controller, with the teacher's own outputs in the control
@@ -250,21 +238,25 @@ def imitation_data_from_run(traj, m: int, with_disturbance: bool) -> SupervisedD
     `with_disturbance`, rows also carry the next-step disturbance as a second
     target column for the auxiliary head.
     """
-    n = len(traj.t)
-    if n < 2:  # the last sample has no next step, so one sample gives no row
-        raise ValueError("input and target row counts differ")
-    # zero-warm records: step k's windows are y_pad[k:k+m] and u_pad[k:k+m],
-    # and its row is `features(w[k], y window, u window)`, each window reversed
-    y_pad = np.concatenate([np.zeros(m - 1), np.asarray(traj.y_meas, dtype=float)])
-    u_pad = np.concatenate([np.zeros(m), np.asarray(traj.u, dtype=float)])
-    x = np.empty((n - 1, 1 + 2 * m))
-    x[:, 0] = traj.w[:n - 1]
-    x[:, 1:m + 1] = sliding_window_view(y_pad, m)[:n - 1, ::-1]
-    x[:, m + 1:] = sliding_window_view(u_pad, m)[:n - 1, ::-1]
-    targets = [u_pad[m:m + n - 1]]
-    if with_disturbance:
-        targets.append(np.asarray(traj.d, dtype=float)[1:n])
-    return SupervisedDataset(x, np.column_stack(targets))
+    xs, ys = [], []
+    for traj in runs:
+        n = len(traj.t)
+        if n < 2:  # the last sample has no next step, so one sample gives no row
+            raise ValueError(f"a teacher run needs at least two samples, got {n}")
+        # zero-warm records: step k's windows are y_pad[k:k+m] and u_pad[k:k+m],
+        # and its row is `features(w[k], y window, u window)`, each window reversed
+        y_pad = np.concatenate([np.zeros(m - 1), np.asarray(traj.y_meas, dtype=float)])
+        u_pad = np.concatenate([np.zeros(m), np.asarray(traj.u, dtype=float)])
+        x = np.empty((n - 1, 1 + 2 * m))
+        x[:, 0] = traj.w[:n - 1]
+        x[:, 1:m + 1] = sliding_window_view(y_pad, m)[:n - 1, ::-1]
+        x[:, m + 1:] = sliding_window_view(u_pad, m)[:n - 1, ::-1]
+        targets = [u_pad[m:m + n - 1]]
+        if with_disturbance:
+            targets.append(np.asarray(traj.d, dtype=float)[1:n])
+        xs.append(x)
+        ys.append(np.column_stack(targets))
+    return SupervisedDataset(np.vstack(xs), np.vstack(ys))
 
 
 @dataclass
@@ -276,9 +268,11 @@ class ImitationResult:
     val_rmse_b: float = field(init=False, default=math.nan)
 
 
-def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
-                    aux_weight: float) -> ImitationResult:
-    """Clone a teacher control law by lam-mixed supervised regression.
+def train_imitation(nc: NeuralController, a: SupervisedDataset, b: SupervisedDataset, lam: float,
+                    cfg: TrainConfig, aux_weight: float) -> ImitationResult:
+    """Clone a teacher control law by supervised regression on coverage set
+    `a` and operational set `b`, each batch drawing a fraction `lam` of its
+    rows from `a`.
 
     Targets are teacher controls in actuator units; the loss is taken after
     the tanh squash so the trained network is exactly what deploys. When the
@@ -287,7 +281,7 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
     trunk and head together, one Adam update per batch.
     """
     blocks = []
-    for ds in (mix.a, mix.b):  # the last quarter of each set validates
+    for ds in (a, b):  # the last quarter of each set validates
         k = split_contiguous(len(ds), 0.25)
         if k < 1 or len(ds) - k < 1:
             raise DataError("dataset too small for a train/validation split")
@@ -377,7 +371,7 @@ def train_imitation(nc: NeuralController, mix: DualDatasetMix, cfg: TrainConfig,
         losses = []
         a_draws = 0
         for _ in range(n_batches):
-            from_a = rng.random(cfg.batch_size) < mix.lam
+            from_a = rng.random(cfg.batch_size) < lam
             na = int(np.count_nonzero(from_a))
             a_draws += na
             rows[:na] = rng.integers(0, len(a_train), size=na)

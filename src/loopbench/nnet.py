@@ -101,10 +101,6 @@ class Mlp:
         self._view_params()
 
     @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
     def n_params(self) -> int:
         return self.params.size
 

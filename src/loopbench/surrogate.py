@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import split_contiguous, uniform_dt
 from .errors import DataError, SimulationDiverged
@@ -28,27 +29,26 @@ def lag_features(y_window, u_window, p: int, q: int) -> list:
     return [*y_window[:-p - 1:-1], *u_window[:-q - 1:-1]]
 
 
-def make_regression_dataset(traj, p: int, q: int) -> SupervisedDataset:
-    """One-step regression rows from a uniformly sampled trajectory.
+def make_regression_dataset(y: np.ndarray, u: np.ndarray, p: int, q: int) -> SupervisedDataset:
+    """One-step regression rows from output and input records sampled on a
+    uniform grid (which the caller checks).
 
     Row k holds p output lags and q input lags with target y(k+1); rows run
     from k = max(p, q) to N-2, so an N-sample series yields N-1-max(p, q)
-    rows.
+    rows. Row k is `lag_features(y[:k+1], u[:k+1], p, q)`, copied out of
+    reversed sliding windows.
     """
     if p < 1 or q < 1:
         raise ValueError("lag orders must be >= 1")
-    uniform_dt(traj.t)
-    y = np.asarray(traj.y, dtype=float)
-    u = np.asarray(traj.u, dtype=float)
     n = len(y)
     if n <= p + q + 1:
         raise DataError(f"need more than p+q+1 = {p + q + 1} samples, got {n}")
     k0 = max(p, q)
-    y_list, u_list = y.tolist(), u.tolist()
-    rows = np.array([lag_features(y_list[k - p + 1:k + 1], u_list[k - q + 1:k + 1], p, q)
-                     for k in range(k0, n - 1)])
-    targets = y[k0 + 1:n].reshape(-1, 1)
-    return SupervisedDataset(rows, targets)
+    x = np.empty((n - 1 - k0, p + q))
+    # the window ending at sample k starts at k - p + 1 (outputs), k - q + 1 (inputs)
+    x[:, :p] = sliding_window_view(y, p)[k0 - p + 1:n - p, ::-1]
+    x[:, p:] = sliding_window_view(u, q)[k0 - q + 1:n - q, ::-1]
+    return SupervisedDataset(x, y[k0 + 1:n].reshape(-1, 1))
 
 
 @dataclass
@@ -57,10 +57,9 @@ class NarxModel:
 
     Per-step prediction runs on Python floats around one 1-D row through
     `Mlp.forward_cached`; `rows_predictor` binds k rows to one
-    `Mlp.stacked_pass`, and `predict_rows` is one call of such a binding.
-    Float arithmetic rounds exactly as numpy's elementwise ops, so both are
-    bit-equal to the array form. The float copies of the normalization stats
-    are taken at construction.
+    `Mlp.stacked_pass`. Float arithmetic rounds exactly as numpy's
+    elementwise ops, so both are bit-equal to the array form. The float
+    copies of the normalization stats are taken at construction.
     """
 
     KIND = "narx-surrogate"
@@ -103,13 +102,14 @@ class NarxModel:
         return self.predict(y_window, u_window)[0]
 
     def rows_predictor(self, k: int):
-        """`predict_rows` bound to at most k windows: returns `predict(windows)`,
-        which packs the windows' lag features into one `Mlp.stacked_pass` input
-        with a single `struct.pack_into`, normalizes them in place against stats
-        tiled to its shape, runs the pass and denormalizes on floats. Buffers,
-        tiles and packer are made here, once, so a call allocates no array.
-        Fewer than k windows fill the spare rows with copies of the last one's
-        features, whose predictions are dropped; the rows are independent."""
+        """`predict_one` of up to k (y_window, u_window) pairs, bit for bit:
+        returns `predict(windows)`, which packs the windows' lag features into
+        one `Mlp.stacked_pass` input with a single `struct.pack_into`,
+        normalizes them in place against stats tiled to its shape, runs the
+        pass and denormalizes on floats. Buffers, tiles and packer are made
+        here, once, so a call allocates no array. Fewer than k windows fill
+        the spare rows with copies of the last one's features, whose
+        predictions are dropped; the rows are independent."""
         p, q, y_std, y_mean = self.p, self.q, self._y_std, self._y_mean
         n = p + q
         x, out, run = self.mlp.stacked_pass(k)
@@ -125,11 +125,6 @@ class NarxModel:
             run()
             return [v * y_std + y_mean for v in out.tolist()[:len(windows)]]
         return predict
-
-    def predict_rows(self, windows) -> list:
-        """`predict_one` of each (y_window, u_window) pair, bit for bit, through
-        one stacked pass (`rows_predictor`)."""
-        return self.rows_predictor(len(windows))(windows)
 
 
 @dataclass
@@ -171,12 +166,8 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig, hidden, val_fraction: 
     if n_train <= p + q + 1 or n - n_train <= max(p, q) + 1:
         raise DataError("record too short for the requested split and lag orders")
 
-    class _Block:
-        def __init__(self, sl):
-            self.t, self.y, self.u = traj.t[sl], y[sl], u[sl]
-
-    train_ds = make_regression_dataset(_Block(slice(0, n_train)), p, q)
-    val_ds = make_regression_dataset(_Block(slice(n_train, n)), p, q)
+    train_ds = make_regression_dataset(y[:n_train], u[:n_train], p, q)
+    val_ds = make_regression_dataset(y[n_train:], u[n_train:], p, q)
     x_mean, x_std = feature_stats(train_ds.x)
     y_mean, y_std = feature_stats(train_ds.y)
     train_n, val_n = (SupervisedDataset(normalize(ds.x, x_mean, x_std), normalize(ds.y, y_mean, y_std))
@@ -186,11 +177,14 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig, hidden, val_fraction: 
     result = train(net, train_n, val_n, cfg)
     model = NarxModel(result.net, p, q, dt, x_mean, x_std, y_mean, y_std)
 
+    # held-out one-step predictions: the normalized validation rows in one
+    # stacked pass, each row bit-equal to `predict_one` on its windows
+    x, out, run = model.mlp.stacked_pass(len(val_n))
+    x[:, 0] = val_n.x
+    run()
     val_y, val_u = y[n_train:], u[n_train:]
     k0 = max(p, q)
-    ys, us = val_y.tolist(), val_u.tolist()
-    preds = np.array(model.predict_rows([(ys[k + 1 - p:k + 1], us[k + 1 - q:k + 1])
-                                         for k in range(k0, len(val_y) - 1)]))
+    preds = out.reshape(-1) * y_std + y_mean
     one_step_rmse = float(np.sqrt(np.mean((preds - val_y[k0 + 1:]) ** 2)))
 
     # free run from the start of the held-out block: u_seq[i] is the input at

@@ -16,11 +16,11 @@ from loopbench.cli import main as cli_main
 from loopbench.dataio import ExcitationSpec, generate_excitation, prbs_bits, split_contiguous
 from loopbench.metrics import compute_step_metrics, measure_latency
 from loopbench.neuro import (
-    DualDatasetMix, GainScheduler, NeuralController, NeuralControlLoop,
+    GainScheduler, NeuralController, NeuralControlLoop,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run, train_bptt,
     train_imitation, tune_static_ai,
 )
-from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig, mse
+from loopbench.nnet import Mlp, TrainConfig, mse
 from loopbench.pid import PidController, PidGains, PidState, pid_step, pid_sync
 from loopbench.safety import BoundedBlender, SupervisedController, SwitchSupervisor
 from loopbench.simcore import (
@@ -266,17 +266,13 @@ def test_ac7_imitation_fidelity():
             runs_a.append(simulate(plant, PidController(zn),
                                    coverage_ref(cfg.n_steps, 1.0, seed=3 + i), cfg=cfg))
 
-        def stack(runs):
-            parts = [imitation_data_from_run(r, m, with_disturbance=False) for r in runs]
-            return SupervisedDataset(np.vstack([p.x for p in parts]),
-                                     np.vstack([p.y for p in parts]))
-
-        mix = DualDatasetMix(stack(runs_a), stack(runs_b), lam=0.25)
+        mix = (imitation_data_from_run(runs_a, m, with_disturbance=False),
+               imitation_data_from_run(runs_b, m, with_disturbance=False), 0.25)
         nc = NeuralController(Mlp([1 + 2 * m, 48, 1], seed=0), u_min=-lim, u_max=lim, memory=m)
-        res = train_imitation(nc, mix, TrainConfig(learning_rate=5e-3, batch_size=128,
-                                                   max_epochs=2500, patience=2500, seed=0),
+        res = train_imitation(nc, *mix, TrainConfig(learning_rate=5e-3, batch_size=128,
+                                                    max_epochs=2500, patience=2500, seed=0),
                               aux_weight=0.0)
-        res = train_imitation(res.controller, mix,
+        res = train_imitation(res.controller, *mix,
                               TrainConfig(learning_rate=1e-3, batch_size=128,
                                           max_epochs=2000, patience=2000, seed=1), aux_weight=0.0)
 

@@ -468,7 +468,8 @@ def test_train_controller_imitation_and_seed_repeat_identical(tmp_path):
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 def test_train_controller_on_a_one_sample_teacher_run_exits_2(tmp_path, capsys, beta):
     """A teacher run of one sample gives no imitation row (the last sample
-    has no next step); the command exits 2 without a traceback."""
+    has no next step); the command exits 2 without a traceback and names
+    the cause."""
     cfg = _train_cfg()
     cfg["sim"] = {"dt": 0.1, "horizon": 0.1, "seed": 5}
     cfg["training"]["beta"] = beta
@@ -476,7 +477,7 @@ def test_train_controller_on_a_one_sample_teacher_run_exits_2(tmp_path, capsys, 
             "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert capsys.readouterr().err == \
-        "config error: training: input and target row counts differ\n"
+        "config error: training: a teacher run needs at least two samples, got 1\n"
 
 
 def _bptt_cfg(horizon):

@@ -21,7 +21,7 @@ from loopbench.config import reference_from, resolve_config
 from loopbench.dataio import TimeSeries, write_timeseries
 from loopbench.errors import ControllerFault
 from loopbench.neuro import (
-    DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController,
+    GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController,
     train_imitation,
 )
 from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig
@@ -238,12 +238,11 @@ def test_trained_imitation_controller_deploys_with_its_fitted_stats(epochs):
     rng = np.random.default_rng(3)
     x = rng.normal(2.0, 3.0, size=(160, 5))
     y = np.tanh(x[:, :1] - 2.0)
-    mix = DualDatasetMix(SupervisedDataset(x[:80], y[:80]), SupervisedDataset(x[80:], y[80:]),
-                         lam=0.5)
     nc = NeuralController(Mlp([5, 6, 1], seed=1), u_min=-2.0, u_max=2.0, memory=2)
-    trained = train_imitation(nc, mix, TrainConfig(batch_size=16, max_epochs=epochs,
-                                                   learning_rate=1e-2, patience=10_000,
-                                                   seed=0),
+    trained = train_imitation(nc, SupervisedDataset(x[:80], y[:80]),
+                              SupervisedDataset(x[80:], y[80:]), 0.5,
+                              TrainConfig(batch_size=16, max_epochs=epochs, learning_rate=1e-2,
+                                          patience=10_000, seed=0),
                               aux_weight=0.0).controller
     assert not np.array_equal(trained.feat_mean, nc.feat_mean)
     assert not np.array_equal(trained.feat_std, nc.feat_std)

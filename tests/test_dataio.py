@@ -17,7 +17,7 @@ from loopbench.dataio import (
     write_timeseries,
 )
 from loopbench.errors import DataError, ParseError
-from loopbench.neuro import DualDatasetMix, NeuralController, train_imitation
+from loopbench.neuro import NeuralController, train_imitation
 from loopbench.nnet import Mlp, SupervisedDataset, TrainConfig
 from loopbench.simcore import ConstantController, PlantModel, LinearStateSpace, SimConfig, simulate
 
@@ -238,7 +238,7 @@ def test_split_floor_rule(monkeypatch):
     cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=200, patience=10_000, seed=0)
     t, zeros = np.arange(5000) * 0.1, np.zeros(5000)
     monkeypatch.setattr(surrogate, "make_regression_dataset",
-                        lambda block, p, q: _stop(len(block.y)))
+                        lambda y, u, p, q: _stop(len(y)))
     for val_fraction in (0.1, 0.25, 0.3, 0.5):
         for n in range(2, 5001):
             want = int(np.floor(n * (1.0 - val_fraction)))
@@ -265,7 +265,7 @@ def test_split_floor_rule(monkeypatch):
         if want < 1 or n - want < 1:
             want = "dataset too small for a train/validation split"
         try:
-            train_imitation(nc, DualDatasetMix(ds, ds, 0.5), cfg, aux_weight=0.0)
+            train_imitation(nc, ds, ds, 0.5, cfg, aux_weight=0.0)
         except DataError as exc:
             got = str(exc)
         except _Split as exc:
@@ -285,7 +285,7 @@ def test_split_too_short_rejected():
     # split 0/1
     with pytest.raises(DataError, match="^dataset too small for a train/validation split$"):
         train_imitation(NeuralController(Mlp([3, 2, 1], seed=0), -1.0, 1.0, memory=1),
-                        DualDatasetMix(one_row, one_row, 0.5),
+                        one_row, one_row, 0.5,
                         TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=200,
                                     patience=10_000, seed=0), aux_weight=0.0)
 
@@ -557,6 +557,28 @@ def test_every_public_definition_is_used_in_src():
     unused = [owner for owner, name in defined
               if owner not in UNREACHED_ON_PURPOSE
               and not any(n == name and o != owner for n, o in used)]
+    assert unused == [], "delete what nothing in src/ uses, or use it"
+
+
+def test_every_public_method_is_used_in_src():
+    """Each public method and property of a module-level class in
+    `src/loopbench` is read as an attribute of that name somewhere in `src/`
+    outside its own definition. Matching is by attribute name alone, so a
+    method shares its uses with every other of that name."""
+    src = Path(loopbench.__file__).parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            parts = [(None, stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                parts = [(f"{path.stem}.{stmt.name}.{m.name}"
+                          if isinstance(m, ast.FunctionDef) else None, m) for m in stmt.body]
+                defined += [(owner, m.name) for owner, m in parts
+                            if owner is not None and not m.name.startswith("_")]
+            used.update((node.attr, owner) for owner, part in parts
+                        for node in ast.walk(part) if isinstance(node, ast.Attribute))
+    unused = [owner for owner, name in defined
+              if not any(n == name and o != owner for n, o in used)]
     assert unused == [], "delete what nothing in src/ uses, or use it"
 
 

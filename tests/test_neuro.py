@@ -8,7 +8,7 @@ from loopbench import neuro
 from loopbench.dataio import split_contiguous
 from loopbench.errors import ControllerFault, NumericalFailure
 from loopbench.neuro import (
-    DualDatasetMix, GainScheduler, NeuralControlLoop, NeuralController,
+    GainScheduler, NeuralControlLoop, NeuralController,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run,
     _episode_cost_on_surrogate, _lockstep_costs, nelder_mead_bounded, train_bptt,
     train_imitation, tune_static_ai,
@@ -912,10 +912,10 @@ def _p_teacher_run(seed, n=2000):
     return r
 
 
-def _p_teacher_mix(lam):
-    return DualDatasetMix(imitation_data_from_run(_p_teacher_run(1), m=4, with_disturbance=False),
-                          imitation_data_from_run(_p_teacher_run(2), m=4,
-                                                  with_disturbance=False), lam=lam)
+def _p_teacher_mix(lam, m=4, with_disturbance=False):
+    """Sets A and B of one pure-P teacher run each, and the mix ratio."""
+    return (imitation_data_from_run([_p_teacher_run(1)], m, with_disturbance),
+            imitation_data_from_run([_p_teacher_run(2)], m, with_disturbance), lam)
 
 
 @pytest.mark.parametrize("sensor", [SensorSpec(noise_std=0.02, quantization=0.01),
@@ -938,7 +938,7 @@ def test_replayed_rows_equal_deployed_rows(sensor, monkeypatch):
                     sensor=sensor, cfg=cfg)
     n = len(traj.t)
     assert len(rows) == n
-    x = imitation_data_from_run(traj, 4, with_disturbance=False).x
+    x = imitation_data_from_run([traj], 4, with_disturbance=False).x
     assert x.shape == (n - 1, 9)
     assert np.array_equal(x, np.stack(rows[:n - 1]))
 
@@ -973,15 +973,28 @@ def test_imitation_rows_bit_equal_to_row_by_row_build(m, with_disturbance):
         r.w, r.y_meas, r.u, r.d = (rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
                                    for _ in range(4))
         r.y_meas[::5], r.u[1::5] = -0.0, 0.0
-        ds = imitation_data_from_run(r, m, with_disturbance)
+        ds = imitation_data_from_run([r], m, with_disturbance)
         x, y = _rows_one_by_one(r, m, with_disturbance)
         assert ds.x.shape == (n - 1, 1 + 2 * m) and ds.y.shape == (n - 1, 1 + with_disturbance)
         assert ds.x.tobytes() == x.tobytes() and ds.y.tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize("with_disturbance", [False, True], ids=["u", "u-d"])
+def test_imitation_rows_of_two_runs_are_each_runs_rows_in_order(with_disturbance):
+    """Two runs of different lengths give the first run's rows, then the
+    second's, byte for byte as each run's own block."""
+    first, second = _p_teacher_run(1, n=320), _p_teacher_run(2, n=80)
+    first.d, second.d = np.sin(first.t), np.cos(second.t)
+    both = imitation_data_from_run([first, second], 4, with_disturbance)
+    blocks = [imitation_data_from_run([r], 4, with_disturbance) for r in (first, second)]
+    assert len(blocks[0]) != len(blocks[1])
+    assert both.x.tobytes() == np.vstack([b.x for b in blocks]).tobytes()
+    assert both.y.tobytes() == np.vstack([b.y for b in blocks]).tobytes()
+
+
 def test_imitation_clones_pure_p_teacher():
     nc = NeuralController(Mlp([9, 24, 1], seed=0), u_min=-6.0, u_max=6.0, memory=4)
-    res = train_imitation(nc, _p_teacher_mix(0.5),
+    res = train_imitation(nc, *_p_teacher_mix(0.5),
                           TrainConfig(learning_rate=5e-3, batch_size=128,
                                       max_epochs=1200, patience=400, seed=0), aux_weight=0.0)
     assert res.val_rmse_a < 0.01
@@ -990,7 +1003,7 @@ def test_imitation_clones_pure_p_teacher():
 
 def test_lambda_one_draws_only_dataset_a():
     nc = NeuralController(Mlp([9, 8, 1], seed=0), u_min=-6.0, u_max=6.0, memory=4)
-    res = train_imitation(nc, _p_teacher_mix(1.0),
+    res = train_imitation(nc, *_p_teacher_mix(1.0),
                           TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=5, seed=3,
                                       patience=10_000),
                           aux_weight=0.0)
@@ -999,7 +1012,7 @@ def test_lambda_one_draws_only_dataset_a():
 
 def test_lambda_half_realized_fraction():
     nc = NeuralController(Mlp([9, 8, 1], seed=0), u_min=-6.0, u_max=6.0, memory=4)
-    res = train_imitation(nc, _p_teacher_mix(0.5),
+    res = train_imitation(nc, *_p_teacher_mix(0.5),
                           TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=10, seed=3,
                                       patience=10_000),
                           aux_weight=0.0)
@@ -1010,7 +1023,7 @@ def test_lambda_half_realized_fraction():
 def test_imitation_deterministic_weights():
     def run():
         nc = NeuralController(Mlp([9, 8, 1], seed=5), u_min=-6.0, u_max=6.0, memory=4)
-        res = train_imitation(nc, _p_teacher_mix(0.5),
+        res = train_imitation(nc, *_p_teacher_mix(0.5),
                               TrainConfig(learning_rate=1e-2, batch_size=64,
                                           max_epochs=15, seed=21, patience=10_000), aux_weight=0.0)
         return res.controller.mlp.params
@@ -1030,42 +1043,39 @@ def _disturbance_runs(m=8):
                    cfg=SimConfig(dt=0.1, horizon=120.0, seed=1))
     tr2 = simulate(plant, PidController(pid), 0.5, disturbance=dist,
                    cfg=SimConfig(dt=0.1, horizon=120.0, seed=2))
-    return DualDatasetMix(imitation_data_from_run(tr1, m=m, with_disturbance=True),
-                          imitation_data_from_run(tr2, m=m, with_disturbance=True), lam=0.5)
+    return (imitation_data_from_run([tr1], m, with_disturbance=True),
+            imitation_data_from_run([tr2], m, with_disturbance=True), 0.5)
 
 
 def test_aux_head_predicts_sinusoid_disturbance():
     m = 8
     nc = NeuralController(Mlp([1 + 2 * m, 24, 1], seed=0), u_min=-4.0, u_max=4.0, memory=m,
                           aux=Mlp([24, 1], seed=100))
-    mix = _disturbance_runs(m)
-    res = train_imitation(nc, mix,
+    a, b, lam = _disturbance_runs(m)
+    res = train_imitation(nc, a, b, lam,
                           TrainConfig(learning_rate=5e-3, batch_size=64,
                                       max_epochs=500, patience=500, seed=0),
                           aux_weight=0.1)
     model = res.controller
-    nb = len(mix.b)
+    nb = len(b)
     k = split_contiguous(nb, 0.25)
-    preds = np.array([_aux_output(model, mix.b.x[i]) for i in range(k, nb)])
-    rmse = float(np.sqrt(np.mean((preds - mix.b.y[k:, 1]) ** 2)))
+    preds = np.array([_aux_output(model, b.x[i]) for i in range(k, nb)])
+    rmse = float(np.sqrt(np.mean((preds - b.y[k:, 1]) ** 2)))
     assert rmse < 0.2 * 0.3  # 20% of the disturbance amplitude
 
 
 def test_zero_aux_weight_leaves_main_task_unchanged():
     m = 4
-    mix = _p_teacher_mix(0.5)
-    # rebuild with disturbance targets so the aux path is exercised
-    mix = DualDatasetMix(imitation_data_from_run(_p_teacher_run(1), m=m, with_disturbance=True),
-                         imitation_data_from_run(_p_teacher_run(2), m=m, with_disturbance=True),
-                         lam=0.5)
+    # disturbance targets, so that the aux path is exercised
+    mix = _p_teacher_mix(0.5, m, with_disturbance=True)
     cfg = TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=20, seed=4, patience=10_000)
 
     with_head = NeuralController(Mlp([9, 8, 1], seed=6), u_min=-6.0, u_max=6.0, memory=m,
                                  aux=Mlp([8, 1], seed=50))
-    res_head = train_imitation(with_head, mix, cfg, aux_weight=0.0)
+    res_head = train_imitation(with_head, *mix, cfg, aux_weight=0.0)
 
     without = NeuralController(Mlp([9, 8, 1], seed=6), u_min=-6.0, u_max=6.0, memory=m)
-    res_plain = train_imitation(without, mix, cfg, aux_weight=0.0)
+    res_plain = train_imitation(without, *mix, cfg, aux_weight=0.0)
 
     diff = np.abs(res_head.controller.mlp.params - res_plain.controller.mlp.params)
     assert float(np.max(diff)) < 1e-9

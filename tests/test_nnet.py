@@ -317,7 +317,7 @@ def interleaved_backward(net, acts, grad_out, extra=None):
     ga = g @ net.weights[-1]
     if extra is not None:
         ga = ga + np.atleast_2d(extra)
-    for l in range(net.n_layers - 2, -1, -1):
+    for l in range(len(net.weights) - 2, -1, -1):
         gz = ga * (1.0 - acts[l + 1] ** 2)
         parts += [gz.sum(axis=0), (gz.T @ acts[l]).ravel()]
         ga = gz @ net.weights[l]
@@ -347,7 +347,7 @@ def test_backward_and_adjoints_bit_equal_to_interleaved_pass(sizes):
         net.backward(bp, extra)
         assert grads.tobytes() == want_grads.tobytes()
         assert np.dot(bp.gzs[0], net.weights[0]).tobytes() == want_ga.tobytes()
-        assert len(bp.gzs) == net.n_layers
+        assert len(bp.gzs) == len(net.weights)
 
 
 
@@ -359,7 +359,7 @@ def matmul_forward_cached(net, x):
     """Batch forward with `@` products, as a one-row (1, n) batch for 1-D `x`."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
     acts = [a]
-    for l in range(net.n_layers - 1):
+    for l in range(len(net.weights) - 1):
         a = np.tanh(a @ net.weights[l].T + net.biases[l])
         acts.append(a)
     return a @ net.weights[-1].T + net.biases[-1], acts
@@ -456,7 +456,8 @@ PORTABLE_REQUIRED = (
     "test_nnet.py::test_row_path_bit_equal_to_one_row_batch",
     "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass",
     "test_nnet.py::test_forward_rows_bit_equal_to_forward_per_row",
-    "test_surrogate.py::test_predict_rows_bit_equal_to_predict_one",
+    "test_surrogate.py::test_rows_predictor_bit_equal_to_predict_one",
+    "test_surrogate.py::test_held_out_one_step_rmse_bit_equal_to_predict_one",
     "test_surrogate.py::test_reused_rows_predictor_bit_equal_to_predict_one",
     "test_neuro.py::test_episode_cost_bit_equal_to_array_form",
     "test_neuro.py::test_lockstep_costs_match_array_form_per_episode",

@@ -37,30 +37,33 @@ def _fopdt_prbs_series():
 
 
 def test_dataset_row_count():
-    s = _Series(np.arange(5) * 1.0, np.arange(5) * 1.0, np.zeros(5))
-    ds = make_regression_dataset(s, 1, 1)
+    ds = make_regression_dataset(np.arange(5) * 1.0, np.zeros(5), 1, 1)
     assert len(ds) == 3
 
 
 def test_dataset_constant_series_targets():
-    s = _Series(np.arange(12) * 1.0, np.full(12, 3.5), np.zeros(12))
-    ds = make_regression_dataset(s, 2, 1)
+    ds = make_regression_dataset(np.full(12, 3.5), np.zeros(12), 2, 1)
     assert np.all(ds.y == 3.5)
 
 
 def test_dataset_rows_reproduce_source_exactly():
+    """Each windowed row is `lag_features` of the samples up to its step, and
+    its target the next output, for equal and unequal lag orders."""
     s = _linear_map_series(n=30)
-    ds = make_regression_dataset(s, 2, 2)
-    k0 = 2
-    for i in range(len(ds)):
-        k = k0 + i
-        assert np.array_equal(ds.x[i], lag_features(s.y[:k + 1], s.u[:k + 1], 2, 2))
-        assert ds.y[i, 0] == s.y[k + 1]
+    for p, q in ((1, 1), (2, 1), (1, 3), (4, 2)):
+        ds = make_regression_dataset(s.y, s.u, p, q)
+        k0 = max(p, q)
+        assert len(ds) == 30 - 1 - k0
+        for i in range(len(ds)):
+            k = k0 + i
+            want = lag_features(s.y[:k + 1], s.u[:k + 1], p, q)
+            assert ds.x[i].tobytes() == np.array(want).tobytes()
+            assert ds.y[i, 0] == s.y[k + 1]
 
 
 def test_dataset_linear_relation_is_exactly_solvable():
     s = _linear_map_series(n=200)
-    ds = make_regression_dataset(s, 2, 2)
+    ds = make_regression_dataset(s.y, s.u, 2, 2)
     coef, *_ = np.linalg.lstsq(np.hstack([ds.x, np.ones((len(ds), 1))]), ds.y, rcond=None)
     resid = ds.x @ coef[:-1] + coef[-1] - ds.y
     assert float(np.max(np.abs(resid))) < 1e-10
@@ -70,13 +73,14 @@ def test_dataset_requires_uniform_sampling():
     t = np.array([0.0, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7])
     s = _Series(t, np.zeros(7), np.zeros(7))
     with pytest.raises(MustResample):
-        make_regression_dataset(s, 1, 1)
+        fit_surrogate(s, 1, 1, TrainConfig(max_epochs=5, seed=0, learning_rate=1e-2,
+                                           batch_size=32, patience=10_000),
+                      hidden=(4,), val_fraction=0.25, resampled=False)
 
 
 def test_dataset_too_short():
-    s = _Series(np.arange(4) * 1.0, np.zeros(4), np.zeros(4))
     with pytest.raises(DataError, match=r"^need more than p\+q\+1 = 5 samples, got 4$"):
-        make_regression_dataset(s, 2, 2)
+        make_regression_dataset(np.zeros(4), np.zeros(4), 2, 2)
 
 
 def test_fit_surrogate_fopdt_prbs_quality():
@@ -125,8 +129,8 @@ def _decay_surrogate():
         hidden=(24,), val_fraction=0.25, resampled=False)
     # low-rate refinement pass for the free-run tail accuracy
     n_tr = split_contiguous(len(s.y), 0.25)
-    tr_ds = make_regression_dataset(_Series(s.t[:n_tr], s.y[:n_tr], s.u[:n_tr]), 1, 1)
-    va_ds = make_regression_dataset(_Series(s.t[n_tr:], s.y[n_tr:], s.u[n_tr:]), 1, 1)
+    tr_ds = make_regression_dataset(s.y[:n_tr], s.u[:n_tr], 1, 1)
+    va_ds = make_regression_dataset(s.y[n_tr:], s.u[n_tr:], 1, 1)
     x_mean, x_std = feature_stats(tr_ds.x)
     y_mean, y_std = feature_stats(tr_ds.y)
     tr_n, va_n = (SupervisedDataset(normalize(ds.x, x_mean, x_std), normalize(ds.y, y_mean, y_std))
@@ -210,7 +214,7 @@ def array_predict_one(model, y_window, u_window):
                            np.asarray(u_window, dtype=float)[-model.q:][::-1]])
     a = np.atleast_2d(np.asarray(normalize(feat, model.x_mean, model.x_std), dtype=float))
     net = model.mlp
-    for l in range(net.n_layers - 1):
+    for l in range(len(net.weights) - 1):
         a = np.tanh(a @ net.weights[l].T + net.biases[l])
     z = (a @ net.weights[-1].T + net.biases[-1])[0]
     return float((z * model.y_std + model.y_mean)[0])
@@ -265,9 +269,10 @@ def test_predict_one_bit_equal_to_array_form(p, q, hidden):
 
 @pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
-def test_predict_rows_bit_equal_to_predict_one(p, q, hidden):
-    """k windows at once give the bits of `predict_one` on each; k = 1 is the
-    one-row stacked pass against the row path."""
+def test_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
+    """k windows through one `rows_predictor(k)` binding give the bits of
+    `predict_one` on each; k = 1 is the one-row stacked pass against the row
+    path."""
     rng = np.random.default_rng(10 * p + q + 1000 * len(hidden))
     for seed in range(3):
         model = random_narx(p, q, hidden, seed)
@@ -275,7 +280,7 @@ def test_predict_rows_bit_equal_to_predict_one(p, q, hidden):
             windows = [((rng.normal(size=p + 2) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
                         (rng.normal(size=q + 1) * rng.choice([1e-3, 1.0, 50.0])).tolist())
                        for _ in range(k)]
-            got = model.predict_rows(windows)
+            got = model.rows_predictor(k)(windows)
             assert got == [model.predict_one(y, u) for y, u in windows]
             assert all(type(v) is float for v in got)
 
@@ -298,6 +303,27 @@ def test_reused_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
             got = predict(windows)
             assert got == [model.predict_one(y, u) for y, u in windows]
             assert all(type(v) is float for v in got)
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 3), (3, 2)])
+def test_held_out_one_step_rmse_bit_equal_to_predict_one(p, q):
+    """`fit_surrogate`'s held-out one-step RMSE, from the normalized
+    validation rows in one stacked pass, is the RMSE of `predict_one` over
+    every window pair of the held-out block, bit for bit. The hidden layers
+    are 32 wide, where one 2-D matrix product over the rows rounds
+    differently."""
+    s = _linear_map_series(n=400, seed=p + 10 * q)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=15, patience=10_000, seed=p)
+    model, rep = fit_surrogate(s, p, q, cfg, hidden=(32, 32), val_fraction=0.3, resampled=False)
+    n_train = split_contiguous(len(s.y), 0.3)
+    val_y, val_u = s.y[n_train:], s.u[n_train:]
+    ys, us, k0 = val_y.tolist(), val_u.tolist(), max(p, q)
+    preds = np.array([model.predict_one(ys[k + 1 - p:k + 1], us[k + 1 - q:k + 1])
+                      for k in range(k0, len(val_y) - 1)])
+    want = float(np.sqrt(np.mean((preds - val_y[k0 + 1:]) ** 2)))
+    assert rep.n_val == len(preds)
+    assert repr(rep.one_step_rmse) == repr(want)
 
 
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from loopbench.neuro import (
-    DualDatasetMix, GainScheduler, NeuralController, bptt_loss_and_grad, train_imitation,
+    GainScheduler, NeuralController, bptt_loss_and_grad, train_imitation,
 )
 from loopbench.errors import DataError, SimulationDiverged
 from loopbench.nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize, train
@@ -39,7 +39,7 @@ def ref_forward_cached(net, x):
     """The forward pass on fresh arrays: one new array per operation."""
     a = np.asarray(x, dtype=float)
     acts = [a]
-    for l in range(net.n_layers - 1):
+    for l in range(len(net.weights) - 1):
         a = np.tanh(np.dot(a, net.weights[l].T) + net.biases[l])
         acts.append(a)
     return np.dot(a, net.weights[-1].T) + net.biases[-1], acts
@@ -52,7 +52,7 @@ def ref_adjoints(net, acts, grad_out, extra=None):
     ga = np.dot(g, net.weights[-1])
     if extra is not None:
         ga = ga + extra
-    for l in range(net.n_layers - 2, -1, -1):
+    for l in range(len(net.weights) - 2, -1, -1):
         gz = ga * (1.0 - acts[l + 1] ** 2)
         gzs.append(gz)
         ga = np.dot(gz, net.weights[l])
@@ -64,7 +64,7 @@ def ref_backward(net, acts, grad_out, extra=None):
     0.0; the input adjoint, always computed)."""
     gzs, ga = ref_adjoints(net, acts, grad_out, extra)
     parts = []  # last layer first, bias before weights
-    for l, gz in zip(range(net.n_layers - 1, -1, -1), gzs):
+    for l, gz in zip(range(len(net.weights) - 1, -1, -1), gzs):
         if acts[0].ndim == 1:
             parts += [gz, (gz[:, None] * acts[l]).ravel()]
         else:
@@ -77,7 +77,7 @@ def unbound_forward_cached(net, x):
     added in place."""
     a = np.asarray(x, dtype=float)
     acts = [a]
-    for l in range(net.n_layers - 1):
+    for l in range(len(net.weights) - 1):
         a = np.dot(a, net.weights[l].T)
         a += net.biases[l]
         acts.append(np.tanh(a, out=a))
@@ -88,7 +88,7 @@ def unbound_backward(net, acts, grad_out, extra=None):
     """(the batch gradient written through per-layer views of a new vector,
     then 0.0 added; the input adjoint), from fresh adjoint arrays."""
     gzs = [np.asarray(grad_out, dtype=float)]
-    for l in range(net.n_layers - 2, -1, -1):
+    for l in range(len(net.weights) - 2, -1, -1):
         ga = np.dot(gzs[-1], net.weights[l + 1])
         if extra is not None:
             ga += extra
@@ -96,7 +96,7 @@ def unbound_backward(net, acts, grad_out, extra=None):
         gzs.append(ga * (1.0 - acts[l + 1] ** 2))
     out = np.empty(net.n_params)
     weights, biases = net._views(out)
-    for l, gz in zip(range(net.n_layers - 1, -1, -1), gzs):
+    for l, gz in zip(range(len(net.weights) - 1, -1, -1), gzs):
         np.add.reduce(gz, axis=0, out=biases[l])
         np.dot(gz.T, acts[l], out=weights[l])
     out += 0.0
@@ -255,8 +255,9 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0,
     class (by default the reference passes), a gradient concatenated per
     step and `np.mean` losses."""
     forward, backward, adam_cls = passes
-    a_train, a_val = _split(mix.a)
-    b_train, b_val = _split(mix.b)
+    a, b, lam = mix
+    a_train, a_val = _split(a)
+    b_train, b_val = _split(b)
     work = nc.copy()
     all_x = np.vstack([a_train.x, b_train.x])
     work.feat_mean = all_x.mean(axis=0)
@@ -307,7 +308,7 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0,
         losses = []
         a_draws = 0
         for _ in range(n_batches):
-            from_a = rng.random(cfg.batch_size) < mix.lam
+            from_a = rng.random(cfg.batch_size) < lam
             na = int(from_a.sum())
             a_draws += na
             idx_a = rng.integers(0, len(a_train), size=na)
@@ -331,7 +332,7 @@ def _mix(rng, n, with_aux):
     x = rng.normal(size=(n, 9))
     u = np.tanh(x[:, :1] - 0.5 * x[:, 1:2])
     y = np.column_stack([u, np.sin(x[:, 2:3])]) if with_aux else u
-    return DualDatasetMix(SupervisedDataset(x, y), SupervisedDataset(0.3 * x, 0.3 * y), 0.6)
+    return SupervisedDataset(x, y), SupervisedDataset(0.3 * x, 0.3 * y), 0.6
 
 
 @pytest.mark.parametrize("with_aux", [False, True], ids=["trunk", "aux-head"])
@@ -346,7 +347,7 @@ def test_train_imitation_bit_equal_to_concatenated_steps(with_aux):
         mix = _mix(rng, 90, with_aux)
         cfg = TrainConfig(learning_rate=0.01, batch_size=batch, max_epochs=12, patience=3,
                           seed=seed + 5)
-        res = train_imitation(nc, mix, cfg, aux_weight=0.7)
+        res = train_imitation(nc, *mix, cfg, aux_weight=0.7)
         ref, history, a_fraction, rmse_a, rmse_b = ref_train_imitation(nc, mix, cfg, aux_weight=0.7)
         assert res.controller.mlp.params.tobytes() == ref.mlp.params.tobytes()
         if with_aux:
@@ -369,7 +370,7 @@ def test_bound_imitation_steps_bit_equal_to_unbound_steps(hidden, head):
     nc = NeuralController(Mlp([9, *hidden, 1], seed=2), u_min=-1.5, u_max=2.0, memory=4, aux=aux)
     mix = _mix(rng, 560, head is not None)
     cfg = TrainConfig(learning_rate=0.005, batch_size=48, max_epochs=30, patience=30, seed=5)
-    res = train_imitation(nc, mix, cfg, aux_weight=head or 0.0)
+    res = train_imitation(nc, *mix, cfg, aux_weight=head or 0.0)
     ref, history, a_fraction, rmse_a, rmse_b = ref_train_imitation(nc, mix, cfg, head or 0.0,
                                                                    UNBOUND)
     assert len(history) == 30
