@@ -192,6 +192,13 @@ def _check_seed(seed: int) -> None:
     _require(seed >= 0, "seed must be a non-negative integer", "sim.seed")
 
 
+def _check_within_horizon(cfg: dict, section: str, key: str) -> None:
+    """A period or duration longer than the run is refused, naming its key."""
+    value, horizon = cfg[section][key], cfg["sim"]["horizon"]
+    _require(value is None or value <= horizon,
+             f"{key} must not exceed sim.horizon = {horizon!r}", f"{section}.{key}")
+
+
 def _check(cfg: dict) -> None:
     """The range checks that name a key; `_merge` has checked every kind."""
     sim = cfg["sim"]
@@ -253,6 +260,7 @@ def sensor_from(cfg: dict) -> SensorSpec:
     """The sensor, checked against the grid of `cfg`'s sim section."""
     s = cfg["sensor"]
     grid = sim_from(cfg)
+    _check_within_horizon(cfg, "sensor", "sample_period")
     with section("sensor"):
         spec = SensorSpec(noise_std=s["noise_std"], sample_period=s["sample_period"],
                           quantization=s["quantization"])
@@ -273,7 +281,13 @@ def disturbance_from(cfg: dict) -> DisturbanceSpec:
 
 
 def excitation_from(cfg: dict) -> ExcitationSpec:
+    """The excitation; its variant's bit period or chirp duration is checked
+    against `sim.horizon`."""
     e = cfg["excitation"]
+    if e["variant"] == "prbs":
+        _check_within_horizon(cfg, "excitation", "bit_period")
+    elif e["variant"] == "chirp":
+        _check_within_horizon(cfg, "excitation", "duration")
     with section("excitation"):
         return ExcitationSpec(
             variant=e["variant"], levels=tuple(e["levels"]), dwell=e["dwell"],

@@ -271,8 +271,12 @@ class ImitationResult:
 def train_imitation(nc: NeuralController, a: SupervisedDataset, b: SupervisedDataset, lam: float,
                     cfg: TrainConfig, aux_weight: float) -> ImitationResult:
     """Clone a teacher control law by supervised regression on coverage set
-    `a` and operational set `b`, each batch drawing a fraction `lam` of its
-    rows from `a`.
+    `a` and operational set `b`, each batch row coming from `a` with
+    probability `lam`.
+
+    Each epoch draws its batches' rows at once, in one order: the A/B mask of
+    every slot (`random`), then for every slot a row of `a` and a row of `b`
+    (two `integers` calls), of which the mask keeps one.
 
     Targets are teacher controls in actuator units; the loss is taken after
     the tanh squash so the trained network is exactly what deploys. When the
@@ -315,7 +319,6 @@ def train_imitation(nc: NeuralController, a: SupervisedDataset, b: SupervisedDat
     # gz = (2.0 * diff / k) * half_span * (1.0 - tanh(z) ** 2)
     k = cfg.batch_size
     trunk = work.mlp.batch_pass(k, grads[:work.mlp.n_params])
-    rows = np.empty(k, dtype=np.int64)
     ys = np.empty((k, train_y.shape[1]))
     th, diff, sq = np.empty((k, 1)), np.empty((k, 1)), np.empty((k, 1))
     if has_aux:
@@ -323,7 +326,7 @@ def train_imitation(nc: NeuralController, a: SupervisedDataset, b: SupervisedDat
         head = work.aux.batch_pass(k, grads[work.mlp.n_params:], x=trunk.acts[-1])
         extra = np.empty(trunk.acts[-1].shape)
 
-    def _loss_and_step():
+    def _loss_and_step(rows):
         # the indices are in range, so clipping changes none and spares
         # `take` the buffered copy it makes to check them
         train_xn.take(rows, axis=0, out=trunk.x, mode="clip")
@@ -368,19 +371,13 @@ def train_imitation(nc: NeuralController, a: SupervisedDataset, b: SupervisedDat
     wait = 0
 
     for epoch in range(cfg.max_epochs):
-        losses = []
-        a_draws = 0
-        for _ in range(n_batches):
-            from_a = rng.random(cfg.batch_size) < lam
-            na = int(np.count_nonzero(from_a))
-            a_draws += na
-            rows[:na] = rng.integers(0, len(a_train), size=na)
-            np.add(rng.integers(0, len(b_train), size=cfg.batch_size - na), len(a_train),
-                   out=rows[na:])
-            losses.append(_loss_and_step())
+        from_a = rng.random((n_batches, k)) < lam
+        epoch_rows = np.where(from_a, rng.integers(0, len(a_train), (n_batches, k)),
+                              rng.integers(len(a_train), n_total, (n_batches, k)))
+        losses = [_loss_and_step(rows) for rows in epoch_rows]
         va, vb = _val_rmse(val_a), _val_rmse(val_b)
         result.history.append((float(np.mean(losses)), va, vb))
-        result.a_fraction.append(a_draws / (n_batches * cfg.batch_size))
+        result.a_fraction.append(int(np.count_nonzero(from_a)) / from_a.size)
         score = 0.5 * (va * va + vb * vb)
         if score < best:
             best = score

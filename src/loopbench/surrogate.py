@@ -31,7 +31,8 @@ def lag_features(y_window, u_window, p: int, q: int) -> list:
 
 def make_regression_dataset(y: np.ndarray, u: np.ndarray, p: int, q: int) -> SupervisedDataset:
     """One-step regression rows from output and input records sampled on a
-    uniform grid (which the caller checks).
+    uniform grid and long enough for the lag orders (both of which the caller
+    checks).
 
     Row k holds p output lags and q input lags with target y(k+1); rows run
     from k = max(p, q) to N-2, so an N-sample series yields N-1-max(p, q)
@@ -41,8 +42,6 @@ def make_regression_dataset(y: np.ndarray, u: np.ndarray, p: int, q: int) -> Sup
     if p < 1 or q < 1:
         raise ValueError("lag orders must be >= 1")
     n = len(y)
-    if n <= p + q + 1:
-        raise DataError(f"need more than p+q+1 = {p + q + 1} samples, got {n}")
     k0 = max(p, q)
     x = np.empty((n - 1 - k0, p + q))
     # the window ending at sample k starts at k - p + 1 (outputs), k - q + 1 (inputs)
@@ -163,8 +162,10 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig, hidden, val_fraction: 
     u = np.asarray(traj.u, dtype=float)
     n = len(y)
     n_train = split_contiguous(n, val_fraction)
-    if n_train <= p + q + 1 or n - n_train <= max(p, q) + 1:
-        raise DataError("record too short for the requested split and lag orders")
+    for block, size in (("training", n_train), ("held-out", n - n_train)):
+        if size < p + q + 2:
+            raise DataError(f"the {block} block of the record has {size} samples; "
+                            f"p = {p}, q = {q} need at least {p + q + 2}")
 
     train_ds = make_regression_dataset(y[:n_train], u[:n_train], p, q)
     val_ds = make_regression_dataset(y[n_train:], u[n_train:], p, q)

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import pkgutil
@@ -12,7 +13,7 @@ import pytest
 import loopbench
 from loopbench.cli import main
 from loopbench.config import DEFAULTS, load_gains_file, resolve_config
-from loopbench.dataio import read_timeseries
+from loopbench.dataio import read_timeseries, split_contiguous
 from loopbench.errors import ConfigError, DataError, NumericalFailure, ParseError
 from loopbench import cli, errors, neuro
 from loopbench.neuro import GainScheduler, NeuralController
@@ -179,16 +180,33 @@ def test_record_echoes_resolved_config(tmp_path):
 @pytest.mark.parametrize("excitation, message", [
     ({"variant": "prbs", "order": 2}, "PRBS order must be in 3..16"),
     ({"variant": "step_train", "levels": [1.0], "dwell": 0.0}, "dwell must be > 0"),
-    ({"variant": "chirp", "duration": 500.0}, "chirp duration exceeds the horizon"),
     ({"variant": "prbs", "bit_period": 0.1}, "bit period must be >= dt"),
     ({"variant": "prbs", "amplitude": 5.0},
      "excitation amplitude 5 exceeds actuator limits (-3.0, 3.0)"),
-], ids=["prbs-order", "dwell", "chirp-duration", "bit-period", "amplitude"])
+], ids=["prbs-order", "dwell", "bit-period", "amplitude"])
 def test_rejected_excitation_exits_2_naming_the_section(tmp_path, capsys, excitation, message):
     cfg = {**_record_cfg(), "excitation": excitation}
     argv = ["record", "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"config error: excitation: {message}\n"
+
+
+@pytest.mark.parametrize("command, path, extra", [
+    ("record", "excitation.bit_period", {"excitation": {"variant": "prbs"}}),
+    ("record", "excitation.duration", {"excitation": {"variant": "chirp"}}),
+    ("simulate", "sensor.sample_period", {"controller": {"kind": "pid"}}),
+], ids=["bit-period", "chirp-duration", "sample-period"])
+def test_duration_past_the_horizon_exits_2_naming_the_key(tmp_path, capsys, command, path, extra):
+    """A bit period, chirp duration or sample period of 5 s on a 1 s run is
+    refused with its key path; one equal to the horizon runs."""
+    section, key = path.split(".")
+    for value, code in ((5.0, 2), (1.0, 0)):
+        cfg = _patched({"sim": {"dt": 0.01, "horizon": 1.0}, "plant": dict(FOPDT_PLANT),
+                        section: {key: value}}, extra)
+        argv = [command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == code, value
+        assert capsys.readouterr().err == ("" if code == 0 else f"config error: {path}: {key} "
+                                           "must not exceed sim.horizon = 1.0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +310,40 @@ def test_fit_surrogate_on_a_six_sample_record_exits_4(tmp_path, capsys):
            "excitation": {"variant": "prbs", "bit_period": 0.01}}
     assert _fit_surrogate_on_own_record(tmp_path, cfg) == 4
     assert len(_read_rows(tmp_path / "rec" / "record.csv")) == 1 + 6
-    assert capsys.readouterr().err == \
-        "i/o error: record too short for the requested split and lag orders\n"
+    assert capsys.readouterr().err == ("i/o error: the training block of the record has 4 "
+                                       "samples; p = 2, q = 2 need at least 6\n")
+
+
+def test_fit_surrogate_on_short_records_exits_0_or_names_the_short_block(tmp_path, capsys):
+    """Records of 2..25 samples for four lag orders and three held-out
+    fractions: a fit runs when both blocks hold at least p + q + 2 samples,
+    and otherwise exits 4 naming the first short block, its size and that
+    minimum."""
+    cfg = {"sim": {"dt": 0.01, "horizon": 0.25}, "plant": {"variant": "fopdt"},
+           "excitation": {"variant": "prbs", "bit_period": 0.01}}
+    main(["record", "--config", _write(tmp_path, "rec.json", cfg), "--out", str(tmp_path)])
+    lines = _read_rows(tmp_path / "record.csv")
+    assert len(lines) == 1 + 25
+    data = tmp_path / "short.csv"
+    for n in range(2, 26):
+        data.write_text("\n".join(lines[:1 + n]) + "\n", encoding="utf-8")
+        for (p, q), val_fraction in itertools.product([(1, 1), (2, 2), (3, 1), (1, 4)],
+                                                      [0.1, 0.25, 0.5]):
+            cfg["surrogate"] = {"p": p, "q": q, "val_fraction": val_fraction, "hidden": [2],
+                                "epochs": 1}
+            code = main(["fit-surrogate", "--config", _write(tmp_path, "fit.json", cfg),
+                         "--data", str(data), "--out", str(tmp_path / "sur")])
+            n_train = split_contiguous(n, val_fraction)
+            short = [(block, size) for block, size in (("training", n_train),
+                                                       ("held-out", n - n_train))
+                     if size < p + q + 2]
+            err = capsys.readouterr().err
+            if short:
+                assert (code, err) == (4, f"i/o error: the {short[0][0]} block of the record "
+                                          f"has {short[0][1]} samples; p = {p}, q = {q} need "
+                                          f"at least {p + q + 2}\n"), (n, p, q, val_fraction)
+            else:
+                assert (code, err) == (0, ""), (n, p, q, val_fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,11 @@ def test_split_floor_rule(monkeypatch):
         for n in range(2, 5001):
             want = int(np.floor(n * (1.0 - val_fraction)))
             assert split_contiguous(n, val_fraction) == want
-            if want <= p + q + 1 or n - want <= max(p, q) + 1:
-                want = "record too short for the requested split and lag orders"
+            short = [(block, size) for block, size in (("training", want), ("held-out", n - want))
+                     if size < p + q + 2]
+            if short:
+                want = ("the %s block of the record has %d samples; p = 2, q = 2 need at least 6"
+                        % short[0])
             record = SimpleNamespace(t=t[:n], y=zeros[:n], u=zeros[:n])
             try:
                 surrogate.fit_surrogate(record, p, q, cfg, val_fraction=val_fraction, hidden=(32,),
@@ -276,7 +279,8 @@ def test_split_floor_rule(monkeypatch):
 def test_split_too_short_rejected():
     """The rule has no minimum size: each caller rejects a block too short for it."""
     # split 7/3: three samples leave no lag-2 validation row
-    with pytest.raises(DataError, match="^record too short for the requested split and lag orders$"):
+    with pytest.raises(DataError, match="^the held-out block of the record has 3 samples; "
+                                        "p = 2, q = 2 need at least 6$"):
         surrogate.fit_surrogate(_series(n=10), 2, 2,
                                 TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=200,
                                             patience=10_000, seed=0),

@@ -1031,6 +1031,38 @@ def test_imitation_deterministic_weights():
     assert np.array_equal(run(), run())
 
 
+@pytest.mark.parametrize("batch, n_batches", [(4096, 1), (1000, 2), (64, 46)],
+                         ids=["1-batch", "2-batches", "46-batches"])
+def test_imitation_draws_three_times_per_epoch(monkeypatch, batch, n_batches):
+    """The A/B mask, the A rows and the B rows: three generator calls per
+    epoch, whatever the number of batches in it."""
+    default_rng = np.random.default_rng
+    calls = []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def __getattr__(self, name):
+            draw = getattr(self._rng, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return draw(*args, **kwargs)
+            return counted
+
+    a, b, lam = _p_teacher_mix(0.5)
+    n_train = split_contiguous(len(a), 0.25) + split_contiguous(len(b), 0.25)
+    assert max(n_train // batch, 1) == n_batches
+    nc = NeuralController(Mlp([9, 8, 1], seed=5), u_min=-6.0, u_max=6.0, memory=4)
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    res = train_imitation(nc, a, b, lam,
+                          TrainConfig(learning_rate=1e-2, batch_size=batch, max_epochs=6,
+                                      seed=21, patience=10_000), aux_weight=0.0)
+    assert len(res.history) == 6
+    assert calls == ["random", "integers", "integers"] * 6
+
+
 # ---------------------------------------------------------------------------
 # disturbance-prediction head
 # ---------------------------------------------------------------------------

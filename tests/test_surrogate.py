@@ -79,8 +79,13 @@ def test_dataset_requires_uniform_sampling():
 
 
 def test_dataset_too_short():
-    with pytest.raises(DataError, match=r"^need more than p\+q\+1 = 5 samples, got 4$"):
-        make_regression_dataset(np.zeros(4), np.zeros(4), 2, 2)
+    """A 16-sample record split 12/4: the held-out block is too short for
+    p = q = 2, and the fit names it."""
+    with pytest.raises(DataError, match="^the held-out block of the record has 4 samples; "
+                                        "p = 2, q = 2 need at least 6$"):
+        fit_surrogate(_linear_map_series(16), 2, 2,
+                      TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=5, patience=10,
+                                  seed=0), hidden=(4,), val_fraction=0.25, resampled=False)
 
 
 def test_fit_surrogate_fopdt_prbs_quality():

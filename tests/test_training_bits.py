@@ -253,7 +253,9 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0,
                         passes=(ref_forward_cached, ref_backward, Adam)):
     """`train_imitation` with the given forward pass, reverse pass and Adam
     class (by default the reference passes), a gradient concatenated per
-    step and `np.mean` losses."""
+    step and `np.mean` losses. Each epoch draws its A/B mask, A rows and B
+    rows as three (batches, batch size) arrays, and batch i takes row i of
+    each."""
     forward, backward, adam_cls = passes
     a, b, lam = mix
     a_train, a_val = _split(a)
@@ -301,22 +303,20 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0,
         u_hat = work.center + work.half_span * np.tanh(forward(work.mlp, xn)[0][:, :1])
         return float(np.sqrt(np.mean((u_hat - u_teacher) ** 2)))
 
-    n_batches = max((len(a_train) + len(b_train)) // cfg.batch_size, 1)
+    n_total = len(a_train) + len(b_train)
+    n_batches = max(n_total // cfg.batch_size, 1)
+    shape = (n_batches, cfg.batch_size)
     history, a_fraction = [], []
     best, best_snapshot, wait = math.inf, None, 0
     for _ in range(cfg.max_epochs):
-        losses = []
-        a_draws = 0
-        for _ in range(n_batches):
-            from_a = rng.random(cfg.batch_size) < lam
-            na = int(from_a.sum())
-            a_draws += na
-            idx_a = rng.integers(0, len(a_train), size=na)
-            idx_b = rng.integers(0, len(b_train), size=cfg.batch_size - na)
-            losses.append(loss_and_step(np.concatenate([idx_a, len(a_train) + idx_b])))
+        from_a = rng.random(shape) < lam
+        idx_a = rng.integers(0, len(a_train), size=shape)
+        idx_b = rng.integers(len(a_train), n_total, size=shape)
+        losses = [loss_and_step(np.where(from_a[i], idx_a[i], idx_b[i]))
+                  for i in range(n_batches)]
         va, vb = val_rmse(val_a), val_rmse(val_b)
         history.append((float(np.mean(losses)), va, vb))
-        a_fraction.append(a_draws / (n_batches * cfg.batch_size))
+        a_fraction.append(int(from_a.sum()) / (n_batches * cfg.batch_size))
         score = 0.5 * (va * va + vb * vb)
         if score < best:
             best, best_snapshot, wait = score, work.copy(), 0
@@ -328,23 +328,27 @@ def ref_train_imitation(nc, mix, cfg, aux_weight=0.0,
     return work, history, a_fraction, val_rmse(val_a), val_rmse(val_b)
 
 
-def _mix(rng, n, with_aux):
+def _mix(rng, n, with_aux, lam=0.6):
     x = rng.normal(size=(n, 9))
     u = np.tanh(x[:, :1] - 0.5 * x[:, 1:2])
     y = np.column_stack([u, np.sin(x[:, 2:3])]) if with_aux else u
-    return SupervisedDataset(x, y), SupervisedDataset(0.3 * x, 0.3 * y), 0.6
+    return SupervisedDataset(x, y), SupervisedDataset(0.3 * x, 0.3 * y), lam
 
 
 @pytest.mark.parametrize("with_aux", [False, True], ids=["trunk", "aux-head"])
 def test_train_imitation_bit_equal_to_concatenated_steps(with_aux):
     """Final parameters, history, A-share and validation RMSE, with and
-    without the disturbance head, over two shapes and batch sizes."""
-    for seed, hidden, batch in ((0, [8], 16), (1, [12, 10], 32), (2, [6], 64)):
+    without the disturbance head, over three shapes and batch sizes, one
+    batch per epoch (60 training rows at batch 64, so the batch repeats
+    rows) and every row from `b` or from `a`."""
+    for seed, hidden, batch, n, lam in ((0, [8], 16, 90, 0.6), (1, [12, 10], 32, 90, 0.6),
+                                        (2, [6], 64, 90, 0.6), (3, [12], 64, 40, 0.6),
+                                        (4, [8], 16, 200, 0.0), (5, [8], 16, 200, 1.0)):
         rng = np.random.default_rng(seed)
         aux = Mlp([hidden[-1], 1], seed=seed + 10) if with_aux else None
         nc = NeuralController(Mlp([9, *hidden, 1], seed=seed), u_min=-1.5, u_max=2.0,
                               memory=4, aux=aux)
-        mix = _mix(rng, 90, with_aux)
+        mix = _mix(rng, n, with_aux, lam)
         cfg = TrainConfig(learning_rate=0.01, batch_size=batch, max_epochs=12, patience=3,
                           seed=seed + 5)
         res = train_imitation(nc, *mix, cfg, aux_weight=0.7)
@@ -355,6 +359,8 @@ def test_train_imitation_bit_equal_to_concatenated_steps(with_aux):
         assert repr(res.history) == repr(history)
         assert repr(res.a_fraction) == repr(a_fraction)
         assert repr((res.val_rmse_a, res.val_rmse_b)) == repr((rmse_a, rmse_b))
+        if lam in (0.0, 1.0):
+            assert res.a_fraction == [lam] * len(history)
 
 
 @pytest.mark.parametrize("hidden", [[16], [32, 32]], ids=["9-16-1", "9-32-32-1"])
