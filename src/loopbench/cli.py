@@ -267,6 +267,8 @@ def cmd_simulate(args) -> int:
             controller = BlendedController(controller, _correction_source(safety["correction"]),
                                            blender, limits)
 
+    if cfg["reference"]["variant"] == "step":
+        cfgmod.check_within_horizon(cfg, "reference", "time")
     traj = simulate(plant, controller, cfgmod.reference_from(cfg, sim),
                     disturbance=cfgmod.disturbance_from(cfg),
                     sensor=cfgmod.sensor_from(cfg), cfg=sim)

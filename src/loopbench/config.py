@@ -192,7 +192,7 @@ def _check_seed(seed: int) -> None:
     _require(seed >= 0, "seed must be a non-negative integer", "sim.seed")
 
 
-def _check_within_horizon(cfg: dict, section: str, key: str) -> None:
+def check_within_horizon(cfg: dict, section: str, key: str) -> None:
     """A period or duration longer than the run is refused, naming its key."""
     value, horizon = cfg[section][key], cfg["sim"]["horizon"]
     _require(value is None or value <= horizon,
@@ -260,7 +260,7 @@ def sensor_from(cfg: dict) -> SensorSpec:
     """The sensor, checked against the grid of `cfg`'s sim section."""
     s = cfg["sensor"]
     grid = sim_from(cfg)
-    _check_within_horizon(cfg, "sensor", "sample_period")
+    check_within_horizon(cfg, "sensor", "sample_period")
     with section("sensor"):
         spec = SensorSpec(noise_std=s["noise_std"], sample_period=s["sample_period"],
                           quantization=s["quantization"])
@@ -280,14 +280,16 @@ def disturbance_from(cfg: dict) -> DisturbanceSpec:
     return spec
 
 
+# the excitation key each variant reads that must fit in `sim.horizon`
+_WITHIN_HORIZON = {"prbs": "bit_period", "chirp": "duration", "step_train": "dwell"}
+
+
 def excitation_from(cfg: dict) -> ExcitationSpec:
-    """The excitation; its variant's bit period or chirp duration is checked
-    against `sim.horizon`."""
+    """The excitation; its variant's bit period, chirp duration or step
+    train dwell is checked against `sim.horizon`."""
     e = cfg["excitation"]
-    if e["variant"] == "prbs":
-        _check_within_horizon(cfg, "excitation", "bit_period")
-    elif e["variant"] == "chirp":
-        _check_within_horizon(cfg, "excitation", "duration")
+    if e["variant"] in _WITHIN_HORIZON:
+        check_within_horizon(cfg, "excitation", _WITHIN_HORIZON[e["variant"]])
     with section("excitation"):
         return ExcitationSpec(
             variant=e["variant"], levels=tuple(e["levels"]), dwell=e["dwell"],

@@ -12,18 +12,20 @@ squashes), not post-hoc clamps.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import split_contiguous
-from .errors import ControllerFault, DataError, NumericalFailure, SimulationDiverged
+from .errors import ControllerFault, DataError, NumericalFailure
 from .nnet import Adam, Mlp, SupervisedDataset, TrainConfig, check_int, check_number, \
     feature_stats, float_vector, mean_square, normalize
 from .pid import PidGains, PidState, pid_step
 from .simcore import primary_output
-from .surrogate import NarxModel
+from .surrogate import NarxModel, lag_features
 
 
 def _sigmoid(z: list) -> list:
@@ -167,16 +169,17 @@ class GainScheduler:
         the errors, then the measurements, each newest first."""
         return [*e_window[::-1], *y_window[::-1]]
 
-    def forward(self, row):
-        """Gains [kp, ki, kd] and the sigmoid of the network output clipped
-        to [-60, 60], both lists of floats, and the activations. A NaN output
-        stays NaN, as the first argument of max and min."""
-        out, acts = self.mlp.forward_cached(_normalized(row, self._stats))
-        sig = _sigmoid([min(max(z, -60.0), 60.0) for z in out.tolist()])
-        return [lo + s * (hi - lo) for s, (lo, hi) in zip(sig, self._bounds)], sig, acts
+    def squash(self, zs: list):
+        """Gains and the sigmoid of each network output clipped to [-60, 60],
+        as flat lists of floats, from the outputs of one or more rows (three
+        per row, [kp, ki, kd] each). A NaN output stays NaN, as the first
+        argument of max and min."""
+        sig = _sigmoid([min(max(z, -60.0), 60.0) for z in zs])
+        return [lo + s * (hi - lo) for s, (lo, hi) in zip(sig, cycle(self._bounds))], sig
 
     def gains_from(self, row) -> tuple[float, float, float]:
-        return tuple(self.forward(row)[0])
+        out = self.mlp.forward_cached(_normalized(row, self._stats))[0]
+        return tuple(self.squash(out.tolist())[0])
 
     def copy(self) -> "GainScheduler":
         return GainScheduler(self.mlp.copy(), self.bounds.copy(), self.memory,
@@ -406,27 +409,67 @@ class BpttResult:
     skipped: list  # diverged episode count per epoch
 
 
+class _StackedSteps:
+    """One network's stacked pass over the E episodes of a lockstep rollout,
+    bound once per rollout (`Mlp.stacked_pass`), with every step's layer
+    inputs kept for the reverse pass: `run(k, rows)` packs the E feature
+    rows (one flat list of floats, episode after episode) into the input
+    stack with one `struct.pack_into`, normalizes them in place against the
+    stats tiled to its shape (elementwise, so with the bits of the same
+    operations on floats), runs the pass, copies each layer's input stack
+    into step k of `hist` ((horizon, E, 1, width) per layer) and returns the
+    outputs, one list per episode."""
+
+    def __init__(self, net: Mlp, n_ep: int, horizon: int, mean: np.ndarray, std: np.ndarray):
+        acts, out, self._run = net.stacked_pass(n_ep)
+        self._x = acts[0]
+        self._mean, self._std = (np.broadcast_to(v, self._x.shape).copy() for v in (mean, std))
+        self._fill = struct.Struct(f"{self._x.size}d").pack_into
+        self.hist = [np.empty((horizon, *a.shape)) for a in acts]
+        self._keep = list(zip(self.hist, acts))
+        self._out = out.reshape(n_ep, -1)
+
+    def run(self, k: int, rows: list) -> list:
+        x = self._x
+        self._fill(x, 0, *rows)
+        np.subtract(x, self._mean, out=x)
+        np.divide(x, self._std, out=x)
+        self._run()
+        for h, a in self._keep:
+            h[k] = a
+        return self._out.tolist()
+
+    def slopes(self) -> list:
+        """Every step's tanh slopes `1 - a ** 2`, one batched product per hidden layer."""
+        return [1.0 - h ** 2 for h in self.hist[1:]]
+
+
 class _ControllerBlock:
     """The neural controller as a rollout block: u_k = center + half_span *
-    tanh(z) on the controller's own row."""
+    tanh(z) on each episode's own row."""
 
-    def __init__(self, nc: NeuralController):
+    def __init__(self, nc: NeuralController, n_ep: int):
         self.nc = nc
         self.std = nc.feat_std.tolist()
+        self.ths = [[] for _ in range(n_ep)]  # tanh(z) of each episode's steps
 
-    def forward(self, k, w, y_window, u_window):
-        nc = self.nc
-        z, acts = nc.forward(nc.features(w, y_window, u_window))
-        th = math.tanh(z)
-        return nc.center + nc.half_span * th, (th, acts)
+    def row(self, e, w, y_window, u_window) -> list:
+        return self.nc.features(w, y_window, u_window)
 
-    def reverse(self, k, cache, u_bar, ybar, ubar, iy, iu, slopes, gzs):
-        # u_bar already holds the loss terms and the surrogate adjoint; the
-        # row's adjoint then goes into the y and u windows, one sum per entry
-        nc, m, std = self.nc, self.nc.memory, self.std
-        th = cache[0]
-        gx = nc.mlp.row_input_adjoint(u_bar * nc.half_span * (1.0 - th ** 2), slopes, k,
-                                      gzs).tolist()
+    def controls(self, zs) -> list:
+        center, half_span = self.nc.center, self.nc.half_span
+        us = []
+        for ths, (z,) in zip(self.ths, zs):
+            ths.append(math.tanh(z))
+            us.append(center + half_span * ths[-1])
+        return us
+
+    def output_adjoint(self, k, e, u_bar) -> list:
+        return [u_bar * self.nc.half_span * (1.0 - self.ths[e][k] ** 2)]
+
+    def scatter(self, k, e, gx, ybar, ubar, iy, iu) -> None:
+        # the row's adjoint into the y and u windows, one sum per entry
+        m, std = self.nc.memory, self.std
         for j in range(1, m + 1):
             ybar[iy + 1 - j] += gx[j] / std[j]
             ubar[iu - j] += gx[m + j] / std[m + j]
@@ -436,130 +479,166 @@ class _SchedulerBlock:
     """Scheduled PI core as a rollout block: rectangle integration with
     conditional anti-windup (branch flags kept for the reverse pass); the
     derivative channel is left to the deployed PID, where it is bounded
-    anyway. The error window, the integrator and their adjoints live here."""
+    anyway. Each episode's error record, integrator and their adjoints live
+    here."""
 
-    def __init__(self, gs: GainScheduler, dt: float, limits, horizon: int):
+    def __init__(self, gs: GainScheduler, dt: float, limits, horizon: int, n_ep: int):
         self.gs, self.dt, self.limits = gs, dt, limits
-        self.es = [0.0] * gs.memory  # zero-warm error record
-        self.ebar = [0.0] * (gs.memory + horizon)
+        self.es = [[0.0] * gs.memory for _ in range(n_ep)]  # zero-warm error records
+        self.ebar = [[0.0] * (gs.memory + horizon) for _ in range(n_ep)]
         self.std = gs.feat_std.tolist()
-        self.s_int = 0.0
-        self.sbar = 0.0  # adjoint of the integrator entering step k+1
+        self.s_int = [0.0] * n_ep
+        self.sbar = [0.0] * n_ep  # adjoint of the integrator entering step k+1
+        self.caches = [[] for _ in range(n_ep)]
 
-    def forward(self, k, w, y_window, u_window):
-        gs, m, (u_lo, u_hi) = self.gs, self.gs.memory, self.limits
-        e_k = w - y_window[-1]
-        self.es.append(e_k)
-        (kp, ki, _), sig, acts = gs.forward(gs.features(self.es[-m:], y_window))
-        inc = ki * e_k * self.dt
-        s_cand = self.s_int + inc
-        u_raw = kp * e_k + s_cand
-        sat = 1 if u_raw > u_hi else -1 if u_raw < u_lo else 0
-        frozen = sat != 0 and (inc * sat > 0.0)
-        if not frozen:
-            self.s_int = s_cand
-        u_k = u_hi if sat > 0 else u_lo if sat < 0 else u_raw
-        return u_k, (sig, acts, kp, ki, sat, frozen)
+    def row(self, e, w, y_window, u_window) -> list:
+        gs, es = self.gs, self.es[e]
+        es.append(w - y_window[-1])
+        return gs.features(es[-gs.memory:], y_window)
 
-    def reverse(self, k, cache, u_bar, ybar, ubar, iy, iu, slopes, gzs):
-        # after the loss terms and surrogate adjoint (in u_bar): the PI core into
-        # ebar[m+k] and the sbar carry, network backward, window scatters, and
-        # last the fold of the final ebar[m+k] into the newest y (e_k = w_k - y_k)
-        gs, m, dt, std, ebar = self.gs, self.gs.memory, self.dt, self.std, self.ebar
-        sig, _, kp, ki, sat, frozen = cache
-        e_k = self.es[m + k]
+    def controls(self, zs) -> list:
+        gains, sig = self.gs.squash([z for out in zs for z in out])
+        (u_lo, u_hi), dt, s_int = self.limits, self.dt, self.s_int
+        us = []
+        for e, cache in enumerate(self.caches):
+            kp, ki = gains[3 * e:3 * e + 2]
+            e_k = self.es[e][-1]
+            inc = ki * e_k * dt
+            s_cand = s_int[e] + inc
+            u_raw = kp * e_k + s_cand
+            sat = 1 if u_raw > u_hi else -1 if u_raw < u_lo else 0
+            frozen = sat != 0 and (inc * sat > 0.0)
+            if not frozen:
+                s_int[e] = s_cand
+            us.append(u_hi if sat > 0 else u_lo if sat < 0 else u_raw)
+            cache.append((sig[3 * e:3 * e + 3], kp, ki, sat, frozen))
+        return us
+
+    def output_adjoint(self, k, e, u_bar) -> list:
+        # the PI core into ebar[m+k] and the sbar carry, then the adjoints
+        # of the network outputs
+        gs, m, dt = self.gs, self.gs.memory, self.dt
+        sig, kp, ki, sat, frozen = self.caches[e][k]
+        e_k, sbar = self.es[e][m + k], self.sbar[e]
         du_raw = u_bar if sat == 0 else 0.0
         # s_cand feeds u_raw always and the next state only when not frozen
-        ds_cand = du_raw + (0.0 if frozen else self.sbar)
-        ds_prev = ds_cand + (self.sbar if frozen else 0.0)
-        ebar[m + k] += du_raw * kp + ds_cand * ki * dt
-        self.sbar = ds_prev
-        dz = [d * s * (1.0 - s) * (hi - lo) for d, s, (lo, hi)
-              in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs._bounds)]
-        gx = gs.mlp.row_input_adjoint(dz, slopes, k, gzs).tolist()
+        ds_cand = du_raw + (0.0 if frozen else sbar)
+        self.sbar[e] = ds_cand + (sbar if frozen else 0.0)
+        self.ebar[e][m + k] += du_raw * kp + ds_cand * ki * dt
+        return [d * s * (1.0 - s) * (hi - lo) for d, s, (lo, hi)
+                in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs._bounds)]
+
+    def scatter(self, k, e, gx, ybar, ubar, iy, iu) -> None:
+        # the window scatters, and last the fold of the final ebar[m+k] into
+        # the newest y (e_k = w_k - y_k)
+        m, std, ebar = self.gs.memory, self.std, self.ebar[e]
         for j in range(m):
             ebar[m + k - j] += gx[j] / std[j]
             ybar[iy - j] += gx[m + j] / std[m + j]
         ybar[iy] -= ebar[m + k]
 
 
-def bptt_loss_and_grad(target, narx: NarxModel, w_seq, horizon: int, rho: float,
-                       limits: tuple[float, float]):
-    """Rollout loss and exact gradient w.r.t. the trained network's weights.
+# a diverged episode's rows overflow or turn NaN, which its loss reports
+@np.errstate(over="ignore", invalid="ignore")
+def bptt_loss_and_grad(target, narx: NarxModel, w_seqs, horizon: int, rho: float,
+                       limits: tuple[float, float]) -> list:
+    """Rollout loss and exact gradient w.r.t. the trained network's weights,
+    one (loss, gradient) pair per reference in `w_seqs`, all on the current
+    weights.
 
     loss = mean squared tracking error + rho * mean squared control move.
-    One unrolled block->surrogate loop for both targets: the loop owns the
-    output and control records, the surrogate step, the loss and the
-    surrogate adjoint; the controller or the scheduled PI core supplies a
-    forward step (windows to u_k and a cache) and a reverse step (the cache
-    and the adjoint of u_k to its network's adjoints, its window adjoints
-    added into ybar/ubar). Exposed separately so the finite-difference
-    oracle in the tests can call the same computation it is checking.
+    The episodes run in lockstep: each step, every episode builds its
+    feature row on floats, and the rows go through one stacked pass per
+    network (`_StackedSteps`); the reverse runs the surrogate and target
+    adjoints as one `np.matmul` per layer over the episodes
+    (`Mlp.row_input_adjoint`). The loop owns the output and control records,
+    the surrogate step, the loss and the surrogate adjoint; the controller or
+    the scheduled PI core supplies its rows, its controls from the network
+    outputs, the adjoint of those outputs and its window scatters. The rows
+    of a stack are independent and each episode's float work is its own, so
+    each pair has the bits of that episode run alone. A rollout whose loss is
+    not finite (a prediction or control past the float range, or a square of
+    its error) has diverged: it runs to the end of the forward loop without a
+    numpy warning and gets gradient None. Exposed separately so the
+    finite-difference oracle in the tests can call the same computation it
+    is checking.
     """
-    w_seq = np.asarray(w_seq, dtype=float).tolist()
-    if len(w_seq) < horizon + 1:
-        raise ValueError("reference must cover horizon + 1 samples")
+    w_seqs = [np.asarray(w, dtype=float).tolist() for w in w_seqs]
+    if any(len(w) < horizon + 1 for w in w_seqs):
+        raise ValueError("each reference must cover horizon + 1 samples")
+    n_ep = len(w_seqs)
+    if not n_ep:
+        return []
     if isinstance(target, NeuralController):
-        block = _ControllerBlock(target)
+        block = _ControllerBlock(target, n_ep)
     elif isinstance(target, GainScheduler):
-        block = _SchedulerBlock(target, narx.dt, limits, horizon)
+        block = _SchedulerBlock(target, narx.dt, limits, horizon, n_ep)
     else:
         raise TypeError("target must be a NeuralController or GainScheduler")
     p, q, m = narx.p, narx.q, target.memory
     pad_y = max(p, m)
     pad_u = max(q - 1, m, 1)
-    ys = [0.0] * (pad_y + horizon)  # the records and their adjoints are float lists
-    us = [0.0] * (pad_u + horizon)
-    caches = []
+    # the records and their adjoints are float lists, one per episode
+    episodes = [(w, [0.0] * (pad_y + horizon), [0.0] * (pad_u + horizon)) for w in w_seqs]
+    net = _StackedSteps(target.mlp, n_ep, horizon, target.feat_mean, target.feat_std)
+    sur = _StackedSteps(narx.mlp, n_ep, horizon, narx.x_mean, narx.x_std)
+    y_std, y_mean = narx._y_std, narx._y_mean
+    sq_track, sq_du = [0.0] * n_ep, [0.0] * n_ep
 
-    loss_track = 0.0
-    loss_du = 0.0
     for k in range(horizon):
         iy, iu = pad_y - 1 + k, pad_u + k  # newest output; the control chosen now
-        u_k, cache = block.forward(k, w_seq[k], ys[iy - m + 1:iy + 1], us[iu - m:iu])
-        us[iu] = u_k
-        y_next, acts_s = narx.predict(ys[iy - p + 1:iy + 1], us[iu - q + 1:iu + 1])
-        if not math.isfinite(y_next):
-            raise SimulationDiverged("surrogate rollout diverged", step=k)
-        ys[iy + 1] = y_next
-        # float64 squares: inf past the float range, where a float's ** 2 raises
-        loss_track += np.float64(y_next - w_seq[k + 1]) ** 2
-        loss_du += np.float64(u_k - us[iu - 1]) ** 2
-        caches.append((cache, acts_s))
+        rows = []
+        for e, (w, y, u) in enumerate(episodes):
+            rows += block.row(e, w[k], y[iy - m + 1:iy + 1], u[iu - m:iu])
+        controls = block.controls(net.run(k, rows))
+        rows = []
+        for (w, y, u), u_k in zip(episodes, controls):
+            u[iu] = u_k
+            rows += lag_features(y[iy - p + 1:iy + 1], u[iu - q + 1:iu + 1], p, q)
+        for e, ((w, y, u), (v,)) in enumerate(zip(episodes, sur.run(k, rows))):
+            y[iy + 1] = y_next = v * y_std + y_mean
+            # float64 squares: inf past the float range, where a float's ** 2 raises
+            sq_track[e] += np.float64(y_next - w[k + 1]) ** 2
+            sq_du[e] += np.float64(u[iu] - u[iu - 1]) ** 2
+    losses = [t / horizon + rho * d / horizon for t, d in zip(sq_track, sq_du)]
+    alive = [e for e, loss in enumerate(losses) if math.isfinite(loss)]
 
-    loss = loss_track / horizon + rho * loss_du / horizon
-
-    # every step's tanh slopes in one batched product per hidden layer; the
-    # target net's activations stacked per layer for `summed_row_gradient`
-    sur, net = narx.mlp, target.mlp
-    sur_slopes = [1.0 - np.array(a) ** 2 for a in list(zip(*(a for _, a in caches)))[1:]]
-    net_acts = [np.array(a) for a in zip(*(cache[1] for cache, _ in caches))]
-    net_slopes = [1.0 - a ** 2 for a in net_acts[1:]]
-    gzs = [np.empty((horizon, n)) for n in net.layer_sizes[1:]]
-    y_std, x_std = float(narx.y_std[0]), narx.x_std.tolist()
+    sur_slopes, net_slopes = sur.slopes(), net.slopes()
+    # the target's pre-activation adjoints, by step, episode and layer
+    gzs = [np.empty((horizon, n_ep, 1, n)) for n in target.mlp.layer_sizes[1:]]
+    # the output adjoint stacks; a diverged episode's row stays zero
+    g_sur, g_net = np.zeros((n_ep, 1, 1)), np.zeros((n_ep, 1, target.mlp.layer_sizes[-1]))
+    x_std = narx.x_std.tolist()
+    bars = {e: ([0.0] * len(episodes[e][1]), [0.0] * len(episodes[e][2])) for e in alive}
 
     # each reverse step adds, in this order: the loss terms, the surrogate
-    # adjoint, then the block's reverse step; every += is a float sum, so
-    # this order into each entry is what keeps the gradient's bits (sums
-    # into different entries may go in any order)
-    ybar = [0.0] * len(ys)
-    ubar = [0.0] * len(us)
+    # adjoint, then the block's terms; every += is a float sum, so this
+    # order into each entry is what keeps the gradient's bits (sums into
+    # different entries may go in any order)
     for k in range(horizon - 1, -1, -1):
         iy, iu = pad_y - 1 + k, pad_u + k
-        ybar[iy + 1] += 2.0 * (ys[iy + 1] - w_seq[k + 1]) / horizon
-        du = us[iu] - us[iu - 1]
-        ubar[iu] += 2.0 * rho * du / horizon
-        ubar[iu - 1] -= 2.0 * rho * du / horizon
-
-        gx = sur.row_input_adjoint(ybar[iy + 1] * y_std, sur_slopes, k).tolist()
-        for j in range(p):
-            ybar[iy - j] += gx[j] / x_std[j]
-        for j in range(q):
-            ubar[iu - j] += gx[p + j] / x_std[p + j]
-
-        block.reverse(k, caches[k][0], ubar[iu], ybar, ubar, iy, iu, net_slopes, gzs)
+        for e in alive:
+            (w, y, u), (ybar, ubar) = episodes[e], bars[e]
+            ybar[iy + 1] += 2.0 * (y[iy + 1] - w[k + 1]) / horizon
+            du = u[iu] - u[iu - 1]
+            ubar[iu] += 2.0 * rho * du / horizon
+            ubar[iu - 1] -= 2.0 * rho * du / horizon
+            g_sur[e] = ybar[iy + 1] * y_std
+        gx_sur = narx.mlp.row_input_adjoint(g_sur, sur_slopes, k).reshape(n_ep, -1).tolist()
+        for e in alive:
+            gx, (ybar, ubar) = gx_sur[e], bars[e]
+            for j in range(p):
+                ybar[iy - j] += gx[j] / x_std[j]
+            for j in range(q):
+                ubar[iu - j] += gx[p + j] / x_std[p + j]
+            g_net[e] = block.output_adjoint(k, e, ubar[iu])
+        gx_net = target.mlp.row_input_adjoint(g_net, net_slopes, k, gzs).reshape(n_ep, -1).tolist()
+        for e in alive:
+            block.scatter(k, e, gx_net[e], *bars[e], iy, iu)
     # summed in the reverse loop's order, last step first
-    return loss, net.summed_row_gradient([g[::-1] for g in gzs], [a[::-1] for a in net_acts])
+    return [(loss, target.mlp.summed_row_gradient([g[::-1, e, 0] for g in gzs],
+                                                  [a[::-1, e, 0] for a in net.hist])
+             if e in bars else None) for e, loss in enumerate(losses)]
 
 
 # gradient norm above which a BPTT update is scaled down to it
@@ -571,10 +650,14 @@ def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConf
     """Train a controller or scheduler through closed-loop surrogate rollouts.
 
     `limits` bound the scheduled PI core's command (a controller bounds its
-    own). One Adam update per episode in a fixed seeded order; gradient norm
-    is clipped at `CLIP_NORM`. Diverged rollouts are skipped and counted; more
-    than half skipped in one epoch aborts as unstable. horizon = 0 is the
-    degenerate no-op contract (loss 0, no update).
+    own). Each epoch rolls every reference out in lockstep on the epoch's
+    start weights (`bptt_loss_and_grad`), then makes one Adam update per
+    episode that did not diverge, in a seeded permutation's order, each from
+    its own gradient with the norm clipped at `CLIP_NORM`; an epoch's
+    gradients are thus up to `len(references) - 1` updates old. Diverged
+    rollouts are skipped and counted; more than half skipped in one epoch
+    aborts as unstable. horizon = 0 is the degenerate no-op contract (loss 0,
+    no update).
     """
     if horizon > 200:
         raise ValueError("rollout horizon is capped at 200 steps")
@@ -590,21 +673,16 @@ def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConf
     for _ in range(cfg.max_epochs):
         order = rng.permutation(len(refs))
         losses = []
-        skipped = 0
-        for idx in order:
-            try:
-                loss, flat = bptt_loss_and_grad(work, narx, refs[idx], horizon, rho, limits)
-            except SimulationDiverged:
-                skipped += 1
-                continue
-            if not math.isfinite(loss):
-                skipped += 1
+        for loss, flat in bptt_loss_and_grad(work, narx, [refs[i] for i in order], horizon, rho,
+                                             limits):
+            if flat is None:
                 continue
             norm = float(np.linalg.norm(flat))
             if norm > CLIP_NORM:
                 flat = flat * (CLIP_NORM / norm)
             adam.step(work.mlp.params, flat)
             losses.append(loss)
+        skipped = len(refs) - len(losses)
         if skipped > 0.5 * len(refs):
             raise NumericalFailure(f"{skipped}/{len(refs)} rollouts diverged in one epoch")
         result.history.append(float(np.mean(losses)) if losses else math.nan)

@@ -136,8 +136,9 @@ class Mlp:
 
     def stacked_pass(self, k: int):
         """A forward pass of k independent rows bound to buffers allocated here:
-        returns `(inputs, outputs, run)`, where `inputs` is the (k, 1, n) stack
-        the caller fills and `run()` computes every layer in place, the last
+        returns `(acts, outputs, run)`, where `acts` holds each layer's input
+        stack, the (k, 1, n) input the caller fills first, then the hidden
+        activations, and `run()` computes every layer in place, the last
         into the (k, 1, n_out) stack `outputs`. Each output row is bit-equal to
         `forward` on its input row alone: every layer is one `np.matmul` over
         the stack, which makes one matrix-vector product (gemv) per row, the
@@ -160,7 +161,7 @@ class Mlp:
                 tanh(h, out=h)
             matmul(a_last, w_last, out=out)
             add(out, b_last, out=out)
-        return acts[0], out, run
+        return acts[:-1], out, run
 
     def batch_pass(self, k: int, grad: np.ndarray, x: np.ndarray | None = None) -> "BatchPass":
         """A forward and reverse pass of k rows bound to buffers allocated
@@ -194,25 +195,29 @@ class Mlp:
         bp.grad += 0.0
 
     def row_input_adjoint(self, g, slopes, k: int, gzs=None) -> np.ndarray:
-        """Input adjoint of pass k of a stack of 1-D passes, from its output
-        adjoint `g` (a float for a one-output net) and `slopes`, the passes'
-        tanh slopes `1 - a ** 2` stacked per hidden layer, first layer first.
-        If given, `gzs` holds a (passes, width) stack per layer, first layer
-        first, and row k of each receives that layer's pre-activation adjoint
+        """Input adjoint of step k of a history of 1-D passes, or of (E, 1, n)
+        stacks of E passes each, from its output adjoint `g` (for a
+        one-output net a float, or an (E, 1, 1) stack) and `slopes`, the tanh
+        slopes `1 - a ** 2` of every step, stacked per hidden layer, first
+        layer first. If given, `gzs` holds a history per layer, first layer
+        first, and step k of each receives that layer's pre-activation adjoint
         (what `backward` writes into a one-row pass) for `summed_row_gradient`.
+        A stack's products are one `np.matmul` per layer, one gemv per row, so
+        each row has the bits of its pass run alone.
 
-        For one output the first product is `g * W[0]`, not np.dot([g], W):
-        the same exactly rounded products, but a zero one may be -0.0 where the
-        gemv gives +0.0. That sign reaches only sums from +0.0, which drop it."""
+        For one output the first product is `g * W[0]`, not a gemv with
+        [g]: the same exactly rounded products, but a zero one may be -0.0
+        where the gemv gives +0.0. That sign reaches only sums from +0.0,
+        which drop it."""
         w = self.weights
         l = len(w) - 1
         if gzs is not None:
             gzs[l][k] = g
-        ga = g * w[l][0] if self.layer_sizes[-1] == 1 else np.dot(g, w[l])
+        ga = g * w[l][0] if self.layer_sizes[-1] == 1 else np.matmul(g, w[l])
         while l:
             l -= 1
             gz = ga * slopes[l][k] if gzs is None else np.multiply(ga, slopes[l][k], out=gzs[l][k])
-            ga = np.dot(gz, w[l])
+            ga = np.matmul(gz, w[l])
         return ga
 
     def summed_row_gradient(self, gzs, acts) -> np.ndarray:

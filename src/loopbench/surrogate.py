@@ -89,16 +89,11 @@ class NarxModel:
         self._y_mean = float(self.y_mean[0])
         self._y_std = float(self.y_std[0])
 
-    def predict(self, y_window, u_window):
-        """Next output from chronological windows (newest sample last), and
-        the activations of the network pass."""
-        row = lag_features(y_window, u_window, self.p, self.q)
-        xn = [(f - m) / s for f, (m, s) in zip(row, self._x_stats)]
-        out, acts = self.mlp.forward_cached(xn)
-        return float(out[0]) * self._y_std + self._y_mean, acts
-
     def predict_one(self, y_window, u_window) -> float:
-        return self.predict(y_window, u_window)[0]
+        """Next output from chronological windows (newest sample last)."""
+        row = lag_features(y_window, u_window, self.p, self.q)
+        out = self.mlp.forward_cached([(f - m) / s for f, (m, s) in zip(row, self._x_stats)])[0]
+        return float(out[0]) * self._y_std + self._y_mean
 
     def rows_predictor(self, k: int):
         """`predict_one` of up to k (y_window, u_window) pairs, bit for bit:
@@ -111,7 +106,7 @@ class NarxModel:
         predictions are dropped; the rows are independent."""
         p, q, y_std, y_mean = self.p, self.q, self._y_std, self._y_mean
         n = p + q
-        x, out, run = self.mlp.stacked_pass(k)
+        (x, *_), out, run = self.mlp.stacked_pass(k)
         x_mean, x_std = (np.broadcast_to(v, x.shape).copy() for v in (self.x_mean, self.x_std))
         fill, out = struct.Struct(f"{k * n}d").pack_into, out.reshape(k)
         subtract, divide = np.subtract, np.divide
@@ -180,7 +175,7 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig, hidden, val_fraction: 
 
     # held-out one-step predictions: the normalized validation rows in one
     # stacked pass, each row bit-equal to `predict_one` on its windows
-    x, out, run = model.mlp.stacked_pass(len(val_n))
+    (x, *_), out, run = model.mlp.stacked_pass(len(val_n))
     x[:, 0] = val_n.x
     run()
     val_y, val_u = y[n_train:], u[n_train:]

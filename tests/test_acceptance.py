@@ -171,9 +171,9 @@ def test_ac4_gradient_oracle():
             g = np.zeros_like(base)
             for i in range(base.size):
                 params[i] = base[i] + 1e-5
-                hi, _ = bptt_loss_and_grad(target, narx, w_seq, 3, 0.01, limits)
+                [(hi, _)] = bptt_loss_and_grad(target, narx, [w_seq], 3, 0.01, limits)
                 params[i] = base[i] - 1e-5
-                lo, _ = bptt_loss_and_grad(target, narx, w_seq, 3, 0.01, limits)
+                [(lo, _)] = bptt_loss_and_grad(target, narx, [w_seq], 3, 0.01, limits)
                 params[i] = base[i]
                 g[i] = (hi - lo) / 2e-5
             return g
@@ -184,13 +184,14 @@ def test_ac4_gradient_oracle():
                 nc = NeuralController(Mlp([7, hidden, 1], seed=seed), u_min=-2.0, u_max=2.0,
                                       memory=3)
                 w_seq = rng.normal(size=5) * 0.5
-                _, g = bptt_loss_and_grad(nc, narx, w_seq, 3, 0.01, limits=(-math.inf, math.inf))
+                [(_, g)] = bptt_loss_and_grad(nc, narx, [w_seq], 3, 0.01,
+                                              limits=(-math.inf, math.inf))
                 worst_bptt = max(worst_bptt, _max_rel(g, fd_bptt(nc, w_seq, (-2.0, 2.0))))
         for seed in range(3):
             gs = GainScheduler(Mlp([6, 5, 3], seed=seed),
                                bounds=[[0.1, 3.0], [0.05, 2.0], [0.0, 0.5]], memory=3)
             w_seq = rng.normal(size=5) * 0.5
-            _, g = bptt_loss_and_grad(gs, narx, w_seq, 3, 0.01, (-50.0, 50.0))
+            [(_, g)] = bptt_loss_and_grad(gs, narx, [w_seq], 3, 0.01, (-50.0, 50.0))
             worst_bptt = max(worst_bptt, _max_rel(g, fd_bptt(gs, w_seq, (-50.0, 50.0))))
         assert worst_bptt < 1e-4
     b.report(f"max relative gradient error: nnet {worst_nnet:.2e}, bptt {worst_bptt:.2e}")

@@ -195,10 +195,13 @@ def test_rejected_excitation_exits_2_naming_the_section(tmp_path, capsys, excita
     ("record", "excitation.bit_period", {"excitation": {"variant": "prbs"}}),
     ("record", "excitation.duration", {"excitation": {"variant": "chirp"}}),
     ("simulate", "sensor.sample_period", {"controller": {"kind": "pid"}}),
-], ids=["bit-period", "chirp-duration", "sample-period"])
+    ("record", "excitation.dwell", {"excitation": {"variant": "step_train"}}),
+    ("simulate", "reference.time", {"controller": {"kind": "pid"}}),
+], ids=["bit-period", "chirp-duration", "sample-period", "step-train-dwell", "reference-time"])
 def test_duration_past_the_horizon_exits_2_naming_the_key(tmp_path, capsys, command, path, extra):
-    """A bit period, chirp duration or sample period of 5 s on a 1 s run is
-    refused with its key path; one equal to the horizon runs."""
+    """A bit period, chirp duration, sample period, step train dwell or step
+    reference time of 5 s on a 1 s run is refused with its key path; one
+    equal to the horizon runs."""
     section, key = path.split(".")
     for value, code in ((5.0, 2), (1.0, 0)):
         cfg = _patched({"sim": {"dt": 0.01, "horizon": 1.0}, "plant": dict(FOPDT_PLANT),

@@ -13,7 +13,10 @@ every output file moved onto the `dataio` writers, `cli/linear2-cascade`
 before linear plants moved onto float state and trajectory files were
 formatted by column, `tune/ai-corner` before the AI search moved its
 episodes onto one stacked surrogate pass per step, and `cli/simulate-profile`
-before a profile reference became one `np.interp` over the grid; a change
+before a profile reference became one `np.interp` over the grid. Declared
+changes rewrote the imitation digests when an epoch's batch rows came to be
+drawn at once, and `train/bptt-controller` and `train/bptt-scheduler` when
+an epoch's BPTT gradients came to be taken at its start weights; a change
 that moves any output bit fails here and must be declared as a behaviour
 change. Regenerate with
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from loopbench.neuro import (
     _episode_cost_on_surrogate, _lockstep_costs, nelder_mead_bounded, train_bptt,
     train_imitation, tune_static_ai,
 )
-from loopbench.nnet import Mlp, TrainConfig, load_model, normalize, save_model
+from loopbench.nnet import Adam, Mlp, TrainConfig, load_model, normalize, save_model
 from loopbench.pid import PidController, PidGains, PidState, pid_step
 from loopbench.simcore import (
     DisturbanceSpec, Fopdt, PlantModel, SensorSpec, SimConfig, simulate,
@@ -43,9 +44,9 @@ def _fd_bptt(target, narx, w_seq, horizon, rho, limits, h=1e-5):
     g = np.zeros_like(base)
     for i in range(base.size):
         params[i] = base[i] + h
-        hi, _ = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+        [(hi, _)] = bptt_loss_and_grad(target, narx, [w_seq], horizon, rho, limits)
         params[i] = base[i] - h
-        lo, _ = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+        [(lo, _)] = bptt_loss_and_grad(target, narx, [w_seq], horizon, rho, limits)
         params[i] = base[i]
         g[i] = (hi - lo) / (2.0 * h)
     return g
@@ -274,7 +275,7 @@ def test_bptt_controller_gradient_matches_finite_differences():
                               feat_mean=rng.normal(size=7) * 0.1,
                               feat_std=rng.uniform(0.5, 2.0, size=7))
         w_seq = rng.normal(size=8) * 0.5
-        _, g = bptt_loss_and_grad(nc, narx, w_seq, 3, 0.01, limits=(-math.inf, math.inf))
+        [(_, g)] = bptt_loss_and_grad(nc, narx, [w_seq], 3, 0.01, limits=(-math.inf, math.inf))
         assert _max_rel(g, _fd_bptt(nc, narx, w_seq, 3, 0.01, (-2.0, 2.0))) < 1e-4
 
 
@@ -288,7 +289,7 @@ def test_bptt_scheduler_gradient_matches_finite_differences():
                            feat_std=rng.uniform(0.5, 2.0, size=6))
         w_seq = rng.normal(size=8) * 0.5
         limits = (-100.0, 100.0)
-        _, g = bptt_loss_and_grad(gs, narx, w_seq, 3, 0.01, limits)
+        [(_, g)] = bptt_loss_and_grad(gs, narx, [w_seq], 3, 0.01, limits)
         assert _max_rel(g, _fd_bptt(gs, narx, w_seq, 3, 0.01, limits)) < 1e-4
 
 
@@ -476,7 +477,7 @@ def test_one_rollout_loop_bit_equal_to_the_two_rollouts(kind):
                     want = _ref_controller_rollout(target, narx, w_seq, horizon, rho)
                 else:
                     want = _ref_scheduler_rollout(target, narx, w_seq, horizon, rho, limits)
-                loss, grads = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+                [(loss, grads)] = bptt_loss_and_grad(target, narx, [w_seq], horizon, rho, limits)
                 assert loss == want[0], (p, q, m, seed, limits)
                 assert np.array_equal(grads, want[1]), (p, q, m, seed, limits)
                 cases += 1
@@ -531,29 +532,69 @@ def test_bptt_unstable_when_rollouts_diverge():
                                    batch_size=32, patience=10_000), limits=(-1.0, 1.0), rho=0.01)
 
 
+def _overflowing_case(kind):
+    """The surrogate y[k+1] = 10 y[k] + u[k] and a target whose zero biases
+    make its control track the reference's scale."""
+    net = Mlp([2, 1], init=False)
+    net.weights[0][:] = np.array([[10.0, 1.0]])
+    narx = NarxModel(net, 1, 1, 0.1, np.zeros(2), np.ones(2), np.zeros(1), np.ones(1))
+    if kind == "controller":
+        return NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4), narx
+    return GainScheduler(Mlp([8, 6, 3], seed=0), bounds=[[0.2, 2.0], [0.1, 1.0], [0.0, 0.1]],
+                         memory=4), narx
+
+
 @pytest.mark.parametrize("kind", ["controller", "scheduler"])
 def test_bptt_skips_a_rollout_whose_squares_overflow(kind):
     """y[k+1] = 10 y[k] + u[k] diverges through finite outputs (and, under the
     scheduler without limits, finite controls) whose squares pass the float
     range: the loss is inf, the rollout is skipped, and one skipped reference
     in one makes training unstable."""
-    net = Mlp([2, 1], init=False)
-    net.weights[0][:] = np.array([[10.0, 1.0]])
-    narx = NarxModel(net, 1, 1, 0.1, np.zeros(2), np.ones(2), np.zeros(1), np.ones(1))
-    if kind == "controller":
-        target = NeuralController(Mlp([9, 4, 1], seed=0), u_min=-1.0, u_max=1.0, memory=4)
-    else:
-        target = GainScheduler(Mlp([8, 6, 3], seed=0),
-                               bounds=[[0.2, 2.0], [0.1, 1.0], [0.0, 0.1]], memory=4)
+    target, narx = _overflowing_case(kind)
     w_seq = np.full(201, 0.5)
     with np.errstate(all="ignore"):
-        loss, _ = bptt_loss_and_grad(target, narx, w_seq, 200, 0.01, limits=(-math.inf, math.inf))
+        [(loss, _)] = bptt_loss_and_grad(target, narx, [w_seq], 200, 0.01,
+                                         limits=(-math.inf, math.inf))
         assert loss == math.inf
         with pytest.raises(NumericalFailure, match="^1/1 rollouts diverged in one epoch$"):
             cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=1, patience=10_000,
                               seed=0)
             train_bptt(target, narx, [w_seq], horizon=200, cfg=cfg, limits=(-math.inf, math.inf),
                        rho=0.01)
+
+
+@pytest.mark.parametrize("kind", ["controller", "scheduler"])
+def test_bptt_skips_only_the_diverged_episode_of_an_epoch(kind):
+    """Two references on `_overflowing_case`: at 1e-250 the output stays near
+    1e-50 over 200 steps, at 0.5 its squares pass the float range. The
+    diverged row changes no bit of its neighbour and raises no numpy
+    warning; the epoch counts one skipped and updates from the other
+    episode's gradient alone. Two diverged of three abort the epoch."""
+    target, narx = _overflowing_case(kind)
+    tiny, big = np.full(201, 1e-250), np.full(201, 0.5)
+    inf = (-math.inf, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [(loss, grad), (big_loss, big_grad)] = bptt_loss_and_grad(target, narx, [tiny, big],
+                                                                  200, 0.01, inf)
+    [(alone, alone_grad)] = bptt_loss_and_grad(target, narx, [tiny], 200, 0.01, inf)
+    assert math.isfinite(loss) and np.isfinite(grad).all() and grad.any()
+    assert np.float64(loss).tobytes() == np.float64(alone).tobytes()
+    assert grad.tobytes() == alone_grad.tobytes()
+    assert big_loss == math.inf and big_grad is None
+
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=1, patience=10_000, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = train_bptt(target, narx, [tiny, big], horizon=200, cfg=cfg, limits=inf, rho=0.01)
+    assert res.skipped == [1] and repr(res.history) == repr([float(loss)])
+    want = target.mlp.params.copy()
+    norm = float(np.linalg.norm(grad))
+    Adam(want.size, 1e-2).step(want, grad * (1.0 / norm) if norm > 1.0 else grad)
+    assert res.trained.mlp.params.tobytes() == want.tobytes()
+    with pytest.raises(NumericalFailure, match="^2/3 rollouts diverged in one epoch$"):
+        train_bptt(target, narx, [tiny, big, np.full(201, 1.0)], horizon=200, cfg=cfg,
+                   limits=inf, rho=0.01)
 
 
 def test_bptt_horizon_cap():

@@ -426,22 +426,26 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
                          ids=lambda s: "-".join(map(str, s)))
 def test_forward_rows_bit_equal_to_forward_per_row(sizes, k):
     """k rows through one `stacked_pass` binding, run on fresh inputs three
-    times, give row by row the bits of `forward` on each row alone; the
-    stacked (k, 1, n) products make one gemv per row, a 2-D matrix product
-    would not."""
+    times, give row by row the bits of `forward_cached` on each row alone,
+    output and every activation; the stacked (k, 1, n) products make one
+    gemv per row, a 2-D matrix product would not."""
     rng = np.random.default_rng([k, *sizes])
     for seed in range(3):
         net = Mlp(sizes, seed=seed)
         for b in net.biases:
             b[...] = rng.normal(size=b.shape) * 0.5
-        inputs, outputs, run = net.stacked_pass(k)
-        assert inputs.shape == (k, 1, sizes[0]) and outputs.shape == (k, 1, sizes[-1])
+        acts, outputs, run = net.stacked_pass(k)
+        assert [a.shape for a in acts] == [(k, 1, n) for n in sizes[:-1]]
+        assert outputs.shape == (k, 1, sizes[-1])
         for _ in range(3):
             xs = rng.normal(size=(k, sizes[0])) * rng.choice([1e-3, 1.0, 50.0], size=(k, 1))
-            inputs[:, 0] = xs
+            acts[0][:, 0] = xs
             run()
-            for x, row in zip(xs, outputs[:, 0], strict=True):
-                assert row.tobytes() == net.forward(x).tobytes()
+            for i, x in enumerate(xs):
+                out, want = net.forward_cached(x)
+                assert outputs[i, 0].tobytes() == out.tobytes()
+                assert all(a[i, 0].tobytes() == w.tobytes()
+                           for a, w in zip(acts, want, strict=True))
     with pytest.raises(ValueError):
         net.stacked_pass(0)
 

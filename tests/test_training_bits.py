@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from loopbench.neuro import (
-    GainScheduler, NeuralController, bptt_loss_and_grad, train_imitation,
+    GainScheduler, NeuralController, bptt_loss_and_grad, train_bptt, train_imitation,
 )
 from loopbench.errors import DataError, SimulationDiverged
 from loopbench.nnet import Adam, Mlp, SupervisedDataset, TrainConfig, normalize, train
@@ -630,7 +630,7 @@ def test_bptt_bit_equal_to_per_step_gradient_sum(kind):
             w_seq += rng.normal(size=horizon + 1) * 0.05
             for limits in ((-0.4, 0.4), (-50.0, 50.0)):
                 want = ref_bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
-                loss, grads = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+                [(loss, grads)] = bptt_loss_and_grad(target, narx, [w_seq], horizon, rho, limits)
                 assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes(), (p, q, m, seed)
                 assert grads.tobytes() == want[1].tobytes(), (p, q, m, seed, limits)
                 cases += 1
@@ -650,7 +650,7 @@ def _bptt_case(kind, hidden, m, seed):
 
 def _assert_bptt_bit_equal(target, narx, w_seq, horizon, rho, limits, what):
     want = ref_bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
-    loss, grads = bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+    [(loss, grads)] = bptt_loss_and_grad(target, narx, [w_seq], horizon, rho, limits)
     assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes(), what
     assert grads.tobytes() == want[1].tobytes(), what
 
@@ -705,3 +705,86 @@ def test_bptt_bit_equal_on_a_linear_surrogate_and_a_deeper_target(kind):
                 for limits in ((-0.4, 0.4), (-50.0, 50.0)):
                     _assert_bptt_bit_equal(target, narx, w_seq, horizon, 0.05, limits,
                                            (narx.mlp.layer_sizes, hidden, m, limits, seed))
+
+
+def _references(rng, n_ep, horizon):
+    """n_ep step references of their own levels and noise."""
+    return [np.concatenate([np.zeros(2), np.full(horizon - 1, rng.uniform(-1.5, 1.5))])
+            + rng.normal(size=horizon + 1) * 0.05 for _ in range(n_ep)]
+
+
+@pytest.mark.parametrize("kind", ["controller", "scheduler"])
+def test_lockstep_episodes_bit_equal_to_each_episode_alone(kind):
+    """Lockstep rollouts of 1, 2, 3 and 5 episodes on one set of weights:
+    each episode's loss and gradient byte-equal to `ref_bptt_loss_and_grad`
+    on that episode alone, for a hidden surrogate under a target with one
+    hidden layer, the linear surrogates under deeper targets and a hidden
+    surrogate under a target with none, and limits that saturate the PI
+    core or never bind."""
+    horizon, rho = 30, 0.05
+    cases = 0
+    for seed in range(2):
+        rng = np.random.default_rng([seed, 19])
+        for narx, hidden in ((random_narx(2, 3, (5,), seed), [6]), (_identity_narx(), [6, 4]),
+                             (random_narx(2, 2, (), seed), [7, 5]),
+                             (random_narx(2, 3, (5,), seed), [])):
+            for m in (1, 3):
+                target = _bptt_case(kind, hidden, m, seed)
+                for n_ep, limits in itertools.product((1, 2, 3, 5), ((-0.4, 0.4), (-50.0, 50.0))):
+                    w_seqs = _references(rng, n_ep, horizon)
+                    got = bptt_loss_and_grad(target, narx, w_seqs, horizon, rho, limits)
+                    for i, (w_seq, (loss, grads)) in enumerate(zip(w_seqs, got, strict=True)):
+                        want = ref_bptt_loss_and_grad(target, narx, w_seq, horizon, rho, limits)
+                        what = (narx.mlp.layer_sizes, hidden, m, n_ep, i, limits, seed)
+                        assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes(), what
+                        assert grads.tobytes() == want[1].tobytes(), what
+                        cases += 1
+    assert cases == 2 * 4 * 2 * 2 * 11
+
+
+def ref_train_bptt(target, narx, refs, horizon, cfg, limits, rho):
+    """`train_bptt`'s epoch rule on the reference rollout and Adam: each
+    epoch, every episode's gradient alone at the epoch's start weights, then,
+    in the seeded permutation's order, one update from each finite one, its
+    norm clipped at 1."""
+    work = target.copy()
+    rng = np.random.default_rng(cfg.seed)
+    adam = UnboundAdam(work.mlp.n_params, cfg.learning_rate)
+    history, skipped = [], []
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(len(refs))
+        start = work.copy()
+        pairs = [ref_bptt_loss_and_grad(start, narx, refs[i], horizon, rho, limits) for i in order]
+        losses = []
+        for loss, g in pairs:
+            if not math.isfinite(loss):
+                continue
+            norm = float(np.linalg.norm(g))
+            if norm > 1.0:
+                g = g * (1.0 / norm)
+            adam.step(work.mlp.params, g)
+            losses.append(loss)
+        history.append(float(np.mean(losses)) if losses else math.nan)
+        skipped.append(len(refs) - len(losses))
+    return work, history, skipped
+
+
+@pytest.mark.parametrize("kind", ["controller", "scheduler"])
+def test_train_bptt_bit_equal_to_the_epoch_rule(kind):
+    """`train_bptt` over 1 to 4 references and 6 epochs against the rule
+    run on the reference rollout and Adam: final weights, history and
+    skipped counts byte for byte; some of the controller's gradients pass
+    the clip, the scheduler's stay below it."""
+    horizon = 25
+    for seed, n_ep, lr in ((0, 4, 0.02), (1, 3, 0.2), (2, 1, 0.05), (3, 2, 0.01)):
+        rng = np.random.default_rng([seed, 23])
+        narx = random_narx(2, 3, (5,), seed)
+        target = _bptt_case(kind, [6], 2, seed)
+        refs = _references(rng, n_ep, horizon)
+        cfg = TrainConfig(learning_rate=lr, batch_size=32, max_epochs=6, patience=10_000,
+                          seed=seed + 3)
+        res = train_bptt(target, narx, refs, horizon, cfg, (-1.0, 1.0), 0.05)
+        work, history, skipped = ref_train_bptt(target, narx, refs, horizon, cfg, (-1.0, 1.0),
+                                                0.05)
+        assert res.trained.mlp.params.tobytes() == work.mlp.params.tobytes(), seed
+        assert repr(res.history) == repr(history) and res.skipped == skipped == [0] * 6, seed
