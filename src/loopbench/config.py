@@ -210,6 +210,9 @@ def _check(cfg: dict) -> None:
              "plant.limits")
     lam = cfg["training"]["lambda"]
     _require(0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
+    for name in ("training", "tuning"):
+        _require(cfg[name]["episodes"]["count"] >= 1, "count must be an integer >= 1",
+                 f"{name}.episodes.count")
 
 
 # ---------------------------------------------------------------------------

@@ -790,16 +790,15 @@ class StaticTuneResult:
 def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.ndarray,
                                rho: float):
     """IAE + rho * integral(|u|) of a PID loop closed over the surrogate, as a
-    generator: each step yields its lag windows (chronological, newest last;
-    they change in place on the next send), is sent the surrogate's
-    prediction from them, and returns the cost when the episode ends.
-    `_lockstep_costs` drives it."""
+    generator: each step yields its feature row (`lag_features` of the
+    output and input windows; it changes in place on the next send), is sent
+    the surrogate's prediction from it, and returns the cost when the
+    episode ends. `_lockstep_costs` drives it."""
     state = PidState()
-    dt = narx.dt
+    dt, p = narx.dt, narx.p
     w = np.asarray(reference, dtype=float).tolist()
-    y_hist = [0.0] * narx.p  # chronological lag windows: p outputs, q-1 inputs between steps
-    u_hist = [0.0] * (narx.q - 1)
-    lags = y_hist, u_hist
+    # zero lags; between steps the last slot is the input the next one pushes out
+    row = [0.0] * (p + narx.q)
     bound = 1e6 * max(1.0, float(np.max(np.abs(reference))))
     iae = 0.0
     effort = 0.0
@@ -809,13 +808,13 @@ def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.n
             u = pid_step(gains, state, w[k], y_now, dt)
         except ControllerFault:
             return math.inf
-        u_hist.append(u)
-        y_now = yield lags
+        del row[-1]
+        row.insert(p, u)
+        y_now = yield row
         if not math.isfinite(y_now) or abs(y_now) > bound:
             return math.inf
-        y_hist.append(y_now)
-        del y_hist[0]
-        del u_hist[0]
+        del row[p - 1]
+        row.insert(0, y_now)
         iae += abs(w[k + 1] - y_now) * dt
         effort += abs(u) * dt
     return iae + rho * effort
@@ -826,7 +825,7 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
     side: one predictor bound once to the call's k generators
     (`NarxModel.rows_predictor`) predicts for every live episode each step,
     so each cost is bit-equal to that episode run alone. An episode that ends
-    early leaves the stack, and the same binding serves the fewer windows
+    early leaves the stack, and the same binding serves the fewer rows
     left. The generators may belong to several gain points (`tune_static_ai`
     passes every episode of a whole start simplex or shrink). A lone
     generator runs on the row path, where one row costs less than a stacked
@@ -837,16 +836,16 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
     live, preds = list(enumerate(episodes)), [None] * len(episodes)
     predict = narx.rows_predictor(len(episodes))
     while live:
-        windows = []
+        rows = []
         for (i, episode), y in zip(live, preds):
             try:
-                windows.append(episode.send(y))
+                rows.append(episode.send(y))
             except StopIteration as stop:
                 costs[i] = stop.value
-        if len(windows) < len(live):
+        if len(rows) < len(live):
             live = [(i, episode) for i, episode in live if costs[i] is None]
         if live:
-            preds = predict(windows)
+            preds = predict(rows)
     return costs
 
 
@@ -856,7 +855,7 @@ def _cost_alone(narx: NarxModel, episode) -> float:
     predict, send, y = narx.predict_one, episode.send, None
     try:
         while True:
-            y = predict(*send(y))
+            y = predict(send(y))
     except StopIteration as stop:
         return stop.value
 

@@ -81,7 +81,8 @@ def pid_step(gains: PidGains, state: PidState, w: float, y: float, dt: float) ->
 
     The first step after reset treats the previous error/measurement as the
     current ones, so a constant error integrates at the full rectangle rate
-    and the derivative starts from zero.
+    and the derivative starts from zero. Each gain and state field is read
+    once; the state is written whole before a non-finite output raises.
     """
     if not (math.isfinite(w) and math.isfinite(y)):
         raise ControllerFault("non-finite reference or measurement")
@@ -92,28 +93,29 @@ def pid_step(gains: PidGains, state: PidState, w: float, y: float, dt: float) ->
         state.last_meas = y
         state.d_filt = 0.0
 
-    p_term = gains.kp * (gains.setpoint_weight * w - y)
+    kp = gains.kp
+    p_term = kp * (gains.setpoint_weight * w - y)
 
     d_term = 0.0
-    if gains.kd > 0.0:
+    kd = gains.kd
+    if kd > 0.0:
         # first-order filter on the measurement derivative, T_f = kd/(kp N)
-        tf = gains.kd / (gains.kp * gains.deriv_filter_n) if gains.kp > 0.0 else 0.0
-        state.d_filt = (tf * state.d_filt + (y - state.last_meas)) / (tf + dt)
-        d_term = -gains.kd * state.d_filt
+        tf = kd / (kp * gains.deriv_filter_n) if kp > 0.0 else 0.0
+        state.d_filt = d_filt = (tf * state.d_filt + (y - state.last_meas)) / (tf + dt)
+        d_term = -kd * d_filt
 
     inc = gains.ki * dt * 0.5 * (e + state.last_error)
-    u_unsat = p_term + state.integrator + inc + d_term
+    integrator = state.integrator
+    u = p_term + integrator + inc + d_term
 
-    if u_unsat > gains.u_max:
-        u = gains.u_max
+    if u > (u_max := gains.u_max):
+        u = u_max
         inc = min(inc, 0.0)  # freeze while pushing further into saturation
-    elif u_unsat < gains.u_min:
-        u = gains.u_min
+    elif u < (u_min := gains.u_min):
+        u = u_min
         inc = max(inc, 0.0)
-    else:
-        u = u_unsat
 
-    state.integrator += inc
+    state.integrator = integrator + inc
     state.last_error = e
     state.last_meas = y
     state.primed = True

@@ -3,7 +3,7 @@
 A discrete-time NARX one-step predictor (lagged outputs and inputs in, next
 output out) is the workhorse: it trains in seconds and its rollout is exact
 to differentiate, which the closed-loop training in `neuro` relies on. It
-predicts one window pair on the row path, or k at once through a stacked
+predicts one feature row on the row path, or k at once through a stacked
 pass bound once to its buffers; both give the same bits.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,11 +55,13 @@ def make_regression_dataset(y: np.ndarray, u: np.ndarray, p: int, q: int) -> Sup
 class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
-    Per-step prediction runs on Python floats around one 1-D row through
-    `Mlp.forward_cached`; `rows_predictor` binds k rows to one
-    `Mlp.stacked_pass`. Float arithmetic rounds exactly as numpy's
-    elementwise ops, so both are bit-equal to the array form. The float
-    copies of the normalization stats are taken at construction.
+    Both predictors take feature rows as `lag_features` lays them out, which
+    a rollout keeps in place step to step. Per-step prediction runs on
+    Python floats around one 1-D row through `Mlp.forward_cached`;
+    `rows_predictor` binds k rows to one `Mlp.stacked_pass`. Float
+    arithmetic rounds exactly as numpy's elementwise ops, so both are
+    bit-equal to the array form. The float copies of the normalization
+    stats are taken at construction.
     """
 
     KIND = "narx-surrogate"
@@ -89,35 +92,32 @@ class NarxModel:
         self._y_mean = float(self.y_mean[0])
         self._y_std = float(self.y_std[0])
 
-    def predict_one(self, y_window, u_window) -> float:
-        """Next output from chronological windows (newest sample last)."""
-        row = lag_features(y_window, u_window, self.p, self.q)
+    def predict_one(self, row) -> float:
+        """Next output from one feature row (p + q floats, newest first)."""
         out = self.mlp.forward_cached([(f - m) / s for f, (m, s) in zip(row, self._x_stats)])[0]
         return float(out[0]) * self._y_std + self._y_mean
 
     def rows_predictor(self, k: int):
-        """`predict_one` of up to k (y_window, u_window) pairs, bit for bit:
-        returns `predict(windows)`, which packs the windows' lag features into
-        one `Mlp.stacked_pass` input with a single `struct.pack_into`,
-        normalizes them in place against stats tiled to its shape, runs the
-        pass and denormalizes on floats. Buffers, tiles and packer are made
-        here, once, so a call allocates no array. Fewer than k windows fill
-        the spare rows with copies of the last one's features, whose
-        predictions are dropped; the rows are independent."""
-        p, q, y_std, y_mean = self.p, self.q, self._y_std, self._y_mean
-        n = p + q
+        """`predict_one` of up to k feature rows, bit for bit: returns
+        `predict(rows)`, which packs the rows into one `Mlp.stacked_pass`
+        input with a single `struct.pack_into`, normalizes them in place
+        against stats tiled to its shape, runs the pass and denormalizes on
+        floats. Buffers, tiles and packer are made here, once, so a call
+        allocates no array. Fewer than k rows fill the spare rows with copies
+        of the last one, whose predictions are dropped; the rows are
+        independent."""
+        y_std, y_mean = self._y_std, self._y_mean
         (x, *_), out, run = self.mlp.stacked_pass(k)
         x_mean, x_std = (np.broadcast_to(v, x.shape).copy() for v in (self.x_mean, self.x_std))
-        fill, out = struct.Struct(f"{k * n}d").pack_into, out.reshape(k)
+        fill, out = struct.Struct(f"{k * (self.p + self.q)}d").pack_into, out.reshape(k)
         subtract, divide = np.subtract, np.divide
 
-        def predict(windows) -> list:
-            rows = [f for y, u in windows for f in lag_features(y, u, p, q)]
-            fill(x, 0, *rows, *rows[-n:] * (k - len(windows)))
+        def predict(rows) -> list:
+            fill(x, 0, *chain.from_iterable(rows), *rows[-1] * (k - len(rows)))
             subtract(x, x_mean, out=x)
             divide(x, x_std, out=x)
             run()
-            return [v * y_std + y_mean for v in out.tolist()[:len(windows)]]
+            return [v * y_std + y_mean for v in out.tolist()[:len(rows)]]
         return predict
 
 
@@ -174,7 +174,7 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig, hidden, val_fraction: 
     model = NarxModel(result.net, p, q, dt, x_mean, x_std, y_mean, y_std)
 
     # held-out one-step predictions: the normalized validation rows in one
-    # stacked pass, each row bit-equal to `predict_one` on its windows
+    # stacked pass, each row bit-equal to `predict_one` on it
     (x, *_), out, run = model.mlp.stacked_pass(len(val_n))
     x[:, 0] = val_n.x
     run()
@@ -216,19 +216,20 @@ def narx_rollout(model: NarxModel, y_init, u_seq, u_init) -> np.ndarray:
     u_hist = np.asarray(u_init, dtype=float).tolist()
     if len(u_hist) < q - 1:
         raise ValueError(f"initial input window must hold at least q-1 = {q - 1} samples")
-    # the windows hold exactly p outputs and q-1 inputs between steps
-    del y_hist[:-p]
-    del u_hist[:len(u_hist) - (q - 1)]
+    # the feature row, kept in place: the newest p outputs and q - 1 inputs,
+    # newest first, then a slot for the oldest input, which each step's new
+    # input pushes out (the first step's a placeholder)
+    row = [*lag_features(y_hist, u_hist, p, q - 1), 0.0]
 
     out = []
     for i, u_now in enumerate(np.asarray(u_seq, dtype=float).tolist()):
-        u_hist.append(u_now)
-        y_next = model.predict_one(y_hist, u_hist)
+        del row[-1]
+        row.insert(p, u_now)
+        y_next = model.predict_one(row)
         if not math.isfinite(y_next):
             raise SimulationDiverged("non-finite prediction", step=i)
         out.append(y_next)
-        y_hist.append(y_next)
-        del y_hist[0]
-        del u_hist[0]
+        del row[p - 1]
+        row.insert(0, y_next)
     return np.array(out, dtype=float)
 

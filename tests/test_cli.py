@@ -1491,8 +1491,8 @@ def _leaf_case(command, patch, path, index, section):
     _leaf_case("simulate", {"controller": {"kind": "cascade"}}, "controller", 16, "controller"),
     _leaf_case("train-controller", {"training": {"hidden": [], "beta": 0.5}}, "training", 17,
                "training"),
-    _leaf_case("train-controller", {"training": {"episodes": {"count": 0}}}, "training", 18,
-               "training"),
+    _leaf_case("train-controller", {"training": {"episodes": {"count": 0}}},
+               "training.episodes.count", 18, "training"),
 ])
 def test_rejected_value_exits_2_with_section_path(tmp_path, capsys, command, patch, section):
     base = {"tune": _tune_rule_cfg(), "train-controller": _imitation_cfg()}.get(command) or \
@@ -1505,21 +1505,27 @@ def test_rejected_value_exits_2_with_section_path(tmp_path, capsys, command, pat
 
 
 
-@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("mode", ["tune-ai", "bptt", "imitation"])
-def test_nonfinite_episode_level_exits_2_with_key(tmp_path, capsys, mode, level):
-    """A reference level that is not finite is a config error naming the file
-    and the level's line, not a numerical failure after a whole search or
-    training run."""
+def _episode_case(tmp_path, mode):
+    """(command, config, extra arguments, section) of a run that reads
+    `{section}.episodes`: an AI tune, a BPTT or an imitation training."""
     surrogate = ["--surrogate", str(_saved_surrogate(tmp_path))]
     sim = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT)}
-    command, base, extra, section = {
+    return {
         "tune-ai": ("tune", {**sim, "tuning": {"mode": "ai", "budget": 5}}, surrogate, "tuning"),
         "bptt": ("train-controller", {**sim, "training": {"mode": "bptt", "memory": 2, "hidden": [4],
                                                           "horizon": 5, "epochs": 1}},
                  surrogate, "training"),
         "imitation": ("train-controller", _imitation_cfg(), [], "training"),
     }[mode]
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mode", ["tune-ai", "bptt", "imitation"])
+def test_nonfinite_episode_level_exits_2_with_key(tmp_path, capsys, mode, level):
+    """A reference level that is not finite is a config error naming the file
+    and the level's line, not a numerical failure after a whole search or
+    training run."""
+    command, base, extra, section = _episode_case(tmp_path, mode)
     argv = [command, "--config", _write(tmp_path, "ok.json", base), "--out", str(tmp_path / "o"),
             *extra]
     assert main(argv) == 0
@@ -1531,6 +1537,23 @@ def test_nonfinite_episode_level_exits_2_with_key(tmp_path, capsys, mode, level)
     assert main(argv) == 2
     assert f"config error: line {line}: {argv[2]}: invalid number: {json.dumps(level)} is not " \
         "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("mode", ["tune-ai", "bptt", "imitation"])
+def test_episode_count_below_one_exits_2_with_key(tmp_path, capsys, mode, count):
+    """An episode count below one is a config error naming its key, and the
+    command writes nothing: not a BPTT run that trains on no reference and
+    saves an untrained model (exit 0, loss nan), nor numpy's message from an
+    imitation dataset of no runs, nor a tune error naming only the section."""
+    command, base, extra, section = _episode_case(tmp_path, mode)
+    base[section]["episodes"] = {"count": count, "level": 1.0}
+    out = tmp_path / "o"
+    assert main([command, "--config", _write(tmp_path, "bad.json", base), "--out", str(out),
+                 *extra]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {section}.episodes.count: count must be an integer >= 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, leaf, token", [

@@ -19,7 +19,7 @@ from loopbench.pid import PidController, PidGains, PidState, pid_step
 from loopbench.simcore import (
     DisturbanceSpec, Fopdt, PlantModel, SensorSpec, SimConfig, simulate,
 )
-from loopbench.surrogate import NarxModel
+from loopbench.surrogate import NarxModel, lag_features
 from test_nnet import interleaved_backward, matmul_forward_cached
 from test_surrogate import NARX_SHAPES, array_predict_one, random_narx
 
@@ -734,16 +734,15 @@ LOCKSTEP_NARX = {"linear": _linear_narx(), "p3q2": random_narx(3, 2, (7,), seed=
                  "p2q3": random_narx(2, 3, (5, 5), seed=4)}
 
 
-@pytest.mark.bits
-@pytest.mark.parametrize("case, name", [("fault", "linear"), ("fault", "p3q2"), ("fault", "p2q3"),
-                                        ("bound", "linear"), ("lengths", "linear"),
-                                        ("lengths", "p3q2"), ("lengths", "p2q3")])
-def test_lockstep_costs_match_array_form_per_episode(case, name):
-    """Episodes that end early, each at its own step, leave the lockstep: a
-    ControllerFault (cost inf), a prediction past the 1e6 * scale bound while
-    the others finish (the tanh of a hidden layer bounds the other surrogates'
-    predictions), and references of unequal length."""
-    narx = LOCKSTEP_NARX[name]
+LOCKSTEP_CASES = [("fault", "linear"), ("fault", "p3q2"), ("fault", "p2q3"), ("bound", "linear"),
+                  ("lengths", "linear"), ("lengths", "p3q2"), ("lengths", "p2q3")]
+
+
+def _lockstep_cases(case):
+    """(gains, reference, rho) cases of which episodes end early, each at its
+    own step: a ControllerFault (cost inf), a prediction past the 1e6 * scale
+    bound while the others finish (the tanh of a hidden layer bounds the
+    other surrogates' predictions), and references of unequal length."""
     rng = np.random.default_rng(7)
     cases = [(PidGains(kp=rng.uniform(0.2, 2.0), ki=rng.uniform(0.0, 1.0), kd=rng.uniform(0.0, 0.2),
                        u_min=-3.0, u_max=3.0),
@@ -760,11 +759,80 @@ def test_lockstep_costs_match_array_form_per_episode(case, name):
         # one step, none, and 5, 31 and 19 steps
         cases = [(g, ref[:n], rho) for (g, ref, rho), n in zip(cases, (2, 1, 6, 32))]
         cases.append((cases[0][0], np.concatenate([np.zeros(2), np.full(18, 0.7)]), 0.01))
+    return cases
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("case, name", LOCKSTEP_CASES)
+def test_lockstep_costs_match_array_form_per_episode(case, name):
+    """Episodes that end early, each at its own step, leave the lockstep
+    (`_lockstep_cases`)."""
+    narx = LOCKSTEP_NARX[name]
+    cases = _lockstep_cases(case)
     want = [_array_episode_cost(narx, *c) for c in cases]
     assert sum(math.isfinite(c) for c in want) >= len(cases) - 1
     if case != "lengths":
         assert not all(math.isfinite(c) for c in want)
     assert _costs(narx, cases) == want
+
+
+def _window_episode(narx, gains, reference, rho):
+    """`_episode_cost_on_surrogate` in its window form: the same episode,
+    yielding its chronological lag windows (p outputs and q inputs, newest
+    last; they change in place on the next send) instead of its feature row."""
+    state = PidState()
+    dt = narx.dt
+    w = np.asarray(reference, dtype=float).tolist()
+    y_hist = [0.0] * narx.p
+    u_hist = [0.0] * (narx.q - 1)
+    bound = 1e6 * max(1.0, float(np.max(np.abs(reference))))
+    iae = effort = y_now = 0.0
+    for k in range(len(w) - 1):
+        try:
+            u = pid_step(gains, state, w[k], y_now, dt)
+        except ControllerFault:
+            return math.inf
+        u_hist.append(u)
+        y_now = yield y_hist, u_hist
+        if not math.isfinite(y_now) or abs(y_now) > bound:
+            return math.inf
+        y_hist.append(y_now)
+        del y_hist[0]
+        del u_hist[0]
+        iae += abs(w[k + 1] - y_now) * dt
+        effort += abs(u) * dt
+    return iae + rho * effort
+
+
+ROW_NARX = {**LOCKSTEP_NARX, "p2q1": random_narx(2, 1, (5, 4), seed=3)}
+
+
+@pytest.mark.parametrize("case, name", [*LOCKSTEP_CASES, ("fault", "p2q1"), ("lengths", "p2q1")])
+def test_episode_rows_are_lag_features_of_the_window_form(case, name):
+    """At every step, the row an episode yields has the bits of `lag_features`
+    of the window form's windows, both sent the array form's prediction from
+    those windows, and both end at the same step with the same cost: the
+    episodes that end early (`_lockstep_cases`) included."""
+    narx = ROW_NARX[name]
+    early = 0
+    for c in _lockstep_cases(case):
+        rows, windows = _episode_cost_on_surrogate(narx, *c), _window_episode(narx, *c)
+        y, steps = None, 0
+        while True:
+            try:
+                row = rows.send(y)
+            except StopIteration as stop:
+                with pytest.raises(StopIteration) as want:
+                    windows.send(y)
+                assert repr(stop.value) == repr(want.value.value)
+                break
+            y_win, u_win = windows.send(y)
+            assert np.array(row).tobytes() == \
+                np.array(lag_features(y_win, u_win, narx.p, narx.q)).tobytes()
+            y = array_predict_one(narx, np.array(y_win), np.array(u_win))
+            steps += 1
+        early += steps < len(c[1]) - 1
+    assert early == (case != "lengths")
 
 
 def test_tune_static_ai_costs_equal_the_per_episode_mean(monkeypatch):

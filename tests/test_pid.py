@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from loopbench.errors import ControllerFault
 from loopbench.pid import (
-    CascadeController, CascadeSpec, CascadeState, PidGains, PidState,
+    STRUCTURES, CascadeController, CascadeSpec, CascadeState, PidGains, PidState,
     cascade_step, pid_step, pid_sync,
 )
 from loopbench.simcore import LinearStateSpace, PlantModel, SimConfig, simulate
@@ -164,3 +165,116 @@ def test_cascade_controller_in_simulation():
                     cfg=SimConfig(dt=0.005, horizon=8.0, seed=0))
     assert traj.y[-1] == pytest.approx(1.0, abs=0.05)
     assert traj.y_extra is not None and traj.y_extra.shape[1] == 1
+
+
+# ---------------------------------------------------------------------------
+# pid_step bit for bit against the form that reads its fields on every use
+# ---------------------------------------------------------------------------
+
+def _reference_pid_step(gains, state, w, y, dt):
+    """`pid_step` with every gain and state field read from its object at
+    each use: the reference for the bits of the output and of the state."""
+    if not (math.isfinite(w) and math.isfinite(y)):
+        raise ControllerFault("non-finite reference or measurement")
+    e = w - y
+    if not state.primed:
+        state.last_error = e
+        state.last_meas = y
+        state.d_filt = 0.0
+    p_term = gains.kp * (gains.setpoint_weight * w - y)
+    d_term = 0.0
+    if gains.kd > 0.0:
+        tf = gains.kd / (gains.kp * gains.deriv_filter_n) if gains.kp > 0.0 else 0.0
+        state.d_filt = (tf * state.d_filt + (y - state.last_meas)) / (tf + dt)
+        d_term = -gains.kd * state.d_filt
+    inc = gains.ki * dt * 0.5 * (e + state.last_error)
+    u_unsat = p_term + state.integrator + inc + d_term
+    if u_unsat > gains.u_max:
+        u = gains.u_max
+        inc = min(inc, 0.0)
+    elif u_unsat < gains.u_min:
+        u = gains.u_min
+        inc = max(inc, 0.0)
+    else:
+        u = u_unsat
+    state.integrator += inc
+    state.last_error = e
+    state.last_meas = y
+    state.primed = True
+    if not math.isfinite(u):
+        raise ControllerFault("non-finite controller output")
+    return u
+
+
+def _step_both(gains, got, want, w, y, dt):
+    """One call on each side: the same output bits or the same error, and
+    then the same state bits (the repr tells -0.0 from 0.0)."""
+    outcomes = []
+    for step, state in ((pid_step, got), (_reference_pid_step, want)):
+        try:
+            outcomes.append(repr(step(gains, state, w, y, dt)))
+        except ControllerFault as exc:
+            outcomes.append(f"raises {exc}")
+    assert outcomes[0] == outcomes[1]
+    assert repr(got) == repr(want)
+    return outcomes[0]
+
+
+def _primed():
+    return PidState(integrator=0.3, last_error=-0.2, last_meas=0.5, d_filt=0.1, primed=True)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_pid_step_bit_equal_to_reference(structure):
+    """Streams from an unprimed and a primed state, for each structure's
+    setpoint weight, with and without integral and derivative action
+    (derivative also with kp = 0), unbounded and saturating at both limits."""
+    rng = np.random.default_rng(STRUCTURES.index(structure))
+    hits = set()
+    for kp, ki, kd, (lo, hi) in itertools.product((0.0, 0.8, 3.0), (0.0, 1.2), (0.0, 0.15),
+                                                  ((-math.inf, math.inf), (-1.0, 1.5))):
+        gains = PidGains(kp=kp, ki=ki, kd=kd, structure=structure, u_min=lo, u_max=hi)
+        for got, want in ((PidState(), PidState()), (_primed(), _primed())):
+            for _ in range(40):
+                scale = rng.choice([1e-3, 1.0, 20.0])
+                out = _step_both(gains, got, want, float(rng.normal() * scale),
+                                 float(rng.normal() * scale), float(rng.uniform(0.005, 0.2)))
+                hits.add(out)
+    assert {"-1.0", "1.5"} <= hits
+
+
+@pytest.mark.parametrize("limits", [(-2.0, -1.0), (1.0, 2.0)], ids=["high", "low"])
+def test_pid_step_saturated_negative_zero_increment_bit_equal(limits):
+    """w = -0.0 and y = 0.0 give an error and an increment of -0.0 that
+    saturates at the upper (output 0.0 > -1.0) or the lower limit: the frozen
+    increment stays -0.0, so an integrator of -0.0 stays -0.0."""
+    gains = PidGains(kp=1.0, ki=1.0, u_min=limits[0], u_max=limits[1])
+    for make in (PidState, lambda: PidState(integrator=-0.0, last_error=-0.0, primed=True)):
+        got, want = make(), make()
+        assert _step_both(gains, got, want, -0.0, 0.0, 0.1) == repr(limits[0] if limits[0] > 0
+                                                                    else limits[1])
+        assert repr(got.last_error) == "-0.0"
+    assert repr(got.integrator) == "-0.0"
+
+
+@pytest.mark.parametrize("w, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+def test_pid_step_non_finite_input_leaves_the_state_untouched(w, y):
+    gains = PidGains(kp=1.0, ki=0.5, kd=0.1, u_min=-1.0, u_max=1.0)
+    for make in (PidState, _primed):
+        got, want = make(), make()
+        before = repr(got)
+        assert _step_both(gains, got, want, w, y, 0.1) == \
+            "raises non-finite reference or measurement"
+        assert repr(got) == before
+
+
+@pytest.mark.parametrize("kd", [0.0, 0.1])
+def test_pid_step_non_finite_output_leaves_the_reference_state(kd):
+    """kp * error overflows to inf past unbounded limits: the call raises
+    after writing the state, which then equals the reference's."""
+    gains = PidGains(kp=1e308, ki=0.5, kd=kd, u_min=-math.inf, u_max=math.inf)
+    for make in (PidState, _primed):
+        got, want = make(), make()
+        assert _step_both(gains, got, want, 5.0, 0.0, 0.1) == \
+            "raises non-finite controller output"
+        assert got.primed and repr(got) != repr(make())

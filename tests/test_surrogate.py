@@ -106,7 +106,7 @@ def test_fit_surrogate_constant_data_predicts_the_constant():
                                                   learning_rate=1e-2, batch_size=32,
                                                   patience=10_000), hidden=(4,),
                              val_fraction=0.25, resampled=False)
-    pred = model.predict_one(np.array([2.0]), np.array([0.0]))
+    pred = model.predict_one([2.0, 0.0])
     assert pred == pytest.approx(2.0, abs=1e-6)
 
 
@@ -171,7 +171,7 @@ def test_rollout_length_one_equals_one_step():
     y_win = np.array([0.4, 0.5])
     u_win = np.array([0.1])
     roll = narx_rollout(model, y_win, [0.2], u_init=u_win)
-    one = model.predict_one(y_win, np.array([0.1, 0.2]))
+    one = model.predict_one(lag_features(y_win, [0.1, 0.2], 2, 2))
     assert roll[0] == one
 
 
@@ -203,8 +203,8 @@ def test_narx_save_load_round_trip(tmp_path):
                              val_fraction=0.25, resampled=False)
     save_model(model, tmp_path / "sur.weights")
     back = load_model(tmp_path / "sur.weights", NarxModel)
-    y_win, u_win = np.array([0.1, 0.2]), np.array([0.3, -0.4])
-    assert back.predict_one(y_win, u_win) == model.predict_one(y_win, u_win)
+    row = [0.2, 0.1, -0.4, 0.3]
+    assert back.predict_one(row) == model.predict_one(row)
     assert back.dt == model.dt and back.p == model.p and back.q == model.q
 
 
@@ -268,45 +268,44 @@ def test_predict_one_bit_equal_to_array_form(p, q, hidden):
             y_win = (rng.normal(size=p + 2) * rng.choice([1e-3, 1.0, 50.0])).tolist()
             u_win = (rng.normal(size=q + 1) * rng.choice([1e-3, 1.0, 50.0])).tolist()
             want = array_predict_one(model, y_win, u_win)
-            assert model.predict_one(y_win, u_win) == want
-            assert model.predict_one(np.array(y_win), np.array(u_win)) == want
+            assert model.predict_one(lag_features(y_win, u_win, p, q)) == want
+            assert model.predict_one(lag_features(np.array(y_win), np.array(u_win), p, q)) == want
 
 
 @pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
-    """k windows through one `rows_predictor(k)` binding give the bits of
-    `predict_one` on each; k = 1 is the one-row stacked pass against the row
-    path."""
+    """k feature rows through one `rows_predictor(k)` binding give the bits
+    of `predict_one` on each; k = 1 is the one-row stacked pass against the
+    row path."""
     rng = np.random.default_rng(10 * p + q + 1000 * len(hidden))
     for seed in range(3):
         model = random_narx(p, q, hidden, seed)
         for k in (1, 2, 3, 7, 750):
-            windows = [((rng.normal(size=p + 2) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
-                        (rng.normal(size=q + 1) * rng.choice([1e-3, 1.0, 50.0])).tolist())
-                       for _ in range(k)]
-            got = model.rows_predictor(k)(windows)
-            assert got == [model.predict_one(y, u) for y, u in windows]
+            rows = [lag_features((rng.normal(size=p + 2) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
+                                 (rng.normal(size=q + 1) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
+                                 p, q) for _ in range(k)]
+            got = model.rows_predictor(k)(rows)
+            assert got == [model.predict_one(row) for row in rows]
             assert all(type(v) is float for v in got)
 
 
 @pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_reused_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
-    """One `rows_predictor(k)` binding called on fresh windows of scales that
-    differ call to call, then on fewer than k windows (the spare rows), then
-    on k again: every prediction is `predict_one`'s, so no call reads a row
-    another call left in the buffers."""
+    """One `rows_predictor(k)` binding called on fresh feature rows of scales
+    that differ call to call, then on fewer than k rows (the spare rows),
+    then on k again: every prediction is `predict_one`'s, so no call reads a
+    row another call left in the buffers."""
     rng = np.random.default_rng(100 + 10 * p + q)
     for seed, k in enumerate((2, 3, 12)):
         model = random_narx(p, q, hidden, seed)
         predict = model.rows_predictor(k)
         for count in (k, k, k, k - 1, 1, k):
             scale = rng.choice([1e-3, 1.0, 50.0])
-            windows = [((rng.normal(size=p) * scale).tolist(),
-                        (rng.normal(size=q) * scale).tolist()) for _ in range(count)]
-            got = predict(windows)
-            assert got == [model.predict_one(y, u) for y, u in windows]
+            rows = [(rng.normal(size=p + q) * scale).tolist() for _ in range(count)]
+            got = predict(rows)
+            assert got == [model.predict_one(row) for row in rows]
             assert all(type(v) is float for v in got)
 
 
@@ -315,7 +314,7 @@ def test_reused_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
 def test_held_out_one_step_rmse_bit_equal_to_predict_one(p, q):
     """`fit_surrogate`'s held-out one-step RMSE, from the normalized
     validation rows in one stacked pass, is the RMSE of `predict_one` over
-    every window pair of the held-out block, bit for bit. The hidden layers
+    the feature row of every window pair of the held-out block, bit for bit. The hidden layers
     are 32 wide, where one 2-D matrix product over the rows rounds
     differently."""
     s = _linear_map_series(n=400, seed=p + 10 * q)
@@ -324,7 +323,8 @@ def test_held_out_one_step_rmse_bit_equal_to_predict_one(p, q):
     n_train = split_contiguous(len(s.y), 0.3)
     val_y, val_u = s.y[n_train:], s.u[n_train:]
     ys, us, k0 = val_y.tolist(), val_u.tolist(), max(p, q)
-    preds = np.array([model.predict_one(ys[k + 1 - p:k + 1], us[k + 1 - q:k + 1])
+    preds = np.array([model.predict_one(lag_features(ys[k + 1 - p:k + 1], us[k + 1 - q:k + 1],
+                                                     p, q))
                       for k in range(k0, len(val_y) - 1)])
     want = float(np.sqrt(np.mean((preds - val_y[k0 + 1:]) ** 2)))
     assert rep.n_val == len(preds)
