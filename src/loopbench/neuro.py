@@ -28,23 +28,12 @@ from .simcore import primary_output
 from .surrogate import NarxModel, lag_features
 
 
-def _sigmoid(z: list) -> list:
-    """Logistic of each float, through np.exp: math.exp differs from it in the last bit."""
-    return [1.0 / (1.0 + e) for e in np.exp([-v for v in z]).tolist()]
-
-
-def _normalized(row, stats: list) -> list:
-    """`normalize` on Python floats, from (mean, std) float pairs: the same
-    IEEE operations, so the same bits."""
-    return [(f - m) / s for f, (m, s) in zip(row, stats)]
-
-
 def _checked_stats(mean, std, size: int):
     """Feature normalization stats checked to `size` entries (zero mean and
-    unit std where not given), and their (mean, std) float pairs."""
+    unit std where not given)."""
     mean = np.zeros(size) if mean is None else float_vector(mean, size, "feat_mean")
     std = np.ones(size) if std is None else float_vector(std, size, "feat_std", positive=True)
-    return mean, std, list(zip(mean.tolist(), std.tolist()))
+    return mean, std
 
 
 @dataclass
@@ -56,8 +45,8 @@ class NeuralController:
     squash makes saturation structural for arbitrary network weights.
     `features` builds the row for deployment and BPTT; imitation replay
     (`imitation_data_from_run`) copies the same rows out of a whole record.
-    The float copies of the stats and the output centre and half-span are
-    taken at construction, so a new controller is built to change them.
+    The output centre and half-span are taken at construction, so a new
+    controller is built to change them or the stats.
     """
 
     KIND = "neural-controller"
@@ -79,8 +68,7 @@ class NeuralController:
         want = 1 + 2 * self.memory
         if self.mlp.layer_sizes[0] != want or self.mlp.layer_sizes[-1] != 1:
             raise ValueError(f"controller net must map {want} features to 1 output")
-        self.feat_mean, self.feat_std, self._stats = _checked_stats(self.feat_mean, self.feat_std,
-                                                                   want)
+        self.feat_mean, self.feat_std = _checked_stats(self.feat_mean, self.feat_std, want)
         self.center = 0.5 * (self.u_max + self.u_min)
         self.half_span = 0.5 * (self.u_max - self.u_min)
 
@@ -90,17 +78,6 @@ class NeuralController:
         y(k-m+1)..y(k), the current measurement included, and u(k-m)..u(k-1)."""
         return [w, *y_window[::-1], *u_window[::-1]]
 
-    def forward(self, row):
-        """Pre-squash network output z and the activations of the pass."""
-        out, acts = self.mlp.forward_cached(_normalized(row, self._stats))
-        return float(out[0]), acts
-
-    def output(self, row) -> float:
-        z = self.forward(row)[0]
-        if not math.isfinite(z):
-            raise ControllerFault("non-finite network output")
-        return self.center + self.half_span * math.tanh(z)
-
     def copy(self) -> "NeuralController":
         return NeuralController(self.mlp.copy(), self.u_min, self.u_max, self.memory,
                                 self.feat_mean.copy(), self.feat_std.copy(),
@@ -108,23 +85,30 @@ class NeuralController:
 
 
 class NeuralControlLoop:
-    """Controller-protocol adapter owning the zero-warm feature windows."""
+    """Controller-protocol adapter owning the zero-warm feature windows and
+    the network's row pass (`Mlp.row_pass`), bound at every `reset`."""
 
     def __init__(self, nc: NeuralController):
         self.nc = nc
         self.reset()
 
     def reset(self) -> None:
-        self.y_win = [0.0] * self.nc.memory
-        self.u_win = [0.0] * self.nc.memory
+        nc = self.nc
+        self.y_win = [0.0] * nc.memory
+        self.u_win = [0.0] * nc.memory
+        self._net = nc.mlp.row_pass(nc.feat_mean, nc.feat_std)
 
     def step(self, w: float, y, dt: float) -> float:
-        """Run the net on the current row, then shift both windows. The
+        """Run the net on the current row and squash its output z into
+        center + half_span * tanh(z), then shift both windows. The
         measurement goes into the window's newest slot, which shifts out
         only once the output is valid: a faulted step leaves no history."""
-        y_win, u_win = self.y_win, self.u_win
+        nc, y_win, u_win = self.nc, self.y_win, self.u_win
         y_win[-1] = primary_output(y)
-        u = self.nc.output(self.nc.features(w, y_win, u_win))
+        z, = self._net(nc.features(w, y_win, u_win))
+        if not math.isfinite(z):
+            raise ControllerFault("non-finite network output")
+        u = nc.center + nc.half_span * math.tanh(z)
         y_win.append(0.0)
         del y_win[0]
         u_win.append(u)
@@ -138,8 +122,8 @@ class GainScheduler:
 
     Bounds are enforced by scaled sigmoids, so emitted gains stay inside
     them for arbitrary network weights; a zero network yields the bound
-    midpoints. The float copies of the stats and bounds are taken at
-    construction.
+    midpoints. The bounds are taken at construction, as (lo, hi - lo) float
+    pairs.
     """
 
     KIND = "gain-scheduler"
@@ -159,9 +143,8 @@ class GainScheduler:
         want = 2 * self.memory
         if self.mlp.layer_sizes[0] != want or self.mlp.layer_sizes[-1] != 3:
             raise ValueError(f"scheduler net must map {want} features to 3 gains")
-        self.feat_mean, self.feat_std, self._stats = _checked_stats(self.feat_mean, self.feat_std,
-                                                                   want)
-        self._bounds = self.bounds.tolist()
+        self.feat_mean, self.feat_std = _checked_stats(self.feat_mean, self.feat_std, want)
+        self._spans = [(lo, hi - lo) for lo, hi in self.bounds.tolist()]
 
     @staticmethod
     def features(e_window, y_window) -> list:
@@ -170,16 +153,15 @@ class GainScheduler:
         return [*e_window[::-1], *y_window[::-1]]
 
     def squash(self, zs: list):
-        """Gains and the sigmoid of each network output clipped to [-60, 60],
-        as flat lists of floats, from the outputs of one or more rows (three
-        per row, [kp, ki, kd] each). A NaN output stays NaN, as the first
-        argument of max and min."""
-        sig = _sigmoid([min(max(z, -60.0), 60.0) for z in zs])
-        return [lo + s * (hi - lo) for s, (lo, hi) in zip(sig, cycle(self._bounds))], sig
-
-    def gains_from(self, row) -> tuple[float, float, float]:
-        out = self.mlp.forward_cached(_normalized(row, self._stats))[0]
-        return tuple(self.squash(out.tolist())[0])
+        """Gains lo + s * (hi - lo) and the sigmoid s of each network output
+        clipped to [-60, 60], as flat lists of floats, from the outputs of
+        one or more rows (three per row, [kp, ki, kd] each). The sigmoid is
+        1 / (1 + exp(-z)) through np.exp, whose bits math.exp does not match;
+        the clip and the negation are exact, so clipping -z to [-60, 60] is
+        the same. A NaN output stays NaN, as both comparisons are false."""
+        e = np.exp([60.0 if z < -60.0 else -60.0 if z > 60.0 else -z for z in zs]).tolist()
+        sig = [1.0 / (1.0 + v) for v in e]
+        return [lo + s * span for s, (lo, span) in zip(sig, cycle(self._spans))], sig
 
     def copy(self) -> "GainScheduler":
         return GainScheduler(self.mlp.copy(), self.bounds.copy(), self.memory,
@@ -199,7 +181,9 @@ class _ScheduledGains:
 
 
 class ScheduledPidController:
-    """PID whose gains are rewritten by the scheduler before every step."""
+    """PID whose gains are rewritten by the scheduler before every step, from
+    the scheduler network's row pass (`Mlp.row_pass`), bound at every
+    `reset`, and `GainScheduler.squash`."""
 
     def __init__(self, gs: GainScheduler, template: PidGains):
         self.gs = gs
@@ -210,21 +194,24 @@ class ScheduledPidController:
         self.reset()
 
     def reset(self) -> None:
+        gs = self.gs
         self.state.reset()
-        self.e_win = [0.0] * self.gs.memory
-        self.y_win = [0.0] * self.gs.memory
+        self.e_win = [0.0] * gs.memory
+        self.y_win = [0.0] * gs.memory
         self.gain_trace.clear()
+        self._net = gs.mlp.row_pass(gs.feat_mean, gs.feat_std)
 
     def step(self, w: float, y, dt: float) -> float:
+        gs, e_win, y_win, gains = self.gs, self.e_win, self.y_win, self.gains
         y0 = primary_output(y)
-        self.e_win.append(w - y0)
-        del self.e_win[0]
-        self.y_win.append(y0)
-        del self.y_win[0]
-        kp, ki, kd = self.gs.gains_from(self.gs.features(self.e_win, self.y_win))
+        e_win.append(w - y0)
+        del e_win[0]
+        y_win.append(y0)
+        del y_win[0]
+        kp, ki, kd = gs.squash(self._net(gs.features(e_win, y_win)))[0]
         self.gain_trace.append((kp, ki, kd))
-        self.gains.kp, self.gains.ki, self.gains.kd = kp, ki, kd
-        return pid_step(self.gains, self.state, w, y0, dt)
+        gains.kp, gains.ki, gains.kd = kp, ki, kd
+        return pid_step(gains, self.state, w, y0, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +512,8 @@ class _SchedulerBlock:
         ds_cand = du_raw + (0.0 if frozen else sbar)
         self.sbar[e] = ds_cand + (sbar if frozen else 0.0)
         self.ebar[e][m + k] += du_raw * kp + ds_cand * ki * dt
-        return [d * s * (1.0 - s) * (hi - lo) for d, s, (lo, hi)
-                in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs._bounds)]
+        return [d * s * (1.0 - s) * span for d, s, (lo, span)
+                in zip((du_raw * e_k, ds_cand * e_k * dt, 0.0), sig, gs._spans)]
 
     def scatter(self, k, e, gx, ybar, ubar, iy, iu) -> None:
         # the window scatters, and last the fold of the final ebar[m+k] into
@@ -787,19 +774,26 @@ class StaticTuneResult:
     trace: list
 
 
-def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, reference: np.ndarray,
+def _episode_reference(reference) -> tuple[list, float]:
+    """An episode's reference as a list of floats, and its divergence bound,
+    1e6 * max(1, max |reference|)."""
+    ref = np.asarray(reference, dtype=float)
+    return ref.tolist(), 1e6 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, w: list, bound: float,
                                rho: float):
-    """IAE + rho * integral(|u|) of a PID loop closed over the surrogate, as a
-    generator: each step yields its feature row (`lag_features` of the
-    output and input windows; it changes in place on the next send), is sent
-    the surrogate's prediction from it, and returns the cost when the
-    episode ends. `_lockstep_costs` drives it."""
+    """IAE + rho * integral(|u|) of a PID loop closed over the surrogate on the
+    reference `w` and its `bound` (`_episode_reference`), as a generator:
+    each step yields its feature row (`lag_features` of the output and input
+    windows; it changes in place on the next send), is sent the surrogate's
+    prediction from it, and returns the cost when the episode ends, inf once
+    a prediction is not finite or leaves the bound. `_lockstep_costs` drives
+    it."""
     state = PidState()
     dt, p = narx.dt, narx.p
-    w = np.asarray(reference, dtype=float).tolist()
     # zero lags; between steps the last slot is the input the next one pushes out
     row = [0.0] * (p + narx.q)
-    bound = 1e6 * max(1.0, float(np.max(np.abs(reference))))
     iae = 0.0
     effort = 0.0
     y_now = 0.0
@@ -878,13 +872,15 @@ def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float, seed: 
         raise ValueError("need at least one episode")
     bounds = np.asarray(gain_bounds, dtype=float).reshape(3, 2)
     m = len(episodes)
+    references = [_episode_reference(ep) for ep in episodes]
 
     def costs_of(points):
         runs = []
         for vec in points:
             gains = PidGains(kp=float(vec[0]), ki=float(vec[1]), kd=float(vec[2]),
                              u_min=limits[0], u_max=limits[1])
-            runs += [_episode_cost_on_surrogate(model, gains, ep, rho) for ep in episodes]
+            runs += [_episode_cost_on_surrogate(model, gains, w, bound, rho)
+                     for w, bound in references]
         costs = _lockstep_costs(model, runs)
         return [float(np.mean(costs[i:i + m])) for i in range(0, len(costs), m)]
 

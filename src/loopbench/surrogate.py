@@ -56,12 +56,12 @@ class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
     Both predictors take feature rows as `lag_features` lays them out, which
-    a rollout keeps in place step to step. Per-step prediction runs on
-    Python floats around one 1-D row through `Mlp.forward_cached`;
-    `rows_predictor` binds k rows to one `Mlp.stacked_pass`. Float
-    arithmetic rounds exactly as numpy's elementwise ops, so both are
-    bit-equal to the array form. The float copies of the normalization
-    stats are taken at construction.
+    a rollout keeps in place step to step. Per-step prediction runs one row
+    through an `Mlp.row_pass` bound at construction; `rows_predictor` binds
+    k rows to one `Mlp.stacked_pass`. Both normalize with numpy's
+    elementwise ops and denormalize on floats, which round alike, so both
+    are bit-equal to the array form. The row pass copies the normalization
+    stats at construction, a `rows_predictor` binding when it is made.
     """
 
     KIND = "narx-surrogate"
@@ -88,14 +88,13 @@ class NarxModel:
         self.x_std = float_vector(self.x_std, n, "x_std", positive=True)
         self.y_mean = float_vector(self.y_mean, 1, "y_mean")
         self.y_std = float_vector(self.y_std, 1, "y_std", positive=True)
-        self._x_stats = list(zip(self.x_mean.tolist(), self.x_std.tolist()))
+        self._net = self.mlp.row_pass(self.x_mean, self.x_std)
         self._y_mean = float(self.y_mean[0])
         self._y_std = float(self.y_std[0])
 
     def predict_one(self, row) -> float:
         """Next output from one feature row (p + q floats, newest first)."""
-        out = self.mlp.forward_cached([(f - m) / s for f, (m, s) in zip(row, self._x_stats)])[0]
-        return float(out[0]) * self._y_std + self._y_mean
+        return self._net(row)[0] * self._y_std + self._y_mean
 
     def rows_predictor(self, k: int):
         """`predict_one` of up to k feature rows, bit for bit: returns

@@ -1154,8 +1154,8 @@ def test_ai_tune_with_some_diverging_evaluations_keeps_the_best_finite_point(tmp
     gains = load_gains_file(out / "gains.json", limits=(-1e9, 1e9))
     narx = load_model(path, NarxModel)
     references = [np.concatenate([np.zeros(2), np.full(10, level)]) for level in (1 / 3, 2 / 3, 1.0)]
-    runs = [neuro._episode_cost_on_surrogate(narx, gains, ref, DEFAULTS["tuning"]["rho"])
-            for ref in references]
+    runs = [neuro._episode_cost_on_surrogate(narx, gains, *neuro._episode_reference(ref),
+                                             DEFAULTS["tuning"]["rho"]) for ref in references]
     assert float(np.mean(neuro._lockstep_costs(narx, runs))) == min(finite)
 
 
@@ -1181,8 +1181,8 @@ def _assert_best_finite_point(tmp_path, path, limits, count, level):
     narx = load_model(path, NarxModel)
     references = [np.concatenate([np.zeros(2), np.full(10, level * (i + 1) / count)])
                   for i in range(count)]
-    runs = [neuro._episode_cost_on_surrogate(narx, gains, ref, DEFAULTS["tuning"]["rho"])
-            for ref in references]
+    runs = [neuro._episode_cost_on_surrogate(narx, gains, *neuro._episode_reference(ref),
+                                             DEFAULTS["tuning"]["rho"]) for ref in references]
     assert float(np.mean(neuro._lockstep_costs(narx, runs))) == min(finite)
 
 

@@ -230,6 +230,38 @@ def test_scheduled_pid_step_bit_equal_to_per_step_form(m, hidden):
         assert _bits(list(vars(ctl.state).values())) == _bits(list(vars(ref.state).values()))
 
 
+@pytest.mark.parametrize("kind", ["neural", "scheduler"])
+def test_learned_block_reset_after_bind_runs_on_the_moved_parameters(kind):
+    """`Mlp.bind` moves a block's parameters into another vector, as
+    `train_imitation` does for its working controller. The block binds its
+    row pass at `reset`, so a block built before the move and reset after it
+    runs on the new vector's views: a write to that vector after the move
+    reaches its steps, which keep the bits of the per-step copy."""
+    rng = np.random.default_rng(17)
+    if kind == "neural":
+        block = NeuralController(_random_net(rng, [7, 9, 5, 1], 2, nan_output=False),
+                                 u_min=-2.0, u_max=3.0, memory=3, feat_mean=rng.normal(size=7),
+                                 feat_std=rng.uniform(0.2, 3.0, size=7))
+        ctl, make_ref = NeuralControlLoop(block), RefControlLoop
+    else:
+        block = GainScheduler(_random_net(rng, [6, 8, 3], 2, nan_output=False),
+                              bounds=[[0.1, 2.0], [0.0, 1.0], [0.0, 0.2]], memory=3,
+                              feat_mean=rng.normal(size=6), feat_std=rng.uniform(0.2, 3.0, size=6))
+        template = PidGains(kp=1.0, u_min=-3.0, u_max=3.0)
+        ctl = ScheduledPidController(block, template)
+        make_ref = lambda gs: RefScheduledPid(gs, template)
+    before = block.mlp.params
+    moved = np.empty(before.size + 3)[3:]
+    block.mlp.bind(moved)
+    moved *= 0.75  # the vector left behind keeps the old values
+    assert not np.array_equal(moved, before)
+    ctl.reset()
+    inputs = _inputs(rng, 150)
+    got, want = _drive(ctl, inputs), _drive(make_ref(block), inputs)
+    _same(got, want)
+    assert not isinstance(got[-1], str)
+
+
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_trained_imitation_controller_deploys_with_its_fitted_stats(epochs):
     """`train_imitation` fits the feature stats; the controller it returns

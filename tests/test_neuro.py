@@ -11,7 +11,8 @@ from loopbench.errors import ControllerFault, NumericalFailure
 from loopbench.neuro import (
     GainScheduler, NeuralControlLoop, NeuralController,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run,
-    _episode_cost_on_surrogate, _lockstep_costs, nelder_mead_bounded, train_bptt,
+    _episode_cost_on_surrogate, _episode_reference, _lockstep_costs, nelder_mead_bounded,
+    train_bptt,
     train_imitation, tune_static_ai,
 )
 from loopbench.nnet import Adam, Mlp, TrainConfig, load_model, normalize, save_model
@@ -58,8 +59,18 @@ def _max_rel(a, b):
 
 
 def _aux_output(nc, row):
-    """The disturbance head's estimate on a feature row, through the trunk's 1-D row path."""
-    return float(nc.aux.forward(nc.forward(row)[1][-1])[0])
+    """The disturbance head's estimate on a feature row, through the trunk's
+    1-D row path on the row normalized on floats."""
+    xn = [(f - m) / s for f, m, s in zip(row, nc.feat_mean.tolist(), nc.feat_std.tolist())]
+    return float(nc.aux.forward(nc.mlp.forward_cached(xn)[1][-1])[0])
+
+
+def _gains(gs, row, net=None):
+    """The gains the deployed scheduled PID takes from a feature row: the
+    scheduler network's bound row pass (`net`, or one bound here), then
+    `GainScheduler.squash`."""
+    net = net or gs.mlp.row_pass(gs.feat_mean, gs.feat_std)
+    return tuple(gs.squash(net(row))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +111,7 @@ def test_nonfinite_network_output_is_controller_fault():
 
 def test_zero_weight_scheduler_emits_bound_midpoints():
     gs = GainScheduler(Mlp([8, 4, 3], init=False), bounds=[[0.1, 10.0]] * 3, memory=4)
-    kp, ki, kd = gs.gains_from(np.zeros(8))
+    kp, ki, kd = _gains(gs, np.zeros(8))
     assert kp == pytest.approx(5.05)
     assert ki == pytest.approx(5.05)
     assert kd == pytest.approx(5.05)
@@ -111,8 +122,9 @@ def test_scheduler_gains_never_leave_bounds_fuzz():
     gs = GainScheduler(Mlp([8, 6, 3], seed=7), bounds=bounds, memory=4)
     rng = np.random.default_rng(1)
     feats = rng.normal(0.0, 1e4, size=(100_000, 8))
+    net = gs.mlp.row_pass(gs.feat_mean, gs.feat_std)
     for f in feats:
-        kp, ki, kd = gs.gains_from(f)
+        kp, ki, kd = _gains(gs, f, net)
         assert 0.1 <= kp <= 10.0
         assert 0.0 <= ki <= 2.0
         assert 0.05 <= kd <= 0.5
@@ -130,14 +142,15 @@ def test_scheduled_pid_controller_runs_and_traces_gains():
 
 
 class _RebuiltGainsController(ScheduledPidController):
-    """Scheduled PID that builds and validates a fresh PidGains every step."""
+    """Scheduled PID that builds and validates a fresh PidGains every step,
+    from gains of the scheduler's array form."""
 
     def step(self, w, y, dt):
         y0 = float(y)
         e = w - y0
         self.e_win = self.e_win[1:] + [e]
         self.y_win = self.y_win[1:] + [y0]
-        kp, ki, kd = self.gs.gains_from(self.gs.features(self.e_win, self.y_win))
+        kp, ki, kd = _array_gains(self.gs, self.gs.features(self.e_win, self.y_win))
         self.gain_trace.append((kp, ki, kd))
         gains = PidGains(kp=kp, ki=ki, kd=kd, structure=self.template.structure,
                          u_min=self.template.u_min, u_max=self.template.u_max,
@@ -243,8 +256,9 @@ def test_control_loop_step_bit_equal_to_array_form(m, hidden):
 @pytest.mark.bits
 @pytest.mark.parametrize("m, hidden", [(1, (5,)), (2, (8,)), (4, (8, 8)), (3, (16, 16, 4))])
 def test_gains_from_bit_equal_to_array_form(m, hidden):
-    """Rows at three scales (the largest clips z at +-60), bounds with lo = 0
-    and lo = hi among them, and NaN rows."""
+    """The deployed scheduler's gains, one bound row pass reused for every
+    row, then `squash`: rows at three scales (the largest clips z at +-60),
+    bounds with lo = 0 and lo = hi among them, and NaN rows."""
     rng = np.random.default_rng([m, *hidden, 1])
     n = 2 * m
     for seed in range(6):
@@ -255,12 +269,13 @@ def test_gains_from_bit_equal_to_array_form(m, hidden):
                            feat_std=rng.uniform(0.5, 2.0, size=n))
         for b in gs.mlp.biases:
             b[...] = rng.normal(size=b.shape) * 0.3
+        net = gs.mlp.row_pass(gs.feat_mean, gs.feat_std)
         for k in range(300):
             row = rng.normal(size=n) * (1e-3, 1.0, 1e4)[k % 3]
             if k % 50 == 49:
                 row[k % n] = math.nan
             row = row.tolist()
-            assert _bits(gs.gains_from(row)) == _bits(_array_gains(gs, row))
+            assert _bits(_gains(gs, row, net)) == _bits(_array_gains(gs, row))
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +689,14 @@ def _array_episode_cost(narx, gains, reference, rho):
     return iae + rho * effort
 
 
+def _episode(narx, gains, reference, rho):
+    """An episode generator on a reference array, as the search makes one."""
+    return _episode_cost_on_surrogate(narx, gains, *_episode_reference(reference), rho)
+
+
 def _costs(narx, cases):
     """`_lockstep_costs` over fresh episode generators of (gains, reference, rho) cases."""
-    return _lockstep_costs(narx, [_episode_cost_on_surrogate(narx, g, ref, rho)
-                                  for g, ref, rho in cases])
+    return _lockstep_costs(narx, [_episode(narx, *c) for c in cases])
 
 
 @pytest.mark.bits
@@ -816,7 +835,7 @@ def test_episode_rows_are_lag_features_of_the_window_form(case, name):
     narx = ROW_NARX[name]
     early = 0
     for c in _lockstep_cases(case):
-        rows, windows = _episode_cost_on_surrogate(narx, *c), _window_episode(narx, *c)
+        rows, windows = _episode(narx, *c), _window_episode(narx, *c)
         y, steps = None, 0
         while True:
             try:
@@ -1035,13 +1054,13 @@ def test_replayed_rows_equal_deployed_rows(sensor, monkeypatch):
     nc = NeuralController(Mlp([9, 8, 1], seed=3), u_min=-2.0, u_max=2.0, memory=4)
     plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.1), u_min=-3.0, u_max=3.0, x0=None)
     rows = []
-    output = NeuralController.output
+    row_pass = Mlp.row_pass
 
-    def spy(self, row):
-        rows.append(np.array(row))
-        return output(self, row)
+    def spy(self, mean, std):
+        run = row_pass(self, mean, std)
+        return lambda row: rows.append(np.array(row)) or run(row)
 
-    monkeypatch.setattr(NeuralController, "output", spy)
+    monkeypatch.setattr(Mlp, "row_pass", spy)
     cfg = SimConfig(dt=0.025, horizon=5.0, seed=4)
     traj = simulate(plant, NeuralControlLoop(nc), np.where(cfg.time_grid() >= 0.5, 1.0, 0.0),
                     sensor=sensor, cfg=cfg)
@@ -1232,7 +1251,11 @@ def test_controller_save_load_round_trip(tmp_path):
     save_model(nc, tmp_path / "ctl.weights")
     back = load_model(tmp_path / "ctl.weights", NeuralController)
     f = np.linspace(-1, 1, 9)
-    assert back.output(f) == nc.output(f)
+    z_back, z = (c.mlp.row_pass(c.feat_mean, c.feat_std)(f) for c in (back, nc))
+    assert z_back == z
+    u_back, u = ([loop.step(0.1 * k, 0.7 - 0.05 * k, 0.01) for k in range(5)]
+                 for loop in (NeuralControlLoop(back), NeuralControlLoop(nc)))
+    assert u_back == u
     assert _aux_output(back, f) == _aux_output(nc, f)
 
 
@@ -1242,4 +1265,4 @@ def test_scheduler_save_load_round_trip(tmp_path):
     save_model(gs, tmp_path / "sched.weights")
     back = load_model(tmp_path / "sched.weights", GainScheduler)
     f = np.linspace(-1, 1, 8)
-    assert back.gains_from(f) == gs.gains_from(f)
+    assert _gains(back, f) == _gains(gs, f)

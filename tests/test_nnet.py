@@ -450,6 +450,40 @@ def test_forward_rows_bit_equal_to_forward_per_row(sizes, k):
         net.stacked_pass(0)
 
 
+@pytest.mark.bits
+@pytest.mark.parametrize("sizes", [s for s in ROW_SHAPES if 3 <= len(s) <= 5],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_row_pass_bit_equal_to_forward_cached(sizes):
+    """One `row_pass` binding, called again and again on rows of magnitudes
+    1e-3 to 50 and on rows holding a NaN or an infinity, gives the bits of
+    `forward_cached` on the row normalized by `normalize`: the 1-D `np.dot`
+    with `out=`, the bias and tanh in place and the in-place normalization
+    round as the fresh arrays do. The binding keeps copies of the stats, and
+    reads the weights through the views, so an in-place weight write
+    reaches its next call."""
+    rng = np.random.default_rng([5, *sizes])
+    n = sizes[0]
+    for seed in range(3):
+        net = Mlp(sizes, seed=seed)
+        for b in net.biases:
+            b[...] = rng.normal(size=b.shape) * 0.5
+        mean, std = rng.normal(size=n) * 0.3, rng.uniform(0.5, 2.0, size=n)
+        run = net.row_pass(mean, std)
+        want_mean, want_std = mean.copy(), std.copy()
+        mean += 1.0
+        std *= 2.0
+        for k in range(90):
+            if k == 45:
+                net.params *= 0.5
+            row = rng.normal(size=n) * (1e-3, 1.0, 50.0)[k % 3]
+            if k % 10 == 9:
+                row[k % n] = (math.nan, math.inf, -math.inf)[k % 3]
+            got = run(row.tolist())
+            want = net.forward_cached(normalize(row, want_mean, want_std))[0]
+            assert type(got) is list and len(got) == sizes[-1]
+            assert np.array(got).tobytes() == want.tobytes()
+
+
 # an AVX2 OpenBLAS core and numpy's SIMD dispatch capped below AVX-512 (x86-64-v3)
 PORTABLE_PROFILE = {"OPENBLAS_CORETYPE": "Haswell",
                     "NPY_DISABLE_CPU_FEATURES": "AVX512_ICL,AVX512_SPR,X86_V4"}
@@ -460,9 +494,12 @@ PORTABLE_REQUIRED = (
     "test_nnet.py::test_row_path_bit_equal_to_one_row_batch",
     "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass",
     "test_nnet.py::test_forward_rows_bit_equal_to_forward_per_row",
+    "test_nnet.py::test_row_pass_bit_equal_to_forward_cached",
     "test_surrogate.py::test_rows_predictor_bit_equal_to_predict_one",
     "test_surrogate.py::test_held_out_one_step_rmse_bit_equal_to_predict_one",
     "test_surrogate.py::test_reused_rows_predictor_bit_equal_to_predict_one",
+    "test_surrogate.py::test_predict_one_bit_equal_to_array_form",
+    "test_surrogate.py::test_narx_rollout_bit_equal_to_array_form",
     "test_neuro.py::test_episode_cost_bit_equal_to_array_form",
     "test_neuro.py::test_lockstep_costs_match_array_form_per_episode",
     "test_neuro.py::test_nelder_mead_matches_the_sequential_search",

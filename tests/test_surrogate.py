@@ -258,6 +258,7 @@ def random_narx(p, q, hidden, seed, y_std=None):
                      y_std=np.array([rng.uniform(0.1, 5.0) if y_std is None else y_std]))
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_predict_one_bit_equal_to_array_form(p, q, hidden):
     rng = np.random.default_rng(100 * p + 10 * q + len(hidden))
@@ -331,6 +332,7 @@ def test_held_out_one_step_rmse_bit_equal_to_predict_one(p, q):
     assert repr(rep.one_step_rmse) == repr(want)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_narx_rollout_bit_equal_to_array_form(p, q, hidden):
     rng = np.random.default_rng(7 * p + q)
