@@ -10,7 +10,7 @@ import numpy as np
 
 from .dataio import write_csv
 from .errors import DataError
-from .nnet import Mlp
+from .neuro import NeuralControlLoop, NeuralController
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -162,23 +162,23 @@ class LatencyReport:
     times_ms: np.ndarray
 
 
-def measure_latency(net: Mlp, input_dim: int | None = None, trials: int = 1000,
-                    warmup: int = 100) -> LatencyReport:
-    """Wall time of single forward passes on the monotonic clock.
-
-    Runs `warmup` discarded inferences first, then records exactly `trials`
+def measure_latency(nc: NeuralController, trials: int, warmup: int) -> LatencyReport:
+    """Wall time of single deployed steps of the neural controller `nc` on
+    the monotonic clock: each one `NeuralControlLoop.step` (the row pass,
+    the tanh squash and the window shift) on a zero reference and
+    measurement, in one loop from its `reset()`, as a closed-loop run makes
+    them. Runs `warmup` discarded steps first, then records exactly `trials`
     timings. Single-threaded by construction.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    dim = input_dim if input_dim is not None else net.layer_sizes[0]
-    x = np.zeros(dim)
+    step = NeuralControlLoop(nc).step  # the loop resets as it is built
     for _ in range(warmup):
-        net.forward(x)
+        step(0.0, 0.0, 0.0)  # a neural step reads no dt
     times = np.empty(trials)
     for i in range(trials):
         start = time.perf_counter_ns()
-        net.forward(x)
+        step(0.0, 0.0, 0.0)
         times[i] = (time.perf_counter_ns() - start) / 1e6
     return LatencyReport(
         median_ms=float(np.median(times)),

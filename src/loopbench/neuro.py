@@ -419,8 +419,8 @@ class _StackedSteps:
     def run(self, k: int, rows: list) -> list:
         x = self._x
         self._fill(x, 0, *rows)
-        np.subtract(x, self._mean, out=x)
-        np.divide(x, self._std, out=x)
+        np.subtract(x, self._mean, x)  # the buffers go in positionally, as in `Mlp.row_pass`
+        np.divide(x, self._std, x)
         self._run()
         for h, a in self._keep:
             h[k] = a
@@ -781,77 +781,103 @@ def _episode_reference(reference) -> tuple[list, float]:
     return ref.tolist(), 1e6 * max(1.0, float(np.max(np.abs(ref))))
 
 
+class _Episode:
+    """One episode of the AI search between its steps (`_lockstep_costs`):
+    the gains, the PID state, the feature row that `lag_features` lays out,
+    kept in place (zero lags at the start; between steps its first slot is
+    the newest output and its last the input the next step pushes out), the
+    reference `w`, its divergence `bound`, rho, the IAE and effort sums, and
+    the cost once the episode has ended."""
+
+    __slots__ = ("gains", "state", "row", "w", "bound", "rho", "iae", "effort", "cost")
+
+    def __init__(self, gains: PidGains, row: list, w: list, bound: float, rho: float):
+        self.gains, self.state, self.row = gains, PidState(), row
+        self.w, self.bound, self.rho = w, bound, rho
+        self.iae = self.effort = 0.0
+
+
 def _episode_cost_on_surrogate(narx: NarxModel, gains: PidGains, w: list, bound: float,
-                               rho: float):
-    """IAE + rho * integral(|u|) of a PID loop closed over the surrogate on the
-    reference `w` and its `bound` (`_episode_reference`), as a generator:
-    each step yields its feature row (`lag_features` of the output and input
-    windows; it changes in place on the next send), is sent the surrogate's
-    prediction from it, and returns the cost when the episode ends, inf once
-    a prediction is not finite or leaves the bound. `_lockstep_costs` drives
-    it."""
-    state = PidState()
-    dt, p = narx.dt, narx.p
-    # zero lags; between steps the last slot is the input the next one pushes out
-    row = [0.0] * (p + narx.q)
-    iae = 0.0
-    effort = 0.0
-    y_now = 0.0
+                               rho: float) -> _Episode:
+    """The start of an episode whose cost is IAE + rho * integral(|u|) of a
+    PID loop closed over the surrogate on the reference `w` and its `bound`
+    (`_episode_reference`), or inf once a prediction is not finite or leaves
+    the bound; `_lockstep_costs` runs it."""
+    return _Episode(gains, [0.0] * (narx.p + narx.q), w, bound, rho)
+
+
+def _lockstep_costs(narx: NarxModel, episodes) -> list:
+    """The costs of `_episode_cost_on_surrogate` episodes run side by side,
+    each bit-equal to that episode run alone: each episode's floats are its
+    own, and the rows of a stacked pass are independent. Each step is one
+    pass over the live episodes, each taking the prediction of the step
+    before (denormalized on floats, as `predict_one` does; checked, pushed
+    into its row and added to its sums) and then its PID step, whose
+    control it pushes into its row; then one `NarxModel.rows_predictor`
+    binding, made once for the call's k episodes, runs all their rows. An
+    episode leaves when its reference ends (cost IAE + rho * effort), or at
+    cost inf on a `ControllerFault` or a prediction that is not finite or
+    leaves its bound. The episodes may belong to several gain points (a
+    whole start simplex or shrink). A lone episode runs on the row path
+    (`_cost_alone`), where one row costs less than a stacked pass of one."""
+    if len(episodes) < 2:
+        return [_cost_alone(narx, ep) for ep in episodes]
+    predict, dt, p = narx.rows_predictor(len(episodes)), narx.dt, narx.p
+    y_std, y_mean = narx._y_std, narx._y_mean
+    live, outs, k = episodes, [None] * len(episodes), 0
+    while live:
+        rows, stay = [], []
+        for ep, v in zip(live, outs):
+            row, w = ep.row, ep.w
+            if v is not None:  # step k - 1's prediction, as `predict_one` makes it
+                y = v * y_std + y_mean
+                if not math.isfinite(y) or abs(y) > ep.bound:
+                    ep.cost = math.inf
+                    continue
+                del row[p - 1]
+                row.insert(0, y)
+                ep.iae += abs(w[k] - y) * dt
+                ep.effort += abs(row[p]) * dt
+            if k == len(w) - 1:
+                ep.cost = ep.iae + ep.rho * ep.effort
+                continue
+            try:
+                u = pid_step(ep.gains, ep.state, w[k], row[0], dt)
+            except ControllerFault:
+                ep.cost = math.inf
+                continue
+            del row[-1]
+            row.insert(p, u)
+            rows += row
+            stay.append(ep)
+        live = stay
+        if live:
+            outs = predict(rows)
+        k += 1
+    return [ep.cost for ep in episodes]
+
+
+def _cost_alone(narx: NarxModel, ep: _Episode) -> float:
+    """The cost of one `_episode_cost_on_surrogate` episode, the steps of
+    `_lockstep_costs` in locals, each predicted on the row path."""
+    predict, dt, p = narx.predict_one, narx.dt, narx.p
+    gains, state, row, w, bound = ep.gains, ep.state, ep.row, ep.w, ep.bound
+    iae, effort, y = ep.iae, ep.effort, row[0]
     for k in range(len(w) - 1):
         try:
-            u = pid_step(gains, state, w[k], y_now, dt)
+            u = pid_step(gains, state, w[k], y, dt)
         except ControllerFault:
             return math.inf
         del row[-1]
         row.insert(p, u)
-        y_now = yield row
-        if not math.isfinite(y_now) or abs(y_now) > bound:
+        y = predict(row)
+        if not math.isfinite(y) or abs(y) > bound:
             return math.inf
         del row[p - 1]
-        row.insert(0, y_now)
-        iae += abs(w[k + 1] - y_now) * dt
+        row.insert(0, y)
+        iae += abs(w[k + 1] - y) * dt
         effort += abs(u) * dt
-    return iae + rho * effort
-
-
-def _lockstep_costs(narx: NarxModel, episodes) -> list:
-    """Return values of `_episode_cost_on_surrogate` generators run side by
-    side: one predictor bound once to the call's k generators
-    (`NarxModel.rows_predictor`) predicts for every live episode each step,
-    so each cost is bit-equal to that episode run alone. An episode that ends
-    early leaves the stack, and the same binding serves the fewer rows
-    left. The generators may belong to several gain points (`tune_static_ai`
-    passes every episode of a whole start simplex or shrink). A lone
-    generator runs on the row path, where one row costs less than a stacked
-    pass of one; from two rows on, the stacked pass is the cheaper."""
-    if len(episodes) < 2:
-        return [_cost_alone(narx, episode) for episode in episodes]
-    costs = [None] * len(episodes)
-    live, preds = list(enumerate(episodes)), [None] * len(episodes)
-    predict = narx.rows_predictor(len(episodes))
-    while live:
-        rows = []
-        for (i, episode), y in zip(live, preds):
-            try:
-                rows.append(episode.send(y))
-            except StopIteration as stop:
-                costs[i] = stop.value
-        if len(rows) < len(live):
-            live = [(i, episode) for i, episode in live if costs[i] is None]
-        if live:
-            preds = predict(rows)
-    return costs
-
-
-def _cost_alone(narx: NarxModel, episode) -> float:
-    """Return value of one `_episode_cost_on_surrogate` generator, each step
-    predicted on the row path."""
-    predict, send, y = narx.predict_one, episode.send, None
-    try:
-        while True:
-            y = predict(send(y))
-    except StopIteration as stop:
-        return stop.value
+    return iae + ep.rho * effort
 
 
 def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float, seed: int,

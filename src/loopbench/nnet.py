@@ -188,13 +188,14 @@ class Mlp:
         hidden, (a_last, w_last, b_last, out) = layers[:-1], layers[-1]
         matmul, add, tanh = np.matmul, np.add, np.tanh
 
+        # each output buffer goes in positionally, as in `row_pass`
         def run() -> None:
             for a, w, b, h in hidden:
-                matmul(a, w, out=h)
-                add(h, b, out=h)
-                tanh(h, out=h)
-            matmul(a_last, w_last, out=out)
-            add(out, b_last, out=out)
+                matmul(a, w, h)
+                add(h, b, h)
+                tanh(h, h)
+            matmul(a_last, w_last, out)
+            add(out, b_last, out)
         return acts[:-1], out, run
 
     def batch_pass(self, k: int, grad: np.ndarray, x: np.ndarray | None = None) -> "BatchPass":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,13 +54,15 @@ def make_regression_dataset(y: np.ndarray, u: np.ndarray, p: int, q: int) -> Sup
 class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
-    Both predictors take feature rows as `lag_features` lays them out, which
-    a rollout keeps in place step to step. Per-step prediction runs one row
+    Both predictors take feature rows as `lag_features` lays them out (a
+    `rows_predictor` binding several, as one flat list), which a rollout
+    keeps in place step to step. Per-step prediction runs one row
     through an `Mlp.row_pass` bound at construction; `rows_predictor` binds
-    k rows to one `Mlp.stacked_pass`. Both normalize with numpy's
-    elementwise ops and denormalize on floats, which round alike, so both
-    are bit-equal to the array form. The row pass copies the normalization
-    stats at construction, a `rows_predictor` binding when it is made.
+    k rows to one `Mlp.stacked_pass` and leaves the denormalization to its
+    caller. Both normalize with numpy's elementwise ops and denormalize on
+    floats, which round alike, so both are bit-equal to the array form. The
+    row pass copies the normalization stats at construction, a
+    `rows_predictor` binding when it is made.
     """
 
     KIND = "narx-surrogate"
@@ -97,26 +98,31 @@ class NarxModel:
         return self._net(row)[0] * self._y_std + self._y_mean
 
     def rows_predictor(self, k: int):
-        """`predict_one` of up to k feature rows, bit for bit: returns
-        `predict(rows)`, which packs the rows into one `Mlp.stacked_pass`
-        input with a single `struct.pack_into`, normalizes them in place
-        against stats tiled to its shape, runs the pass and denormalizes on
-        floats. Buffers, tiles and packer are made here, once, so a call
-        allocates no array. Fewer than k rows fill the spare rows with copies
-        of the last one, whose predictions are dropped; the rows are
-        independent."""
-        y_std, y_mean = self._y_std, self._y_mean
+        """`predict_one` of up to k feature rows, before denormalization:
+        returns `predict(rows)`, which takes the rows' floats as one flat
+        list, row after row, packs them into one `Mlp.stacked_pass` input
+        with a single `struct.pack_into`, normalizes them in place against
+        stats tiled to its shape, runs the pass and returns its k outputs as
+        floats. `predict_one` of row i is, bit for bit, output i times
+        `_y_std` plus `_y_mean` on floats; the caller takes that step in its
+        own loop over the rows, as a list built here would cost more. Buffers,
+        tiles and packer are made here, once, so a call allocates no array.
+        Fewer than k rows fill the spare rows with copies of the last one,
+        whose outputs come after theirs; the rows are independent."""
+        width = self.p + self.q
         (x, *_), out, run = self.mlp.stacked_pass(k)
         x_mean, x_std = (np.broadcast_to(v, x.shape).copy() for v in (self.x_mean, self.x_std))
-        fill, out = struct.Struct(f"{k * (self.p + self.q)}d").pack_into, out.reshape(k)
+        fill, out = struct.Struct(f"{k * width}d").pack_into, out.reshape(k)
         subtract, divide = np.subtract, np.divide
 
         def predict(rows) -> list:
-            fill(x, 0, *chain.from_iterable(rows), *rows[-1] * (k - len(rows)))
-            subtract(x, x_mean, out=x)
-            divide(x, x_std, out=x)
+            if len(rows) < k * width:
+                rows = rows + rows[-width:] * (k - len(rows) // width)
+            fill(x, 0, *rows)
+            subtract(x, x_mean, x)
+            divide(x, x_std, x)
             run()
-            return [v * y_std + y_mean for v in out.tolist()[:len(rows)]]
+            return out.tolist()
         return predict
 
 

@@ -1073,7 +1073,8 @@ def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, mon
     simplex or a shrink, and the two or three of one evaluation, share one
     stacked surrogate pass per step, through one `rows_predictor` binding per
     `_lockstep_costs` call; a lone episode runs on the row path. The counters
-    wrap each binding's predictor, which counts the rows of every pass."""
+    wrap each binding's predictor, which counts the rows of every pass (its
+    flat list holds p + q floats a row)."""
     episodes, lockstep_calls, bindings, passes = [], [], [], []
     real = neuro._episode_cost_on_surrogate
     monkeypatch.setattr(neuro, "_episode_cost_on_surrogate",
@@ -1086,7 +1087,7 @@ def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, mon
     def counting_predictor(self, k):
         bindings.append(k)
         predict = rows_predictor(self, k)
-        return lambda windows: passes.append(len(windows)) or predict(windows)
+        return lambda rows: passes.append(len(rows) // (self.p + self.q)) or predict(rows)
     monkeypatch.setattr(NarxModel, "rows_predictor", counting_predictor)
     cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
            "tuning": {"mode": "ai", "budget": 7, "episodes": {"count": count, "level": 1.0}}}
@@ -1127,7 +1128,7 @@ def test_ai_tune_with_some_diverging_evaluations_keeps_the_best_finite_point(tmp
     too wide to bound it: large gains send the loop past the 1e6 * scale
     bound within the 11 steps of an episode, small ones keep it finite. The
     start simplex's episodes end at different steps, so the lockstep's one
-    binding also predicts for fewer live windows than it was bound to. The
+    binding also predicts for fewer live rows than it was bound to. The
     tune succeeds, its trace holds both kinds of cost, and gains.json is the
     point of the least finite cost."""
     net = Mlp([4, 1], init=False)
@@ -1139,7 +1140,7 @@ def test_ai_tune_with_some_diverging_evaluations_keeps_the_best_finite_point(tmp
 
     def counting_predictor(self, k):
         predict = rows_predictor(self, k)
-        return lambda windows: short.append(len(windows) < k) or predict(windows)
+        return lambda rows: short.append(len(rows) < k * (self.p + self.q)) or predict(rows)
     monkeypatch.setattr(NarxModel, "rows_predictor", counting_predictor)
     cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0},
            "plant": {**FOPDT_PLANT, "limits": [-1e9, 1e9]},
@@ -1203,7 +1204,13 @@ def test_ai_tune_with_non_finite_predictions_keeps_the_best_finite_point(tmp_pat
 
     def recording_predictor(self, k):
         predict = rows_predictor(self, k)
-        return lambda windows: predictions.extend(predict(windows)) or predictions[-len(windows):]
+
+        def record(rows):
+            outs = predict(rows)
+            # the predictions of the rows passed; this surrogate's y_std is 1 and y_mean 0
+            predictions.extend(outs[:len(rows) // (self.p + self.q)])
+            return outs
+        return record
     monkeypatch.setattr(NarxModel, "rows_predictor", recording_predictor)
     plant = {**FOPDT_PLANT, "limits": [-1e9, 1e9]}
     bounds = {"kp": [0.01, 10.0], "ki": [0.0, 2.0], "kd": [0.0, 0.1]}

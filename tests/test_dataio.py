@@ -590,7 +590,6 @@ def test_every_public_method_is_used_in_src():
 # function's entry covers each of its parameters
 SET_BY_NO_SRC_CALL_ON_PURPOSE = {
     "cli.main.argv": "the console entry point calls main() without argv",
-    "metrics.measure_latency": "AC-11's latency instrument, in UNREACHED_ON_PURPOSE",
     "simcore.simulate.gain_schedule": "AC-10's process change and the five */linear goldens",
 }
 
@@ -759,3 +758,57 @@ def test_no_defaulted_parameter_is_set_by_every_call_in_src():
 def test_no_function_in_src_takes_kwargs():
     """A `**kwargs` pass-through can set what no signature names."""
     assert kwargs_pass_throughs(Path(loopbench.__file__).parent) == []
+
+
+# every `** 2` in src/, by qualified name, with its count: either the operand
+# is an array, whose `** 2` numpy computes as `np.square` (the same bits), or
+# it is a scalar square, which goes through libm's `pow`; glibc's `pow` does
+# not round as `x * x` does on every input, so these are part of the byte path
+ARRAY_SQUARES = {"neuro.train_imitation._val_rmse": 1, "neuro._StackedSteps.slopes": 1,
+                 "surrogate.fit_surrogate": 2}
+LIBM_SQUARES = {"neuro._ControllerBlock.output_adjoint": 1, "neuro.bptt_loss_and_grad": 2,
+                "tuning.ultimate_from_fopdt": 1}
+
+
+def squares(src: Path) -> dict:
+    """`module.function` (nested names joined by dots, a method as
+    `module.Class.method`) of each function in `src` that squares with a
+    power of the literal 2 (`x ** 2`, `x **= 2`), and how often."""
+    counts = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            right = child.right if isinstance(child, ast.BinOp) else \
+                child.value if isinstance(child, ast.AugAssign) else None
+            if isinstance(getattr(child, "op", None), ast.Pow) and \
+                    isinstance(right, ast.Constant) and right.value == 2:
+                counts[name] = counts.get(name, 0) + 1
+            visit(child, name)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return counts
+
+
+def test_squares_scan_finds_every_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(x):\n    def g(y):\n        return y ** 2 + y ** 3\n    x **= 2\n    return x ** 2.0\n\n"
+        "class K:\n    def h(self, a):\n        return (a ** 2) ** 2\n\n"
+        "Z = 3 ** 2\n", encoding="utf-8")
+    assert squares(tmp_path) == {"m.f.g": 1, "m.f": 2, "m.K.h": 2, "m": 1}
+
+
+def test_every_square_in_src_is_declared():
+    """A new `** 2` fails here until it is declared: an array operand gives
+    the bits of `np.square`, while a scalar one is a libm `pow` call, whose
+    rounding can differ from `x * x` and from one C library to another."""
+    assert squares(Path(loopbench.__file__).parent) == {**ARRAY_SQUARES, **LIBM_SQUARES}
+
+
+def test_array_square_has_the_bits_of_np_square():
+    x = np.random.default_rng(0).uniform(-2.0, 2.0, (1000, 1, 7))
+    assert (x ** 2).tobytes() == np.square(x).tobytes()
+    assert (1.0 - x ** 2).tobytes() == (1.0 - np.square(x)).tobytes()

@@ -690,13 +690,53 @@ def _array_episode_cost(narx, gains, reference, rho):
 
 
 def _episode(narx, gains, reference, rho):
-    """An episode generator on a reference array, as the search makes one."""
+    """An episode on a reference array, as the search makes one."""
     return _episode_cost_on_surrogate(narx, gains, *_episode_reference(reference), rho)
 
 
 def _costs(narx, cases):
-    """`_lockstep_costs` over fresh episode generators of (gains, reference, rho) cases."""
+    """`_lockstep_costs` over fresh episodes of (gains, reference, rho) cases."""
     return _lockstep_costs(narx, [_episode(narx, *c) for c in cases])
+
+
+def _generator_episode(narx, gains, reference, rho):
+    """The episode as a generator, the form the search ran before its
+    lockstep loop: each step yields its feature row (it changes in place on
+    the next send), is sent the prediction from it, and returns the cost
+    when the episode ends, inf once a prediction is not finite or leaves the
+    bound."""
+    w, bound = _episode_reference(reference)
+    state = PidState()
+    dt, p = narx.dt, narx.p
+    row = [0.0] * (p + narx.q)
+    iae = 0.0
+    effort = 0.0
+    y_now = 0.0
+    for k in range(len(w) - 1):
+        try:
+            u = pid_step(gains, state, w[k], y_now, dt)
+        except ControllerFault:
+            return math.inf
+        del row[-1]
+        row.insert(p, u)
+        y_now = yield row
+        if not math.isfinite(y_now) or abs(y_now) > bound:
+            return math.inf
+        del row[p - 1]
+        row.insert(0, y_now)
+        iae += abs(w[k + 1] - y_now) * dt
+        effort += abs(u) * dt
+    return iae + rho * effort
+
+
+def _generator_cost(narx, case):
+    """The cost of one `_generator_episode`, each row predicted by `predict_one`."""
+    episode, y = _generator_episode(narx, *case), None
+    try:
+        while True:
+            y = narx.predict_one(episode.send(y))
+    except StopIteration as stop:
+        return stop.value
 
 
 @pytest.mark.bits
@@ -749,19 +789,32 @@ def _linear_narx():
     return NarxModel(net, 1, 1, 0.1, np.zeros(2), np.ones(2), np.zeros(1), np.ones(1))
 
 
-LOCKSTEP_NARX = {"linear": _linear_narx(), "p3q2": random_narx(3, 2, (7,), seed=1),
-                 "p2q3": random_narx(2, 3, (5, 5), seed=4)}
+def _nan_narx():
+    """`_linear_narx` with a second input lag of weight 0 and std 1e-305: the
+    step after a command passes about 1.8e3, that lag's normalized value
+    overflows, and 0 * inf makes the prediction NaN, which only the finite
+    check catches (NaN is not past any bound)."""
+    net = Mlp([3, 1], init=False)
+    net.weights[0][:] = np.array([[0.5, 1.0, 0.0]])
+    return NarxModel(net, 1, 2, 0.1, np.zeros(3), np.array([1.0, 1.0, 1e-305]), np.zeros(1),
+                     np.ones(1))
+
+
+LOCKSTEP_NARX = {"linear": _linear_narx(), "nan": _nan_narx(),
+                 "p3q2": random_narx(3, 2, (7,), seed=1), "p2q3": random_narx(2, 3, (5, 5), seed=4)}
 
 
 LOCKSTEP_CASES = [("fault", "linear"), ("fault", "p3q2"), ("fault", "p2q3"), ("bound", "linear"),
-                  ("lengths", "linear"), ("lengths", "p3q2"), ("lengths", "p2q3")]
+                  ("nonfinite", "nan"), ("lengths", "linear"), ("lengths", "p3q2"),
+                  ("lengths", "p2q3")]
 
 
 def _lockstep_cases(case):
     """(gains, reference, rho) cases of which episodes end early, each at its
     own step: a ControllerFault (cost inf), a prediction past the 1e6 * scale
-    bound while the others finish (the tanh of a hidden layer bounds the
-    other surrogates' predictions), and references of unequal length."""
+    bound or a NaN one while the others finish (the tanh of a hidden layer
+    bounds the other surrogates' predictions), and references of unequal
+    length."""
     rng = np.random.default_rng(7)
     cases = [(PidGains(kp=rng.uniform(0.2, 2.0), ki=rng.uniform(0.0, 1.0), kd=rng.uniform(0.0, 0.2),
                        u_min=-3.0, u_max=3.0),
@@ -774,6 +827,14 @@ def _lockstep_cases(case):
     elif case == "bound":
         # a command of 1e7 sends the linear surrogate past 1e6 once the reference steps
         cases[2] = (PidGains(kp=1e7, u_min=-1e7, u_max=1e7), cases[2][1], cases[2][2])
+    elif case == "nonfinite":
+        # a command of 1e4 once the reference steps: the output stays inside
+        # the bound, and `_nan_narx` predicts NaN two steps later, which for
+        # a reference of five samples is its last prediction (an unchecked
+        # NaN there would be the cost; earlier, `pid_step` would refuse it)
+        gains = PidGains(kp=1e4, u_min=-1e4, u_max=1e4)
+        cases[2] = (gains, cases[2][1], cases[2][2])
+        cases.append((gains, np.concatenate([np.zeros(2), np.ones(3)]), 0.01))
     else:
         # one step, none, and 5, 31 and 19 steps
         cases = [(g, ref[:n], rho) for (g, ref, rho), n in zip(cases, (2, 1, 6, 32))]
@@ -788,11 +849,36 @@ def test_lockstep_costs_match_array_form_per_episode(case, name):
     (`_lockstep_cases`)."""
     narx = LOCKSTEP_NARX[name]
     cases = _lockstep_cases(case)
-    want = [_array_episode_cost(narx, *c) for c in cases]
-    assert sum(math.isfinite(c) for c in want) >= len(cases) - 1
-    if case != "lengths":
-        assert not all(math.isfinite(c) for c in want)
-    assert _costs(narx, cases) == want
+    with np.errstate(over="ignore", invalid="ignore"):  # the nonfinite case's overflow
+        want = [_array_episode_cost(narx, *c) for c in cases]
+        assert sum(math.isfinite(c) for c in want) >= len(cases) - 1 - (case == "nonfinite")
+        if case != "lengths":
+            assert not all(math.isfinite(c) for c in want)
+        assert _costs(narx, cases) == want
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("case, name", LOCKSTEP_CASES)
+def test_lockstep_loop_costs_match_the_generator_and_array_forms(case, name):
+    """The lockstep loop's cost of each episode is, bit for bit, that of the
+    generator form it replaced (`_generator_episode`, run alone on the row
+    path) and that of the array form, with 1, 2, 3 and 5 episodes side by
+    side: every run of that many consecutive cases of `_lockstep_cases` and
+    one that finishes, taken cyclically, so each episode that ends early
+    (a fault, a divergence, a short reference) does so in a stack of every
+    size and at every place in it."""
+    narx = LOCKSTEP_NARX[name]
+    cases = [*_lockstep_cases(case),
+             (PidGains(kp=0.8, ki=0.4, kd=0.05, u_min=-3.0, u_max=3.0),
+              np.concatenate([np.zeros(2), np.full(25, 0.6)]), 0.02)]
+    n = len(cases)
+    with np.errstate(over="ignore", invalid="ignore"):  # the nonfinite case's overflow
+        want = [_array_episode_cost(narx, *c) for c in cases]
+        assert [_generator_cost(narx, c) for c in cases] == want
+        for count in (1, 2, 3, 5):
+            for start in range(n):
+                at = [(start + j) % n for j in range(count)]
+                assert _costs(narx, [cases[i] for i in at]) == [want[i] for i in at]
 
 
 def _window_episode(narx, gains, reference, rho):
@@ -826,32 +912,73 @@ def _window_episode(narx, gains, reference, rho):
 ROW_NARX = {**LOCKSTEP_NARX, "p2q1": random_narx(2, 1, (5, 4), seed=3)}
 
 
+def _spied_costs(monkeypatch, narx, cases):
+    """`_costs` of the cases with the surrogate's inputs spied on: every call
+    of `predict_one` or of a `rows_predictor` binding, as its feature rows
+    and the predictions made from them, in call order."""
+    calls, width = [], narx.p + narx.q
+    predict_one, rows_predictor = NarxModel.predict_one, NarxModel.rows_predictor
+
+    def spy_one(self, row):
+        y = predict_one(self, row)
+        calls.append(([list(row)], [y]))  # the row changes in place after the call
+        return y
+
+    def spy_rows(self, k):
+        predict = rows_predictor(self, k)
+
+        def spy(rows):
+            outs, n = predict(rows), len(rows) // width
+            calls.append(([rows[i * width:(i + 1) * width] for i in range(n)],
+                          [v * self._y_std + self._y_mean for v in outs[:n]]))
+            return outs
+        return spy
+
+    with monkeypatch.context() as m:
+        m.setattr(NarxModel, "predict_one", spy_one)
+        m.setattr(NarxModel, "rows_predictor", spy_rows)
+        return _costs(narx, cases), calls
+
+
 @pytest.mark.parametrize("case, name", [*LOCKSTEP_CASES, ("fault", "p2q1"), ("lengths", "p2q1")])
-def test_episode_rows_are_lag_features_of_the_window_form(case, name):
-    """At every step, the row an episode yields has the bits of `lag_features`
-    of the window form's windows, both sent the array form's prediction from
-    those windows, and both end at the same step with the same cost: the
-    episodes that end early (`_lockstep_cases`) included."""
+def test_episode_rows_are_lag_features_of_the_window_form(case, name, monkeypatch):
+    """Each episode alone on the row path, and all of them in one lockstep:
+    at every step, the row each live episode gives the surrogate has the
+    bits of `lag_features` of the window form's windows when the window
+    form is sent the same predictions, the live episodes are those the
+    window form has not ended, and both end every episode with the same
+    cost: the episodes that end early (`_lockstep_cases`) included."""
     narx = ROW_NARX[name]
-    early = 0
-    for c in _lockstep_cases(case):
-        rows, windows = _episode(narx, *c), _window_episode(narx, *c)
-        y, steps = None, 0
-        while True:
+    cases = _lockstep_cases(case)
+    early = []
+    for group in [*([c] for c in cases), cases]:
+        with np.errstate(over="ignore", invalid="ignore"):  # the nonfinite case's overflow
+            costs, calls = _spied_costs(monkeypatch, narx, group)
+        windows = [_window_episode(narx, *c) for c in group]
+        want, now, steps = [None] * len(group), [None] * len(group), [0] * len(group)
+
+        def send(i, y):
             try:
-                row = rows.send(y)
+                now[i] = windows[i].send(y)
             except StopIteration as stop:
-                with pytest.raises(StopIteration) as want:
-                    windows.send(y)
-                assert repr(stop.value) == repr(want.value.value)
-                break
-            y_win, u_win = windows.send(y)
-            assert np.array(row).tobytes() == \
-                np.array(lag_features(y_win, u_win, narx.p, narx.q)).tobytes()
-            y = array_predict_one(narx, np.array(y_win), np.array(u_win))
-            steps += 1
-        early += steps < len(c[1]) - 1
-    assert early == (case != "lengths")
+                want[i] = stop.value
+        for i in range(len(group)):
+            send(i, None)
+        for rows, ys in calls:
+            live = [i for i, cost in enumerate(want) if cost is None]
+            assert len(rows) == len(live)
+            for i, row, y in zip(live, rows, ys):
+                y_win, u_win = now[i]
+                assert np.array(row).tobytes() == \
+                    np.array(lag_features(y_win, u_win, narx.p, narx.q)).tobytes()
+                steps[i] += 1
+                send(i, y)
+        assert None not in want and repr(costs) == repr(want)
+        if case == "nonfinite" and len(group) > 1:
+            assert any(math.isnan(y) for _, ys in calls for y in ys)
+        early.append(sum(n < len(c[1]) - 1 for n, c in zip(steps, group)))
+    # one episode ends early, alone and in the lockstep, unless the lengths differ
+    assert sum(early[:-1]) == early[-1] == (case != "lengths")
 
 
 def test_tune_static_ai_costs_equal_the_per_episode_mean(monkeypatch):

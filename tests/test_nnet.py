@@ -502,6 +502,7 @@ PORTABLE_REQUIRED = (
     "test_surrogate.py::test_narx_rollout_bit_equal_to_array_form",
     "test_neuro.py::test_episode_cost_bit_equal_to_array_form",
     "test_neuro.py::test_lockstep_costs_match_array_form_per_episode",
+    "test_neuro.py::test_lockstep_loop_costs_match_the_generator_and_array_forms",
     "test_neuro.py::test_nelder_mead_matches_the_sequential_search",
     "test_training_bits.py::",
     "test_neuro.py::test_control_loop_step_bit_equal_to_array_form",

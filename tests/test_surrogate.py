@@ -273,12 +273,22 @@ def test_predict_one_bit_equal_to_array_form(p, q, hidden):
             assert model.predict_one(lag_features(np.array(y_win), np.array(u_win), p, q)) == want
 
 
+def rows_predictions(model, predict, rows, k):
+    """`predict` (a `rows_predictor(k)` binding) of the feature rows as one
+    flat list, each output denormalized on floats as the caller does; the
+    k outputs are floats, and those of the spare rows repeat the last row's."""
+    got = predict([v for row in rows for v in row])
+    assert len(got) == k and all(type(v) is float for v in got)
+    assert got[len(rows):] == got[len(rows) - 1:len(rows)] * (k - len(rows))
+    return [v * model._y_std + model._y_mean for v in got[:len(rows)]]
+
+
 @pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
-    """k feature rows through one `rows_predictor(k)` binding give the bits
-    of `predict_one` on each; k = 1 is the one-row stacked pass against the
-    row path."""
+    """k feature rows through one `rows_predictor(k)` binding, each output
+    denormalized on floats, give the bits of `predict_one` on each; k = 1 is
+    the one-row stacked pass against the row path."""
     rng = np.random.default_rng(10 * p + q + 1000 * len(hidden))
     for seed in range(3):
         model = random_narx(p, q, hidden, seed)
@@ -286,9 +296,8 @@ def test_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
             rows = [lag_features((rng.normal(size=p + 2) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
                                  (rng.normal(size=q + 1) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
                                  p, q) for _ in range(k)]
-            got = model.rows_predictor(k)(rows)
+            got = rows_predictions(model, model.rows_predictor(k), rows, k)
             assert got == [model.predict_one(row) for row in rows]
-            assert all(type(v) is float for v in got)
 
 
 @pytest.mark.bits
@@ -305,9 +314,8 @@ def test_reused_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
         for count in (k, k, k, k - 1, 1, k):
             scale = rng.choice([1e-3, 1.0, 50.0])
             rows = [(rng.normal(size=p + q) * scale).tolist() for _ in range(count)]
-            got = predict(rows)
+            got = rows_predictions(model, predict, rows, k)
             assert got == [model.predict_one(row) for row in rows]
-            assert all(type(v) is float for v in got)
 
 
 @pytest.mark.bits
