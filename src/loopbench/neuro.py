@@ -12,7 +12,6 @@ squashes), not post-hoc clamps.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from itertools import cycle
 
@@ -398,30 +397,21 @@ class BpttResult:
 
 class _StackedSteps:
     """One network's stacked pass over the E episodes of a lockstep rollout,
-    bound once per rollout (`Mlp.stacked_pass`), with every step's layer
-    inputs kept for the reverse pass: `run(k, rows)` packs the E feature
-    rows (one flat list of floats, episode after episode) into the input
-    stack with one `struct.pack_into`, normalizes them in place against the
-    stats tiled to its shape (elementwise, so with the bits of the same
-    operations on floats), runs the pass, copies each layer's input stack
-    into step k of `hist` ((horizon, E, 1, width) per layer) and returns the
-    outputs, one list per episode."""
+    bound once per rollout (`Mlp.stacked_pass`, which packs and normalizes),
+    with every step's layer inputs kept for the reverse pass: `run(k, rows)`
+    runs the pass on the E feature rows (one flat list of floats, episode
+    after episode), copies each layer's input stack into step k of `hist`
+    ((horizon, E, 1, width) per layer) and returns the outputs, one list per
+    episode."""
 
     def __init__(self, net: Mlp, n_ep: int, horizon: int, mean: np.ndarray, std: np.ndarray):
-        acts, out, self._run = net.stacked_pass(n_ep)
-        self._x = acts[0]
-        self._mean, self._std = (np.broadcast_to(v, self._x.shape).copy() for v in (mean, std))
-        self._fill = struct.Struct(f"{self._x.size}d").pack_into
+        acts, out, self._run = net.stacked_pass(n_ep, mean, std)
         self.hist = [np.empty((horizon, *a.shape)) for a in acts]
         self._keep = list(zip(self.hist, acts))
         self._out = out.reshape(n_ep, -1)
 
     def run(self, k: int, rows: list) -> list:
-        x = self._x
-        self._fill(x, 0, *rows)
-        np.subtract(x, self._mean, x)  # the buffers go in positionally, as in `Mlp.row_pass`
-        np.divide(x, self._std, x)
-        self._run()
+        self._run(rows)
         for h, a in self._keep:
             h[k] = a
         return self._out.tolist()
@@ -814,12 +804,13 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
     before (denormalized on floats, as `predict_one` does; checked, pushed
     into its row and added to its sums) and then its PID step, whose
     control it pushes into its row; then one `NarxModel.rows_predictor`
-    binding, made once for the call's k episodes, runs all their rows. An
-    episode leaves when its reference ends (cost IAE + rho * effort), or at
-    cost inf on a `ControllerFault` or a prediction that is not finite or
-    leaves its bound. The episodes may belong to several gain points (a
-    whole start simplex or shrink). A lone episode runs on the row path
-    (`_cost_alone`), where one row costs less than a stacked pass of one."""
+    binding, made once for the call's k episodes, runs all their rows as
+    one flat list. An episode leaves when its reference ends (cost IAE +
+    rho * effort), or at cost inf on a `ControllerFault` or a prediction
+    that is not finite or leaves its bound. The episodes may belong to
+    several gain points (a whole start simplex or shrink). A lone episode
+    runs on the row path (`_cost_alone`), where one row costs less than a
+    stacked pass of one."""
     if len(episodes) < 2:
         return [_cost_alone(narx, ep) for ep in episodes]
     predict, dt, p = narx.rows_predictor(len(episodes)), narx.dt, narx.p

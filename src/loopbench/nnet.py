@@ -168,28 +168,35 @@ class Mlp:
             return out.tolist()
         return run
 
-    def stacked_pass(self, k: int):
-        """A forward pass of k independent rows bound to buffers allocated here:
-        returns `(acts, outputs, run)`, where `acts` holds each layer's input
-        stack, the (k, 1, n) input the caller fills first, then the hidden
-        activations, and `run()` computes every layer in place, the last
-        into the (k, 1, n_out) stack `outputs`. Each output row is bit-equal to
-        `forward` on its input row alone: every layer is one `np.matmul` over
-        the stack, which makes one matrix-vector product (gemv) per row, the
-        call a 1-D row makes; a 2-D matrix product over the rows rounds
-        differently. The biases are tiled to the stack's shape here, as an add
-        of equal shapes skips numpy's broadcasting machinery, so the pass holds
-        while the parameters stay as they are."""
+    def stacked_pass(self, k: int, mean: np.ndarray, std: np.ndarray):
+        """A forward pass of k independent rows bound to buffers allocated here,
+        the rows normalized as in `row_pass`: returns `(acts, outputs, run)`,
+        where `acts` holds each layer's (k, 1, n) input stack, the normalized
+        input first, and `run(rows)` takes the rows' floats as one flat list,
+        row after row, and computes every layer in place, the last into the
+        (k, 1, n_out) stack `outputs`. Each output row is bit-equal to
+        `row_pass` on its row alone: every layer is one `np.matmul` over the
+        stack, which makes one gemv per row, as a 1-D row does; a 2-D matrix
+        product over the rows rounds differently. The stats and biases are
+        tiled to the stack's shape here, as an op on equal shapes skips
+        numpy's broadcasting machinery, so the pass holds while the
+        parameters stay as they are."""
         if k < 1:
             raise ValueError(f"a stacked pass needs at least one row, got {k}")
         acts = [np.empty((k, 1, n)) for n in self.layer_sizes]
+        x = acts[0]
+        mean, std = (np.broadcast_to(v, x.shape).copy() for v in (mean, std))
+        fill = struct.Struct(f"{x.size}d").pack_into
         layers = [(a, w, np.broadcast_to(b, h.shape).copy(), h)
                   for a, w, b, h in zip(acts[:-1], self._weights_t, self.biases, acts[1:])]
         hidden, (a_last, w_last, b_last, out) = layers[:-1], layers[-1]
-        matmul, add, tanh = np.matmul, np.add, np.tanh
+        matmul, add, tanh, subtract, divide = np.matmul, np.add, np.tanh, np.subtract, np.divide
 
         # each output buffer goes in positionally, as in `row_pass`
-        def run() -> None:
+        def run(rows) -> None:
+            fill(x, 0, *rows)
+            subtract(x, mean, x)
+            divide(x, std, x)
             for a, w, b, h in hidden:
                 matmul(a, w, h)
                 add(h, b, h)
@@ -304,13 +311,13 @@ class BatchPass:
 
     def forward(self) -> None:
         dot, add, tanh = np.dot, np.add, np.tanh
-        for a, w_t, b, h in self._hidden:
-            dot(a, w_t, out=h)
-            add(h, b, out=h)
-            tanh(h, out=h)
+        for a, w_t, b, h in self._hidden:  # positional buffers, as in `Mlp.row_pass`
+            dot(a, w_t, h)
+            add(h, b, h)
+            tanh(h, h)
         a, w_t, b, out = self._last
-        dot(a, w_t, out=out)
-        add(out, b, out=out)
+        dot(a, w_t, out)
+        add(out, b, out)
 
 
 # ---------------------------------------------------------------------------

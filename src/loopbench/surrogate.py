@@ -10,7 +10,6 @@ pass bound once to its buffers; both give the same bits.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +55,12 @@ class NarxModel:
 
     Both predictors take feature rows as `lag_features` lays them out (a
     `rows_predictor` binding several, as one flat list), which a rollout
-    keeps in place step to step. Per-step prediction runs one row
-    through an `Mlp.row_pass` bound at construction; `rows_predictor` binds
-    k rows to one `Mlp.stacked_pass` and leaves the denormalization to its
-    caller. Both normalize with numpy's elementwise ops and denormalize on
-    floats, which round alike, so both are bit-equal to the array form. The
-    row pass copies the normalization stats at construction, a
-    `rows_predictor` binding when it is made.
+    keeps in place step to step. Per-step prediction runs one row through
+    an `Mlp.row_pass` bound at construction; `rows_predictor` binds k rows
+    to one `Mlp.stacked_pass` and leaves the denormalization to its caller.
+    Each pass packs, normalizes against the stats it copied when bound and
+    runs the network; denormalizing on floats rounds as the array does, so
+    both are bit-equal to the array form.
     """
 
     KIND = "narx-surrogate"
@@ -100,28 +98,21 @@ class NarxModel:
     def rows_predictor(self, k: int):
         """`predict_one` of up to k feature rows, before denormalization:
         returns `predict(rows)`, which takes the rows' floats as one flat
-        list, row after row, packs them into one `Mlp.stacked_pass` input
-        with a single `struct.pack_into`, normalizes them in place against
-        stats tiled to its shape, runs the pass and returns its k outputs as
-        floats. `predict_one` of row i is, bit for bit, output i times
-        `_y_std` plus `_y_mean` on floats; the caller takes that step in its
-        own loop over the rows, as a list built here would cost more. Buffers,
-        tiles and packer are made here, once, so a call allocates no array.
+        list, row after row, runs them through one `Mlp.stacked_pass`
+        binding made here (which packs and normalizes them) and returns its
+        k outputs as floats. `predict_one` of row i is, bit for bit, output i
+        times `_y_std` plus `_y_mean` on floats; the caller takes that step in
+        its own loop over the rows, as a list built here would cost more.
         Fewer than k rows fill the spare rows with copies of the last one,
         whose outputs come after theirs; the rows are independent."""
         width = self.p + self.q
-        (x, *_), out, run = self.mlp.stacked_pass(k)
-        x_mean, x_std = (np.broadcast_to(v, x.shape).copy() for v in (self.x_mean, self.x_std))
-        fill, out = struct.Struct(f"{k * width}d").pack_into, out.reshape(k)
-        subtract, divide = np.subtract, np.divide
+        _, out, run = self.mlp.stacked_pass(k, self.x_mean, self.x_std)
+        out = out.reshape(k)
 
         def predict(rows) -> list:
             if len(rows) < k * width:
                 rows = rows + rows[-width:] * (k - len(rows) // width)
-            fill(x, 0, *rows)
-            subtract(x, x_mean, x)
-            divide(x, x_std, x)
-            run()
+            run(rows)
             return out.tolist()
         return predict
 
@@ -178,11 +169,10 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig, hidden, val_fraction: 
     result = train(net, train_n, val_n, cfg)
     model = NarxModel(result.net, p, q, dt, x_mean, x_std, y_mean, y_std)
 
-    # held-out one-step predictions: the normalized validation rows in one
-    # stacked pass, each row bit-equal to `predict_one` on it
-    (x, *_), out, run = model.mlp.stacked_pass(len(val_n))
-    x[:, 0] = val_n.x
-    run()
+    # held-out one-step predictions: the validation rows in one stacked
+    # pass, each row bit-equal to `predict_one` on it
+    _, out, run = model.mlp.stacked_pass(len(val_ds), x_mean, x_std)
+    run(val_ds.x.ravel().tolist())
     val_y, val_u = y[n_train:], u[n_train:]
     k0 = max(p, q)
     preds = out.reshape(-1) * y_std + y_mean

@@ -537,6 +537,20 @@ def test_no_module_imports_threads_or_processes():
     assert hits == []
 
 
+def test_only_nnet_and_simcore_import_struct():
+    """Network rows are packed in one place, `nnet`'s bound passes, which
+    also normalize them; the only other packer is `simcore`'s, for plant
+    states. So no other module imports `struct`, in either form."""
+    src = Path(loopbench.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "struct":
+                importers.add(path.stem)
+    assert importers == {"nnet", "simcore"}
+
+
 # the one public name that no command reaches on purpose: AC-11's latency instrument
 UNREACHED_ON_PURPOSE = {"metrics.measure_latency"}
 

@@ -424,30 +424,43 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 750])
 @pytest.mark.parametrize("sizes", [s for s in ROW_SHAPES if 3 <= len(s) <= 5],
                          ids=lambda s: "-".join(map(str, s)))
-def test_forward_rows_bit_equal_to_forward_per_row(sizes, k):
-    """k rows through one `stacked_pass` binding, run on fresh inputs three
-    times, give row by row the bits of `forward_cached` on each row alone,
-    output and every activation; the stacked (k, 1, n) products make one
-    gemv per row, a 2-D matrix product would not."""
+def test_stacked_pass_bit_equal_to_forward_cached_per_row(sizes, k):
+    """k rows through one `stacked_pass` binding, run on fresh rows three
+    times, some rows holding a NaN or an infinity, give row by row the bits
+    of `forward_cached(normalize(row, mean, std))` on each row alone, output
+    and every activation, the normalized input first; the stacked
+    (k, 1, n) products make one gemv per row, a 2-D matrix product would
+    not. Every buffer is overwritten with junk between calls, so no call
+    reads what the last one left, and the binding keeps copies of the
+    stats, so writes to them after binding change nothing."""
     rng = np.random.default_rng([k, *sizes])
+    n = sizes[0]
     for seed in range(3):
         net = Mlp(sizes, seed=seed)
         for b in net.biases:
             b[...] = rng.normal(size=b.shape) * 0.5
-        acts, outputs, run = net.stacked_pass(k)
-        assert [a.shape for a in acts] == [(k, 1, n) for n in sizes[:-1]]
+        mean, std = rng.normal(size=n) * 0.3, rng.uniform(0.5, 2.0, size=n)
+        acts, outputs, run = net.stacked_pass(k, mean, std)
+        want_mean, want_std = mean.copy(), std.copy()
+        mean += 1.0
+        std *= 2.0
+        assert [a.shape for a in acts] == [(k, 1, n)] + [(k, 1, m) for m in sizes[1:-1]]
         assert outputs.shape == (k, 1, sizes[-1])
-        for _ in range(3):
-            xs = rng.normal(size=(k, sizes[0])) * rng.choice([1e-3, 1.0, 50.0], size=(k, 1))
-            acts[0][:, 0] = xs
-            run()
+        for call in range(3):
+            for buf in (*acts, outputs):
+                buf[...] = (math.nan, math.inf, 1e300)[call]
+            xs = rng.normal(size=(k, n)) * rng.choice([1e-3, 1.0, 50.0], size=(k, 1))
+            bad = rng.random(k) < 0.2
+            xs[bad, rng.integers(n, size=bad.sum())] = rng.choice([math.nan, math.inf, -math.inf],
+                                                                 size=bad.sum())
+            assert run(xs.ravel().tolist()) is None
             for i, x in enumerate(xs):
-                out, want = net.forward_cached(x)
+                out, want = net.forward_cached(normalize(x, want_mean, want_std))
                 assert outputs[i, 0].tobytes() == out.tobytes()
                 assert all(a[i, 0].tobytes() == w.tobytes()
                            for a, w in zip(acts, want, strict=True))
     with pytest.raises(ValueError):
-        net.stacked_pass(0)
+        net.stacked_pass(0, mean, std)
 
 
 @pytest.mark.bits
@@ -493,7 +506,7 @@ PORTABLE_PROFILE = {"OPENBLAS_CORETYPE": "Haswell",
 PORTABLE_REQUIRED = (
     "test_nnet.py::test_row_path_bit_equal_to_one_row_batch",
     "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass",
-    "test_nnet.py::test_forward_rows_bit_equal_to_forward_per_row",
+    "test_nnet.py::test_stacked_pass_bit_equal_to_forward_cached_per_row",
     "test_nnet.py::test_row_pass_bit_equal_to_forward_cached",
     "test_surrogate.py::test_rows_predictor_bit_equal_to_predict_one",
     "test_surrogate.py::test_held_out_one_step_rmse_bit_equal_to_predict_one",

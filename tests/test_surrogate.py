@@ -321,11 +321,11 @@ def test_reused_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
 @pytest.mark.bits
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 3), (3, 2)])
 def test_held_out_one_step_rmse_bit_equal_to_predict_one(p, q):
-    """`fit_surrogate`'s held-out one-step RMSE, from the normalized
-    validation rows in one stacked pass, is the RMSE of `predict_one` over
-    the feature row of every window pair of the held-out block, bit for bit. The hidden layers
-    are 32 wide, where one 2-D matrix product over the rows rounds
-    differently."""
+    """`fit_surrogate`'s held-out one-step RMSE, from the validation rows in
+    one stacked pass, which normalizes them, is the RMSE of `predict_one`
+    over the feature row of every window pair of the held-out block, bit for
+    bit. The hidden layers are 32 wide, where one 2-D matrix product over
+    the rows rounds differently."""
     s = _linear_map_series(n=400, seed=p + 10 * q)
     cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=15, patience=10_000, seed=p)
     model, rep = fit_surrogate(s, p, q, cfg, hidden=(32, 32), val_fraction=0.3, resampled=False)
