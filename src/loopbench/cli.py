@@ -10,6 +10,7 @@ bytes and seed. Exit codes: 0 success, 2 config/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -323,7 +324,9 @@ def finite_positive(text: str) -> float:
     return float(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call; holds no command function, `main` looks those up."""
     parser = argparse.ArgumentParser(
         prog="loopbench",
         description="Closed-loop control workbench: record, model, tune, train, simulate, compare.",
@@ -342,42 +345,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("record", help="open-loop excitation run, recorded to CSV")
     seeded(p)
-    p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("fit-surrogate", help="train an empirical plant model from a recording")
     common(p)
     p.add_argument("--data", required=True, help="time-series CSV to fit")
-    p.set_defaults(func=cmd_fit_surrogate)
 
     p = sub.add_parser("tune", help="classical rules or AI gain search")
     seeded(p)
     p.add_argument("--surrogate", default=None, help="surrogate model (ai mode)")
-    p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("train-controller", help="imitation or closed-loop (bptt) training")
     seeded(p)
     p.add_argument("--surrogate", default=None, help="surrogate model (bptt mode)")
-    p.set_defaults(func=cmd_train_controller)
 
     p = sub.add_parser("simulate", help="closed-loop run with the configured safety wrapper")
     seeded(p)
     p.add_argument("--model", default=None, help="override controller.model_path")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="metrics table over recorded trajectories")
     p.add_argument("trajectories", nargs="+", help="trajectory CSV files")
     p.add_argument("--band", type=finite_positive, default=0.02, help="settling band fraction")
     common(p, config=False)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = {"record": cmd_record, "fit-surrogate": cmd_fit_surrogate, "tune": cmd_tune,
+               "train-controller": cmd_train_controller, "simulate": cmd_simulate,
+               "compare": cmd_compare}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -510,7 +510,7 @@ def simulate(
     u_rec = np.zeros(n)
     y_extra = np.zeros((n, plant.n_outputs - 1)) if multi else None
 
-    delay = DelayLine(plant.dead_time, cfg.dt) if plant.dead_time > 0.0 else None
+    push_pop = DelayLine(plant.dead_time, cfg.dt).push_pop if plant.dead_time > 0.0 else None
     ref_scale = max(1.0, float(np.max(np.abs(w))) if n else 1.0)
     guard = DIVERGENCE_FACTOR * ref_scale
 
@@ -518,6 +518,8 @@ def simulate(
     dynamics, output, dt = plant.dynamics(), plant.output_map(), cfg.dt
     u_lo, u_hi = plant.u_min, plant.u_max
     controller.reset()
+    # `rk4_step` stays a per-step global lookup, so a wrapper on the module sees each step
+    step = controller.step
     input_additive = disturbance.injection == "input"
     # plain floats in the loop: one conversion here instead of a numpy
     # scalar per element access
@@ -544,7 +546,7 @@ def simulate(
             else:
                 y_rec[k], y_meas_rec[k] = y, y_m
 
-            u_cmd = controller.step(w_k[k], y_m, dt)
+            u_cmd = step(w_k[k], y_m, dt)
             if not math.isfinite(u_cmd):
                 raise ControllerFault(f"controller emitted a non-finite command at step {k}")
             u_k = min(max(float(u_cmd), u_lo), u_hi)
@@ -553,7 +555,7 @@ def simulate(
             u_plant = u_k + d_k[k] if input_additive else u_k
             if gain_schedule is not None:
                 u_plant = u_plant * float(gain_schedule(t_k[k]))
-            u_eff = delay.push_pop(u_plant) if delay is not None else u_plant
+            u_eff = push_pop(u_plant) if push_pop is not None else u_plant
             try:
                 x = rk4_step(x, u_eff, dt, dynamics)
             except SimulationDiverged as exc:

@@ -856,6 +856,45 @@ def test_unseeded_commands_reject_seed(capsys):
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_main_runs_the_command_bound_at_call_time(tmp_path, monkeypatch):
+    """The cached parser holds no command function: a stub bound to
+    `cli.cmd_simulate` after a successful call is what the next call runs."""
+    cfg_path = _write(tmp_path, "rec.json", _record_cfg())
+    assert main(["record", "--config", cfg_path, "--out", str(tmp_path / "rec")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args) or 17)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "sim")]) == 17
+    assert [(a.command, a.config) for a in calls] == [("simulate", cfg_path)]
+    assert not (tmp_path / "sim").exists()
+
+
+def test_usage_error_is_the_same_before_and_after_successful_calls(tmp_path, capsys):
+    """A parser that has served successful calls rejects an argument with the
+    same exit code and the same stderr bytes as a freshly built one."""
+    cli._build_parser.cache_clear()
+    cfg_path = _write(tmp_path, "rec.json", _record_cfg())
+    bad = ["fit-surrogate", "--config", cfg_path, "--data", str(tmp_path / "rec" / "record.csv"),
+           "--out", str(tmp_path / "sur"), "--seed", "1"]
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    before = usage_error()
+    assert main(["record", "--config", cfg_path, "--out", str(tmp_path / "rec")]) == 0
+    assert main(["compare", str(tmp_path / "rec" / "record.csv"),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    capsys.readouterr()
+    assert usage_error() == before
+    assert "unrecognized arguments: --seed 1" in before
+
+
 def test_compare_incomparable_runs_exit_code_and_message(tmp_path, capsys):
     a, _ = _two_sim_runs(tmp_path)
     other = {"sim": {"dt": 0.01, "horizon": 15.0, "seed": 0}, "plant": dict(FOPDT_PLANT),

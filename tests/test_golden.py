@@ -12,8 +12,10 @@ prediction moved onto Python-float lag windows, the `cli/*` cases before
 every output file moved onto the `dataio` writers, `cli/linear2-cascade`
 before linear plants moved onto float state and trajectory files were
 formatted by column, `tune/ai-corner` before the AI search moved its
-episodes onto one stacked surrogate pass per step, and `cli/simulate-profile`
-before a profile reference became one `np.interp` over the grid. Declared
+episodes onto one stacked surrogate pass per step, `cli/simulate-profile`
+before a profile reference became one `np.interp` over the grid, and
+`linear_dense/pid` before `simulate` bound the controller's `step` and the
+delay line's `push_pop` once per run. Declared
 changes rewrote the imitation digests when an epoch's batch rows came to be
 drawn at once, and `train/bptt-controller` and `train/bptt-scheduler` when
 an epoch's BPTT gradients came to be taken at its start weights; a change
@@ -79,6 +81,15 @@ PLANTS = {
                 DisturbanceSpec("step", "input", time=1.0, magnitude=-0.4), None),
 }
 
+# a linear plant with no zero in A or C: the matrices above give the same
+# bits from every OpenBLAS core, this one's digest moves with the core
+# (it differs under OPENBLAS_CORETYPE=Haswell and under Prescott)
+LINEAR_DENSE = (PlantModel(LinearStateSpace(a=[[-0.37, 0.91], [-1.24, -0.83]], b=[0.45, 1.3],
+                                            c=[[0.62, -0.29]]), u_min=-6.0, u_max=6.0,
+                           x0=[0.17, -0.08]),
+                SensorSpec(noise_std=0.01),
+                DisturbanceSpec("step", "input", time=2.0, magnitude=0.25), None)
+
 
 def _pid(limits):
     return PidController(PidGains(kp=1.2, ki=0.8, kd=0.05, u_min=limits[0], u_max=limits[1]))
@@ -135,9 +146,9 @@ def _traj_digest(traj, *extra) -> str:
                    np.zeros(0) if traj.y_extra is None else traj.y_extra, *extra)
 
 
-def _loop_case(plant_name, build):
+def _loop_case(spec, build):
     def run(tmp):
-        plant, sensor, dist, schedule = PLANTS[plant_name]
+        plant, sensor, dist, schedule = spec
         ctl = build((plant.u_min, plant.u_max))
         traj = simulate(plant, ctl, REFERENCE, CFG, dist, sensor, gain_schedule=schedule)
         extra = []
@@ -395,9 +406,10 @@ def _echoes_cli(tmp):
                          "bptt/train-controller_config.json")
 
 
-CASES = {f"{p}/{k}": _loop_case(p, build)
+CASES = {f"{p}/{k}": _loop_case(PLANTS[p], build)
          for p in PLANTS for k, build in (KINDS_MULTI if p == "linear2" else KINDS).items()}
 CASES.update({
+    "linear_dense/pid": _loop_case(LINEAR_DENSE, _pid),
     "record/tank": _record,
     "tune/relay-fopdt": _relay,
     "tune/step-fopdt": _step_test(Fopdt(gain=2.0, tau=1.5, dead_time=0.4)),
