@@ -210,9 +210,12 @@ def _check(cfg: dict) -> None:
              "plant.limits")
     lam = cfg["training"]["lambda"]
     _require(0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
-    for name in ("training", "tuning"):
-        _require(cfg[name]["episodes"]["count"] >= 1, "count must be an integer >= 1",
-                 f"{name}.episodes.count")
+    for key, value in (("training.episodes.count", cfg["training"]["episodes"]["count"]),
+                       ("tuning.episodes.count", cfg["tuning"]["episodes"]["count"]),
+                       ("surrogate.epochs", cfg["surrogate"]["epochs"]),
+                       ("training.epochs", cfg["training"]["epochs"]),
+                       ("tuning.restarts", cfg["tuning"]["restarts"])):
+        _require(value >= 1, f"{key.rsplit('.', 1)[1]} must be an integer >= 1", key)
 
 
 # ---------------------------------------------------------------------------

@@ -803,19 +803,22 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
     pass over the live episodes, each taking the prediction of the step
     before (denormalized on floats, as `predict_one` does; checked, pushed
     into its row and added to its sums) and then its PID step, whose
-    control it pushes into its row; then one `NarxModel.rows_predictor`
-    binding, made once for the call's k episodes, runs all their rows as
-    one flat list. An episode leaves when its reference ends (cost IAE +
-    rho * effort), or at cost inf on a `ControllerFault` or a prediction
-    that is not finite or leaves its bound. The episodes may belong to
-    several gain points (a whole start simplex or shrink). A lone episode
-    runs on the row path (`_cost_alone`), where one row costs less than a
-    stacked pass of one."""
-    if len(episodes) < 2:
-        return [_cost_alone(narx, ep) for ep in episodes]
-    predict, dt, p = narx.rows_predictor(len(episodes)), narx.dt, narx.p
+    control it pushes into its row; then one `Mlp.stacked_pass`, bound once
+    for the call's k episodes, runs all their rows as one flat list, in
+    which the rows of episodes that have left repeat the last live row. An
+    episode leaves when its reference ends (cost IAE + rho * effort), or at
+    cost inf on a `ControllerFault` or a prediction that is not finite or
+    leaves its bound. The episodes may belong to several gain points (a
+    whole start simplex or shrink); a lone episode is a stack of one, whose
+    pass is bit-equal to `predict_one`'s."""
+    n = len(episodes)
+    if not n:
+        return []
+    _, out, run = narx.mlp.stacked_pass(n, narx.x_mean, narx.x_std)
+    out = out.reshape(n)
+    width, dt, p = narx.p + narx.q, narx.dt, narx.p
     y_std, y_mean = narx._y_std, narx._y_mean
-    live, outs, k = episodes, [None] * len(episodes), 0
+    live, outs, k = episodes, [None] * n, 0
     while live:
         rows, stay = [], []
         for ep, v in zip(live, outs):
@@ -843,32 +846,12 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
             stay.append(ep)
         live = stay
         if live:
-            outs = predict(rows)
+            if len(live) < n:
+                rows += rows[-width:] * (n - len(live))
+            run(rows)
+            outs = out.tolist()
         k += 1
     return [ep.cost for ep in episodes]
-
-
-def _cost_alone(narx: NarxModel, ep: _Episode) -> float:
-    """The cost of one `_episode_cost_on_surrogate` episode, the steps of
-    `_lockstep_costs` in locals, each predicted on the row path."""
-    predict, dt, p = narx.predict_one, narx.dt, narx.p
-    gains, state, row, w, bound = ep.gains, ep.state, ep.row, ep.w, ep.bound
-    iae, effort, y = ep.iae, ep.effort, row[0]
-    for k in range(len(w) - 1):
-        try:
-            u = pid_step(gains, state, w[k], y, dt)
-        except ControllerFault:
-            return math.inf
-        del row[-1]
-        row.insert(p, u)
-        y = predict(row)
-        if not math.isfinite(y) or abs(y) > bound:
-            return math.inf
-        del row[p - 1]
-        row.insert(0, y)
-        iae += abs(w[k + 1] - y) * dt
-        effort += abs(u) * dt
-    return iae + ep.rho * effort
 
 
 def tune_static_ai(model, episodes, gain_bounds, budget: int, rho: float, seed: int,

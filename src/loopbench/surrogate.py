@@ -3,8 +3,8 @@
 A discrete-time NARX one-step predictor (lagged outputs and inputs in, next
 output out) is the workhorse: it trains in seconds and its rollout is exact
 to differentiate, which the closed-loop training in `neuro` relies on. It
-predicts one feature row on the row path, or k at once through a stacked
-pass bound once to its buffers; both give the same bits.
+predicts one feature row on the row path; callers that predict k rows at
+once bind its network's stacked pass themselves, with the same bits.
 """
 
 from __future__ import annotations
@@ -53,14 +53,14 @@ def make_regression_dataset(y: np.ndarray, u: np.ndarray, p: int, q: int) -> Sup
 class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
-    Both predictors take feature rows as `lag_features` lays them out (a
-    `rows_predictor` binding several, as one flat list), which a rollout
-    keeps in place step to step. Per-step prediction runs one row through
-    an `Mlp.row_pass` bound at construction; `rows_predictor` binds k rows
-    to one `Mlp.stacked_pass` and leaves the denormalization to its caller.
-    Each pass packs, normalizes against the stats it copied when bound and
-    runs the network; denormalizing on floats rounds as the array does, so
-    both are bit-equal to the array form.
+    `predict_one` takes a feature row as `lag_features` lays it out, which a
+    rollout keeps in place step to step, and runs it through an
+    `Mlp.row_pass` bound at construction, which packs it, normalizes it
+    against the stats it copied and runs the network; denormalizing on
+    floats rounds as the array does, so it is bit-equal to the array form.
+    k rows at once go through `mlp.stacked_pass(k, x_mean, x_std)`, whose
+    outputs, each denormalized on floats as here, are `predict_one`'s bits
+    (the AI search's lockstep, BPTT and the held-out report bind it).
     """
 
     KIND = "narx-surrogate"
@@ -94,27 +94,6 @@ class NarxModel:
     def predict_one(self, row) -> float:
         """Next output from one feature row (p + q floats, newest first)."""
         return self._net(row)[0] * self._y_std + self._y_mean
-
-    def rows_predictor(self, k: int):
-        """`predict_one` of up to k feature rows, before denormalization:
-        returns `predict(rows)`, which takes the rows' floats as one flat
-        list, row after row, runs them through one `Mlp.stacked_pass`
-        binding made here (which packs and normalizes them) and returns its
-        k outputs as floats. `predict_one` of row i is, bit for bit, output i
-        times `_y_std` plus `_y_mean` on floats; the caller takes that step in
-        its own loop over the rows, as a list built here would cost more.
-        Fewer than k rows fill the spare rows with copies of the last one,
-        whose outputs come after theirs; the rows are independent."""
-        width = self.p + self.q
-        _, out, run = self.mlp.stacked_pass(k, self.x_mean, self.x_std)
-        out = out.reshape(k)
-
-        def predict(rows) -> list:
-            if len(rows) < k * width:
-                rows = rows + rows[-width:] * (k - len(rows) // width)
-            run(rows)
-            return out.tolist()
-        return predict
 
 
 @dataclass

@@ -1104,30 +1104,44 @@ def _tune_with_surrogate(tmp_path, path):
                  "--surrogate", str(path), "--out", str(tmp_path / "o")])
 
 
+def _spy_lockstep_passes(monkeypatch, on_pass):
+    """Spy on every `_lockstep_costs` call and on the `run` of every
+    `Mlp.stacked_pass` binding: after each pass, `on_pass(k, live, outs)`
+    gets the binding's row count, how many of its rows are those of live
+    episodes (an episode that has left has its cost, and its row repeats the
+    last live row) and its k outputs as floats. Returns the episode lists of
+    the calls and the k of each binding."""
+    calls, bindings = [], []
+    lockstep, stacked_pass = neuro._lockstep_costs, Mlp.stacked_pass
+    monkeypatch.setattr(neuro, "_lockstep_costs", lambda narx, runs:
+                        calls.append(runs) or lockstep(narx, runs))
+
+    def spied_pass(self, k, mean, std):
+        bindings.append(k)
+        acts, out, run = stacked_pass(self, k, mean, std)
+
+        def spy(rows):
+            run(rows)
+            on_pass(k, sum(not hasattr(ep, "cost") for ep in calls[-1]), out.reshape(k).tolist())
+        return acts, out, spy
+    monkeypatch.setattr(Mlp, "stacked_pass", spied_pass)
+    return calls, bindings
+
+
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, monkeypatch):
     """The benchmark's traced runs check `neuro._episode_cost_on_surrogate`
     calls against tune_trace.csv rows times `episodes.count`, so every
     evaluation creates one episode per reference. The episodes of a start
-    simplex or a shrink, and the two or three of one evaluation, share one
-    stacked surrogate pass per step, through one `rows_predictor` binding per
-    `_lockstep_costs` call; a lone episode runs on the row path. The counters
-    wrap each binding's predictor, which counts the rows of every pass (its
-    flat list holds p + q floats a row)."""
-    episodes, lockstep_calls, bindings, passes = [], [], [], []
+    simplex or a shrink, and the one, two or three of one evaluation, share
+    one stacked surrogate pass per step, through one `Mlp.stacked_pass`
+    binding per `_lockstep_costs` call: every evaluation is stacked, a lone
+    episode included. The spy counts the live rows of every pass."""
+    episodes, passes = [], []
     real = neuro._episode_cost_on_surrogate
     monkeypatch.setattr(neuro, "_episode_cost_on_surrogate",
                         lambda *args: episodes.append(1) or real(*args))
-    lockstep = neuro._lockstep_costs
-    monkeypatch.setattr(neuro, "_lockstep_costs", lambda narx, runs:
-                        lockstep_calls.append(len(runs)) or lockstep(narx, runs))
-    rows_predictor = NarxModel.rows_predictor
-
-    def counting_predictor(self, k):
-        bindings.append(k)
-        predict = rows_predictor(self, k)
-        return lambda rows: passes.append(len(rows) // (self.p + self.q)) or predict(rows)
-    monkeypatch.setattr(NarxModel, "rows_predictor", counting_predictor)
+    calls, bindings = _spy_lockstep_passes(monkeypatch, lambda k, live, outs: passes.append(live))
     cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0}, "plant": dict(FOPDT_PLANT),
            "tuning": {"mode": "ai", "budget": 7, "episodes": {"count": count, "level": 1.0}}}
     assert main(["tune", "--config", _write(tmp_path, "tune.json", cfg),
@@ -1140,10 +1154,9 @@ def test_ai_tune_simulates_every_episode_of_every_trace_row(count, tmp_path, mon
     assert len(passes) % 11 == 0 and passes[:11] == [4 * count] * 11
     assert all(k % count == 0 for k in passes)
     # one binding per stacked call, not one per step, sized to its episodes
-    assert bindings == [k for k in lockstep_calls if k >= 2] == passes[::11]
-    # the points of stacked calls, and the single evaluations on the row path
-    stacked = sum(passes[::11]) // count
-    assert stacked == len(rows) if count >= 2 else stacked < len(rows)
+    assert bindings == [len(runs) for runs in calls] == passes[::11]
+    # every evaluation's episodes run in a stacked call
+    assert sum(bindings) // count == len(rows)
 
 
 def test_ai_tune_whose_every_evaluation_diverges_prints_one_line(tmp_path, capsys):
@@ -1175,12 +1188,7 @@ def test_ai_tune_with_some_diverging_evaluations_keeps_the_best_finite_point(tmp
     path = tmp_path / "sur.weights"
     save_model(NarxModel(net, 2, 2, 0.1, np.zeros(4), np.ones(4), np.zeros(1), np.ones(1)), path)
     short = []
-    rows_predictor = NarxModel.rows_predictor
-
-    def counting_predictor(self, k):
-        predict = rows_predictor(self, k)
-        return lambda rows: short.append(len(rows) < k * (self.p + self.q)) or predict(rows)
-    monkeypatch.setattr(NarxModel, "rows_predictor", counting_predictor)
+    _spy_lockstep_passes(monkeypatch, lambda k, live, outs: short.append(live < k))
     cfg = {"sim": {"dt": 0.1, "horizon": 1.0, "seed": 0},
            "plant": {**FOPDT_PLANT, "limits": [-1e9, 1e9]},
            "tuning": {"mode": "ai", "budget": 10, "episodes": {"count": 3, "level": 1.0}}}
@@ -1239,18 +1247,8 @@ def test_ai_tune_with_non_finite_predictions_keeps_the_best_finite_point(tmp_pat
     path = tmp_path / "sur.weights"
     save_model(NarxModel(net, 2, 2, 0.1, np.zeros(4), std, np.zeros(1), np.ones(1)), path)
     predictions = []
-    rows_predictor = NarxModel.rows_predictor
-
-    def recording_predictor(self, k):
-        predict = rows_predictor(self, k)
-
-        def record(rows):
-            outs = predict(rows)
-            # the predictions of the rows passed; this surrogate's y_std is 1 and y_mean 0
-            predictions.extend(outs[:len(rows) // (self.p + self.q)])
-            return outs
-        return record
-    monkeypatch.setattr(NarxModel, "rows_predictor", recording_predictor)
+    # the predictions of the live rows; this surrogate's y_std is 1 and y_mean 0
+    _spy_lockstep_passes(monkeypatch, lambda k, live, outs: predictions.extend(outs[:live]))
     plant = {**FOPDT_PLANT, "limits": [-1e9, 1e9]}
     bounds = {"kp": [0.01, 10.0], "ki": [0.0, 2.0], "kd": [0.0, 0.1]}
     assert _ai_tune(tmp_path, path, plant, bounds, count=2, level=1.0) == 0
@@ -1599,6 +1597,34 @@ def test_episode_count_below_one_exits_2_with_key(tmp_path, capsys, mode, count)
                  *extra]) == 2
     assert capsys.readouterr().err == \
         f"config error: {section}.episodes.count: count must be an integer >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("mode, key", [("fit-surrogate", "surrogate.epochs"),
+                                       ("bptt", "training.epochs"),
+                                       ("imitation", "training.epochs"),
+                                       ("tune-ai", "tuning.restarts")])
+def test_epochs_or_restarts_below_one_exit_2_with_key(tmp_path, capsys, mode, key, value):
+    """An epoch or restart count below one is a config error naming its key,
+    and the command writes nothing: not an untrained surrogate or imitation
+    controller (exit 0), nor a BPTT run that fails on its empty loss history
+    after it has saved its model, nor a tune that runs one restart and
+    echoes the bad count."""
+    if mode == "fit-surrogate":
+        record = _write(tmp_path, "rec.json", _record_cfg())
+        assert main(["record", "--config", record, "--out", str(tmp_path / "rec")]) == 0
+        command, base = "fit-surrogate", _record_cfg()
+        extra = ["--data", str(tmp_path / "rec" / "record.csv")]
+    else:
+        command, base, extra, _ = _episode_case(tmp_path, mode)
+    section, leaf = key.split(".")
+    base.setdefault(section, {})[leaf] = value
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path, "bad.json", base), "--out", str(out),
+                 *extra]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: {leaf} must be an integer >= 1\n"
     assert not out.exists()
 
 

@@ -742,8 +742,8 @@ def _generator_cost(narx, case):
 @pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
 def test_episode_cost_bit_equal_to_array_form(p, q, hidden):
-    """Episodes run in lockstep (three at a time), two and one at a time on
-    the row path, cost exactly what the array form gives each on its own."""
+    """Episodes run in lockstep three, two and one at a time (a stack of
+    one) cost exactly what the array form gives each on its own."""
     rng = np.random.default_rng(11 * p + q)
     for seed in range(4):
         narx = random_narx(p, q, hidden, seed)
@@ -857,6 +857,12 @@ def test_lockstep_costs_match_array_form_per_episode(case, name):
         assert _costs(narx, cases) == want
 
 
+def test_lockstep_costs_of_no_episodes_are_an_empty_list():
+    """A call with no episodes binds no stacked pass, which needs a row, and
+    returns no cost."""
+    assert _lockstep_costs(LOCKSTEP_NARX["linear"], []) == []
+
+
 @pytest.mark.bits
 @pytest.mark.parametrize("case, name", LOCKSTEP_CASES)
 def test_lockstep_loop_costs_match_the_generator_and_array_forms(case, name):
@@ -913,40 +919,34 @@ ROW_NARX = {**LOCKSTEP_NARX, "p2q1": random_narx(2, 1, (5, 4), seed=3)}
 
 
 def _spied_costs(monkeypatch, narx, cases):
-    """`_costs` of the cases with the surrogate's inputs spied on: every call
-    of `predict_one` or of a `rows_predictor` binding, as its feature rows
-    and the predictions made from them, in call order."""
+    """`_costs` of the cases with the surrogate's inputs spied on: every pass
+    of the `Mlp.stacked_pass` binding, as its k feature rows and the
+    predictions made from them (denormalized on floats), in call order."""
     calls, width = [], narx.p + narx.q
-    predict_one, rows_predictor = NarxModel.predict_one, NarxModel.rows_predictor
+    stacked_pass = Mlp.stacked_pass
 
-    def spy_one(self, row):
-        y = predict_one(self, row)
-        calls.append(([list(row)], [y]))  # the row changes in place after the call
-        return y
-
-    def spy_rows(self, k):
-        predict = rows_predictor(self, k)
+    def spied_pass(self, k, mean, std):
+        acts, out, run = stacked_pass(self, k, mean, std)
 
         def spy(rows):
-            outs, n = predict(rows), len(rows) // width
-            calls.append(([rows[i * width:(i + 1) * width] for i in range(n)],
-                          [v * self._y_std + self._y_mean for v in outs[:n]]))
-            return outs
-        return spy
+            run(rows)
+            calls.append(([rows[i * width:(i + 1) * width] for i in range(k)],
+                          [v * narx._y_std + narx._y_mean for v in out.reshape(k).tolist()]))
+        return acts, out, spy
 
     with monkeypatch.context() as m:
-        m.setattr(NarxModel, "predict_one", spy_one)
-        m.setattr(NarxModel, "rows_predictor", spy_rows)
+        m.setattr(Mlp, "stacked_pass", spied_pass)
         return _costs(narx, cases), calls
 
 
 @pytest.mark.parametrize("case, name", [*LOCKSTEP_CASES, ("fault", "p2q1"), ("lengths", "p2q1")])
 def test_episode_rows_are_lag_features_of_the_window_form(case, name, monkeypatch):
-    """Each episode alone on the row path, and all of them in one lockstep:
+    """Each episode alone (a stack of one), and all of them in one lockstep:
     at every step, the row each live episode gives the surrogate has the
     bits of `lag_features` of the window form's windows when the window
     form is sent the same predictions, the live episodes are those the
-    window form has not ended, and both end every episode with the same
+    window form has not ended, the rows of the episodes that have left
+    repeat the last live row, and both end every episode with the same
     cost: the episodes that end early (`_lockstep_cases`) included."""
     narx = ROW_NARX[name]
     cases = _lockstep_cases(case)
@@ -966,7 +966,9 @@ def test_episode_rows_are_lag_features_of_the_window_form(case, name, monkeypatc
             send(i, None)
         for rows, ys in calls:
             live = [i for i, cost in enumerate(want) if cost is None]
-            assert len(rows) == len(live)
+            n = len(live)
+            assert len(rows) == len(group) and np.array(rows[n:]).tobytes() == \
+                np.array(rows[n - 1:n] * (len(group) - n)).tobytes()
             for i, row, y in zip(live, rows, ys):
                 y_win, u_win = now[i]
                 assert np.array(row).tobytes() == \

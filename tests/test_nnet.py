@@ -508,9 +508,9 @@ PORTABLE_REQUIRED = (
     "test_nnet.py::test_backward_and_adjoints_bit_equal_to_interleaved_pass",
     "test_nnet.py::test_stacked_pass_bit_equal_to_forward_cached_per_row",
     "test_nnet.py::test_row_pass_bit_equal_to_forward_cached",
-    "test_surrogate.py::test_rows_predictor_bit_equal_to_predict_one",
+    "test_surrogate.py::test_surrogate_stacked_pass_bit_equal_to_predict_one",
     "test_surrogate.py::test_held_out_one_step_rmse_bit_equal_to_predict_one",
-    "test_surrogate.py::test_reused_rows_predictor_bit_equal_to_predict_one",
+    "test_surrogate.py::test_reused_surrogate_stacked_pass_bit_equal_to_predict_one",
     "test_surrogate.py::test_predict_one_bit_equal_to_array_form",
     "test_surrogate.py::test_narx_rollout_bit_equal_to_array_form",
     "test_neuro.py::test_episode_cost_bit_equal_to_array_form",

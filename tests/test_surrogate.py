@@ -273,22 +273,23 @@ def test_predict_one_bit_equal_to_array_form(p, q, hidden):
             assert model.predict_one(lag_features(np.array(y_win), np.array(u_win), p, q)) == want
 
 
-def rows_predictions(model, predict, rows, k):
-    """`predict` (a `rows_predictor(k)` binding) of the feature rows as one
-    flat list, each output denormalized on floats as the caller does; the
-    k outputs are floats, and those of the spare rows repeat the last row's."""
-    got = predict([v for row in rows for v in row])
-    assert len(got) == k and all(type(v) is float for v in got)
-    assert got[len(rows):] == got[len(rows) - 1:len(rows)] * (k - len(rows))
-    return [v * model._y_std + model._y_mean for v in got[:len(rows)]]
+def stacked_predictions(model, run, out, rows):
+    """The feature rows through `run`, a `model.mlp.stacked_pass` binding of
+    `out`'s rows, as one flat list, each output denormalized on floats as
+    `predict_one` does."""
+    run([v for row in rows for v in row])
+    got = out.reshape(-1).tolist()
+    assert len(got) == len(rows) and all(type(v) is float for v in got)
+    return [v * model._y_std + model._y_mean for v in got]
 
 
 @pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
-def test_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
-    """k feature rows through one `rows_predictor(k)` binding, each output
-    denormalized on floats, give the bits of `predict_one` on each; k = 1 is
-    the one-row stacked pass against the row path."""
+def test_surrogate_stacked_pass_bit_equal_to_predict_one(p, q, hidden):
+    """k feature rows through one `mlp.stacked_pass(k, x_mean, x_std)`
+    binding of the surrogate, each output denormalized on floats, give the
+    bits of `predict_one` on each; k = 1 is the one-row stacked pass, which
+    the AI search runs for a lone episode, against the row path."""
     rng = np.random.default_rng(10 * p + q + 1000 * len(hidden))
     for seed in range(3):
         model = random_narx(p, q, hidden, seed)
@@ -296,25 +297,29 @@ def test_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
             rows = [lag_features((rng.normal(size=p + 2) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
                                  (rng.normal(size=q + 1) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
                                  p, q) for _ in range(k)]
-            got = rows_predictions(model, model.rows_predictor(k), rows, k)
+            _, out, run = model.mlp.stacked_pass(k, model.x_mean, model.x_std)
+            got = stacked_predictions(model, run, out, rows)
             assert got == [model.predict_one(row) for row in rows]
 
 
 @pytest.mark.bits
 @pytest.mark.parametrize("p, q, hidden", NARX_SHAPES)
-def test_reused_rows_predictor_bit_equal_to_predict_one(p, q, hidden):
-    """One `rows_predictor(k)` binding called on fresh feature rows of scales
-    that differ call to call, then on fewer than k rows (the spare rows),
-    then on k again: every prediction is `predict_one`'s, so no call reads a
-    row another call left in the buffers."""
+def test_reused_surrogate_stacked_pass_bit_equal_to_predict_one(p, q, hidden):
+    """One stacked binding of the surrogate called on fresh feature rows of
+    scales that differ call to call, then on fewer than k fresh rows whose
+    last one fills the spare rows (as the AI search pads the rows of
+    episodes that have left), then on k again: every prediction is
+    `predict_one`'s, so no call reads a row another call left in the
+    buffers."""
     rng = np.random.default_rng(100 + 10 * p + q)
     for seed, k in enumerate((2, 3, 12)):
         model = random_narx(p, q, hidden, seed)
-        predict = model.rows_predictor(k)
+        _, out, run = model.mlp.stacked_pass(k, model.x_mean, model.x_std)
         for count in (k, k, k, k - 1, 1, k):
             scale = rng.choice([1e-3, 1.0, 50.0])
             rows = [(rng.normal(size=p + q) * scale).tolist() for _ in range(count)]
-            got = rows_predictions(model, predict, rows, k)
+            rows += rows[-1:] * (k - count)
+            got = stacked_predictions(model, run, out, rows)
             assert got == [model.predict_one(row) for row in rows]
 
 
