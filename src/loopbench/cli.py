@@ -102,7 +102,6 @@ def cmd_tune(args) -> int:
     cfg = cfgmod.load_config(args.config, required=("tuning",))
     sim = cfgmod.sim_from(cfg, args.seed)
     t = cfg["tuning"]
-    out = _out_dir(args)
     limits = tuple(cfg["plant"]["limits"])
 
     with cfgmod.section("tuning"):
@@ -122,8 +121,6 @@ def cmd_tune(args) -> int:
                 gains = rule(model, limits)
             trace = []
         else:
-            if t["budget"] < 1:
-                raise ConfigError("AI tuning needs a positive evaluation budget", "tuning.budget")
             if not args.surrogate:
                 raise ConfigError("AI tuning needs --surrogate <model>", "tuning.mode")
             narx = load_model(args.surrogate, NarxModel)
@@ -141,6 +138,7 @@ def cmd_tune(args) -> int:
             gains = result.gains
             trace = result.trace
 
+    out = _out_dir(args)
     write_json(out / "gains.json", cfgmod.gains_to_dict(gains))
     if trace:
         write_csv(out / "tune_trace.csv", ["eval", "cost"], trace)
@@ -182,7 +180,6 @@ def cmd_train_controller(args) -> int:
     cfg = cfgmod.load_config(args.config, required=("sim", "training"))
     sim = cfgmod.sim_from(cfg, args.seed)
     tr = cfg["training"]
-    out = _out_dir(args)
     limits = tuple(cfg["plant"]["limits"])
     with cfgmod.section("training"):
         memory = tr["memory"]
@@ -199,13 +196,11 @@ def cmd_train_controller(args) -> int:
             result = train_imitation(nc, imitation_data_from_run(runs_a, memory, with_d),
                                      imitation_data_from_run(runs_b, memory, with_d),
                                      tr["lambda"], tc, aux_weight=beta)
-            save_model(result.controller, out / "controller.weights",
-                       extras={"mode": "imitation", "lambda": tr["lambda"], "beta": beta})
-            write_csv(out / "training_curve.csv",
-                      ["epoch", "train_loss", "val_rmse_a", "val_rmse_b"],
-                      [(i, *row) for i, row in enumerate(result.history)])
-            print(f"val rmse A={result.val_rmse_a!r} B={result.val_rmse_b!r} "
-                  f"-> {out / 'controller.weights'}")
+            model, name = result.controller, "controller.weights"
+            extras = {"mode": "imitation", "lambda": tr["lambda"], "beta": beta}
+            curve = (["epoch", "train_loss", "val_rmse_a", "val_rmse_b"],
+                     [(i, *row) for i, row in enumerate(result.history)])
+            summary = f"val rmse A={result.val_rmse_a!r} B={result.val_rmse_b!r}"
         else:
             if not args.surrogate:
                 raise ConfigError("bptt training needs --surrogate <model>", "training.mode")
@@ -222,12 +217,16 @@ def cmd_train_controller(args) -> int:
                 target = GainScheduler(Mlp([2 * memory, *hidden, 3], seed=tc.seed),
                                        bounds=bounds, memory=memory)
             result = train_bptt(target, narx, refs, horizon, tc, rho=tr["rho"], limits=limits)
+            model = result.trained
             name = "controller.weights" if tr["target"] == "controller" else "scheduler.weights"
-            save_model(result.trained, out / name,
-                       extras={"mode": "bptt", "horizon": horizon, "rho": tr["rho"]})
-            write_csv(out / "training_curve.csv", ["epoch", "loss", "skipped"],
-                      zip(range(len(result.history)), result.history, result.skipped))
-            print(f"final rollout loss {result.history[-1]!r} -> {out / name}")
+            extras = {"mode": "bptt", "horizon": horizon, "rho": tr["rho"]}
+            curve = (["epoch", "loss", "skipped"],
+                     zip(range(len(result.history)), result.history, result.skipped))
+            summary = f"final rollout loss {result.history[-1]!r}"
+    out = _out_dir(args)
+    save_model(model, out / name, extras=extras)
+    write_csv(out / "training_curve.csv", *curve)
+    print(f"{summary} -> {out / name}")
     _echo(cfg, out, "train-controller")
     return 0
 

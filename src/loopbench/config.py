@@ -10,6 +10,7 @@ outputs, and that echo reproduces the run when fed back in.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from contextlib import contextmanager
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .dataio import ExcitationSpec, parse_json, read_text, read_timeseries
 from .errors import ConfigError, ParseError
+from .neuro import MAX_HORIZON
 from .nnet import TrainConfig, load_model
 from .pid import CascadeSpec, PidGains
 from .simcore import (
@@ -200,7 +202,9 @@ def check_within_horizon(cfg: dict, section: str, key: str) -> None:
 
 
 def _check(cfg: dict) -> None:
-    """The range checks that name a key; `_merge` has checked every kind."""
+    """The range checks that name a key; `_merge` has checked every kind.
+    They cover every section, whichever command reads it, so that a refused
+    value stops a run before it writes anything."""
     sim = cfg["sim"]
     _check_seed(sim["seed"])
     _require(sim["dt"] > 0, "dt must be a number > 0", "sim.dt")
@@ -210,12 +214,16 @@ def _check(cfg: dict) -> None:
              "plant.limits")
     lam = cfg["training"]["lambda"]
     _require(0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
-    for key, value in (("training.episodes.count", cfg["training"]["episodes"]["count"]),
-                       ("tuning.episodes.count", cfg["tuning"]["episodes"]["count"]),
-                       ("surrogate.epochs", cfg["surrogate"]["epochs"]),
-                       ("training.epochs", cfg["training"]["epochs"]),
-                       ("tuning.restarts", cfg["tuning"]["restarts"])):
+    for key in ("training.episodes.count", "tuning.episodes.count", "surrogate.epochs",
+                "training.epochs", "tuning.restarts", "tuning.budget", "training.batch_size",
+                "surrogate.batch_size", "training.memory"):
+        value = functools.reduce(dict.__getitem__, key.split("."), cfg)
         _require(value >= 1, f"{key.rsplit('.', 1)[1]} must be an integer >= 1", key)
+    _require(0 <= cfg["training"]["horizon"] <= MAX_HORIZON,
+             f"horizon must be an integer in [0, {MAX_HORIZON}]", "training.horizon")
+    x0 = cfg["tuning"]["x0"]
+    _require(x0 is None or len(x0) == 3, "x0 must be null or three numbers [kp, ki, kd]",
+             "tuning.x0")
 
 
 # ---------------------------------------------------------------------------

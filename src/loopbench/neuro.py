@@ -85,7 +85,8 @@ class NeuralController:
 
 class NeuralControlLoop:
     """Controller-protocol adapter owning the zero-warm feature windows and
-    the network's row pass (`Mlp.row_pass`), bound at every `reset`."""
+    the network's one-row pass (`Mlp.stacked_pass(1, ...)`), bound at every
+    `reset`."""
 
     def __init__(self, nc: NeuralController):
         self.nc = nc
@@ -95,7 +96,7 @@ class NeuralControlLoop:
         nc = self.nc
         self.y_win = [0.0] * nc.memory
         self.u_win = [0.0] * nc.memory
-        self._net = nc.mlp.row_pass(nc.feat_mean, nc.feat_std)
+        _, self._net = nc.mlp.stacked_pass(1, nc.feat_mean, nc.feat_std)
 
     def step(self, w: float, y, dt: float) -> float:
         """Run the net on the current row and squash its output z into
@@ -181,8 +182,8 @@ class _ScheduledGains:
 
 class ScheduledPidController:
     """PID whose gains are rewritten by the scheduler before every step, from
-    the scheduler network's row pass (`Mlp.row_pass`), bound at every
-    `reset`, and `GainScheduler.squash`."""
+    the scheduler network's one-row pass (`Mlp.stacked_pass(1, ...)`), bound
+    at every `reset`, and `GainScheduler.squash`."""
 
     def __init__(self, gs: GainScheduler, template: PidGains):
         self.gs = gs
@@ -198,7 +199,7 @@ class ScheduledPidController:
         self.e_win = [0.0] * gs.memory
         self.y_win = [0.0] * gs.memory
         self.gain_trace.clear()
-        self._net = gs.mlp.row_pass(gs.feat_mean, gs.feat_std)
+        _, self._net = gs.mlp.stacked_pass(1, gs.feat_mean, gs.feat_std)
 
     def step(self, w: float, y, dt: float) -> float:
         gs, e_win, y_win, gains = self.gs, self.e_win, self.y_win, self.gains
@@ -396,25 +397,24 @@ class BpttResult:
 
 
 class _StackedSteps:
-    """One network's stacked pass over the E episodes of a lockstep rollout,
-    bound once per rollout (`Mlp.stacked_pass`, which packs and normalizes),
-    with every step's layer inputs kept for the reverse pass: `run(k, rows)`
-    runs the pass on the E feature rows (one flat list of floats, episode
-    after episode), copies each layer's input stack into step k of `hist`
-    ((horizon, E, 1, width) per layer) and returns the outputs, one list per
-    episode."""
+    """One network's pass over the E episodes of a lockstep rollout, bound
+    once per rollout (`Mlp.stacked_pass`, which packs and normalizes), with
+    every step's layer inputs kept for the reverse pass: `run(k, rows)` runs
+    the pass on the E feature rows (one flat list of floats, episode after
+    episode), copies each layer's input into step k of `hist`
+    ((horizon, E, 1, width) per layer, for one episode too) and returns the
+    outputs as one flat list, episode after episode."""
 
     def __init__(self, net: Mlp, n_ep: int, horizon: int, mean: np.ndarray, std: np.ndarray):
-        acts, out, self._run = net.stacked_pass(n_ep, mean, std)
-        self.hist = [np.empty((horizon, *a.shape)) for a in acts]
+        acts, self._run = net.stacked_pass(n_ep, mean, std)
+        self.hist = [np.empty((horizon, n_ep, 1, a.shape[-1])) for a in acts]
         self._keep = list(zip(self.hist, acts))
-        self._out = out.reshape(n_ep, -1)
 
     def run(self, k: int, rows: list) -> list:
-        self._run(rows)
+        outs = self._run(rows)
         for h, a in self._keep:
             h[k] = a
-        return self._out.tolist()
+        return outs
 
     def slopes(self) -> list:
         """Every step's tanh slopes `1 - a ** 2`, one batched product per hidden layer."""
@@ -436,7 +436,7 @@ class _ControllerBlock:
     def controls(self, zs) -> list:
         center, half_span = self.nc.center, self.nc.half_span
         us = []
-        for ths, (z,) in zip(self.ths, zs):
+        for ths, z in zip(self.ths, zs):
             ths.append(math.tanh(z))
             us.append(center + half_span * ths[-1])
         return us
@@ -474,7 +474,7 @@ class _SchedulerBlock:
         return gs.features(es[-gs.memory:], y_window)
 
     def controls(self, zs) -> list:
-        gains, sig = self.gs.squash([z for out in zs for z in out])
+        gains, sig = self.gs.squash(zs)
         (u_lo, u_hi), dt, s_int = self.limits, self.dt, self.s_int
         us = []
         for e, cache in enumerate(self.caches):
@@ -572,7 +572,7 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seqs, horizon: int, rho: float
         for (w, y, u), u_k in zip(episodes, controls):
             u[iu] = u_k
             rows += lag_features(y[iy - p + 1:iy + 1], u[iu - q + 1:iu + 1], p, q)
-        for e, ((w, y, u), (v,)) in enumerate(zip(episodes, sur.run(k, rows))):
+        for e, ((w, y, u), v) in enumerate(zip(episodes, sur.run(k, rows))):
             y[iy + 1] = y_next = v * y_std + y_mean
             # float64 squares: inf past the float range, where a float's ** 2 raises
             sq_track[e] += np.float64(y_next - w[k + 1]) ** 2
@@ -621,6 +621,9 @@ def bptt_loss_and_grad(target, narx: NarxModel, w_seqs, horizon: int, rho: float
 # gradient norm above which a BPTT update is scaled down to it
 CLIP_NORM = 1.0
 
+# the longest rollout `train_bptt` unrolls, in steps
+MAX_HORIZON = 200
+
 
 def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConfig,
                limits: tuple[float, float], rho: float) -> BpttResult:
@@ -636,8 +639,8 @@ def train_bptt(target, narx: NarxModel, references, horizon: int, cfg: TrainConf
     aborts as unstable. horizon = 0 is the degenerate no-op contract (loss 0,
     no update).
     """
-    if horizon > 200:
-        raise ValueError("rollout horizon is capped at 200 steps")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"rollout horizon is capped at {MAX_HORIZON} steps")
     work = target.copy()
     if horizon == 0:
         return BpttResult(trained=work, history=[0.0], skipped=[0])
@@ -805,17 +808,16 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
     into its row and added to its sums) and then its PID step, whose
     control it pushes into its row; then one `Mlp.stacked_pass`, bound once
     for the call's k episodes, runs all their rows as one flat list, in
-    which the rows of episodes that have left repeat the last live row. An
-    episode leaves when its reference ends (cost IAE + rho * effort), or at
-    cost inf on a `ControllerFault` or a prediction that is not finite or
-    leaves its bound. The episodes may belong to several gain points (a
-    whole start simplex or shrink); a lone episode is a stack of one, whose
-    pass is bit-equal to `predict_one`'s."""
+    which the rows of episodes that have left repeat the last live row, and
+    returns their predictions as one. An episode leaves when its reference
+    ends (cost IAE + rho * effort), or at cost inf on a `ControllerFault` or
+    a prediction that is not finite or leaves its bound. The episodes may
+    belong to several gain points (a whole start simplex or shrink); a lone
+    episode runs on the one-row pass that `predict_one` runs on."""
     n = len(episodes)
     if not n:
         return []
-    _, out, run = narx.mlp.stacked_pass(n, narx.x_mean, narx.x_std)
-    out = out.reshape(n)
+    _, run = narx.mlp.stacked_pass(n, narx.x_mean, narx.x_std)
     width, dt, p = narx.p + narx.q, narx.dt, narx.p
     y_std, y_mean = narx._y_std, narx._y_mean
     live, outs, k = episodes, [None] * n, 0
@@ -848,8 +850,7 @@ def _lockstep_costs(narx: NarxModel, episodes) -> list:
         if live:
             if len(live) < n:
                 rows += rows[-width:] * (n - len(live))
-            run(rows)
-            outs = out.tolist()
+            outs = run(rows)
         k += 1
     return [ep.cost for ep in episodes]
 

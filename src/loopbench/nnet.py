@@ -135,75 +135,52 @@ class Mlp:
             acts.append(np.tanh(a, out=a))
         return np.dot(a, weights_t[-1]) + biases[-1], acts
 
-    def row_pass(self, mean: np.ndarray, std: np.ndarray):
-        """A forward pass of one 1-D row bound to buffers allocated here, the
-        row normalized against copies of `mean` and `std` taken here: returns
-        `run(row)`, which packs the row's floats into the input buffer with
-        one `struct.pack_into`, normalizes them in place, runs each layer as
-        `np.dot(a, W.T)` into its buffer with the bias and tanh in place, and
-        returns the outputs as a list of floats. These are the gemv and
-        elementwise operations of `forward_cached(normalize(row, mean, std))`,
-        so the outputs have its bits. The pass reads the current weight
-        views, so bind it after any `bind`."""
-        acts = [np.empty(n) for n in self.layer_sizes]
-        x = acts[0]
-        mean, std = (np.array(v, dtype=float) for v in (mean, std))
-        fill = struct.Struct(f"{x.size}d").pack_into
-        *hidden, (a_last, w_last, b_last, out) = zip(acts[:-1], self._weights_t, self.biases,
-                                                     acts[1:])
-        dot, add, tanh, subtract, divide = np.dot, np.add, np.tanh, np.subtract, np.divide
-
-        # each output buffer goes in positionally: an `out=` keyword costs
-        # a parse per call, about 7 % of a 9-16-1 pass
-        def run(row) -> list:
-            fill(x, 0, *row)
-            subtract(x, mean, x)
-            divide(x, std, x)
-            for a, w_t, b, h in hidden:
-                dot(a, w_t, h)
-                add(h, b, h)
-                tanh(h, h)
-            dot(a_last, w_last, out)
-            add(out, b_last, out)
-            return out.tolist()
-        return run
-
     def stacked_pass(self, k: int, mean: np.ndarray, std: np.ndarray):
-        """A forward pass of k independent rows bound to buffers allocated here,
-        the rows normalized as in `row_pass`: returns `(acts, outputs, run)`,
-        where `acts` holds each layer's (k, 1, n) input stack, the normalized
-        input first, and `run(rows)` takes the rows' floats as one flat list,
-        row after row, and computes every layer in place, the last into the
-        (k, 1, n_out) stack `outputs`. Each output row is bit-equal to
-        `row_pass` on its row alone: every layer is one `np.matmul` over the
-        stack, which makes one gemv per row, as a 1-D row does; a 2-D matrix
-        product over the rows rounds differently. The stats and biases are
-        tiled to the stack's shape here, as an op on equal shapes skips
-        numpy's broadcasting machinery, so the pass holds while the
-        parameters stay as they are."""
+        """A forward pass of k independent rows bound to buffers allocated
+        here, the rows normalized against copies of `mean` and `std` taken
+        here: returns `(acts, run)`, where `acts` holds each layer's input
+        buffer, the normalized input first, and `run(rows)` takes the rows'
+        floats as one flat list, row after row, packs them into the input
+        buffer with one `struct.pack_into`, normalizes them and computes every
+        layer in place, and returns the k rows' outputs as one flat list of
+        floats. Each output row has the bits of `forward_cached(normalize(row,
+        mean, std))` on its row alone: one row runs on 1-D buffers, each layer
+        one `np.dot` (a gemv) with the biases read through their views, so the
+        pass follows the parameters as they change; k >= 2 rows run on
+        (k, 1, n) stacks, each layer one `np.matmul`, which makes one gemv per
+        row (a 2-D matrix product over the rows rounds differently), with the
+        biases tiled to the stack's shape here, as an op on equal shapes skips
+        numpy's broadcasting machinery, so that pass holds while the
+        parameters stay as they are. Every layer reads the current weight
+        views, so bind a pass after any `bind`."""
         if k < 1:
             raise ValueError(f"a stacked pass needs at least one row, got {k}")
-        acts = [np.empty((k, 1, n)) for n in self.layer_sizes]
+        acts = [np.empty(n if k == 1 else (k, 1, n)) for n in self.layer_sizes]
         x = acts[0]
         mean, std = (np.broadcast_to(v, x.shape).copy() for v in (mean, std))
         fill = struct.Struct(f"{x.size}d").pack_into
-        layers = [(a, w, np.broadcast_to(b, h.shape).copy(), h)
-                  for a, w, b, h in zip(acts[:-1], self._weights_t, self.biases, acts[1:])]
-        hidden, (a_last, w_last, b_last, out) = layers[:-1], layers[-1]
-        matmul, add, tanh, subtract, divide = np.matmul, np.add, np.tanh, np.subtract, np.divide
+        product, biases = np.dot, self.biases
+        if k > 1:
+            product = np.matmul
+            biases = [np.broadcast_to(b, h.shape).copy() for b, h in zip(biases, acts[1:])]
+        *hidden, (a_last, w_last, b_last, out) = zip(acts[:-1], self._weights_t, biases, acts[1:])
+        flat = out.reshape(-1)
+        add, tanh, subtract, divide = np.add, np.tanh, np.subtract, np.divide
 
-        # each output buffer goes in positionally, as in `row_pass`
-        def run(rows) -> None:
+        # each output buffer goes in positionally: an `out=` keyword costs
+        # a parse per call, about 7 % of a 9-16-1 pass
+        def run(rows) -> list:
             fill(x, 0, *rows)
             subtract(x, mean, x)
             divide(x, std, x)
             for a, w, b, h in hidden:
-                matmul(a, w, h)
+                product(a, w, h)
                 add(h, b, h)
                 tanh(h, h)
-            matmul(a_last, w_last, out)
+            product(a_last, w_last, out)
             add(out, b_last, out)
-        return acts[:-1], out, run
+            return flat.tolist()
+        return acts[:-1], run
 
     def batch_pass(self, k: int, grad: np.ndarray, x: np.ndarray | None = None) -> "BatchPass":
         """A forward and reverse pass of k rows bound to buffers allocated
@@ -311,7 +288,7 @@ class BatchPass:
 
     def forward(self) -> None:
         dot, add, tanh = np.dot, np.add, np.tanh
-        for a, w_t, b, h in self._hidden:  # positional buffers, as in `Mlp.row_pass`
+        for a, w_t, b, h in self._hidden:  # positional buffers, as in `Mlp.stacked_pass`
             dot(a, w_t, h)
             add(h, b, h)
             tanh(h, h)

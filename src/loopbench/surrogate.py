@@ -2,9 +2,9 @@
 
 A discrete-time NARX one-step predictor (lagged outputs and inputs in, next
 output out) is the workhorse: it trains in seconds and its rollout is exact
-to differentiate, which the closed-loop training in `neuro` relies on. It
-predicts one feature row on the row path; callers that predict k rows at
-once bind its network's stacked pass themselves, with the same bits.
+to differentiate, which the closed-loop training in `neuro` relies on. Its
+network runs k feature rows at once through one `Mlp.stacked_pass`: one row
+per step for `predict_one`, k rows for callers that bind their own pass.
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ class NarxModel:
     """Trained one-step predictor plus everything needed to reapply it.
 
     `predict_one` takes a feature row as `lag_features` lays it out, which a
-    rollout keeps in place step to step, and runs it through an
-    `Mlp.row_pass` bound at construction, which packs it, normalizes it
-    against the stats it copied and runs the network; denormalizing on
-    floats rounds as the array does, so it is bit-equal to the array form.
-    k rows at once go through `mlp.stacked_pass(k, x_mean, x_std)`, whose
-    outputs, each denormalized on floats as here, are `predict_one`'s bits
-    (the AI search's lockstep, BPTT and the held-out report bind it).
+    rollout keeps in place step to step, and runs it through a one-row
+    `mlp.stacked_pass(1, x_mean, x_std)` bound at construction, which packs
+    it, normalizes it against the stats it copied and runs the network;
+    denormalizing on floats rounds as the array does, so it is bit-equal to
+    the array form. The AI search's lockstep, BPTT and the held-out report
+    bind a k-row pass of the same network, whose outputs, each denormalized
+    on floats as here, are `predict_one`'s bits.
     """
 
     KIND = "narx-surrogate"
@@ -87,7 +87,7 @@ class NarxModel:
         self.x_std = float_vector(self.x_std, n, "x_std", positive=True)
         self.y_mean = float_vector(self.y_mean, 1, "y_mean")
         self.y_std = float_vector(self.y_std, 1, "y_std", positive=True)
-        self._net = self.mlp.row_pass(self.x_mean, self.x_std)
+        _, self._net = self.mlp.stacked_pass(1, self.x_mean, self.x_std)
         self._y_mean = float(self.y_mean[0])
         self._y_std = float(self.y_std[0])
 
@@ -150,11 +150,10 @@ def fit_surrogate(traj, p: int, q: int, cfg: TrainConfig, hidden, val_fraction: 
 
     # held-out one-step predictions: the validation rows in one stacked
     # pass, each row bit-equal to `predict_one` on it
-    _, out, run = model.mlp.stacked_pass(len(val_ds), x_mean, x_std)
-    run(val_ds.x.ravel().tolist())
+    _, run = model.mlp.stacked_pass(len(val_ds), x_mean, x_std)
+    preds = np.array(run(val_ds.x.ravel().tolist())) * y_std + y_mean
     val_y, val_u = y[n_train:], u[n_train:]
     k0 = max(p, q)
-    preds = out.reshape(-1) * y_std + y_mean
     one_step_rmse = float(np.sqrt(np.mean((preds - val_y[k0 + 1:]) ** 2)))
 
     # free run from the start of the held-out block: u_seq[i] is the input at

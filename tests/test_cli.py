@@ -424,6 +424,7 @@ def test_tune_step_rule_from_an_fopdt_without_dead_time_exits_3(tmp_path, capsys
     assert main(["tune", "--config", _write(tmp_path, "t.json", cfg),
                  "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == f"numerical failure: {name} needs dead time > 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_tune_ai_zero_budget_rejected(tmp_path, capsys):
@@ -544,7 +545,7 @@ def test_bptt_horizon_above_200_exits_2(tmp_path, capsys):
             "--surrogate", str(_saved_surrogate(tmp_path)), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert capsys.readouterr().err == \
-        "config error: training: rollout horizon is capped at 200 steps\n"
+        "config error: training.horizon: horizon must be an integer in [0, 200]\n"
 
 
 def test_bptt_horizon_0_trains_one_epoch_of_zero_loss(tmp_path):
@@ -1105,26 +1106,32 @@ def _tune_with_surrogate(tmp_path, path):
 
 
 def _spy_lockstep_passes(monkeypatch, on_pass):
-    """Spy on every `_lockstep_costs` call and on the `run` of every
-    `Mlp.stacked_pass` binding: after each pass, `on_pass(k, live, outs)`
-    gets the binding's row count, how many of its rows are those of live
-    episodes (an episode that has left has its cost, and its row repeats the
-    last live row) and its k outputs as floats. Returns the episode lists of
-    the calls and the k of each binding."""
+    """Spy on every `_lockstep_costs` call and, within it, on the `run` of
+    every `Mlp.stacked_pass` binding (outside it, a `NarxModel` binds its
+    own one-row pass): after each pass, `on_pass(k, live, outs)` gets the
+    binding's row count, how many of its rows are those of live episodes (an
+    episode that has left has its cost, and its row repeats the last live
+    row) and its k outputs as floats. Returns the episode lists of the calls
+    and the k of each binding."""
     calls, bindings = [], []
     lockstep, stacked_pass = neuro._lockstep_costs, Mlp.stacked_pass
-    monkeypatch.setattr(neuro, "_lockstep_costs", lambda narx, runs:
-                        calls.append(runs) or lockstep(narx, runs))
+
+    def spied_lockstep(narx, runs):
+        calls.append(runs)
+        with monkeypatch.context() as m:
+            m.setattr(Mlp, "stacked_pass", spied_pass)
+            return lockstep(narx, runs)
 
     def spied_pass(self, k, mean, std):
         bindings.append(k)
-        acts, out, run = stacked_pass(self, k, mean, std)
+        acts, run = stacked_pass(self, k, mean, std)
 
         def spy(rows):
-            run(rows)
-            on_pass(k, sum(not hasattr(ep, "cost") for ep in calls[-1]), out.reshape(k).tolist())
-        return acts, out, spy
-    monkeypatch.setattr(Mlp, "stacked_pass", spied_pass)
+            outs = run(rows)
+            on_pass(k, sum(not hasattr(ep, "cost") for ep in calls[-1]), outs)
+            return outs
+        return acts, spy
+    monkeypatch.setattr(neuro, "_lockstep_costs", spied_lockstep)
     return calls, bindings
 
 
@@ -1611,6 +1618,14 @@ def test_epochs_or_restarts_below_one_exit_2_with_key(tmp_path, capsys, mode, ke
     controller (exit 0), nor a BPTT run that fails on its empty loss history
     after it has saved its model, nor a tune that runs one restart and
     echoes the bad count."""
+    _assert_refused_with_key(tmp_path, capsys, mode, key, value,
+                             f"{key.rsplit('.', 1)[1]} must be an integer >= 1")
+
+
+def _assert_refused_with_key(tmp_path, capsys, mode, key, value, message):
+    """A `mode` run (a `fit-surrogate` or an `_episode_case`) whose config
+    sets `key` to `value` exits 2 with `config error: <key>: <message>` and
+    makes no `--out` directory."""
     if mode == "fit-surrogate":
         record = _write(tmp_path, "rec.json", _record_cfg())
         assert main(["record", "--config", record, "--out", str(tmp_path / "rec")]) == 0
@@ -1624,7 +1639,49 @@ def test_epochs_or_restarts_below_one_exit_2_with_key(tmp_path, capsys, mode, ke
     capsys.readouterr()
     assert main([command, "--config", _write(tmp_path, "bad.json", base), "--out", str(out),
                  *extra]) == 2
-    assert capsys.readouterr().err == f"config error: {key}: {leaf} must be an integer >= 1\n"
+    assert capsys.readouterr().err == f"config error: {key}: {message}\n"
+    assert not out.exists()
+
+
+AT_LEAST_ONE = "must be an integer >= 1"
+X0 = "x0 must be null or three numbers [kp, ki, kd]"
+
+
+@pytest.mark.parametrize("mode, key, value, message", [
+    ("tune-ai", "tuning.budget", 0, "budget " + AT_LEAST_ONE),
+    ("tune-ai", "tuning.budget", -2, "budget " + AT_LEAST_ONE),
+    ("tune-ai", "tuning.x0", [], X0),
+    ("tune-ai", "tuning.x0", [1.0, 0.5], X0),
+    ("tune-ai", "tuning.x0", [1.0, 0.5, 0.0, 0.1], X0),
+    ("imitation", "training.batch_size", 0, "batch_size " + AT_LEAST_ONE),
+    ("bptt", "training.batch_size", -1, "batch_size " + AT_LEAST_ONE),
+    ("fit-surrogate", "surrogate.batch_size", 0, "batch_size " + AT_LEAST_ONE),
+    ("imitation", "training.memory", 0, "memory " + AT_LEAST_ONE),
+    ("bptt", "training.memory", -1, "memory " + AT_LEAST_ONE),
+    ("bptt", "training.horizon", -1, "horizon must be an integer in [0, 200]"),
+    ("bptt", "training.horizon", 201, "horizon must be an integer in [0, 200]"),
+    ("imitation", "training.horizon", -5, "horizon must be an integer in [0, 200]"),
+])
+def test_out_of_range_config_value_exits_2_with_key(tmp_path, capsys, mode, key, value, message):
+    """A budget, batch size or memory below one, a rollout horizon outside
+    [0, 200] and an `x0` that is not three gains are config errors naming
+    their key, found before the command makes `--out`: not numpy's message
+    naming only the section (`negative dimensions are not allowed`,
+    `operands could not be broadcast`), nor a check of the built object
+    after an empty `--out` was made."""
+    _assert_refused_with_key(tmp_path, capsys, mode, key, value, message)
+
+
+@pytest.mark.parametrize("mode", ["tune-ai", "bptt"])
+def test_missing_surrogate_file_exits_4_and_makes_no_out(tmp_path, capsys, mode):
+    """`tune` and `train-controller` make `--out` only when they have
+    something to write, so a run refused after the config is read leaves no
+    empty directory."""
+    command, base, _, _ = _episode_case(tmp_path, mode)
+    out = tmp_path / "o"
+    assert main([command, "--config", _write(tmp_path, "c.json", base), "--out", str(out),
+                 "--surrogate", str(tmp_path / "absent.weights")]) == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")
     assert not out.exists()
 
 

@@ -15,7 +15,9 @@ formatted by column, `tune/ai-corner` before the AI search moved its
 episodes onto one stacked surrogate pass per step, `cli/simulate-profile`
 before a profile reference became one `np.interp` over the grid, and
 `linear_dense/pid` before `simulate` bound the controller's `step` and the
-delay line's `push_pop` once per run. Declared
+delay line's `push_pop` once per run, and `tune/ai-one-episode` and
+`train/bptt-one-episode` before a one-row pass and a stacked pass became
+one binder. Declared
 changes rewrote the imitation digests when an epoch's batch rows came to be
 drawn at once, and `train/bptt-controller` and `train/bptt-scheduler` when
 an epoch's BPTT gradients came to be taken at its start weights; a change
@@ -254,13 +256,13 @@ def _imitation(hidden, beta):
     return run
 
 
-def _bptt(target):
+def _bptt(target, count):
     def run(tmp):
         sur = _surrogate(tmp)
         cfg = {"sim": {"dt": 0.5, "horizon": 10.0, "seed": 11}, "plant": TRAIN_PLANT,
                "training": {"mode": "bptt", "target": target, "memory": 3, "hidden": [6, 5],
                             "horizon": 15, "rho": 0.01, "learning_rate": 0.01, "epochs": 3,
-                            "seed": 7, "episodes": {"count": 3, "level": 1.0}}}
+                            "seed": 7, "episodes": {"count": count, "level": 1.0}}}
         out = _cli(tmp, "bptt", "train-controller", cfg,
                    "--surrogate", str(sur / "surrogate.weights"))
         name = "controller.weights" if target == "controller" else "scheduler.weights"
@@ -268,13 +270,23 @@ def _bptt(target):
     return run
 
 
-def _tune_ai(q):
-    """AI tuning over a p = 2 surrogate; q = 1 leaves the older-input window empty."""
+def _bptt_one_episode(tmp):
+    """Both BPTT targets trained on one reference, so every pass runs one row."""
+    digests = []
+    for target in ("controller", "scheduler"):
+        (Path(tmp) / target).mkdir()
+        digests.append(_bptt(target, 1)(Path(tmp) / target))
+    return _digest(*digests)
+
+
+def _tune_ai(q, count):
+    """AI tuning over a p = 2 surrogate on `count` episodes; q = 1 leaves the
+    older-input window empty."""
     def run(tmp):
         sur = _surrogate(tmp, q)
         cfg = {"sim": {"dt": 0.5, "horizon": 15.0, "seed": 11}, "plant": TRAIN_PLANT,
                "tuning": {"mode": "ai", "budget": 40, "restarts": 2,
-                          "episodes": {"count": 2, "level": 1.0}}}
+                          "episodes": {"count": count, "level": 1.0}}}
         out = _cli(tmp, "tuned", "tune", cfg, "--surrogate", str(sur / "surrogate.weights"))
         return _files_digest(out, "gains.json", "tune_trace.csv")
     return run
@@ -428,10 +440,12 @@ CASES.update({
     "train/fit-surrogate": _fit_surrogate,
     "train/imitation": _imitation([8], 0.0),
     "train/imitation-aux": _imitation([8, 6], 0.5),
-    "train/bptt-controller": _bptt("controller"),
-    "train/bptt-scheduler": _bptt("scheduler"),
-    "tune/ai": _tune_ai(2),
-    "tune/ai-q1": _tune_ai(1),
+    "train/bptt-controller": _bptt("controller", 3),
+    "train/bptt-scheduler": _bptt("scheduler", 3),
+    "train/bptt-one-episode": _bptt_one_episode,
+    "tune/ai": _tune_ai(2, 2),
+    "tune/ai-q1": _tune_ai(1, 2),
+    "tune/ai-one-episode": _tune_ai(2, 1),
     "tune/ai-corner": _tune_ai_corner,
     "pipeline/ac12": _pipeline_ac12,
     "cli/switch": _switch_cli,

@@ -67,9 +67,9 @@ def _aux_output(nc, row):
 
 def _gains(gs, row, net=None):
     """The gains the deployed scheduled PID takes from a feature row: the
-    scheduler network's bound row pass (`net`, or one bound here), then
+    scheduler network's bound one-row pass (`net`, or one bound here), then
     `GainScheduler.squash`."""
-    net = net or gs.mlp.row_pass(gs.feat_mean, gs.feat_std)
+    net = net or gs.mlp.stacked_pass(1, gs.feat_mean, gs.feat_std)[1]
     return tuple(gs.squash(net(row))[0])
 
 
@@ -122,7 +122,7 @@ def test_scheduler_gains_never_leave_bounds_fuzz():
     gs = GainScheduler(Mlp([8, 6, 3], seed=7), bounds=bounds, memory=4)
     rng = np.random.default_rng(1)
     feats = rng.normal(0.0, 1e4, size=(100_000, 8))
-    net = gs.mlp.row_pass(gs.feat_mean, gs.feat_std)
+    _, net = gs.mlp.stacked_pass(1, gs.feat_mean, gs.feat_std)
     for f in feats:
         kp, ki, kd = _gains(gs, f, net)
         assert 0.1 <= kp <= 10.0
@@ -269,7 +269,7 @@ def test_gains_from_bit_equal_to_array_form(m, hidden):
                            feat_std=rng.uniform(0.5, 2.0, size=n))
         for b in gs.mlp.biases:
             b[...] = rng.normal(size=b.shape) * 0.3
-        net = gs.mlp.row_pass(gs.feat_mean, gs.feat_std)
+        _, net = gs.mlp.stacked_pass(1, gs.feat_mean, gs.feat_std)
         for k in range(300):
             row = rng.normal(size=n) * (1e-3, 1.0, 1e4)[k % 3]
             if k % 50 == 49:
@@ -926,13 +926,14 @@ def _spied_costs(monkeypatch, narx, cases):
     stacked_pass = Mlp.stacked_pass
 
     def spied_pass(self, k, mean, std):
-        acts, out, run = stacked_pass(self, k, mean, std)
+        acts, run = stacked_pass(self, k, mean, std)
 
         def spy(rows):
-            run(rows)
+            outs = run(rows)
             calls.append(([rows[i * width:(i + 1) * width] for i in range(k)],
-                          [v * narx._y_std + narx._y_mean for v in out.reshape(k).tolist()]))
-        return acts, out, spy
+                          [v * narx._y_std + narx._y_mean for v in outs]))
+            return outs
+        return acts, spy
 
     with monkeypatch.context() as m:
         m.setattr(Mlp, "stacked_pass", spied_pass)
@@ -941,7 +942,7 @@ def _spied_costs(monkeypatch, narx, cases):
 
 @pytest.mark.parametrize("case, name", [*LOCKSTEP_CASES, ("fault", "p2q1"), ("lengths", "p2q1")])
 def test_episode_rows_are_lag_features_of_the_window_form(case, name, monkeypatch):
-    """Each episode alone (a stack of one), and all of them in one lockstep:
+    """Each episode alone (a one-row pass), and all of them in one lockstep:
     at every step, the row each live episode gives the surrogate has the
     bits of `lag_features` of the window form's windows when the window
     form is sent the same predictions, the live episodes are those the
@@ -1183,13 +1184,13 @@ def test_replayed_rows_equal_deployed_rows(sensor, monkeypatch):
     nc = NeuralController(Mlp([9, 8, 1], seed=3), u_min=-2.0, u_max=2.0, memory=4)
     plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.1), u_min=-3.0, u_max=3.0, x0=None)
     rows = []
-    row_pass = Mlp.row_pass
+    stacked_pass = Mlp.stacked_pass
 
-    def spy(self, mean, std):
-        run = row_pass(self, mean, std)
-        return lambda row: rows.append(np.array(row)) or run(row)
+    def spy(self, k, mean, std):
+        acts, run = stacked_pass(self, k, mean, std)
+        return acts, lambda row: rows.append(np.array(row)) or run(row)
 
-    monkeypatch.setattr(Mlp, "row_pass", spy)
+    monkeypatch.setattr(Mlp, "stacked_pass", spy)
     cfg = SimConfig(dt=0.025, horizon=5.0, seed=4)
     traj = simulate(plant, NeuralControlLoop(nc), np.where(cfg.time_grid() >= 0.5, 1.0, 0.0),
                     sensor=sensor, cfg=cfg)
@@ -1380,7 +1381,7 @@ def test_controller_save_load_round_trip(tmp_path):
     save_model(nc, tmp_path / "ctl.weights")
     back = load_model(tmp_path / "ctl.weights", NeuralController)
     f = np.linspace(-1, 1, 9)
-    z_back, z = (c.mlp.row_pass(c.feat_mean, c.feat_std)(f) for c in (back, nc))
+    z_back, z = (c.mlp.stacked_pass(1, c.feat_mean, c.feat_std)[1](f) for c in (back, nc))
     assert z_back == z
     u_back, u = ([loop.step(0.1 * k, 0.7 - 0.05 * k, 0.01) for k in range(5)]
                  for loop in (NeuralControlLoop(back), NeuralControlLoop(nc)))

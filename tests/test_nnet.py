@@ -425,39 +425,41 @@ def test_row_path_bit_equal_to_one_row_batch(sizes):
 @pytest.mark.parametrize("sizes", [s for s in ROW_SHAPES if 3 <= len(s) <= 5],
                          ids=lambda s: "-".join(map(str, s)))
 def test_stacked_pass_bit_equal_to_forward_cached_per_row(sizes, k):
-    """k rows through one `stacked_pass` binding, run on fresh rows three
-    times, some rows holding a NaN or an infinity, give row by row the bits
-    of `forward_cached(normalize(row, mean, std))` on each row alone, output
-    and every activation, the normalized input first; the stacked
-    (k, 1, n) products make one gemv per row, a 2-D matrix product would
-    not. Every buffer is overwritten with junk between calls, so no call
-    reads what the last one left, and the binding keeps copies of the
-    stats, so writes to them after binding change nothing."""
+    """k rows through one `stacked_pass` binding, called again and again on
+    fresh rows of magnitudes 1e-3 to 50, some holding a NaN or an infinity,
+    return one flat list of floats holding row by row the bits of
+    `forward_cached(normalize(row, mean, std))` on each row alone, and leave
+    every activation of each row, the normalized input first, in `acts`: one
+    row runs on 1-D buffers (a gemv per layer), more on (k, 1, n) stacks,
+    whose products make one gemv per row, as a 2-D matrix product would not.
+    Every buffer is overwritten with junk between calls, so no call reads
+    what the last one left, and the binding keeps copies of the stats, so
+    writes to them after binding change nothing."""
     rng = np.random.default_rng([k, *sizes])
-    n = sizes[0]
+    n, n_out = sizes[0], sizes[-1]
     for seed in range(3):
         net = Mlp(sizes, seed=seed)
         for b in net.biases:
             b[...] = rng.normal(size=b.shape) * 0.5
         mean, std = rng.normal(size=n) * 0.3, rng.uniform(0.5, 2.0, size=n)
-        acts, outputs, run = net.stacked_pass(k, mean, std)
+        acts, run = net.stacked_pass(k, mean, std)
         want_mean, want_std = mean.copy(), std.copy()
         mean += 1.0
         std *= 2.0
-        assert [a.shape for a in acts] == [(k, 1, n)] + [(k, 1, m) for m in sizes[1:-1]]
-        assert outputs.shape == (k, 1, sizes[-1])
+        assert [a.shape for a in acts] == [(m,) if k == 1 else (k, 1, m) for m in sizes[:-1]]
         for call in range(3):
-            for buf in (*acts, outputs):
+            for buf in acts:
                 buf[...] = (math.nan, math.inf, 1e300)[call]
             xs = rng.normal(size=(k, n)) * rng.choice([1e-3, 1.0, 50.0], size=(k, 1))
             bad = rng.random(k) < 0.2
             xs[bad, rng.integers(n, size=bad.sum())] = rng.choice([math.nan, math.inf, -math.inf],
                                                                  size=bad.sum())
-            assert run(xs.ravel().tolist()) is None
+            got = run(xs.ravel().tolist())
+            assert type(got) is list and len(got) == k * n_out
             for i, x in enumerate(xs):
                 out, want = net.forward_cached(normalize(x, want_mean, want_std))
-                assert outputs[i, 0].tobytes() == out.tobytes()
-                assert all(a[i, 0].tobytes() == w.tobytes()
+                assert np.array(got[i * n_out:(i + 1) * n_out]).tobytes() == out.tobytes()
+                assert all(a.reshape(k, -1)[i].tobytes() == w.tobytes()
                            for a, w in zip(acts, want, strict=True))
     with pytest.raises(ValueError):
         net.stacked_pass(0, mean, std)
@@ -467,13 +469,14 @@ def test_stacked_pass_bit_equal_to_forward_cached_per_row(sizes, k):
 @pytest.mark.parametrize("sizes", [s for s in ROW_SHAPES if 3 <= len(s) <= 5],
                          ids=lambda s: "-".join(map(str, s)))
 def test_row_pass_bit_equal_to_forward_cached(sizes):
-    """One `row_pass` binding, called again and again on rows of magnitudes
-    1e-3 to 50 and on rows holding a NaN or an infinity, gives the bits of
-    `forward_cached` on the row normalized by `normalize`: the 1-D `np.dot`
-    with `out=`, the bias and tanh in place and the in-place normalization
-    round as the fresh arrays do. The binding keeps copies of the stats, and
-    reads the weights through the views, so an in-place weight write
-    reaches its next call."""
+    """One one-row `stacked_pass` binding, called again and again on rows of
+    magnitudes 1e-3 to 50 and on rows holding a NaN or an infinity, gives the
+    bits of `forward_cached` on the row normalized by `normalize`, output and
+    every activation: the 1-D `np.dot` with `out=`, the bias and tanh in
+    place and the in-place normalization round as the fresh arrays do. The
+    binding keeps copies of the stats, and reads the weights and biases
+    through their views, so an in-place parameter write reaches its next
+    call."""
     rng = np.random.default_rng([5, *sizes])
     n = sizes[0]
     for seed in range(3):
@@ -481,7 +484,7 @@ def test_row_pass_bit_equal_to_forward_cached(sizes):
         for b in net.biases:
             b[...] = rng.normal(size=b.shape) * 0.5
         mean, std = rng.normal(size=n) * 0.3, rng.uniform(0.5, 2.0, size=n)
-        run = net.row_pass(mean, std)
+        acts, run = net.stacked_pass(1, mean, std)
         want_mean, want_std = mean.copy(), std.copy()
         mean += 1.0
         std *= 2.0
@@ -492,9 +495,10 @@ def test_row_pass_bit_equal_to_forward_cached(sizes):
             if k % 10 == 9:
                 row[k % n] = (math.nan, math.inf, -math.inf)[k % 3]
             got = run(row.tolist())
-            want = net.forward_cached(normalize(row, want_mean, want_std))[0]
+            out, want = net.forward_cached(normalize(row, want_mean, want_std))
             assert type(got) is list and len(got) == sizes[-1]
-            assert np.array(got).tobytes() == want.tobytes()
+            assert np.array(got).tobytes() == out.tobytes()
+            assert all(a.tobytes() == w.tobytes() for a, w in zip(acts, want, strict=True))
 
 
 # an AVX2 OpenBLAS core and numpy's SIMD dispatch capped below AVX-512 (x86-64-v3)

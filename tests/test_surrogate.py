@@ -273,12 +273,11 @@ def test_predict_one_bit_equal_to_array_form(p, q, hidden):
             assert model.predict_one(lag_features(np.array(y_win), np.array(u_win), p, q)) == want
 
 
-def stacked_predictions(model, run, out, rows):
+def stacked_predictions(model, run, rows):
     """The feature rows through `run`, a `model.mlp.stacked_pass` binding of
-    `out`'s rows, as one flat list, each output denormalized on floats as
+    as many rows, as one flat list, each output denormalized on floats as
     `predict_one` does."""
-    run([v for row in rows for v in row])
-    got = out.reshape(-1).tolist()
+    got = run([v for row in rows for v in row])
     assert len(got) == len(rows) and all(type(v) is float for v in got)
     return [v * model._y_std + model._y_mean for v in got]
 
@@ -288,8 +287,8 @@ def stacked_predictions(model, run, out, rows):
 def test_surrogate_stacked_pass_bit_equal_to_predict_one(p, q, hidden):
     """k feature rows through one `mlp.stacked_pass(k, x_mean, x_std)`
     binding of the surrogate, each output denormalized on floats, give the
-    bits of `predict_one` on each; k = 1 is the one-row stacked pass, which
-    the AI search runs for a lone episode, against the row path."""
+    bits of `predict_one` on each; k = 1 is a fresh binding of the one-row
+    pass that `predict_one` and the AI search's lone episode run on."""
     rng = np.random.default_rng(10 * p + q + 1000 * len(hidden))
     for seed in range(3):
         model = random_narx(p, q, hidden, seed)
@@ -297,8 +296,8 @@ def test_surrogate_stacked_pass_bit_equal_to_predict_one(p, q, hidden):
             rows = [lag_features((rng.normal(size=p + 2) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
                                  (rng.normal(size=q + 1) * rng.choice([1e-3, 1.0, 50.0])).tolist(),
                                  p, q) for _ in range(k)]
-            _, out, run = model.mlp.stacked_pass(k, model.x_mean, model.x_std)
-            got = stacked_predictions(model, run, out, rows)
+            _, run = model.mlp.stacked_pass(k, model.x_mean, model.x_std)
+            got = stacked_predictions(model, run, rows)
             assert got == [model.predict_one(row) for row in rows]
 
 
@@ -314,12 +313,12 @@ def test_reused_surrogate_stacked_pass_bit_equal_to_predict_one(p, q, hidden):
     rng = np.random.default_rng(100 + 10 * p + q)
     for seed, k in enumerate((2, 3, 12)):
         model = random_narx(p, q, hidden, seed)
-        _, out, run = model.mlp.stacked_pass(k, model.x_mean, model.x_std)
+        _, run = model.mlp.stacked_pass(k, model.x_mean, model.x_std)
         for count in (k, k, k, k - 1, 1, k):
             scale = rng.choice([1e-3, 1.0, 50.0])
             rows = [(rng.normal(size=p + q) * scale).tolist() for _ in range(count)]
             rows += rows[-1:] * (k - count)
-            got = stacked_predictions(model, run, out, rows)
+            got = stacked_predictions(model, run, rows)
             assert got == [model.predict_one(row) for row in rows]
 
 
