@@ -27,8 +27,7 @@ from .neuro import (
 )
 from .nnet import Mlp, load_model, save_model
 from .pid import PidController
-from .safety import BlendedController, BoundedBlender, SupervisedController, SwitchSupervisor, \
-    write_transition_log
+from .safety import BlendedController, SupervisedController, write_transition_log
 from .simcore import ConstantController, SignalController, simulate
 from .surrogate import NarxModel, fit_surrogate
 from .tuning import (
@@ -59,8 +58,8 @@ def cmd_record(args) -> int:
     with cfgmod.section("excitation"):
         u = generate_excitation(exc, sim, limits=(plant.u_min, plant.u_max))
     traj = simulate(plant, SignalController(u), 0.0,
-                    disturbance=cfgmod.disturbance_from(cfg),
-                    sensor=cfgmod.sensor_from(cfg), cfg=sim)
+                    disturbance=cfgmod.disturbance_from(cfg, sim),
+                    sensor=cfgmod.sensor_from(cfg, sim), cfg=sim)
     out = _out_dir(args)
     write_timeseries(from_trajectory(traj), out / "record.csv")
     _echo(cfg, out, "record")
@@ -162,8 +161,8 @@ def _coverage_reference(sim, level: float, seed: int) -> np.ndarray:
 def _teacher_runs(cfg, sim, limits):
     plant = cfgmod.plant_from(cfg)
     teacher_gains = cfgmod.resolve_gains(cfg["training"]["teacher"], limits, "training.teacher")
-    dist = cfgmod.disturbance_from(cfg)
-    sensor = cfgmod.sensor_from(cfg)
+    dist = cfgmod.disturbance_from(cfg, sim)
+    sensor = cfgmod.sensor_from(cfg, sim)
     count = cfg["training"]["episodes"]["count"]
     level = cfg["training"]["episodes"]["level"]
     runs_a, runs_b = [], []
@@ -253,25 +252,22 @@ def cmd_simulate(args) -> int:
     controller = cfgmod.controller_from(cfg, plant)
 
     safety = cfg["safety"]
-    supervisor = None
-    blender = None
     with cfgmod.section("safety"):
         if safety["kind"] == "switch":
             fallback = PidController(cfgmod.resolve_gains(safety["fallback"], limits,
                                                           "safety.fallback"))
-            supervisor = SwitchSupervisor(theta_hi=safety["theta_hi"], theta_lo=safety["theta_lo"],
-                                          dwell=safety["dwell"], agree_tol=safety["agree_tol"])
-            controller = SupervisedController(controller, fallback, supervisor, limits)
+            controller = SupervisedController(
+                controller, fallback, limits, theta_hi=safety["theta_hi"],
+                theta_lo=safety["theta_lo"], dwell=safety["dwell"], agree_tol=safety["agree_tol"])
         elif safety["kind"] == "blend":
-            blender = BoundedBlender(delta=safety["delta"])
             controller = BlendedController(controller, _correction_source(safety["correction"]),
-                                           blender, limits)
+                                           limits, delta=safety["delta"])
 
     if cfg["reference"]["variant"] == "step":
         cfgmod.check_within_horizon(cfg, "reference", "time")
     traj = simulate(plant, controller, cfgmod.reference_from(cfg, sim),
-                    disturbance=cfgmod.disturbance_from(cfg),
-                    sensor=cfgmod.sensor_from(cfg), cfg=sim)
+                    disturbance=cfgmod.disturbance_from(cfg, sim),
+                    sensor=cfgmod.sensor_from(cfg, sim), cfg=sim)
 
     out = _out_dir(args)
     cols = write_timeseries(from_trajectory(traj), out / "trajectory.csv")
@@ -281,9 +277,9 @@ def cmd_simulate(args) -> int:
     metrics = compute_step_metrics(traj, band=0.02)
     ComparisonTable([(cfg["controller"]["kind"], metrics)]).to_csv(out / "metrics.csv")
 
-    if supervisor is not None:
-        write_transition_log(supervisor.log, out / "transitions.csv")
-    if blender is not None:
+    if isinstance(controller, SupervisedController):
+        write_transition_log(controller.log, out / "transitions.csv")
+    if isinstance(controller, BlendedController):
         steps = list(range(len(controller.u_trace)))
         write_columns(out / "blend.csv", {
             "step": format_column(steps), "time": format_column([k * sim.dt for k in steps]),

@@ -18,12 +18,14 @@ import numpy as np
 
 from .dataio import ExcitationSpec, parse_json, read_text, read_timeseries
 from .errors import ConfigError, ParseError
-from .neuro import MAX_HORIZON
+from .neuro import (
+    MAX_HORIZON, GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController,
+)
 from .nnet import TrainConfig, load_model
-from .pid import CascadeSpec, PidGains
+from .pid import CascadeController, CascadeSpec, PidController, PidGains
 from .simcore import (
-    DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder, SensorSpec,
-    SimConfig, TankNonlinear,
+    ConstantController, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder,
+    SensorSpec, SimConfig, TankNonlinear,
 )
 
 # u_min/u_max of None mean "inherit the plant's actuator limits"
@@ -216,11 +218,18 @@ def _check(cfg: dict) -> None:
     _require(0.0 <= lam <= 1.0, "lambda must be a number in [0, 1]", "training.lambda")
     for key in ("training.episodes.count", "tuning.episodes.count", "surrogate.epochs",
                 "training.epochs", "tuning.restarts", "tuning.budget", "training.batch_size",
-                "surrogate.batch_size", "training.memory"):
+                "surrogate.batch_size", "training.memory", "safety.dwell"):
         value = functools.reduce(dict.__getitem__, key.split("."), cfg)
         _require(value >= 1, f"{key.rsplit('.', 1)[1]} must be an integer >= 1", key)
     _require(0 <= cfg["training"]["horizon"] <= MAX_HORIZON,
              f"horizon must be an integer in [0, {MAX_HORIZON}]", "training.horizon")
+    safety = cfg["safety"]
+    _require(safety["theta_lo"] >= 0, "theta_lo must be a number >= 0", "safety.theta_lo")
+    _require(safety["theta_hi"] > safety["theta_lo"],
+             f"theta_hi must exceed safety.theta_lo = {safety['theta_lo']!r}", "safety.theta_hi")
+    _require(safety["agree_tol"] is None or safety["agree_tol"] >= 0,
+             "agree_tol must be null or a number >= 0", "safety.agree_tol")
+    _require(safety["delta"] >= 0, "delta must be a number >= 0", "safety.delta")
     x0 = cfg["tuning"]["x0"]
     _require(x0 is None or len(x0) == 3, "x0 must be null or three numbers [kp, ki, kd]",
              "tuning.x0")
@@ -241,10 +250,10 @@ def section(path: str):
         raise ConfigError(str(exc), path) from exc
 
 
-def sim_from(cfg: dict, seed_override: int | None = None) -> SimConfig:
+def sim_from(cfg: dict, seed_override: int | None) -> SimConfig:
     """The grid of `cfg`'s sim section; `seed_override` (a `--seed`), when
-    given, is range-checked and replaces `sim.seed` in `cfg` itself, so that
-    the config echo reruns the run."""
+    not None, is range-checked and replaces `sim.seed` in `cfg` itself, so
+    that the config echo reruns the run."""
     sim = cfg["sim"]
     if seed_override is not None:
         _check_seed(seed_override)
@@ -270,27 +279,25 @@ def plant_from(cfg: dict) -> PlantModel:
         return PlantModel(variant, u_min=p["limits"][0], u_max=p["limits"][1], x0=x0)
 
 
-def sensor_from(cfg: dict) -> SensorSpec:
-    """The sensor, checked against the grid of `cfg`'s sim section."""
+def sensor_from(cfg: dict, sim: SimConfig) -> SensorSpec:
+    """The sensor, checked against the grid `sim` of `cfg`'s sim section."""
     s = cfg["sensor"]
-    grid = sim_from(cfg)
     check_within_horizon(cfg, "sensor", "sample_period")
     with section("sensor"):
         spec = SensorSpec(noise_std=s["noise_std"], sample_period=s["sample_period"],
                           quantization=s["quantization"])
-        spec.steps_per_sample(grid.dt)
+        spec.steps_per_sample(sim.dt)
     return spec
 
 
-def disturbance_from(cfg: dict) -> DisturbanceSpec:
-    """The disturbance, checked against the grid of `cfg`'s sim section."""
+def disturbance_from(cfg: dict, sim: SimConfig) -> DisturbanceSpec:
+    """The disturbance, checked against the grid `sim` of `cfg`'s sim section."""
     d = cfg["disturbance"]
-    grid = sim_from(cfg)
     with section("disturbance"):
         spec = DisturbanceSpec(variant=d["variant"], injection=d["injection"], time=d["time"],
                                magnitude=d["magnitude"], std=d["std"],
                                amplitude=d["amplitude"], period=d["period"])
-        spec.check_grid(grid)
+        spec.check_grid(sim)
     return spec
 
 
@@ -374,10 +381,6 @@ def bounds_from(block: dict, path: str) -> np.ndarray:
 def controller_from(cfg: dict, plant: PlantModel):
     """Instantiate the configured primary controller for `plant` (no safety
     wrapper)."""
-    from .neuro import GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController
-    from .pid import CascadeController, PidController
-    from .simcore import ConstantController
-
     c = cfg["controller"]
     kind = c["kind"]
     limits = (plant.u_min, plant.u_max)

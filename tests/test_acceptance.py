@@ -22,7 +22,7 @@ from loopbench.neuro import (
 )
 from loopbench.nnet import Mlp, TrainConfig, mse
 from loopbench.pid import PidController, PidGains, PidState, pid_step, pid_sync
-from loopbench.safety import BoundedBlender, SupervisedController, SwitchSupervisor
+from loopbench.safety import BlendedController, SupervisedController
 from loopbench.simcore import (
     ConstantController, Fopdt, PlantModel, SignalController, SimConfig, rk4_step, simulate,
 )
@@ -297,30 +297,29 @@ def test_ac8_safety_switch_efficacy():
         raw = simulate(plant, ConstantController(3.0), 1.0, cfg=cfg)
         assert not compute_step_metrics(raw, band=0.02).settled
 
-        sup = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
-        wrapped = SupervisedController(ConstantController(3.0), PidController(zn), sup,
-                                       limits=(0.0, 3.0))
+        wrapped = SupervisedController(ConstantController(3.0), PidController(zn), (0.0, 3.0),
+                                       theta_hi=0.2, theta_lo=0.1, dwell=5, agree_tol=None)
         traj = simulate(plant, wrapped, 1.0, cfg=cfg)
         assert compute_step_metrics(traj, band=0.02).settled
-        assert any(ev.direction == "AI->FALLBACK" for ev in sup.log)
+        assert any(ev.direction == "AI->FALLBACK" for ev in wrapped.log)
 
         # bumpless handover: with pid_sync applicable and e unchanged across the
         # step, the output discontinuity is <= 1e-6
-        sup2 = SwitchSupervisor(theta_hi=0.2, theta_lo=0.1, dwell=3, agree_tol=None)
-        ctl = SupervisedController(ConstantController(1.5), PidController(zn), sup2,
-                                   limits=(0.0, 3.0))
+        ctl = SupervisedController(ConstantController(1.5), PidController(zn), (0.0, 3.0),
+                                   theta_hi=0.2, theta_lo=0.1, dwell=3, agree_tol=None)
         ctl.reset()
         outs = [ctl.step(1.0, 0.0, 0.05) for _ in range(8)]
         k = next(i for i, mmode in enumerate(ctl.modes) if mmode == "FALLBACK")
         jump = abs(outs[k] - outs[k - 1])
         assert jump <= 1e-6
-    b.report(f"supervised run settles, raw run does not; {len(sup.log)} transition(s); "
+    b.report(f"supervised run settles, raw run does not; {len(wrapped.log)} transition(s); "
              f"handover jump {jump:.1e} <= 1e-6")
 
 
 def test_ac9_bounded_influence():
     with Budget("AC-9", 5.0) as b:
-        blender = BoundedBlender(delta=0.2)
+        conventional, correction = ConstantController(0.0), ConstantController(0.0)
+        blender = BlendedController(conventional, correction, (-3.0, 3.0), delta=0.2)
         rng = np.random.default_rng(7)
         violations = 0
         worst = 0.0
@@ -333,7 +332,8 @@ def test_ac9_bounded_influence():
                 corr = math.inf if rng.random() < 0.5 else -math.inf
             else:
                 corr = float(rng.normal(0.0, 25.0))
-            u = blender.blend_step(u_conv, corr, limits=(-3.0, 3.0))
+            conventional.value, correction.value = u_conv, corr
+            u = blender.step(0.0, 0.0, 0.01)
             d = abs(u - u_conv)
             worst = max(worst, d)
             if d > 0.2:

@@ -1509,6 +1509,9 @@ def _patched(cfg, patch):
 
 
 BLEND = {"kind": "blend", "delta": 0.1, "correction": {"kind": "constant", "value": 0.1}}
+SWITCH = {"kind": "switch", "fallback": {"gains": {"kp": 1.0, "ki": 1.0}}}
+# the `simulate` modes of `_assert_refused_with_key`, by the safety block they run under
+SAFETY_MODES = {"simulate": {"kind": "none"}, "switch": SWITCH, "blend": BLEND}
 
 
 def _leaf_case(command, patch, path, index, section):
@@ -1525,7 +1528,7 @@ def _leaf_case(command, patch, path, index, section):
     _leaf_case("simulate", {"controller": {"gains": {"ki": None}}}, "controller.gains.ki", 1,
                "controller.gains"),
     _leaf_case("simulate", {"safety": {**BLEND, "delta": [0.1]}}, "safety.delta", 2, "safety"),
-    ("simulate", {"safety": {**BLEND, "delta": -1}}, "safety"),
+    _leaf_case("simulate", {"safety": {**BLEND, "delta": -1}}, "safety.delta", 3, "safety"),
     _leaf_case("simulate", {"safety": {**BLEND, "correction": {"value": {}}}},
                "safety.correction.value", 4, "safety"),
     ("simulate", {"sim": {"horizon": 1e-300}}, "sim"),
@@ -1623,10 +1626,15 @@ def test_epochs_or_restarts_below_one_exit_2_with_key(tmp_path, capsys, mode, ke
 
 
 def _assert_refused_with_key(tmp_path, capsys, mode, key, value, message):
-    """A `mode` run (a `fit-surrogate` or an `_episode_case`) whose config
-    sets `key` to `value` exits 2 with `config error: <key>: <message>` and
-    makes no `--out` directory."""
-    if mode == "fit-surrogate":
+    """A `mode` run (a `fit-surrogate`, a `simulate` of a PID under one of
+    `SAFETY_MODES` or an `_episode_case`) whose config sets `key` to `value`
+    exits 2 with `config error: <key>: <message>` and makes no `--out`
+    directory."""
+    if mode in SAFETY_MODES:
+        command, extra = "simulate", []
+        base = json.loads(Path(_sim_pid_cfg(tmp_path, gains={"kp": 1.0})).read_text())
+        base["safety"] = dict(SAFETY_MODES[mode])
+    elif mode == "fit-surrogate":
         record = _write(tmp_path, "rec.json", _record_cfg())
         assert main(["record", "--config", record, "--out", str(tmp_path / "rec")]) == 0
         command, base = "fit-surrogate", _record_cfg()
@@ -1645,6 +1653,7 @@ def _assert_refused_with_key(tmp_path, capsys, mode, key, value, message):
 
 AT_LEAST_ONE = "must be an integer >= 1"
 X0 = "x0 must be null or three numbers [kp, ki, kd]"
+AGREE = "agree_tol must be null or a number >= 0"
 
 
 @pytest.mark.parametrize("mode, key, value, message", [
@@ -1661,14 +1670,29 @@ X0 = "x0 must be null or three numbers [kp, ki, kd]"
     ("bptt", "training.horizon", -1, "horizon must be an integer in [0, 200]"),
     ("bptt", "training.horizon", 201, "horizon must be an integer in [0, 200]"),
     ("imitation", "training.horizon", -5, "horizon must be an integer in [0, 200]"),
+    ("simulate", "safety.agree_tol", -0.5, AGREE),
+    ("switch", "safety.agree_tol", -0.5, AGREE),
+    ("switch", "safety.dwell", 0, "dwell " + AT_LEAST_ONE),
+    ("simulate", "safety.dwell", -3, "dwell " + AT_LEAST_ONE),
+    ("switch", "safety.theta_lo", -0.1, "theta_lo must be a number >= 0"),
+    ("switch", "safety.theta_hi", 0.05, "theta_hi must exceed safety.theta_lo = 0.05"),
+    ("simulate", "safety.theta_hi", 0.0, "theta_hi must exceed safety.theta_lo = 0.05"),
+    ("blend", "safety.delta", -0.5, "delta must be a number >= 0"),
+    ("simulate", "safety.delta", -0.5, "delta must be a number >= 0"),
+    ("tune-ai", "safety.dwell", 0, "dwell " + AT_LEAST_ONE),
+    ("bptt", "safety.theta_lo", -1.0, "theta_lo must be a number >= 0"),
+    ("imitation", "safety.theta_hi", 0.01, "theta_hi must exceed safety.theta_lo = 0.05"),
+    ("fit-surrogate", "safety.delta", -0.1, "delta must be a number >= 0"),
 ])
 def test_out_of_range_config_value_exits_2_with_key(tmp_path, capsys, mode, key, value, message):
     """A budget, batch size or memory below one, a rollout horizon outside
-    [0, 200] and an `x0` that is not three gains are config errors naming
-    their key, found before the command makes `--out`: not numpy's message
-    naming only the section (`negative dimensions are not allowed`,
-    `operands could not be broadcast`), nor a check of the built object
-    after an empty `--out` was made."""
+    [0, 200], an `x0` that is not three gains and a safety setting out of
+    range are config errors naming their key, found before the command makes
+    `--out`: not numpy's message naming only the section (`negative
+    dimensions are not allowed`, `operands could not be broadcast`,
+    `safety: delta must be >= 0`), nor a check of the built object after an
+    empty `--out` was made. Every command refuses a safety setting, also
+    where `safety.kind` is `none` or the command never reads it."""
     _assert_refused_with_key(tmp_path, capsys, mode, key, value, message)
 
 

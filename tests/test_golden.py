@@ -44,7 +44,7 @@ from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.neuro import GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController
 from loopbench.nnet import Mlp
 from loopbench.pid import CascadeController, CascadeSpec, PidController, PidGains
-from loopbench.safety import BlendedController, BoundedBlender, SupervisedController, SwitchSupervisor
+from loopbench.safety import BlendedController, SupervisedController
 from loopbench.simcore import (
     ConstantController, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SecondOrder,
     SensorSpec, SimConfig, TankNonlinear, simulate,
@@ -113,13 +113,13 @@ def _scheduled(limits):
 
 
 def _switch(limits):
-    sup = SwitchSupervisor(theta_hi=0.3, theta_lo=0.1, dwell=5, agree_tol=None)
-    return SupervisedController(_neural(limits), _pid(limits), sup, limits)
+    return SupervisedController(_neural(limits), _pid(limits), limits, theta_hi=0.3, theta_lo=0.1,
+                                dwell=5, agree_tol=None)
 
 
 def _blend(conventional):
-    return lambda limits: BlendedController(conventional(limits), _neural(limits),
-                                            BoundedBlender(delta=0.2), limits)
+    return lambda limits: BlendedController(conventional(limits), _neural(limits), limits,
+                                            delta=0.2)
 
 
 # controller kinds per plant: the single-output plants take a PID where the
@@ -156,10 +156,10 @@ def _loop_case(spec, build):
         extra = []
         if isinstance(ctl, SupervisedController):
             extra = [",".join(ctl.modes),
-                     ";".join(f"{e.step},{e.direction},{e.cause}" for e in ctl.supervisor.log),
-                     [e.time for e in ctl.supervisor.log]]
+                     ";".join(f"{e.step},{e.direction},{e.cause}" for e in ctl.log),
+                     [e.time for e in ctl.log]]
         elif isinstance(ctl, BlendedController):
-            extra = [ctl.u_conv_trace, ";".join(f"{e.step},{e.cause}" for e in ctl.blender.absorb_log)]
+            extra = [ctl.u_conv_trace, ";".join(f"{e.step},{e.cause}" for e in ctl.absorb_log)]
         elif isinstance(ctl, ScheduledPidController):
             extra = [ctl.gain_trace]
         return _traj_digest(traj, *extra)
