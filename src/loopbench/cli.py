@@ -280,10 +280,9 @@ def cmd_simulate(args) -> int:
     if isinstance(controller, SupervisedController):
         write_transition_log(controller.log, out / "transitions.csv")
     if isinstance(controller, BlendedController):
-        steps = list(range(len(controller.u_trace)))
         write_columns(out / "blend.csv", {
-            "step": format_column(steps), "time": format_column([k * sim.dt for k in steps]),
-            "u_conv": format_column(controller.u_conv_trace), "u": format_column(controller.u_trace)})
+            "step": format_column(list(range(len(traj)))), "time": cols["t"],
+            "u_conv": format_column(controller.u_conv_trace), "u": cols["u"]})
 
     _echo(cfg, out, "simulate")
     settle = repr(metrics.settling_time_s) if metrics.settled else "not-settled"

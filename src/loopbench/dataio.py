@@ -150,12 +150,8 @@ def from_trajectory(traj) -> TimeSeries:
     """
     extra = None
     if getattr(traj, "y_extra", None) is not None:
-        extra = {f"y{i + 2}": traj.y_extra[:, i].copy() for i in range(traj.y_extra.shape[1])}
-    return TimeSeries(
-        t=traj.t.copy(), w=traj.w.copy(),
-        y=traj.y_meas.copy(),
-        u=traj.u.copy(), d=traj.d.copy(), extra=extra,
-    )
+        extra = {f"y{i + 2}": traj.y_extra[:, i] for i in range(traj.y_extra.shape[1])}
+    return TimeSeries(t=traj.t, w=traj.w, y=traj.y_meas, u=traj.u, d=traj.d, extra=extra)
 
 
 def _validate_header(fields: list[str], path) -> list[str]:

@@ -1,16 +1,14 @@
-"""Closed-loop performance metrics and controller inference latency."""
+"""Closed-loop performance metrics and comparison tables."""
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import write_csv
 from .errors import DataError
-from .neuro import NeuralControlLoop, NeuralController
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -153,36 +151,3 @@ def compare(entries, band: float) -> ComparisonTable:
     rows.sort(key=lambda r: (r[1].iae, r[0]))
     return ComparisonTable(rows)
 
-
-@dataclass
-class LatencyReport:
-    median_ms: float
-    p95_ms: float
-    max_ms: float
-    times_ms: np.ndarray
-
-
-def measure_latency(nc: NeuralController, trials: int, warmup: int) -> LatencyReport:
-    """Wall time of single deployed steps of the neural controller `nc` on
-    the monotonic clock: each one `NeuralControlLoop.step` (the row pass,
-    the tanh squash and the window shift) on a zero reference and
-    measurement, in one loop from its `reset()`, as a closed-loop run makes
-    them. Runs `warmup` discarded steps first, then records exactly `trials`
-    timings. Single-threaded by construction.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    step = NeuralControlLoop(nc).step  # the loop resets as it is built
-    for _ in range(warmup):
-        step(0.0, 0.0, 0.0)  # a neural step reads no dt
-    times = np.empty(trials)
-    for i in range(trials):
-        start = time.perf_counter_ns()
-        step(0.0, 0.0, 0.0)
-        times[i] = (time.perf_counter_ns() - start) / 1e6
-    return LatencyReport(
-        median_ms=float(np.median(times)),
-        p95_ms=float(np.percentile(times, 95)),
-        max_ms=float(np.max(times)),
-        times_ms=times,
-    )

@@ -190,7 +190,6 @@ class ScheduledPidController:
         self.template = template
         self.gains = _ScheduledGains(template)
         self.state = PidState()
-        self.gain_trace: list[tuple[float, float, float]] = []
         self.reset()
 
     def reset(self) -> None:
@@ -198,7 +197,6 @@ class ScheduledPidController:
         self.state.reset()
         self.e_win = [0.0] * gs.memory
         self.y_win = [0.0] * gs.memory
-        self.gain_trace.clear()
         _, self._net = gs.mlp.stacked_pass(1, gs.feat_mean, gs.feat_std)
 
     def step(self, w: float, y, dt: float) -> float:
@@ -208,9 +206,7 @@ class ScheduledPidController:
         del e_win[0]
         y_win.append(y0)
         del y_win[0]
-        kp, ki, kd = gs.squash(self._net(gs.features(e_win, y_win)))[0]
-        self.gain_trace.append((kp, ki, kd))
-        gains.kp, gains.ki, gains.kd = kp, ki, kd
+        gains.kp, gains.ki, gains.kd = gs.squash(self._net(gs.features(e_win, y_win)))[0]
         return pid_step(gains, self.state, w, y0, dt)
 
 

@@ -79,9 +79,9 @@ class SupervisedController:
         self.agree_tol = agree_tol
         self.mode = MODE_AI
         self.log: list[TransitionEvent] = []
-        self.modes: list[str] = []
         # consecutive steps toward leaving the current mode; `_switch` zeroes it
         self._count = 0
+        self._k = 0  # the step being taken
         self._last_u = 0.0
         self._t = 0.0
 
@@ -90,13 +90,13 @@ class SupervisedController:
         self.fallback.reset()
         self.mode = MODE_AI
         self.log.clear()
-        self.modes.clear()
         self._count = 0
+        self._k = 0
         self._last_u = 0.0
         self._t = 0.0
 
     def _switch(self, mode: str, cause: str) -> None:
-        self.log.append(TransitionEvent(len(self.modes), self._t, f"{self.mode}->{mode}", cause))
+        self.log.append(TransitionEvent(self._k, self._t, f"{self.mode}->{mode}", cause))
         self.mode = mode
         self._count = 0
 
@@ -133,7 +133,7 @@ class SupervisedController:
         try:
             u_fb = float(self.fallback.step(w, y0, dt))
         except ControllerFault as exc:
-            raise NumericalFailure(f"fallback failed: {exc} (step {len(self.modes)})") from exc
+            raise NumericalFailure(f"fallback failed: {exc} (step {self._k})") from exc
         if in_fallback:
             admit = not cause and abs(u_ai - u_fb) <= self.agree_tol and e < self.theta_lo
             self._count = self._count + 1 if admit else 0
@@ -142,7 +142,7 @@ class SupervisedController:
 
         u = u_ai if self.mode == MODE_AI else u_fb
         self._last_u = u
-        self.modes.append(self.mode)
+        self._k += 1
         self._t += dt
         return u
 
@@ -164,14 +164,12 @@ class BlendedController:
         self.delta = delta
         self.absorb_log: list[AbsorbEvent] = []
         self.u_conv_trace: list[float] = []
-        self.u_trace: list[float] = []
 
     def reset(self) -> None:
         self.conventional.reset()
         self.correction_source.reset()
         self.absorb_log.clear()
         self.u_conv_trace.clear()
-        self.u_trace.clear()
 
     def step(self, w: float, y, dt: float) -> float:
         u_conv = float(self.conventional.step(w, y, dt))
@@ -180,7 +178,7 @@ class BlendedController:
         except ControllerFault:
             corr = math.nan
         if not math.isfinite(corr):
-            self.absorb_log.append(AbsorbEvent(len(self.u_trace), "nonfinite-correction"))
+            self.absorb_log.append(AbsorbEvent(len(self.u_conv_trace), "nonfinite-correction"))
             corr = 0.0
         delta = self.delta
         u = u_conv + min(max(corr, -delta), delta)
@@ -190,5 +188,4 @@ class BlendedController:
             u = math.nextafter(u, u_conv)
         u = min(max(u, self.limits[0]), self.limits[1])
         self.u_conv_trace.append(u_conv)
-        self.u_trace.append(u)
         return u

@@ -14,7 +14,7 @@ import pytest
 
 from loopbench.cli import main as cli_main
 from loopbench.dataio import ExcitationSpec, generate_excitation, prbs_bits, split_contiguous
-from loopbench.metrics import compute_step_metrics, measure_latency
+from loopbench.metrics import compute_step_metrics
 from loopbench.neuro import (
     GainScheduler, NeuralController, NeuralControlLoop,
     ScheduledPidController, bptt_loss_and_grad, imitation_data_from_run, train_bptt,
@@ -22,7 +22,7 @@ from loopbench.neuro import (
 )
 from loopbench.nnet import Mlp, TrainConfig, mse
 from loopbench.pid import PidController, PidGains, PidState, pid_step, pid_sync
-from loopbench.safety import BlendedController, SupervisedController
+from loopbench.safety import MODE_FALLBACK, BlendedController, SupervisedController
 from loopbench.simcore import (
     ConstantController, Fopdt, PlantModel, SignalController, SimConfig, rk4_step, simulate,
 )
@@ -32,6 +32,7 @@ from loopbench.tuning import (
     tune_kappa_tau, tune_ziegler_nichols,
 )
 from test_nnet import grad
+from test_safety import mode_sequence
 from test_tuning import step_test
 
 
@@ -309,7 +310,7 @@ def test_ac8_safety_switch_efficacy():
                                    theta_hi=0.2, theta_lo=0.1, dwell=3, agree_tol=None)
         ctl.reset()
         outs = [ctl.step(1.0, 0.0, 0.05) for _ in range(8)]
-        k = next(i for i, mmode in enumerate(ctl.modes) if mmode == "FALLBACK")
+        k = mode_sequence(ctl.log, len(outs)).index(MODE_FALLBACK)
         jump = abs(outs[k] - outs[k - 1])
         assert jump <= 1e-6
     b.report(f"supervised run settles, raw run does not; {len(wrapped.log)} transition(s); "
@@ -388,14 +389,24 @@ def test_ac10_adaptive_scheduler_benefit():
 
 def test_ac11_inference_latency():
     """The deployed step of a 9-32-32-1 neural controller (memory 4): row
-    pass, tanh squash and window shift."""
+    pass, tanh squash and window shift. One loop, from its reset, takes 100
+    untimed steps and then 1,000 timed on the monotonic clock, each on a
+    zero reference and measurement, as a closed-loop run makes them."""
     with Budget("AC-11", 10.0) as b:
         net = Mlp([9, 32, 32, 1], seed=0)
         assert net.n_params <= 5000
-        rep = measure_latency(NeuralController(net, -1.0, 1.0, 4), trials=1000, warmup=100)
-        assert rep.median_ms < 3.9
+        step = NeuralControlLoop(NeuralController(net, -1.0, 1.0, 4)).step
+        for _ in range(100):
+            step(0.0, 0.0, 0.0)  # a neural step reads no dt
+        times_ms = np.empty(1000)
+        for i in range(len(times_ms)):
+            start = time.perf_counter_ns()
+            step(0.0, 0.0, 0.0)
+            times_ms[i] = (time.perf_counter_ns() - start) / 1e6
+        median_ms = float(np.median(times_ms))
+        assert median_ms < 3.9
     b.report(f"{net.n_params}-parameter controller: median control step "
-             f"{rep.median_ms * 1000:.0f}us (< 3.9ms), p95 {rep.p95_ms * 1000:.0f}us")
+             f"{median_ms * 1000:.0f}us (< 3.9ms), p95 {np.percentile(times_ms, 95) * 1000:.0f}us")
 
 
 AC12_CONFIG = {

@@ -32,6 +32,7 @@ from loopbench.simcore import (
     ConstantController, DisturbanceSpec, Fopdt, LinearStateSpace, PlantModel, SensorSpec,
     SimConfig, _noise_draws, _sensor_reader, primary_output, rk4_step, simulate,
 )
+from test_neuro import spy_gains
 from test_simcore import array_rk4_step
 
 pytestmark = pytest.mark.bits
@@ -223,10 +224,11 @@ def test_scheduled_pid_step_bit_equal_to_per_step_form(m, hidden):
                             deriv_filter_n=rng.uniform(2.0, 20.0))
         inputs = _inputs(rng, 120)
         ctl, ref = ScheduledPidController(gs, template), RefScheduledPid(gs, template)
+        gain_trace = spy_gains(ctl)
         got, want = _drive(ctl, inputs), _drive(ref, inputs)
         _same(got, want)
         assert (seed == 3) == isinstance(got[-1], str)  # a NaN gain faults the PID step
-        assert _bits(ctl.gain_trace) == _bits(ref.gain_trace)
+        assert _bits(gain_trace) == _bits(ref.gain_trace)
         assert _bits(list(vars(ctl.state).values())) == _bits(list(vars(ref.state).values()))
 
 

@@ -551,10 +551,6 @@ def test_only_nnet_and_simcore_import_struct():
     assert importers == {"nnet", "simcore"}
 
 
-# the one public name that no command reaches on purpose: AC-11's latency instrument
-UNREACHED_ON_PURPOSE = {"metrics.measure_latency"}
-
-
 def test_every_public_definition_is_used_in_src():
     """Each public module-level function and class in `src/loopbench` is
     named somewhere in `src/` outside its own definition (imports aside)."""
@@ -573,8 +569,7 @@ def test_every_public_definition_is_used_in_src():
                 elif isinstance(node, ast.Attribute):
                     used.add((node.attr, owner))
     unused = [owner for owner, name in defined
-              if owner not in UNREACHED_ON_PURPOSE
-              and not any(n == name and o != owner for n, o in used)]
+              if not any(n == name and o != owner for n, o in used)]
     assert unused == [], "delete what nothing in src/ uses, or use it"
 
 

@@ -51,6 +51,8 @@ from loopbench.simcore import (
 )
 from loopbench.tuning import identify_fopdt_step, relay_experiment, run_step_test
 from test_acceptance import AC12_FILES, ac12_pipeline
+from test_neuro import spy_gains
+from test_safety import mode_sequence
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 
@@ -152,16 +154,18 @@ def _loop_case(spec, build):
     def run(tmp):
         plant, sensor, dist, schedule = spec
         ctl = build((plant.u_min, plant.u_max))
+        if isinstance(ctl, ScheduledPidController):
+            gain_trace = spy_gains(ctl)
         traj = simulate(plant, ctl, REFERENCE, CFG, dist, sensor, gain_schedule=schedule)
         extra = []
         if isinstance(ctl, SupervisedController):
-            extra = [",".join(ctl.modes),
+            extra = [",".join(mode_sequence(ctl.log, len(traj))),
                      ";".join(f"{e.step},{e.direction},{e.cause}" for e in ctl.log),
                      [e.time for e in ctl.log]]
         elif isinstance(ctl, BlendedController):
             extra = [ctl.u_conv_trace, ";".join(f"{e.step},{e.cause}" for e in ctl.absorb_log)]
         elif isinstance(ctl, ScheduledPidController):
-            extra = [ctl.gain_trace]
+            extra = [gain_trace]
         return _traj_digest(traj, *extra)
     return run
 

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from loopbench.errors import DataError
-from loopbench.metrics import compare, compute_step_metrics, measure_latency
-from loopbench.neuro import NeuralControlLoop, NeuralController
-from loopbench.nnet import Mlp
+from loopbench.metrics import compare, compute_step_metrics
 from loopbench.pid import PidController
 from loopbench.simcore import Fopdt, PlantModel, SimConfig, Trajectory, simulate
 from loopbench.tuning import FopdtModel, tune_cohen_coon, tune_ziegler_nichols, ultimate_from_fopdt
@@ -142,24 +140,3 @@ def test_compare_csv_and_text(tmp_path):
     assert header.startswith("label,overshoot_pct,rise_time_s,settling_time_s")
     text = table.format_text()
     assert "run" in text and "IAE" in text
-
-
-def test_latency_counts_and_order_statistics(monkeypatch):
-    """`measure_latency` times exactly `trials` deployed steps of one loop,
-    after `warmup` untimed ones, from the loop's reset."""
-    net = Mlp([9, 32, 32, 1], seed=0)
-    assert net.n_params <= 5000
-    nc = NeuralController(net, -1.0, 1.0, 4)
-    loops, step = [], NeuralControlLoop.step
-
-    def counting_step(self, w, y, dt):
-        loops.append(self)
-        return step(self, w, y, dt)
-    monkeypatch.setattr(NeuralControlLoop, "step", counting_step)
-    rep = measure_latency(nc, trials=1000, warmup=100)
-    assert rep.times_ms.shape == (1000,)
-    assert rep.max_ms >= rep.p95_ms >= rep.median_ms >= 0.0
-    assert len(loops) == 1100 and all(loop is loops[0] for loop in loops)
-    assert loops[0].nc is nc
-    # zero-warm windows shifted 1,100 times, the net's outputs in the control window
-    assert loops[0].y_win == [0.0] * 4 and all(-1.0 <= u <= 1.0 for u in loops[0].u_win)

@@ -15,6 +15,16 @@ from loopbench.tuning import FopdtModel, tune_ziegler_nichols, ultimate_from_fop
 LIMITS = (-3.0, 3.0)
 
 
+def mode_sequence(log, n: int) -> list[str]:
+    """The switch's mode after each of `n` steps, rebuilt from its transition
+    log: an event logged on step k sets the mode from step k on."""
+    modes, mode = [], MODE_AI
+    for ev in log:
+        modes += [mode] * (ev.step - len(modes))
+        mode = ev.direction.split("->")[1]
+    return modes + [mode] * (n - len(modes))
+
+
 class _Scripted:
     """Controller stub returning whatever `u` holds; it cannot be synced, so
     every handover is a plain one."""
@@ -236,7 +246,7 @@ def test_supervised_handover_is_bumpless_when_error_unchanged():
     ctl.reset()
     # constant (w, y): error fixed above theta_hi, AI output valid
     outs = [ctl.step(1.0, 0.0, 0.05) for _ in range(10)]
-    switch_at = next(i for i, m in enumerate(ctl.modes) if m == MODE_FALLBACK)
+    switch_at = mode_sequence(ctl.log, len(outs)).index(MODE_FALLBACK)
     assert abs(outs[switch_at] - outs[switch_at - 1]) <= 1e-6
 
 
@@ -245,7 +255,7 @@ def test_blended_controller_records_conventional_trace():
     pidc = PidController(PidGains(kp=1.0, ki=0.5, u_min=-3.0, u_max=3.0))
     blend = BlendedController(pidc, ConstantController(9.0), (-3.0, 3.0), delta=0.1)
     traj = simulate(plant, blend, 1.0, cfg=SimConfig(dt=0.01, horizon=5.0, seed=0))
-    diffs = np.abs(np.array(blend.u_trace) - np.array(blend.u_conv_trace))
+    diffs = np.abs(traj.u - np.array(blend.u_conv_trace))
     assert float(np.max(diffs)) == pytest.approx(0.1)
     assert np.all(traj.u <= 3.0)
 
@@ -294,7 +304,7 @@ def test_switch_loop_logs_nonfinite_recovery_and_out_of_range_events():
         (8, 2.0, "FALLBACK->AI", "recovered"),
         (10, 2.5, "AI->FALLBACK", "out-of-range"),
     ]
-    assert ctl.modes == [MODE_AI] * 2 + [MODE_FALLBACK] * 6 + [MODE_AI] * 2 + [MODE_FALLBACK] * 10
+    assert mode_sequence(ctl.log, len(traj)) == [MODE_AI] * 2 + [MODE_FALLBACK] * 6 + [MODE_AI] * 2 + [MODE_FALLBACK] * 10
     assert traj.u.tolist() == [0.0] * 20
 
 
@@ -309,4 +319,4 @@ def test_blend_loop_absorbs_nonfinite_and_raised_corrections():
         (2, "nonfinite-correction"), (4, "nonfinite-correction"), (6, "nonfinite-correction")]
     absorbed = {2, 4, 6}
     assert traj.u.tolist() == [0.5 if k in absorbed else 0.5 + 0.05 for k in range(10)]
-    assert ctl.u_trace == traj.u.tolist() and ctl.u_conv_trace == [0.5] * 10
+    assert ctl.u_conv_trace == [0.5] * 10

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from loopbench.simcore import (
     rk4_step, simulate,
 )
 from loopbench.pid import CascadeController, CascadeSpec, PidController, PidGains
+from test_golden import KINDS
 
 INTEGRATOR = PlantModel(LinearStateSpace(a=[[0.0]], b=[1.0], c=[[1.0]]), u_min=-math.inf,
                         u_max=math.inf, x0=None)
@@ -107,6 +110,37 @@ def test_sim_config_rejects_grids_beyond_the_step_ceiling(dt, horizon):
 def test_sim_config_accepts_a_grid_at_the_step_ceiling():
     assert MAX_STEPS == 10_000_000
     assert SimConfig(dt=1.0, horizon=float(MAX_STEPS), seed=0).n_steps == MAX_STEPS
+
+
+def _retained(kind: str, steps: int) -> tuple[int, int]:
+    """Bytes still allocated after a FOPDT run of `steps` steps under the
+    golden cases' controller `kind`, with its trajectory and controller
+    alive, and the run's length."""
+    plant = PlantModel(Fopdt(gain=1.0, tau=1.0, dead_time=0.2), u_min=-3.0, u_max=3.0, x0=None)
+    cfg = SimConfig(dt=0.01, horizon=steps * 0.01, seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ctl = KINDS[kind]((plant.u_min, plant.u_max))
+        traj = simulate(plant, ctl, 1.0, cfg=cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained, len(traj)
+
+
+@pytest.mark.parametrize("kind, bound", [("pid", 50), ("pid+scheduler", 50), ("switch", 50),
+                                         ("blend", 90)])
+def test_simulate_retains_no_per_step_record_beyond_the_trajectory(kind, bound):
+    """A run keeps its six float64 trajectory arrays, 48 B a step, and a
+    blend run also its conventional commands for `blend.csv`; no controller
+    keeps a per-step list of its own. Measured with tracemalloc as the growth
+    between a 2,000- and a 20,000-step run."""
+    _retained(kind, 200)  # first-run allocations out of the difference
+    short, n_short = _retained(kind, 2_000)
+    long, n_long = _retained(kind, 20_000)
+    assert (long - short) / (n_long - n_short) <= bound
 
 
 def test_simulate_p_controller_on_integrator():
