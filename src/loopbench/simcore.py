@@ -1,17 +1,16 @@
 """Deterministic fixed-step closed-loop simulation.
 
-Plants are integrated with classical RK4 on a uniform grid. Dead time is
-realized as a sample-quantized delay buffer, disturbances and sensor noise
-come from a single seeded generator, so equal configs give bit-identical
-trajectories.
+Plants are integrated with classical RK4 on a uniform grid, a linear one on
+RK4's one-step map built once per run. Dead time is realized as a
+sample-quantized delay buffer, disturbances and sensor noise come from a
+single seeded generator, so equal configs give bit-identical trajectories.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
 from typing import Callable, Protocol, Sequence, Union
 
 import numpy as np
@@ -19,7 +18,8 @@ import numpy as np
 from .errors import ControllerFault, SimulationDiverged
 
 DIVERGENCE_FACTOR = 1e9
-# grid ceiling: a run keeps about ten float64 arrays of this length (under 1 GB)
+# grid ceiling: a run keeps about ten float64 arrays of this length; one that
+# writes its files peaks near 672 B/step (6.7 GB) while it formats them
 MAX_STEPS = 10_000_000
 
 
@@ -128,11 +128,11 @@ class TankNonlinear:
 
 PlantVariant = Union[LinearStateSpace, Fopdt, SecondOrder, TankNonlinear]
 
-# Integrator state: a float for Fopdt and TankNonlinear, a tuple of floats
-# otherwise. Python floats and numpy float64 elements round identically, so
-# every plant integrates to the same bits as the vector form (the tests keep
-# it as the reference); A x and C x stay BLAS products (OpenBLAS fuses
-# multiply-adds, a Python dot product does not).
+# Integrator state: a float for Fopdt and TankNonlinear, a tuple of floats for
+# the LTI plants (LinearStateSpace, SecondOrder). A float state takes RK4's
+# four stages; a tuple state steps on the precomputed map Phi x + Gamma u, and
+# its output C x is a sum of float products: no BLAS call, so no plant's bits
+# depend on the OpenBLAS core.
 PlantState = Union[float, tuple]
 
 
@@ -154,14 +154,20 @@ class PlantModel:
                 raise ValueError("x0 dimension does not match the plant variant")
             object.__setattr__(self, "x0", x0)
 
+    def state_space(self) -> LinearStateSpace | None:
+        """The plant as x' = A x + B u, y = C x, a second-order plant in its
+        companion form (state y, y'); None for FOPDT and the tank."""
+        v = self.variant
+        if isinstance(v, SecondOrder):
+            wn2 = v.omega_n * v.omega_n
+            return LinearStateSpace(a=[[0.0, 1.0], [-wn2, -2.0 * v.zeta * v.omega_n]],
+                                    b=[0.0, v.gain * wn2], c=[[1.0, 0.0]])
+        return v if isinstance(v, LinearStateSpace) else None
+
     @property
     def state_dim(self) -> int:
-        v = self.variant
-        if isinstance(v, LinearStateSpace):
-            return v.a.shape[0]
-        if isinstance(v, SecondOrder):
-            return 2
-        return 1
+        lti = self.state_space()
+        return 1 if lti is None else lti.a.shape[0]
 
     @property
     def n_outputs(self) -> int:
@@ -177,12 +183,12 @@ class PlantModel:
         x0 = self.x0.tolist() if self.x0 is not None else [0.0] * self.state_dim
         return x0[0] if isinstance(self.variant, (Fopdt, TankNonlinear)) else tuple(x0)
 
-    def dynamics(self) -> Callable[[PlantState, float], PlantState]:
-        """The variant's derivative f(x, u), with its constants bound once.
+    def dynamics(self, dt: float) -> Callable[[PlantState, float], PlantState]:
+        """What `rk4_step` steps the plant on, with its constants bound once.
 
-        The variant is picked here, not on every call, and each closure
-        evaluates the variant's expression in its own order: a linear
-        plant's A x stays one BLAS product.
+        FOPDT and the tank: the derivative f(x, u), whose four stages
+        `rk4_step` evaluates. An LTI plant: the whole RK4 step over `dt`,
+        (x, u) -> Phi x + Gamma u (`_rk4_map`).
         """
         v = self.variant
         if isinstance(v, Fopdt):
@@ -192,37 +198,53 @@ class PlantModel:
             area, outflow = v.area, v.outflow_coeff
             # level cannot drain below zero
             return lambda x, u: (u - outflow * math.sqrt(max(x, 0.0))) / area
-        if isinstance(v, SecondOrder):
-            gain, zeta, wn = v.gain, v.zeta, v.omega_n
-            return lambda x, u: (x[1], gain * wn * wn * u - 2.0 * zeta * wn * x[1] - wn * wn * x[0])
-        a_x, b = _bound_product(v.a), v.b.tolist()
-        return lambda x, u: tuple([ax + bi * u for ax, bi in zip(a_x(x).tolist(), b)])
+        lti = self.state_space()
+        return _rk4_map(lti.a.tolist(), lti.b.tolist(), dt)
 
     def output_map(self) -> Callable[[PlantState], object]:
         """The measurement y(x), its variant picked once: a float for a
-        single-output plant, a fresh numpy vector for a multi-output one."""
-        v = self.variant
-        if isinstance(v, SecondOrder):
-            return itemgetter(0)
-        if not isinstance(v, LinearStateSpace):
+        single-output plant, a fresh numpy vector for a multi-output one.
+        An LTI plant's y_i is `_dot(C_i, x)`."""
+        lti = self.state_space()
+        if lti is None:
             return lambda x: x
-        c_x = _bound_product(v.c)
-        if v.c.shape[0] > 1:
-            return c_x
-        return lambda x: c_x(x).tolist()[0]
+        c = lti.c.tolist()
+        if len(c) > 1:
+            return lambda x: np.array([_dot(row, x) for row in c])
+        return partial(_dot, c[0])
 
 
-def _bound_product(m: np.ndarray) -> Callable[[tuple], np.ndarray]:
-    """x -> m x for a tuple of floats, as one BLAS product (gemv) on an operand
-    allocated here and refilled per call: the same product of the same values
-    as `m.dot(np.array(x))`, without a new array per call."""
-    operand = np.empty(m.shape[1])
-    fill, dot = struct.Struct(f"{m.shape[1]}d").pack_into, m.dot
+def _dot(row, x) -> float:
+    """row_0 x_0 + row_1 x_1 + ..., summed left to right."""
+    acc = row[0] * x[0]
+    for j in range(1, len(row)):
+        acc += row[j] * x[j]
+    return acc
 
-    def product(x):
-        fill(operand, 0, *x)
-        return dot(operand)
-    return product
+
+def _rk4_map(a: list, b: list, dt: float) -> Callable[[tuple, float], tuple]:
+    """One classical RK4 step over `dt` of x' = A x + B u, u held, as one map
+    (x, u) -> Phi x + Gamma u. With M = dt A, Phi = I + M + M^2/2 + M^3/6 +
+    M^4/24 and Gamma = dt (I + M/2 + M^2/6 + M^3/24) B: the four stages'
+    algebra exactly (Butcher, Numerical Methods for ODEs, 3rd ed. 2016).
+
+    Built in floats in Horner form, in this order: T = I, then
+    T = I + (M T) / k for k = 4, 3, 2; Gamma = dt (T B); Phi = I + M T. I adds
+    1.0 on the diagonal and 0.0 off it. Every sum is a `_dot`, and a step's
+    x+_i is `_dot(Phi_i, x) + Gamma_i u`.
+    """
+    m = [[dt * e for e in row] for row in a]
+    n = range(len(a))
+
+    def horner(t, k):  # I + (M T) / k
+        cols = list(zip(*t))
+        return [[_dot(m[i], cols[j]) / k + float(i == j) for j in n] for i in n]
+
+    t = [[float(i == j) for j in n] for i in n]
+    for k in (4.0, 3.0, 2.0):
+        t = horner(t, k)
+    rows = [(phi, dt * _dot(row, b)) for phi, row in zip(horner(t, 1.0), t)]
+    return lambda x, u: tuple([_dot(phi, x) + gamma * u for phi, gamma in rows])
 
 
 @dataclass(frozen=True)
@@ -370,8 +392,10 @@ class DelayLine:
 def rk4_step(state: PlantState, u, dt: float, dynamics: Callable) -> PlantState:
     """Classical 4th-order Runge-Kutta update with input held over the step.
 
-    A float or tuple state is integrated element by element with the
-    operations of x + (dt / 6)(k1 + 2 k2 + 2 k3 + k4) in the vector form's order.
+    A float state takes the four stages of the derivative `dynamics`,
+    x + (dt / 6)(k1 + 2 k2 + 2 k3 + k4). A tuple state is an LTI plant's, and
+    `dynamics` is then its whole step over `dt` (`PlantModel.dynamics(dt)`):
+    one call of the map, then the same finite check.
     """
     if isinstance(state, float):
         k1 = dynamics(state, u)
@@ -381,14 +405,7 @@ def rk4_step(state: PlantState, u, dt: float, dynamics: Callable) -> PlantState:
         out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         finite = math.isfinite(out)
     else:
-        h = 0.5 * dt
-        k1 = dynamics(state, u)
-        k2 = dynamics(tuple([x + h * k for x, k in zip(state, k1)]), u)
-        k3 = dynamics(tuple([x + h * k for x, k in zip(state, k2)]), u)
-        k4 = dynamics(tuple([x + dt * k for x, k in zip(state, k3)]), u)
-        c = dt / 6.0
-        out = tuple([x + c * (a + 2.0 * b + 2.0 * e + f)
-                     for x, a, b, e, f in zip(state, k1, k2, k3, k4)])
+        out = dynamics(state, u)
         finite = all(map(math.isfinite, out))
     if not finite:
         raise SimulationDiverged("non-finite state after RK4 stage", step=-1)
@@ -515,7 +532,8 @@ def simulate(
     guard = DIVERGENCE_FACTOR * ref_scale
 
     x = plant.initial_state()
-    dynamics, output, dt = plant.dynamics(), plant.output_map(), cfg.dt
+    dt = cfg.dt
+    dynamics, output = plant.dynamics(dt), plant.output_map()
     u_lo, u_hi = plant.u_min, plant.u_max
     controller.reset()
     # `rk4_step` stays a per-step global lookup, so a wrapper on the module sees each step

@@ -4,8 +4,8 @@ code they replaced, byte for byte.
 The copies below re-derive every constant on each call, as the blocks did
 before they were bound: the deployed neural controller and gain scheduler
 read their normalization stats, output centre and half-span and gain bounds
-from the arrays; a linear plant builds a fresh operand for each of A x and
-C x; the sensor branches on its options per reading; a step or profile
+from the arrays; a linear plant's step and output are rebuilt from A, B and
+C in index loops (`test_simcore.lti_step_reference`); the sensor branches on its options per reading; a step or profile
 reference is a callable sampled at every grid time. Every output byte and
 the generator's end state must stay the same.
 """
@@ -33,7 +33,7 @@ from loopbench.simcore import (
     SimConfig, _noise_draws, _sensor_reader, primary_output, rk4_step, simulate,
 )
 from test_neuro import spy_gains
-from test_simcore import array_rk4_step
+from test_simcore import lti_output_reference, lti_step_reference
 
 pytestmark = pytest.mark.bits
 
@@ -114,16 +114,6 @@ class RefCascade(CascadeController):
         y_vec = np.atleast_1d(y)
         return cascade_step(self.spec, self.states, w, float(y_vec[self.spec.outer_channel]),
                             float(y_vec[self.spec.inner_channel]), dt)
-
-
-def ref_linear_dynamics(v):
-    a, b = v.a, v.b.tolist()
-    return lambda x, u: tuple([ax + bi * u for ax, bi in zip(a.dot(np.array(x)).tolist(), b)])
-
-
-def ref_linear_output(v, x):
-    y = v.c.dot(np.array(x))
-    return float(y[0]) if y.shape[0] == 1 else y
 
 
 class RefSampler:
@@ -317,29 +307,29 @@ def test_cascade_step_bit_equal_to_per_step_form(channels):
 @pytest.mark.parametrize("outputs", [1, 2, 3])
 @pytest.mark.parametrize("states", [1, 2, 3, 4])
 def test_linear_plant_bit_equal_to_array_branch(states, outputs):
-    """A run of `output_map()` and `dynamics()` calls, interleaved as in
-    `simulate`, against the array form of `rk4_step` and a fresh operand
-    per product; every multi-output reading stays as it was returned."""
+    """A run of `output_map()` and `dynamics(dt)` calls, interleaved as in
+    `simulate`, against the LTI step and output rebuilt in index loops on
+    every step; every multi-output reading stays as it was returned."""
     rng = np.random.default_rng([states, outputs])
     variant = LinearStateSpace(a=rng.normal(0.0, 1.5, size=(states, states)),
                                b=rng.normal(0.0, 1.0, size=states),
                                c=rng.normal(0.0, 1.0, size=(outputs, states)))
     plant = PlantModel(variant, x0=rng.normal(size=states), u_min=-math.inf, u_max=math.inf)
-    dynamics, output = plant.dynamics(), plant.output_map()
-    ref = ref_linear_dynamics(variant)
-    x, x_ref = plant.initial_state(), plant.x0.copy()
+    output = plant.output_map()
+    a, b, c = variant.a.tolist(), variant.b.tolist(), variant.c.tolist()
+    x = x_ref = plant.initial_state()
     readings, ref_readings = [], []
     for u, dt in zip(rng.normal(0.0, 2.0, size=400).tolist(),
                      (10.0 ** rng.uniform(-3.0, -1.0, size=400)).tolist()):
         y = output(x)
         assert isinstance(y, float) == (outputs == 1)
         readings.append(y)
-        ref_readings.append(ref_linear_output(variant, x))
+        ref_readings.append(lti_output_reference(c, x_ref))
         assert _bits(y) == _bits(ref_readings[-1])
+        dynamics, ref = plant.dynamics(dt), lti_step_reference(a, b, dt)
         assert _bits(dynamics(x, u)) == _bits(ref(x, u))
-        x = rk4_step(x, u, dt, dynamics)
-        x_ref = array_rk4_step(x_ref, u, dt, lambda s, v: variant.a @ s + variant.b * v)
-        assert _bits(x) == x_ref.tobytes()
+        x, x_ref = rk4_step(x, u, dt, dynamics), ref(x_ref, u)
+        assert _bits(x) == _bits(x_ref)
     assert _bits(readings) == _bits(ref_readings)
 
 

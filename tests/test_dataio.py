@@ -539,8 +539,8 @@ def test_no_module_imports_threads_or_processes():
 
 def test_only_nnet_and_simcore_import_struct():
     """Network rows are packed in one place, `nnet`'s bound passes, which
-    also normalize them; the only other packer is `simcore`'s, for plant
-    states. So no other module imports `struct`, in either form."""
+    also normalize them; plant states step on float sums and are never
+    packed. So no other module imports `struct`, in either form."""
     src = Path(loopbench.__file__).parent
     importers = set()
     for path in sorted(src.glob("*.py")):
@@ -548,7 +548,7 @@ def test_only_nnet_and_simcore_import_struct():
             if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names) \
                     or isinstance(node, ast.ImportFrom) and node.module == "struct":
                 importers.add(path.stem)
-    assert importers == {"nnet", "simcore"}
+    assert importers == {"nnet"}
 
 
 def test_every_public_definition_is_used_in_src():

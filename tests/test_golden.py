@@ -19,8 +19,11 @@ delay line's `push_pop` once per run, and `tune/ai-one-episode` and
 `train/bptt-one-episode` before a one-row pass and a stacked pass became
 one binder. Declared
 changes rewrote the imitation digests when an epoch's batch rows came to be
-drawn at once, and `train/bptt-controller` and `train/bptt-scheduler` when
-an epoch's BPTT gradients came to be taken at its start weights; a change
+drawn at once, `train/bptt-controller` and `train/bptt-scheduler` when
+an epoch's BPTT gradients came to be taken at its start weights, and the 18
+cases with a linear or second-order plant (`linear*/*`, `second_order/*`,
+`cli/linear2-cascade` and `tune/step-second_order`) when those plants came
+to step on RK4's precomputed one-step map; a change
 that moves any output bit fails here and must be declared as a behaviour
 change. Regenerate with
 
@@ -32,6 +35,8 @@ only as part of such a declared change.
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import loopbench
 from loopbench.cli import main as cli_main
 from loopbench.errors import ControllerFault, SimulationDiverged
 from loopbench.neuro import GainScheduler, NeuralControlLoop, NeuralController, ScheduledPidController
@@ -85,9 +91,8 @@ PLANTS = {
                 DisturbanceSpec("step", "input", time=1.0, magnitude=-0.4), None),
 }
 
-# a linear plant with no zero in A or C: the matrices above give the same
-# bits from every OpenBLAS core, this one's digest moves with the core
-# (it differs under OPENBLAS_CORETYPE=Haswell and under Prescott)
+# a linear plant with no zero in A or C: while the plants' A x and C x were
+# BLAS products, this digest moved with the OpenBLAS core
 LINEAR_DENSE = (PlantModel(LinearStateSpace(a=[[-0.37, 0.91], [-1.24, -0.83]], b=[0.45, 1.3],
                                             c=[[0.62, -0.29]]), u_min=-6.0, u_max=6.0,
                            x0=[0.17, -0.08]),
@@ -473,6 +478,34 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path):
     assert CASES[name](tmp_path) == _golden()[name]
+
+
+# the cases that run no network and no training, on plants that step on
+# float sums: no BLAS call reaches their bytes
+BLAS_FREE = ("cli/linear2-cascade", "linear/pid", "linear2/cascade", "linear_dense/pid",
+             "second_order/pid", "tune/step-second_order")
+
+
+def test_blas_free_digests_under_a_foreign_blas_core():
+    """The BLAS-free cases again, in a fresh interpreter with OpenBLAS on its
+    Prescott (SSE3) kernels, which it picks once, when it loads: each digest
+    is the stored one."""
+    script = ("import contextlib, io, json, sys, tempfile\n"
+              "sys.path[:0] = sys.argv[1:3]\n"
+              "import test_golden\n"
+              "digests = {}\n"
+              "for name in sys.argv[3:]:\n"
+              "    with tempfile.TemporaryDirectory() as tmp, "
+              "contextlib.redirect_stdout(io.StringIO()):\n"
+              "        digests[name] = test_golden.CASES[name](tmp)\n"
+              "print(json.dumps(digests))\n")
+    paths = [str(Path(__file__).parent), str(Path(loopbench.__file__).parents[1])]
+    run = subprocess.run([sys.executable, "-c", script, *paths, *BLAS_FREE],
+                         env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
+    golden = _golden()
+    assert json.loads(run.stdout.splitlines()[-1]) == {name: golden[name] for name in BLAS_FREE}
 
 
 if __name__ == "__main__":

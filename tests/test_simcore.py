@@ -31,8 +31,9 @@ def apply_sensor(y, sensor: SensorSpec, rng: np.random.Generator):
 
 
 def array_rk4_step(state, u, dt, dynamics):
-    """`rk4_step` on a numpy vector state, the form the float and tuple states
-    are checked against bit for bit."""
+    """RK4's four stages on a numpy vector state: the form the float state is
+    checked against bit for bit, and the one the LTI plants' precomputed map
+    is checked against to rounding."""
     x = np.asarray(state, dtype=float)
     k1 = np.asarray(dynamics(x, u), dtype=float)
     k2 = np.asarray(dynamics(x + 0.5 * dt * k1, u), dtype=float)
@@ -42,6 +43,42 @@ def array_rk4_step(state, u, dt, dynamics):
     if not np.all(np.isfinite(out)):
         raise SimulationDiverged("non-finite state after RK4 stage", step=-1)
     return out
+
+
+def _left_to_right(terms):
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
+def lti_step_reference(a, b, dt):
+    """An LTI plant's RK4 step x -> Phi x + Gamma u over `dt`, built in index
+    loops in the order `simcore._rk4_map` documents: M = dt A; T = I, then
+    T = I + (M T) / k for k = 4, 3, 2; Gamma = dt (T B); Phi = I + M T; every
+    sum left to right, and Gamma_i u added after (Phi x)_i. The LTI plants'
+    bit reference."""
+    n = len(a)
+    m = [[dt * a[i][j] for j in range(n)] for i in range(n)]
+
+    def identity_plus(t, k):
+        return [[_left_to_right([m[i][l] * t[l][j] for l in range(n)]) / k
+                 + (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+
+    t = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for k in (4.0, 3.0, 2.0):
+        t = identity_plus(t, k)
+    gamma = [dt * _left_to_right([t[i][j] * b[j] for j in range(n)]) for i in range(n)]
+    phi = identity_plus(t, 1.0)
+    return lambda x, u: tuple(_left_to_right([phi[i][j] * x[j] for j in range(n)]) + gamma[i] * u
+                              for i in range(n))
+
+
+def lti_output_reference(c, x):
+    """C x with each output summed left to right: a float for one output, a
+    numpy vector for several."""
+    y = [_left_to_right([ci[j] * x[j] for j in range(len(x))]) for ci in c]
+    return y[0] if len(y) == 1 else np.array(y)
 
 
 def test_rk4_exponential_decay():
@@ -312,7 +349,8 @@ def test_simconfig_validation():
 # ---------------------------------------------------------------------------
 
 def _array_dynamics(v):
-    """The vector-state derivatives the float-state plants are checked against."""
+    """The vector-state derivatives the float-state plants are checked
+    against bit for bit, and the LTI plants to rounding."""
     if isinstance(v, LinearStateSpace):
         return lambda x, u: v.a @ x + v.b * u
     if isinstance(v, Fopdt):
@@ -322,6 +360,17 @@ def _array_dynamics(v):
         return lambda x, u: np.array([x[1], v.gain * wn * wn * u - 2.0 * v.zeta * wn * x[1]
                                       - wn * wn * x[0]])
     return lambda x, u: np.array([(u - v.outflow_coeff * math.sqrt(max(x[0], 0.0))) / v.area])
+
+
+def _lti(v):
+    """(A, B, C) as nested float lists, a second-order plant in its companion
+    form (state y, y'); None for a float-state plant."""
+    if isinstance(v, SecondOrder):
+        wn = v.omega_n
+        return [[0.0, 1.0], [-(wn * wn), -2.0 * v.zeta * wn]], [0.0, v.gain * (wn * wn)], [[1.0, 0.0]]
+    if isinstance(v, LinearStateSpace):
+        return v.a.tolist(), v.b.tolist(), v.c.tolist()
+    return None
 
 
 def _rk4_or_diverged(state, u, dt, dynamics, step=rk4_step):
@@ -347,11 +396,13 @@ def _linear(n_states, n_outputs, seed):
 ])
 @pytest.mark.bits
 def test_float_state_rk4_matches_array_branch_bitwise(variant):
-    """Every plant's float-state step against the array form with `==`; a
-    linear plant's A x and C x are one BLAS product each in both forms, so
-    this also runs under the portable profile (tests/test_nnet.py)."""
+    """Every plant's float-state step with `==` on its bits: FOPDT and the
+    tank against RK4's stages on a numpy vector, an LTI plant's map and
+    output against `lti_step_reference` and `lti_output_reference`. No form
+    makes a BLAS call, so this also runs under the portable profile
+    (tests/test_nnet.py)."""
     plant = PlantModel(variant, u_min=-math.inf, u_max=math.inf, x0=None)
-    ref = _array_dynamics(variant)
+    lti = _lti(variant)
     rng = np.random.default_rng(2024)
     n = 10_000
     # states and inputs over many decades and both signs: negative tank
@@ -360,20 +411,74 @@ def test_float_state_rk4_matches_array_branch_bitwise(variant):
     states[-20:] *= 1e300
     inputs = rng.normal(0.0, 1.0, size=n) * 10.0 ** rng.integers(-6, 7, size=n)
     steps = 10.0 ** rng.uniform(-4.0, 0.0, size=n)
-    linear = isinstance(variant, LinearStateSpace)
-    dynamics, output = plant.dynamics(), plant.output_map()
+    output = plant.output_map()
     for x, u, dt in zip(states, inputs.tolist(), steps.tolist()):
-        fast_x = tuple(x.tolist()) if isinstance(plant.initial_state(), tuple) else float(x[0])
-        if linear:
-            y = output(fast_x)
-            assert isinstance(y, float) == (plant.n_outputs == 1)
-            assert np.atleast_1d(y).tobytes() == (variant.c @ x).tobytes()
-        fast = _rk4_or_diverged(fast_x, u, dt, dynamics)
-        slow = _rk4_or_diverged(x, u, dt, ref, array_rk4_step)
-        if isinstance(slow, str):
-            assert fast == slow
+        if lti is None:
+            fast = _rk4_or_diverged(float(x[0]), u, dt, plant.dynamics(dt))
+            slow = _rk4_or_diverged(x, u, dt, _array_dynamics(variant), array_rk4_step)
+            assert fast == slow if isinstance(slow, str) else [fast] == slow.tolist()
+            continue
+        a, b, c = lti
+        x = tuple(x.tolist())
+        y = output(x)
+        assert isinstance(y, float) == (plant.n_outputs == 1)
+        assert np.array(y).tobytes() == np.array(lti_output_reference(c, x)).tobytes()
+        fast = _rk4_or_diverged(x, u, dt, plant.dynamics(dt))
+        slow = lti_step_reference(a, b, dt)(x, u)
+        if not all(map(math.isfinite, slow)):
+            assert fast == "diverged"
         else:
-            assert np.atleast_1d(fast).tolist() == slow.tolist()
+            assert np.array(fast).tobytes() == np.array(slow).tobytes()
+
+
+@pytest.mark.parametrize("variant", [
+    SecondOrder(gain=2.5, omega_n=3.0, zeta=0.15),
+    _linear(1, 1, 1), _linear(2, 1, 2), _linear(3, 2, 6), _linear(4, 3, 5),
+])
+def test_lti_step_map_agrees_with_the_stage_form(variant):
+    """An LTI plant's step is RK4's four stages rearranged into x -> Phi x +
+    Gamma u, so the two differ by rounding alone: within 1e-14 (about 45
+    ulps of 1) of |x|_inf + dt |B|_inf |u|, over steps with dt |A|_inf up
+    to 1."""
+    plant = PlantModel(variant, u_min=-math.inf, u_max=math.inf, x0=None)
+    a, b, _ = _lti(variant)
+    stages = _array_dynamics(variant)
+    a_norm, b_norm = np.abs(a).sum(axis=1).max(), np.abs(b).max()
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(2000):
+        x = rng.normal(0.0, 1.0, size=plant.state_dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+        u = float(rng.normal(0.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0))
+        dt = float(10.0 ** rng.uniform(-4.0, 0.0)) / a_norm
+        fast = np.array(rk4_step(tuple(x.tolist()), u, dt, plant.dynamics(dt)))
+        slow = array_rk4_step(x, u, dt, stages)
+        scale = np.abs(x).max() + dt * b_norm * abs(u)
+        worst = max(worst, np.abs(fast - slow).max() / scale)
+    assert worst <= 1e-14, worst
+
+
+def test_lti_step_map_global_error_is_fourth_order():
+    """x' = A x + B u with A = [[-1, 1], [0, -5]], B = (0, 1), u held at 1.5
+    from x(0) = (1, -0.5), through `simulate` with both states as outputs,
+    against the closed form x(t) = x_ss + e^(At) (x(0) - x_ss): halving dt
+    from 0.025 to 0.0125 cuts the largest error over t in [0, 2] by about
+    2^4 = 16."""
+    u, x0 = 1.5, np.array([1.0, -0.5])
+    x_ss = np.array([0.2, 0.2]) * u  # -A^-1 B u
+
+    def worst_error(dt):
+        plant = PlantModel(LinearStateSpace(a=[[-1.0, 1.0], [0.0, -5.0]], b=[0.0, 1.0],
+                                            c=np.eye(2)), u_min=-math.inf, u_max=math.inf, x0=x0)
+        traj = simulate(plant, ConstantController(u), 0.0, SimConfig(dt=dt, horizon=2.0, seed=0))
+        t = traj.t
+        e0, e1 = x0 - x_ss
+        exact0 = x_ss[0] + np.exp(-t) * e0 + (np.exp(-t) - np.exp(-5.0 * t)) / 4.0 * e1
+        exact1 = x_ss[1] + np.exp(-5.0 * t) * e1
+        return max(np.abs(traj.y - exact0).max(), np.abs(traj.y_extra[:, 0] - exact1).max())
+
+    coarse, fine = worst_error(0.025), worst_error(0.0125)
+    assert coarse < 1e-6
+    assert 15.0 <= coarse / fine <= 18.0, coarse / fine
 
 
 @pytest.mark.parametrize("plant", [
